@@ -11,6 +11,13 @@ type encrypted_relation = {
   wire_size : int;
 }
 
+(* Each row: its hybrid ciphertext plus 8 bytes per partition index. *)
+let of_rows ~arity rows =
+  let wire_size =
+    List.fold_left (fun acc (ct, _) -> acc + Hybrid.size ct + (8 * arity)) 0 rows
+  in
+  { rows; wire_size }
+
 let encrypt_relation ?domains prng pk tables ~join_attrs relation =
   let positions = Join_key.positions (Relation.schema relation) join_attrs in
   let tables = Array.of_list tables in
@@ -32,11 +39,7 @@ let encrypt_relation ?domains prng pk tables ~join_attrs relation =
         (etuple, indexes))
       (Relation.tuples relation)
   in
-  let arity = Array.length positions in
-  let wire_size =
-    List.fold_left (fun acc (ct, _) -> acc + Hybrid.size ct + (8 * arity)) 0 rows
-  in
-  { rows; wire_size }
+  of_rows ~arity:(Array.length positions) rows
 
 let server_query_pairs ~left_tables ~right_tables =
   List.map2 Das_partition.overlapping_pairs left_tables right_tables
@@ -215,7 +218,7 @@ let validate_indexes which er =
    ciphertext followed by its 8-byte big-endian partition indexes —
    exactly [er.wire_size] bytes, so socket-level byte counts match the
    transcript entry in distributed runs.  One string per row, so the
-   upload can travel row-wise ([Link.deliver_rows]) without ever
+   upload can travel row-wise ([Link.exchange_rows]) without ever
    concatenating the relation. *)
 let er_rows er =
   List.map
@@ -226,19 +229,94 @@ let er_rows er =
       Wire.contents w)
     er.rows
 
+let read_hybrid r = Wire.read_at r Hybrid.of_wire_at
+
+(* The receiver's side: [arity] indexes per row, rows until the end. *)
+let read_er ~arity r =
+  of_rows ~arity
+    (Wire.read_rest r (fun () ->
+         let ct = read_hybrid r in
+         (ct, Array.init arity (fun _ -> Wire.read_int r))))
+
+(* The index tables a source uploads beside its rows, in this setting's
+   form: none, sealed under a key the mediator lacks, or in the clear. *)
+type tables_part =
+  | No_tables
+  | Sealed of Hybrid.ciphertext
+  | Clear of Das_partition.t list
+
+let tables_size = function
+  | No_tables -> 0
+  | Sealed ct -> Hybrid.size ct
+  | Clear tables -> String.length (tables_to_wire tables)
+
+(* The upload: the tables (when any) lead, then one row per tuple, so a
+   receiver can split the message without knowing the row count. *)
+let upload_rows (er, tables) =
+  (match tables with
+  | No_tables -> []
+  | Sealed ct -> [ Hybrid.to_wire ct ]
+  | Clear tables -> [ tables_to_wire tables ])
+  @ er_rows er
+
+let decode_upload ~arity ~tables blob =
+  let r = Wire.reader blob in
+  let tables =
+    match tables with
+    | `None -> No_tables
+    | `Sealed -> Sealed (read_hybrid r)
+    | `Clear -> Clear (Wire.read_list r (fun () -> Das_partition.of_wire (Wire.read_string r)))
+  in
+  (read_er ~arity r, tables)
+
 (* Canonical q_S encoding: 16 bytes per overlapping pair (two 8-byte
-   big-endian indexes), matching the 16*|pairs| transcript size. *)
+   big-endian indexes), matching the 16*|pairs| transcript size.
+   Partition ids lie in [0, 2^62), so the first pair of each join
+   attribute carries its left index complemented (negative): a receiver
+   regroups a composite key's pairs per attribute.  An attribute with no
+   pair empties the join, whatever its position, so a receiver pads
+   missing groups at the end. *)
 let pairs_payload pairs =
   let w = Wire.writer () in
   List.iter
-    (fun attr_pairs ->
-      List.iter
-        (fun (i1, i2) ->
-          Wire.write_int w i1;
-          Wire.write_int w i2)
-        attr_pairs)
+    (List.iteri (fun n (i1, i2) ->
+         Wire.write_int w (if n = 0 then lnot i1 else i1);
+         Wire.write_int w i2))
     pairs;
   Wire.contents w
+
+let pairs_of_payload ~arity blob =
+  let r = Wire.reader blob in
+  let rec go groups =
+    if Wire.at_end r then groups
+    else begin
+      let i1 = Wire.read_int r in
+      let i2 = Wire.read_int r in
+      match groups with
+      | _ when i1 < 0 -> go ([ (lnot i1, i2) ] :: groups)
+      | current :: rest -> go (((i1, i2) :: current) :: rest)
+      | [] -> raise (Wire.Malformed "q_S starts without an attribute marker")
+    end
+  in
+  let groups = List.rev_map List.rev (go []) in
+  let n = List.length groups in
+  if n > arity then
+    raise (Wire.Malformed (Printf.sprintf "q_S names %d join attributes of %d" n arity));
+  groups @ List.init (arity - n) (fun _ -> [])
+
+let pair_count pairs = List.fold_left (fun acc p -> acc + List.length p) 0 pairs
+
+let rc_size rc = List.fold_left (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y) 0 rc
+
+let decode_rc blob =
+  let r = Wire.reader blob in
+  Wire.read_rest r (fun () ->
+      let x = read_hybrid r in
+      (x, read_hybrid r))
+
+let sealed_exchange link ~phase ~receiver ~label ct =
+  Link.exchange link ~phase ~sender:Mediator ~receiver ~label ~size:Hybrid.size
+    ~encode:Hybrid.to_wire ~decode:Hybrid.of_wire ct
 
 let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval = Pair_index)
     ?(setting = Client_setting) env client ~query =
@@ -251,24 +329,29 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
   let tr = Outcome.Builder.transcript b in
   Fault.attach fault tr;
   let link = Link.make ?endpoint ?fault tr in
-  let (result, exact, received), counters =
+  let computes = Link.computes link in
+  let step party phase f = Outcome.Builder.step b link party phase f in
+  let (exact, client_view), counters =
     Counters.with_fresh (fun () ->
         let request =
-          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () -> Request.run link env client ~query)
+          Outcome.Builder.replicated b link Mediator "request" (fun () ->
+              Request.run link env client ~query)
         in
         let exact = Request.exact_result env request in
         let join_attrs = Request.join_attrs request in
+        let arity = List.length join_attrs in
         let pk = request.Request.client_pk in
+        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
+        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
 
         (* Listing 2, steps 1-3 at each source: partition every join
            attribute and encrypt the partial result DAS-style.  Where the
            index tables go — and under which key — depends on the
            translator placement. *)
-        let source_side which (entry : Catalog.entry) relation =
-          let prng = Env.prng_for env (Printf.sprintf "das-source-%d" entry.Catalog.source) in
-          Outcome.Builder.timed b
-            ~party:(Transcript.party_name (Source entry.Catalog.source)) "source-encrypt"
-            (fun () ->
+        let source_side (entry : Catalog.entry) relation =
+          let sid = entry.Catalog.source in
+          step (Source sid) "source-encrypt" (fun () ->
+              let prng = Env.prng_for env (Printf.sprintf "das-source-%d" sid) in
               let tables =
                 List.map
                   (fun attr ->
@@ -279,208 +362,225 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
                   join_attrs
               in
               let encrypted = encrypt_relation prng pk tables ~join_attrs relation in
-              ignore which;
-              let encrypted =
-                apply_byzantine (Fault.byzantine_mode fault entry.Catalog.source) encrypted
-              in
-              (prng, tables, encrypted))
+              (prng, tables, apply_byzantine (Fault.byzantine_mode fault sid) encrypted))
+        in
+        let side1 =
+          source_side request.Request.decomposition.Catalog.left request.Request.left_result
+        in
+        let side2 =
+          source_side request.Request.decomposition.Catalog.right request.Request.right_result
+        in
+        (* S1's key pair, for the source setting: S2 seals its tables to
+           it, S1 opens them. *)
+        let s1_keys = lazy (source_keypair env s1) in
+        let seal sid key = function
+          | None -> None
+          | Some (prng, tables, _) ->
+            step (Source sid) "source-encrypt" (fun () ->
+                Sealed (Hybrid.encrypt prng (key ()) (tables_to_wire tables)))
+        in
+        let clear = Option.map (fun (_, tables, _) -> Clear tables) in
+        let bare = Option.map (fun _ -> No_tables) in
+        let (tables1, kind1), (tables2, kind2) =
+          match setting with
+          | Client_setting ->
+            ( (seal s1 (fun () -> pk) side1, `Sealed),
+              (seal s2 (fun () -> pk) side2, `Sealed) )
+          | Source_setting ->
+            ( (bare side1, `None),
+              (seal s2 (fun () -> Elgamal.public (Lazy.force s1_keys)) side2, `Sealed) )
+          | Mediator_setting -> ((clear side1, `Clear), (clear side2, `Clear))
         in
         (* One upload per source: the encrypted rows plus this setting's
            form of the index tables (so sources still "send data once"). *)
-        let record_upload sid which ~rows_size ?(tables_payload = 0)
-            ?(tables_wire = fun () -> "") ~rows () =
-          Link.deliver_rows link ~phase:"source-upload" ~sender:(Source sid)
-            ~receiver:Mediator
+        let upload sid which side tables ~kind =
+          let value =
+            match (side, tables) with
+            | Some (_, _, er), Some tables -> Some (er, tables)
+            | _ -> None
+          in
+          Link.exchange_rows link ~phase:"source-upload" ~sender:(Source sid) ~receiver:Mediator
             ~label:(Printf.sprintf "R%dS+ITables" which)
-            ~size:(rows_size + tables_payload)
-            (fun () ->
-              match tables_wire () with
-              | "" -> er_rows rows
-              | tables -> er_rows rows @ [ tables ])
+            ~size:(fun (er, tables) -> er.wire_size + tables_size tables)
+            ~rows:upload_rows ~decode:(decode_upload ~arity ~tables:kind) value
         in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
-        let prng1, tables1, r1s =
-          source_side 1 request.Request.decomposition.Catalog.left request.Request.left_result
-        in
-        let prng2, tables2, r2s =
-          source_side 2 request.Request.decomposition.Catalog.right
-            request.Request.right_result
-        in
-        (* The tuple-wise encryption reveals the partial result sizes to
-           the mediator. *)
-        Outcome.Builder.mediator_sees b "cardinality-R1S" (List.length r1s.rows);
-        Outcome.Builder.mediator_sees b "cardinality-R2S" (List.length r2s.rows);
+        let up1 = upload s1 1 side1 tables1 ~kind:kind1 in
+        let up2 = upload s2 2 side2 tables2 ~kind:kind2 in
+        (* What the mediator holds from here on: the uploads as received. *)
+        let up1 = if computes Mediator then up1 else None in
+        let up2 = if computes Mediator then up2 else None in
+        let sealed_of = function Some (_, Sealed ct) -> Some ct | _ -> None in
+        (match (up1, up2) with
+        | Some (r1s, _), Some (r2s, _) ->
+          (* The tuple-wise encryption reveals the partial result sizes
+             to the mediator. *)
+          Outcome.Builder.mediator_sees b "cardinality-R1S" (List.length r1s.rows);
+          Outcome.Builder.mediator_sees b "cardinality-R2S" (List.length r2s.rows)
+        | _ -> ());
 
         (* Steps 4/5: route the index tables to the translator, which
            derives the server query q_S. *)
+        let send_query sender pairs =
+          Link.exchange link ~phase:"mediator-server-query" ~sender ~receiver:Mediator
+            ~label:"server-query-qS"
+            ~size:(fun pairs -> 16 * pair_count pairs)
+            ~encode:pairs_payload ~decode:(pairs_of_payload ~arity) pairs
+        in
         let per_attr_pairs =
           match setting with
           | Client_setting ->
             (* Tables encrypted for the client; client translates. *)
             let enc_it1 =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s1))
-                "source-encrypt" (fun () -> Hybrid.encrypt prng1 pk (tables_to_wire tables1))
+              sealed_exchange link ~phase:"client-translate" ~receiver:Client
+                ~label:"enc(ITables_R1)" (sealed_of up1)
             in
             let enc_it2 =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s2))
-                "source-encrypt" (fun () -> Hybrid.encrypt prng2 pk (tables_to_wire tables2))
+              sealed_exchange link ~phase:"client-translate" ~receiver:Client
+                ~label:"enc(ITables_R2)" (sealed_of up2)
             in
-            record_upload s1 1 ~rows_size:r1s.wire_size ~tables_payload:(Hybrid.size enc_it1)
-              ~tables_wire:(fun () -> Hybrid.to_wire enc_it1) ~rows:r1s ();
-            record_upload s2 2 ~rows_size:r2s.wire_size ~tables_payload:(Hybrid.size enc_it2)
-              ~tables_wire:(fun () -> Hybrid.to_wire enc_it2) ~rows:r2s ();
-            Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
-              ~label:"enc(ITables_R1)" ~size:(Hybrid.size enc_it1)
-              (fun () -> Hybrid.to_wire enc_it1);
-            Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
-              ~label:"enc(ITables_R2)" ~size:(Hybrid.size enc_it2)
-              (fun () -> Hybrid.to_wire enc_it2);
             let pairs =
-              Outcome.Builder.timed b ~party:"Client" "client-translate" (fun () ->
-                  let it1 =
-                    tables_of_wire
-                      (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
-                         "ITables_R1" enc_it1)
-                  in
-                  let it2 =
-                    tables_of_wire
-                      (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
-                         "ITables_R2" enc_it2)
-                  in
-                  Outcome.Builder.client_sees b "partitions-R1" (partition_count_sum it1);
-                  Outcome.Builder.client_sees b "partitions-R2" (partition_count_sum it2);
-                  server_query_pairs ~left_tables:it1 ~right_tables:it2)
+              match (enc_it1, enc_it2) with
+              | Some enc_it1, Some enc_it2 ->
+                step Client "client-translate" (fun () ->
+                    let it1 =
+                      tables_of_wire
+                        (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
+                           "ITables_R1" enc_it1)
+                    in
+                    let it2 =
+                      tables_of_wire
+                        (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
+                           "ITables_R2" enc_it2)
+                    in
+                    Outcome.Builder.client_sees b "partitions-R1" (partition_count_sum it1);
+                    Outcome.Builder.client_sees b "partitions-R2" (partition_count_sum it2);
+                    server_query_pairs ~left_tables:it1 ~right_tables:it2)
+              | _ -> None
             in
-            let total = List.fold_left (fun acc p -> acc + List.length p) 0 pairs in
-            Link.deliver link ~phase:"mediator-server-query" ~sender:Client
-              ~receiver:Mediator ~label:"server-query-qS" ~size:(16 * total)
-              (fun () -> pairs_payload pairs);
-            pairs
+            send_query Client pairs
           | Source_setting ->
             (* S2's tables travel, encrypted under S1's source key, to S1,
                which translates — learning S2's partition structure. *)
-            let s1_keys = source_keypair env s1 in
             let enc_it2 =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s2))
-                "source-encrypt" (fun () ->
-                  Hybrid.encrypt prng2 (Elgamal.public s1_keys) (tables_to_wire tables2))
+              sealed_exchange link ~phase:"source-translate" ~receiver:(Source s1)
+                ~label:"enc_S1(ITables_R2)" (sealed_of up2)
             in
-            record_upload s1 1 ~rows_size:r1s.wire_size ~rows:r1s ();
-            record_upload s2 2 ~rows_size:r2s.wire_size ~tables_payload:(Hybrid.size enc_it2)
-              ~tables_wire:(fun () -> Hybrid.to_wire enc_it2) ~rows:r2s ();
-            Link.deliver link ~phase:"source-translate" ~sender:Mediator
-              ~receiver:(Source s1) ~label:"enc_S1(ITables_R2)" ~size:(Hybrid.size enc_it2)
-              (fun () -> Hybrid.to_wire enc_it2);
             let pairs =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s1)) "source-translate" (fun () ->
-                  let it2 =
-                    tables_of_wire
-                      (decrypt_or_fail ~phase:"source-translate" ~party:(Source s1) s1_keys
-                         "ITables_R2" enc_it2)
-                  in
-                  Outcome.Builder.source_sees b s1 "partitions-R2" (partition_count_sum it2);
-                  server_query_pairs ~left_tables:tables1 ~right_tables:it2)
+              match (side1, enc_it2) with
+              | Some (_, tables1, _), Some enc_it2 ->
+                step (Source s1) "source-translate" (fun () ->
+                    let it2 =
+                      tables_of_wire
+                        (decrypt_or_fail ~phase:"source-translate" ~party:(Source s1)
+                           (Lazy.force s1_keys) "ITables_R2" enc_it2)
+                    in
+                    Outcome.Builder.source_sees b s1 "partitions-R2" (partition_count_sum it2);
+                    server_query_pairs ~left_tables:tables1 ~right_tables:it2)
+              | _ -> None
             in
-            let total = List.fold_left (fun acc p -> acc + List.length p) 0 pairs in
-            Link.deliver link ~phase:"mediator-server-query" ~sender:(Source s1)
-              ~receiver:Mediator ~label:"server-query-qS" ~size:(16 * total)
-              (fun () -> pairs_payload pairs);
-            pairs
-          | Mediator_setting ->
+            send_query (Source s1) pairs
+          | Mediator_setting -> (
             (* Tables in plaintext at the mediator — cheapest, but the
                mediator can now approximate every tuple's join value
                (the paper's Section 6 warning). *)
-            record_upload s1 1 ~rows_size:r1s.wire_size
-              ~tables_payload:(String.length (tables_to_wire tables1))
-              ~tables_wire:(fun () -> tables_to_wire tables1) ~rows:r1s ();
-            record_upload s2 2 ~rows_size:r2s.wire_size
-              ~tables_payload:(String.length (tables_to_wire tables2))
-              ~tables_wire:(fun () -> tables_to_wire tables2) ~rows:r2s ();
-            Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
-            Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
-            (* Measured value approximation: entropy of the index values
-               it holds, in centibits per tuple. *)
-            let centibits tables relation =
-              List.fold_left
-                (fun acc table ->
-                  acc
-                  + int_of_float
-                      (100.0
-                      *. Das_partition.disclosure_bits table
-                           (Relation.column relation (Das_partition.attr table))))
-                0 tables
-            in
-            Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
-              (centibits tables1 request.Request.left_result);
-            Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
-              (centibits tables2 request.Request.right_result);
-            Outcome.Builder.timed b ~party:"Mediator" "mediator-translate" (fun () ->
-                server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
+            match (up1, up2) with
+            | Some (_, Clear tables1), Some (_, Clear tables2) ->
+              Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
+              Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
+              (* Measured value approximation: entropy of the index values
+                 it holds, in centibits per tuple. *)
+              let centibits tables relation =
+                List.fold_left
+                  (fun acc table ->
+                    acc
+                    + int_of_float
+                        (100.0
+                        *. Das_partition.disclosure_bits table
+                             (Relation.column relation (Das_partition.attr table))))
+                  0 tables
+              in
+              Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
+                (centibits tables1 request.Request.left_result);
+              Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
+                (centibits tables2 request.Request.right_result);
+              step Mediator "mediator-translate" (fun () ->
+                  server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
+            | _ -> None)
         in
-        let total_pairs = List.fold_left (fun acc p -> acc + List.length p) 0 per_attr_pairs in
 
         (* Step 6: the mediator evaluates q_S over the encrypted relations
-           and returns R_C. *)
+           it received and returns R_C. *)
         let rc =
-          Outcome.Builder.timed b ~party:"Mediator" "mediator-server-query" (fun () ->
-              validate_indexes 1 r1s;
-              validate_indexes 2 r2s;
-              server_join server_eval per_attr_pairs r1s r2s)
+          match (per_attr_pairs, up1, up2) with
+          | Some pairs, Some (r1s, _), Some (r2s, _) ->
+            let rc =
+              step Mediator "mediator-server-query" (fun () ->
+                  validate_indexes 1 r1s;
+                  validate_indexes 2 r2s;
+                  server_join server_eval pairs r1s r2s)
+            in
+            Option.iter
+              (fun rc ->
+                Outcome.Builder.mediator_sees b "condition-size-qS" (pair_count pairs);
+                Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc))
+              rc;
+            rc
+          | _ -> None
         in
-        Outcome.Builder.mediator_sees b "condition-size-qS" total_pairs;
-        Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc);
-        let rc_size =
-          List.fold_left (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y) 0 rc
+        let rc =
+          Link.exchange_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"RC" ~size:rc_size
+            ~rows:(List.map (fun (x, y) -> Hybrid.to_wire x ^ Hybrid.to_wire y))
+            ~decode:decode_rc rc
         in
-        Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-          ~label:"RC" ~size:rc_size
-          (fun () -> List.map (fun (x, y) -> Hybrid.to_wire x ^ Hybrid.to_wire y) rc);
-        Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
 
         (* Step 7: the client decrypts R_C and applies q_C. *)
-        let result =
-          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
-              let left_schema = Relation.schema request.Request.left_result in
-              let right_schema = Relation.schema request.Request.right_result in
-              let pos_left = Join_key.positions left_schema join_attrs in
-              let pos_right = Join_key.positions right_schema join_attrs in
-              let keep_right =
-                Array.of_list
-                  (List.filter
-                     (fun i -> not (Array.exists (Int.equal i) pos_right))
-                     (List.init (Schema.arity right_schema) Fun.id))
-              in
-              let joined_schema =
-                Schema.append left_schema
-                  (Schema.make
-                     (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
-              in
-              let joined =
-                List.filter_map
-                  (fun (ct1, ct2) ->
-                    let t1 =
-                      Tuple.decode
-                        (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key "etuple1" ct1)
-                    in
-                    let t2 =
-                      Tuple.decode
-                        (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key "etuple2" ct2)
-                    in
-                    (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
-                    if
-                      Join_key.equal
-                        (Join_key.of_tuple pos_left t1)
-                        (Join_key.of_tuple pos_right t2)
-                    then Some (Tuple.append t1 (Tuple.project keep_right t2))
-                    else None)
-                  rc
-              in
-              Request.finalize request (Relation.make joined_schema joined))
+        let client_view =
+          match rc with
+          | Some rc when computes Client ->
+            Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
+            step Client "client-postprocess" (fun () ->
+                let left_schema = Relation.schema request.Request.left_result in
+                let right_schema = Relation.schema request.Request.right_result in
+                let pos_left = Join_key.positions left_schema join_attrs in
+                let pos_right = Join_key.positions right_schema join_attrs in
+                let keep_right =
+                  Array.of_list
+                    (List.filter
+                       (fun i -> not (Array.exists (Int.equal i) pos_right))
+                       (List.init (Schema.arity right_schema) Fun.id))
+                in
+                let joined_schema =
+                  Schema.append left_schema
+                    (Schema.make
+                       (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
+                in
+                let joined =
+                  List.filter_map
+                    (fun (ct1, ct2) ->
+                      let t1 =
+                        Tuple.decode
+                          (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                             client.Env.key "etuple1" ct1)
+                      in
+                      let t2 =
+                        Tuple.decode
+                          (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                             client.Env.key "etuple2" ct2)
+                      in
+                      (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
+                      if
+                        Join_key.equal
+                          (Join_key.of_tuple pos_left t1)
+                          (Join_key.of_tuple pos_right t2)
+                      then Some (Tuple.append t1 (Tuple.project keep_right t2))
+                      else None)
+                    rc
+                in
+                (Request.finalize request (Relation.make joined_schema joined), List.length rc))
+          | _ -> None
         in
         Outcome.Builder.attribute b (Counters.attribution ());
-        (result, exact, List.length rc))
+        (exact, client_view))
   in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+  Outcome.Builder.finish_projected b ~exact ~counters client_view

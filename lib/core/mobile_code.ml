@@ -14,36 +14,45 @@ let decode_tuples blob =
   Wire.expect_end r;
   tuples
 
+let read_hybrid r = Wire.read_at r Hybrid.of_wire_at
+
+(* What the mediator ships to the client: both encrypted partial results
+   followed by the mobile join program. *)
+let encode_bundle (ct1, ct2, program) = Hybrid.to_wire ct1 ^ Hybrid.to_wire ct2 ^ program
+
+let decode_bundle blob =
+  let r = Wire.reader blob in
+  let ct1 = read_hybrid r in
+  let ct2 = read_hybrid r in
+  (ct1, ct2, Wire.read_raw r (Wire.remaining r))
+
 let run ?fault ?endpoint env client ~query =
   let b = Outcome.Builder.create ~scheme:"mobile-code" in
   let tr = Outcome.Builder.transcript b in
   Fault.attach fault tr;
   let link = Link.make ?endpoint ?fault tr in
-  let (result, exact, received), counters =
+  let (exact, client_view), counters =
     Counters.with_fresh (fun () ->
         let request =
-          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () -> Request.run link env client ~query)
+          Outcome.Builder.replicated b link Mediator "request" (fun () ->
+              Request.run link env client ~query)
         in
         let exact = Request.exact_result env request in
         let pk = request.Request.client_pk in
         let encrypt_side which (entry : Catalog.entry) relation =
-          let prng = Env.prng_for env (Printf.sprintf "mc-source-%d" entry.Catalog.source) in
-          Outcome.Builder.timed b
-            ~party:(Transcript.party_name (Source entry.Catalog.source)) "source-encrypt"
-            (fun () ->
-              let ct = Hybrid.encrypt prng pk (encode_relation relation) in
-              let ct =
-                match Fault.byzantine_mode fault entry.Catalog.source with
+          let sid = entry.Catalog.source in
+          let ct =
+            Outcome.Builder.step b link (Source sid) "source-encrypt" (fun () ->
+                let prng = Env.prng_for env (Printf.sprintf "mc-source-%d" sid) in
+                let ct = Hybrid.encrypt prng pk (encode_relation relation) in
+                match Fault.byzantine_mode fault sid with
                 | Some Fault.Malformed_ciphertexts ->
                   Hybrid.of_wire (Fault.flip_tail (Hybrid.to_wire ct))
-                | _ -> ct
-              in
-              Link.deliver link ~phase:"mediator-forward"
-                ~sender:(Source entry.Catalog.source) ~receiver:Mediator
-                ~label:(Printf.sprintf "encrypted-R%d" which)
-                ~size:(Hybrid.size ct)
-                (fun () -> Hybrid.to_wire ct);
-              ct)
+                | _ -> ct)
+          in
+          Link.exchange link ~phase:"mediator-forward" ~sender:(Source sid) ~receiver:Mediator
+            ~label:(Printf.sprintf "encrypted-R%d" which)
+            ~size:Hybrid.size ~encode:Hybrid.to_wire ~decode:Hybrid.of_wire ct
         in
         let ct1 =
           encrypt_side 1 request.Request.decomposition.Catalog.left request.Request.left_result
@@ -54,13 +63,21 @@ let run ?fault ?endpoint env client ~query =
         in
         (* The mediator ships the partial results plus the mobile join
            program (the rendered algebra tree). *)
-        let program = Algebra.to_string (Algebra.of_query (Parser.parse query)) in
-        Link.deliver link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-          ~label:"encrypted-partials+code"
-          ~size:(Hybrid.size ct1 + Hybrid.size ct2 + String.length program)
-          (fun () -> Hybrid.to_wire ct1 ^ Hybrid.to_wire ct2 ^ program);
-        Outcome.Builder.mediator_sees b "ciphertext-bytes-R1" (Hybrid.size ct1);
-        Outcome.Builder.mediator_sees b "ciphertext-bytes-R2" (Hybrid.size ct2);
+        let bundle =
+          match (ct1, ct2) with
+          | Some ct1, Some ct2 when Link.computes link Mediator ->
+            Outcome.Builder.mediator_sees b "ciphertext-bytes-R1" (Hybrid.size ct1);
+            Outcome.Builder.mediator_sees b "ciphertext-bytes-R2" (Hybrid.size ct2);
+            Some (ct1, ct2, Algebra.to_string (Algebra.of_query (Parser.parse query)))
+          | _ -> None
+        in
+        let bundle =
+          Link.exchange link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"encrypted-partials+code"
+            ~size:(fun (ct1, ct2, program) ->
+              Hybrid.size ct1 + Hybrid.size ct2 + String.length program)
+            ~encode:encode_bundle ~decode:decode_bundle bundle
+        in
 
         (* The client executes the code: decrypt, then join locally. *)
         let decrypt label ct =
@@ -70,23 +87,22 @@ let run ?fault ?endpoint env client ~query =
             Fault.fail ~phase:"client-postprocess" ~party:Client
               ("authentication failure on " ^ label)
         in
-        let result =
-          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
-              let left =
-                Relation.make (Relation.schema request.Request.left_result) (decrypt "R1" ct1)
-              in
-              let right =
-                Relation.make (Relation.schema request.Request.right_result) (decrypt "R2" ct2)
-              in
-              Outcome.Builder.client_sees b "tuples-received"
-                (Relation.cardinality left + Relation.cardinality right);
-              Request.finalize request (Relation.natural_join left right))
-        in
-        let received =
-          Relation.cardinality request.Request.left_result
-          + Relation.cardinality request.Request.right_result
+        let client_view =
+          match bundle with
+          | None -> None
+          | Some (ct1, ct2, _) ->
+            Outcome.Builder.step b link Client "client-postprocess" (fun () ->
+                let left =
+                  Relation.make (Relation.schema request.Request.left_result) (decrypt "R1" ct1)
+                in
+                let right =
+                  Relation.make (Relation.schema request.Request.right_result) (decrypt "R2" ct2)
+                in
+                let received = Relation.cardinality left + Relation.cardinality right in
+                Outcome.Builder.client_sees b "tuples-received" received;
+                (Request.finalize request (Relation.natural_join left right), received))
         in
         Outcome.Builder.attribute b (Counters.attribution ());
-        (result, exact, received))
+        (exact, client_view))
   in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+  Outcome.Builder.finish_projected b ~exact ~counters client_view

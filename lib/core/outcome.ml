@@ -109,6 +109,14 @@ module Builder = struct
           finish ();
           raise e)
 
+  let step b link party phase f =
+    if Link.computes link party then Some (timed b ~party:(Transcript.party_name party) phase f)
+    else None
+
+  let replicated b link party phase f =
+    if Link.computes link party then timed b ~party:(Transcript.party_name party) phase f
+    else f ()
+
   let finish b ~result ~exact ~client_received_tuples ~counters =
     {
       scheme = b.scheme;
@@ -124,4 +132,12 @@ module Builder = struct
       timings = List.rev b.timings;
       degraded_from = None;
     }
+
+  let finish_projected b ~exact ~counters client =
+    let result, client_received_tuples =
+      match client with
+      | Some view -> view
+      | None -> (Relation.make (Relation.schema exact) [], 0)
+    in
+    finish b ~result ~exact ~client_received_tuples ~counters
 end

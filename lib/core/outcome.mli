@@ -63,6 +63,17 @@ module Builder : sig
       {!Counters.scoped}, so crypto-primitive counts land on that
       (party, phase) pair. *)
 
+  val step : builder -> Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a option
+  (** One party-local step: {!timed} under the party's name where the
+      link computes the party ({!Link.computes}), [None] — the thunk not
+      run — everywhere else. *)
+
+  val replicated : builder -> Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a
+  (** A step every process runs (the plaintext request phase), timed as
+      the party's phase only where the link computes the party — so each
+      process's trace holds exactly the phases of the parties it
+      computes. *)
+
   val attribute :
     builder -> ((string * string) * (Counters.primitive * int) list) list -> unit
   (** Store the per-(party, phase) attribution — normally
@@ -76,4 +87,14 @@ module Builder : sig
     client_received_tuples:int ->
     counters:(Counters.primitive * int) list ->
     t
+
+  val finish_projected :
+    builder ->
+    exact:Relation.t ->
+    counters:(Counters.primitive * int) list ->
+    (Relation.t * int) option ->
+    t
+  (** {!finish} from the client's (result, received tuples) when this
+      process computed the client; a process that did not gets an empty
+      result over the reference schema and zero received tuples. *)
 end

@@ -5,43 +5,60 @@ open Secmed_mediation
 let relation_size relation =
   List.fold_left (fun acc t -> acc + String.length (Tuple.encode t)) 0 (Relation.tuples relation)
 
+(* Canonical payload: the tuples' self-delimiting encodings back to
+   back, exactly [relation_size] bytes. *)
+let encode_tuples relation = String.concat "" (List.map Tuple.encode (Relation.tuples relation))
+
+let decode_tuples schema blob =
+  let r = Wire.reader blob in
+  Relation.make schema (Wire.read_rest r (fun () -> Wire.read_at r Tuple.decode_at))
+
 let run ?fault ?endpoint env client ~query =
   let b = Outcome.Builder.create ~scheme:"plain" in
   let tr = Outcome.Builder.transcript b in
   Fault.attach fault tr;
   let link = Link.make ?endpoint ?fault tr in
-  let (result, exact, received), counters =
+  let (exact, client_view), counters =
     Counters.with_fresh (fun () ->
         let request =
-          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () -> Request.run link env client ~query)
+          Outcome.Builder.replicated b link Mediator "request" (fun () ->
+              Request.run link env client ~query)
         in
         let exact = Request.exact_result env request in
         let send which (entry : Catalog.entry) relation =
-          Link.deliver link ~phase:"mediator-join"
-            ~sender:(Source entry.Catalog.source) ~receiver:Mediator
+          let sender = Transcript.Source entry.Catalog.source in
+          Link.exchange link ~phase:"mediator-join" ~sender ~receiver:Mediator
             ~label:(Printf.sprintf "plaintext-R%d" which)
-            ~size:(relation_size relation)
-            (fun () ->
-              String.concat "" (List.map Tuple.encode (Relation.tuples relation)))
+            ~size:relation_size ~encode:encode_tuples
+            ~decode:(decode_tuples (Relation.schema relation))
+            (if Link.computes link sender then Some relation else None)
         in
-        send 1 request.Request.decomposition.Catalog.left request.Request.left_result;
-        send 2 request.Request.decomposition.Catalog.right request.Request.right_result;
-        (* The mediator sees everything in the plain pipeline. *)
-        Outcome.Builder.mediator_sees b "plaintext-tuples-seen"
-          (Relation.cardinality request.Request.left_result
-          + Relation.cardinality request.Request.right_result);
+        let r1 = send 1 request.Request.decomposition.Catalog.left request.Request.left_result in
+        let r2 = send 2 request.Request.decomposition.Catalog.right request.Request.right_result in
+        (* The mediator joins what the sources sent, and sees all of it. *)
         let result =
-          Outcome.Builder.timed b ~party:"Mediator" "mediator-join" (fun () ->
-              Request.finalize request
-                (Relation.natural_join request.Request.left_result
-                   request.Request.right_result))
+          match (r1, r2) with
+          | Some r1, Some r2 when Link.computes link Mediator ->
+            Outcome.Builder.mediator_sees b "plaintext-tuples-seen"
+              (Relation.cardinality r1 + Relation.cardinality r2);
+            Outcome.Builder.step b link Mediator "mediator-join" (fun () ->
+                Request.finalize request (Relation.natural_join r1 r2))
+          | _ -> None
         in
-        Link.deliver link ~phase:"client-receive" ~sender:Mediator ~receiver:Client
-          ~label:"global-result"
-          ~size:(relation_size result)
-          (fun () -> String.concat "" (List.map Tuple.encode (Relation.tuples result)));
-        Outcome.Builder.client_sees b "tuples-received" (Relation.cardinality result);
+        let result =
+          Link.exchange link ~phase:"client-receive" ~sender:Mediator ~receiver:Client
+            ~label:"global-result" ~size:relation_size ~encode:encode_tuples
+            ~decode:(decode_tuples (Relation.schema exact))
+            result
+        in
+        let client_view =
+          match result with
+          | Some result when Link.computes link Client ->
+            Outcome.Builder.client_sees b "tuples-received" (Relation.cardinality result);
+            Some (result, Relation.cardinality result)
+          | _ -> None
+        in
         Outcome.Builder.attribute b (Counters.attribution ());
-        (result, exact, Relation.cardinality result))
+        (exact, client_view))
   in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+  Outcome.Builder.finish_projected b ~exact ~counters client_view

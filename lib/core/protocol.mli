@@ -47,9 +47,9 @@ exception Faulted of failure
 (** {2 Distributed coordination}
 
     In a distributed run ([Secmed_net]) every process executes the same
-    deterministic replica of the protocol; the mediator process drives
-    the retry/degradation policy and keeps the replicas in lockstep
-    through a [coordinator]: [begin_attempt] announces the (scheme,
+    driver, computing only its own parties' steps ([Link.computes]); the
+    mediator process drives the retry/degradation policy and keeps the
+    processes in lockstep through a [coordinator]: [begin_attempt] announces the (scheme,
     attempt) pair before the replica executes, [end_attempt] exchanges
     end-of-attempt reports and may override a locally-successful result
     when a peer faulted (the typed failure travels back).  In-process

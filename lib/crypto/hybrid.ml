@@ -42,20 +42,26 @@ let to_wire ct =
   ^ Bytes_util.be32 (String.length ct.body)
   ^ ct.body
 
-let of_wire s =
+let of_wire_at s off =
   let fail () = invalid_arg "Hybrid.of_wire: malformed ciphertext" in
-  if String.length s < 4 then fail ();
-  let key_bytes = Bytes_util.read_be32 s 0 in
+  let avail = String.length s - off in
+  if off < 0 || avail < 4 then fail ();
+  let key_bytes = Bytes_util.read_be32 s off in
   let header = 4 + (2 * key_bytes) + 12 + 32 + 4 in
-  if key_bytes <= 0 || String.length s < header then fail ();
-  let c1 = Bigint.of_bytes_be (String.sub s 4 key_bytes) in
-  let c2 = Bigint.of_bytes_be (String.sub s (4 + key_bytes) key_bytes) in
-  let nonce = String.sub s (4 + (2 * key_bytes)) 12 in
-  let tag = String.sub s (4 + (2 * key_bytes) + 12) 32 in
-  let body_len = Bytes_util.read_be32 s (header - 4) in
-  if String.length s <> header + body_len then fail ();
-  let body = String.sub s header body_len in
-  { kem = { Elgamal.c1; c2 }; nonce; body; tag; key_bytes }
+  if key_bytes <= 0 || avail < header then fail ();
+  let c1 = Bigint.of_bytes_be (String.sub s (off + 4) key_bytes) in
+  let c2 = Bigint.of_bytes_be (String.sub s (off + 4 + key_bytes) key_bytes) in
+  let nonce = String.sub s (off + 4 + (2 * key_bytes)) 12 in
+  let tag = String.sub s (off + 4 + (2 * key_bytes) + 12) 32 in
+  let body_len = Bytes_util.read_be32 s (off + header - 4) in
+  if avail - header < body_len then fail ();
+  let body = String.sub s (off + header) body_len in
+  ({ kem = { Elgamal.c1; c2 }; nonce; body; tag; key_bytes }, off + header + body_len)
+
+let of_wire s =
+  match of_wire_at s 0 with
+  | ct, next when next = String.length s -> ct
+  | _ -> invalid_arg "Hybrid.of_wire: malformed ciphertext"
 
 let random_session_key prng = Prng.bytes prng 16
 

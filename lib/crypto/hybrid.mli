@@ -19,6 +19,11 @@ val to_wire : ciphertext -> string
 val of_wire : string -> ciphertext
 (** Raises [Invalid_argument] on malformed input. *)
 
+val of_wire_at : string -> int -> ciphertext * int
+(** The ciphertext whose wire form starts at an offset, and the offset
+    just past it ({!to_wire} is self-delimiting).  Raises
+    [Invalid_argument] on malformed input. *)
+
 (** {1 Session-key (DEM-only) operations}
 
     The PM protocol's footnote-2 variant transmits the session key through

@@ -150,11 +150,12 @@ let attach plan transcript =
 (* ------------------------------------------------------------------ *)
 (* Channel tampering.
 
-   Payload-carrying messages travel in an integrity envelope: the sender
-   appends a 16-byte SHA-256 tag over (label, payload), so a receiver
-   detects truncation and byte corruption at the frame boundary instead of
-   crashing deep inside a parser.  Byzantine *content* (validly framed but
-   semantically malformed) is the receiver-side validators' job. *)
+   Every payload a transport carries travels in an integrity envelope:
+   the sender appends a 16-byte SHA-256 tag over (label, payload), so a
+   receiver detects truncation and byte corruption at the frame boundary
+   instead of crashing deep inside a parser.  Byzantine *content*
+   (validly framed but semantically malformed) is the receiver-side
+   validators' job. *)
 
 let tag_bytes = 16
 
@@ -199,53 +200,41 @@ let record_event p transcript ~sender ~receiver ~label ~action detail =
           ("detail", Secmed_obs.Json.Str detail);
         ]
 
-let deliver p transcript ~phase ~sender ~receiver ~label payload =
-  match List.find_opt (rule_matches ~sender ~receiver ~label) p.rules with
-  | None -> payload
-  | Some r ->
-    r.remaining <- r.remaining - 1;
-    let event = record_event p transcript ~sender ~receiver ~label ~action:r.rule_action in
-    let detect framed =
-      match unframe ~label framed with
-      | Ok payload -> payload
-      | Error reason ->
-        fail ~phase ~party:receiver (Printf.sprintf "%s rejected: %s" label reason)
-    in
-    match r.rule_action with
-    | Drop ->
-      event "message lost in transit";
-      fail ~phase ~party:receiver (Printf.sprintf "%s never arrived (timeout)" label)
-    | Delay seconds ->
-      p.simulated_delay <- p.simulated_delay +. seconds;
-      event (Printf.sprintf "delivery delayed by %.3fs" seconds);
-      (* The session layer charges simulated delays against its deadline
-         here, so a delayed link can trip Resilience.Deadline_exceeded at
-         the point of delivery instead of being free. *)
-      (match p.on_delay with None -> () | Some f -> f seconds);
-      payload
-    | Duplicate ->
-      (* The copy really travels — account for it — but the receiver
-         discards the replay (sequence numbers), so content is unchanged. *)
-      Transcript.record transcript ~sender ~receiver ~label:(label ^ "(dup)")
-        ~size:(String.length payload);
-      event "duplicate delivered; receiver discarded the replayed copy";
-      payload
-    | Truncate n ->
-      let framed = frame ~label payload in
-      let keep = Stdlib.max 0 (String.length framed - Stdlib.max 1 n) in
-      event (Printf.sprintf "truncated to %d of %d bytes" keep (String.length framed));
-      detect (String.sub framed 0 keep)
-    | Corrupt n ->
-      let framed = Bytes.of_string (frame ~label payload) in
-      for _ = 1 to Stdlib.max 1 n do
-        let i = Prng.uniform_int p.prng (Bytes.length framed) in
-        let bit = 1 lsl Prng.uniform_int p.prng 8 in
-        Bytes.set framed i (Char.chr (Char.code (Bytes.get framed i) lxor bit))
-      done;
-      event (Printf.sprintf "%d byte(s) corrupted" (Stdlib.max 1 n));
-      detect (Bytes.to_string framed)
+(* Verdicts depend only on the message's addressing, its declared size
+   and the plan's state — never on the payload bytes.  So a process
+   that neither sends nor receives a message, or receives it without
+   having computed it, reaches the same verdict at the same delivery as
+   the sender: every process of a distributed run fails together.  A
+   damaged frame is always rejected by the integrity tag ({!frame}), so
+   the simulation only has to record what the damage was. *)
+let fails = function Drop | Truncate _ | Corrupt _ -> true | Duplicate | Delay _ -> false
 
-let inject = deliver
+let apply p transcript ~phase ~sender ~receiver ~label ~size action =
+  let event = record_event p transcript ~sender ~receiver ~label ~action in
+  let rejected what =
+    event what;
+    fail ~phase ~party:receiver (Printf.sprintf "%s rejected: integrity tag mismatch" label)
+  in
+  match action with
+  | Drop ->
+    event "message lost in transit";
+    fail ~phase ~party:receiver (Printf.sprintf "%s never arrived (timeout)" label)
+  | Delay seconds ->
+    p.simulated_delay <- p.simulated_delay +. seconds;
+    event (Printf.sprintf "delivery delayed by %.3fs" seconds);
+    (* The session layer charges simulated delays against its deadline
+       here, so a delayed link can trip Resilience.Deadline_exceeded at
+       the point of delivery instead of being free. *)
+    (match p.on_delay with None -> () | Some f -> f seconds)
+  | Duplicate ->
+    (* The copy really travels — account for it — but the receiver
+       discards the replay (sequence numbers), so content is unchanged. *)
+    (match size with
+    | Some size -> Transcript.record transcript ~sender ~receiver ~label:(label ^ "(dup)") ~size
+    | None -> ());
+    event "duplicate delivered; receiver discarded the replayed copy"
+  | Truncate n -> rejected (Printf.sprintf "frame truncated by %d byte(s)" (Stdlib.max 1 n))
+  | Corrupt n -> rejected (Printf.sprintf "%d byte(s) corrupted" (Stdlib.max 1 n))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos-proxy support: the byte-level TCP proxy (Secmed_net.Chaos)
@@ -259,6 +248,11 @@ let select p ~sender ~receiver ~label =
   | Some r ->
     r.remaining <- r.remaining - 1;
     Some r.rule_action
+
+let intercept p transcript ~phase ~sender ~receiver ~label ~size =
+  match select p ~sender ~receiver ~label with
+  | None -> ()
+  | Some action -> apply p transcript ~phase ~sender ~receiver ~label ~size action
 
 let log_external p ~sender ~receiver ~label ~action detail =
   p.rev_events <-
@@ -286,13 +280,6 @@ let flip_tail s =
   let n = String.length s in
   if n = 0 then s
   else String.init n (fun i -> if i = n - 1 then Char.chr (Char.code s.[i] lxor 1) else s.[i])
-
-(* The honest path never forces the payload thunk, so fault support is
-   free when no plan is installed. *)
-let guard plan transcript ~phase ~sender ~receiver ~label payload =
-  match plan with
-  | None -> ()
-  | Some p -> ignore (deliver p transcript ~phase ~sender ~receiver ~label (payload ()))
 
 (* ------------------------------------------------------------------ *)
 (* Textual fault specs (the CLI's --fault flag). *)

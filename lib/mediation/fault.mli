@@ -73,9 +73,9 @@ val plan :
   ?byzantine:(int * byzantine_mode) list ->
   rule list ->
   plan
-(** [seed] drives corruption positions (default 0); [max_retries] bounds
-    the mediator's retry-with-fresh-request policy (default 2);
-    [byzantine] marks datasources by id. *)
+(** [seed] drives the chaos proxy's corruption positions (default 0);
+    [max_retries] bounds the mediator's retry-with-fresh-request policy
+    (default 2); [byzantine] marks datasources by id. *)
 
 val of_spec : string -> (plan, string) result
 (** Parse a plan from the CLI syntax: semicolon-separated clauses of
@@ -135,37 +135,51 @@ val flip_tail : string -> string
     damages a ciphertext while leaving its framing parseable, so the
     fault is caught by authentication, not by a parser crash. *)
 
-val guard :
-  plan option ->
-  Transcript.t ->
-  phase:string ->
-  sender:Transcript.party ->
-  receiver:Transcript.party ->
-  label:string ->
-  (unit -> string) ->
-  unit
-(** Channel interception point, placed next to the matching
-    [Transcript.record].  With no plan the payload thunk is never forced
-    (zero cost).  With a plan, the payload travels in an integrity
-    envelope (16-byte SHA-256 tag over label and payload): [Drop] and any
-    tamper the envelope check catches raise {!Fault_detected} at the
-    receiver; [Duplicate] records the extra copy in the transcript;
-    [Delay] accrues {!simulated_delay}.  Every firing is logged to
-    {!events} and noted in the transcript. *)
+val tag_bytes : int
+(** Length of the integrity tag {!frame} appends (16). *)
 
-val inject :
+val frame : label:string -> string -> string
+(** [payload ^ tag], the tag a 16-byte SHA-256 digest over (label,
+    payload).  Every payload a transport carries travels framed, so the
+    receiver rejects truncation and corruption before decoding. *)
+
+val unframe : label:string -> string -> (string, string) result
+(** The payload of a framed string, or why the tag check failed. *)
+
+val fails : action -> bool
+(** Whether the action makes the delivery fail ([Drop], [Truncate],
+    [Corrupt]: a damaged frame never passes the tag check). *)
+
+val apply :
   plan ->
   Transcript.t ->
   phase:string ->
   sender:Transcript.party ->
   receiver:Transcript.party ->
   label:string ->
-  string ->
-  string
-(** The delivery engine behind {!guard}, taking the payload by value and
-    returning what the receiver accepts (used by [Link.deliver], which
-    always has the payload in hand when a transport is attached).
-    Failure semantics are identical to {!guard}. *)
+  size:int option ->
+  action ->
+  unit
+(** Carry out an action {!select} chose for one delivery: log it to
+    {!events} and note it in the transcript; raise {!Fault_detected} at
+    the receiver for the failing actions; record the replayed copy of a
+    [Duplicate] (when the declared [size] is known here); accrue and
+    charge a [Delay].  The verdict depends on the addressing, the
+    declared size and the plan's state only, never on payload bytes, so
+    every process of a distributed run — holding the payload or not —
+    fails at the same delivery. *)
+
+val intercept :
+  plan ->
+  Transcript.t ->
+  phase:string ->
+  sender:Transcript.party ->
+  receiver:Transcript.party ->
+  label:string ->
+  size:int option ->
+  unit
+(** {!select} then {!apply}: the interception point placed next to each
+    message's [Transcript.record]. *)
 
 (** {2 Chaos-proxy hooks}
 

@@ -1,44 +1,56 @@
-(** Endpoint-parametric message delivery.
+(** Endpoint-parametric, role-aware message delivery.
 
-    Every protocol message a driver emits goes through {!deliver}, which
-    unifies the three things that must stay in lockstep per message:
+    Every protocol message a driver emits goes through this module, which
+    keeps the three things that must stay in lockstep per message:
 
     - the {b transcript} entry ([Transcript.record]) — the paper's
       communication accounting;
-    - the {b fault plan} interception point ([Fault.inject]) — simulated
-      channel faults;
+    - the {b fault verdict} ([Fault.select] / [Fault.apply]) — simulated
+      channel faults, decided from the message's addressing and the
+      plan's state, never from its bytes;
     - the {b transport hop} — when an {!endpoint} is attached, the bytes
-      actually cross a socket.
+      actually cross a socket, framed with the [Fault.frame] integrity
+      tag.
 
-    The transport model is {e deterministic replicated execution}: in a
-    distributed run every process (client, mediator, each datasource)
-    derives the identical scenario from the shared seed and executes the
-    same driver code, so each replica can compute every message locally.
-    The transport only materialises a message on the wire when this
-    process plays its sender or its receiver; a receiver checks that the
-    bytes received equal the bytes it computed, so real corruption on the
-    wire surfaces as a typed {!Fault.Fault_detected} at exactly the
-    delivery point a simulated [Corrupt] would use.  (This distributes
-    {e communication}, not {e trust} — see DESIGN.md §11 for what the
-    transport does and does not protect.)
+    The execution model is {e projected}: each process {e computes} a
+    set of parties ({!computes}).  An in-process run (the default
+    {!Inproc} endpoint) and the remote client replica compute every
+    party; the mediator computes [Mediator]; datasource [i] (and each of
+    its shards) computes [Source i].  A driver runs a party's local step
+    only where that party is computed, and hands each message's value to
+    {!exchange} (or {!exchange_rows}) as [Some v] exactly when it
+    computed the sender:
 
-    [Secmed_net] supplies TCP transports; the default endpoint is
-    {!Inproc}, which performs no I/O and keeps the thunk-never-forced
-    fast path of the fault layer. *)
+    - a computing sender builds the value and sends it;
+    - a computing receiver (the client) byte-compares what arrives with
+      its own value, so wire corruption surfaces as a typed
+      {!Fault.Fault_detected} at the receiving party;
+    - a non-computing receiver decodes the bytes it received — the
+      mediator matches and forwards what the sources sent, and a source
+      evaluates what the mediator forwarded — and records the frame's
+      declared size;
+    - every other process only advances the sequence number.
+
+    The plaintext request phase ({!deliver}) still runs in every
+    process, and every process still derives every party's keys from
+    the shared seed: projection distributes the {e computation}, not yet
+    the {e secrets} (DESIGN.md §11). *)
 
 (* One process's view of a live transport is {!transport} below, as
    closures so this library stays below [Secmed_net].  [seq] is the
-   global per-attempt delivery index — identical across replicas because
-   they execute the same deliver calls in the same order — used to
-   discard duplicated or stale frames. *)
+   global per-attempt delivery index — identical across processes
+   because they make the same delivery calls in the same order — used
+   to discard duplicated or stale frames. *)
 
 (** Streamed variant of a delivery: the message as (row index, bytes)
     entries instead of one payload.  [send_rows] chunks and transmits
     (a sharded sender transmits only its partition); [recv_rows] pulls
-    chunk frames and verifies each entry against the locally recomputed
+    chunk frames and verifies each entry against the locally computed
     [expect] list incrementally — the received relation is never
-    materialised as one string.  Both raise typed faults like
-    {!transport.recv}. *)
+    materialised as one string; [take_rows] is the receive of a process
+    that did not compute the rows: it merges every shard's chunks into
+    index order and returns the stream's declared size and its bytes.
+    All raise typed faults like {!transport.recv}. *)
 type rows_transport = {
   send_rows :
     phase:string ->
@@ -58,10 +70,20 @@ type rows_transport = {
     size:int ->
     expect:(int * string) list ->
     unit;
+  take_rows :
+    phase:string ->
+    seq:int ->
+    sender:Transcript.party ->
+    receiver:Transcript.party ->
+    label:string ->
+    int * string;
 }
 
 type transport = {
-  role : Transcript.party;  (** the party this process plays *)
+  role : Transcript.party;  (** the party this process speaks for on the wire *)
+  computes : Transcript.party -> bool;
+      (** the parties whose local steps this process runs (its own
+          role at least) *)
   send :
     phase:string ->
     seq:int ->
@@ -77,14 +99,14 @@ type transport = {
     sender:Transcript.party ->
     receiver:Transcript.party ->
     label:string ->
-    size:int ->
-    string;
-      (** Must return the received payload bytes; raises on transport
-          failure (timeout, closed stream), ideally as a typed
+    int * string;
+      (** The frame's declared size and its payload (integrity tag
+          checked and removed); raises on transport failure (timeout,
+          closed stream, tag mismatch), ideally as a typed
           {!Fault.Fault_detected}. *)
   rows : rows_transport option;
       (** [None] on transports predating chunked delivery;
-          {!deliver_rows} then falls back to the scalar path. *)
+          {!exchange_rows} then falls back to the scalar path. *)
 }
 
 type endpoint = Inproc | Remote of transport
@@ -93,12 +115,16 @@ type t
 
 val make : ?endpoint:endpoint -> ?fault:Fault.plan -> Transcript.t -> t
 (** A link bound to one protocol run's transcript.  Default endpoint is
-    {!Inproc} (today's direct calls). *)
+    {!Inproc} (direct calls, every party computed here). *)
 
 val transcript : t -> Transcript.t
 val fault : t -> Fault.plan option
 val endpoint : t -> endpoint
 val is_remote : t -> bool
+
+val computes : t -> Transcript.party -> bool
+(** Whether this process runs the party's local steps: always on an
+    {!Inproc} link, else the transport's [computes]. *)
 
 val seq : t -> int
 (** Deliveries performed so far on this link (the next message's
@@ -114,15 +140,14 @@ val deliver :
   ?size:int ->
   (unit -> string) ->
   unit
-(** Record one protocol message.  [~guard:false] exempts the message
-    from fault-plan interception (audit-only messages such as the
-    commutative canary, which predate the fault layer's rule matching)
-    while still crossing the transport.  [size] is the declared transcript size
-    in bytes (defaults to the payload length); when it exceeds the
-    payload length the wire frame is zero-padded up to it, so socket
-    byte counts match transcript totals even for messages whose modelled
-    size includes unmaterialised bytes.  The payload thunk is never
-    forced on a fault-free in-process link.
+(** Record one message that {e every} process computes (the plaintext
+    request phase).  [~guard:false] exempts the message from fault-plan
+    interception (audit-only messages) while still crossing the
+    transport.  [size] is the declared transcript size in bytes
+    (defaults to the payload length); when it exceeds the payload length
+    the wire frame is zero-padded up to it, so socket byte counts match
+    transcript totals.  The payload thunk is never forced on an
+    in-process link, fault plan or not.
 
     On a remote link, when this process is the sender the payload is
     sent; when it is the receiver the frame is awaited and compared
@@ -130,23 +155,47 @@ val deliver :
     {!Fault.Fault_detected} blamed on the receiving party); otherwise
     only the sequence number advances. *)
 
-val deliver_rows :
+val exchange :
   t ->
   phase:string ->
   sender:Transcript.party ->
   receiver:Transcript.party ->
   label:string ->
   ?guard:bool ->
-  size:int ->
-  (unit -> string list) ->
-  unit
-(** Record one row-wise protocol message.  Semantically identical to
-    {!deliver} of the concatenated rows (same transcript entry, same
-    sequence slot, same padding to [size]) — but on a fault-free remote
-    link with a rows-capable transport the message travels as bounded
-    chunks of (index, bytes) entries, incrementally verified at the
-    receiver, so neither side materialises the whole relation.  On any
-    other link (in-process, fault plan active, legacy transport) the
-    rows collapse to one payload and the scalar path runs, preserving
-    fault-injection semantics exactly; since a fault plan is part of the
-    shared session announcement, every replica takes the same branch. *)
+  size:('a -> int) ->
+  encode:('a -> string) ->
+  decode:(string -> 'a) ->
+  'a option ->
+  'a option
+(** One projected message.  Pass [Some v] exactly when this process
+    computes [sender]; it is delivered as {!deliver} would ([size v]
+    declared, [encode v] on the wire) and returned.  Given [None], a
+    process playing [receiver] awaits the frame, records its declared
+    size and returns [Some (decode bytes)] — a decoder's [Wire.Malformed]
+    or [Invalid_argument] becomes a typed {!Fault.Fault_detected} at the
+    receiver — and any other process returns [None].  Every process
+    runs the same payload-free fault verdict.  Raises [Invalid_argument]
+    when given [None] on an in-process link or at the sender. *)
+
+val exchange_rows :
+  t ->
+  phase:string ->
+  sender:Transcript.party ->
+  receiver:Transcript.party ->
+  label:string ->
+  ?guard:bool ->
+  size:('a -> int) ->
+  rows:('a -> string list) ->
+  decode:(string -> 'a) ->
+  'a option ->
+  'a option
+(** {!exchange} of a row-wise message: the same transcript entry,
+    sequence slot and padding to [size v] as {!exchange} of the rows'
+    concatenation — but on a fault-free remote link with a rows-capable
+    transport the rows travel as bounded chunks of (index, bytes)
+    entries, checked row by row at a computing receiver, so neither
+    side materialises the relation as one string.  On any other link
+    (in-process, fault plan active, legacy transport) the rows collapse
+    to one payload; since a fault plan is part of the shared session
+    announcement, every process takes the same branch.  A non-computing
+    receiver decodes the rows' concatenation. *)

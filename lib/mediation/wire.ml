@@ -48,14 +48,25 @@ let read_int r =
   r.pos <- r.pos + 8;
   !v
 
+let read_raw r n =
+  need r n;
+  let s = String.sub r.data r.pos n in
+  r.pos <- r.pos + n;
+  s
+
+let read_at r decode =
+  match decode r.data r.pos with
+  | v, next when next > r.pos && next <= String.length r.data ->
+    r.pos <- next;
+    v
+  | _ -> malformed "decoder made no progress at offset %d" r.pos
+  | exception Invalid_argument msg -> malformed "%s at offset %d" msg r.pos
+
 let read_string r =
   need r 4;
   let len = Bytes_util.read_be32 r.data r.pos in
   r.pos <- r.pos + 4;
-  need r len;
-  let s = String.sub r.data r.pos len in
-  r.pos <- r.pos + len;
-  s
+  read_raw r len
 
 let read_bigint r = Bigint.of_bytes_be (read_string r)
 
@@ -74,6 +85,18 @@ let at_end r = r.pos = String.length r.data
 
 let expect_end r =
   if not (at_end r) then malformed "%d trailing bytes at offset %d" (remaining r) r.pos
+
+let read_rest r read =
+  let rec go acc =
+    if at_end r then List.rev acc
+    else begin
+      let before = r.pos in
+      let v = read () in
+      if r.pos <= before then malformed "element reader made no progress at offset %d" before;
+      go (v :: acc)
+    end
+  in
+  go []
 
 (* ------------------------------------------------------------------ *)
 (* Stream framing *)

@@ -41,11 +41,28 @@ val remaining : reader -> int
 
 val read_int : reader -> int
 val read_string : reader -> string
+
+val read_raw : reader -> int -> string
+(** Exactly [n] bytes, no prefix: the reader of {!write_raw}'s
+    fixed-width fields. *)
+
 val read_bigint : reader -> Secmed_bigint.Bigint.t
 
 val read_list : reader -> (unit -> 'a) -> 'a list
 (** The declared count is capped by the remaining bytes before any element
     is read, so a corrupted count prefix cannot drive a huge allocation. *)
+
+val read_at : reader -> (string -> int -> 'a * int) -> 'a
+(** Run an offset-based decoder ([decode data pos] returning the value
+    and the offset just past it — e.g. [Tuple.decode_at]) at the
+    reader's position and advance past what it consumed.  A decoder's
+    [Invalid_argument], or one that makes no progress, raises
+    {!Malformed}. *)
+
+val read_rest : reader -> (unit -> 'a) -> 'a list
+(** Read elements until the message ends — for concatenations whose
+    element count the receiver cannot know in advance.  Raises
+    {!Malformed} if an element read consumes nothing. *)
 
 val at_end : reader -> bool
 val expect_end : reader -> unit

@@ -92,7 +92,11 @@ module Mux = struct
       | exception Io.Transport_error msg -> t.dead <- Some msg
       | exception Wire.Malformed msg -> t.dead <- Some ("malformed frame: " ^ msg)
     in
-    ignore (Thread.create recv_loop () : Thread.t);
+    (* Registered with the connection so [Io.close] shuts the socket
+       down and waits for this thread to leave before releasing the
+       descriptor: a reader outliving its socket would otherwise read
+       whatever connection reuses the descriptor number next. *)
+    Io.attach_reader conn (Thread.create recv_loop ());
     t
 
   let conn t = t.conn
@@ -183,7 +187,10 @@ module Mux = struct
                   t.max_queue));
         match Hashtbl.find_opt t.subs session with
         | Some q -> q
-        | None -> invalid_arg "Mux.next: session not subscribed")
+        | None ->
+          (* Closed (or never opened): a handler that lost the race with
+             the session's end reads this as a severed link. *)
+          raise (Io.Transport_error (Printf.sprintf "session %d: not subscribed" session)))
 
   let next_control t ~timeout = wait t ~timeout ~what:"control" (fun () -> t.control)
 end
@@ -250,8 +257,17 @@ let trace_frame dir ~phase ~party ~label ~size =
           ("bytes", Obs.Json.Int size);
         ]
 
-let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
-    ?(after_io = fun ~phase:_ -> ()) () =
+(* Received payloads carry the [Fault.frame] integrity tag; a frame
+   whose tag does not verify is rejected at the receiving party before
+   anything decodes it. *)
+let unframe ~phase ~receiver ~label framed =
+  match Fault.unframe ~label framed with
+  | Ok payload -> payload
+  | Error reason ->
+    Fault.fail ~phase ~party:receiver (Printf.sprintf "%s rejected: %s" label reason)
+
+let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~io_timeout
+    ~route_of ?(shard = (0, 1)) ?(after_io = fun ~phase:_ -> ()) () =
   let shard_index, shard_count = shard in
   if shard_count <= 0 || shard_index < 0 || shard_index >= shard_count then
     invalid_arg "Endpoint.transport: shard out of range";
@@ -268,7 +284,8 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
       (try
          r.r_send
            (Frame.Msg
-              { session; epoch = epoch (); seq; sender; receiver; label; declared = size; payload })
+              { session; epoch = epoch (); seq; sender; receiver; label; declared = size;
+                payload = Fault.frame ~label payload })
        with Io.Transport_error msg ->
          (* The link itself is down: a typed, retryable fault blamed at
             the unreachable party, like a simulated severed link. *)
@@ -278,7 +295,7 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
       trace_frame "send" ~phase ~party:receiver ~label ~size;
       after_io ~phase
   in
-  let recv ~phase ~seq ~sender ~receiver ~label ~size:_ =
+  let recv ~phase ~seq ~sender ~receiver ~label =
     match route_of sender with
     | None -> Fault.fail ~phase ~party:receiver (label ^ ": no route to its sender")
     | Some r ->
@@ -291,7 +308,7 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
             Fault.fail ~phase ~party:receiver
               (Printf.sprintf "frame #%d: expected %s from %s, got %s from %s" seq label
                  (Transcript.party_name sender) m.label (Transcript.party_name m.sender))
-          else m.payload
+          else (m.declared, unframe ~phase ~receiver ~label m.payload)
         | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) ->
           (* A replay (chaos Duplicate) or a leftover of an aborted
              attempt: the filter is what makes retries safe. *)
@@ -321,12 +338,12 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
           Fault.fail ~phase ~party:receiver
             (Printf.sprintf "%s never arrived: %s" label msg)
       in
-      let payload = go () in
+      let declared, payload = go () in
       Obs.Metrics.incr frames_in;
       Obs.Metrics.incr ~by:(String.length payload) payload_in;
       trace_frame "recv" ~phase ~party:sender ~label ~size:(String.length payload);
       after_io ~phase;
-      payload
+      (declared, payload)
   in
   (* Streamed sender: chunk this process's partition of the rows and
      keep at most [credit_window] chunks unacknowledged, replenished by
@@ -340,7 +357,10 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
         if shard_count = 1 then rows
         else Stream.partition ~k:shard_count ~shard:shard_index rows
       in
-      let chunks = Stream.plan rows in
+      (* At least one chunk, empty or not: a receiver that did not
+         compute the rows learns that a shard's stream ended only from
+         its chunks. *)
+      let chunks = match Stream.plan rows with [] -> [ [] ] | chunks -> chunks in
       let n = List.length chunks in
       let credits = ref credit_window in
       let outstanding = ref 0 in
@@ -370,7 +390,7 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
           while !credits <= 0 do
             await_credit ()
           done;
-          let payload = Stream.encode_entries entries in
+          let payload = Fault.frame ~label (Stream.encode_entries entries) in
           (try
              r.r_send
                (Frame.Msg_chunk
@@ -396,12 +416,11 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
       trace_frame "send" ~phase ~party:receiver ~label ~size;
       after_io ~phase
   in
-  (* Streamed receiver: pull the per-shard chunk streams and verify each
-     entry against the locally recomputed rows in index order.  Nothing
-     is concatenated: at most one decoded chunk per shard is held at a
-     time (charged to the "stream.pending" region), so receive-side
-     memory is bounded by shards x chunk size however many rows flow. *)
-  let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
+  (* Pulling one counterpart's per-shard chunk streams.  [declared]
+     checks each chunk's declared stream size; [pull si] parks the next
+     chunk of shard [si] in [pending.(si)] (at most one decoded chunk
+     per shard, charged to the "stream.pending" region). *)
+  let chunk_streams ~phase ~seq ~sender ~receiver ~label ~declared =
     match route_of sender with
     | None -> Fault.fail ~phase ~party:receiver (label ^ ": no route to its sender")
     | Some r ->
@@ -431,15 +450,12 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
               Fault.fail ~phase ~party:receiver
                 (Printf.sprintf "%s: chunk gap: awaiting chunk %d, got %d" label
                    next_chunk.(si) m.ck_chunk)
-            else if m.ck_declared <> size then
-              Fault.fail ~phase ~party:receiver
-                (Printf.sprintf "%s rejected: stream declares %d bytes, %d computed" label
-                   m.ck_declared size)
             else begin
+              declared m.ck_declared;
               next_chunk.(si) <- m.ck_chunk + 1;
               declared_chunks.(si) <- m.ck_chunks;
               let entries =
-                try Stream.decode_entries m.ck_payload
+                try Stream.decode_entries (unframe ~phase ~receiver ~label m.ck_payload)
                 with Wire.Malformed msg ->
                   Fault.fail ~phase ~party:receiver
                     (Printf.sprintf "%s rejected: malformed chunk %d: %s" label m.ck_chunk msg)
@@ -484,48 +500,122 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
         in
         go ()
       in
-      List.iter
-        (fun (row, bytes) ->
-          let si = if k = 1 then 0 else Stream.shard_of_row ~k row in
-          while pending.(si) = [] do
-            if next_chunk.(si) >= declared_chunks.(si) then
-              (* The shard's stream is exhausted but rows remain: an
-                 elided tail is a mismatch, not a hang. *)
-              Fault.fail ~phase ~party:receiver
-                (Printf.sprintf
-                   "%s rejected: wire payload mismatch (stream ended before row %d)" label row)
-            else pull si
-          done;
-          match pending.(si) with
-          | [] -> assert false
-          | e :: rest ->
-            pending.(si) <- rest;
-            Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
-            if e.Stream.s_row <> row || not (String.equal e.Stream.s_bytes bytes) then
-              Fault.fail ~phase ~party:receiver
-                (Printf.sprintf
-                   "%s rejected: wire payload mismatch (stream row %d: %d bytes received, %d computed)"
-                   label row
-                   (String.length e.Stream.s_bytes)
-                   (String.length bytes)))
-        expect;
-      Array.iteri
-        (fun si p ->
-          if p <> [] then begin
-            Obs.Hwm.release hwm_pending
-              (List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 p);
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf "%s rejected: %d trailing stream entries from shard %d" label
-                 (List.length p) si)
-          end)
-        pending;
-      trace_frame "recv" ~phase ~party:sender ~label ~size;
-      after_io ~phase
+      let exhausted si = next_chunk.(si) >= declared_chunks.(si) in
+      (k, pending, pull, exhausted)
   in
-  { Link.role; send; recv; rows = Some { Link.send_rows; recv_rows } }
+  let entry_bytes entries =
+    List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
+  in
+  (* Streamed receiver: verify each entry against the locally computed
+     rows in index order.  Nothing is concatenated, so receive-side
+     memory is bounded by shards x chunk size however many rows flow. *)
+  let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
+    let declared d =
+      if d <> size then
+        Fault.fail ~phase ~party:receiver
+          (Printf.sprintf "%s rejected: stream declares %d bytes, %d computed" label d size)
+    in
+    let k, pending, pull, exhausted =
+      chunk_streams ~phase ~seq ~sender ~receiver ~label ~declared
+    in
+    List.iter
+      (fun (row, bytes) ->
+        let si = if k = 1 then 0 else Stream.shard_of_row ~k row in
+        while pending.(si) = [] do
+          if exhausted si then
+            (* The shard's stream is exhausted but rows remain: an
+               elided tail is a mismatch, not a hang. *)
+            Fault.fail ~phase ~party:receiver
+              (Printf.sprintf
+                 "%s rejected: wire payload mismatch (stream ended before row %d)" label row)
+          else pull si
+        done;
+        match pending.(si) with
+        | [] -> assert false
+        | e :: rest ->
+          pending.(si) <- rest;
+          Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
+          if e.Stream.s_row <> row || not (String.equal e.Stream.s_bytes bytes) then
+            Fault.fail ~phase ~party:receiver
+              (Printf.sprintf
+                 "%s rejected: wire payload mismatch (stream row %d: %d bytes received, %d computed)"
+                 label row
+                 (String.length e.Stream.s_bytes)
+                 (String.length bytes)))
+      expect;
+    Array.iteri
+      (fun si p ->
+        if p <> [] then begin
+          Obs.Hwm.release hwm_pending (entry_bytes p);
+          Fault.fail ~phase ~party:receiver
+            (Printf.sprintf "%s rejected: %d trailing stream entries from shard %d" label
+               (List.length p) si)
+        end)
+      pending;
+    trace_frame "recv" ~phase ~party:sender ~label ~size;
+    after_io ~phase
+  in
+  (* Streamed receiver of a process that did not compute the rows: drain
+     every shard's stream, merging entries back into index order (row
+     [i] must come from shard [i mod k], with no gap), into the one
+     string the caller decodes — a receiver that uses the rows holds
+     them anyway. *)
+  let take_rows ~phase ~seq ~sender ~receiver ~label =
+    let size = ref None in
+    let declared d =
+      match !size with
+      | None -> size := Some d
+      | Some s when s <> d ->
+        Fault.fail ~phase ~party:receiver
+          (Printf.sprintf "%s rejected: chunks declare %d and %d bytes" label s d)
+      | Some _ -> ()
+    in
+    let k, pending, pull, exhausted =
+      chunk_streams ~phase ~seq ~sender ~receiver ~label ~declared
+    in
+    let buf = Buffer.create 4096 in
+    let rec merge row =
+      let si = if k = 1 then 0 else Stream.shard_of_row ~k row in
+      while pending.(si) = [] && not (exhausted si) do
+        pull si
+      done;
+      match pending.(si) with
+      | e :: rest when e.Stream.s_row = row ->
+        pending.(si) <- rest;
+        Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
+        Buffer.add_string buf e.Stream.s_bytes;
+        merge (row + 1)
+      | [] -> ()
+      | e :: _ ->
+        Fault.fail ~phase ~party:receiver
+          (Printf.sprintf "%s rejected: stream row %d where row %d was due" label e.Stream.s_row
+             row)
+    in
+    merge 0;
+    (* Row [n] was due from one shard whose stream ended; every other
+       shard must have ended too, with nothing left over. *)
+    Array.iteri
+      (fun si _ ->
+        while pending.(si) = [] && not (exhausted si) do
+          pull si
+        done;
+        match pending.(si) with
+        | [] -> ()
+        | p ->
+          Obs.Hwm.release hwm_pending (entry_bytes p);
+          Fault.fail ~phase ~party:receiver
+            (Printf.sprintf "%s rejected: %d stream entries from shard %d past the end" label
+               (List.length p) si))
+      pending;
+    let size = Option.value !size ~default:0 in
+    trace_frame "recv" ~phase ~party:sender ~label ~size;
+    after_io ~phase;
+    (size, Buffer.contents buf)
+  in
+  { Link.role; computes; send; recv; rows = Some { Link.send_rows; recv_rows; take_rows } }
 
-let run_replica ~role ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout ?shard
-    ~route env client =
+let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout
+    ?shard ~route env client =
   match Protocol.scheme_of_name scheme with
   | None ->
     ( Frame.St_failed
@@ -533,7 +623,7 @@ let run_replica ~role ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout
       None )
   | Some sch -> (
     let tr =
-      transport ~role ~session ~epoch:(fun () -> epoch) ~io_timeout ?shard
+      transport ~role ?computes ~session ~epoch:(fun () -> epoch) ~io_timeout ?shard
         ~route_of:(fun _ -> Some route) ()
     in
     match Protocol.attempt ?fault ~endpoint:(Link.Remote tr) sch env client ~query ~attempt with
@@ -541,4 +631,11 @@ let run_replica ~role ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout
     | Error f -> (Frame.St_failed f, None)
     | exception Aborted _ -> (Frame.St_aborted, None)
     | exception Io.Transport_error msg ->
-      (Frame.St_failed { Fault.phase = "transport"; party = role; reason = msg }, None))
+      (Frame.St_failed { Fault.phase = "transport"; party = role; reason = msg }, None)
+    | exception e ->
+      (* A step choking on what it received (this process decodes
+         hostile bytes) must still report, or the mediator would wait
+         out its timeout on a dead session thread. *)
+      ( Frame.St_failed
+          { Fault.phase = "replica"; party = role; reason = "unexpected " ^ Printexc.to_string e },
+        None ))

@@ -1,14 +1,16 @@
 (** From sockets to {!Secmed_mediation.Link.transport}.
 
-    The drivers are endpoint-parametric: they call [Link.deliver] and the
-    attached transport decides what, if anything, crosses a wire.  This
-    module supplies that transport for the deterministic-replica model —
-    each process sends the frames whose sender it plays and awaits (and
-    checks) the frames whose receiver it plays, filtering by (attempt,
-    seq) so duplicated or stale frames from an abandoned attempt are
-    discarded rather than misdelivered.
+    The drivers are endpoint-parametric: they hand each message to
+    [Link] and the attached transport decides what, if anything, crosses
+    a wire.  This module supplies that transport for the projected model
+    (DESIGN.md §11) — each process sends the frames whose sender it
+    plays and awaits the frames whose receiver it plays, filtering by
+    (attempt, seq) so duplicated or stale frames from an abandoned
+    attempt are discarded rather than misdelivered.  Every payload
+    travels with the [Fault.frame] integrity tag, checked at the
+    receiver before anything decodes it.
 
-    Row-wise deliveries ([Link.deliver_rows]) travel as bounded
+    Row-wise deliveries ([Link.exchange_rows]) travel as bounded
     [Msg_chunk] frames under credit-based flow control, and a logical
     source split into shards fans the stream out across the shard routes
     (DESIGN.md §16).
@@ -36,7 +38,9 @@ module Mux : sig
       dropped and the session poisoned, so its next {!next} raises
       {!Io.Transport_error} — memory stays bounded and the consumer sees
       the same typed failure as a severed link.  Parked frame bytes are
-      charged to the ["mux.parked"] {!Secmed_obs.Hwm} region. *)
+      charged to the ["mux.parked"] {!Secmed_obs.Hwm} region.  The
+      receive thread is attached to the connection ({!Io.attach_reader}),
+      so {!Io.close} returns only after it has left the socket. *)
 
   val conn : t -> Io.conn
   val alive : t -> bool
@@ -77,7 +81,8 @@ module Mux : sig
   val next : t -> session:int -> timeout:float -> Frame.t
   (** Block (polling) until the session's queue yields a frame.  Raises
       {!Io.Transport_error} on timeout, when the receive thread died and
-      the queue is drained, or when the session's queue overflowed. *)
+      the queue is drained, when the session's queue overflowed, or when
+      the session is not subscribed (already closed). *)
 
   val next_control : t -> timeout:float -> Frame.t
   (** Same, for connection-level frames and session announcements. *)
@@ -111,6 +116,7 @@ val stream_backlog : unit -> int
 
 val transport :
   role:Transcript.party ->
+  ?computes:(Transcript.party -> bool) ->
   session:int ->
   epoch:(unit -> int) ->
   io_timeout:float ->
@@ -123,8 +129,11 @@ val transport :
     {e sender} ([route_of] returning [None] means the counterpart is
     local — nothing crosses a wire).  Receive-side failures surface as
     typed faults blamed on this process's receiving party: a timeout
-    matches a simulated [Drop], a payload mismatch (checked by
-    [Link.deliver]) matches a simulated [Corrupt].  [after_io] runs
+    matches a simulated [Drop], a frame failing its integrity tag (or,
+    at a receiver that computed the message, a payload mismatch checked
+    by [Link.deliver]) matches a simulated [Corrupt].  [computes]
+    (default: the [role] alone) is the set of parties whose steps this
+    process runs ({!Link.computes}).  [after_io] runs
     after every blocking send/recv — the mediator hooks its real-time
     deadline check here so wall-clock stalls trip the budget
     mid-attempt.  [epoch] is read per frame so the mediator can reuse
@@ -137,10 +146,13 @@ val transport :
     [recv_rows] holds at most one decoded chunk per shard (charged to
     the ["stream.pending"] {!Secmed_obs.Hwm} region) while merging, so
     receive memory is bounded by shards × chunk size regardless of how
-    many rows flow. *)
+    many rows flow; [take_rows] merges the same streams into the one
+    string a non-computing receiver decodes.  A streamed send always
+    carries at least one (possibly empty) chunk per shard. *)
 
 val run_replica :
   role:Transcript.party ->
+  ?computes:(Transcript.party -> bool) ->
   fault:Fault.plan option ->
   session:int ->
   epoch:int ->
@@ -154,6 +166,7 @@ val run_replica :
   Secmed_core.Env.client ->
   Frame.status * Secmed_core.Outcome.t option
 (** One leaf-side protocol attempt: resolve the scheme name, run the
-    driver over a [Remote] link bound to [route], and translate the
-    ending into the {!Frame.status} the replica reports.  The outcome is
+    driver over a [Remote] link bound to [route] (computing the parties
+    [computes] names, default [role] alone), and translate the ending
+    into the {!Frame.status} the process reports.  The outcome is
     returned on [St_ok] so the client replica can keep its result. *)

@@ -15,6 +15,7 @@ type conn = {
   mutable frames_in : int;
   mutable frames_out : int;
   mutable closed : bool;
+  mutable reader : Thread.t option;
 }
 
 (* A write to a peer-reset or locally-shutdown socket must surface as
@@ -61,6 +62,7 @@ let of_fd ?(timeout = 0.) ~peer fd =
     frames_in = 0;
     frames_out = 0;
     closed = false;
+    reader = None;
   }
 
 let string_of_sockaddr = function
@@ -196,9 +198,21 @@ let recv_frame t =
   in
   next ()
 
+let attach_reader t thread = t.reader <- Some thread
+
+(* A reader blocked on the socket must leave before the descriptor is
+   released: the kernel hands the number to the next socket opened, and
+   a reader that wakes up later would consume that socket's frames.
+   Shutdown wakes it (a cross-thread close need not); the join waits it
+   out. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
+    (match t.reader with
+    | Some thread when Thread.id thread <> Thread.id (Thread.self ()) ->
+      (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      Thread.join thread
+    | _ -> ());
     Wire.Stream.dispose t.stream;
     Secmed_obs.Hwm.release hwm_send (Bytes.length t.wbuf);
     try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -64,8 +64,16 @@ val recv_frame : conn -> string
     EOF mid-frame, a timeout, or an over-limit length prefix raise
     {!Transport_error}. *)
 
+val attach_reader : conn -> Thread.t -> unit
+(** Declare the thread that reads this connection (an {!Endpoint.Mux}
+    receive thread).  {!close} then shuts the socket down and joins the
+    thread before releasing the descriptor. *)
+
 val close : conn -> unit
-(** Idempotent. *)
+(** Idempotent.  With an attached reader (other than the caller), wakes
+    it by a shutdown and waits for it to exit first, so no reader
+    outlives the descriptor and steals frames from whatever socket
+    reuses the number. *)
 
 val shutdown : conn -> unit
 (** [Unix.shutdown] both directions without releasing the descriptor:

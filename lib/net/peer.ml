@@ -310,7 +310,11 @@ let run ~host ~port ~scenario ~scheme ~query ?(fault_spec = "") ?(deadline = 0.)
         parsed := true
       end;
       let status, outcome =
-        Endpoint.run_replica ~role:Transcript.Client ~fault:!fault ~session ~epoch ~attempt
+        (* The client stays a full replica: it computes every party's
+           steps, so it checks every message it receives against its
+           own value and holds the whole session's accounting. *)
+        Endpoint.run_replica ~role:Transcript.Client ~computes:(fun _ -> true) ~fault:!fault
+          ~session ~epoch ~attempt
           ~scheme:sname ~query:q ~io_timeout ~route env client
       in
       (match outcome with

@@ -448,6 +448,8 @@ let counted ?stream (_, out_c, in_c) (route : Endpoint.route) =
         st.st_bytes_in <- st.st_bytes_in + bytes
       end
   in
+  (* Payloads carry the integrity tag, which no byte stat counts. *)
+  let untagged n = max 0 (n - Fault.tag_bytes) in
   let chunk_rows payload =
     if String.length payload < 4 then 0
     else
@@ -461,9 +463,9 @@ let counted ?stream (_, out_c, in_c) (route : Endpoint.route) =
     Endpoint.r_send =
       (fun f ->
         (match f with
-        | Frame.Msg m -> out_c := !out_c + String.length m.Frame.payload
+        | Frame.Msg m -> out_c := !out_c + untagged (String.length m.Frame.payload)
         | Frame.Msg_chunk m ->
-          let b = Stream.payload_row_bytes m.Frame.ck_payload in
+          let b = untagged (Stream.payload_row_bytes m.Frame.ck_payload) in
           out_c := !out_c + b;
           note_stream true (chunk_rows m.Frame.ck_payload) b
         | _ -> ());
@@ -472,9 +474,9 @@ let counted ?stream (_, out_c, in_c) (route : Endpoint.route) =
       (fun ~timeout ->
         let f = route.Endpoint.r_next ~timeout in
         (match f with
-        | Frame.Msg m -> in_c := !in_c + String.length m.Frame.payload
+        | Frame.Msg m -> in_c := !in_c + untagged (String.length m.Frame.payload)
         | Frame.Msg_chunk m ->
-          let b = Stream.payload_row_bytes m.Frame.ck_payload in
+          let b = untagged (Stream.payload_row_bytes m.Frame.ck_payload) in
           in_c := !in_c + b;
           note_stream false (chunk_rows m.Frame.ck_payload) b
         | _ -> ());

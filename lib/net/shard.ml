@@ -1,8 +1,9 @@
 (* Sharded datasource addressing (DESIGN.md §16).
 
-   A logical source may be split into k daemon processes, each a full
-   deterministic replica that transmits only its round-robin partition
-   of every streamed delivery (shard 0 alone speaks the scalar frames).
+   A logical source may be split into k daemon processes, each computing
+   the whole source's steps and transmitting only its round-robin
+   partition of every streamed delivery (shard 0 alone speaks the
+   scalar frames).
    This module owns the two pieces both sides must agree on: the CLI
    address syntax and the per-shard scenario digest. *)
 

@@ -40,11 +40,13 @@ let encode t =
   Array.iter (fun v -> Buffer.add_string buf (Value.encode v)) t;
   Buffer.contents buf
 
-let decode s =
-  let header, off = Value.decode s 0 in
+let decode_at s off =
+  let header, off = Value.decode s off in
   let n =
     match header with
-    | Value.Int n when n >= 0 -> n
+    (* Every encoded value takes at least 2 bytes: a hostile header
+       cannot drive an allocation larger than the input. *)
+    | Value.Int n when n >= 0 && n <= (String.length s - off) / 2 -> n
     | Value.Int _ | Value.Str _ | Value.Bool _ ->
       invalid_arg "Tuple.decode: bad arity header"
   in
@@ -55,7 +57,11 @@ let decode s =
         off := next;
         v)
   in
-  if !off <> String.length s then invalid_arg "Tuple.decode: trailing bytes";
+  (values, !off)
+
+let decode s =
+  let values, off = decode_at s 0 in
+  if off <> String.length s then invalid_arg "Tuple.decode: trailing bytes";
   values
 
 let pp fmt t =

@@ -27,4 +27,9 @@ val encode : t -> string
 val decode : string -> t
 (** Raises [Invalid_argument] on malformed or trailing input. *)
 
+val decode_at : string -> int -> t * int
+(** The tuple encoded at an offset and the offset just past it, for
+    concatenated encodings.  Raises [Invalid_argument] on malformed
+    input. *)
+
 val pp : Format.formatter -> t -> unit

@@ -35,18 +35,24 @@ type field =
   | Fstr of string
   | Fbig of string
   | Flist of int list
+  | Fraw of string  (* fixed width, read back by its known length *)
+  | Ftuple of int list  (* self-delimiting, read back at an offset *)
 
 let write_field w = function
   | Fint n -> Wire.write_int w n
   | Fstr s -> Wire.write_string w s
   | Fbig digits -> Wire.write_bigint w (Bigint.of_string digits)
   | Flist l -> Wire.write_list w (fun x -> Wire.write_int w x) l
+  | Fraw s -> Wire.write_raw w s
+  | Ftuple l -> Wire.write_raw w (Tuple.encode (Tuple.of_list (List.map (fun i -> Value.Int i) l)))
 
 let read_field r = function
   | Fint _ -> ignore (Wire.read_int r)
   | Fstr _ -> ignore (Wire.read_string r)
   | Fbig _ -> ignore (Wire.read_bigint r)
   | Flist _ -> ignore (Wire.read_list r (fun () -> Wire.read_int r))
+  | Fraw s -> ignore (Wire.read_raw r (String.length s))
+  | Ftuple _ -> ignore (Wire.read_at r Tuple.decode_at)
 
 let encode_fields fields =
   let w = Wire.writer () in
@@ -66,6 +72,8 @@ let gen_field =
         map (fun s -> Fstr s) (string_size (int_range 0 30));
         map (fun n -> Fbig (string_of_int n)) nat;
         map (fun l -> Flist l) (small_list nat);
+        map (fun s -> Fraw s) (string_size (int_range 0 30));
+        map (fun l -> Ftuple l) (small_list int);
       ])
 
 type mutation =

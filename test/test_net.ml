@@ -34,6 +34,10 @@ let contains hay needle =
 
 let schemes = [ "das"; "commutative"; "pm"; "plain"; "mobile-code" ]
 
+(* The other configurations the projected drivers serve ("pm-direct"
+   has its own cluster, below). *)
+let variants = [ "das-singleton"; "das-nested-loop"; "commutative-ids" ]
+
 (* ------------------------------------------------------------------ *)
 (* Wire.Stream: chunk boundaries must be invisible. *)
 
@@ -283,6 +287,46 @@ let test_mux_subscribe_resurrects_tombstoned_id () =
   | f -> Alcotest.fail ("expected the revived frame, got " ^ Frame.tag_name f));
   Alcotest.(check int) "nothing dropped" 0 (Endpoint.Mux.dropped mux)
 
+(* Regression: a session handler that lost the race with its session's
+   end (a late duplicate announcement) reads a typed transport error,
+   not [Invalid_argument] killing its thread. *)
+let test_mux_next_on_closed_session_is_typed () =
+  let a, b = socket_pair () in
+  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
+  let mux = Endpoint.Mux.create b in
+  Endpoint.Mux.subscribe mux 3;
+  Endpoint.Mux.unsubscribe mux 3;
+  match Endpoint.Mux.next mux ~session:3 ~timeout:1. with
+  | exception Io.Transport_error m ->
+    Alcotest.(check bool) "names the closed session" true (contains m "not subscribed")
+  | f -> Alcotest.fail ("a closed session yielded " ^ Frame.tag_name f)
+
+(* Regression: closing a connection stops its mux's receive thread
+   before the descriptor is released, so a socket that reuses the
+   number keeps every one of its frames. *)
+let test_mux_reader_gone_when_closed () =
+  let a, b = socket_pair () in
+  let mux = Endpoint.Mux.create b in
+  Endpoint.Mux.subscribe mux 1;
+  Io.send_frame a (Frame.encode (msg ~seq:0 "before-close"));
+  (match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
+  | Frame.Msg { label = "before-close"; _ } -> ()
+  | f -> Alcotest.fail ("expected the first frame, got " ^ Frame.tag_name f));
+  (* The peer stays open: only the close itself can stop the reader. *)
+  Io.close b;
+  Alcotest.(check bool) "receive thread gone when close returns" false
+    (Endpoint.Mux.alive mux);
+  let c, d = socket_pair () in
+  Fun.protect ~finally:(fun () -> List.iter Io.close [ a; c; d ]) @@ fun () ->
+  for seq = 0 to 49 do
+    Io.send_frame c (Frame.encode (msg ~seq "after-reuse"))
+  done;
+  for seq = 0 to 49 do
+    match Frame.decode (Io.recv_frame d) with
+    | Frame.Msg m -> Alcotest.(check int) "frame kept by its own socket" seq m.Frame.seq
+    | f -> Alcotest.fail ("unexpected " ^ Frame.tag_name f)
+  done
+
 (* A seeded concurrency stress: one producer interleaves the frames of
    many sessions on the wire (the interleaving drawn from a PRNG, so a
    failure replays exactly), while one consumer thread per session
@@ -383,68 +427,76 @@ let messages_of tr =
     (fun (m : Transcript.message) -> (m.seq, m.sender, m.receiver, m.label, m.size))
     (Transcript.messages tr)
 
+let check_differential c name =
+  let scheme = Option.get (Protocol.scheme_of_name name) in
+  let reference =
+    Protocol.run_exn scheme (Loopback.env c) (Loopback.client_of c)
+      ~query:(Loopback.canonical_query c)
+  in
+  let response = Loopback.query c ~scheme:name () in
+  let outcome =
+    match response.Peer.result with
+    | Protocol.Served o -> o
+    | Protocol.Unserved tried ->
+      Alcotest.failf "%s unserved: %a" name Protocol.pp_session_failures tried
+  in
+  Alcotest.(check int) (name ^ ": one attempt") 1 response.Peer.epochs;
+  Alcotest.(check string)
+    (name ^ ": bit-identical result")
+    (Relation.to_string reference.Outcome.result)
+    (Relation.to_string outcome.Outcome.result);
+  Alcotest.(check bool)
+    (name ^ ": identical transcript messages") true
+    (messages_of reference.Outcome.transcript = messages_of outcome.Outcome.transcript);
+  Alcotest.(check int)
+    (name ^ ": same message count")
+    (Transcript.message_count reference.Outcome.transcript)
+    (Transcript.message_count outcome.Outcome.transcript);
+  Alcotest.(check int)
+    (name ^ ": same byte total")
+    (Transcript.total_bytes reference.Outcome.transcript)
+    (Transcript.total_bytes outcome.Outcome.transcript);
+  Alcotest.(check bool)
+    (name ^ ": identical primitive counters") true
+    (reference.Outcome.counters = outcome.Outcome.counters);
+  (* Byte accounting, way two: what the mediator process actually
+     pushed through each socket route must equal the transcript's
+     per-link totals (frames carry exactly the canonical payloads —
+     no inflation, no elision). *)
+  let tr = outcome.Outcome.transcript in
+  List.iter
+    (fun (party, out_bytes, in_bytes) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: mediator->%s socket payload" name
+           (Transcript.party_name party))
+        (Transcript.bytes_on_link tr Transcript.Mediator party)
+        out_bytes;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s->mediator socket payload" name
+           (Transcript.party_name party))
+        (Transcript.bytes_on_link tr party Transcript.Mediator)
+        in_bytes)
+    response.Peer.link_stats;
+  (* Way three: the client's raw socket byte counters bound its
+     transcript share from above (framing and session-control
+     overhead ride on top of the payloads). *)
+  let cl_in = Transcript.bytes_on_link tr Transcript.Mediator Transcript.Client in
+  let cl_out = Transcript.bytes_on_link tr Transcript.Client Transcript.Mediator in
+  let sock_in, sock_out = response.Peer.socket_bytes in
+  Alcotest.(check bool) (name ^ ": socket in >= payload in") true (sock_in >= cl_in);
+  Alcotest.(check bool) (name ^ ": socket out >= payload out") true (sock_out >= cl_out)
+
 let test_loopback_differential () =
   Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
-  List.iter
-    (fun name ->
-      let scheme = Option.get (Protocol.scheme_of_name name) in
-      let reference =
-        Protocol.run_exn scheme (Loopback.env c) (Loopback.client_of c)
-          ~query:(Loopback.canonical_query c)
-      in
-      let response = Loopback.query c ~scheme:name () in
-      let outcome =
-        match response.Peer.result with
-        | Protocol.Served o -> o
-        | Protocol.Unserved tried ->
-          Alcotest.failf "%s unserved: %a" name Protocol.pp_session_failures tried
-      in
-      Alcotest.(check int) (name ^ ": one attempt") 1 response.Peer.epochs;
-      Alcotest.(check string)
-        (name ^ ": bit-identical result")
-        (Relation.to_string reference.Outcome.result)
-        (Relation.to_string outcome.Outcome.result);
-      Alcotest.(check bool)
-        (name ^ ": identical transcript messages") true
-        (messages_of reference.Outcome.transcript = messages_of outcome.Outcome.transcript);
-      Alcotest.(check int)
-        (name ^ ": same message count")
-        (Transcript.message_count reference.Outcome.transcript)
-        (Transcript.message_count outcome.Outcome.transcript);
-      Alcotest.(check int)
-        (name ^ ": same byte total")
-        (Transcript.total_bytes reference.Outcome.transcript)
-        (Transcript.total_bytes outcome.Outcome.transcript);
-      Alcotest.(check bool)
-        (name ^ ": identical primitive counters") true
-        (reference.Outcome.counters = outcome.Outcome.counters);
-      (* Byte accounting, way two: what the mediator process actually
-         pushed through each socket route must equal the transcript's
-         per-link totals (frames carry exactly the canonical payloads —
-         no inflation, no elision). *)
-      let tr = outcome.Outcome.transcript in
-      List.iter
-        (fun (party, out_bytes, in_bytes) ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s: mediator->%s socket payload" name
-               (Transcript.party_name party))
-            (Transcript.bytes_on_link tr Transcript.Mediator party)
-            out_bytes;
-          Alcotest.(check int)
-            (Printf.sprintf "%s: %s->mediator socket payload" name
-               (Transcript.party_name party))
-            (Transcript.bytes_on_link tr party Transcript.Mediator)
-            in_bytes)
-        response.Peer.link_stats;
-      (* Way three: the client's raw socket byte counters bound its
-         transcript share from above (framing and session-control
-         overhead ride on top of the payloads). *)
-      let cl_in = Transcript.bytes_on_link tr Transcript.Mediator Transcript.Client in
-      let cl_out = Transcript.bytes_on_link tr Transcript.Client Transcript.Mediator in
-      let sock_in, sock_out = response.Peer.socket_bytes in
-      Alcotest.(check bool) (name ^ ": socket in >= payload in") true (sock_in >= cl_in);
-      Alcotest.(check bool) (name ^ ": socket out >= payload out") true (sock_out >= cl_out))
-    schemes
+  List.iter (check_differential c) (schemes @ variants)
+
+(* PM's direct-payload variant packs whole tuple sets into Paillier
+   plaintexts, which needs a wider modulus and narrower tuples than
+   [fast] and [small_spec] give. *)
+let test_pm_direct_differential () =
+  Loopback.with_cluster ~params:{ fast with Env.paillier_bits = 768 }
+    ~spec:{ small_spec with rows_left = 6; rows_right = 6; extra_attrs = 0 }
+  @@ fun c -> check_differential c "pm-direct"
 
 (* ------------------------------------------------------------------ *)
 (* Chaos conformance: live stream damage = simulated damage, typed. *)
@@ -565,6 +617,118 @@ let test_chaos_truncate_severs_then_redials () =
   | [ { Fault.event_action = Fault.Truncate _; _ } ] -> ()
   | [ e ] -> Alcotest.failf "expected truncate, got %s" (Fault.action_name e.Fault.event_action)
   | es -> Alcotest.failf "expected exactly one proxy event, got %d" (List.length es)
+
+(* ------------------------------------------------------------------ *)
+(* Hostile input at projected receivers.  The mediator and the sources
+   decode the bytes they receive instead of recomputing them, so a
+   byzantine source's output lands in real decoders and validators.
+   Each mode must end served-side exactly as in process — the same
+   typed (phase, party) — with no escaped exception and no hang. *)
+
+let byzantine_cases =
+  [
+    ("das", [ "malformed-ciphertexts"; "wrong-partition-ids" ]);
+    ("commutative", [ "malformed-ciphertexts"; "stale-commutative-key" ]);
+    ("pm", [ "malformed-ciphertexts"; "garbage-paillier" ]);
+    ("mobile-code", [ "malformed-ciphertexts" ]);
+  ]
+
+let simulated_failure c ~scheme ~fault_spec =
+  match
+    Protocol.run_session
+      ?fault:(Result.to_option (Fault.of_spec fault_spec))
+      ~chain:[]
+      (Option.get (Protocol.scheme_of_name scheme))
+      (Loopback.env c) (Loopback.client_of c) ~query:(Loopback.canonical_query c)
+  with
+  | Protocol.Unserved [ (_, f) ] -> f
+  | Protocol.Unserved tried ->
+    Alcotest.failf "%s (%s): expected one failure: %a" scheme fault_spec
+      Protocol.pp_session_failures tried
+  | Protocol.Served _ -> Alcotest.failf "%s (%s) served in process" scheme fault_spec
+
+let served_failure c ~scheme ~fault_spec ~budget =
+  let started = Unix.gettimeofday () in
+  let response = Loopback.query c ~scheme ~fault_spec ~fallback:false () in
+  let elapsed = Unix.gettimeofday () -. started in
+  if elapsed > budget then
+    Alcotest.failf "%s (%s): took %.1fs, past the %.1fs budget" scheme fault_spec elapsed budget;
+  match response.Peer.result with
+  | Protocol.Unserved [ (_, f) ] -> f
+  | Protocol.Unserved tried ->
+    Alcotest.failf "%s (%s): expected one failure: %a" scheme fault_spec
+      Protocol.pp_session_failures tried
+  | Protocol.Served _ -> Alcotest.failf "%s (%s) served" scheme fault_spec
+
+let check_same_blame ~what (expected : Protocol.failure) (got : Protocol.failure) =
+  if
+    not
+      (String.equal expected.Protocol.phase got.Protocol.phase
+      && Transcript.party_equal expected.Protocol.party got.Protocol.party)
+  then
+    Alcotest.failf "%s: served %s at %s (%s), in process %s at %s (%s)" what got.Protocol.phase
+      (Transcript.party_name got.Protocol.party)
+      got.Protocol.reason expected.Protocol.phase
+      (Transcript.party_name expected.Protocol.party)
+      expected.Protocol.reason
+
+let test_byzantine_modes_match_inproc () =
+  let io_timeout = 4. in
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~io_timeout @@ fun c ->
+  List.iter
+    (fun (scheme, modes) ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun sid ->
+              let fault_spec = Printf.sprintf "byzantine:%d:%s;retries=0" sid mode in
+              let what = Printf.sprintf "%s, source %d %s" scheme sid mode in
+              check_same_blame ~what
+                (simulated_failure c ~scheme ~fault_spec)
+                (served_failure c ~scheme ~fault_spec ~budget:(2. *. io_timeout)))
+            [ 1; 2 ])
+        modes)
+    byzantine_cases;
+  (* Every process survived its hostile input: an honest query still
+     serves, correctly. *)
+  List.iter
+    (fun scheme ->
+      let outcome = served_exn scheme (Loopback.query c ~scheme ()).Peer.result in
+      Alcotest.(check bool) (scheme ^ ": honest query after the hostile ones") true
+        (Outcome.correct outcome))
+    schemes
+
+(* A frame damaged on a real source->mediator link reaches a mediator
+   that did not compute it: the integrity tag, not a byte comparison,
+   rejects it, blamed on the mediator at the phase the simulated
+   corruption names.  A session fault plan (retries=0) makes row-wise
+   messages travel as single frames, which the proxy damages — every
+   one of them, so each query fails at its first source frame. *)
+let test_chaos_corrupt_rejected_by_tag () =
+  let plan =
+    Fault.plan
+      [
+        Fault.rule ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator
+          (Fault.Corrupt 2);
+      ]
+  in
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~chaos:[ (1, plan) ] ~io_timeout:4.
+  @@ fun c ->
+  List.iter
+    (fun scheme ->
+      let got = served_failure c ~scheme ~fault_spec:"retries=0" ~budget:8. in
+      Alcotest.(check bool)
+        (scheme ^ ": rejected by the integrity tag") true
+        (contains got.Protocol.reason "integrity tag mismatch");
+      check_same_blame ~what:(scheme ^ ": corrupt source1->mediator")
+        (simulated_failure c ~scheme ~fault_spec:"corrupt:source1->mediator:times=1;retries=0")
+        got;
+      Alcotest.(check string) (scheme ^ ": mediator blamed") "Mediator"
+        (Transcript.party_name got.Protocol.party))
+    schemes;
+  (* A source may have sent more frames before the abort reached it. *)
+  Alcotest.(check bool) "the proxy corrupted every query" true
+    (List.length (Loopback.chaos_events c 1) >= List.length schemes)
 
 (* ------------------------------------------------------------------ *)
 (* Admission and handshake. *)
@@ -723,6 +887,10 @@ let () =
             test_mux_subscribe_resurrects_tombstoned_id;
           Alcotest.test_case "concurrent sessions never cross-deliver" `Quick
             test_mux_concurrent_sessions_stress;
+          Alcotest.test_case "next on a closed session is typed" `Quick
+            test_mux_next_on_closed_session_is_typed;
+          Alcotest.test_case "reader gone when its connection closes" `Quick
+            test_mux_reader_gone_when_closed;
         ] );
       ( "scenario",
         [ Alcotest.test_case "digest deterministic" `Quick test_scenario_digest_deterministic ] );
@@ -730,6 +898,8 @@ let () =
         [
           Alcotest.test_case "differential: all schemes bit-identical" `Slow
             test_loopback_differential;
+          Alcotest.test_case "differential: pm direct payload" `Slow
+            test_pm_direct_differential;
           Alcotest.test_case "at capacity refuses" `Quick test_server_at_capacity_refuses;
           Alcotest.test_case "digest mismatch refused" `Quick
             test_scenario_digest_mismatch_refused;
@@ -750,6 +920,13 @@ let () =
             test_chaos_delay_trips_real_deadline;
           Alcotest.test_case "truncate severed then redialed" `Slow
             test_chaos_truncate_severs_then_redials;
+          Alcotest.test_case "corrupt source frame rejected by the tag" `Slow
+            test_chaos_corrupt_rejected_by_tag;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "byzantine modes fail as in process" `Slow
+            test_byzantine_modes_match_inproc;
         ] );
       ( "regressions",
         [

@@ -192,10 +192,21 @@ let slow_spec = Workload.default
    flight: the mediator fails over to the standby, reruns the session
    on a fresh epoch, and the served relation is byte-identical to the
    in-process reference.  The primary stays dead afterwards, so a
-   second session pins the standby steady state too. *)
+   second session pins the standby steady state too.  A source computes
+   only its own steps, which can end well before the session does, so a
+   chaos proxy holds the mediator's first frame to the primary: the
+   kill lands while the session still needs it. *)
 let test_failover_mid_session_bit_identical () =
+  let hold =
+    Secmed_mediation.Fault.plan
+      [
+        Secmed_mediation.Fault.rule ~sender:Secmed_mediation.Transcript.Mediator
+          ~receiver:(Secmed_mediation.Transcript.Source 1) ~times:1
+          (Secmed_mediation.Fault.Delay 2.);
+      ]
+  in
   Loopback.with_cluster ~params:fast ~spec:slow_spec ~max_sessions:4 ~standbys:1
-    ~health_interval:0.2 @@ fun c ->
+    ~health_interval:0.2 ~chaos:[ (1, hold) ] @@ fun c ->
   let scheme = "pm" and fault_spec = "retries=4" in
   let resp = ref None in
   let t =

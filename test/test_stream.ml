@@ -437,6 +437,58 @@ let test_sharded_merge_bit_identical () =
     true
     (pending_peak <= k * (Stream.default_chunk_bytes + 1024))
 
+(* A receiver that did not compute the rows takes them: every shard's
+   stream is drained and merged back into index order, including
+   streams shorter than the shard count and empty ones (a shard with no
+   rows still sends one empty chunk, so its end is observable). *)
+let test_take_rows_merges_short_and_empty_streams () =
+  let k = 3 in
+  let legs = List.init k (fun _ -> make_leg ()) in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun ((a, b), _, _) -> Io.close a; Io.close b) legs)
+  @@ fun () ->
+  let merged =
+    {
+      Endpoint.r_send =
+        (fun f -> List.iter (fun (_, _, (r : Endpoint.route)) -> r.Endpoint.r_send f) legs);
+      r_next = (let _, _, r = List.hd legs in r.Endpoint.r_next);
+      r_sub = Some (Array.of_list (List.map (fun (_, _, r) -> r) legs));
+    }
+  in
+  let receiver =
+    transport_for ~role:Transcript.Mediator ~shard:(0, 1) ~counterpart:(Transcript.Source 1)
+      merged
+  in
+  List.iteri
+    (fun seq n ->
+      let rows = List.init n (fun i -> (i, Printf.sprintf "row-%d;" i)) in
+      let size = Stream.total_bytes rows in
+      let senders =
+        List.mapi
+          (fun shard (_, route, _) ->
+            let tr =
+              transport_for ~role:(Transcript.Source 1) ~shard:(shard, k)
+                ~counterpart:Transcript.Mediator route
+            in
+            Thread.create
+              (fun () ->
+                (stream_of tr).Link.send_rows ~phase:"t" ~seq ~sender:(Transcript.Source 1)
+                  ~receiver:Transcript.Mediator ~label:"L" ~size rows)
+              ())
+          legs
+      in
+      let declared, bytes =
+        (stream_of receiver).Link.take_rows ~phase:"t" ~seq ~sender:(Transcript.Source 1)
+          ~receiver:Transcript.Mediator ~label:"L"
+      in
+      List.iter Thread.join senders;
+      Alcotest.(check int) (Printf.sprintf "%d rows: declared size" n) size declared;
+      Alcotest.(check string)
+        (Printf.sprintf "%d rows: merged in index order" n)
+        (String.concat "" (List.map snd rows))
+        bytes)
+    [ 7; 1; 0 ]
+
 (* A non-designated shard must not speak scalar messages: its sends
    vanish, only its streamed partition crosses the wire. *)
 let test_shard_scalar_speaker_suppression () =
@@ -461,7 +513,9 @@ let test_shard_scalar_speaker_suppression () =
   let streamed =
     List.concat_map
       (function
-        | Frame.Msg_chunk m -> Stream.decode_entries m.Frame.ck_payload
+        | Frame.Msg_chunk m ->
+          (* Chunk payloads travel behind the integrity tag. *)
+          Stream.decode_entries (Result.get_ok (Fault.unframe ~label:"L" m.Frame.ck_payload))
         | f -> Alcotest.fail ("unexpected frame " ^ Frame.tag_name f))
       (List.rev !sent)
   in
@@ -540,6 +594,8 @@ let () =
             test_sharded_merge_bit_identical;
           Alcotest.test_case "non-designated shard speaks no scalars" `Quick
             test_shard_scalar_speaker_suppression;
+          Alcotest.test_case "take_rows merges short and empty streams" `Quick
+            test_take_rows_merges_short_and_empty_streams;
         ] );
       ( "shard-addressing",
         [

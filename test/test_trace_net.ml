@@ -1,11 +1,12 @@
 (* Distributed tracing and the live ops surface (DESIGN.md §14): the
    Trace_wire codec round-trips a collector bit for bit; a forked
    loopback cluster queried with [trace] yields one merged multi-process
-   trace whose per-process phase structure is identical to the
-   in-process reference run (every process is a full replica, so every
-   process traces the same driver), with every source span rooted under
-   the mediator's session span; and a loaded mediator's [Stats] snapshot
-   reports real scheduler, pool, and per-scheme latency numbers. *)
+   trace whose per-process phase structure is the in-process reference
+   run's, projected: the client replica traces every phase, the mediator
+   and each source exactly their own party's; every source span is
+   rooted under the mediator's session span; and a loaded mediator's
+   [Stats] snapshot reports real scheduler, pool, and per-scheme latency
+   numbers. *)
 
 open Secmed_mediation
 open Secmed_core
@@ -82,9 +83,8 @@ let test_payload_malformed () =
 (* ------------------------------------------------------------------ *)
 (* The merged distributed trace, differentially against in-process. *)
 
-(* The (name, party) multiset of Phase spans — the shape the replica
-   model pins: every process runs the whole driver, so every process's
-   phase structure must equal the single in-process run's. *)
+(* The (name, party) multiset of Phase spans — the shape the projected
+   model pins lane by lane (see the differential below). *)
 let phases spans =
   List.filter_map
     (fun s ->
@@ -101,6 +101,15 @@ let phases spans =
 let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
+
+(* The party a lane's process computes: [None] for the client replica,
+   which computes them all. *)
+let party_of_lane = function
+  | "client" -> None
+  | "mediator" -> Some Transcript.Mediator
+  | lane when starts_with ~prefix:"source-" lane ->
+    Some (Transcript.Source (int_of_string (String.sub lane 7 (String.length lane - 7))))
+  | lane -> Alcotest.failf "unexpected lane %s" lane
 
 let test_distributed_trace_differential () =
   Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
@@ -177,14 +186,33 @@ let test_distributed_trace_differential () =
                 (Some session.Trace.id) s.Trace.parent)
             roots)
         source_lanes;
-      (* Every process traced the same driver: phase structure matches
-         the in-process reference, lane by lane. *)
+      (* Projected execution: the client replica traces every party's
+         phases, exactly the in-process reference's; the mediator and
+         each source trace exactly the reference's phases of their own
+         party, nothing else. *)
       List.iter
         (fun p ->
+          let expected =
+            match party_of_lane p.Obs.Export.pr_name with
+            | None -> reference_phases
+            | Some party ->
+              List.filter
+                (fun (_, owner) -> String.equal owner (Transcript.party_name party))
+                reference_phases
+          in
           Alcotest.(check (list (pair string string)))
             (Printf.sprintf "%s: %s phase structure" name p.Obs.Export.pr_name)
-            reference_phases (phases p.Obs.Export.pr_spans))
+            expected (phases p.Obs.Export.pr_spans))
         processes;
+      (* For the three ciphertext-processing protocols the mediator runs
+         no client or source step — hence no Paillier or hybrid
+         decryption. *)
+      if List.mem name [ "das"; "commutative"; "pm" ] then
+        List.iter
+          (fun (phase, _) ->
+            if starts_with ~prefix:"client-" phase || starts_with ~prefix:"source-" phase then
+              Alcotest.failf "%s: mediator lane runs %s" name phase)
+          (phases mediator.Obs.Export.pr_spans);
       (* And the merged artifact is one well-formed Chrome trace. *)
       match Json.parse (Obs.Export.chrome_json_processes processes) with
       | Ok (Json.List entries) ->
