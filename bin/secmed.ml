@@ -792,21 +792,6 @@ let render_stats j =
     (i [ "streams"; "bytes_out" ])
     (i [ "streams"; "backlog_chunks" ])
     (if i [ "streams"; "backlog_chunks" ] = 1 then "" else "s");
-  (match Option.bind (mem [ "streams"; "sessions" ] j) J.to_list with
-  | None | Some [] -> ()
-  | Some sessions ->
-    List.iteri
-      (fun idx st ->
-        if idx < 5 then
-          let si path = Option.value ~default:0 (Option.bind (mem path st) J.to_int) in
-          add "  session %d%s: %d rows in / %d out, %d bytes in / %d out\n"
-            (si [ "session" ])
-            (match mem [ "active" ] st with
-            | Some (J.Bool true) -> " (streaming)"
-            | _ -> "")
-            (si [ "rows_in" ]) (si [ "rows_out" ])
-            (si [ "bytes_in" ]) (si [ "bytes_out" ]))
-      sessions);
   (match mem [ "schemes" ] j with
   | Some (J.Obj []) | None -> add "schemes:   none served yet\n"
   | Some (J.Obj schemes) ->

@@ -33,6 +33,13 @@ type t = {
 
 let create () = { rev_messages = []; rev_notes = []; next_seq = 0; n_bytes = 0 }
 
+(* Interned eagerly at module init, like the transport's cells.  The
+   histogram observe takes a lock: concurrent sessions record into the
+   same cell, and an unsynchronized bucket bump could lose a count. *)
+let m_messages = Secmed_obs.Metrics.counter "transcript.messages"
+let m_message_bytes = Secmed_obs.Metrics.histogram "transcript.message_bytes"
+let m_mu = Mutex.create ()
+
 let record t ~sender ~receiver ~label ~size =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -47,10 +54,9 @@ let record t ~sender ~receiver ~label ~size =
           ("label", Secmed_obs.Json.Str label);
           ("bytes", Secmed_obs.Json.Int size);
         ];
-  if Secmed_obs.Metrics.recording () then begin
-    Secmed_obs.Metrics.(incr (counter "transcript.messages"));
-    Secmed_obs.Metrics.(observe (histogram "transcript.message_bytes") (float_of_int size))
-  end
+  Mutex.protect m_mu (fun () ->
+      Secmed_obs.Metrics.incr m_messages;
+      Secmed_obs.Metrics.observe m_message_bytes (float_of_int size))
 
 let note t text =
   t.rev_notes <- { at_seq = t.next_seq; text } :: t.rev_notes;

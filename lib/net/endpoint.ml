@@ -225,16 +225,13 @@ let stream_bytes_in = Obs.Metrics.counter "stream.bytes.in"
    gauge. *)
 let backlog_gauge = Obs.Metrics.gauge "stream.backlog.chunks"
 let backlog_mu = Mutex.create ()
-let backlog_now = ref 0
 
 let backlog_add d =
   Mutex.protect backlog_mu (fun () ->
-      backlog_now := max 0 (!backlog_now + d);
-      Obs.Metrics.set_gauge backlog_gauge (float_of_int !backlog_now))
+      let now = Obs.Metrics.gauge_value backlog_gauge +. float_of_int d in
+      Obs.Metrics.set_gauge backlog_gauge (Float.max 0. now))
 
-(* Read directly (not via the gauge): the ops surface must work without
-   the global metrics registry recording. *)
-let stream_backlog () = Mutex.protect backlog_mu (fun () -> !backlog_now)
+let stream_backlog () = int_of_float (Obs.Metrics.gauge_value backlog_gauge)
 
 (* Sender window: how many chunks may be unacknowledged before the
    sender blocks awaiting a [Credit].  Sized so the in-flight bytes

@@ -111,8 +111,8 @@ val credit_window : int
 
 val stream_backlog : unit -> int
 (** Unacknowledged chunks currently in flight from this process, summed
-    over all live streamed sends.  Read directly (works without the
-    metrics registry recording). *)
+    over all live streamed sends: the ["stream.backlog.chunks"]
+    gauge. *)
 
 val transport :
   role:Transcript.party ->

@@ -33,10 +33,13 @@ let chaos_events c sid =
   | None -> []
 
 (* Children must never escape into the caller's control flow (test
-   runners, at_exit hooks): whatever happens, they exit here. *)
+   runners, at_exit hooks): whatever happens, they exit here.  A child
+   starts from a zeroed metrics registry, so a fresh cluster's totals
+   are its own, not a copy of the parent's. *)
 let fork_proc f =
   match Unix.fork () with
   | 0 ->
+    Secmed_obs.Metrics.reset ();
     (try f () with _ -> ());
     Unix._exit 0
   | pid -> pid

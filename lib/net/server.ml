@@ -35,17 +35,6 @@ type source_slot = {
   mutable ss_replica : int;
 }
 
-(* Live per-scheme serving tallies, keyed by the scheme that answered
-   (or was asked, for failures).  The latency histogram is a private
-   cell — observed under [stats_mu], unconditionally, so the ops
-   surface works without the global metrics registry recording. *)
-type scheme_stat = {
-  mutable sc_served : int;
-  mutable sc_degraded : int;
-  mutable sc_failed : int;
-  sc_latency : Obs.Metrics.histogram;
-}
-
 (* One shard of a logical source.  An unsharded source is the k = 1
    special case, so the whole pool/failover machinery below is per
    shard: each shard has its own replica set, its own slots, its own
@@ -59,18 +48,6 @@ type source_link = {
   sl_mu : Mutex.t;  (* guards every replica's health fields *)
   sl_replicas : replica array;
   sl_slots : source_slot array;
-}
-
-(* Per-session streamed-delivery tallies for the ops surface: filled by
-   the counting route wrapper, retired into a bounded recent list when
-   the session ends. *)
-type stream_stat = {
-  st_session : int;
-  mutable st_rows_in : int;
-  mutable st_rows_out : int;
-  mutable st_bytes_in : int;
-  mutable st_bytes_out : int;
-  mutable st_active : bool;
 }
 
 (* One entry of the failover transition log: replica health flips and
@@ -105,18 +82,12 @@ type t = {
   mutable draining : bool;
   mutable drain_deadline_at : float;
   started_at : float;
-  stats_mu : Mutex.t;
-  scheme_stats : (string, scheme_stat) Hashtbl.t;
   fo_mu : Mutex.t;
   mutable fo_events : fo_event list;  (* newest first, capped *)
   mutable fo_count : int;
   conns_mu : Mutex.t;
   mutable conn_seq : int;
   live_conns : (int, Io.conn) Hashtbl.t;  (* open client connections *)
-  stream_mu : Mutex.t;
-  stream_stats : (int, stream_stat) Hashtbl.t;  (* by session id *)
-  mutable stream_recent : stream_stat list;  (* retired sessions, newest first, capped *)
-  mutable stream_evicted : stream_stat;  (* folded tallies of sessions past the cap *)
 }
 
 (* Interned eagerly at module init — see the note in {!Endpoint}. *)
@@ -124,6 +95,39 @@ let sessions_admitted = Secmed_obs.Metrics.counter "serve.sessions.admitted"
 let sessions_refused = Secmed_obs.Metrics.counter "serve.sessions.refused"
 let sessions_drain_refused = Secmed_obs.Metrics.counter "serve.sessions.drain_refused"
 let active_gauge = Secmed_obs.Metrics.gauge "serve.sessions.active"
+
+(* Per-scheme serving cells, one row per protocol (the CLI aliases of
+   [Protocol.all_schemes]) plus one [unknown] row that absorbs every
+   name no protocol carries, so a hostile client cannot grow the
+   registry.  Updates and the stats read hold [scheme_mu], so a row's
+   counts and latency histogram move together. *)
+type scheme_row = {
+  served : Obs.Metrics.counter;
+  degraded : Obs.Metrics.counter;
+  failed : Obs.Metrics.counter;
+  latency : Obs.Metrics.histogram;
+}
+
+let scheme_rows =
+  List.map
+    (fun name ->
+      let cell k = Printf.sprintf "serve.scheme.%s.%s" name k in
+      ( name,
+        { served = Obs.Metrics.counter (cell "served");
+          degraded = Obs.Metrics.counter (cell "degraded");
+          failed = Obs.Metrics.counter (cell "failed");
+          latency = Obs.Metrics.histogram (cell "latency_seconds") } ))
+    [ "das"; "commutative"; "pm"; "mobile-code"; "plain"; "unknown" ]
+
+let scheme_mu = Mutex.create ()
+
+(* A scheme alias ("pm-direct"), a canonical name ("das[singleton]")
+   and a driver's outcome label ("pm-session-keys") all start with their
+   protocol's row name. *)
+let row_of key =
+  match List.find_opt (fun (row, _) -> String.starts_with ~prefix:row key) scheme_rows with
+  | Some (_, r) -> r
+  | None -> List.assoc "unknown" scheme_rows
 
 let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_policy)
     ?(max_sessions = 8) ?(io_timeout = 10.) ?(source_conns = 2) ?workers
@@ -182,20 +186,12 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     draining = false;
     drain_deadline_at = infinity;
     started_at = Unix.gettimeofday ();
-    stats_mu = Mutex.create ();
-    scheme_stats = Hashtbl.create 8;
     fo_mu = Mutex.create ();
     fo_events = [];
     fo_count = 0;
     conns_mu = Mutex.create ();
     conn_seq = 0;
     live_conns = Hashtbl.create 32;
-    stream_mu = Mutex.create ();
-    stream_stats = Hashtbl.create 16;
-    stream_recent = [];
-    stream_evicted =
-      { st_session = 0; st_rows_in = 0; st_rows_out = 0; st_bytes_in = 0; st_bytes_out = 0;
-        st_active = false };
   }
 
 (* A session's slot for a source: round-robin by session id, so tests
@@ -428,118 +424,38 @@ let batching acc (route : Endpoint.route) =
         | f -> f);
   }
 
-(* Payload byte accounting per counterpart, plus per-session streamed
-   tallies for the ops surface.  A [Msg_chunk] counts its row bytes
-   (peeked from the count prefix, no decode), so for an unsharded run
-   the per-link totals still equal the transcript's bytes-on-link —
-   scalar and streamed encodings are interchangeable in the accounting
-   too. *)
-let counted ?stream (_, out_c, in_c) (route : Endpoint.route) =
-  let note_stream dir rows bytes =
-    match stream with
-    | None -> ()
-    | Some st ->
-      if dir then begin
-        st.st_rows_out <- st.st_rows_out + rows;
-        st.st_bytes_out <- st.st_bytes_out + bytes
-      end
-      else begin
-        st.st_rows_in <- st.st_rows_in + rows;
-        st.st_bytes_in <- st.st_bytes_in + bytes
-      end
-  in
+(* Payload byte accounting per counterpart.  A [Msg_chunk] counts its
+   row bytes (peeked from the count prefix, no decode), so for an
+   unsharded run the per-link totals still equal the transcript's
+   bytes-on-link — scalar and streamed encodings are interchangeable in
+   the accounting too. *)
+let counted (_, out_c, in_c) (route : Endpoint.route) =
   (* Payloads carry the integrity tag, which no byte stat counts. *)
-  let untagged n = max 0 (n - Fault.tag_bytes) in
-  let chunk_rows payload =
-    if String.length payload < 4 then 0
-    else
-      (Char.code payload.[0] lsl 24)
-      lor (Char.code payload.[1] lsl 16)
-      lor (Char.code payload.[2] lsl 8)
-      lor Char.code payload.[3]
+  let bytes = function
+    | Frame.Msg m -> max 0 (String.length m.Frame.payload - Fault.tag_bytes)
+    | Frame.Msg_chunk m -> max 0 (Stream.payload_row_bytes m.Frame.ck_payload - Fault.tag_bytes)
+    | _ -> 0
   in
   {
     route with
     Endpoint.r_send =
       (fun f ->
-        (match f with
-        | Frame.Msg m -> out_c := !out_c + untagged (String.length m.Frame.payload)
-        | Frame.Msg_chunk m ->
-          let b = untagged (Stream.payload_row_bytes m.Frame.ck_payload) in
-          out_c := !out_c + b;
-          note_stream true (chunk_rows m.Frame.ck_payload) b
-        | _ -> ());
+        out_c := !out_c + bytes f;
         route.Endpoint.r_send f);
     r_next =
       (fun ~timeout ->
         let f = route.Endpoint.r_next ~timeout in
-        (match f with
-        | Frame.Msg m -> in_c := !in_c + untagged (String.length m.Frame.payload)
-        | Frame.Msg_chunk m ->
-          let b = untagged (Stream.payload_row_bytes m.Frame.ck_payload) in
-          in_c := !in_c + b;
-          note_stream false (chunk_rows m.Frame.ck_payload) b
-        | _ -> ());
+        in_c := !in_c + bytes f;
         f);
   }
-
-(* The per-session streamed-delivery tally, created on first use and
-   retired into a bounded recent list when the session ends.  The stat's
-   fields are mutated by the session's single worker thread; the stats
-   reader may observe a mid-session value, which is exactly what a live
-   gauge should show. *)
-let stream_stat_for t sid =
-  Mutex.protect t.stream_mu (fun () ->
-      match Hashtbl.find_opt t.stream_stats sid with
-      | Some st -> st
-      | None ->
-        let st =
-          { st_session = sid; st_rows_in = 0; st_rows_out = 0; st_bytes_in = 0;
-            st_bytes_out = 0; st_active = true }
-        in
-        Hashtbl.replace t.stream_stats sid st;
-        st)
-
-let retire_stream_stat t sid =
-  Mutex.protect t.stream_mu (fun () ->
-      match Hashtbl.find_opt t.stream_stats sid with
-      | None -> ()
-      | Some st ->
-        Hashtbl.remove t.stream_stats sid;
-        st.st_active <- false;
-        (* Only sessions that actually streamed earn a line; the recent
-           list is the ops surface's memory, capped so an unbounded
-           session history costs bounded state.  Sessions pushed past
-           the cap fold into the evicted tally, so the totals stay
-           exact however long the server runs. *)
-        if st.st_rows_in + st.st_rows_out > 0 then begin
-          let rec split i = function
-            | [] -> ([], [])
-            | x :: rest when i < 31 ->
-              let kept, dropped = split (i + 1) rest in
-              (x :: kept, dropped)
-            | dropped -> ([], dropped)
-          in
-          let kept, dropped = split 0 t.stream_recent in
-          List.iter
-            (fun d ->
-              let e = t.stream_evicted in
-              e.st_rows_in <- e.st_rows_in + d.st_rows_in;
-              e.st_rows_out <- e.st_rows_out + d.st_rows_out;
-              e.st_bytes_in <- e.st_bytes_in + d.st_bytes_in;
-              e.st_bytes_out <- e.st_bytes_out + d.st_bytes_out)
-            dropped;
-          t.stream_recent <- st :: kept
-        end)
 
 let make_routes t conn sid ~epoch ~batches =
   let stat party = (party, ref 0, ref 0) in
   let client_stat = stat Transcript.Client in
   let client_report = ref None in
-  let sstat = stream_stat_for t sid in
   let client_route =
     stashing ~epoch ~party:Transcript.Client client_report
-      (counted ~stream:sstat client_stat
+      (counted client_stat
          (Endpoint.plain_route
             ~send:(fun f -> Io.send_frame conn (Frame.encode f))
             ~next:(fun ~timeout ->
@@ -593,7 +509,7 @@ let make_routes t conn sid ~epoch ~batches =
               let r =
                 stashing ~on_failed ~epoch ~party:(Transcript.Source id) cell
                   (batching batches
-                     (counted ~stream:sstat s
+                     (counted s
                         (Endpoint.plain_route
                            ~send:(fun f -> Mux.send (mux ()) f)
                            ~next:(fun ~timeout -> Mux.next (mux ()) ~session:sid ~timeout))))
@@ -720,28 +636,18 @@ let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id ~se
   in
   { Protocol.begin_attempt; end_attempt }
 
-(* Per-scheme tallies for the ops surface; [key] is the scheme that
-   answered (or, for a failure, the one that was asked). *)
-let note_result t ~key ~elapsed outcome =
-  Mutex.protect t.stats_mu (fun () ->
-      let st =
-        match Hashtbl.find_opt t.scheme_stats key with
-        | Some st -> st
-        | None ->
-          let st =
-            { sc_served = 0; sc_degraded = 0; sc_failed = 0;
-              sc_latency = Obs.Metrics.private_histogram () }
-          in
-          Hashtbl.replace t.scheme_stats key st;
-          st
-      in
+(* [key] is the scheme that answered (or, for a failure, the one that
+   was asked). *)
+let note_result ~key ~elapsed outcome =
+  let row = row_of key in
+  Mutex.protect scheme_mu (fun () ->
       (match outcome with
-      | `Served -> st.sc_served <- st.sc_served + 1
+      | `Served -> Obs.Metrics.incr row.served
       | `Degraded ->
-        st.sc_served <- st.sc_served + 1;
-        st.sc_degraded <- st.sc_degraded + 1
-      | `Failed -> st.sc_failed <- st.sc_failed + 1);
-      Obs.Metrics.observe st.sc_latency elapsed)
+        Obs.Metrics.incr row.served;
+        Obs.Metrics.incr row.degraded
+      | `Failed -> Obs.Metrics.incr row.failed);
+      Obs.Metrics.observe row.latency elapsed)
 
 let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback ~trace =
   let started = Unix.gettimeofday () in
@@ -753,13 +659,13 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
     try Io.send_frame conn (Frame.encode (Frame.Session_result { session = sid; result }))
     with Io.Transport_error _ -> ()
   in
-  let refuse failure =
-    note_result t ~key:scheme ~elapsed:(Unix.gettimeofday () -. started) `Failed;
+  let refuse key failure =
+    note_result ~key ~elapsed:(Unix.gettimeofday () -. started) `Failed;
     reply (Frame.W_unserved [ (scheme, failure, 0) ])
   in
   match Protocol.scheme_of_name scheme with
   | None ->
-    refuse
+    refuse "unknown"
       { Fault.phase = "session"; party = Transcript.Mediator; reason = "unknown scheme: " ^ scheme }
   | Some sch -> (
     let fault =
@@ -768,7 +674,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
     in
     match fault with
     | Error e ->
-      refuse
+      refuse scheme
         { Fault.phase = "session"; party = Transcript.Mediator; reason = "bad fault spec: " ^ e }
     | Ok fault -> (
       let rec dial acc = function
@@ -780,12 +686,11 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
       in
       match dial [] t.sources with
       | Error (source_id, msg) ->
-        refuse
+        refuse scheme
           { Fault.phase = "transport"; party = Transcript.Source source_id; reason = msg }
       | Ok smuxes ->
         List.iter (fun (_, m) -> Mux.subscribe m sid) smuxes;
         Fun.protect ~finally:(fun () ->
-            retire_stream_stat t sid;
             (* Whatever mux this session's slot holds *now* — possibly a
                redialed incarnation — gets the end-of-session notice.
                [t.sources] is flat over shards, so every shard daemon
@@ -943,7 +848,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
         let elapsed = Unix.gettimeofday () -. started in
         (match verdict with
         | None ->
-          note_result t ~key:scheme ~elapsed `Failed;
+          note_result ~key:scheme ~elapsed `Failed;
           release ()
         | Some (Protocol.Served outcome) ->
           let w_degraded =
@@ -961,7 +866,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
               in
               Some (from_scheme, reason)
           in
-          note_result t ~key:outcome.Outcome.scheme ~elapsed
+          note_result ~key:outcome.Outcome.scheme ~elapsed
             (match w_degraded with None -> `Served | Some _ -> `Degraded);
           forward_spans ();
           reply
@@ -999,7 +904,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
               with Io.Transport_error _ -> ())
             routes.source_routes;
           (* The client replica's Report to the final abort, if any. *)
-          note_result t ~key:scheme ~elapsed `Failed;
+          note_result ~key:scheme ~elapsed `Failed;
           forward_spans ();
           reply
             (Frame.W_unserved
@@ -1094,66 +999,44 @@ let stats_json t =
       ]
   in
   let schemes =
-    Mutex.protect t.stats_mu (fun () ->
-        Hashtbl.fold (fun k st acc -> (k, st) :: acc) t.scheme_stats [])
+    Mutex.protect scheme_mu (fun () ->
+        List.filter_map
+          (fun (name, row) ->
+            let count = Obs.Metrics.histogram_count row.latency in
+            if count = 0 then None
+            else
+              let p50, p90, p99 = Obs.Metrics.percentiles row.latency in
+              Some
+                ( name,
+                  J.Obj
+                    [
+                      ("served", J.Int (Obs.Metrics.counter_value row.served));
+                      ("degraded", J.Int (Obs.Metrics.counter_value row.degraded));
+                      ("failed", J.Int (Obs.Metrics.counter_value row.failed));
+                      ( "latency_seconds",
+                        J.Obj
+                          [
+                            ("count", J.Int count);
+                            ("p50", J.Float p50);
+                            ("p90", J.Float p90);
+                            ("p99", J.Float p99);
+                            ("max", J.Float (Obs.Metrics.histogram_max row.latency));
+                          ] );
+                    ] ))
+          scheme_rows)
   in
-  let schemes =
-    List.map
-      (fun (k, st) ->
-        let p50, p90, p99 = Obs.Metrics.percentiles st.sc_latency in
-        ( k,
-          J.Obj
-            [
-              ("served", J.Int st.sc_served);
-              ("degraded", J.Int st.sc_degraded);
-              ("failed", J.Int st.sc_failed);
-              ( "latency_seconds",
-                J.Obj
-                  [
-                    ("count", J.Int (Obs.Metrics.histogram_count st.sc_latency));
-                    ("p50", J.Float p50);
-                    ("p90", J.Float p90);
-                    ("p99", J.Float p99);
-                    ("max", J.Float (Obs.Metrics.histogram_max st.sc_latency));
-                  ] );
-            ] ))
-      (List.sort (fun (a, _) (b, _) -> compare a b) schemes)
-  in
+  let cv name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let streams =
-    let live, recent, evicted =
-      Mutex.protect t.stream_mu (fun () ->
-          ( Hashtbl.fold (fun _ st acc -> st :: acc) t.stream_stats [],
-            t.stream_recent, t.stream_evicted ))
-    in
-    let sessions =
-      List.sort (fun a b -> compare b.st_session a.st_session) (live @ recent)
-    in
-    let sum f = List.fold_left (fun acc st -> acc + f st) (f evicted) sessions in
     J.Obj
       [
-        ("rows_in", J.Int (sum (fun st -> st.st_rows_in)));
-        ("rows_out", J.Int (sum (fun st -> st.st_rows_out)));
-        ("bytes_in", J.Int (sum (fun st -> st.st_bytes_in)));
-        ("bytes_out", J.Int (sum (fun st -> st.st_bytes_out)));
+        ("rows_in", J.Int (cv "stream.rows.in"));
+        ("rows_out", J.Int (cv "stream.rows.out"));
+        ("bytes_in", J.Int (cv "stream.bytes.in"));
+        ("bytes_out", J.Int (cv "stream.bytes.out"));
         ("backlog_chunks", J.Int (Endpoint.stream_backlog ()));
-        ( "sessions",
-          J.List
-            (List.map
-               (fun st ->
-                 J.Obj
-                   [
-                     ("session", J.Int st.st_session);
-                     ("active", J.Bool st.st_active);
-                     ("rows_in", J.Int st.st_rows_in);
-                     ("rows_out", J.Int st.st_rows_out);
-                     ("bytes_in", J.Int st.st_bytes_in);
-                     ("bytes_out", J.Int st.st_bytes_out);
-                   ])
-               sessions) );
         ("hwm", Obs.Hwm.snapshot ());
       ]
   in
-  let cv name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   J.Obj
     [
       ("uptime_seconds", J.Float uptime);

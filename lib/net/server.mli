@@ -113,12 +113,13 @@ val stats_json : t -> Secmed_obs.Json.t
     admission state (including draining), scheduler utilization,
     per-source pool slots (with dial counts and replica cursors),
     per-replica health, the failover transition log, breaker states,
-    process-wide transport volume, streamed-delivery tallies (totals,
-    per-session rows/bytes for live and recent sessions, the current
-    chunk backlog, and the tracked high-water memory regions), and
-    per-scheme served/degraded/failed tallies with latency percentiles.
-    Lock order is per-subsystem; the snapshot is consistent per field
-    group, not globally atomic. *)
+    process-wide transport volume, streamed-delivery totals (rows and
+    bytes each way, the current chunk backlog, and the tracked
+    high-water memory regions), and per-scheme served/degraded/failed
+    counts with latency percentiles (one row per protocol plus
+    [unknown], listed once nonzero).  Every count is read from the
+    metrics registry.  Lock order is per-subsystem; the snapshot is
+    consistent per field group, not globally atomic. *)
 
 val stop : t -> unit
 (** Close the listener and the pooled datasource connections, and

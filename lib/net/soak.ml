@@ -143,6 +143,7 @@ let supervisor ~env ~client ~scenario ~cfg ~source_fds ~med_fd ~med_port ~ctl_fd
   let spawn fd f =
     match Unix.fork () with
     | 0 ->
+      Secmed_obs.Metrics.reset ();
       (try Unix.close ctl_fd with Unix.Unix_error _ -> ());
       List.iter
         (fun (ofd, _) ->

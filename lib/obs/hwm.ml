@@ -4,10 +4,8 @@
    buffers, send scratch, parked mux frames, decoded-but-unmerged chunk
    entries — is registered against a named region, so tests and benches
    can assert the claim the chunk protocol makes: transport memory stays
-   flat while the row count scales.  Unlike the metrics registry this is
-   always on (the whole point is to catch a regression the recording
-   flag would hide), so the implementation keeps the hot path to one
-   mutex and two adds. *)
+   flat while the row count scales.  The hot path is one mutex and two
+   adds. *)
 
 type t = {
   name : string;

@@ -3,10 +3,9 @@
     The streaming transport's headline claim — mediator memory flat in
     the row count — is enforced, not asserted: every buffer the chunked
     delivery path keeps alive registers its bytes against a named region
-    here, and the stream bench/tests read the per-region peak back out.
-    Always on (no recording gate): a regression that re-materialises a
-    whole relation must show up even in runs that never enabled
-    metrics. *)
+    here, and the stream bench/tests read the per-region peak back out,
+    so a regression that re-materialises a whole relation shows up in
+    every run. *)
 
 type t
 (** A named accounting region ("wire.stream", "mux.parked", ...). *)

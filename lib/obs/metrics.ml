@@ -1,8 +1,3 @@
-let recording_flag = ref false
-
-let recording () = !recording_flag
-let set_recording flag = recording_flag := flag
-
 (* Log-scale buckets: 4 per octave.  Bucket 0 is the underflow bucket
    (zero and negative observations); bucket [i >= 1] covers values whose
    [4 * log2 v] rounds to [i - bias]. *)

@@ -3,12 +3,9 @@
 
     Handles are interned by name, so any layer can say
     [Metrics.counter "transcript.messages"] and get the same cell.
-    Recording is gated by {!set_recording} (default off) with the same
-    null-guard discipline as the tracer: a disabled registry costs one
-    boolean load per call site. *)
-
-val recording : unit -> bool
-val set_recording : bool -> unit
+    Always on: there is no off switch, and a bump is a field update.
+    Hot paths intern their cells once at module init and keep the
+    handle. *)
 
 type counter
 

@@ -153,11 +153,10 @@ let with_span ?(kind = Operation) ?(attrs = []) name f =
             | x :: rest -> if x == s then rest else pop rest
           in
           Hashtbl.replace t.stacks key (pop (stack_of t key)));
-      if Metrics.recording () then
-        Mutex.protect metrics_mu (fun () ->
-            Metrics.observe
-              (Metrics.histogram ("span." ^ name ^ ".seconds"))
-              (Int64.to_float (Int64.sub s.stop_ns s.start_ns) /. 1e9))
+      Mutex.protect metrics_mu (fun () ->
+          Metrics.observe
+            (Metrics.histogram ("span." ^ name ^ ".seconds"))
+            (Int64.to_float (Int64.sub s.stop_ns s.start_ns) /. 1e9))
     in
     (match f () with
      | result ->

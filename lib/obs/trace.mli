@@ -76,8 +76,8 @@ val collect : (unit -> 'a) -> 'a * t
 val with_span : ?kind:kind -> ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** Opens a child of the calling thread's innermost open span (or a
     root), runs the thunk and closes the span — also on exceptions.
-    When {!Metrics.recording} is on, the span's duration is observed
-    into the ["span.<name>.seconds"] histogram as it closes. *)
+    The span's duration is observed into the ["span.<name>.seconds"]
+    histogram as it closes. *)
 
 val add_attr : string -> Json.t -> unit
 (** Attach an attribute to the innermost open span (no-op without one). *)

@@ -810,8 +810,6 @@ let test_pooled_connection_sever_isolated () =
 
 let test_net_metrics_counted () =
   Obs.Metrics.reset ();
-  Obs.Metrics.set_recording true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_recording false) @@ fun () ->
   Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
   let response = Loopback.query c ~scheme:"plain" () in
   let _ = served_exn "plain" response.Peer.result in

@@ -626,6 +626,21 @@ let test_fault_events_in_trace () =
   Alcotest.(check bool) "fault event present" true
     (List.exists (fun e -> e.Trace.ev_name = "fault") (Trace.events t))
 
+(* The registry needs no switch: every recorded message bumps
+   [transcript.messages], one per transcript entry. *)
+let test_transcript_messages_counted () =
+  let env, client, query = scenario () in
+  let messages = Metrics.counter "transcript.messages" in
+  List.iter
+    (fun scheme ->
+      let before = Metrics.counter_value messages in
+      let outcome = Protocol.run_exn scheme env client ~query in
+      Alcotest.(check int)
+        (Protocol.scheme_name scheme)
+        (Transcript.message_count outcome.Outcome.transcript)
+        (Metrics.counter_value messages - before))
+    Protocol.all_schemes
+
 (* ------------------------------------------------------------------ *)
 (* Transcript running totals: the incremental counters match a from-
    scratch recomputation over the message list. *)
@@ -697,6 +712,8 @@ let () =
           Alcotest.test_case "singleton quantile" `Quick test_metrics_singleton_quantile;
           Alcotest.test_case "merge under concurrent recorders" `Quick
             test_histogram_merge_concurrent_recorders;
+          Alcotest.test_case "transcript messages counted" `Slow
+            test_transcript_messages_counted;
         ] );
       ( "trace",
         [

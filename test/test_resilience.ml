@@ -358,12 +358,7 @@ let test_breaker_opens_across_queries () =
 let test_resilience_metrics () =
   let env, client, query = Lazy.force shared in
   Secmed_obs.Metrics.reset ();
-  Secmed_obs.Metrics.set_recording true;
-  Fun.protect
-    ~finally:(fun () ->
-      Secmed_obs.Metrics.set_recording false;
-      Secmed_obs.Metrics.reset ())
-    (fun () ->
+  Fun.protect ~finally:Secmed_obs.Metrics.reset (fun () ->
       let session, _, _ = session_with () in
       let plan = Fault.plan ~max_retries:2 ~byzantine:[ (1, Fault.Garbage_paillier) ] [] in
       (match Protocol.run_session ~fault:plan ~session pm env client ~query with

@@ -322,6 +322,49 @@ let test_stats_surface () =
         per_scheme
     | _ -> Alcotest.fail "stats: no per-scheme entries after a served burst")
 
+(* A client naming 200 distinct bogus schemes costs the mediator one
+   [unknown] row, not one row per name. *)
+let test_hostile_scheme_names () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  for i = 1 to 200 do
+    match (Loopback.query c ~scheme:(Printf.sprintf "bogus-%d" i) ()).Peer.result with
+    | Protocol.Unserved _ -> ()
+    | Protocol.Served _ -> Alcotest.failf "bogus-%d was served" i
+  done;
+  match Json.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
+  | Error e -> Alcotest.failf "stats payload does not parse: %s" e
+  | Ok json -> (
+    match Json.member "schemes" json with
+    | Some (Json.Obj rows) ->
+      Alcotest.(check bool) "at most one row per protocol plus unknown" true
+        (List.length rows <= 6);
+      let failed =
+        Option.bind (List.assoc_opt "unknown" rows) (Json.member "failed")
+      in
+      Alcotest.(check (option int)) "unknown.failed" (Some 200)
+        (Option.bind failed Json.to_int)
+    | _ -> Alcotest.fail "stats: no schemes section")
+
+(* A forked cluster's registry starts at zero: totals the test process
+   ran up against an earlier cluster do not leak into a later one. *)
+let test_fresh_cluster_stats () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec (fun c ->
+      match (Loopback.query c ~scheme:"das" ()).Peer.result with
+      | Protocol.Served _ -> ()
+      | Protocol.Unserved _ -> Alcotest.fail "das on cluster A was not served");
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  match Json.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
+  | Error e -> Alcotest.failf "stats payload does not parse: %s" e
+  | Ok json ->
+    let int path =
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some json) path
+      |> Fun.flip Option.bind Json.to_int
+    in
+    Alcotest.(check (option int)) "net.frames_sent" (Some 0) (int [ "net"; "frames_sent" ]);
+    List.iter
+      (fun k -> Alcotest.(check (option int)) ("streams." ^ k) (Some 0) (int [ "streams"; k ]))
+      [ "rows_in"; "rows_out"; "bytes_in"; "bytes_out"; "backlog_chunks" ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -337,5 +380,7 @@ let () =
           Alcotest.test_case "merged trace differential" `Slow
             test_distributed_trace_differential;
           Alcotest.test_case "stats surface" `Slow test_stats_surface;
+          Alcotest.test_case "hostile scheme names" `Slow test_hostile_scheme_names;
+          Alcotest.test_case "fresh cluster stats" `Slow test_fresh_cluster_stats;
         ] );
     ]
