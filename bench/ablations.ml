@@ -1,8 +1,7 @@
 (* Ablation benchmarks for the design choices called out in DESIGN.md
-   (A1–A4) plus a Bechamel microbenchmark suite for the cryptographic
+   (A1–A4) plus a microbenchmark suite for the cryptographic
    primitives. *)
 
-open Bechamel
 open Secmed_bigint
 open Secmed_crypto
 open Secmed_relalg
@@ -667,10 +666,11 @@ let das_settings () =
   print_endline "client interaction) but hands the mediator the partition ranges."
 
 (* ------------------------------------------------------------------ *)
-(* Micro: Bechamel suite over the primitives every protocol builds on. *)
+(* Micro: best-of-rounds time per call of the primitives every
+   protocol builds on. *)
 
 let micro () =
-  Bench_util.heading "Microbenchmarks — cryptographic primitives (Bechamel/OLS)";
+  Bench_util.heading "Microbenchmarks — cryptographic primitives";
   let prng = Prng.of_int_seed 3 in
   let group = Group.default ~bits:256 in
   let elg = Elgamal.keygen prng group in
@@ -682,38 +682,30 @@ let micro () =
   let ppk = Paillier.public paillier in
   let pct = Paillier.encrypt prng ppk (Bigint.of_int 31337) in
   let exponent = Group.random_exponent prng group in
-  let tests =
-    Test.make_grouped ~name:"crypto" ~fmt:"%s %s"
-      [
-        Test.make ~name:"sha256 (1 KiB)"
-          (Staged.stage
-             (let block = String.make 1024 'a' in
-              fun () -> ignore (Sha256.digest block)));
-        Test.make ~name:"aes128-ctr (1 KiB)"
-          (Staged.stage
-             (let key = Prng.bytes prng 16 and nonce = Prng.bytes prng 12 in
-              let block = String.make 1024 'b' in
-              fun () -> ignore (Aes.ctr_transform ~key ~nonce block)));
-        Test.make ~name:"modpow 256-bit"
-          (Staged.stage (fun () ->
-               ignore (Bigint.mod_pow group.Group.g exponent group.Group.p)));
-        Test.make ~name:"hybrid encrypt (256 B)"
-          (Staged.stage (fun () -> ignore (Hybrid.encrypt prng pk (String.make 256 'x'))));
-        Test.make ~name:"hybrid decrypt (256 B)"
-          (Staged.stage (fun () -> ignore (Hybrid.decrypt elg hybrid_ct)));
-        Test.make ~name:"commutative apply"
-          (Staged.stage (fun () -> ignore (Commutative.apply comm_key oracle_point)));
-        Test.make ~name:"random-oracle hash"
-          (Staged.stage (fun () -> ignore (Random_oracle.hash group "some-join-value")));
-        Test.make ~name:"paillier encrypt (512-bit n)"
-          (Staged.stage (fun () -> ignore (Paillier.encrypt prng ppk (Bigint.of_int 99))));
-        Test.make ~name:"paillier decrypt (512-bit n)"
-          (Staged.stage (fun () -> ignore (Paillier.decrypt paillier pct)));
-        Test.make ~name:"paillier scalar-mul (128-bit k)"
-          (Staged.stage
-             (let k = Pm_join.root_of_value (Value.Int 7) in
-              fun () -> ignore (Paillier.scalar_mul ppk k pct)));
-      ]
+  let sha_block = String.make 1024 'a' in
+  let aes_key = Prng.bytes prng 16 and aes_nonce = Prng.bytes prng 12 in
+  let aes_block = String.make 1024 'b' in
+  let scalar = Pm_join.root_of_value (Value.Int 7) in
+  let cases =
+    [
+      ("sha256 (1 KiB)", fun () -> ignore (Sha256.digest sha_block));
+      ( "aes128-ctr (1 KiB)",
+        fun () -> ignore (Aes.ctr_transform ~key:aes_key ~nonce:aes_nonce aes_block) );
+      ("modpow 256-bit", fun () -> ignore (Bigint.mod_pow group.Group.g exponent group.Group.p));
+      ( "hybrid encrypt (256 B)",
+        fun () -> ignore (Hybrid.encrypt prng pk (String.make 256 'x')) );
+      ("hybrid decrypt (256 B)", fun () -> ignore (Hybrid.decrypt elg hybrid_ct));
+      ("commutative apply", fun () -> ignore (Commutative.apply comm_key oracle_point));
+      ("random-oracle hash", fun () -> ignore (Random_oracle.hash group "some-join-value"));
+      ( "paillier encrypt (512-bit n)",
+        fun () -> ignore (Paillier.encrypt prng ppk (Bigint.of_int 99)) );
+      ("paillier decrypt (512-bit n)", fun () -> ignore (Paillier.decrypt paillier pct));
+      ( "paillier scalar-mul (128-bit k)",
+        fun () -> ignore (Paillier.scalar_mul ppk scalar pct) );
+    ]
   in
-  let estimates = Bench_util.bechamel_estimates ~quota:0.4 tests in
-  Bench_util.print_bechamel_table "primitive costs" estimates
+  Bench_util.subheading "primitive costs";
+  Bench_util.print_table ~headers:[ "benchmark"; "time/run" ]
+    (List.map
+       (fun (name, f) -> [ name; Bench_util.fmt_ns (1e9 *. Bench_util.best_time f) ])
+       cases)

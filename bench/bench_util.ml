@@ -1,5 +1,5 @@
-(* Shared helpers for the benchmark harness: text tables, direct timing,
-   and a thin wrapper around Bechamel's OLS pipeline. *)
+(* Shared helpers for the benchmark harness: text tables and direct
+   timing. *)
 
 let heading title =
   let bar = String.make (String.length title) '=' in
@@ -42,18 +42,27 @@ let fmt_bytes b =
   else if b >= 1024 then Printf.sprintf "%.1f KiB" (float_of_int b /. 1024.0)
   else Printf.sprintf "%d B" b
 
-(* Direct timing: median over [runs] repetitions, on the monotonic clock
-   (wall-clock steps from NTP would silently skew gettimeofday samples). *)
-let time_median ?(runs = 3) f =
-  let samples =
-    List.init runs (fun _ ->
-        let t0 = Secmed_obs.Clock.now_ns () in
-        ignore (f ());
-        Secmed_obs.Clock.ns_to_s (Secmed_obs.Clock.elapsed_ns ~since:t0))
-  in
-  match List.sort compare samples with
+(* Nearest-rank quantile: the smallest sample with at least a share [q]
+   of all samples at or below it, so every reported value was measured;
+   0 with no samples.  The epsilon keeps [0.9 *. 140.] from rounding up
+   to rank 127. *)
+let quantile q samples =
+  match List.sort Float.compare samples with
   | [] -> 0.0
-  | sorted -> List.nth sorted (List.length sorted / 2)
+  | sorted ->
+    let n = List.length sorted in
+    let rank = int_of_float (Float.ceil ((q *. float_of_int n) -. 1e-9)) in
+    List.nth sorted (max 1 (min n rank) - 1)
+
+(* Direct timing: median over [runs] repetitions (the lower middle one
+   for an even count), on the monotonic clock (wall-clock steps from NTP
+   would silently skew gettimeofday samples). *)
+let time_median ?(runs = 3) f =
+  quantile 0.5
+    (List.init runs (fun _ ->
+         let t0 = Secmed_obs.Clock.now_ns () in
+         ignore (f ());
+         Secmed_obs.Clock.ns_to_s (Secmed_obs.Clock.elapsed_ns ~since:t0)))
 
 (* Best-of-[rounds] seconds per call, with the repetition count calibrated
    so each sample runs for at least [min_time] (keeps fast primitives well
@@ -78,32 +87,8 @@ let best_time ?(rounds = 5) ?(min_time = 0.02) f =
   done;
   !best
 
-(* Bechamel: run a grouped test and return (name, estimated ns/run). *)
-let bechamel_estimates ?(quota = 0.5) tests =
-  let open Bechamel in
-  let open Toolkit in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~stabilize:false ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name o acc ->
-      let ns =
-        match Analyze.OLS.estimates o with Some (e :: _) -> e | Some [] | None -> Float.nan
-      in
-      (name, ns) :: acc)
-    results []
-  |> List.sort compare
-
 let fmt_ns ns =
   if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
   else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
   else if ns >= 1e3 then Printf.sprintf "%.2f µs" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
-
-let print_bechamel_table title estimates =
-  subheading title;
-  print_table ~headers:[ "benchmark"; "time/run" ]
-    (List.map (fun (name, ns) -> [ name; fmt_ns ns ]) estimates)

@@ -73,7 +73,7 @@ let experiments : (string * string * (unit -> unit) Term.t) list =
      Term.(const (fun () () -> Ablations.setops ()) $ const ()));
     ("ablation-das-settings", "A7: DAS translator placement",
      Term.(const (fun () () -> Ablations.das_settings ()) $ const ()));
-    ("micro", "Bechamel microbenchmarks of the crypto primitives",
+    ("micro", "Microbenchmarks of the crypto primitives",
      Term.(const (fun () () -> Ablations.micro ()) $ const ()));
     ("json", "Write BENCH_modexp.json and BENCH_protocols.json (full machine-readable record)",
      Term.(const (fun sizes rounds () ->

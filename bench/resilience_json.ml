@@ -97,7 +97,7 @@ let measure_session f =
 
 let breaker_transition_count session =
   List.fold_left
-    (fun acc b -> acc + List.length (R.breaker_transitions b))
+    (fun acc b -> acc + R.breaker_transition_count b)
     0 (R.breakers session)
 
 let entry_json s ~outcome_kind ~degraded_from ~correct ~failures ~attempts ~seconds

@@ -12,7 +12,6 @@ open Secmed_mediation
 open Secmed_core
 open Secmed_net
 module Json = Secmed_obs.Json
-module Metrics = Secmed_obs.Metrics
 
 let small_spec =
   {
@@ -54,22 +53,36 @@ let bench_policy =
     breaker_config = { Resilience.default_breaker with failure_threshold = 2.0 };
   }
 
-let ms h q = Metrics.quantile h q *. 1000.
+(* Quantiles of the exact session latencies, never a histogram bucket
+   edge. *)
+let ms latencies q = Bench_util.quantile q latencies *. 1000.
 
-let scheme_entry elapsed (scheme, h) =
-  let sessions = Metrics.histogram_count h in
+(* Per scheme, the sessions Loadgen's [per_scheme] histograms count:
+   served and degraded ones. *)
+let scheme_entry report (scheme, _) =
+  let latencies =
+    List.filter_map
+      (fun (r : Loadgen.record) ->
+        match r.r_kind with
+        | (Loadgen.Served | Loadgen.Degraded) when String.equal r.r_scheme scheme ->
+          Some r.r_latency
+        | _ -> None)
+      report.Loadgen.records
+  in
+  let sessions = List.length latencies and elapsed = report.Loadgen.elapsed in
   Json.Obj
     [
       ("scheme", Json.Str scheme);
       ("sessions", Json.Int sessions);
       ("qps", Json.Float (if elapsed <= 0. then 0. else float_of_int sessions /. elapsed));
-      ("p50_ms", Json.Float (ms h 0.5));
-      ("p95_ms", Json.Float (ms h 0.95));
-      ("p99_ms", Json.Float (ms h 0.99));
+      ("p50_ms", Json.Float (ms latencies 0.5));
+      ("p95_ms", Json.Float (ms latencies 0.95));
+      ("p99_ms", Json.Float (ms latencies 0.99));
     ]
 
 let level_entry ~mode ~concurrency ~sessions_per_worker report =
   let count k = Loadgen.count k report in
+  let latencies = List.map (fun (r : Loadgen.record) -> r.r_latency) report.Loadgen.records in
   Json.Obj
     [
       ("mode", Json.Str mode);
@@ -83,12 +96,10 @@ let level_entry ~mode ~concurrency ~sessions_per_worker report =
       ("unserved", Json.Int (count Loadgen.Unserved));
       ("refused", Json.Int (count Loadgen.Refused));
       ("failed", Json.Int (count Loadgen.Failed));
-      ("p50_ms", Json.Float (ms report.Loadgen.latency 0.5));
-      ("p95_ms", Json.Float (ms report.Loadgen.latency 0.95));
-      ("p99_ms", Json.Float (ms report.Loadgen.latency 0.99));
-      ( "schemes",
-        Json.List (List.map (scheme_entry report.Loadgen.elapsed) report.Loadgen.per_scheme)
-      );
+      ("p50_ms", Json.Float (ms latencies 0.5));
+      ("p95_ms", Json.Float (ms latencies 0.95));
+      ("p99_ms", Json.Float (ms latencies 0.99));
+      ("schemes", Json.List (List.map (scheme_entry report) report.Loadgen.per_scheme));
     ]
 
 let run_level ?(trace = false) ~mode ~concurrency ~sessions_per_worker () =

@@ -391,11 +391,12 @@ let serve_cmd =
       "Datasource address as $(b,ID=shard@HOST:PORT[,HOST:PORT...][;shard@...]); repeat \
        once per source.  Comma-separated endpoints are standby replicas: the pool dials \
        the first one that is up (primary first) and fails a severed or draining endpoint \
-       over to the next, failing back after a cooldown.  Semicolon-separated groups are \
-       shards (the optional $(b,shard@) marker is cosmetic): each must run `secmed \
-       source --shard J/K', streamed deliveries arrive as K partitioned chunk streams \
-       merged in row order, and results are bit-identical to the unsharded run.  The \
-       two-relation workload needs sources 1 and 2."
+       over to the next, failing back after the $(b,--breaker) cooldown.  \
+       Semicolon-separated groups are shards (the optional $(b,shard@) marker is \
+       cosmetic): each must run `secmed source --shard J/K', streamed deliveries \
+       arrive as K partitioned chunk streams merged in row order, and results are \
+       bit-identical to the unsharded run.  The two-relation workload needs sources \
+       1 and 2."
     in
     Arg.(value & opt_all string [] & info [ "source" ] ~docv:"ID=[shard@]H:P,...;..." ~doc)
   in
@@ -642,7 +643,6 @@ let loadgen_cmd =
         verify;
         trace;
         retry_connect = retry;
-        retry_backoff = 0.25;
       }
     in
     let target = { Net.Loadgen.host; port; scenario; env; client; query } in
@@ -841,6 +841,7 @@ let stats_cmd =
          ECONNREFUSED/EPIPE.  Bounded exponential backoff: ~10
          consecutive failures (about a minute) means it really is gone. *)
       let max_failures = 10 in
+      let backoff = R.backoff ~base:interval ~max_delay:10. ~jitter:0. () in
       let rec go failures =
         match once () with
         | () ->
@@ -854,7 +855,7 @@ let stats_cmd =
             exit exit_fault
           end;
           Printf.printf "-- mediator unreachable (%s); retrying\n%!" msg;
-          Thread.delay (Float.min 10. (interval *. (2. ** float_of_int failures)));
+          Thread.delay (R.backoff_delay backoff ~attempt:(failures + 1));
           go (failures + 1)
       in
       go 0

@@ -115,6 +115,9 @@ let default_breaker =
   { window = 16; failure_threshold = 0.5; min_samples = 4; cooldown = 1.0;
     half_open_probes = 1 }
 
+let replica_breaker ~cooldown =
+  { window = 1; failure_threshold = 1.0; min_samples = 1; cooldown; half_open_probes = 1 }
+
 type transition = { at : float; from_state : breaker_state; to_state : breaker_state }
 
 type breaker = {
@@ -126,8 +129,11 @@ type breaker = {
   mutable state : breaker_state;
   mutable opened_at : float;
   mutable probes_left : int;
-  mutable rev_transitions : transition list;
+  transitions : transition Queue.t;  (* the newest [kept_transitions], oldest first *)
+  mutable transition_count : int;
 }
+
+let kept_transitions = 64
 
 let breaker ?(config = default_breaker) clock party =
   {
@@ -139,12 +145,14 @@ let breaker ?(config = default_breaker) clock party =
     state = Closed;
     opened_at = 0.0;
     probes_left = 0;
-    rev_transitions = [];
+    transitions = Queue.create ();
+    transition_count = 0;
   }
 
 let breaker_party b = b.b_party
 let breaker_state b = b.state
-let breaker_transitions b = List.rev b.rev_transitions
+let breaker_transitions b = List.of_seq (Queue.to_seq b.transitions)
+let breaker_transition_count b = b.transition_count
 
 (* Pre-interned per target state: [transition] runs inside concurrent
    session workers, and the metrics registry itself is unsynchronised. *)
@@ -158,8 +166,9 @@ let transition_counter to_state = List.assoc to_state transition_counters
 let transition b to_state =
   let from_state = b.state in
   b.state <- to_state;
-  b.rev_transitions <-
-    { at = b.b_clock.now (); from_state; to_state } :: b.rev_transitions;
+  Queue.push { at = b.b_clock.now (); from_state; to_state } b.transitions;
+  if Queue.length b.transitions > kept_transitions then ignore (Queue.pop b.transitions);
+  b.transition_count <- b.transition_count + 1;
   Obs.Metrics.incr (transition_counter to_state);
   if Obs.Trace.enabled () then
     Obs.Trace.event "breaker"
@@ -189,16 +198,19 @@ let trip b =
   b.opened_at <- b.b_clock.now ();
   transition b Open
 
+let breaker_close b =
+  if b.state <> Closed then begin
+    reset_window b;
+    transition b Closed
+  end
+
 let breaker_record b ~ok =
   match b.state with
   | Open -> ()  (* a short-circuited request never reached the party *)
   | Half_open ->
     if ok then begin
       b.probes_left <- b.probes_left - 1;
-      if b.probes_left <= 0 then begin
-        reset_window b;
-        transition b Closed
-      end
+      if b.probes_left <= 0 then breaker_close b
     end
     else trip b
   | Closed ->
@@ -269,7 +281,7 @@ let breakers_json s =
            [
              ("party", Obs.Json.Str (Transcript.party_name b.b_party));
              ("state", Obs.Json.Str (breaker_state_name b.state));
-             ("transitions", Obs.Json.Int (List.length b.rev_transitions));
+             ("transitions", Obs.Json.Int b.transition_count);
            ])
        sorted)
 

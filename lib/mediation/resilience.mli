@@ -129,6 +129,13 @@ val default_breaker : breaker_config
 (** [{ window = 16; failure_threshold = 0.5; min_samples = 4;
       cooldown = 1.0; half_open_probes = 1 }] *)
 
+val replica_breaker : cooldown:float -> breaker_config
+(** The health breaker of one source replica endpoint (DESIGN.md §15):
+    [{ window = 1; failure_threshold = 1.0; min_samples = 1; cooldown;
+       half_open_probes = 1 }] — one failed dial or probe marks the
+    replica down, it is not tried again before [cooldown] has passed,
+    and then one successful probe brings it back. *)
+
 type breaker
 (** One breaker guards one {!Transcript.party} (normally a datasource).
     State machine: [Closed] admits everything and trips [Open] when the
@@ -150,10 +157,20 @@ val breaker_allow : breaker -> bool
 val breaker_record : breaker -> ok:bool -> unit
 (** Feed one attempt outcome into the state machine. *)
 
+val breaker_close : breaker -> unit
+(** Close the breaker now, whatever its state (a no-op when [Closed]):
+    a request made without the breaker's consent succeeded, which
+    proves the party reachable. *)
+
 type transition = { at : float; from_state : breaker_state; to_state : breaker_state }
 
 val breaker_transitions : breaker -> transition list
-(** In occurrence order, timestamped on the breaker's clock. *)
+(** The newest 64 transitions, in occurrence order, timestamped on the
+    breaker's clock. *)
+
+val breaker_transition_count : breaker -> int
+(** Every transition since creation, including those
+    {!breaker_transitions} no longer keeps. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Policies and sessions} *)
@@ -184,7 +201,8 @@ val breakers : session -> breaker list
 (** All breakers created so far, in no particular order. *)
 
 val breakers_json : session -> Secmed_obs.Json.t
-(** Every breaker as [{party; state; transitions}], sorted by party name
+(** Every breaker as [{party; state; transitions}] ([transitions] is
+    {!breaker_transition_count}), sorted by party name
     — the ops-surface view a running mediator serves in its stats
     snapshot. *)
 

@@ -23,7 +23,6 @@ type config = {
   verify : bool;
   trace : bool;
   retry_connect : int;
-  retry_backoff : float;
 }
 
 let default_config =
@@ -41,7 +40,6 @@ let default_config =
     verify = false;
     trace = false;
     retry_connect = 0;
-    retry_backoff = 0.25;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -144,6 +142,8 @@ type target = {
   query : string;
 }
 
+let retry_backoff = Secmed_mediation.Resilience.backoff ~base:0.25 ~max_delay:2. ~jitter:0. ()
+
 (* [retry_connect] bounds how many times a session that never started —
    the peer was unreachable, the link died before the verdict, or it
    answered with a typed [Draining] — is re-posed, with exponential
@@ -163,7 +163,7 @@ let run_one config target ~t0 scheme =
         r_finished = now -. t0; r_retries = k }
     in
     let backoff_retry () =
-      Thread.delay (Float.min 2. (config.retry_backoff *. (2. ** float_of_int k)));
+      Thread.delay (Secmed_mediation.Resilience.backoff_delay retry_backoff ~attempt:(k + 1));
       go (k + 1)
     in
     match

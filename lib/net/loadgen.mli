@@ -59,9 +59,8 @@ type config = {
       (** how many times a session that never started (unreachable
           peer, link death before the verdict, typed [Draining]) is
           re-posed; 0 = never.  [Busy] is never retried.  What lets a
-          fleet ride out a process restart without losing sessions. *)
-  retry_backoff : float;
-      (** base of the exponential retry backoff, seconds (capped 2s) *)
+          fleet ride out a process restart without losing sessions.
+          Retries back off exponentially: 0.25s, 0.5s, 1s, then 2s. *)
 }
 
 val default_config : config

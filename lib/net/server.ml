@@ -4,19 +4,18 @@ module R = Resilience
 module Mux = Endpoint.Mux
 module Obs = Secmed_obs
 
-(* One replica endpoint of a datasource.  Health fields are guarded by
-   the link's [sl_mu]: [re_up] is the last known verdict (assumed up
-   until a dial, probe, or draining report proves otherwise),
-   [re_down_until] gates failback — a down replica is not redialed
-   before its cooldown expires unless no other candidate exists. *)
+(* One replica endpoint of a datasource.  [re_breaker] is its health,
+   a {!R.replica_breaker} guarded by the link's [sl_mu]: Closed means
+   up (assumed until a dial, probe, or draining report proves
+   otherwise), and an Open breaker keeps the replica out of the dial
+   order until its cooldown admits a probe.  It is not one of the
+   session's protocol breakers, so a failover never trips those. *)
 type replica = {
   re_index : int;
   re_host : string;
   re_port : int;
-  mutable re_up : bool;
-  mutable re_down_until : float;
+  re_breaker : R.breaker;
   mutable re_dials : int;
-  mutable re_transitions : int;
 }
 
 (* One pooled connection to a datasource.  Each slot owns at most one
@@ -45,14 +44,15 @@ type source_link = {
   sl_shard : int;
   sl_shard_count : int;
   sl_scenario : string;  (* the shard digest this link dials with *)
-  sl_mu : Mutex.t;  (* guards every replica's health fields *)
+  sl_mu : Mutex.t;  (* guards every replica's breaker and dial count *)
   sl_replicas : replica array;
   sl_slots : source_slot array;
 }
 
-(* One entry of the failover transition log: replica health flips and
-   slot cursor moves, timestamped relative to server start so a soak
-   harness can match them against its seeded kill schedule. *)
+(* One entry of the failover transition log: a replica's breaker leaving
+   or re-entering Closed, or a slot cursor move, timestamped relative to
+   server start so a soak harness can match them against its seeded kill
+   schedule. *)
 type fo_event = {
   fo_at : float;
   fo_source : int;
@@ -73,7 +73,6 @@ type t = {
   io_timeout : float;
   drain_deadline : float;
   health_interval : float;  (* 0. = no prober thread *)
-  replica_cooldown : float;
   sched : Sched.t;  (* bounds concurrent protocol drivers; overflow queues FIFO *)
   admission_mu : Mutex.t;
   mutable active : int;
@@ -131,9 +130,10 @@ let row_of key =
 
 let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_policy)
     ?(max_sessions = 8) ?(io_timeout = 10.) ?(source_conns = 2) ?workers
-    ?(drain_deadline = 30.) ?(health_interval = 0.) ?(replica_cooldown = 1.) () =
+    ?(drain_deadline = 30.) ?(health_interval = 0.) () =
   let source_conns = max 1 source_conns in
   let workers = match workers with Some w -> max 1 w | None -> max_sessions in
+  let replica_config = R.replica_breaker ~cooldown:policy.R.breaker_config.R.cooldown in
   {
     env;
     client;
@@ -160,8 +160,11 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
                   Array.of_list
                     (List.mapi
                        (fun re_index (re_host, re_port) ->
-                         { re_index; re_host; re_port; re_up = true; re_down_until = 0.;
-                           re_dials = 0; re_transitions = 0 })
+                         { re_index; re_host; re_port;
+                           re_breaker =
+                             R.breaker ~config:replica_config R.monotonic
+                               (Transcript.Source sl_id);
+                           re_dials = 0 })
                        replicas);
                 sl_slots =
                   Array.init source_conns (fun ss_index ->
@@ -177,7 +180,6 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     io_timeout;
     drain_deadline;
     health_interval;
-    replica_cooldown;
     sched = Sched.create ~workers;
     admission_mu = Mutex.create ();
     active = 0;
@@ -210,58 +212,38 @@ let log_fo t ~source ~replica ~kind ~detail =
           fo_replica = replica; fo_kind = kind; fo_detail = detail }
         :: kept)
 
-let failover_events t =
-  Mutex.protect t.fo_mu (fun () -> List.rev t.fo_events)
+let up re = R.breaker_state re.re_breaker = R.Closed
 
-(* Health flips log a transition only on an actual edge, so the log
-   length is proportional to real world events, not probe frequency. *)
-let mark_down t sl idx ~reason =
+(* Apply one health verdict to replica [idx]'s breaker.  The failover
+   log gets an entry only when the breaker leaves or re-enters Closed,
+   so its length follows real world events, not probe frequency. *)
+let set_health t sl idx ~reason verdict =
   let re = sl.sl_replicas.(idx) in
-  let flipped =
+  let was_up, is_up =
     Mutex.protect sl.sl_mu (fun () ->
-        re.re_down_until <- Unix.gettimeofday () +. t.replica_cooldown;
-        if re.re_up then begin
-          re.re_up <- false;
-          re.re_transitions <- re.re_transitions + 1;
-          true
-        end
-        else false)
+        let was_up = up re in
+        verdict re.re_breaker;
+        (was_up, up re))
   in
-  if flipped then log_fo t ~source:sl.sl_id ~replica:idx ~kind:"down" ~detail:reason
+  if was_up <> is_up then
+    log_fo t ~source:sl.sl_id ~replica:idx ~kind:(if is_up then "up" else "down")
+      ~detail:reason
 
-let mark_up t sl idx =
-  let re = sl.sl_replicas.(idx) in
-  let flipped =
-    Mutex.protect sl.sl_mu (fun () ->
-        re.re_down_until <- 0.;
-        if not re.re_up then begin
-          re.re_up <- true;
-          re.re_transitions <- re.re_transitions + 1;
-          true
-        end
-        else false)
-  in
-  if flipped then log_fo t ~source:sl.sl_id ~replica:idx ~kind:"up" ~detail:""
+let mark_down t sl idx ~reason = set_health t sl idx ~reason (R.breaker_record ~ok:false)
 
-(* Dial order: healthy replicas first (primary-first within each band),
-   then down replicas whose cooldown expired (failback probing).  If
-   nothing is eligible — every replica freshly down — fall back to
-   trying them all anyway: with a single replica this degrades to
-   exactly the old redial-immediately behavior, and with several it
-   means a fully-partitioned pool still probes rather than giving up
-   without a dial. *)
+(* Dial order: up replicas first, then those whose breaker admits a
+   probe (failback), primary first within each group.  If none
+   qualifies — every replica freshly down — try them all anyway: with
+   a single replica that redials at once, and with several a
+   fully-partitioned pool still dials rather than giving up. *)
 let candidates sl =
-  let now = Unix.gettimeofday () in
   let idxs = List.init (Array.length sl.sl_replicas) Fun.id in
-  let up, cooled =
+  let closed, down =
     Mutex.protect sl.sl_mu (fun () ->
-        ( List.filter (fun i -> sl.sl_replicas.(i).re_up) idxs,
-          List.filter
-            (fun i ->
-              (not sl.sl_replicas.(i).re_up) && now >= sl.sl_replicas.(i).re_down_until)
-            idxs ))
+        let closed, down = List.partition (fun i -> up sl.sl_replicas.(i)) idxs in
+        (closed, List.filter (fun i -> R.breaker_allow sl.sl_replicas.(i).re_breaker) down))
   in
-  match up @ cooled with [] -> idxs | eligible -> eligible
+  match closed @ down with [] -> idxs | eligible -> eligible
 
 (* The pooled datasource connection, dialed on first use and redialed
    when a previous incarnation died (e.g. peer SIGKILLed, or severed by
@@ -325,7 +307,9 @@ let ensure_slot t sl slot =
             Mutex.protect sl.sl_mu (fun () -> re.re_dials <- re.re_dials + 1);
             match dial_replica re with
             | Ok m ->
-              mark_up t sl idx;
+              (* A dial proves the replica up, whether its breaker
+                 admitted it or every replica was down. *)
+              set_health t sl idx ~reason:"" R.breaker_close;
               if slot.ss_epoch > 0 && slot.ss_replica <> idx then
                 log_fo t ~source:sl.sl_id ~replica:idx ~kind:"failover"
                   ~detail:
@@ -350,9 +334,9 @@ let ensure_slot t sl slot =
       | Some m when Mux.alive m ->
         let switch =
           Mutex.protect sl.sl_mu (fun () ->
-              (not sl.sl_replicas.(slot.ss_replica).re_up)
+              (not (up sl.sl_replicas.(slot.ss_replica)))
               && Array.exists
-                   (fun re -> re.re_up && re.re_index <> slot.ss_replica)
+                   (fun re -> up re && re.re_index <> slot.ss_replica)
                    sl.sl_replicas)
         in
         if switch then redial () else Ok m
@@ -939,9 +923,9 @@ let stats_json t =
                        [
                          ("replica", J.Int re.re_index);
                          ("addr", J.Str (Printf.sprintf "%s:%d" re.re_host re.re_port));
-                         ("up", J.Bool re.re_up);
+                         ("up", J.Bool (up re));
                          ("dials", J.Int re.re_dials);
-                         ("transitions", J.Int re.re_transitions);
+                         ("transitions", J.Int (R.breaker_transition_count re.re_breaker));
                        ])
                    sl.sl_replicas))
         in
@@ -1263,9 +1247,14 @@ let prober t () =
       (fun sl ->
         Array.iter
           (fun re ->
-            if not t.stopped then
+            (* A down replica is probed only when its breaker admits one:
+               once per cooldown. *)
+            if
+              (not t.stopped)
+              && Mutex.protect sl.sl_mu (fun () -> R.breaker_allow re.re_breaker)
+            then
               match probe_replica t re with
-              | Ok () -> mark_up t sl re.re_index
+              | Ok () -> set_health t sl re.re_index ~reason:"" (R.breaker_record ~ok:true)
               | Error msg -> mark_down t sl re.re_index ~reason:msg)
           sl.sl_replicas)
       t.sources;

@@ -36,17 +36,6 @@ open Secmed_core
 
 type t
 
-(** One entry of the failover transition log: a replica health flip
-    ([fo_kind] ["down"]/["up"]) or a slot's replica cursor move
-    (["failover"]), timestamped in seconds since server start. *)
-type fo_event = {
-  fo_at : float;
-  fo_source : int;
-  fo_replica : int;
-  fo_kind : string;
-  fo_detail : string;
-}
-
 val create :
   env:Env.t ->
   client:Env.client ->
@@ -60,7 +49,6 @@ val create :
   ?workers:int ->
   ?drain_deadline:float ->
   ?health_interval:float ->
-  ?replica_cooldown:float ->
   unit ->
   t
 (** [sources] maps each datasource id to its shards, each shard a
@@ -76,15 +64,18 @@ val create :
     connections per shard; [workers] (default [max_sessions]) the
     concurrent protocol drivers.
 
-    Each pool slot keeps a replica cursor: a redial walks the replicas
-    in health order (up first, then cooldown-expired, primary first),
-    so a dead primary fails the slot over to a standby within a
-    session's one typed retry, and a later redial after
-    [replica_cooldown] (default 1s) fails back.  [drain_deadline]
-    (default 30s) bounds how long {!begin_drain} waits for in-flight
-    sessions; [health_interval] > 0 (default 0 = off) starts a prober
-    thread that Pings every replica and proactively marks draining or
-    unreachable ones down. *)
+    Each replica's health is a {!Resilience.replica_breaker} whose
+    cooldown is [policy]'s [breaker_config.cooldown]: one failed dial
+    or probe, a draining health answer or a ["draining"] report opens
+    it.  Each pool slot keeps a replica cursor: a redial walks the
+    replicas in health order (up first, then those whose breaker admits
+    a probe, primary first), so a dead primary fails the slot over to a
+    standby within a session's one typed retry, and a later redial
+    after the cooldown fails back.  [drain_deadline] (default 30s)
+    bounds how long {!begin_drain} waits for in-flight sessions;
+    [health_interval] > 0 (default 0 = off) starts a prober thread that
+    Pings every up replica, and each down one once per cooldown, and
+    proactively marks draining or unreachable ones down. *)
 
 val serve : t -> unit
 (** Accept loop; returns when {!stop} is called or a drain completes
@@ -105,14 +96,14 @@ val begin_drain : ?deadline:float -> t -> unit
 
 val draining : t -> bool
 
-val failover_events : t -> fo_event list
-(** The failover transition log, oldest first (capped at 512 newest). *)
-
 val stats_json : t -> Secmed_obs.Json.t
 (** The live serving snapshot the [Stats] frame carries: uptime,
     admission state (including draining), scheduler utilization,
     per-source pool slots (with dial counts and replica cursors),
-    per-replica health, the failover transition log, breaker states,
+    per-replica health, the failover transition log (the newest 512
+    entries, each a replica's breaker leaving or re-entering Closed —
+    kind ["down"]/["up"] — or a slot's replica cursor move —
+    ["failover"]), the session's protocol breaker states,
     process-wide transport volume, streamed-delivery totals (rows and
     bytes each way, the current chunk backlog, and the tracked
     high-water memory regions), and per-scheme served/degraded/failed

@@ -102,18 +102,19 @@ let schedule cfg =
 
 let drain_deadline = 10.
 let health_interval = 0.25
-let replica_cooldown = 0.5
 
 (* The soak measures failover, not breaker policy: one SIGKILL severs a
    pooled connection and faults every session bound to that slot at
    once, which would trip a rate breaker whose open state is terminal
    for a query.  A threshold above 1.0 can never be reached (the same
-   knob the serving bench uses). *)
+   knob the serving bench uses).  The cooldown is also the replicas'
+   failback delay. *)
 let soak_policy =
   {
     Secmed_mediation.Resilience.default_policy with
     breaker_config =
-      { Secmed_mediation.Resilience.default_breaker with failure_threshold = 2.0 };
+      { Secmed_mediation.Resilience.default_breaker with failure_threshold = 2.0;
+        cooldown = 0.5 };
   }
 
 let supervisor ~env ~client ~scenario ~cfg ~source_fds ~med_fd ~med_port ~ctl_fd =
@@ -164,7 +165,7 @@ let supervisor ~env ~client ~scenario ~cfg ~source_fds ~med_fd ~med_port ~ctl_fd
     let server =
       Server.create ~env ~client ~scenario ~sources ~listen_fd:fd ~policy:soak_policy
         ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout
-        ~workers:cfg.workers ~drain_deadline ~health_interval ~replica_cooldown ()
+        ~workers:cfg.workers ~drain_deadline ~health_interval ()
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Server.begin_drain server));
     Server.serve server
@@ -357,7 +358,6 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
       io_timeout = cfg.io_timeout;
       verify = cfg.verify;
       retry_connect = cfg.retry_connect;
-      retry_backoff = 0.2;
     }
   in
   let target =

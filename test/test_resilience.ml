@@ -105,29 +105,37 @@ let tight_breaker =
 
 let states b = List.map (fun t -> t.R.to_state) (R.breaker_transitions b)
 
+(* The same lifecycle for a rate breaker and for a replica's health
+   breaker, where one failure is enough to trip. *)
 let test_breaker_lifecycle () =
-  let clock, advance = R.manual () in
-  let b = R.breaker ~config:tight_breaker clock (Transcript.Source 1) in
-  Alcotest.(check bool) "closed admits" true (R.breaker_allow b);
-  R.breaker_record b ~ok:false;
-  Alcotest.(check bool) "one failure below min_samples" true (R.breaker_state b = R.Closed);
-  R.breaker_record b ~ok:false;
-  Alcotest.(check bool) "tripped open" true (R.breaker_state b = R.Open);
-  Alcotest.(check bool) "open refuses" false (R.breaker_allow b);
-  advance 4.9;
-  Alcotest.(check bool) "still cooling down" false (R.breaker_allow b);
-  advance 0.2;
-  Alcotest.(check bool) "cooldown over: probe admitted" true (R.breaker_allow b);
-  Alcotest.(check bool) "half-open" true (R.breaker_state b = R.Half_open);
-  R.breaker_record b ~ok:true;
-  Alcotest.(check bool) "probe success closes" true (R.breaker_state b = R.Closed);
-  Alcotest.(check bool)
-    "transition log" true
-    (states b = [ R.Open; R.Half_open; R.Closed ]);
-  (* The window was reset on close: it takes min_samples fresh failures
-     to trip again. *)
-  R.breaker_record b ~ok:false;
-  Alcotest.(check bool) "window reset on close" true (R.breaker_state b = R.Closed)
+  List.iter
+    (fun (name, config) ->
+      let check what = Alcotest.(check bool) (name ^ ": " ^ what) true in
+      let clock, advance = R.manual () in
+      let b = R.breaker ~config clock (Transcript.Source 1) in
+      check "closed admits" (R.breaker_allow b);
+      for _ = 2 to config.R.min_samples do
+        R.breaker_record b ~ok:false;
+        check "failure below min_samples" (R.breaker_state b = R.Closed)
+      done;
+      R.breaker_record b ~ok:false;
+      check "tripped open" (R.breaker_state b = R.Open);
+      check "open refuses" (not (R.breaker_allow b));
+      advance 4.9;
+      check "still cooling down" (not (R.breaker_allow b));
+      advance 0.2;
+      check "cooldown over: probe admitted" (R.breaker_allow b);
+      check "half-open" (R.breaker_state b = R.Half_open);
+      R.breaker_record b ~ok:true;
+      check "probe success closes" (R.breaker_state b = R.Closed);
+      check "transition log" (states b = [ R.Open; R.Half_open; R.Closed ]);
+      (* The window was reset on close: it takes min_samples fresh
+         failures to trip again. *)
+      for _ = 2 to config.R.min_samples do
+        R.breaker_record b ~ok:false
+      done;
+      check "window reset on close" (R.breaker_state b = R.Closed))
+    [ ("rate", tight_breaker); ("replica", R.replica_breaker ~cooldown:5.0) ]
 
 let test_breaker_probe_failure_reopens () =
   let clock, advance = R.manual () in
@@ -142,6 +150,29 @@ let test_breaker_probe_failure_reopens () =
   Alcotest.(check bool)
     "transition log" true
     (states b = [ R.Open; R.Half_open; R.Open ])
+
+(* A replica that stays dead under the health prober trips, cools down
+   and is re-probed forever: the count keeps growing, the kept history
+   does not. *)
+let test_breaker_history_bounded () =
+  let clock, advance = R.manual () in
+  let b = R.breaker ~config:(R.replica_breaker ~cooldown:1.0) clock (Transcript.Source 1) in
+  for _ = 1 to 10_000 do
+    R.breaker_record b ~ok:false;
+    advance 1.0;
+    ignore (R.breaker_allow b : bool)
+  done;
+  Alcotest.(check int) "every transition counted" 20_000 (R.breaker_transition_count b);
+  let kept = R.breaker_transitions b in
+  Alcotest.(check bool) "at most 64 kept" true (List.length kept <= 64);
+  let last3 =
+    List.filteri (fun i _ -> i >= List.length kept - 3) kept
+    |> List.map (fun t -> (t.R.at, t.R.from_state, t.R.to_state))
+  in
+  Alcotest.(check bool) "newest three, in order" true
+    (last3
+    = [ (9_999., R.Open, R.Half_open); (9_999., R.Half_open, R.Open);
+        (10_000., R.Open, R.Half_open) ])
 
 let test_breaker_rate_threshold () =
   (* Failure *rate* over the sliding window, not a consecutive count:
@@ -411,6 +442,7 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_breaker_lifecycle;
           Alcotest.test_case "probe failure reopens" `Quick test_breaker_probe_failure_reopens;
           Alcotest.test_case "rate threshold" `Quick test_breaker_rate_threshold;
+          Alcotest.test_case "history bounded" `Quick test_breaker_history_bounded;
           Alcotest.test_case "opens across session queries" `Quick
             test_breaker_opens_across_queries;
         ] );

@@ -230,6 +230,55 @@ let test_failover_mid_session_bit_identical () =
     (served_relation again.Peer.result);
   Alcotest.(check int) "single epoch against the standby" 1 again.Peer.epochs
 
+(* SIGTERM the primary of source 1 between sessions: it drains and
+   exits, its health breaker opens, and the next session fails the
+   pooled slot over to the standby with a bit-identical answer.  One
+   pooled slot, so the second session reuses the first one's slot and
+   its cursor move is logged. *)
+let test_source_drain_failover () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~source_conns:1 ~standbys:1
+    ~health_interval:0.2 @@ fun c ->
+  let scheme = "das" and fault_spec = "retries=4" in
+  ignore (Loopback.query c ~fault_spec ~scheme () : Peer.response);
+  Unix.kill (Loopback.source_pid c ~id:1 ~replica:0 ()) Sys.sigterm;
+  Thread.delay 0.5;
+  let response = Loopback.query c ~fault_spec ~scheme () in
+  let reference = reference_outcome c ~scheme ~fault_spec in
+  Alcotest.(check string) "failed-over session is bit-identical"
+    (Secmed_relalg.Relation.to_string reference.Outcome.result)
+    (served_relation response.Peer.result);
+  let module J = Secmed_obs.Json in
+  let stats =
+    match J.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "stats payload does not parse: %s" e
+  in
+  let list key j = Option.value ~default:[] (Option.bind (J.member key j) J.to_list) in
+  let int key j = Option.bind (J.member key j) J.to_int in
+  let primary =
+    List.concat_map (list "replicas")
+      (List.filter (fun sl -> int "source" sl = Some 1) (list "pool" stats))
+    |> List.find_opt (fun re -> int "replica" re = Some 0)
+  in
+  Alcotest.(check bool) "drained primary is down" true
+    (match primary with
+    | Some re -> J.member "up" re = Some (J.Bool false)
+    | None -> false);
+  let events =
+    Option.fold ~none:[] ~some:(list "events") (J.member "failover" stats)
+  in
+  let logged kind ~replica =
+    List.exists
+      (fun e ->
+        int "source" e = Some 1
+        && int "replica" e = Some replica
+        && J.member "kind" e = Some (J.Str kind))
+      events
+  in
+  Alcotest.(check bool) "down logged for the primary" true (logged "down" ~replica:0);
+  Alcotest.(check bool) "failover to the standby logged" true
+    (logged "failover" ~replica:1)
+
 (* The authenticated drain frame: a wrong digest is refused and changes
    nothing; the right digest flips the mediator into draining, where a
    new session gets the typed [Draining] (never misfiled as [Busy]),
@@ -356,6 +405,7 @@ let () =
             test_failover_mid_session_bit_identical;
           Alcotest.test_case "drain refuses typed, finishes in-flight, exits 0"
             `Slow test_drain_typed_refusal_then_exit_zero;
+          Alcotest.test_case "source drain fails over" `Slow test_source_drain_failover;
         ] );
       ( "domains",
         [
