@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all check test check-fault check-obs check-obs-net check-resilience check-net check-serve check-soak check-stream check-crypto-perf bench bench-json clean
+.PHONY: all check test check-fault check-obs check-obs-net check-resilience check-net check-serve check-soak check-stream check-crypto-perf bench clean
 
 all:
 	dune build
@@ -15,15 +15,12 @@ test: check
 check-fault:
 	dune exec test/test_fault.exe
 
-# Telemetry suite: the obs unit/differential tests, a traced run whose
-# output must parse, and BENCH_protocols.json regeneration + schema
-# validation (small domain so it stays CI-fast).
+# Telemetry suite: the obs unit/differential tests and a traced run
+# whose output must parse (small domain so it stays CI-fast).
 check-obs:
 	dune exec test/test_obs.exe
 	dune exec bin/secmed.exe -- run --scheme pm --rows 16 --distinct 8 --overlap 4 \
 	    --trace _build/trace_ci.json
-	dune exec bench/main.exe -- json-protocols --sizes 4
-	dune exec bin/secmed.exe -- check-bench BENCH_protocols.json
 
 # Distributed-tracing suite: the Trace_wire codec, the forked loopback
 # cluster traced end to end (one merged Chrome trace, per-process phase
@@ -34,34 +31,25 @@ check-obs-net:
 	dune exec test/test_trace_net.exe -- test -e
 
 # Resilience suite: deterministic session-layer tests (manual clocks,
-# seeded jitter — never sleeps), a CLI run that must degrade gracefully
-# (exit 4 = degraded-but-served), and BENCH_resilience.json
-# regeneration + schema validation.
+# seeded jitter — never sleeps) and a CLI run that must degrade
+# gracefully (exit 4 = degraded-but-served).
 check-resilience:
 	dune exec test/test_resilience.exe
 	dune exec bin/secmed.exe -- run --scheme pm --rows 16 --distinct 8 --overlap 4 \
 	    --fault "byzantine:1:garbage-paillier" --fallback auto --deadline 30; \
 	    test $$? -eq 4
-	dune exec bench/main.exe -- json-resilience
-	dune exec bin/secmed.exe -- check-bench BENCH_resilience.json
 
 # Networked-transport suite: frame codec and mux units, the forked
 # loopback cluster differential (distributed run bit-identical to the
-# in-process one), live chaos-proxy conformance, and BENCH_net.json
-# regeneration + schema validation.
+# in-process one) and live chaos-proxy conformance.
 check-net:
 	dune exec test/test_net.exe -- test -e
-	dune exec bench/main.exe -- json-net
-	dune exec bin/secmed.exe -- check-bench BENCH_net.json
 
 # Sustained-load serving suite: the deterministic loadgen fleet against
 # a forked loopback cluster (64 verified sessions, typed backpressure,
-# domain-parallel mux consumers), then a smoke concurrency sweep of the
-# BENCH_serve.json emitter with schema validation.
+# replica failover and drain, domain-parallel mux consumers).
 check-serve:
 	dune exec test/test_serve.exe -- test -e
-	dune exec bench/main.exe -- json-serve --smoke
-	dune exec bin/secmed.exe -- check-bench BENCH_serve.json
 
 # Crash/restart chaos suite: the pure-schedule and smoke-soak tests,
 # then a seeded CLI soak — real SIGKILLs against source replicas and a
@@ -74,36 +62,25 @@ check-soak:
 	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
 
 # Streaming-delivery suite: chunk codec / reassembly / credit-flow
-# units, the sharded-vs-single differential (k=4, all five schemes,
-# bit-identical results and transcripts), then a smoke run of the
-# BENCH_stream.json emitter — bounded merge-window high-water marks and
-# the receive-buffer reuse allocation comparison — with schema
-# validation (the validator also enforces the bounds).
+# units (bounded merge-window high-water marks, drained backlog, and the
+# reused receive buffer allocating less than a fresh one per read), and
+# the sharded-vs-single differential (k=4, all five schemes,
+# bit-identical results and transcripts).
 check-stream:
 	dune exec test/test_stream.exe -- test -e
 	dune exec test/test_shard.exe -- test -e
-	dune exec bench/main.exe -- json-stream --smoke
-	dune exec bin/secmed.exe -- check-bench BENCH_stream.json
 
 # Crypto hot-path suite: the bigint/crypto differential tests (CRT vs
 # plain decryption, Multi_exp vs separate mod_pows, domain-local cache
-# stress) plus the batch-executor determinism suite, then a smoke run of
-# the BENCH_modexp.json emitter on tiny sizes with schema validation —
-# so the JSON writers can't rot.
+# stress) plus the batch-executor determinism suite.
 check-crypto-perf:
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe
-	dune exec bench/main.exe -- json --sizes 4 --rounds 1
-	dune exec bin/secmed.exe -- check-bench BENCH_modexp.json
 
 # Full benchmark/reproduction suite (slow).
 bench:
 	dune exec bench/main.exe -- all
-
-# Machine-readable mod-exp + perf trajectory (BENCH_modexp.json).
-bench-json:
-	dune exec bench/main.exe -- json
 
 clean:
 	dune clean

@@ -129,7 +129,7 @@ type kara_sample = { ks_limbs : int; ks_school : float; ks_split : float }
 let kara_limb_sizes = [ 8; 12; 16; 20; 24; 28; 32; 40; 48; 64; 96 ]
 let kara_thresholds = [ 8; 12; 16; 20; 24; 28; 32; 40; 48; 64; 1_000_000 ]
 
-let measure_karatsuba ?(rounds = 5) ?(min_time = 0.02) () =
+let measure_karatsuba () =
   let prng = Prng.of_int_seed 11 in
   let src = Prng.byte_source prng in
   (* Operands with a non-zero top limb, so the magnitude is exactly
@@ -143,7 +143,7 @@ let measure_karatsuba ?(rounds = 5) ?(min_time = 0.02) () =
   in
   let saved = !Bigint.karatsuba_threshold in
   let timed threshold x y =
-    Bench_util.best_time ~rounds ~min_time (fun () ->
+    Bench_util.best_time (fun () ->
         Bigint.karatsuba_threshold := threshold;
         Bigint.mul x y)
   in
@@ -206,8 +206,7 @@ let karatsuba () =
    window tables, plus the end-to-end effect on a full PM run. *)
 
 (* One measurement row: median seconds per exponentiation for each of
-   the four configurations at the given modulus width.  Shared with the
-   JSON trajectory emitter so the table and the file never diverge. *)
+   the four configurations at the given modulus width. *)
 type modexp_sample = {
   ms_bits : int;
   ms_exp_bits : int;
@@ -217,7 +216,7 @@ type modexp_sample = {
   t_fixed_base : float;
 }
 
-let measure_modexp ?(rounds = 7) ?exp_bits bits =
+let measure_modexp ?exp_bits bits =
   let exp_bits = Option.value ~default:bits exp_bits in
   let prng = Prng.of_int_seed (5 + bits + exp_bits) in
   let src = Prng.byte_source prng in
@@ -257,7 +256,7 @@ let measure_modexp ?(rounds = 7) ?exp_bits bits =
   in
   let best = Array.make 4 infinity in
   let thunks = [| plain; per_call; cached; fixed |] in
-  for _ = 1 to rounds do
+  for _ = 1 to 7 do
     Array.iteri (fun i f -> best.(i) <- Float.min best.(i) (sample f)) thunks
   done;
   {
@@ -279,13 +278,12 @@ let modexp_workloads =
   @ List.map (fun bits -> (bits, Some 17)) [ 1024; 2048 ]
 
 (* ------------------------------------------------------------------ *)
-(* PR 6 hot-path rows: CRT Paillier decryption, simultaneous 2-base
-   exponentiation, and the domain-parallel batch-encryption executor.
-   Shared by the A5 text ablation and the BENCH_modexp.json emitter. *)
+(* Hot-path round two: CRT Paillier decryption, simultaneous 2-base
+   exponentiation, and the domain-parallel batch-encryption executor. *)
 
 type crt_sample = { crt_bits : int; t_plain_dec : float; t_crt_dec : float }
 
-let measure_crt ?(rounds = 5) ?(min_time = 0.02) bits =
+let measure_crt bits =
   let prng = Prng.of_int_seed (100 + bits) in
   let sk = Paillier.keygen prng ~bits in
   let pk = Paillier.public sk in
@@ -293,13 +291,13 @@ let measure_crt ?(rounds = 5) ?(min_time = 0.02) bits =
   {
     crt_bits = bits;
     t_plain_dec =
-      Bench_util.best_time ~rounds ~min_time (fun () -> Paillier.decrypt_plain sk ct);
-    t_crt_dec = Bench_util.best_time ~rounds ~min_time (fun () -> Paillier.decrypt sk ct);
+      Bench_util.best_time (fun () -> Paillier.decrypt_plain sk ct);
+    t_crt_dec = Bench_util.best_time (fun () -> Paillier.decrypt sk ct);
   }
 
 type multi_exp_sample = { me_bits : int; t_separate : float; t_joint : float }
 
-let measure_multi_exp ?(rounds = 5) ?(min_time = 0.02) bits =
+let measure_multi_exp bits =
   let prng = Prng.of_int_seed (200 + bits) in
   let src = Prng.byte_source prng in
   let m = Bigint.random_bits src bits in
@@ -312,11 +310,11 @@ let measure_multi_exp ?(rounds = 5) ?(min_time = 0.02) bits =
   {
     me_bits = bits;
     t_separate =
-      Bench_util.best_time ~rounds ~min_time (fun () ->
+      Bench_util.best_time (fun () ->
           Bigint.Ctx.mod_mul ctx (Bigint.Ctx.mod_pow ctx b1 e1)
             (Bigint.Ctx.mod_pow ctx b2 e2));
     t_joint =
-      Bench_util.best_time ~rounds ~min_time (fun () ->
+      Bench_util.best_time (fun () ->
           Bigint.Multi_exp.pow2 ctx (b1, e1) (b2, e2));
   }
 
@@ -327,7 +325,7 @@ type batch_sample = { bs_domains : int; bs_tuples_per_sec : float }
 let batch_tuples = 48
 let batch_payload_bytes = 256
 
-let measure_batch ?(rounds = 3) ~domain_counts () =
+let measure_batch ~domain_counts () =
   let group = Group.default ~bits:256 in
   let kp = Elgamal.keygen (Prng.create ~seed:"bench-batch-key") group in
   let pk = Elgamal.public kp in
@@ -339,7 +337,7 @@ let measure_batch ?(rounds = 3) ~domain_counts () =
   List.map
     (fun domains ->
       let t =
-        Bench_util.best_time ~rounds ~min_time:0.0 (fun () ->
+        Bench_util.best_time ~rounds:3 ~min_time:0.0 (fun () ->
             Batch.map_seeded ~domains ~prng ~label:"bench"
               (fun _ prng p -> Hybrid.encrypt prng pk p)
               payloads)
@@ -347,9 +345,9 @@ let measure_batch ?(rounds = 3) ~domain_counts () =
       { bs_domains = domains; bs_tuples_per_sec = float_of_int batch_tuples /. Float.max 1e-9 t })
     domain_counts
 
-let hot_path_tables ?(rounds = 5) () =
+let hot_path_tables () =
   let fmt_ms t = Printf.sprintf "%.3f" (t *. 1000.0) in
-  let crt = List.map (measure_crt ~rounds) [ 512; 1024 ] in
+  let crt = List.map measure_crt [ 512; 1024 ] in
   Bench_util.subheading "CRT Paillier decryption (client's n+m PM decryptions)";
   Bench_util.print_table
     ~headers:[ "key bits"; "decrypt_plain (ms)"; "decrypt CRT (ms)"; "speedup" ]
@@ -358,7 +356,7 @@ let hot_path_tables ?(rounds = 5) () =
          [ string_of_int s.crt_bits; fmt_ms s.t_plain_dec; fmt_ms s.t_crt_dec;
            Printf.sprintf "%.2fx" (s.t_plain_dec /. Float.max 1e-9 s.t_crt_dec) ])
        crt);
-  let me = List.map (measure_multi_exp ~rounds) [ 256; 512; 1024 ] in
+  let me = List.map measure_multi_exp [ 256; 512; 1024 ] in
   Bench_util.subheading "simultaneous 2-base exponentiation (Shamir) vs two mod_pows";
   Bench_util.print_table
     ~headers:[ "modulus bits"; "two mod_pows (ms)"; "joint pow2 (ms)"; "speedup" ]
@@ -383,8 +381,7 @@ let hot_path_tables ?(rounds = 5) () =
          [ string_of_int s.bs_domains;
            Printf.sprintf "%.1f" s.bs_tuples_per_sec;
            Printf.sprintf "%.2fx" (s.bs_tuples_per_sec /. Float.max 1e-9 base) ])
-       batch);
-  (crt, me, batch)
+       batch)
 
 let montgomery () =
   Bench_util.heading
@@ -449,150 +446,7 @@ let montgomery () =
     (100.0 *. float_of_int hits /. Float.max 1.0 (float_of_int (hits + misses)));
   (* Round two of the hot path: CRT decryption, joint 2-base
      exponentiation, and the domain-parallel batch executor. *)
-  ignore (hot_path_tables ())
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable perf trajectory: BENCH_modexp.json records ops/sec
-   for each exponentiation configuration plus the end-to-end P2 sweep,
-   so future optimization PRs can diff against this one numerically. *)
-
-let modexp_json ?(path = "BENCH_modexp.json") ?(rounds = 7) ~sizes () =
-  let buf = Buffer.create 4096 in
-  let ops_per_sec t = 1.0 /. Float.max 1e-9 t in
-  (* A low round count is the CI smoke configuration: shrink the
-     per-sample floor too so the whole emitter stays fast. *)
-  let min_time = if rounds <= 2 then 0.002 else 0.02 in
-  Buffer.add_string buf "{\n";
-  (* Microbenchmark: the four configurations per modulus width. *)
-  let workloads = modexp_workloads @ [ (2048, None) ] in
-  let samples =
-    List.map (fun (bits, exp_bits) -> measure_modexp ~rounds ?exp_bits bits) workloads
-  in
-  Buffer.add_string buf "  \"modexp_ops_per_sec\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"modulus_bits\": %d, \"exponent_bits\": %d, \"plain\": %.2f, \
-            \"per_call_montgomery\": %.2f, \"cached_context\": %.2f, \
-            \"fixed_base\": %.2f }%s\n"
-           s.ms_bits s.ms_exp_bits (ops_per_sec s.t_plain) (ops_per_sec s.t_per_call)
-           (ops_per_sec s.t_cached) (ops_per_sec s.t_fixed_base)
-           (if i = List.length samples - 1 then "" else ",")))
-    samples;
-  Buffer.add_string buf "  ],\n";
-  (* CRT Paillier decryption: before (decrypt_plain) / after (CRT). *)
-  let crt = List.map (measure_crt ~rounds ~min_time) [ 512; 1024 ] in
-  Buffer.add_string buf "  \"crt_paillier_ops_per_sec\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"key_bits\": %d, \"decrypt_plain\": %.2f, \"decrypt_crt\": %.2f, \
-            \"speedup\": %.2f }%s\n"
-           s.crt_bits (ops_per_sec s.t_plain_dec) (ops_per_sec s.t_crt_dec)
-           (s.t_plain_dec /. Float.max 1e-9 s.t_crt_dec)
-           (if i = List.length crt - 1 then "" else ",")))
-    crt;
-  Buffer.add_string buf "  ],\n";
-  (* Simultaneous 2-base exponentiation vs two separate mod_pows. *)
-  let me = List.map (measure_multi_exp ~rounds ~min_time) [ 256; 512; 1024 ] in
-  Buffer.add_string buf "  \"multi_exp_ops_per_sec\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"modulus_bits\": %d, \"two_mod_pows\": %.2f, \"joint_pow2\": %.2f, \
-            \"speedup\": %.2f }%s\n"
-           s.me_bits (ops_per_sec s.t_separate) (ops_per_sec s.t_joint)
-           (s.t_separate /. Float.max 1e-9 s.t_joint)
-           (if i = List.length me - 1 then "" else ",")))
-    me;
-  Buffer.add_string buf "  ],\n";
-  (* Domain-parallel source encryption at 1/2/4 domains.  The speedup is
-     whatever this machine's cores allow; recommended_domains records the
-     parallelism actually available when the numbers were taken. *)
-  let batch = measure_batch ~rounds:(Stdlib.max 2 (rounds / 2)) ~domain_counts:[ 1; 2; 4 ] () in
-  let batch_base =
-    match batch with s :: _ -> s.bs_tuples_per_sec | [] -> 1.0
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"batch_encrypt\": { \"tuples\": %d, \"payload_bytes\": %d, \
-        \"recommended_domains\": %d, \"rows\": [\n"
-       batch_tuples batch_payload_bytes (Batch.recommended_domains ()));
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"domains\": %d, \"tuples_per_sec\": %.2f, \"speedup_vs_1\": %.2f }%s\n"
-           s.bs_domains s.bs_tuples_per_sec
-           (s.bs_tuples_per_sec /. Float.max 1e-9 batch_base)
-           (if i = List.length batch - 1 then "" else ",")))
-    batch;
-  Buffer.add_string buf "  ] },\n";
-  (* Karatsuba calibration: crossover width and recursive threshold. *)
-  let sweep, crossover, _, best_threshold =
-    measure_karatsuba ~rounds:(Stdlib.max 2 (rounds - 2)) ~min_time ()
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"karatsuba\": { \"crossover_limbs\": %d, \"best_recursive_threshold_2048\": %d, \
-        \"default_threshold\": %d, \"sweep\": [\n"
-       crossover best_threshold !Bigint.karatsuba_threshold);
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"limbs\": %d, \"schoolbook_us\": %.3f, \"one_split_us\": %.3f }%s\n"
-           s.ks_limbs (s.ks_school *. 1e6) (s.ks_split *. 1e6)
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string buf "  ] },\n";
-  (* End-to-end: the P2 perf sweep, wall clock per protocol per size. *)
-  let schemes = Protocol.all_schemes in
-  Buffer.add_string buf "  \"perf_sweep_seconds\": [\n";
-  List.iteri
-    (fun i size ->
-      let env, client, query =
-        Workload.scenario ~params:Experiments.bench_params
-          (Experiments.spec_for_domain size)
-      in
-      let fields =
-        List.map
-          (fun scheme ->
-            let t =
-              Bench_util.time_median ~runs:3 (fun () ->
-                  Protocol.run_exn scheme env client ~query)
-            in
-            Printf.sprintf "\"%s\": %.4f" (Protocol.scheme_name scheme) t)
-          schemes
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"domactive\": %d, %s }%s\n" size
-           (String.concat ", " fields)
-           (if i = List.length sizes - 1 then "" else ",")))
-    sizes;
-  Buffer.add_string buf "  ],\n";
-  (* Cache efficacy over one PM run at the reference size. *)
-  let env, client, query =
-    Workload.scenario ~params:Experiments.bench_params (Experiments.spec_for_domain 8)
-  in
-  Bigint.ctx_cache_reset ();
-  List.iter
-    (fun scheme -> ignore (Protocol.run_exn scheme env client ~query))
-    Protocol.all_schemes;
-  let hits, misses = Bigint.ctx_cache_stats () in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"ctx_cache\": { \"workload\": \"all-schemes domactive=8\", \"hits\": %d, \
-        \"misses\": %d }\n"
-       hits misses);
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" path (Buffer.length buf)
+  hot_path_tables ()
 
 (* ------------------------------------------------------------------ *)
 (* A6 — lean set-operation protocols vs full join + projection. *)

@@ -42,23 +42,11 @@ let fmt_bytes b =
   else if b >= 1024 then Printf.sprintf "%.1f KiB" (float_of_int b /. 1024.0)
   else Printf.sprintf "%d B" b
 
-(* Nearest-rank quantile: the smallest sample with at least a share [q]
-   of all samples at or below it, so every reported value was measured;
-   0 with no samples.  The epsilon keeps [0.9 *. 140.] from rounding up
-   to rank 127. *)
-let quantile q samples =
-  match List.sort Float.compare samples with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
-    let rank = int_of_float (Float.ceil ((q *. float_of_int n) -. 1e-9)) in
-    List.nth sorted (max 1 (min n rank) - 1)
-
 (* Direct timing: median over [runs] repetitions (the lower middle one
    for an even count), on the monotonic clock (wall-clock steps from NTP
    would silently skew gettimeofday samples). *)
 let time_median ?(runs = 3) f =
-  quantile 0.5
+  Secmed_net.Loadgen.quantile 0.5
     (List.init runs (fun _ ->
          let t0 = Secmed_obs.Clock.now_ns () in
          ignore (f ());

@@ -16,17 +16,6 @@ let degrees_arg =
   let doc = "Polynomial degrees for the Horner ablation." in
   Arg.(value & opt (list int) [ 4; 8; 16; 32 ] & info [ "degrees" ] ~docv:"N,N,..." ~doc)
 
-let rounds_arg =
-  let doc =
-    "Measurement rounds per sample for the JSON emitters (lower it to 1-2 for a CI \
-     smoke run)."
-  in
-  Arg.(value & opt int 7 & info [ "rounds" ] ~docv:"N" ~doc)
-
-let smoke_arg =
-  let doc = "Shrink the concurrency sweep to 1/2/4/8 for a CI smoke run." in
-  Arg.(value & flag & info [ "smoke" ] ~doc)
-
 let experiments : (string * string * (unit -> unit) Term.t) list =
   [
     ("table1", "Table 1: extra information disclosed to client and mediator",
@@ -75,30 +64,6 @@ let experiments : (string * string * (unit -> unit) Term.t) list =
      Term.(const (fun () () -> Ablations.das_settings ()) $ const ()));
     ("micro", "Microbenchmarks of the crypto primitives",
      Term.(const (fun () () -> Ablations.micro ()) $ const ()));
-    ("json", "Write BENCH_modexp.json and BENCH_protocols.json (full machine-readable record)",
-     Term.(const (fun sizes rounds () ->
-               Ablations.modexp_json ~rounds ~sizes ();
-               Protocols_json.write ~sizes ())
-           $ sizes_arg $ rounds_arg));
-    ("json-protocols", "Write only BENCH_protocols.json: per-scheme/phase/party costs",
-     Term.(const (fun sizes () -> Protocols_json.write ~sizes ()) $ sizes_arg));
-    ("json-resilience",
-     "Write BENCH_resilience.json: session recovery latency and degradation rates under \
-      seeded fault plans",
-     Term.(const (fun () () -> Resilience_json.write ()) $ const ()));
-    ("json-net",
-     "Write BENCH_net.json: in-process vs loopback-TCP cost per scheme, with socket-level \
-      byte accounting",
-     Term.(const (fun () () -> Net_json.write ()) $ const ()));
-    ("json-serve",
-     "Write BENCH_serve.json: loadgen throughput and latency percentiles per scheme at \
-      increasing session concurrency, clean vs chaos",
-     Term.(const (fun smoke () -> Serve_json.write ~smoke ()) $ smoke_arg));
-    ("json-stream",
-     "Write BENCH_stream.json: chunked streaming throughput with bounded-memory high-water \
-      marks (unsharded and k=4), protocol-level stream flatness, and receive-buffer reuse \
-      allocation counts",
-     Term.(const (fun smoke () -> Stream_json.write ~smoke ()) $ smoke_arg));
   ]
 
 let run_all () =

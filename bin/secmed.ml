@@ -1293,193 +1293,6 @@ let report_cmd =
     Term.(const action $ scheme_arg $ rows $ seed $ all)
 
 (* ------------------------------------------------------------------ *)
-(* secmed check-bench *)
-
-let check_bench_cmd =
-  let file =
-    Arg.(value & pos 0 string "BENCH_protocols.json"
-         & info [] ~docv:"FILE" ~doc:"Benchmark JSON to validate.")
-  in
-  let action file =
-    let contents =
-      let ic = open_in file in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          really_input_string ic (in_channel_length ic))
-    in
-    let fail : 'a. string -> 'a =
-     fun msg ->
-      Printf.eprintf "%s: %s\n" file msg;
-      exit 1
-    in
-    match Obs.Json.parse contents with
-    | Error e -> fail ("invalid JSON: " ^ e)
-    | Ok json ->
-      let str = function Some (Obs.Json.Str s) -> Some s | _ -> None in
-      let check_keys ~what ~name_key ~required entries =
-        List.iter
-          (fun entry ->
-            let name =
-              match str (Obs.Json.member name_key entry) with
-              | Some s -> s
-              | None -> fail (Printf.sprintf "entry without a %S name" name_key)
-            in
-            List.iter
-              (fun key ->
-                if Obs.Json.member key entry = None then
-                  fail (Printf.sprintf "%s %S: missing key %S" what name key))
-              required)
-          entries
-      in
-      let check_entries ~what ~name_key ~required entries =
-        check_keys ~what ~name_key ~required entries;
-        Printf.printf "%s: ok (%d %s entries)\n" file (List.length entries) what
-      in
-      (* Six validated shapes: BENCH_protocols.json carries a "schemes"
-         array, BENCH_resilience.json a "scenarios" array, BENCH_net.json
-         a "net" array, BENCH_serve.json a "serve" array,
-         BENCH_modexp.json a "modexp_ops_per_sec" array plus the
-         hot-path sections, BENCH_stream.json a "stream" array plus the
-         protocol-level and allocation sections. *)
-      (match
-         ( Obs.Json.member "schemes" json,
-           Obs.Json.member "scenarios" json,
-           Obs.Json.member "net" json,
-           Obs.Json.member "serve" json,
-           Obs.Json.member "modexp_ops_per_sec" json,
-           Obs.Json.member "stream" json )
-       with
-       | Some (Obs.Json.List entries), _, _, _, _, _ when entries <> [] ->
-         check_entries ~what:"scheme" ~name_key:"scheme"
-           ~required:
-             [ "domain_size"; "seconds"; "phases"; "parties"; "messages";
-               "bytes"; "rounds"; "counters" ]
-           entries
-       | _, Some (Obs.Json.List entries), _, _, _, _ when entries <> [] ->
-         check_entries ~what:"scenario" ~name_key:"scenario"
-           ~required:
-             [ "scheme"; "outcome"; "attempts"; "seconds"; "degraded_from";
-               "breaker_transitions" ]
-           entries
-       | _, _, Some (Obs.Json.List entries), _, _, _ when entries <> [] ->
-         check_entries ~what:"net" ~name_key:"scheme"
-           ~required:
-             [ "seconds_inproc"; "seconds_net"; "messages"; "bytes";
-               "socket_bytes_in"; "socket_bytes_out"; "epochs"; "match" ]
-           entries
-       | _, _, _, Some (Obs.Json.List entries), _, _ when entries <> [] ->
-         List.iter
-           (fun entry ->
-             (match Obs.Json.member "schemes" entry with
-             | Some (Obs.Json.List per_scheme) when per_scheme <> [] ->
-               check_keys ~what:"serve scheme" ~name_key:"scheme"
-                 ~required:[ "sessions"; "qps"; "p50_ms"; "p95_ms"; "p99_ms" ]
-                 per_scheme
-             | _ -> fail "serve entry: missing or empty \"schemes\" array"))
-           entries;
-         check_keys ~what:"serve" ~name_key:"mode"
-           ~required:
-             [ "concurrency"; "sessions"; "seconds"; "qps"; "served"; "degraded";
-               "unserved"; "refused"; "failed"; "p50_ms"; "p95_ms"; "p99_ms"; "schemes" ]
-           entries;
-         (match Obs.Json.member "tracing_overhead" json with
-         | Some overhead ->
-           List.iter
-             (fun key ->
-               if Obs.Json.member key overhead = None then
-                 fail (Printf.sprintf "tracing_overhead: missing key %S" key))
-             [ "concurrency"; "sessions_per_worker"; "qps_off"; "qps_on";
-               "overhead_pct"; "tracing_off"; "tracing_on" ]
-         | None -> fail "missing section \"tracing_overhead\"");
-         (match Obs.Json.member "failover" json with
-         | Some failover ->
-           List.iter
-             (fun key ->
-               if Obs.Json.member key failover = None then
-                 fail (Printf.sprintf "failover: missing key %S" key))
-             [ "availability_pct"; "kill_window_p99_ms"; "failover_latency_s"; "kills";
-               "drains"; "sessions"; "failed"; "violations" ];
-           (match Obs.Json.member "violations" failover with
-           | Some (Obs.Json.List []) -> ()
-           | Some (Obs.Json.List vs) ->
-             fail (Printf.sprintf "failover: soak recorded %d violations" (List.length vs))
-           | _ -> fail "failover: \"violations\" is not a list")
-         | None -> fail "missing section \"failover\"");
-         Printf.printf "%s: ok (%d serve entries + failover soak + tracing overhead)\n"
-           file (List.length entries)
-       | _, _, _, _, Some (Obs.Json.List entries), _ when entries <> [] ->
-         List.iter
-           (fun entry ->
-             List.iter
-               (fun key ->
-                 if Obs.Json.member key entry = None then
-                   fail (Printf.sprintf "modexp entry: missing key %S" key))
-               [ "modulus_bits"; "exponent_bits"; "plain"; "per_call_montgomery";
-                 "cached_context"; "fixed_base" ])
-           entries;
-         List.iter
-           (fun key ->
-             if Obs.Json.member key json = None then
-               fail (Printf.sprintf "missing section %S" key))
-           [ "crt_paillier_ops_per_sec"; "multi_exp_ops_per_sec"; "batch_encrypt";
-             "karatsuba"; "perf_sweep_seconds"; "ctx_cache" ];
-         Printf.printf "%s: ok (%d modexp entries + hot-path sections)\n" file
-           (List.length entries)
-       | _, _, _, _, _, Some (Obs.Json.List entries) when entries <> [] ->
-         (* Shape plus the two load-bearing invariants: every transfer's
-            merge window stayed within its per-shard chunk bound, and
-            the reused receive path allocated less than the baseline. *)
-         List.iter
-           (fun entry ->
-             List.iter
-               (fun key ->
-                 if Obs.Json.member key entry = None then
-                   fail (Printf.sprintf "stream entry: missing key %S" key))
-               [ "rows"; "row_bytes"; "total_bytes"; "shards"; "seconds";
-                 "rows_per_s"; "hwm_pending_peak"; "pending_bound"; "bounded";
-                 "backlog_after" ];
-             (match Obs.Json.member "bounded" entry with
-             | Some (Obs.Json.Bool true) -> ()
-             | _ -> fail "stream entry: merge window exceeded its chunk bound");
-             match Obs.Json.member "backlog_after" entry with
-             | Some (Obs.Json.Int 0) -> ()
-             | _ -> fail "stream entry: chunk backlog not drained to zero")
-           entries;
-         (match Obs.Json.member "protocol_stream" json with
-         | Some (Obs.Json.List per_scheme) when per_scheme <> [] ->
-           check_keys ~what:"protocol_stream" ~name_key:"scheme"
-             ~required:
-               [ "rows_per_source"; "seconds"; "messages"; "bytes"; "epochs";
-                 "hwm_pending_peak" ]
-             per_scheme
-         | _ -> fail "missing or empty \"protocol_stream\" array");
-         (match Obs.Json.member "io_alloc" json with
-         | Some io_alloc ->
-           List.iter
-             (fun key ->
-               if Obs.Json.member key io_alloc = None then
-                 fail (Printf.sprintf "io_alloc: missing key %S" key))
-             [ "frames"; "frame_bytes"; "alloc_bytes_per_frame_reused";
-               "alloc_bytes_per_frame_naive"; "reused_cheaper" ];
-           (match Obs.Json.member "reused_cheaper" io_alloc with
-           | Some (Obs.Json.Bool true) -> ()
-           | _ ->
-             fail "io_alloc: reused receive buffer allocated more than the baseline")
-         | None -> fail "missing section \"io_alloc\"");
-         Printf.printf "%s: ok (%d stream entries + protocol sweep + io_alloc)\n" file
-           (List.length entries)
-       | _ ->
-         fail
-           "missing or empty \"schemes\" / \"scenarios\" / \"net\" / \"serve\" / \
-            \"modexp_ops_per_sec\" / \"stream\" array")
-  in
-  Cmd.v
-    (Cmd.info "check-bench"
-       ~doc:"Validate that a BENCH_protocols.json, BENCH_resilience.json, BENCH_net.json, \
-             BENCH_serve.json, BENCH_modexp.json or BENCH_stream.json file parses and \
-             carries the expected keys")
-    Term.(const action $ file)
-
-(* ------------------------------------------------------------------ *)
 (* secmed schemes *)
 
 let schemes_cmd =
@@ -1511,4 +1324,4 @@ let () =
           [ run_cmd; serve_cmd; source_cmd; loadgen_cmd; stats_cmd; ping_cmd; drain_cmd;
             soak_cmd; query_cmd; setop_cmd;
             chain_cmd; select_cmd;
-            report_cmd; check_bench_cmd; schemes_cmd ]))
+            report_cmd; schemes_cmd ]))

@@ -18,8 +18,8 @@ let mask = base - 1
 
 (* Calibrated by the A4 ablation (bench/ablations.ml): one Karatsuba
    split first beats schoolbook at 40-limb (~1240-bit) operands on the
-   31-bit-limb representation; see the "karatsuba" section of
-   BENCH_modexp.json for the measured sweep. *)
+   31-bit-limb representation; [bench ablation-karatsuba] prints the
+   measured sweep. *)
 let karatsuba_threshold = ref 40
 
 let zero = { sign = 0; mag = [||] }

@@ -301,8 +301,8 @@ end
 val karatsuba_threshold : int ref
 (** Limb count above which multiplication switches to Karatsuba.  Exposed
     for the ablation benchmark; default 40, the measured schoolbook/
-    Karatsuba crossover from the A4 calibration sweep (recorded in the
-    "karatsuba" section of BENCH_modexp.json). *)
+    Karatsuba crossover from the A4 calibration sweep
+    ([bench ablation-karatsuba]). *)
 
 val use_montgomery : bool ref
 (** Whether {!mod_pow} may take the Montgomery (CIOS) fast path for odd

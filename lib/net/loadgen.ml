@@ -1,7 +1,6 @@
 open Secmed_core
 module Prng = Secmed_crypto.Prng
 module Counters = Secmed_crypto.Counters
-module Metrics = Secmed_obs.Metrics
 module Clock = Secmed_obs.Clock
 
 (* ------------------------------------------------------------------ *)
@@ -118,8 +117,6 @@ type record = {
 type report = {
   records : record list;  (** per worker, in issue order *)
   elapsed : float;  (** wall-clock of the whole fleet *)
-  latency : Metrics.histogram;  (** all sessions *)
-  per_scheme : (string * Metrics.histogram) list;  (** served+degraded only *)
   verify_failures : string list;
 }
 
@@ -129,6 +126,18 @@ let count kind report =
 let qps report =
   if report.elapsed <= 0. then 0.
   else float_of_int (List.length report.records) /. report.elapsed
+
+(* Nearest-rank quantile: the smallest sample with at least a share [q]
+   of all samples at or below it, so every reported value was measured;
+   0 with no samples.  The epsilon keeps [0.9 *. 140.] from rounding up
+   to rank 127. *)
+let quantile q samples =
+  match List.sort Float.compare samples with
+  | [] -> 0.0
+  | sorted ->
+    let n = List.length sorted in
+    let rank = int_of_float (Float.ceil ((q *. float_of_int n) -. 1e-9)) in
+    List.nth sorted (max 1 (min n rank) - 1)
 
 (* ------------------------------------------------------------------ *)
 (* The fleet *)
@@ -242,24 +251,6 @@ let run config target =
   let elapsed = Clock.now () -. started in
   let outcomes = List.concat_map (fun acc -> List.rev !acc) accumulators in
   let records = List.map fst outcomes in
-  let latency = Metrics.private_histogram () in
-  let per_scheme = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      Metrics.observe latency r.r_latency;
-      match r.r_kind with
-      | Served | Degraded ->
-        let h =
-          match Hashtbl.find_opt per_scheme r.r_scheme with
-          | Some h -> h
-          | None ->
-            let h = Metrics.private_histogram () in
-            Hashtbl.add per_scheme r.r_scheme h;
-            h
-        in
-        Metrics.observe h r.r_latency
-      | Unserved | Refused | Failed -> ())
-    records;
   (* Verification against the in-process reference: the environment is
      rebuilt from one seed and every per-run PRNG is a pure split of
      it, so each scheme has exactly one reference execution — every
@@ -371,15 +362,7 @@ let run config target =
         outcomes
     end
   in
-  {
-    records;
-    elapsed;
-    latency;
-    per_scheme =
-      Hashtbl.fold (fun s h acc -> (s, h) :: acc) per_scheme []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    verify_failures;
-  }
+  { records; elapsed; verify_failures }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -393,22 +376,30 @@ let render report =
     (Printf.sprintf "%d sessions in %.2fs (%.1f qps): %d served, %d degraded, %d unserved, %d refused, %d failed\n"
        n report.elapsed (qps report) (count Served report) (count Degraded report)
        (count Unserved report) (count Refused report) (count Failed report));
-  if Metrics.histogram_count report.latency > 0 then
+  let latencies = List.map (fun r -> r.r_latency) report.records in
+  if latencies <> [] then
     Buffer.add_string buf
       (Printf.sprintf "  latency ms: p50=%.1f p95=%.1f p99=%.1f max=%.1f\n"
-         (ms (Metrics.quantile report.latency 0.5))
-         (ms (Metrics.quantile report.latency 0.95))
-         (ms (Metrics.quantile report.latency 0.99))
-         (ms (Metrics.histogram_max report.latency)));
+         (ms (quantile 0.5 latencies))
+         (ms (quantile 0.95 latencies))
+         (ms (quantile 0.99 latencies))
+         (ms (quantile 1. latencies)));
+  (* Per scheme, over the sessions that got an answer. *)
+  let answered =
+    List.filter (fun r -> r.r_kind = Served || r.r_kind = Degraded) report.records
+  in
   List.iter
-    (fun (scheme, h) ->
+    (fun scheme ->
+      let xs =
+        List.filter_map
+          (fun r -> if String.equal r.r_scheme scheme then Some r.r_latency else None)
+          answered
+      in
       Buffer.add_string buf
         (Printf.sprintf "  %-12s n=%-4d p50=%.1fms p95=%.1fms p99=%.1fms\n" scheme
-           (Metrics.histogram_count h)
-           (ms (Metrics.quantile h 0.5))
-           (ms (Metrics.quantile h 0.95))
-           (ms (Metrics.quantile h 0.99))))
-    report.per_scheme;
+           (List.length xs) (ms (quantile 0.5 xs)) (ms (quantile 0.95 xs))
+           (ms (quantile 0.99 xs))))
+    (List.sort_uniq String.compare (List.map (fun r -> r.r_scheme) answered));
   List.iter
     (fun msg -> Buffer.add_string buf (Printf.sprintf "  VERIFY FAILED: %s\n" msg))
     report.verify_failures;

@@ -21,9 +21,9 @@
 
     Outcomes are typed: [Refused] counts the mediator's admission
     backpressure ([Busy] frames) separately from protocol failures
-    ([Unserved]) and broken links ([Failed]).  Latencies land in
-    {!Secmed_obs.Metrics} private histograms (overall and per scheme,
-    served sessions only).
+    ([Unserved]) and broken links ([Failed]).  Every session's exact
+    latency is in its [record]; {!render} reports nearest-rank
+    {!quantile}s of them.
 
     With [verify = true] every served session is compared bit-for-bit
     (result relation, transcript messages, primitive counters) against
@@ -93,13 +93,16 @@ type record = {
 type report = {
   records : record list;  (** per worker, in issue order *)
   elapsed : float;
-  latency : Secmed_obs.Metrics.histogram;
-  per_scheme : (string * Secmed_obs.Metrics.histogram) list;
   verify_failures : string list;  (** empty unless [verify] and a mismatch *)
 }
 
 val count : outcome_kind -> report -> int
 val qps : report -> float
+
+val quantile : float -> float list -> float
+(** [quantile q samples]: the nearest-rank quantile, i.e. the smallest
+    sample with at least a share [q] of all samples at or below it
+    (every reported value was measured); 0 for no samples. *)
 
 type target = {
   host : string;

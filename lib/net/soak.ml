@@ -274,14 +274,6 @@ let transitions_of_payload ~incarnation payload =
         events
     | _ -> [])
 
-let percentile q xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | sorted ->
-    let n = List.length sorted in
-    let idx = min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1) in
-    List.nth sorted (max 0 idx)
-
 let run ?(progress = fun (_ : string) -> ()) cfg =
   let env, client, query = Workload.scenario ?params:cfg.params cfg.spec in
   let scenario = Scenario.digest ?params:cfg.params cfg.spec in
@@ -454,22 +446,10 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
     | Some r, _ -> r
     | None, Some e ->
       violate "loadgen raised: %s" (Printexc.to_string e);
-      {
-        Loadgen.records = [];
-        elapsed = now ();
-        latency = Secmed_obs.Metrics.private_histogram ();
-        per_scheme = [];
-        verify_failures = [];
-      }
+      { Loadgen.records = []; elapsed = now (); verify_failures = [] }
     | None, None ->
       violate "loadgen produced no report";
-      {
-        Loadgen.records = [];
-        elapsed = now ();
-        latency = Secmed_obs.Metrics.private_histogram ();
-        per_scheme = [];
-        verify_failures = [];
-      }
+      { Loadgen.records = []; elapsed = now (); verify_failures = [] }
   in
   (* ---------------- invariants ---------------- *)
   let records = sk_load.Loadgen.records in
@@ -535,7 +515,7 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
   in
   let sk_kill_window_p99_ms =
     1000.
-    *. percentile 0.99
+    *. Loadgen.quantile 0.99
          (List.filter_map
             (fun r ->
               if in_kill_window r then Some (r.Loadgen.r_finished -. r.Loadgen.r_started)

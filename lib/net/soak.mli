@@ -87,10 +87,6 @@ val run : ?progress:(string -> unit) -> config -> report
     per schedule action as it happens.  The supervisor and every child
     are killed and reaped however this returns. *)
 
-val summary_json : report -> Secmed_obs.Json.t
-(** The metrics + invariants object embedded in BENCH_serve.json's
-    ["failover"] section. *)
-
 val render : report -> string
 
 val write_log : path:string -> report -> unit

@@ -93,6 +93,68 @@ let test_max_size_frame_boundary () =
   | exception Wire.Malformed _ -> ()
   | _ -> Alcotest.fail "a frame above max_frame must be rejected"
 
+(* Bytes allocated per received 4 KiB frame, over 512 frames pushed
+   through a socketpair in batches of 8.  Gc.allocated_bytes, not
+   minor_words: a 64 KiB scratch buffer is allocated straight on the
+   major heap. *)
+let alloc_per_frame make_recv =
+  let frames = 512 and batch = 8 in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ca = Io.of_fd ~peer:"alloc-send" a in
+  Fun.protect
+    ~finally:(fun () ->
+      Io.close ca;
+      try Unix.close b with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let recv = make_recv b in
+  let encoded = Wire.frame (String.make 4096 'x') in
+  (* Warm up both ends: grow the write buffer, do the first-read setup. *)
+  Io.send_raw ca encoded;
+  recv 1;
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to frames / batch do
+    for _ = 1 to batch do
+      Io.send_raw ca encoded
+    done;
+    recv batch
+  done;
+  (Gc.allocated_bytes () -. before) /. float_of_int frames
+
+(* The shipped path: reads land in the connection's one reassembly
+   buffer via reserve/commit. *)
+let reused_recv fd =
+  let conn = Io.of_fd ~peer:"alloc-recv" fd in
+  fun n ->
+    for _ = 1 to n do
+      ignore (Io.recv_frame conn)
+    done
+
+(* The shape it replaced: a fresh 64 KiB scratch buffer per read,
+   copied into the stream as a string. *)
+let naive_recv fd =
+  let s = Wire.Stream.create () in
+  let rec take missing =
+    if missing = 0 then 0
+    else match Wire.Stream.next_frame s with Some _ -> take (missing - 1) | None -> missing
+  in
+  let rec go missing =
+    let missing = take missing in
+    if missing > 0 then begin
+      let scratch = Bytes.create 65536 in
+      let got = Unix.read fd scratch 0 65536 in
+      Wire.Stream.feed s (Bytes.sub_string scratch 0 got);
+      go missing
+    end
+  in
+  go
+
+let test_reused_recv_allocates_less () =
+  let reused = alloc_per_frame reused_recv in
+  let naive = alloc_per_frame naive_recv in
+  Alcotest.(check bool)
+    (Printf.sprintf "reused %.0f B/frame < naive %.0f B/frame" reused naive)
+    true (reused < naive)
+
 (* ------------------------------------------------------------------ *)
 (* Chunk codec. *)
 
@@ -567,6 +629,8 @@ let () =
           Alcotest.test_case "commit overrun rejected" `Quick
             test_reserve_commit_overrun_rejected;
           Alcotest.test_case "max-size frame boundary" `Quick test_max_size_frame_boundary;
+          Alcotest.test_case "reused receive allocates less" `Quick
+            test_reused_recv_allocates_less;
         ] );
       ( "chunk-codec",
         [
