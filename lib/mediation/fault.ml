@@ -249,11 +249,6 @@ let select p ~sender ~receiver ~label =
     r.remaining <- r.remaining - 1;
     Some r.rule_action
 
-let intercept p transcript ~phase ~sender ~receiver ~label ~size =
-  match select p ~sender ~receiver ~label with
-  | None -> ()
-  | Some action -> apply p transcript ~phase ~sender ~receiver ~label ~size action
-
 let log_external p ~sender ~receiver ~label ~action detail =
   p.rev_events <-
     { event_sender = sender; event_receiver = receiver; event_label = label;

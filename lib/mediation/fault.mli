@@ -169,18 +169,6 @@ val apply :
     every process of a distributed run — holding the payload or not —
     fails at the same delivery. *)
 
-val intercept :
-  plan ->
-  Transcript.t ->
-  phase:string ->
-  sender:Transcript.party ->
-  receiver:Transcript.party ->
-  label:string ->
-  size:int option ->
-  unit
-(** {!select} then {!apply}: the interception point placed next to each
-    message's [Transcript.record]. *)
-
 (** {2 Chaos-proxy hooks}
 
     [Secmed_net.Chaos] replays a plan against live TCP streams.  It runs

@@ -40,9 +40,8 @@ type config = {
   sessions_per_worker : int;
   domains : int;
       (** worker-thread groups; 1 = plain threads.  Note OCaml forbids
-          [Unix.fork] once any domain has been spawned: keep this at 1
-          in a process that forks clusters afterwards (the loopback
-          harness does). *)
+          forking once any domain has been spawned: keep this at 1 in a
+          process that enters {!Loopback.with_cluster} afterwards. *)
   mix : (string * int) list;  (** scheme → weight (weights need not sum to anything) *)
   arrival : arrival;
   seed : string;

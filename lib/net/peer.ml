@@ -70,58 +70,18 @@ let source_session ~role ~shard ~env ~client ~io_timeout mux session =
   in
   loop ()
 
-(* The daemon's drain state.  [sd_draining] is flipped by only
-   idempotent field writes so the SIGTERM handler may call it at any
-   safe point; [sd_active] counts live session threads across every
-   pooled connection. *)
-type source_drain = {
-  sd_mu : Mutex.t;
-  mutable sd_active : int;
-  mutable sd_draining : bool;
-  mutable sd_deadline_at : float;
-}
-
 let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout = 10.)
-    ?(drain_deadline = 30.) ?(drain_on_sigterm = false) () =
+    ?(drain_deadline = 30.) () =
   let role = Transcript.Source id in
-  let sd =
-    { sd_mu = Mutex.create (); sd_active = 0; sd_draining = false; sd_deadline_at = infinity }
-  in
-  let begin_drain deadline =
-    if not sd.sd_draining then begin
-      sd.sd_deadline_at <- Unix.gettimeofday () +. deadline;
-      sd.sd_draining <- true
-    end
-  in
-  if drain_on_sigterm then
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> begin_drain drain_deadline));
-  let serve_conn conn =
-    match Frame.decode (Io.recv_frame conn) with
-    | Frame.Ping ->
-      let h_active = Mutex.protect sd.sd_mu (fun () -> sd.sd_active) in
-      (try
-         Io.send_frame conn
-           (Frame.encode (Frame.Health { h_role = role; h_draining = sd.sd_draining; h_active }))
-       with Io.Transport_error _ -> ());
-      Io.close conn
-    | Frame.Drain { scenario = s; deadline } ->
-      (* Same credential as the Hello handshake: only a process built
-         from the shared seed can present the digest. *)
-      (try
-         if String.equal s scenario then begin
-           begin_drain (if deadline > 0. then deadline else drain_deadline);
-           Io.send_frame conn (Frame.encode Frame.Drain_ok)
-         end
-         else
-           Io.send_frame conn
-             (Frame.encode (Frame.Busy "drain refused: scenario digest mismatch"))
-       with Io.Transport_error _ -> ());
-      Io.close conn
-    | Frame.Hello { role = Transcript.Mediator; scenario = s }
-      when String.equal s scenario && sd.sd_draining ->
-      Io.send_frame conn (Frame.encode (Frame.Draining "source is draining"));
-      Io.close conn
-    | Frame.Hello { role = Transcript.Mediator; scenario = s } when String.equal s scenario ->
+  let life = Daemon.create ~role ~scenario ~drain_deadline in
+  (* Live session threads across every pooled connection. *)
+  let active_mu = Mutex.create () in
+  let active = ref 0 in
+  let count () = Mutex.protect active_mu (fun () -> !active) in
+  let handle conn = function
+    | Frame.Hello { role = Transcript.Mediator; _ } when Daemon.draining life ->
+      Io.send_frame conn (Frame.encode (Frame.Draining "source is draining"))
+    | Frame.Hello { role = Transcript.Mediator; _ } ->
       Io.send_frame conn (Frame.encode (Frame.Hello_ok { scenario }));
       (* Sessions wait with their own timeouts; the shared socket must
          tolerate idle stretches between queries. *)
@@ -147,7 +107,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
                 end)
           in
           if fresh then begin
-            if sd.sd_draining then begin
+            if Daemon.draining life then begin
               (* A brand-new session on a pooled connection that predates
                  the drain: refuse it with a typed report (the mediator
                  marks this replica down and retries on a standby) rather
@@ -164,7 +124,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
               with Io.Transport_error _ -> ()
             end
             else begin
-              Mutex.protect sd.sd_mu (fun () -> sd.sd_active <- sd.sd_active + 1);
+              Mutex.protect active_mu (fun () -> incr active);
               ignore
                 (Thread.create
                    (fun () ->
@@ -172,7 +132,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
                        ~finally:(fun () ->
                          Secmed_crypto.Counters.release ();
                          Mutex.protect live_mu (fun () -> Hashtbl.remove live session);
-                         Mutex.protect sd.sd_mu (fun () -> sd.sd_active <- sd.sd_active - 1))
+                         Mutex.protect active_mu (fun () -> decr active))
                        (fun () -> source_session ~role ~shard ~env ~client ~io_timeout mux session))
                    ()
                   : Thread.t)
@@ -180,45 +140,20 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
           end;
           control ()
         | _ -> control ()
-        | exception Io.Transport_error _ -> Io.close conn
+        | exception Io.Transport_error _ -> ()
       in
       control ()
     | Frame.Hello _ ->
       Io.send_frame conn
-        (Frame.encode (Frame.Busy "scenario digest mismatch (wrong workload or parameters)"));
-      Io.close conn
-    | _ -> Io.close conn
-    | exception (Io.Transport_error _ | Wire.Malformed _) -> Io.close conn
+        (Frame.encode (Frame.Busy "scenario digest mismatch (wrong workload or parameters)"))
+    | _ -> ()
   in
   (* A daemon waits for its mediator indefinitely; [io_timeout] guards
-     per-operation I/O once a connection exists, not the accept.  Each
-     accepted connection gets its own thread: a mediator with a
-     connection pool dials this daemon [source_conns] times, and every
-     pooled link must be serviceable at once.  The loop ticks on a
-     short select (an accept with no timeout would pin a drained daemon
-     to its socket) and exits once draining and idle — or past the
-     drain deadline. *)
-  let rec accept_loop () =
-    if
-      sd.sd_draining
-      && (Mutex.protect sd.sd_mu (fun () -> sd.sd_active) = 0
-         || Unix.gettimeofday () > sd.sd_deadline_at)
-    then ()
-    else begin
-      match Unix.select [ listen_fd ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error _ -> ()
-      | [], _, _ -> accept_loop ()
-      | _ :: _, _, _ -> (
-        match Io.accept listen_fd with
-        | conn ->
-          ignore (Thread.create serve_conn conn : Thread.t);
-          accept_loop ()
-        | exception Io.Transport_error _ -> ())
-    end
-  in
-  accept_loop ();
-  if sd.sd_draining then (try Unix.close listen_fd with Unix.Unix_error _ -> ())
+     per-operation I/O once a connection exists.  Each connection gets
+     its own thread: a mediator with a connection pool dials this daemon
+     [source_conns] times, and every pooled link must be serviceable at
+     once. *)
+  Daemon.serve life ~listen_fd ~io_timeout ~active:count ~idle:(fun () -> count () = 0) handle
 
 (* ------------------------------------------------------------------ *)
 (* Remote client *)

@@ -37,7 +37,6 @@ val source :
   ?shard:int * int ->
   ?io_timeout:float ->
   ?drain_deadline:float ->
-  ?drain_on_sigterm:bool ->
   unit ->
   unit
 (** Run datasource [id] as a daemon: accept mediator connections (a
@@ -47,19 +46,19 @@ val source :
     report how it ended.  [shard] (default [(0, 1)]) makes this daemon
     shard j of k of the logical source: it transmits only its row
     partition of streamed deliveries (shard 0 alone speaks the scalar
-    frames), and [scenario] must then be the matching {!Shard.digest}.  The session's fault spec is parsed once, so a
-    [times]-bounded rule burns down across attempts exactly as it does
-    in-process.  Returns when the listening socket is closed.
+    frames), and [scenario] must then be the matching {!Shard.digest}.
+    The session's fault spec is parsed once, so a [times]-bounded rule
+    burns down across attempts exactly as it does in-process.  Returns
+    once a drain completes.
 
-    [Ping] probes are answered with a [Health] frame before any
-    handshake.  A [Drain] frame carrying the right scenario digest (or
-    SIGTERM, when [drain_on_sigterm] is set — default off so embedding
-    processes keep their own handlers) flips the daemon into draining:
-    new connections are refused with [Draining], brand-new sessions on
-    existing pooled connections are refused with a typed
-    [St_failed]/"draining" report (the mediator fails them over to a
-    standby), in-flight sessions finish under [drain_deadline] (default
-    30s), and the daemon then returns cleanly. *)
+    The lifecycle is {!Daemon.serve}'s: [Ping] probes are answered
+    with a [Health] frame before any handshake, and a [Drain] frame
+    carrying the right scenario digest, or SIGTERM, flips the daemon
+    into draining.  New connections are then refused with [Draining],
+    brand-new sessions on existing pooled connections are refused with a
+    typed [St_failed]/"draining" report (the mediator fails them over to
+    a standby), in-flight sessions finish under [drain_deadline]
+    (default 30s), and the daemon then returns cleanly. *)
 
 (** What a remote query yields on the client side.  [result] is
     reconstructed from the client replica's own outcomes plus the

@@ -133,25 +133,18 @@ let run t f =
   | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
 
-(* With [drain:false], queued-but-unstarted jobs are rejected with a
-   typed [Stopped] raised at their blocked submitter, not silently
-   dropped (which would leave the submitter waiting forever on a slot
-   no worker will ever fill). *)
-let stop ?(drain = true) t =
+(* Queued-but-unstarted jobs are rejected with a typed [Stopped] raised
+   at their blocked submitter, not silently dropped (which would leave
+   the submitter waiting forever on a slot no worker will ever fill). *)
+let stop t =
   let rejected =
     Mutex.protect t.mu (fun () ->
         t.stopping <- true;
-        let rejected =
-          if drain then []
-          else begin
-            let jobs = List.of_seq (Queue.to_seq t.queue) in
-            Queue.clear t.queue;
-            t.rejected <- t.rejected + List.length jobs;
-            jobs
-          end
-        in
+        let jobs = List.of_seq (Queue.to_seq t.queue) in
+        Queue.clear t.queue;
+        t.rejected <- t.rejected + List.length jobs;
         Condition.broadcast t.cond;
-        rejected)
+        jobs)
   in
   List.iter
     (fun (Job (_, slot)) ->

@@ -14,7 +14,7 @@ type t
 
 exception Stopped
 (** Raised at a submitter whose job was refused ({!run} after {!stop})
-    or rejected while queued ({!stop} [~drain:false]). *)
+    or rejected while queued (by {!stop}). *)
 
 val create : workers:int -> t
 (** Spawns [max 1 workers] worker threads, all idle. *)
@@ -31,7 +31,7 @@ type stats = {
   st_queued : int;     (** submitted jobs not yet picked up *)
   st_submitted : int;
   st_completed : int;
-  st_rejected : int;   (** queued jobs rejected by [stop ~drain:false] *)
+  st_rejected : int;   (** queued jobs rejected by {!stop} *)
   st_busy_seconds : float;
 }
 
@@ -42,9 +42,8 @@ val run : t -> (unit -> 'a) -> 'a
     result or re-raises its exception (with backtrace).  FIFO across
     concurrent submitters.  Raises {!Stopped} after {!stop}. *)
 
-val stop : ?drain:bool -> t -> unit
-(** With [drain:true] (default), queued jobs still run before workers
-    exit and are joined.  With [drain:false], queued-but-unstarted jobs
-    are rejected: each blocked submitter gets a typed {!Stopped} instead
-    of hanging on a slot no worker will fill; jobs already executing
-    still finish.  Idempotent. *)
+val stop : t -> unit
+(** Queued-but-unstarted jobs are rejected: each blocked submitter gets
+    a typed {!Stopped} instead of hanging on a slot no worker will fill.
+    Jobs already executing still finish, and the workers are joined.
+    Idempotent. *)

@@ -71,15 +71,13 @@ type t = {
   rsession : R.session;
   max_sessions : int;
   io_timeout : float;
-  drain_deadline : float;
+  life : Daemon.t;  (* drain state, SIGTERM and the accept loop *)
   health_interval : float;  (* 0. = no prober thread *)
   sched : Sched.t;  (* bounds concurrent protocol drivers; overflow queues FIFO *)
   admission_mu : Mutex.t;
   mutable active : int;
   mutable next_session : int;
   mutable stopped : bool;
-  mutable draining : bool;
-  mutable drain_deadline_at : float;
   started_at : float;
   fo_mu : Mutex.t;
   mutable fo_events : fo_event list;  (* newest first, capped *)
@@ -178,15 +176,13 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     rsession = R.session ~policy ();
     max_sessions;
     io_timeout;
-    drain_deadline;
+    life = Daemon.create ~role:Transcript.Mediator ~scenario ~drain_deadline;
     health_interval;
     sched = Sched.create ~workers;
     admission_mu = Mutex.create ();
     active = 0;
     next_session = 1;
     stopped = false;
-    draining = false;
-    drain_deadline_at = infinity;
     started_at = Unix.gettimeofday ();
     fo_mu = Mutex.create ();
     fo_events = [];
@@ -1034,7 +1030,7 @@ let stats_json t =
             ("admitted", J.Int (Obs.Metrics.counter_value sessions_admitted));
             ("refused", J.Int (Obs.Metrics.counter_value sessions_refused));
             ("drain_refused", J.Int (Obs.Metrics.counter_value sessions_drain_refused));
-            ("draining", J.Bool t.draining);
+            ("draining", J.Bool (Daemon.draining t.life));
           ] );
       ( "scheduler",
         J.Obj
@@ -1066,18 +1062,6 @@ let stats_json t =
 (* ------------------------------------------------------------------ *)
 (* Drain *)
 
-(* Only idempotent field writes: this is what the SIGTERM handler calls,
-   and OCaml signal handlers may run at any safe point — taking a mutex
-   here could deadlock against the very thread that was interrupted. *)
-let begin_drain ?deadline t =
-  if not t.draining then begin
-    t.drain_deadline_at <-
-      Unix.gettimeofday () +. (match deadline with Some d -> d | None -> t.drain_deadline);
-    t.draining <- true
-  end
-
-let draining t = t.draining
-
 (* Done draining when nothing is admitted, executing, or queued.  The
    admission slot frees just before the worker sends [Session_result],
    so [st_busy] (which drops only when the thunk returns, strictly
@@ -1090,40 +1074,21 @@ let drained t =
 (* ------------------------------------------------------------------ *)
 (* Accept loop *)
 
-(* The connection thread reads the first frame to route it: a stats or
-   health probe is answered immediately — no admission, no worker — so
-   the ops surface stays responsive on a server at capacity; a client
-   Hello goes through scenario check, then admission, then the
-   handshake and query read, then blocks in {!Sched.run} while a pool
-   worker executes the driver.  Scheduling whole sessions (not
-   individual frames) keeps each driver's thread-local state — counter
-   attribution, bigint caches — private to one worker for the
-   session's entire lifetime. *)
-let handle t conn ~admit ~release =
-  match Frame.decode (Io.recv_frame conn) with
+(* The connection thread routes the first frame {!Daemon.serve} did not
+   answer itself: a stats request is answered immediately — no
+   admission, no worker — so the ops surface stays responsive on a
+   server at capacity; a client Hello goes through drain check, then
+   admission, then the handshake and query read, then blocks in
+   {!Sched.run} while a pool worker executes the driver.  Scheduling
+   whole sessions (not individual frames) keeps each driver's
+   thread-local state — counter attribution, bigint caches — private
+   to one worker for the session's entire lifetime. *)
+let handle t conn ~admit ~release = function
   | Frame.Stats_request ->
     Io.send_frame conn
       (Frame.encode (Frame.Stats { payload = Obs.Json.to_string (stats_json t) }))
-  | Frame.Ping ->
-    let h_active = Mutex.protect t.admission_mu (fun () -> t.active) in
-    Io.send_frame conn
-      (Frame.encode
-         (Frame.Health { h_role = Transcript.Mediator; h_draining = t.draining; h_active }))
-  | Frame.Drain { scenario; deadline } ->
-    (* The drain frame is authenticated the same way the Hello handshake
-       is: by knowledge of the scenario digest, which only a process
-       built from the shared seed can present. *)
-    if String.equal scenario t.scenario then begin
-      begin_drain ?deadline:(if deadline > 0. then Some deadline else None) t;
-      Io.send_frame conn (Frame.encode Frame.Drain_ok)
-    end
-    else
-      Io.send_frame conn (Frame.encode (Frame.Busy "drain refused: scenario digest mismatch"))
-  | Frame.Hello { role = Transcript.Client; scenario } ->
-    if not (String.equal scenario t.scenario) then
-      Io.send_frame conn
-        (Frame.encode (Frame.Busy "scenario digest mismatch (wrong workload or parameters)"))
-    else if t.draining then begin
+  | Frame.Hello { role = Transcript.Client; _ } ->
+    if Daemon.draining t.life then begin
       (* Typed and distinct from [Busy]: the client knows the refusal is
          terminal for this incarnation and retries against the restarted
          process instead of backing off against a full one. *)
@@ -1164,7 +1129,7 @@ let handle t conn ~admit ~release =
     Io.send_frame conn (Frame.encode (Frame.Busy "only clients may connect to this port"))
   | _ -> ()
 
-let conn_thread t conn =
+let conn_thread t conn frame =
   (* Registered so a deadline-expired teardown can sever this
      connection and wake whichever worker is blocked on it. *)
   let token =
@@ -1209,10 +1174,8 @@ let conn_thread t conn =
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token);
-      Io.close conn;
       release ())
-    (fun () ->
-      try handle t conn ~admit ~release with Io.Transport_error _ | Wire.Malformed _ -> ())
+    (fun () -> handle t conn ~admit ~release frame)
 
 (* One health-probe pass: a short-lived connection per replica carrying
    a single Ping.  A draining or unreachable replica is marked down, so
@@ -1261,9 +1224,15 @@ let prober t () =
     nap t.health_interval
   done
 
-let teardown ~drain t =
+(* The drain is over (every in-flight session finished, or the deadline
+   passed): sever the pooled datasource links and every open client
+   connection before joining the pool.  A worker mid-session may be
+   blocked reading its client for up to [io_timeout], and [Sched.stop]
+   joins — without the shutdown the deadline would quietly stretch by a
+   full I/O timeout.  The severed client sees a transport fault and
+   redials the restarted mediator; still-queued sessions get [Stopped]. *)
+let teardown t =
   t.stopped <- true;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   List.iter
     (fun sl ->
       Array.iter
@@ -1281,44 +1250,13 @@ let teardown ~drain t =
               | None -> ()))
         sl.sl_slots)
     t.sources;
-  (* A forced stop (drain deadline expired) severs every open client
-     connection before joining the pool: a worker mid-session may be
-     blocked reading its client for up to [io_timeout], and [Sched.stop]
-     joins — without the shutdown the "deadline" would quietly stretch
-     by a full I/O timeout.  The severed client sees a transport fault
-     and redials the restarted mediator.  A graceful stop keeps them:
-     its sessions already reached verdicts. *)
-  if not drain then
-    Mutex.protect t.conns_mu (fun () ->
-        Hashtbl.iter (fun _ conn -> Io.shutdown conn) t.live_conns);
-  Sched.stop ~drain t.sched
+  Mutex.protect t.conns_mu (fun () -> Hashtbl.iter (fun _ conn -> Io.shutdown conn) t.live_conns);
+  Sched.stop t.sched
 
-(* The accept loop ticks on a short select so draining is observed
-   promptly: [Io.accept]'s timeout binds the accepted connection, not
-   the accept call, so a blocking accept would pin a drained server to
-   its socket until one more client showed up.  During a drain the loop
-   keeps accepting — probes stay answerable and late Hellos get their
-   typed [Draining] — until the in-flight sessions finish or the
-   deadline passes, then tears down without running whatever is still
-   queued. *)
 let serve t =
   if t.health_interval > 0. then ignore (Thread.create (prober t) () : Thread.t);
-  let rec loop () =
-    if t.stopped then ()
-    else if t.draining && (drained t || Unix.gettimeofday () > t.drain_deadline_at) then ()
-    else begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> if not t.stopped then Thread.delay 0.05
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Io.accept ~timeout:t.io_timeout t.listen_fd with
-        | exception Io.Transport_error _ -> ()
-        | conn -> ignore (Thread.create (conn_thread t) conn : Thread.t)));
-      loop ()
-    end
-  in
-  loop ();
-  if t.draining && not t.stopped then teardown ~drain:false t
-
-let stop t = if not t.stopped then teardown ~drain:true t
+  Daemon.serve t.life ~listen_fd:t.listen_fd ~io_timeout:t.io_timeout
+    ~active:(fun () -> Mutex.protect t.admission_mu (fun () -> t.active))
+    ~idle:(fun () -> drained t)
+    (conn_thread t);
+  teardown t

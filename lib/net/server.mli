@@ -72,29 +72,21 @@ val create :
     a probe, primary first), so a dead primary fails the slot over to a
     standby within a session's one typed retry, and a later redial
     after the cooldown fails back.  [drain_deadline] (default 30s)
-    bounds how long {!begin_drain} waits for in-flight sessions;
+    bounds how long a drain waits for in-flight sessions;
     [health_interval] > 0 (default 0 = off) starts a prober thread that
     Pings every up replica, and each down one once per cooldown, and
     proactively marks draining or unreachable ones down. *)
 
 val serve : t -> unit
-(** Accept loop; returns when {!stop} is called or a drain completes
-    (all in-flight sessions finished, or the drain deadline passed —
-    the draining teardown rejects still-queued sessions with a typed
-    [Draining]).  Every accepted connection is routed by its first
-    frame: [Stats_request] and [Ping] are answered immediately —
-    without admission control, so the ops surface works on a server at
-    capacity — a [Drain] carrying the right scenario digest flips the
-    server into draining, and a client [Hello] goes through scenario
-    check, drain check, admission, handshake, and the scheduler. *)
-
-val begin_drain : ?deadline:float -> t -> unit
-(** Flip into draining (idempotent, async-signal-safe: only field
-    writes, so it may be called from a SIGTERM handler).  New sessions
-    are refused with [Draining]; {!serve} returns once in-flight
-    sessions finish or [deadline] (default [drain_deadline]) passes. *)
-
-val draining : t -> bool
+(** Run the mediator daemon under {!Daemon.serve}: [Ping] and an
+    authenticated [Drain] (or SIGTERM) are handled there, before
+    admission.  Returns once a drain completes: all in-flight sessions
+    finished, or the drain deadline passed.  The teardown then severs
+    the pooled source links and any open client connection, and rejects
+    still-queued sessions with a typed [Draining].  A [Stats_request] is
+    answered immediately — without admission control, so the ops
+    surface works on a server at capacity — and a client [Hello] goes
+    through drain check, admission, handshake, and the scheduler. *)
 
 val stats_json : t -> Secmed_obs.Json.t
 (** The live serving snapshot the [Stats] frame carries: uptime,
@@ -111,7 +103,3 @@ val stats_json : t -> Secmed_obs.Json.t
     [unknown], listed once nonzero).  Every count is read from the
     metrics registry.  Lock order is per-subsystem; the snapshot is
     consistent per field group, not globally atomic. *)
-
-val stop : t -> unit
-(** Close the listener and the pooled datasource connections, and
-    retire the worker pool. *)

@@ -89,16 +89,10 @@ let schedule cfg =
   Array.to_list arr
 
 (* ------------------------------------------------------------------ *)
-(* The supervisor process *)
+(* The cluster *)
 
-(* The cluster's processes are children of a dedicated single-threaded
-   supervisor, forked before the soak driver spawns its first thread:
-   OCaml forbids [Unix.fork] in a process that has spawned domains, and
-   forking from a threaded parent clones locked mutexes into children.
-   The supervisor speaks a tiny framed command protocol over a
-   socketpair — kill / start / drain / start-mediator / quit — and owns
-   every pid and listening port, rebinding (SO_REUSEADDR) when it
-   restarts a process. *)
+(* The cluster runs under {!Loopback}'s supervisor, which forks it on
+   entry — before the driver spawns its first thread. *)
 
 let drain_deadline = 10.
 let health_interval = 0.25
@@ -116,134 +110,6 @@ let soak_policy =
       { Secmed_mediation.Resilience.default_breaker with failure_threshold = 2.0;
         cooldown = 0.5 };
   }
-
-let supervisor ~env ~client ~scenario ~cfg ~source_fds ~med_fd ~med_port ~ctl_fd =
-  let ctl = Io.of_fd ~peer:"soak-parent" ctl_fd in
-  let sources =
-    (* Single-shard: the soak exercises failover, not partitioning. *)
-    List.map
-      (fun sid ->
-        ( sid,
-          [
-            List.filter_map
-              (fun ((s, _), (_, port)) ->
-                if s = sid then Some ("127.0.0.1", port) else None)
-              source_fds;
-          ] ))
-      [ 1; 2 ]
-  in
-  let ports = Hashtbl.create 8 in
-  List.iter (fun ((s, r), (_, port)) -> Hashtbl.replace ports (s, r) port) source_fds;
-  let pids = Hashtbl.create 8 in
-  let med_pid = ref (-1) in
-  (* Every listener the supervisor still holds: children close all of
-     them but their own, so a SIGKILLed process really does take its
-     port down (a sibling holding an inherited copy would keep the
-     kernel accepting connections nobody will ever serve). *)
-  let open_listeners = ref (List.map snd source_fds @ [ (med_fd, med_port) ]) in
-  let spawn fd f =
-    match Unix.fork () with
-    | 0 ->
-      Secmed_obs.Metrics.reset ();
-      (try Unix.close ctl_fd with Unix.Unix_error _ -> ());
-      List.iter
-        (fun (ofd, _) ->
-          if ofd <> fd then try Unix.close ofd with Unix.Unix_error _ -> ())
-        !open_listeners;
-      (try f fd with _ -> Unix._exit 1);
-      Unix._exit 0
-    | pid ->
-      open_listeners := List.filter (fun (ofd, _) -> ofd <> fd) !open_listeners;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      pid
-  in
-  let run_source sid fd =
-    Peer.source ~id:sid ~env ~client ~scenario ~listen_fd:fd ~io_timeout:cfg.io_timeout
-      ~drain_deadline ~drain_on_sigterm:true ()
-  in
-  let run_mediator fd =
-    let server =
-      Server.create ~env ~client ~scenario ~sources ~listen_fd:fd ~policy:soak_policy
-        ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout
-        ~workers:cfg.workers ~drain_deadline ~health_interval ()
-    in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Server.begin_drain server));
-    Server.serve server
-  in
-  (* A closed listening socket leaves no TIME_WAIT state, but give the
-     kernel a beat anyway rather than failing a whole soak on a racy
-     rebind. *)
-  let rebind port =
-    let rec go n =
-      match Io.listen ~port () with
-      | fd, _ -> fd
-      | exception Io.Transport_error _ when n < 100 ->
-        Unix.sleepf 0.05;
-        go (n + 1)
-    in
-    go 0
-  in
-  List.iter
-    (fun ((sid, r), (fd, _)) -> Hashtbl.replace pids (sid, r) (spawn fd (run_source sid)))
-    source_fds;
-  med_pid := spawn med_fd run_mediator;
-  let reap pid =
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-  in
-  let rec loop () =
-    let reply s = Io.send_frame ctl s in
-    match String.split_on_char ' ' (Io.recv_frame ctl) with
-    | [ "kill"; s; r ] ->
-      let key = (int_of_string s, int_of_string r) in
-      (match Hashtbl.find_opt pids key with
-      | Some pid ->
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap pid;
-        Hashtbl.remove pids key;
-        reply "ok"
-      | None -> reply "err: not running");
-      loop ()
-    | [ "start"; s; r ] ->
-      let sid = int_of_string s and rep = int_of_string r in
-      let fd = rebind (Hashtbl.find ports (sid, rep)) in
-      open_listeners := [ (fd, 0) ];
-      Hashtbl.replace pids (sid, rep) (spawn fd (run_source sid));
-      reply "ok";
-      loop ()
-    | [ "drain" ] ->
-      (try Unix.kill !med_pid Sys.sigterm with Unix.Unix_error _ -> ());
-      let code =
-        match Unix.waitpid [] !med_pid with
-        | _, Unix.WEXITED c -> c
-        | _, Unix.WSIGNALED _ -> 111
-        | _, Unix.WSTOPPED _ -> 112
-        | exception Unix.Unix_error _ -> 113
-      in
-      med_pid := -1;
-      reply (Printf.sprintf "ok %d" code);
-      loop ()
-    | [ "start-mediator" ] ->
-      let fd = rebind med_port in
-      open_listeners := [ (fd, 0) ];
-      med_pid := spawn fd run_mediator;
-      reply "ok";
-      loop ()
-    | [ "quit" ] ->
-      Hashtbl.iter
-        (fun _ pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          reap pid)
-        pids;
-      if !med_pid > 0 then begin
-        (try Unix.kill !med_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap !med_pid
-      end;
-      reply "ok"
-    | _ ->
-      reply "err: unknown command";
-      loop ()
-  in
-  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* The driver *)
@@ -275,66 +141,13 @@ let transitions_of_payload ~incarnation payload =
     | _ -> [])
 
 let run ?(progress = fun (_ : string) -> ()) cfg =
-  let env, client, query = Workload.scenario ?params:cfg.params cfg.spec in
-  let scenario = Scenario.digest ?params:cfg.params cfg.spec in
-  let replicas = 1 + max 0 cfg.standbys in
-  let source_fds =
-    List.concat_map
-      (fun sid -> List.init replicas (fun r -> ((sid, r), Io.listen ~port:0 ())))
-      [ 1; 2 ]
-  in
-  let med_fd, med_port = Io.listen ~port:0 () in
-  let ctl_parent, ctl_child = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let sup_pid =
-    match Unix.fork () with
-    | 0 ->
-      (try Unix.close ctl_parent with Unix.Unix_error _ -> ());
-      (try
-         supervisor ~env ~client ~scenario ~cfg ~source_fds ~med_fd ~med_port
-           ~ctl_fd:ctl_child
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-    | pid -> pid
-  in
-  (try Unix.close ctl_child with Unix.Unix_error _ -> ());
-  List.iter
-    (fun (_, (fd, _)) -> try Unix.close fd with Unix.Unix_error _ -> ())
-    source_fds;
-  (try Unix.close med_fd with Unix.Unix_error _ -> ());
-  let ctl = Io.of_fd ~peer:"soak-supervisor" ctl_parent in
-  let cmd c =
-    Io.send_frame ctl c;
-    Io.recv_frame ctl
-  in
+  Loopback.with_cluster ?params:cfg.params ~policy:soak_policy
+    ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout ~workers:cfg.workers
+    ~standbys:cfg.standbys ~health_interval ~drain_deadline ~spec:cfg.spec
+  @@ fun c ->
+  let med_port = Loopback.port c in
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  let expect_ok what reply =
-    if reply <> "ok" then violate "supervisor %s: %s" what reply
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try ignore (cmd "quit") with _ -> ());
-      Io.close ctl;
-      try ignore (Unix.waitpid [] sup_pid) with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  (* Wait for the whole cluster to answer probes before offering load. *)
-  let wait_ping ~what ~port =
-    let deadline = Unix.gettimeofday () +. 15. in
-    let rec go () =
-      match Peer.ping ~host:"127.0.0.1" ~port ~io_timeout:1.0 () with
-      | (_ : Peer.health) -> ()
-      | exception (Io.Transport_error _ | Peer.Refused _ | Peer.Draining _)
-        when Unix.gettimeofday () < deadline ->
-        Thread.delay 0.1;
-        go ()
-    in
-    try go () with _ -> violate "%s never became healthy" what
-  in
-  wait_ping ~what:"mediator" ~port:med_port;
-  List.iter
-    (fun ((sid, r), (_, port)) ->
-      wait_ping ~what:(Printf.sprintf "source %d replica %d" sid r) ~port)
-    source_fds;
   let lcfg =
     {
       Loadgen.default_config with
@@ -352,9 +165,6 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
       retry_connect = cfg.retry_connect;
     }
   in
-  let target =
-    { Loadgen.host = "127.0.0.1"; port = med_port; scenario; env; client; query }
-  in
   let t0 = Unix.gettimeofday () in
   let now () = Unix.gettimeofday () -. t0 in
   let events = ref [] in
@@ -370,7 +180,7 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
   let fleet =
     Thread.create
       (fun () ->
-        try load := Some (Loadgen.run lcfg target) with e -> load_exn := Some e)
+        try load := Some (Loadgen.run lcfg (Loopback.target c)) with e -> load_exn := Some e)
       ()
   in
   let stashes = ref [] in
@@ -389,22 +199,19 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
       | Kill (sid, r) ->
         let at = now () in
         record "SIGKILL source %d replica %d" sid r;
-        expect_ok "kill" (cmd (Printf.sprintf "kill %d %d" sid r));
+        Loopback.kill_source c ~id:sid ~replica:r;
         kills := (sid, r) :: !kills;
         Thread.delay cfg.kill_hold;
         record "restart source %d replica %d" sid r;
-        expect_ok "start" (cmd (Printf.sprintf "start %d %d" sid r));
+        Loopback.restart_source c ~id:sid ~replica:r;
         kill_windows := (at, now ()) :: !kill_windows
       | Drain_restart ->
         (* The transition log dies with the incarnation: stash it first. *)
         stash_stats "before drain";
         record "drain mediator (SIGTERM)";
-        (match String.split_on_char ' ' (cmd "drain") with
-        | [ "ok"; code ] -> drain_exits := int_of_string code :: !drain_exits
-        | other -> violate "supervisor drain: %s" (String.concat " " other));
+        drain_exits := Loopback.drain_mediator c :: !drain_exits;
         record "restart mediator";
-        expect_ok "start-mediator" (cmd "start-mediator");
-        wait_ping ~what:"restarted mediator" ~port:med_port)
+        Loopback.restart_mediator c)
     (schedule cfg);
   Thread.join fleet;
   record "fleet done";

@@ -1,18 +1,17 @@
 (** Crash/restart chaos soak: a seeded schedule of real process deaths
     driven against a live loopback cluster under load.
 
-    {!run} forks a dedicated single-threaded supervisor process that
-    owns the whole cluster — every datasource replica daemon and the
-    mediator, each on a pre-bound port — and answers a tiny framed
-    command protocol (kill, start, drain, start-mediator, quit) over a
-    socketpair.  The driver then offers a deterministic {!Loadgen}
-    fleet (with a connect-retry budget, so sessions ride out restarts)
-    while executing {!schedule}: SIGKILL a source replica, restart it
-    on the same port, drain-restart the mediator via SIGTERM.
+    {!run} runs on {!Loopback.with_cluster} (one standby per source by
+    default): its supervisor forks every datasource replica daemon and
+    the mediator, each on a pre-bound port.  The driver then offers a
+    deterministic {!Loadgen} fleet (with a connect-retry budget, so
+    sessions ride out restarts) while executing {!schedule} through
+    {!Loopback}: SIGKILL a source replica, restart it on the same port,
+    drain-restart the mediator via SIGTERM.
 
-    The fork happens on entry, before the driver spawns any thread:
-    call this before creating domains or long-lived threads (OCaml
-    forbids [Unix.fork] after [Domain.spawn]).
+    The supervisor is forked on entry, before the driver spawns any
+    thread: call this before creating domains (OCaml forbids forking
+    after [Domain.spawn]).
 
     Afterwards the report asserts the robustness invariants — no
     session [Failed], none lost or duplicated, every served result
@@ -84,8 +83,8 @@ val ok : report -> bool
 
 val run : ?progress:(string -> unit) -> config -> report
 (** Execute the soak.  [progress] (default silent) receives one line
-    per schedule action as it happens.  The supervisor and every child
-    are killed and reaped however this returns. *)
+    per schedule action as it happens.  The cluster is killed and
+    reaped however this returns. *)
 
 val render : report -> string
 

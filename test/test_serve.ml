@@ -237,6 +237,22 @@ let test_failover_mid_session_bit_identical () =
     (served_relation again.Peer.result);
   Alcotest.(check int) "single epoch against the standby" 1 again.Peer.epochs
 
+module J = Secmed_obs.Json
+
+let jlist key j = Option.value ~default:[] (Option.bind (J.member key j) J.to_list)
+let jint key j = Option.bind (J.member key j) J.to_int
+
+let mediator_stats c =
+  match J.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "stats payload does not parse: %s" e
+
+(* One replica's entry in the stats [pool]. *)
+let pool_replica stats ~source ~replica =
+  List.concat_map (jlist "replicas")
+    (List.filter (fun sl -> jint "source" sl = Some source) (jlist "pool" stats))
+  |> List.find_opt (fun re -> jint "replica" re = Some replica)
+
 (* SIGTERM the primary of source 1 between sessions: it drains and
    exits, its health breaker opens, and the next session fails the
    pooled slot over to the standby with a bit-identical answer.  One
@@ -254,31 +270,19 @@ let test_source_drain_failover () =
   Alcotest.(check string) "failed-over session is bit-identical"
     (Secmed_relalg.Relation.to_string reference.Outcome.result)
     (served_relation response.Peer.result);
-  let module J = Secmed_obs.Json in
-  let stats =
-    match J.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "stats payload does not parse: %s" e
-  in
-  let list key j = Option.value ~default:[] (Option.bind (J.member key j) J.to_list) in
-  let int key j = Option.bind (J.member key j) J.to_int in
-  let primary =
-    List.concat_map (list "replicas")
-      (List.filter (fun sl -> int "source" sl = Some 1) (list "pool" stats))
-    |> List.find_opt (fun re -> int "replica" re = Some 0)
-  in
+  let stats = mediator_stats c in
   Alcotest.(check bool) "drained primary is down" true
-    (match primary with
+    (match pool_replica stats ~source:1 ~replica:0 with
     | Some re -> J.member "up" re = Some (J.Bool false)
     | None -> false);
   let events =
-    Option.fold ~none:[] ~some:(list "events") (J.member "failover" stats)
+    Option.fold ~none:[] ~some:(jlist "events") (J.member "failover" stats)
   in
   let logged kind ~replica =
     List.exists
       (fun e ->
-        int "source" e = Some 1
-        && int "replica" e = Some replica
+        jint "source" e = Some 1
+        && jint "replica" e = Some replica
         && J.member "kind" e = Some (J.Str kind))
       events
   in
@@ -319,8 +323,72 @@ let test_drain_typed_refusal_then_exit_zero () =
   in
   Alcotest.(check bool) "in-flight session finished under drain" true
     (match response.Peer.result with Protocol.Served _ -> true | _ -> false);
-  let _, status = Unix.waitpid [] (Loopback.mediator_pid c) in
-  Alcotest.(check bool) "drained mediator exits 0" true (status = Unix.WEXITED 0)
+  Alcotest.(check int) "drained mediator exits 0" 0 (Loopback.wait_mediator c)
+
+(* A SIGKILLed replica takes its port down with it: a probe is refused
+   at once, not left to sit out its I/O timeout on a listener another
+   process of the cluster inherited.  A restart serves the same port. *)
+let test_killed_replica_refuses () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~standbys:1 @@ fun c ->
+  let port =
+    let primary = pool_replica (mediator_stats c) ~source:1 ~replica:0 in
+    match Option.bind primary (J.member "addr") with
+    | Some (J.Str addr) -> int_of_string (List.nth (String.split_on_char ':' addr) 1)
+    | _ -> Alcotest.fail "no address for the source 1 primary in the stats pool"
+  in
+  Loopback.kill_source c ~id:1 ~replica:0;
+  let t0 = Unix.gettimeofday () in
+  (match Peer.ping ~host:"127.0.0.1" ~port ~io_timeout:3. () with
+  | _ -> Alcotest.fail "a killed replica answered a ping"
+  | exception Io.Transport_error _ -> ());
+  Alcotest.(check bool) "refused in under 1 s" true (Unix.gettimeofday () -. t0 < 1.);
+  Loopback.restart_source c ~id:1 ~replica:0;
+  let health = Peer.ping ~host:"127.0.0.1" ~port ~io_timeout:3. () in
+  Alcotest.(check bool) "restarted replica answers Health" true
+    (health.Peer.h_role = Secmed_mediation.Transcript.Source 1)
+
+(* The process that owns a cluster dies without cleaning up: its
+   supervisor sees the control socket close and takes every daemon
+   down with it. *)
+let test_owner_death_stops_cluster () =
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    (try
+       Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+       let oc = Unix.out_channel_of_descr wr in
+       Marshal.to_channel oc
+         (Loopback.mediator_pid c
+         :: List.map (fun id -> Loopback.source_pid c ~id ~replica:0 ()) [ 1; 2 ])
+         [];
+       flush oc;
+       Unix.sleep 60
+     with _ -> ());
+    Unix._exit 1
+  | helper ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let pids : int list =
+      Fun.protect
+        ~finally:(fun () ->
+          close_in ic;
+          Unix.kill helper Sys.sigkill;
+          ignore (Unix.waitpid [] helper))
+        (fun () -> Marshal.from_channel ic)
+    in
+    let gone pid =
+      match Unix.kill pid 0 with
+      | () -> false
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+    in
+    let deadline = Unix.gettimeofday () +. 5. in
+    while (not (List.for_all gone pids)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.05
+    done;
+    let survivors = List.filter (fun pid -> not (gone pid)) pids in
+    List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) survivors;
+    Alcotest.(check (list int)) "no daemon outlives its owner" [] survivors
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel mux consumers.  LAST: domains forbid later forks. *)
@@ -414,6 +482,9 @@ let () =
           Alcotest.test_case "drain refuses typed, finishes in-flight, exits 0"
             `Slow test_drain_typed_refusal_then_exit_zero;
           Alcotest.test_case "source drain fails over" `Slow test_source_drain_failover;
+          Alcotest.test_case "killed replica refuses" `Slow test_killed_replica_refuses;
+          Alcotest.test_case "owner death stops the cluster" `Slow
+            test_owner_death_stops_cluster;
         ] );
       ( "domains",
         [
