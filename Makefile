@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all check test check-fault check-obs check-obs-net check-resilience check-net check-serve check-soak check-stream check-crypto-perf bench clean
+.PHONY: all check test check-fault check-obs check-obs-net check-resilience check-net check-serve check-soak check-stream check-crypto-perf bench loc clean
 
 all:
 	dune build
@@ -77,6 +77,11 @@ check-crypto-perf:
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe
+
+# Non-comment, non-blank lines of the transport and the CLI, per file
+# and in total (the line budget ROADMAP.md tracks).
+loc:
+	dune exec tools/loc.exe -- lib/net/*.ml lib/net/*.mli bin/*.ml
 
 # Full benchmark/reproduction suite (slow).
 bench:

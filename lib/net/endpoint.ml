@@ -33,7 +33,6 @@ module Mux = struct
     match frame with
     | Frame.Msg { payload; _ } -> String.length payload
     | Frame.Msg_chunk { ck_payload; _ } -> String.length ck_payload
-    | Frame.Span_batch { payload; _ } -> String.length payload
     | Frame.Stats { payload; _ } -> String.length payload
     | _ -> 0
 
@@ -109,11 +108,18 @@ module Mux = struct
 
   (* Subscribing clears any tombstone for the id: a session id revived
      after an epoch bump (the server pairs every reuse with an epoch
-     increment, and the transport's epoch filter skips the stale frames)
-     must be routable again, not silently dropped. *)
+     increment, and the leftover rule, [await], skips the stale frames)
+     must be routable again, not silently dropped.  An overflowed queue
+     is emptied too: nothing was read from it since the overflow, so it
+     holds only the poisoned delivery's frames, and left full it would
+     drop and re-poison the new epoch's first frame. *)
   let subscribe t sid =
     Mutex.protect t.mu (fun () ->
         Hashtbl.remove t.closed sid;
+        (if Hashtbl.mem t.over sid then
+           match Hashtbl.find_opt t.subs sid with
+           | Some q -> release_queue q
+           | None -> ());
         Hashtbl.remove t.over sid;
         if not (Hashtbl.mem t.subs sid) then Hashtbl.replace t.subs sid (Queue.create ()))
 
@@ -263,20 +269,65 @@ let unframe ~phase ~receiver ~label framed =
   | Error reason ->
     Fault.fail ~phase ~party:receiver (Printf.sprintf "%s rejected: %s" label reason)
 
+(* The one leftover rule, which every session reader calls (the
+   interface lists what it skips).  Only here is a frame's (epoch, seq)
+   compared with the reader's. *)
+let await (r : route) ~timeout ~epoch ~seq ~fail want =
+  let unexpected f = fail ("unexpected " ^ Frame.tag_name f ^ " frame") in
+  let rec go () =
+    match r.r_next ~timeout with
+    | exception Io.Transport_error msg -> fail ("never arrived: " ^ msg)
+    | ( Frame.Msg { epoch = e; seq = s; _ }
+      | Frame.Msg_chunk { ck_epoch = e; ck_seq = s; _ }
+      | Frame.Credit { cr_epoch = e; cr_seq = s; _ } ) as f -> (
+      let order = compare (e, s) (epoch, seq) in
+      match (want f, f) with
+      | Some v, _ when order = 0 -> v
+      | _, Frame.Credit _ -> go ()
+      | _ when order < 0 -> go ()
+      | _ when order > 0 ->
+        fail
+          (Printf.sprintf "frame gap: awaiting #%d of epoch %d, got #%d of epoch %d" seq epoch s
+             e)
+      | _ -> unexpected f)
+    | f -> (
+      match (want f, f) with
+      | Some v, _ -> v
+      | None, Frame.Report _ -> go ()
+      | None, Frame.Abort { epoch = e; failure; _ } when e >= epoch -> raise (Aborted failure)
+      | None, Frame.Abort _ -> go ()
+      | None, Frame.Session_start { epoch = e; _ } when e <= epoch -> go ()
+      | None, f -> unexpected f)
+  in
+  go ()
+
+let entry_bytes entries =
+  List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
+
 let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~io_timeout
     ~route_of ?(shard = (0, 1)) ?(after_io = fun ~phase:_ -> ()) () =
   let shard_index, shard_count = shard in
   if shard_count <= 0 || shard_index < 0 || shard_index >= shard_count then
     invalid_arg "Endpoint.transport: shard out of range";
+  let route ~phase ~receiver ~label party =
+    match route_of party with
+    | Some r -> r
+    | None -> Fault.fail ~phase ~party:receiver (label ^ ": no route to its sender")
+  in
+  (* A reader's failure is a typed fault blamed at the receiving party:
+     a route error is the wire analogue of a simulated [Drop]. *)
+  let failing ~phase ~receiver what reason =
+    Fault.fail ~phase ~party:receiver (Printf.sprintf "%s: %s" what reason)
+  in
   let send ~phase ~seq ~sender ~receiver ~label ~size payload =
     match route_of receiver with
     | None -> ()
-    | Some r when shard_index <> 0 ->
+    | Some _ when shard_index <> 0 ->
       (* Scalar payloads are whole-message: exactly one shard may put
          them on the wire or the receiver would see k copies.  Shard 0
          is the designated scalar speaker; the others advance their
          sequence numbers silently. *)
-      ignore r
+      ()
     | Some r ->
       (try
          r.r_send
@@ -293,54 +344,21 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
       after_io ~phase
   in
   let recv ~phase ~seq ~sender ~receiver ~label =
-    match route_of sender with
-    | None -> Fault.fail ~phase ~party:receiver (label ^ ": no route to its sender")
-    | Some r ->
-      let here = epoch () in
-      let rec go () =
-        match r.r_next ~timeout:io_timeout with
-        | Frame.Msg m when m.epoch = here && m.seq = seq ->
-          if not (Transcript.party_equal m.sender sender) || not (String.equal m.label label)
-          then
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf "frame #%d: expected %s from %s, got %s from %s" seq label
-                 (Transcript.party_name sender) m.label (Transcript.party_name m.sender))
-          else (m.declared, unframe ~phase ~receiver ~label m.payload)
-        | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) ->
-          (* A replay (chaos Duplicate) or a leftover of an aborted
-             attempt: the filter is what makes retries safe. *)
-          go ()
-        | Frame.Msg m ->
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s: frame gap: awaiting #%d of epoch %d, got #%d of epoch %d"
-               label seq here m.seq m.epoch)
-        | Frame.Msg_chunk m when m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq) ->
-          go ()
-        | Frame.Credit _ ->
-          (* Flow-control residue of an earlier streamed send. *)
-          go ()
-        | Frame.Abort { epoch = e; failure; _ } when e >= here -> raise (Aborted failure)
-        | Frame.Abort _ | Frame.Report _ -> go ()
-        | Frame.Session_start { epoch = e; _ } when e <= here -> go ()
-        (* Span traffic is observability, never protocol: skippable
-           wherever it lands (the mediator's batching route normally
-           intercepts it first). *)
-        | Frame.Span_batch _ -> go ()
-        | f ->
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s: unexpected %s frame mid-attempt" label (Frame.tag_name f))
-        | exception Io.Transport_error msg ->
-          (* The wire analogue of a simulated [Drop]: the frame never
-             arrived, detected and blamed at the receiving party. *)
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s never arrived: %s" label msg)
-      in
-      let declared, payload = go () in
-      Obs.Metrics.incr frames_in;
-      Obs.Metrics.incr ~by:(String.length payload) payload_in;
-      trace_frame "recv" ~phase ~party:sender ~label ~size:(String.length payload);
-      after_io ~phase;
-      (declared, payload)
+    let m =
+      await (route ~phase ~receiver ~label sender) ~timeout:io_timeout ~epoch:(epoch ()) ~seq
+        ~fail:(failing ~phase ~receiver label)
+        (function Frame.Msg m -> Some m | _ -> None)
+    in
+    if not (Transcript.party_equal m.sender sender && String.equal m.label label) then
+      Fault.fail ~phase ~party:receiver
+        (Printf.sprintf "frame #%d: expected %s from %s, got %s from %s" seq label
+           (Transcript.party_name sender) m.label (Transcript.party_name m.sender));
+    let payload = unframe ~phase ~receiver ~label m.payload in
+    Obs.Metrics.incr frames_in;
+    Obs.Metrics.incr ~by:(String.length payload) payload_in;
+    trace_frame "recv" ~phase ~party:sender ~label ~size:(String.length payload);
+    after_io ~phase;
+    (m.declared, payload)
   in
   (* Streamed sender: chunk this process's partition of the rows and
      keep at most [credit_window] chunks unacknowledged, replenished by
@@ -362,25 +380,14 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
       let credits = ref credit_window in
       let outstanding = ref 0 in
       let await_credit () =
-        match r.r_next ~timeout:io_timeout with
-        | Frame.Credit { cr_epoch; cr_seq; cr_n; _ } when cr_epoch = here && cr_seq = seq ->
-          credits := !credits + cr_n;
-          outstanding := max 0 (!outstanding - cr_n);
-          backlog_add (-cr_n)
-        | Frame.Credit _ -> ()
-        | Frame.Abort { epoch = e; failure; _ } when e >= here -> raise (Aborted failure)
-        | Frame.Abort _ | Frame.Report _ | Frame.Span_batch _ -> ()
-        | Frame.Session_start { epoch = e; _ } when e <= here -> ()
-        | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) -> ()
-        | Frame.Msg_chunk m when m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq) ->
-          ()
-        | f ->
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s: unexpected %s frame awaiting stream credit" label
-               (Frame.tag_name f))
-        | exception Io.Transport_error msg ->
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s: stream credit never arrived: %s" label msg)
+        let granted =
+          await r ~timeout:io_timeout ~epoch:here ~seq
+            ~fail:(failing ~phase ~receiver (label ^ ": stream credit"))
+            (function Frame.Credit { cr_n; _ } -> Some cr_n | _ -> None)
+        in
+        credits := !credits + granted;
+        outstanding := max 0 (!outstanding - granted);
+        backlog_add (-granted)
       in
       List.iteri
         (fun ci entries ->
@@ -400,213 +407,152 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           incr outstanding;
           backlog_add 1;
           Obs.Metrics.incr frames_out;
-          let bytes =
-            List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
-          in
+          let bytes = entry_bytes entries in
           Obs.Metrics.incr ~by:bytes payload_out;
           Obs.Metrics.incr ~by:bytes stream_bytes_out;
           Obs.Metrics.incr ~by:(List.length entries) stream_rows_out)
         chunks;
-      (* Trailing credits are granted but never awaited; the stale-credit
-         skip absorbs them later.  Settle the backlog gauge now. *)
+      (* Trailing credits are granted but never awaited; the leftover
+         rule absorbs them later.  Settle the backlog gauge now. *)
       backlog_add (- !outstanding);
       trace_frame "send" ~phase ~party:receiver ~label ~size;
       after_io ~phase
   in
-  (* Pulling one counterpart's per-shard chunk streams.  [declared]
-     checks each chunk's declared stream size; [pull si] parks the next
-     chunk of shard [si] in [pending.(si)] (at most one decoded chunk
-     per shard, charged to the "stream.pending" region). *)
-  let chunk_streams ~phase ~seq ~sender ~receiver ~label ~declared =
-    match route_of sender with
-    | None -> Fault.fail ~phase ~party:receiver (label ^ ": no route to its sender")
-    | Some r ->
-      let subs = match r.r_sub with Some a when Array.length a > 0 -> a | _ -> [| r |] in
-      let k = Array.length subs in
-      let here = epoch () in
-      let pending = Array.make k ([] : Stream.entry list) in
-      let next_chunk = Array.make k 0 in
-      let declared_chunks = Array.make k max_int in
-      let pull si =
-        let sub = subs.(si) in
-        let rec go () =
-          match sub.r_next ~timeout:io_timeout with
-          | Frame.Msg_chunk m when m.ck_epoch = here && m.ck_seq = seq ->
-            if
-              (not (Transcript.party_equal m.ck_sender sender))
-              || not (String.equal m.ck_label label)
-            then
-              Fault.fail ~phase ~party:receiver
-                (Printf.sprintf "frame #%d: expected %s chunk from %s, got %s from %s" seq
-                   label (Transcript.party_name sender) m.ck_label
-                   (Transcript.party_name m.ck_sender))
-            else if m.ck_chunk < next_chunk.(si) then
-              (* A replayed chunk (chaos Duplicate): already merged. *)
-              go ()
-            else if m.ck_chunk > next_chunk.(si) then
-              Fault.fail ~phase ~party:receiver
-                (Printf.sprintf "%s: chunk gap: awaiting chunk %d, got %d" label
-                   next_chunk.(si) m.ck_chunk)
-            else begin
-              declared m.ck_declared;
-              next_chunk.(si) <- m.ck_chunk + 1;
-              declared_chunks.(si) <- m.ck_chunks;
-              let entries =
-                try Stream.decode_entries (unframe ~phase ~receiver ~label m.ck_payload)
-                with Wire.Malformed msg ->
-                  Fault.fail ~phase ~party:receiver
-                    (Printf.sprintf "%s rejected: malformed chunk %d: %s" label m.ck_chunk msg)
-              in
-              (* Grant the replacement credit before merging so the
-                 sender's pipeline never drains on our account.  A dead
-                 return path surfaces on the next pull, not here. *)
-              (try
-                 sub.r_send
-                   (Frame.Credit
-                      { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
-               with Io.Transport_error _ -> ());
-              let bytes =
-                List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
-              in
-              Obs.Hwm.alloc hwm_pending bytes;
-              Obs.Metrics.incr frames_in;
-              Obs.Metrics.incr ~by:bytes payload_in;
-              Obs.Metrics.incr ~by:bytes stream_bytes_in;
-              Obs.Metrics.incr ~by:(List.length entries) stream_rows_in;
-              pending.(si) <- entries
-            end
-          | Frame.Msg_chunk m when m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq)
-            ->
-            go ()
-          | Frame.Msg_chunk m ->
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf "%s: frame gap: awaiting stream #%d of epoch %d, got #%d of epoch %d"
-                 label seq here m.ck_seq m.ck_epoch)
-          | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) -> go ()
-          | Frame.Credit _ -> go ()
-          | Frame.Abort { epoch = e; failure; _ } when e >= here -> raise (Aborted failure)
-          | Frame.Abort _ | Frame.Report _ -> go ()
-          | Frame.Session_start { epoch = e; _ } when e <= here -> go ()
-          | Frame.Span_batch _ -> go ()
-          | f ->
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf "%s: unexpected %s frame mid-stream" label (Frame.tag_name f))
-          | exception Io.Transport_error msg ->
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf "%s never arrived: %s" label msg)
-        in
-        go ()
+  (* The one k-shard row merge behind both streamed receivers.  Row [i]
+     comes from shard [i mod k] of the sender's per-shard chunk streams,
+     and [on_row] sees the rows in index order.  The merge holds at most
+     one decoded chunk per shard (charged to the "stream.pending"
+     region), so receive memory is bounded by shards x chunk size.  It
+     stops after [rows] rows when the receiver knows the count, else at
+     the first row whose shard stream has ended; every shard must then
+     be spent.  Every chunk must declare [size] bytes, or, with no
+     [size], the size the first one declares, which is returned. *)
+  let merge_rows ~phase ~seq ~sender ~receiver ~label ?size ?rows on_row =
+    let r = route ~phase ~receiver ~label sender in
+    let subs = match r.r_sub with Some a when Array.length a > 0 -> a | _ -> [| r |] in
+    let k = Array.length subs in
+    let here = epoch () in
+    let declared = ref size in
+    let pending = Array.make k ([] : Stream.entry list) in
+    let next_chunk = Array.make k 0 in
+    let chunks = Array.make k max_int in
+    let reject fmt =
+      Printf.ksprintf (fun m -> Fault.fail ~phase ~party:receiver (label ^ " rejected: " ^ m)) fmt
+    in
+    (* Park the next chunk of shard [si] in [pending.(si)]. *)
+    let rec pull si =
+      let m =
+        await subs.(si) ~timeout:io_timeout ~epoch:here ~seq
+          ~fail:(failing ~phase ~receiver label)
+          (function Frame.Msg_chunk m -> Some m | _ -> None)
       in
-      let exhausted si = next_chunk.(si) >= declared_chunks.(si) in
-      (k, pending, pull, exhausted)
-  in
-  let entry_bytes entries =
-    List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
-  in
-  (* Streamed receiver: verify each entry against the locally computed
-     rows in index order.  Nothing is concatenated, so receive-side
-     memory is bounded by shards x chunk size however many rows flow. *)
-  let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
-    let declared d =
-      if d <> size then
+      if not (Transcript.party_equal m.ck_sender sender && String.equal m.ck_label label) then
         Fault.fail ~phase ~party:receiver
-          (Printf.sprintf "%s rejected: stream declares %d bytes, %d computed" label d size)
-    in
-    let k, pending, pull, exhausted =
-      chunk_streams ~phase ~seq ~sender ~receiver ~label ~declared
-    in
-    List.iter
-      (fun (row, bytes) ->
-        let si = if k = 1 then 0 else Stream.shard_of_row ~k row in
-        while pending.(si) = [] do
-          if exhausted si then
-            (* The shard's stream is exhausted but rows remain: an
-               elided tail is a mismatch, not a hang. *)
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf
-                 "%s rejected: wire payload mismatch (stream ended before row %d)" label row)
-          else pull si
-        done;
-        match pending.(si) with
-        | [] -> assert false
-        | e :: rest ->
-          pending.(si) <- rest;
-          Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
-          if e.Stream.s_row <> row || not (String.equal e.Stream.s_bytes bytes) then
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf
-                 "%s rejected: wire payload mismatch (stream row %d: %d bytes received, %d computed)"
-                 label row
-                 (String.length e.Stream.s_bytes)
-                 (String.length bytes)))
-      expect;
-    Array.iteri
-      (fun si p ->
-        if p <> [] then begin
-          Obs.Hwm.release hwm_pending (entry_bytes p);
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s rejected: %d trailing stream entries from shard %d" label
-               (List.length p) si)
-        end)
-      pending;
-    trace_frame "recv" ~phase ~party:sender ~label ~size;
-    after_io ~phase
-  in
-  (* Streamed receiver of a process that did not compute the rows: drain
-     every shard's stream, merging entries back into index order (row
-     [i] must come from shard [i mod k], with no gap), into the one
-     string the caller decodes — a receiver that uses the rows holds
-     them anyway. *)
-  let take_rows ~phase ~seq ~sender ~receiver ~label =
-    let size = ref None in
-    let declared d =
-      match !size with
-      | None -> size := Some d
-      | Some s when s <> d ->
+          (Printf.sprintf "frame #%d: expected %s chunk from %s, got %s from %s" seq label
+             (Transcript.party_name sender) m.ck_label (Transcript.party_name m.ck_sender))
+      else if m.ck_chunk < next_chunk.(si) then
+        (* A replayed chunk (chaos Duplicate): already merged. *)
+        pull si
+      else if m.ck_chunk > next_chunk.(si) then
         Fault.fail ~phase ~party:receiver
-          (Printf.sprintf "%s rejected: chunks declare %d and %d bytes" label s d)
-      | Some _ -> ()
+          (Printf.sprintf "%s: chunk gap: awaiting chunk %d, got %d" label next_chunk.(si)
+             m.ck_chunk)
+      else begin
+        (match !declared with
+        | None -> declared := Some m.ck_declared
+        | Some d when d <> m.ck_declared ->
+          reject "stream declares %d bytes, %d expected" m.ck_declared d
+        | Some _ -> ());
+        next_chunk.(si) <- m.ck_chunk + 1;
+        chunks.(si) <- m.ck_chunks;
+        let entries =
+          try Stream.decode_entries (unframe ~phase ~receiver ~label m.ck_payload)
+          with Wire.Malformed msg -> reject "malformed chunk %d: %s" m.ck_chunk msg
+        in
+        (* Grant the replacement credit before merging so the sender's
+           pipeline never drains on our account.  A dead return path
+           surfaces on the next pull, not here. *)
+        (try
+           subs.(si).r_send
+             (Frame.Credit { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
+         with Io.Transport_error _ -> ());
+        let bytes = entry_bytes entries in
+        Obs.Hwm.alloc hwm_pending bytes;
+        Obs.Metrics.incr frames_in;
+        Obs.Metrics.incr ~by:bytes payload_in;
+        Obs.Metrics.incr ~by:bytes stream_bytes_in;
+        Obs.Metrics.incr ~by:(List.length entries) stream_rows_in;
+        pending.(si) <- entries
+      end
     in
-    let k, pending, pull, exhausted =
-      chunk_streams ~phase ~seq ~sender ~receiver ~label ~declared
-    in
-    let buf = Buffer.create 4096 in
-    let rec merge row =
-      let si = if k = 1 then 0 else Stream.shard_of_row ~k row in
-      while pending.(si) = [] && not (exhausted si) do
+    (* The next entry of shard [si], or [None] once its stream ended. *)
+    let take si =
+      while pending.(si) = [] && next_chunk.(si) < chunks.(si) do
         pull si
       done;
       match pending.(si) with
-      | e :: rest when e.Stream.s_row = row ->
+      | [] -> None
+      | e :: rest ->
         pending.(si) <- rest;
         Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
-        Buffer.add_string buf e.Stream.s_bytes;
-        merge (row + 1)
-      | [] -> ()
-      | e :: _ ->
-        Fault.fail ~phase ~party:receiver
-          (Printf.sprintf "%s rejected: stream row %d where row %d was due" label e.Stream.s_row
-             row)
+        Some e
+    in
+    Fun.protect ~finally:(fun () ->
+        Array.iter (fun p -> Obs.Hwm.release hwm_pending (entry_bytes p)) pending)
+    @@ fun () ->
+    let rec merge row =
+      if Option.fold rows ~none:true ~some:(fun n -> row < n) then
+        match take (Stream.shard_of_row ~k row) with
+        | Some e ->
+          on_row row e;
+          merge (row + 1)
+        | None when rows <> None ->
+          (* The shard's stream is exhausted but rows remain: an elided
+             tail is a mismatch, not a hang. *)
+          reject "wire payload mismatch (stream ended before row %d)" row
+        | None -> ()
     in
     merge 0;
-    (* Row [n] was due from one shard whose stream ended; every other
-       shard must have ended too, with nothing left over. *)
     Array.iteri
       (fun si _ ->
-        while pending.(si) = [] && not (exhausted si) do
-          pull si
-        done;
-        match pending.(si) with
-        | [] -> ()
-        | p ->
-          Obs.Hwm.release hwm_pending (entry_bytes p);
-          Fault.fail ~phase ~party:receiver
-            (Printf.sprintf "%s rejected: %d stream entries from shard %d past the end" label
-               (List.length p) si))
+        if take si <> None then reject "stream entries from shard %d past the end" si)
       pending;
-    let size = Option.value !size ~default:0 in
+    let size = Option.value !declared ~default:0 in
     trace_frame "recv" ~phase ~party:sender ~label ~size;
     after_io ~phase;
+    size
+  in
+  (* Streamed receiver: verify each entry against the locally computed
+     rows.  Nothing is concatenated. *)
+  let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
+    let expect = Array.of_list expect in
+    ignore
+      (merge_rows ~phase ~seq ~sender ~receiver ~label ~size ~rows:(Array.length expect)
+         (fun i e ->
+           let row, bytes = expect.(i) in
+           if e.Stream.s_row <> row || not (String.equal e.Stream.s_bytes bytes) then
+             Fault.fail ~phase ~party:receiver
+               (Printf.sprintf
+                  "%s rejected: wire payload mismatch (stream row %d: %d bytes received, %d \
+                   computed)"
+                  label row
+                  (String.length e.Stream.s_bytes)
+                  (String.length bytes)))
+       : int)
+  in
+  (* Streamed receiver of a process that did not compute the rows: the
+     merged rows become the one string the caller decodes — a receiver
+     that uses the rows holds them anyway. *)
+  let take_rows ~phase ~seq ~sender ~receiver ~label =
+    let buf = Buffer.create 4096 in
+    let size =
+      merge_rows ~phase ~seq ~sender ~receiver ~label (fun row e ->
+          if e.Stream.s_row <> row then
+            Fault.fail ~phase ~party:receiver
+              (Printf.sprintf "%s rejected: stream row %d where row %d was due" label
+                 e.Stream.s_row row);
+          Buffer.add_string buf e.Stream.s_bytes)
+    in
     (size, Buffer.contents buf)
   in
   { Link.role; computes; send; recv; rows = Some { Link.send_rows; recv_rows; take_rows } }

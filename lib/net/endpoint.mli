@@ -4,9 +4,10 @@
     [Link] and the attached transport decides what, if anything, crosses
     a wire.  This module supplies that transport for the projected model
     (DESIGN.md §11) — each process sends the frames whose sender it
-    plays and awaits the frames whose receiver it plays, filtering by
-    (attempt, seq) so duplicated or stale frames from an abandoned
-    attempt are discarded rather than misdelivered.  Every payload
+    plays and awaits the frames whose receiver it plays.  Every session
+    reader goes through {!await}, the one rule that discards duplicated
+    or stale frames from an abandoned attempt rather than misdelivering
+    them.  Every payload
     travels with the [Fault.frame] integrity tag, checked at the
     receiver before anything decodes it.
 
@@ -55,10 +56,10 @@ module Mux : sig
       the receive thread must never race a consumer's subscription —
       with a [Session_start] additionally announced on the control
       queue so a daemon can spawn the session's handler.  Subscribing
-      clears any tombstone (and any overflow poisoning) for the id, so a
-      session id reused after an epoch bump routes again (the
-      transport's epoch filter discards whatever stale frames slip
-      through). *)
+      clears any tombstone (and any overflow poisoning, with the frames
+      parked before the overflow) for the id, so a session id reused
+      after an epoch bump routes again ({!await}'s leftover rule
+      discards whatever stale frames slip through). *)
 
   val unsubscribe : t -> int -> unit
   (** Close the session's queue; late frames for it are dropped (and
@@ -105,6 +106,24 @@ type route = {
 val plain_route : send:(Frame.t -> unit) -> next:(timeout:float -> Frame.t) -> route
 (** An unsharded route ([r_sub = None]). *)
 
+val await :
+  route -> timeout:float -> epoch:int -> seq:int -> fail:(string -> 'a) ->
+  (Frame.t -> 'a option) -> 'a
+(** The leftover rule, shared by every session reader.  A reader at
+    delivery [seq] of [epoch] takes the next frame [want] accepts, where
+    a [Msg], [Msg_chunk] or [Credit] counts only at exactly (epoch, seq).
+    Of the rest:
+    - a [Msg] or [Msg_chunk] from an older epoch or an earlier slot of
+      this one is skipped; one from a later slot fails ["frame gap"];
+    - [Credit] residue and every [Report] are skipped;
+    - an [Abort] of [epoch] or later raises {!Aborted}; an older one is
+      skipped, and so is a [Session_start] of [epoch] or earlier;
+    - any other frame fails ["unexpected <tag> frame"];
+    - a route error fails ["never arrived: <reason>"].
+    [fail] receives the reason and must raise.  A reader between
+    attempts waits at [seq = 0] of the epoch after the last one it
+    ran. *)
+
 val credit_window : int
 (** Chunks a streaming sender may leave unacknowledged before blocking
     on a [Credit] grant. *)
@@ -142,13 +161,16 @@ val transport :
     [shard] (default [(0, 1)]) is this process's (index, count) within a
     sharded logical source: shard 0 alone speaks scalar messages for the
     party, and a streamed [send_rows] transmits only the shard's
-    row partition ([Secmed_core.Stream.partition]).  A streamed
-    [recv_rows] holds at most one decoded chunk per shard (charged to
-    the ["stream.pending"] {!Secmed_obs.Hwm} region) while merging, so
-    receive memory is bounded by shards × chunk size regardless of how
-    many rows flow; [take_rows] merges the same streams into the one
-    string a non-computing receiver decodes.  A streamed send always
-    carries at least one (possibly empty) chunk per shard. *)
+    row partition ([Secmed_core.Stream.partition]).  [recv_rows] and
+    [take_rows] share one k-shard row merge: row [i] comes from shard
+    [i mod k], at most one decoded chunk per shard is held (charged to
+    the ["stream.pending"] {!Secmed_obs.Hwm} region), so receive memory
+    is bounded by shards × chunk size regardless of how many rows flow,
+    and every shard's stream must be spent when the merge ends.
+    [recv_rows] checks each row against the locally computed one;
+    [take_rows] returns the rows as the one string a non-computing
+    receiver decodes.  A streamed send always carries at least one
+    (possibly empty) chunk per shard. *)
 
 val run_replica :
   role:Transcript.party ->

@@ -60,7 +60,6 @@ type t =
       query : string;
       fault_spec : string;
       trace_id : string;
-      trace_parent : int;
     }
   | Msg of msg
   | Msg_chunk of chunk
@@ -69,16 +68,10 @@ type t =
           consumed a chunk of (epoch, seq) and permits [cr_n] more in
           flight.  Residue outside an active [send_rows] is skipped
           wherever it lands. *)
-  | Report of { session : int; epoch : int; status : status }
+  | Report of { session : int; epoch : int; status : status; spans : string }
   | Abort of { session : int; epoch : int; failure : Fault.failure }
-  | Session_result of { session : int; result : wire_result }
+  | Session_result of { session : int; result : wire_result; spans : Trace_wire.remote list }
   | Session_end of { session : int }
-  | Span_batch of {
-      session : int;
-      party : Transcript.party;
-      parent : int;
-      payload : string;
-    }
   | Stats_request
   | Stats of { payload : string }
   | Ping
@@ -213,8 +206,7 @@ let encode t =
     write_seconds w deadline;
     Wire.write_int w (if fallback then 1 else 0);
     Wire.write_int w (if trace then 1 else 0)
-  | Session_start { session; epoch; attempt; scheme; query; fault_spec; trace_id; trace_parent }
-    ->
+  | Session_start { session; epoch; attempt; scheme; query; fault_spec; trace_id } ->
     Wire.write_int w 4;
     Wire.write_int w session;
     Wire.write_int w epoch;
@@ -222,9 +214,7 @@ let encode t =
     Wire.write_string w scheme;
     Wire.write_string w query;
     Wire.write_string w fault_spec;
-    Wire.write_string w trace_id;
-    (* +1 keeps the on-wire value non-negative (-1 = no parent). *)
-    Wire.write_int w (trace_parent + 1)
+    Wire.write_string w trace_id
   | Msg { session; epoch; seq; sender; receiver; label; declared; payload } ->
     Wire.write_int w 5;
     Wire.write_int w session;
@@ -235,29 +225,31 @@ let encode t =
     Wire.write_string w label;
     Wire.write_int w declared;
     Wire.write_string w payload
-  | Report { session; epoch; status } ->
+  | Report { session; epoch; status; spans } ->
     Wire.write_int w 6;
     Wire.write_int w session;
     Wire.write_int w epoch;
-    write_status w status
+    write_status w status;
+    Wire.write_string w spans
   | Abort { session; epoch; failure } ->
     Wire.write_int w 7;
     Wire.write_int w session;
     Wire.write_int w epoch;
     write_failure w failure
-  | Session_result { session; result } ->
+  | Session_result { session; result; spans } ->
     Wire.write_int w 8;
     Wire.write_int w session;
-    write_result w result
+    write_result w result;
+    Wire.write_list w
+      (fun (rm : Trace_wire.remote) ->
+        write_party w rm.rm_party;
+        (* +1 keeps the on-wire value non-negative (-1 = no parent). *)
+        Wire.write_int w (rm.rm_parent + 1);
+        Wire.write_string w rm.rm_payload)
+      spans
   | Session_end { session } ->
     Wire.write_int w 9;
     Wire.write_int w session
-  | Span_batch { session; party; parent; payload } ->
-    Wire.write_int w 10;
-    Wire.write_int w session;
-    write_party w party;
-    Wire.write_int w (parent + 1);
-    Wire.write_string w payload
   | Stats_request -> Wire.write_int w 11
   | Stats { payload } ->
     Wire.write_int w 12;
@@ -324,8 +316,7 @@ let decode body =
       let query = Wire.read_string r in
       let fault_spec = Wire.read_string r in
       let trace_id = Wire.read_string r in
-      let trace_parent = Wire.read_int r - 1 in
-      Session_start { session; epoch; attempt; scheme; query; fault_spec; trace_id; trace_parent }
+      Session_start { session; epoch; attempt; scheme; query; fault_spec; trace_id }
     | 5 ->
       let session = Wire.read_int r in
       let epoch = Wire.read_int r in
@@ -340,7 +331,8 @@ let decode body =
       let session = Wire.read_int r in
       let epoch = Wire.read_int r in
       let status = read_status r in
-      Report { session; epoch; status }
+      let spans = Wire.read_string r in
+      Report { session; epoch; status; spans }
     | 7 ->
       let session = Wire.read_int r in
       let epoch = Wire.read_int r in
@@ -349,14 +341,15 @@ let decode body =
     | 8 ->
       let session = Wire.read_int r in
       let result = read_result r in
-      Session_result { session; result }
+      let spans =
+        Wire.read_list r (fun () ->
+            let rm_party = read_party r in
+            let rm_parent = Wire.read_int r - 1 in
+            let rm_payload = Wire.read_string r in
+            { Trace_wire.rm_party; rm_parent; rm_payload })
+      in
+      Session_result { session; result; spans }
     | 9 -> Session_end { session = Wire.read_int r }
-    | 10 ->
-      let session = Wire.read_int r in
-      let party = read_party r in
-      let parent = Wire.read_int r - 1 in
-      let payload = Wire.read_string r in
-      Span_batch { session; party; parent; payload }
     | 11 -> Stats_request
     | 12 -> Stats { payload = Wire.read_string r }
     | 13 -> Ping
@@ -411,7 +404,6 @@ let tag_name = function
   | Abort _ -> "abort"
   | Session_result _ -> "session-result"
   | Session_end _ -> "session-end"
-  | Span_batch _ -> "span-batch"
   | Stats_request -> "stats-request"
   | Stats _ -> "stats"
   | Ping -> "ping"
@@ -430,7 +422,6 @@ let session_of = function
   | Report { session; _ }
   | Abort { session; _ }
   | Session_result { session; _ }
-  | Session_end { session }
-  | Span_batch { session; _ } -> Some session
+  | Session_end { session } -> Some session
   | Msg_chunk { ck_session; _ } -> Some ck_session
   | Credit { cr_session; _ } -> Some cr_session

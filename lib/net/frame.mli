@@ -7,11 +7,15 @@
     - connection setup: [Hello] / [Hello_ok] (or [Busy]);
     - the client poses a [Query]; the mediator opens one session per
       attempt-chain and broadcasts [Session_start] per attempt;
-    - protocol messages travel as [Msg], tagged with (session, attempt,
-      seq) so stale frames from an abandoned attempt are skippable;
-    - each replica ends an attempt with a [Report]; the mediator may cut
-      one short with [Abort];
-    - the mediator closes with [Session_result] and [Session_end]. *)
+    - protocol messages travel as [Msg], or as [Msg_chunk] slices under
+      [Credit] flow control when streamed, each tagged with (session,
+      epoch, seq) so stale frames from an abandoned attempt are
+      skippable ({!Endpoint.await} is the one rule that skips them);
+    - each replica ends an attempt with a [Report], which carries its
+      span batch for the attempt when the session is traced; the
+      mediator may cut an attempt short with [Abort];
+    - the mediator closes with [Session_result], which carries every
+      span batch to the client, and [Session_end]. *)
 
 open Secmed_mediation
 
@@ -93,9 +97,6 @@ type t =
       query : string;
       fault_spec : string;
       trace_id : string;  (** [""] = tracing off for this session *)
-      trace_parent : int;
-          (** the mediator's session span id — the root every replica's
-              span batch hangs under; [-1] when tracing is off *)
     }
   | Msg of msg
   | Msg_chunk of chunk
@@ -104,18 +105,23 @@ type t =
           absorbed a chunk and permits [cr_n] more in flight.  Residue
           arriving outside an active [send_rows] is skipped wherever it
           lands. *)
-  | Report of { session : int; epoch : int; status : status }
-  | Abort of { session : int; epoch : int; failure : Fault.failure }
-  | Session_result of { session : int; result : wire_result }
-  | Session_end of { session : int }
-  | Span_batch of {
+  | Report of {
       session : int;
-      party : Transcript.party;  (** whose collector the payload came from *)
-      parent : int;
-          (** span id {e in the mediator's id space} the batch's roots
-              belong under; [-1] = none (the mediator's own batch) *)
-      payload : string;  (** a [Trace_wire] batch: epoch + spans + events *)
+      epoch : int;
+      status : status;
+      spans : string;
+          (** the replica's {!Trace_wire.payload_of} batch for this
+              attempt; [""] when the session is not traced *)
     }
+  | Abort of { session : int; epoch : int; failure : Fault.failure }
+  | Session_result of {
+      session : int;
+      result : wire_result;
+      spans : Trace_wire.remote list;
+          (** every replica's batch, one per [Report] that carried one,
+              then the mediator's own; [[]] when not traced *)
+    }
+  | Session_end of { session : int }
   | Stats_request  (** connection-level: answered without admission *)
   | Stats of { payload : string }  (** the server's stats snapshot as JSON text *)
   | Ping  (** connection-level liveness probe, answered before admission *)

@@ -9,14 +9,68 @@ exception Draining of string
 type health = { h_role : Transcript.party; h_draining : bool; h_active : int }
 
 (* ------------------------------------------------------------------ *)
-(* Datasource daemon *)
+(* The attempt loop both leaves run *)
 
-let parse_fault fault_spec =
-  if String.equal fault_spec "" then None
-  else
-    match Fault.of_spec fault_spec with
-    | Ok p -> Some p
-    | Error _ -> None (* the mediator validated it; fail open rather than diverge *)
+(* One replica's side of a session, shared by the datasource daemon and
+   the remote client.  Between attempts it waits on [route] for the next
+   [Session_start], skipping the last attempt's leftovers, then runs the
+   announced attempt and reports how it ended.  The fault plan is parsed
+   once per session, so a rule's [times] counter burns down across
+   attempts as it does in the mediator's single plan.  [finish ~last]
+   turns a frame that ends the session into its result.  With
+   [ship_spans], a traced attempt runs under a fresh collector bound to
+   this thread, so concurrent sessions on a shared mux never interleave
+   spans, and its batch rides in the attempt's [Report]. *)
+let replica_session ~role ?computes ?shard ?(ship_spans = false) ~io_timeout ~idle ~route
+    ~keep env client finish =
+  let plan = ref None in
+  let plan_of fault_spec =
+    match !plan with
+    | Some fault -> fault
+    | None ->
+      (* The mediator validated the spec: fail open rather than diverge. *)
+      let fault =
+        if String.equal fault_spec "" then None else Result.to_option (Fault.of_spec fault_spec)
+      in
+      plan := Some fault;
+      fault
+  in
+  let run_attempt ~session ~epoch ~attempt ~scheme ~query ~fault_spec ~trace_id =
+    let run () =
+      Endpoint.run_replica ~role ?computes ~fault:(plan_of fault_spec) ~session ~epoch ~attempt
+        ~scheme ~query ~io_timeout ?shard ~route env client
+    in
+    let (status, outcome), spans =
+      if ship_spans && not (String.equal trace_id "") then begin
+        let collector = Obs.Trace.create () in
+        let result = Obs.Trace.with_collector collector run in
+        (result, Trace_wire.payload_of collector)
+      end
+      else (run (), "")
+    in
+    Option.iter keep outcome;
+    try route.Endpoint.r_send (Frame.Report { session; epoch; status; spans })
+    with Io.Transport_error _ -> ()
+  in
+  let rec loop last =
+    let next =
+      Endpoint.await route ~timeout:idle ~epoch:(last + 1) ~seq:0
+        ~fail:(fun reason -> raise (Io.Transport_error reason))
+        (function
+          | Frame.Session_start { session; epoch; attempt; scheme; query; fault_spec; trace_id }
+            ->
+            Some
+              (fun () ->
+                run_attempt ~session ~epoch ~attempt ~scheme ~query ~fault_spec ~trace_id;
+                loop epoch)
+          | f -> Option.map (fun result () -> result) (finish ~last f))
+    in
+    next ()
+  in
+  loop 0
+
+(* ------------------------------------------------------------------ *)
+(* Datasource daemon *)
 
 let source_session ~role ~shard ~env ~client ~io_timeout mux session =
   let route =
@@ -24,51 +78,13 @@ let source_session ~role ~shard ~env ~client ~io_timeout mux session =
       ~send:(fun f -> Mux.send mux f)
       ~next:(fun ~timeout -> Mux.next mux ~session ~timeout)
   in
-  let fault = ref None in
-  let parsed = ref false in
-  let rec loop () =
-    match Mux.next mux ~session ~timeout:120. with
-    | Frame.Session_start { epoch; attempt; scheme; query; fault_spec; trace_id; trace_parent; _ }
-      ->
-      if not !parsed then begin
-        (* One plan for the whole session: rule [times] counters burn
-           down across attempts, mirroring the mediator's single plan. *)
-        fault := parse_fault fault_spec;
-        parsed := true
-      end;
-      let run_attempt () =
-        Endpoint.run_replica ~role ~fault:!fault ~session ~epoch ~attempt ~scheme ~query
-          ~io_timeout ~shard ~route env client
-      in
-      let status, batch =
-        if String.equal trace_id "" then (fst (run_attempt ()), None)
-        else begin
-          (* A fresh collector per attempt, bound to this session's
-             thread only: concurrent sessions on the shared mux never
-             interleave spans.  The batch ships after the Report so the
-             mediator's verdict path is never blocked on span traffic. *)
-          let collector = Obs.Trace.create () in
-          let status, _ = Obs.Trace.with_collector collector run_attempt in
-          (status, Some (Trace_wire.payload_of collector))
-        end
-      in
-      (try
-         Mux.send mux (Frame.Report { session; epoch; status });
-         match batch with
-         | Some payload ->
-           Mux.send mux
-             (Frame.Span_batch { session; party = role; parent = trace_parent; payload })
-         | None -> ()
-       with Io.Transport_error _ -> ());
-      loop ()
-    | Frame.Session_end _ -> Mux.unsubscribe mux session
-    | Frame.Msg _ | Frame.Abort _ | Frame.Report _ ->
-      (* Leftovers of an attempt that ended on this side first. *)
-      loop ()
-    | _ -> loop ()
-    | exception Io.Transport_error _ -> Mux.unsubscribe mux session
-  in
-  loop ()
+  (try
+     replica_session ~role ~shard ~ship_spans:true ~io_timeout ~idle:120. ~route
+       ~keep:ignore env client (fun ~last:_ -> function
+       | Frame.Session_end _ -> Some ()
+       | _ -> None)
+   with Io.Transport_error _ | Endpoint.Aborted _ -> ());
+  Mux.unsubscribe mux session
 
 let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout = 10.)
     ?(drain_deadline = 30.) () =
@@ -117,7 +133,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
               try
                 Mux.send mux
                   (Frame.Report
-                     { session; epoch;
+                     { session; epoch; spans = "";
                        status =
                          Frame.St_failed
                            { Fault.phase = "admission"; party = role; reason = "draining" } })
@@ -189,14 +205,9 @@ let run ~host ~port ~scenario ~scheme ~query ?(fault_spec = "") ?(deadline = 0.)
         Io.set_timeout conn timeout;
         Frame.decode (Io.recv_frame conn))
   in
-  let fault = ref None in
-  let parsed = ref false in
   let outcomes = Hashtbl.create 4 in
-  let last_epoch = ref 0 in
-  let batches = ref [] in
-  let finish result =
+  let respond ~last result remote_spans =
     let socket_bytes = (Io.bytes_in conn, Io.bytes_out conn) in
-    let remote_spans = List.rev !batches in
     match result with
     | Frame.W_served { w_scheme; w_attempts; w_degraded; w_link_stats } ->
       let outcome =
@@ -225,49 +236,26 @@ let run ~host ~port ~scenario ~scheme ~query ?(fault_spec = "") ?(deadline = 0.)
         result =
           Protocol.Unserved
             (List.map (fun (s, f, attempts) -> (s, failure_of_wire attempts f)) tried);
-        epochs = !last_epoch;
+        epochs = last;
         link_stats = [];
         socket_bytes;
         remote_spans;
       }
   in
-  (* Between attempts the mediator may be backing off, running another
-     session, or re-dialing a source: wait generously, not forever. *)
-  let idle_timeout = Float.max 60. (io_timeout *. 6.) in
-  let rec serve_loop () =
-    Io.set_timeout conn idle_timeout;
-    match Frame.decode (Io.recv_frame conn) with
-    | Frame.Session_start
-        { session; epoch; attempt; scheme = sname; query = q; fault_spec = fs; _ } ->
-      last_epoch := epoch;
-      if not !parsed then begin
-        fault := parse_fault fs;
-        parsed := true
-      end;
-      let status, outcome =
-        (* The client stays a full replica: it computes every party's
-           steps, so it checks every message it receives against its
-           own value and holds the whole session's accounting. *)
-        Endpoint.run_replica ~role:Transcript.Client ~computes:(fun _ -> true) ~fault:!fault
-          ~session ~epoch ~attempt
-          ~scheme:sname ~query:q ~io_timeout ~route env client
-      in
-      (match outcome with
-      | Some o -> Hashtbl.replace outcomes o.Outcome.scheme o
-      | None -> ());
-      Io.send_frame conn (Frame.encode (Frame.Report { session; epoch; status }));
-      serve_loop ()
-    | Frame.Session_result { result; _ } -> finish result
-    | Frame.Busy reason -> raise (Refused reason)
-    | Frame.Draining reason -> raise (Draining reason)
-    | Frame.Span_batch { party; parent; payload; _ } ->
-      batches := { Trace_wire.rm_party = party; rm_parent = parent; rm_payload = payload }
-                 :: !batches;
-      serve_loop ()
-    | Frame.Msg _ | Frame.Abort _ | Frame.Report _ | Frame.Session_end _ -> serve_loop ()
-    | f -> raise (Io.Transport_error ("unexpected " ^ Frame.tag_name f))
-  in
-  serve_loop ()
+  (* The client stays a full replica: it computes every party's steps,
+     so it checks every message it receives against its own value and
+     holds the whole session's accounting.  Between attempts the
+     mediator may be backing off, running another session, or
+     re-dialing a source: wait generously, not forever. *)
+  replica_session ~role:Transcript.Client ~computes:(fun _ -> true) ~io_timeout
+    ~idle:(Float.max 60. (io_timeout *. 6.)) ~route
+    ~keep:(fun o -> Hashtbl.replace outcomes o.Outcome.scheme o)
+    env client
+    (fun ~last -> function
+      | Frame.Session_result { result; spans; _ } -> Some (respond ~last result spans)
+      | Frame.Busy reason -> raise (Refused reason)
+      | Frame.Draining reason -> raise (Draining reason)
+      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Ops client *)

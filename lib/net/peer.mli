@@ -3,7 +3,10 @@
     Both are replicas in the deterministic-execution model — they build
     the same environment from the same seed as the mediator, run the
     same drivers, and the transport only carries the messages each party
-    actually plays a side of (plus the session-control frames). *)
+    actually plays a side of (plus the session-control frames).  Both
+    run one attempt loop: between attempts they wait under
+    {!Endpoint.await}'s leftover rule, then run each announced attempt
+    and answer it with a [Report]. *)
 
 open Secmed_mediation
 open Secmed_core
@@ -43,7 +46,8 @@ val source :
     thread per connection — a pooling mediator dials several),
     multiplex concurrent sessions over each (a thread per session),
     and per [Session_start] run this source's replica of the attempt and
-    report how it ended.  [shard] (default [(0, 1)]) makes this daemon
+    report how it ended (with the attempt's span batch in the [Report]
+    when the session is traced).  [shard] (default [(0, 1)]) makes this daemon
     shard j of k of the logical source: it transmits only its row
     partition of streamed deliveries (shard 0 alone speaks the scalar
     frames), and [scenario] must then be the matching {!Shard.digest}.
@@ -71,8 +75,9 @@ type response = {
   link_stats : (Transcript.party * int * int) list;
   socket_bytes : int * int;  (** (received, sent) on the client socket *)
   remote_spans : Trace_wire.remote list;
-      (** span batches forwarded by the mediator (its own plus every
-          source's), in arrival order; [[]] unless [trace] was set *)
+      (** the span batches of the mediator's [Session_result]: one per
+          source replica per epoch, in arrival order, then the
+          mediator's own; [[]] unless [trace] was set *)
 }
 
 val run :

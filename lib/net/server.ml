@@ -355,6 +355,7 @@ type peer_routes = {
   source_reports : (int * int * Endpoint.route * Frame.status option ref) list;
       (* one per physical shard: (source id, shard, shard route, report
          cell) — the commit barrier awaits every shard's report *)
+  bind : unit -> unit;  (* bind every shard route to its slot's mux for one attempt *)
   stats : (Transcript.party * int ref * int ref) list;
 }
 
@@ -364,43 +365,29 @@ type peer_routes = {
    The driver's receive loop must not swallow the root cause: every
    current-epoch Report is stashed where the commit barrier can find
    it, and a St_failed fails the blocked receive fast — the frame it
-   was waiting for will never come. *)
-let stashing ?(on_failed = fun (_ : Fault.failure) -> ()) ~epoch ~party cell
+   was waiting for will never come.  A traced replica's span batch
+   rides in its Report and is kept in [batches], whatever the epoch. *)
+let stashing ?(on_failed = fun (_ : Fault.failure) -> ()) ~epoch ~party ~batches cell
     (route : Endpoint.route) =
   {
     route with
     Endpoint.r_next =
       (fun ~timeout ->
         match route.Endpoint.r_next ~timeout with
-        | Frame.Report { epoch = e; status; _ } as f when e = !epoch ->
-          cell := Some status;
-          (match status with
-          | Frame.St_failed failure ->
-            on_failed failure;
-            raise (Io.Transport_error (Transcript.party_name party ^ " reported a failure"))
-          | Frame.St_ok | Frame.St_aborted ->
-            (* Returned (not swallowed) so a blocked caller re-examines
-               the stash at once instead of waiting out its timeout. *)
-            f)
-        | f -> f);
-  }
-
-(* Span batches are observability riding the session stream: record
-   each one into the accumulator as it passes.  The frame is returned,
-   not swallowed — every downstream reader (the endpoint's receive
-   filter, the commit barrier, the post-verdict drain) skips it, and
-   returning lets the drain notice a completed count without waiting
-   out another read timeout. *)
-let batching acc (route : Endpoint.route) =
-  {
-    route with
-    Endpoint.r_next =
-      (fun ~timeout ->
-        match route.Endpoint.r_next ~timeout with
-        | Frame.Span_batch { party; parent; payload; _ } as f ->
-          acc := { Trace_wire.rm_party = party; rm_parent = parent; rm_payload = payload }
-                 :: !acc;
-          f
+        | Frame.Report { epoch = e; status; spans; _ } as f ->
+          if not (String.equal spans "") then batches := (party, spans) :: !batches;
+          if e <> !epoch then f
+          else begin
+            cell := Some status;
+            match status with
+            | Frame.St_failed failure ->
+              on_failed failure;
+              raise (Io.Transport_error (Transcript.party_name party ^ " reported a failure"))
+            | Frame.St_ok | Frame.St_aborted ->
+              (* Returned (not swallowed) so a blocked caller re-examines
+                 the stash at once instead of waiting out its timeout. *)
+              f
+          end
         | f -> f);
   }
 
@@ -434,7 +421,7 @@ let make_routes t conn sid ~epoch ~batches =
   let client_stat = stat Transcript.Client in
   let client_report = ref None in
   let client_route =
-    stashing ~epoch ~party:Transcript.Client client_report
+    stashing ~epoch ~party:Transcript.Client ~batches client_report
       (counted client_stat
          (Endpoint.plain_route
             ~send:(fun f -> Io.send_frame conn (Frame.encode f))
@@ -442,11 +429,14 @@ let make_routes t conn sid ~epoch ~batches =
               Io.set_timeout conn timeout;
               Frame.decode (Io.recv_frame conn))))
   in
-  (* A source route resolves its slot's mux on every call: when the
-     previous incarnation died (peer crashed, chaos proxy severed the
-     stream), the next send or receive redials through {!ensure_slot}
-     — so a connection failure costs one attempt, not the whole query,
-     and only for the sessions bound to that slot.
+  (* A source route is bound to its slot's mux once per attempt, by
+     [bind] at the attempt's start: when the previous incarnation died
+     (peer crashed, chaos proxy severed the stream), that bind redials
+     through {!ensure_slot} — so a connection failure costs one attempt,
+     not the whole query, and only for the sessions bound to that slot.
+     A mux that dies mid-attempt fails the attempt's reads, writes and
+     end-of-attempt wait at once; nothing redials before the next
+     attempt.
 
      A sharded source builds one such route per shard, then merges them:
      scalar sends broadcast (every shard replica awaits the mediator's
@@ -464,18 +454,21 @@ let make_routes t conn sid ~epoch ~batches =
             (fun sl ->
               let cell = ref None in
               let slot = slot_of sl sid in
-              let describe () =
-                if sl.sl_shard_count > 1 then
-                  Printf.sprintf "source %d shard %d" id sl.sl_shard
-                else Printf.sprintf "source %d" id
+              let bound = ref (Error "not bound to an attempt") in
+              let bind () =
+                bound :=
+                  match ensure_slot t sl slot with
+                  | Ok m ->
+                    Mux.subscribe m sid;
+                    Ok m
+                  | Error msg ->
+                    Error
+                      (if sl.sl_shard_count > 1 then
+                         Printf.sprintf "source %d shard %d: %s" id sl.sl_shard msg
+                       else Printf.sprintf "source %d: %s" id msg)
               in
               let mux () =
-                match ensure_slot t sl slot with
-                | Ok m ->
-                  Mux.subscribe m sid;
-                  m
-                | Error msg ->
-                  raise (Io.Transport_error (Printf.sprintf "%s: %s" (describe ()) msg))
+                match !bound with Ok m -> m | Error msg -> raise (Io.Transport_error msg)
               in
               (* A replica that reports "draining" is refusing new work
                  but still healthy enough to answer: mark it down so the
@@ -487,17 +480,16 @@ let make_routes t conn sid ~epoch ~batches =
                   mark_down t sl slot.ss_replica ~reason:"peer draining"
               in
               let r =
-                stashing ~on_failed ~epoch ~party:(Transcript.Source id) cell
-                  (batching batches
-                     (counted s
-                        (Endpoint.plain_route
-                           ~send:(fun f -> Mux.send (mux ()) f)
-                           ~next:(fun ~timeout -> Mux.next (mux ()) ~session:sid ~timeout))))
+                stashing ~on_failed ~epoch ~party:(Transcript.Source id) ~batches cell
+                  (counted s
+                     (Endpoint.plain_route
+                        ~send:(fun f -> Mux.send (mux ()) f)
+                        ~next:(fun ~timeout -> Mux.next (mux ()) ~session:sid ~timeout)))
               in
-              (sl.sl_shard, r, cell))
+              (id, sl.sl_shard, r, cell, bind))
             shards
         in
-        let arr = Array.of_list (List.map (fun (_, r, _) -> r) with_cells) in
+        let arr = Array.of_list (List.map (fun (_, _, r, _, _) -> r) with_cells) in
         let merged =
           if Array.length arr = 1 then arr.(0)
           else
@@ -507,14 +499,16 @@ let make_routes t conn sid ~epoch ~batches =
               r_sub = Some arr;
             }
         in
-        (id, s, merged, List.map (fun (shard, r, c) -> (id, shard, r, c)) with_cells))
+        (id, s, merged, with_cells))
       ids
   in
+  let shard_routes = List.concat_map (fun (_, _, _, cells) -> cells) per_source in
   {
     client_route;
     client_report;
     source_routes = List.map (fun (id, _, merged, _) -> (id, merged)) per_source;
-    source_reports = List.concat_map (fun (_, _, _, reps) -> reps) per_source;
+    source_reports = List.map (fun (id, shard, r, c, _) -> (id, shard, r, c)) shard_routes;
+    bind = (fun () -> List.iter (fun (_, _, _, _, bind) -> bind ()) shard_routes);
     stats = client_stat :: List.map (fun (_, s, _, _) -> s) per_source;
   }
 
@@ -522,7 +516,7 @@ let make_routes t conn sid ~epoch ~batches =
    collect every replica's report so no stale frames leak into the next
    attempt.  A replica's own typed fault is the root cause and outranks
    whatever downstream stall the mediator observed locally. *)
-let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id ~session_span =
+let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
   let cells =
     routes.client_report :: List.map (fun (_, _, _, c) -> c) routes.source_reports
   in
@@ -536,18 +530,10 @@ let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id ~se
   let begin_attempt ~scheme ~attempt =
     incr epoch;
     List.iter (fun c -> c := None) cells;
+    routes.bind ();
     broadcast
       (Frame.Session_start
-         {
-           session = sid;
-           epoch = !epoch;
-           attempt;
-           scheme;
-           query;
-           fault_spec;
-           trace_id;
-           trace_parent = !session_span;
-         })
+         { session = sid; epoch = !epoch; attempt; scheme; query; fault_spec; trace_id })
   in
   (* The {!stashing} wrapper intercepts every current-epoch Report, so
      the stash cell — not the frame stream — is where a report lands,
@@ -631,12 +617,12 @@ let note_result ~key ~elapsed outcome =
 
 let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback ~trace =
   let started = Unix.gettimeofday () in
-  let reply result =
+  let reply ?(spans = []) result =
     (* The admission slot is free before the client can observe the
        verdict: a closed-loop client that reconnects the instant its
        result lands must find room, not race the server's teardown. *)
     release ();
-    try Io.send_frame conn (Frame.encode (Frame.Session_result { session = sid; result }))
+    try Io.send_frame conn (Frame.encode (Frame.Session_result { session = sid; result; spans }))
     with Io.Transport_error _ -> ()
   in
   let refuse key failure =
@@ -657,19 +643,21 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
       refuse scheme
         { Fault.phase = "session"; party = Transcript.Mediator; reason = "bad fault spec: " ^ e }
     | Ok fault -> (
-      let rec dial acc = function
-        | [] -> Ok (List.rev acc)
-        | sl :: rest -> (
-          match ensure_slot t sl (slot_of sl sid) with
-          | Ok m -> dial ((sl.sl_id, m) :: acc) rest
-          | Error msg -> Error (sl.sl_id, msg))
+      (* Every source must be reachable before the session opens; each
+         attempt then binds its routes to the slots' muxes. *)
+      let unreachable =
+        List.find_map
+          (fun sl ->
+            match ensure_slot t sl (slot_of sl sid) with
+            | Ok _ -> None
+            | Error msg -> Some (sl.sl_id, msg))
+          t.sources
       in
-      match dial [] t.sources with
-      | Error (source_id, msg) ->
+      match unreachable with
+      | Some (source_id, msg) ->
         refuse scheme
           { Fault.phase = "transport"; party = Transcript.Source source_id; reason = msg }
-      | Ok smuxes ->
-        List.iter (fun (_, m) -> Mux.subscribe m sid) smuxes;
+      | None ->
         Fun.protect ~finally:(fun () ->
             (* Whatever mux this session's slot holds *now* — possibly a
                redialed incarnation — gets the end-of-session notice.
@@ -692,15 +680,12 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
         let routes = make_routes t conn sid ~epoch ~batches in
         let failures = ref [] in
         (* Tracing: one collector for the whole session, bound to this
-           worker thread, with a root "session" span whose id every
-           [Session_start] carries as [trace_parent] — the anchor each
+           worker thread, with a root "session" span — the anchor each
            replica's batch roots hang under. *)
         let trace_id = if trace then Printf.sprintf "s%d" sid else "" in
         let collector = if trace then Some (Obs.Trace.create ()) else None in
         let session_span = ref (-1) in
-        let coordinator =
-          coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id ~session_span
-        in
+        let coordinator = coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id in
         let route_of = function
           | Transcript.Client -> Some routes.client_route
           | Transcript.Source i ->
@@ -770,60 +755,18 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
                verdict racing the teardown's socket sweep. *)
             None
         in
-        (* Each source owes one batch per epoch; a bounded drain picks
-           up the ones racing in behind the final Reports.  Best-effort:
-           a dead or silent source just stops its own drain. *)
-        let drain_batches () =
-          let timeout = Float.min 2.0 t.io_timeout in
-          (* Each shard replica ships one batch per epoch, all tagged
-             with the same source party; drain each shard's own route
-             until the source's total reaches epochs x shards (or the
-             window closes — best-effort). *)
-          List.iter
-            (fun (id, _, (r : Endpoint.route), _) ->
-              let shards =
-                List.length (List.filter (fun (i, _, _, _) -> i = id) routes.source_reports)
-              in
-              let have () =
-                List.length
-                  (List.filter
-                     (fun b -> b.Trace_wire.rm_party = Transcript.Source id)
-                     !batches)
-              in
-              let rec go () =
-                if have () < !epoch * shards then
-                  match r.Endpoint.r_next ~timeout with
-                  | _ -> go ()
-                  | exception Io.Transport_error _ -> ()
-              in
-              go ())
-            routes.source_reports
-        in
-        let forward_spans () =
+        (* Every replica's batch arrived in its Reports, which each
+           attempt's barrier awaited; the mediator's own goes last. *)
+        let spans () =
           match collector with
-          | None -> ()
+          | None -> []
           | Some c ->
-            drain_batches ();
-            let send rm =
-              try
-                Io.send_frame conn
-                  (Frame.encode
-                     (Frame.Span_batch
-                        {
-                          session = sid;
-                          party = rm.Trace_wire.rm_party;
-                          parent = rm.Trace_wire.rm_parent;
-                          payload = rm.Trace_wire.rm_payload;
-                        }))
-              with Io.Transport_error _ -> ()
-            in
-            List.iter send (List.rev !batches);
-            send
-              {
-                Trace_wire.rm_party = Transcript.Mediator;
-                rm_parent = -1;
-                rm_payload = Trace_wire.payload_of c;
-              }
+            List.rev_map
+              (fun (party, payload) ->
+                { Trace_wire.rm_party = party; rm_parent = !session_span; rm_payload = payload })
+              !batches
+            @ [ { Trace_wire.rm_party = Transcript.Mediator; rm_parent = -1;
+                  rm_payload = Trace_wire.payload_of c } ]
         in
         let elapsed = Unix.gettimeofday () -. started in
         (match verdict with
@@ -848,8 +791,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
           in
           note_result ~key:outcome.Outcome.scheme ~elapsed
             (match w_degraded with None -> `Served | Some _ -> `Degraded);
-          forward_spans ();
-          reply
+          reply ~spans:(spans ())
             (Frame.W_served
                {
                  w_scheme = outcome.Outcome.scheme;
@@ -885,8 +827,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
             routes.source_routes;
           (* The client replica's Report to the final abort, if any. *)
           note_result ~key:scheme ~elapsed `Failed;
-          forward_spans ();
-          reply
+          reply ~spans:(spans ())
             (Frame.W_unserved
                (List.map
                   (fun (s, (f : Protocol.failure)) -> (s, wire_failure f, f.Protocol.attempts))

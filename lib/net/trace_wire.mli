@@ -1,9 +1,11 @@
 (** Shipping trace collectors across the wire and merging them back.
 
     A distributed [--trace] run collects spans in three-plus processes
-    at once: the client, the mediator, and every source.  Each remote
-    process serializes its collector with {!payload_of} into the
-    [Frame.Span_batch] payload; the client decodes every batch and
+    at once: the client, the mediator, and every source.  Each source
+    serializes its collector with {!payload_of} into the [spans] of its
+    [Frame.Report] for the attempt, and the mediator forwards every
+    batch plus its own inside [Frame.Session_result]; the client decodes
+    every batch and
     {!merge}s them — rebasing span ids into one shared id space,
     reparenting each batch's roots under the mediator's session span,
     and shifting timestamps onto the client collector's epoch (the

@@ -112,17 +112,18 @@ let roundtrip_frames =
         trace = true };
     Frame.Session_start
       { session = 3; epoch = 5; attempt = 2; scheme = "das"; query = "q"; fault_spec = "";
-        trace_id = ""; trace_parent = -1 };
+        trace_id = "" };
     Frame.Session_start
       { session = 3; epoch = 6; attempt = 3; scheme = "pm"; query = "q"; fault_spec = "";
-        trace_id = "s3"; trace_parent = 0 };
+        trace_id = "s3" };
     Frame.Msg
       { session = 3; epoch = 5; seq = 12; sender = Transcript.Mediator;
         receiver = Transcript.Source 1; label = "rewritten-query";
         declared = 5; payload = "\x00\xffabc" };
-    Frame.Report { session = 3; epoch = 5; status = Frame.St_ok };
-    Frame.Report { session = 3; epoch = 5; status = Frame.St_failed sample_failure };
-    Frame.Report { session = 3; epoch = 5; status = Frame.St_aborted };
+    Frame.Report { session = 3; epoch = 5; status = Frame.St_ok; spans = "" };
+    Frame.Report
+      { session = 3; epoch = 5; status = Frame.St_failed sample_failure; spans = "" };
+    Frame.Report { session = 3; epoch = 5; status = Frame.St_aborted; spans = "\x00\x01spans" };
     Frame.Abort { session = 3; epoch = 5; failure = sample_failure };
     Frame.Session_result
       { session = 3;
@@ -130,14 +131,14 @@ let roundtrip_frames =
           Frame.W_served
             { w_scheme = "pm"; w_attempts = 2; w_degraded = Some ("das", "budget spent");
               w_link_stats =
-                [ (Transcript.Client, 10, 20); (Transcript.Source 1, 30, 40) ] } };
+                [ (Transcript.Client, 10, 20); (Transcript.Source 1, 30, 40) ] };
+        spans =
+          [ { Trace_wire.rm_party = Transcript.Source 2; rm_parent = 4;
+              rm_payload = "\x00\x01spans" };
+            { Trace_wire.rm_party = Transcript.Mediator; rm_parent = -1; rm_payload = "" } ] };
     Frame.Session_result
-      { session = 4; result = Frame.W_unserved [ ("pm", sample_failure, 3) ] };
+      { session = 4; result = Frame.W_unserved [ ("pm", sample_failure, 3) ]; spans = [] };
     Frame.Session_end { session = 9 };
-    Frame.Span_batch
-      { session = 3; party = Transcript.Source 2; parent = 4; payload = "\x00\x01spans" };
-    Frame.Span_batch
-      { session = 3; party = Transcript.Mediator; parent = -1; payload = "" };
     Frame.Stats_request;
     Frame.Stats { payload = "{\"uptime_seconds\":1.5}" };
     Frame.Ping;
@@ -172,6 +173,91 @@ let test_frame_deadline_precision () =
   | _ -> Alcotest.fail "not a Query"
 
 (* ------------------------------------------------------------------ *)
+(* The leftover rule ({!Endpoint.await}), driven through a transport's
+   [recv] over a scripted route: the reader awaits #2 of epoch 3 from
+   source 1, and each row puts one frame ahead of the wanted one. *)
+
+let rule_msg ~epoch ~seq =
+  Frame.Msg
+    { session = 1; epoch; seq; sender = Transcript.Source 1; receiver = Transcript.Mediator;
+      label = "L"; declared = 3; payload = Fault.frame ~label:"L" "abc" }
+
+let rule_chunk ~epoch ~seq =
+  Frame.Msg_chunk
+    { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
+      ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 0; ck_chunks = 1;
+      ck_declared = 0; ck_payload = "" }
+
+let rule_abort epoch = Frame.Abort { session = 1; epoch; failure = sample_failure }
+
+let rule_start epoch =
+  Frame.Session_start
+    { session = 1; epoch; attempt = 1; scheme = "das"; query = "q"; fault_spec = "";
+      trace_id = "" }
+
+let recv_scripted frames =
+  let script = ref frames in
+  let route =
+    Endpoint.plain_route
+      ~send:(fun _ -> ())
+      ~next:(fun ~timeout:_ ->
+        match !script with
+        | f :: rest ->
+          script := rest;
+          f
+        | [] -> raise (Io.Transport_error "script exhausted"))
+  in
+  let tr =
+    Endpoint.transport ~role:Transcript.Mediator ~session:1 ~epoch:(fun () -> 3) ~io_timeout:1.
+      ~route_of:(fun _ -> Some route) ()
+  in
+  tr.Link.recv ~phase:"t" ~seq:2 ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator
+    ~label:"L"
+
+type rule_outcome = Delivered | Aborts | Fails of string
+
+let leftover_table =
+  let wanted = rule_msg ~epoch:3 ~seq:2 in
+  let skipped name f = (name, [ f; wanted ], Delivered) in
+  [
+    skipped "msg of an older epoch" (rule_msg ~epoch:2 ~seq:9);
+    skipped "msg of an earlier slot" (rule_msg ~epoch:3 ~seq:1);
+    skipped "chunk of an older epoch" (rule_chunk ~epoch:2 ~seq:5);
+    skipped "chunk of an earlier slot" (rule_chunk ~epoch:3 ~seq:0);
+    skipped "credit residue of this slot"
+      (Frame.Credit { cr_session = 1; cr_epoch = 3; cr_seq = 2; cr_n = 1 });
+    skipped "credit residue of an older delivery"
+      (Frame.Credit { cr_session = 1; cr_epoch = 2; cr_seq = 7; cr_n = 1 });
+    skipped "report" (Frame.Report { session = 1; epoch = 3; status = Frame.St_ok; spans = "" });
+    skipped "abort of an older epoch" (rule_abort 2);
+    skipped "session-start of an older epoch" (rule_start 2);
+    skipped "session-start of the current epoch" (rule_start 3);
+    ("abort of the current epoch", [ rule_abort 3; wanted ], Aborts);
+    ("abort of a newer epoch", [ rule_abort 4; wanted ], Aborts);
+    ("msg ahead of the slot", [ rule_msg ~epoch:3 ~seq:3; wanted ], Fails "frame gap");
+    ("chunk of a newer epoch", [ rule_chunk ~epoch:4 ~seq:0; wanted ], Fails "frame gap");
+    ("session-start of a newer epoch", [ rule_start 4; wanted ], Fails "unexpected");
+    ("route error", [], Fails "never arrived");
+  ]
+
+let test_leftover_rule () =
+  List.iter
+    (fun (name, frames, expected) ->
+      match (recv_scripted frames, expected) with
+      | (declared, payload), Delivered ->
+        Alcotest.(check (pair int string)) (name ^ ": skipped") (3, "abc") (declared, payload)
+      | _, (Aborts | Fails _) -> Alcotest.failf "%s: delivered" name
+      | exception Endpoint.Aborted _ when expected = Aborts -> ()
+      | exception Fault.Fault_detected f -> (
+        match expected with
+        | Fails needle ->
+          Alcotest.(check bool) (name ^ ": " ^ f.Fault.reason) true (contains f.Fault.reason needle);
+          Alcotest.(check bool) (name ^ ": blamed at the receiver") true
+            (f.Fault.party = Transcript.Mediator)
+        | Delivered | Aborts -> Alcotest.failf "%s: failed: %s" name f.Fault.reason))
+    leftover_table
+
+(* ------------------------------------------------------------------ *)
 (* Mux: frames that race in behind a Session_start must not be lost. *)
 
 let socket_pair () =
@@ -191,7 +277,7 @@ let test_mux_parks_frames_before_subscription () =
      wire before the consumer even creates its handler. *)
   send (Frame.Session_start
           { session = 1; epoch = 1; attempt = 1; scheme = "das"; query = "q"; fault_spec = "";
-            trace_id = ""; trace_parent = -1 });
+            trace_id = "" });
   send (msg ~seq:0 "first");
   send (msg ~seq:1 "second");
   let mux = Endpoint.Mux.create b in
@@ -871,6 +957,7 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick test_frame_rejects_garbage;
           Alcotest.test_case "deadline precision" `Quick test_frame_deadline_precision;
         ] );
+      ("leftover", [ Alcotest.test_case "rule table" `Quick test_leftover_rule ]);
       ( "mux",
         [
           Alcotest.test_case "parks pre-subscription frames" `Quick

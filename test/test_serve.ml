@@ -202,7 +202,10 @@ let slow_spec = Workload.default
    second session pins the standby steady state too.  A source computes
    only its own steps, which can end well before the session does, so a
    chaos proxy holds the mediator's first frame to the primary: the
-   kill lands while the session still needs it. *)
+   kill lands while the session still needs it.  Each attempt binds
+   its source routes to one mux, so the dead primary fails that
+   attempt at once: at the default 10 s I/O timeout the query returns
+   well inside one timeout. *)
 let test_failover_mid_session_bit_identical () =
   let hold =
     Secmed_mediation.Fault.plan
@@ -216,15 +219,20 @@ let test_failover_mid_session_bit_identical () =
     ~health_interval:0.2 ~chaos:[ (1, hold) ] @@ fun c ->
   let scheme = "pm" and fault_spec = "retries=4" in
   let resp = ref None in
+  let started = Unix.gettimeofday () in
   let t =
     Thread.create (fun () -> resp := Some (Loopback.query c ~fault_spec ~scheme ())) ()
   in
   Thread.delay 0.5;
   Unix.kill (Loopback.source_pid c ~id:1 ~replica:0 ()) Sys.sigkill;
   Thread.join t;
+  let elapsed = Unix.gettimeofday () -. started in
   let response =
     match !resp with Some r -> r | None -> Alcotest.fail "query thread died"
   in
+  Alcotest.(check bool)
+    (Printf.sprintf "failover query returned in %.2fs, under 5s" elapsed)
+    true (elapsed < 5.);
   let reference = reference_outcome c ~scheme ~fault_spec in
   Alcotest.(check string) "mid-session failover rerun is bit-identical"
     (Secmed_relalg.Relation.to_string reference.Outcome.result)

@@ -223,6 +223,29 @@ let test_distributed_trace_differential () =
     schemes
 
 (* ------------------------------------------------------------------ *)
+(* Every span batch arrives: each source's batch rides in its Report
+   for every epoch, and the mediator adds its own. *)
+
+let test_span_batch_per_epoch () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let fault_spec = "retries=3;corrupt:source1->mediator:times=1" in
+  let response, _ =
+    Trace.collect (fun () -> Loopback.query c ~trace:true ~fault_spec ~scheme:"das" ())
+  in
+  (match response.Peer.result with
+  | Protocol.Served _ -> ()
+  | Protocol.Unserved tried -> Alcotest.failf "unserved: %a" Protocol.pp_session_failures tried);
+  Alcotest.(check int) "the corrupted first attempt was replayed" 2 response.Peer.epochs;
+  let batches party =
+    List.length
+      (List.filter (fun rm -> rm.Trace_wire.rm_party = party) response.Peer.remote_spans)
+  in
+  Alcotest.(check int) "source 1: one batch per epoch" 2 (batches (Transcript.Source 1));
+  Alcotest.(check int) "source 2: one batch per epoch" 2 (batches (Transcript.Source 2));
+  Alcotest.(check int) "the mediator's own batch" 1 (batches Transcript.Mediator);
+  Alcotest.(check int) "nothing else" 5 (List.length response.Peer.remote_spans)
+
+(* ------------------------------------------------------------------ *)
 (* The stats surface of a loaded server. *)
 
 let test_stats_surface () =
@@ -379,6 +402,8 @@ let () =
         [
           Alcotest.test_case "merged trace differential" `Slow
             test_distributed_trace_differential;
+          Alcotest.test_case "span batch per source per epoch" `Slow
+            test_span_batch_per_epoch;
           Alcotest.test_case "stats surface" `Slow test_stats_surface;
           Alcotest.test_case "hostile scheme names" `Slow test_hostile_scheme_names;
           Alcotest.test_case "fresh cluster stats" `Slow test_fresh_cluster_stats;
