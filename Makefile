@@ -15,12 +15,16 @@ test: check
 check-fault:
 	dune exec test/test_fault.exe
 
-# Telemetry suite: the obs unit/differential tests and a traced run
-# whose output must parse (small domain so it stays CI-fast).
+# Telemetry suite: the obs unit/differential tests, a traced run whose
+# output must parse (small domain so it stays CI-fast), the cost report
+# at a small row count, and a bad workload flag that must be a usage
+# error (exit 124), not a crash.
 check-obs:
 	dune exec test/test_obs.exe
 	dune exec bin/secmed.exe -- run --scheme pm --rows 16 --distinct 8 --overlap 4 \
 	    --trace _build/trace_ci.json
+	dune exec bin/secmed.exe -- report --all --rows 8
+	dune exec bin/secmed.exe -- run --rows 8 > /dev/null 2>&1; test $$? -eq 124
 
 # Distributed-tracing suite: the Trace_wire codec, the forked loopback
 # cluster traced end to end (one merged Chrome trace, per-process phase
@@ -79,9 +83,12 @@ check-crypto-perf:
 	dune exec test/test_batch.exe
 
 # Non-comment, non-blank lines of the transport and the CLI, per file
-# and in total (the line budget ROADMAP.md tracks).
+# and in total (the line budget ROADMAP.md tracks), then the total of
+# the crypto, protocol-driver and observability libraries.
 loc:
 	dune exec tools/loc.exe -- lib/net/*.ml lib/net/*.mli bin/*.ml
+	dune exec tools/loc.exe -- lib/crypto/*.ml lib/crypto/*.mli lib/core/*.ml \
+	    lib/core/*.mli lib/obs/*.ml lib/obs/*.mli | tail -n 1
 
 # Full benchmark/reproduction suite (slow).
 bench:

@@ -179,21 +179,10 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let write_trace path trace =
-  let contents =
-    match Obs.Export.format_of_path path with
-    | `Chrome -> Obs.Export.chrome_json trace
-    | `Jsonl -> Obs.Export.jsonl trace
-  in
-  Obs.Export.write_file path contents;
-  Printf.printf "\ntrace: %s (%d spans, %d events)\n" path
-    (List.length (Obs.Trace.spans trace))
-    (List.length (Obs.Trace.events trace))
-
-(* A distributed run merges the remote span batches under the client's
-   own collector: one file, one pid lane per process. *)
-let write_trace_merged path trace remote_spans =
-  let processes = Net.Trace_wire.merge ~client:trace remote_spans in
+(* One trace file, one pid lane per process: a distributed run merges
+   the remote span batches under the client's own collector
+   ([Net.Trace_wire.merge]), a local run is [[process_of_trace t]]. *)
+let write_trace path processes =
   let contents =
     match Obs.Export.format_of_path path with
     | `Chrome -> Obs.Export.chrome_json_processes processes
@@ -207,6 +196,16 @@ let write_trace_merged path trace remote_spans =
 
 (* ------------------------------------------------------------------ *)
 (* secmed run *)
+
+(* A workload term that rejects an impossible spec as a usage error
+   (exit 124) before any command runs. *)
+let valid_spec term =
+  let check spec =
+    match Workload.validate spec with
+    | () -> Ok spec
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Term.(term_result ~usage:true (const check $ term))
 
 (* Workload flags shared by every process of a deployment: all replicas
    must rebuild the identical scenario, so `run`, `serve` and `source`
@@ -235,7 +234,7 @@ let spec_term =
       value_kind = (if strings then Workload.Strings else Workload.Ints);
     }
   in
-  Term.(const make $ rows $ distinct $ overlap $ seed $ strings)
+  valid_spec Term.(const make $ rows $ distinct $ overlap $ seed $ strings)
 
 let io_timeout_arg =
   let doc =
@@ -264,7 +263,6 @@ let run_remote ~target ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout ~tra
     | `Chain _ ->
       failwith "--connect supports --fallback auto or none (the chain is the mediator's)"
   in
-  Workload.validate spec;
   let env, client, query = Workload.scenario spec in
   let scenario = Net.Scenario.digest spec in
   Printf.printf "scheme: %s\nquery:  %s\nvia:    %s:%d (scenario %s)\n\n"
@@ -276,6 +274,12 @@ let run_remote ~target ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout ~tra
           ~io_timeout ~trace:(Option.is_some trace_file) env client)
   in
   let bytes_in, bytes_out = response.Net.Peer.socket_bytes in
+  let save_trace () =
+    Option.iter
+      (fun path ->
+        write_trace path (Net.Trace_wire.merge ~client:trace response.Net.Peer.remote_spans))
+      trace_file
+  in
   match response.Net.Peer.result with
   | Protocol.Served outcome ->
     let left, right = Workload.generate spec in
@@ -294,9 +298,7 @@ let run_remote ~target ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout ~tra
             (Transcript.party_name party) out_bytes in_bytes)
         response.Net.Peer.link_stats
     end;
-    Option.iter
-      (fun path -> write_trace_merged path trace response.Net.Peer.remote_spans)
-      trace_file;
+    save_trace ();
     (match outcome.Outcome.degraded_from with
     | None -> ()
     | Some from_scheme ->
@@ -305,9 +307,7 @@ let run_remote ~target ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout ~tra
       exit exit_degraded)
   | Protocol.Unserved tried ->
     Format.printf "FAULT: query not served@.%a" Protocol.pp_session_failures tried;
-    Option.iter
-      (fun path -> write_trace_merged path trace response.Net.Peer.remote_spans)
-      trace_file;
+    save_trace ();
     exit exit_fault
 
 let run_cmd =
@@ -329,7 +329,6 @@ let run_cmd =
          exit exit_fault)
     | None ->
       let fault = Option.map snd fault in
-      Workload.validate spec;
       let env, client, query = Workload.scenario spec in
       Printf.printf "scheme: %s\nquery:  %s\n\n" (Protocol.scheme_name scheme) query;
       let policy =
@@ -346,13 +345,16 @@ let run_cmd =
         Obs.Trace.collect (fun () ->
             Protocol.run_session ?fault ~session ~chain scheme env client ~query)
       in
+      let save_trace () =
+        Option.iter (fun path -> write_trace path [ Obs.Export.process_of_trace trace ]) trace_file
+      in
       (match session_result with
       | Protocol.Served outcome ->
         let left, right = Workload.generate spec in
         report outcome ~verbose
           ~ground_truth:(Some (Ground_truth.compute left right ~join_attr:"a_join"));
         print_fault_events fault;
-        Option.iter (fun path -> write_trace path trace) trace_file;
+        save_trace ();
         (match outcome.Outcome.degraded_from with
         | None -> ()
         | Some from_scheme ->
@@ -362,7 +364,7 @@ let run_cmd =
       | Protocol.Unserved tried ->
         Format.printf "FAULT: query not served@.%a" Protocol.pp_session_failures tried;
         print_fault_events fault;
-        Option.iter (fun path -> write_trace path trace) trace_file;
+        save_trace ();
         exit exit_fault)
   in
   let term =
@@ -443,7 +445,6 @@ let serve_cmd =
         if not (List.mem_assoc id sources) then
           failwith (Printf.sprintf "missing --source %d=HOST:PORT" id))
       [ 1; 2 ];
-    Workload.validate spec;
     let env, client, _query = Workload.scenario spec in
     let scenario = Net.Scenario.digest spec in
     let policy =
@@ -507,7 +508,6 @@ let source_cmd =
       | Ok s -> s
       | Error msg -> failwith ("--shard: " ^ msg)
     in
-    Workload.validate spec;
     let env, client, _query = Workload.scenario spec in
     let scenario = Net.Shard.digest (Net.Scenario.digest spec) ~shard in
     let listen_fd, bound = Net.Io.listen ~host:bind ~port () in
@@ -616,7 +616,6 @@ let loadgen_cmd =
   let action connect workers sessions domains mix rate seed verify trace retry fault
       deadline fallback io_timeout spec =
     let host, port = parse_host_port "--connect" connect in
-    Workload.validate spec;
     let env, client, query = Workload.scenario spec in
     let scenario = Net.Scenario.digest spec in
     let config =
@@ -900,7 +899,6 @@ let drain_cmd =
              ~doc:"Override the peer's drain deadline for this drain.")
   in
   let action target deadline io_timeout spec =
-    Workload.validate spec;
     let scenario = Net.Scenario.digest spec in
     let host, port = parse_host_port "drain" target in
     match
@@ -992,7 +990,6 @@ let soak_cmd =
   in
   let action workers sessions standbys kills drains rate seed gap hold retry no_verify log
       fast io_timeout spec =
-    Workload.validate spec;
     let cfg =
       {
         Net.Soak.params =
@@ -1134,18 +1131,21 @@ let setop_cmd =
     Arg.(value & opt int 6 & info [ "overlap" ] ~docv:"N" ~doc:"Shared distinct join values.")
   in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.") in
-  let action op rows distinct overlap seed verbose =
+  let spec =
+    let make rows distinct overlap seed =
+      { Workload.default with rows_left = rows; rows_right = rows; distinct_left = distinct;
+        distinct_right = distinct; overlap; seed }
+    in
+    valid_spec Term.(const make $ rows $ distinct $ overlap $ seed)
+  in
+  let action op spec verbose =
     (* Whole-tuple operations need layout-identical relations, so the
        synthetic workload keeps only the join column for them. *)
     let extra_attrs =
       match op with Set_ops.Intersection | Set_ops.Difference -> 0 | Set_ops.Semi_join -> 2
     in
-    let spec =
-      { Workload.default with rows_left = rows; rows_right = rows; distinct_left = distinct;
-        distinct_right = distinct; overlap; seed; extra_attrs }
-    in
-    Workload.validate spec;
-    let left, right = Workload.generate spec in
+    let left, right = Workload.generate { spec with Workload.extra_attrs } in
+    let seed = spec.Workload.seed in
     let env = Env.two_source ~seed ~left:("L", left) ~right:("R", right) () in
     let client = Env.make_client env ~identity:"cli" ~properties:[ [] ] in
     let on = match op with Set_ops.Semi_join -> Some [ "a_join" ] | _ -> None in
@@ -1153,7 +1153,7 @@ let setop_cmd =
     let outcome = Set_ops.run ?on env client op ~left:"L" ~right:"R" in
     report outcome ~verbose ~ground_truth:None
   in
-  let term = Term.(const action $ op_arg $ rows $ distinct $ overlap $ seed $ verbose_arg) in
+  let term = Term.(const action $ op_arg $ spec $ verbose_arg) in
   Cmd.v
     (Cmd.info "setop" ~doc:"Mediate a set operation over a synthetic workload")
     term
@@ -1263,9 +1263,17 @@ let report_cmd =
   let all =
     Arg.(value & flag & info [ "all" ] ~doc:"Report every scheme, not just the selected one.")
   in
-  let action scheme rows seed all =
-    let spec = { Workload.default with rows_left = rows; rows_right = rows; seed } in
-    Workload.validate spec;
+  (* Distinct and overlap scale with the row count (16 and 8 at the
+     default 32), so any positive --rows is a valid workload. *)
+  let spec =
+    let make rows seed =
+      { Workload.default with rows_left = rows; rows_right = rows;
+        distinct_left = max 1 (rows / 2); distinct_right = max 1 (rows / 2);
+        overlap = rows / 4; seed }
+    in
+    valid_spec Term.(const make $ rows $ seed)
+  in
+  let action scheme spec all =
     let env, client, query = Workload.scenario spec in
     let schemes = if all then Protocol.all_schemes else [ scheme ] in
     List.iter
@@ -1285,7 +1293,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Render the per-party / per-phase cost matrix (time and crypto operations) \
              of a traced protocol run")
-    Term.(const action $ scheme_arg $ rows $ seed $ all)
+    Term.(const action $ scheme_arg $ spec $ all)
 
 (* ------------------------------------------------------------------ *)
 (* secmed schemes *)

@@ -14,11 +14,11 @@ open Secmed_crypto
    from the identical per-item streams, so parallel and sequential runs
    produce the same ciphertext bytes.
 
-   Attribution.  [Counters] state is domain-local; each worker starts at
+   Counting.  [Counters] state is per-thread; each worker starts at
    zero and returns its snapshot along with its chunk.  The spawning
-   domain folds worker snapshots back in with [Counters.merge] at join
-   time, landing them in whatever [Counters.scoped] frame is open — so
-   per-(party, phase) attribution is the same as a sequential run.
+   thread folds worker snapshots back in with [Counters.merge] at join
+   time, inside the caller's open phase span — so the span's
+   [ops.<primitive>] attributes are the same as a sequential run's.
 
    Domains are spawned per call and joined before returning: no
    persistent pool, so processes remain fork-safe (the loopback

@@ -12,10 +12,10 @@
     the identical streams.  Labels must be unique per call site under
     one parent PRNG, since splitting is a pure function of the seed.
 
-    {b Attribution} — [Counters] are domain-local; workers start at
-    zero, their snapshots are folded into the calling domain with
-    [Counters.merge] at join time, so scoped per-(party, phase)
-    accounting matches a sequential run exactly.
+    {b Counting} — [Counters] are per-thread; workers start at zero,
+    their snapshots are folded into the calling thread with
+    [Counters.merge] at join time, inside the caller's open phase span,
+    so the span's crypto counts match a sequential run exactly.
 
     Domains are spawned per call and joined before returning — no
     persistent pool, keeping the process fork-safe for the loopback

@@ -356,7 +356,6 @@ let run ?fault ?endpoint ?(use_ids = false) env client ~query =
             view
           | _ -> None
         in
-        Outcome.Builder.attribute b (Counters.attribution ());
         (exact, client_view))
   in
   Outcome.Builder.finish_projected b ~exact ~counters client_view

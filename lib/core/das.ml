@@ -580,7 +580,6 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
                 (Request.finalize request (Relation.make joined_schema joined), List.length rc))
           | _ -> None
         in
-        Outcome.Builder.attribute b (Counters.attribution ());
         (exact, client_view))
   in
   Outcome.Builder.finish_projected b ~exact ~counters client_view

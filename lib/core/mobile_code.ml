@@ -102,7 +102,6 @@ let run ?fault ?endpoint env client ~query =
                 Outcome.Builder.client_sees b "tuples-received" received;
                 (Request.finalize request (Relation.natural_join left right), received))
         in
-        Outcome.Builder.attribute b (Counters.attribution ());
         (exact, client_view))
   in
   Outcome.Builder.finish_projected b ~exact ~counters client_view

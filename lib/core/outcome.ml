@@ -12,7 +12,6 @@ type t = {
   sources_observed : (int * (string * int) list) list;
   client_received_tuples : int;
   counters : (Counters.primitive * int) list;
-  attributed : ((string * string) * (Counters.primitive * int) list) list;
   timings : (string * float) list;
   degraded_from : string option;
 }
@@ -56,7 +55,6 @@ module Builder = struct
     mutable client : (string * int) list;
     mutable sources : (int * (string * int) list) list;
     mutable timings : (string * float) list; (* reversed *)
-    mutable attributed_ : ((string * string) * (Counters.primitive * int) list) list;
   }
 
   let create ~scheme =
@@ -67,10 +65,7 @@ module Builder = struct
       client = [];
       sources = [];
       timings = [];
-      attributed_ = [];
     }
-
-  let attribute b attributed = b.attributed_ <- attributed
 
   let transcript b = b.transcript_
 
@@ -81,9 +76,27 @@ module Builder = struct
     let current = Option.value ~default:[] (List.assoc_opt id b.sources) in
     b.sources <- (id, current @ [ (key, value) ]) :: List.remove_assoc id b.sources
 
+  (* With a party and a trace being recorded, the phase span carries the
+     thread's counter deltas over the thunk as [ops.<primitive>]
+     attributes, stamped on exit (an exception included).  Batch merges
+     worker counts at join, inside this window. *)
   let timed b ?party phase f =
     let start = Secmed_obs.Clock.now_ns () in
+    let before =
+      match party with
+      | Some _ when Secmed_obs.Trace.enabled () -> Some (Counters.snapshot ())
+      | _ -> None
+    in
     let finish () =
+      Option.iter
+        (fun before ->
+          List.iter2
+            (fun (p, n0) (_, n1) ->
+              if n1 > n0 then
+                Secmed_obs.Trace.add_attr ("ops." ^ Counters.name p)
+                  (Secmed_obs.Json.Int (n1 - n0)))
+            before (Counters.snapshot ()))
+        before;
       let elapsed = Secmed_obs.Clock.ns_to_s (Secmed_obs.Clock.elapsed_ns ~since:start) in
       match List.assoc_opt phase b.timings with
       | Some prior ->
@@ -95,19 +108,8 @@ module Builder = struct
       | None -> []
       | Some p -> [ ("party", Secmed_obs.Json.Str p) ]
     in
-    let run () =
-      match party with
-      | None -> f ()
-      | Some p -> Counters.scoped ~party:p ~phase f
-    in
     Secmed_obs.Trace.with_span ~kind:Secmed_obs.Trace.Phase ~attrs phase (fun () ->
-        match run () with
-        | result ->
-          finish ();
-          result
-        | exception e ->
-          finish ();
-          raise e)
+        Fun.protect ~finally:finish f)
 
   let step b link party phase f =
     if Link.computes link party then Some (timed b ~party:(Transcript.party_name party) phase f)
@@ -128,7 +130,6 @@ module Builder = struct
       sources_observed = List.sort compare b.sources;
       client_received_tuples;
       counters;
-      attributed = b.attributed_;
       timings = List.rev b.timings;
       degraded_from = None;
     }

@@ -19,10 +19,6 @@ type t = {
   client_received_tuples : int;
       (** source tuples the client could decrypt (DAS: the superset) *)
   counters : (Counters.primitive * int) list;
-  attributed : ((string * string) * (Counters.primitive * int) list) list;
-      (** primitive counts split by (party, phase) — the scoped-attribution
-          view of [counters]; entries sum to it when every phase was run
-          under a party label (see {!Counters.scoped}) *)
   timings : (string * float) list; (** phase -> seconds, in execution order *)
   degraded_from : string option;
       (** [Some s] when the resilience session served the query with this
@@ -59,9 +55,9 @@ module Builder : sig
   val timed : builder -> ?party:string -> string -> (unit -> 'a) -> 'a
   (** Accumulates monotonic wall-clock time under the phase name (summing
       repeats).  Opens a [Phase] trace span for the duration; with [?party]
-      the span carries a [party] attribute and the thunk runs inside
-      {!Counters.scoped}, so crypto-primitive counts land on that
-      (party, phase) pair. *)
+      the span carries a [party] attribute and, when a trace is being
+      recorded, one [ops.<primitive>] attribute per primitive the thunk
+      counted (even when it raises).  Untraced runs take no snapshot. *)
 
   val step : builder -> Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a option
   (** One party-local step: {!timed} under the party's name where the
@@ -73,12 +69,6 @@ module Builder : sig
       the party's phase only where the link computes the party — so each
       process's trace holds exactly the phases of the parties it
       computes. *)
-
-  val attribute :
-    builder -> ((string * string) * (Counters.primitive * int) list) list -> unit
-  (** Store the per-(party, phase) attribution — normally
-      [Counters.attribution ()] captured inside the [Counters.with_fresh]
-      thunk, before the counter state is restored. *)
 
   val finish :
     builder ->

@@ -58,7 +58,6 @@ let run ?fault ?endpoint env client ~query =
             Some (result, Relation.cardinality result)
           | _ -> None
         in
-        Outcome.Builder.attribute b (Counters.attribution ());
         (exact, client_view))
   in
   Outcome.Builder.finish_projected b ~exact ~counters client_view

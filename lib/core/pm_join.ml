@@ -484,7 +484,6 @@ let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
                 (Request.finalize request (Relation.make joined_schema joined), !received))
           | _ -> None
         in
-        Outcome.Builder.attribute b (Counters.attribution ());
         (exact, client_view))
   in
   Outcome.Builder.finish_projected b ~exact ~counters client_view

@@ -44,153 +44,64 @@ let index = function
 
 let width = List.length all
 
-(* Scoped attribution: a stack of open frames (innermost first), each a
-   private count array, plus a table folding closed frames by
-   (party, phase).  Every bump lands in exactly one place — the
-   innermost open frame, or the [unattributed] key when none is open —
-   so per-scope counts always sum to the global table.
-
-   All state is thread-local: every systhread (and thus every domain's
+(* One count array per thread: every systhread (and thus every domain's
    initial thread) counts independently from zero, so concurrent
    protocol drivers — the mediator's session workers, a source daemon's
    per-session handlers, a loadgen fleet — never corrupt each other's
-   accounting.  A worker's totals are folded back into the spawning
-   thread's open frame via {!merge} (the Batch executor does this at
-   join time), preserving the sums-equal-snapshot invariant without any
-   synchronisation on the hot bump path.
+   tallies.  A worker's totals are folded back into the spawning thread
+   via {!merge} (the Batch executor does this at join time).
 
-   The registry below maps thread id → state inside a domain-local
-   slot; the mutex only guards the registry lookup (a rare miss
-   allocates), never the bump path, which touches exclusively
-   thread-private arrays. *)
-let unattributed = ("unattributed", "")
-
-type attr_state = {
-  table : int array;
-  mutable frames : int array list;
-  order : (string * string) list ref;
-  totals : (string * string, int array) Hashtbl.t;
-}
-
+   The registry maps thread id → array inside a domain-local slot; the
+   mutex only guards the registry lookup (a rare miss allocates), never
+   the bump itself, which touches a thread-private array. *)
 type registry = {
   reg_mu : Mutex.t;
-  reg_tbl : (int, attr_state) Hashtbl.t;
+  reg_tbl : (int, int array) Hashtbl.t;
 }
 
 let registry_key : registry Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { reg_mu = Mutex.create (); reg_tbl = Hashtbl.create 8 })
 
-let fresh_state () =
-  { table = Array.make width 0; frames = []; order = ref []; totals = Hashtbl.create 8 }
-
-let state () =
+let table () =
   let reg = Domain.DLS.get registry_key in
   let id = Thread.id (Thread.self ()) in
   Mutex.protect reg.reg_mu (fun () ->
       match Hashtbl.find_opt reg.reg_tbl id with
-      | Some s -> s
+      | Some t -> t
       | None ->
-        let s = fresh_state () in
-        Hashtbl.add reg.reg_tbl id s;
-        s)
+        let t = Array.make width 0 in
+        Hashtbl.add reg.reg_tbl id t;
+        t)
 
 let release () =
   let reg = Domain.DLS.get registry_key in
   let id = Thread.id (Thread.self ()) in
   Mutex.protect reg.reg_mu (fun () -> Hashtbl.remove reg.reg_tbl id)
 
-let totals_for attr key =
-  match Hashtbl.find_opt attr.totals key with
-  | Some a -> a
-  | None ->
-    let a = Array.make width 0 in
-    Hashtbl.add attr.totals key a;
-    attr.order := !(attr.order) @ [ key ];
-    a
-
 let bump_by p n =
-  let attr = state () in
-  attr.table.(index p) <- attr.table.(index p) + n;
-  (match attr.frames with
-   | frame :: _ -> frame.(index p) <- frame.(index p) + n
-   | [] ->
-     (totals_for attr unattributed).(index p) <-
-       (totals_for attr unattributed).(index p) + n)
+  let t = table () in
+  t.(index p) <- t.(index p) + n
 
 let bump p = bump_by p 1
 
 let merge counts = List.iter (fun (p, n) -> if n <> 0 then bump_by p n) counts
 
-let counts_of array = List.map (fun p -> (p, array.(index p))) all
+let reset () = Array.fill (table ()) 0 width 0
 
-let scoped ~party ~phase f =
-  let attr = state () in
-  let frame = Array.make width 0 in
-  attr.frames <- frame :: attr.frames;
-  let close () =
-    (* Pop through frames an escaping exception left open. *)
-    let rec pop = function
-      | [] -> []
-      | x :: rest -> if x == frame then rest else pop rest
-    in
-    attr.frames <- pop attr.frames;
-    let sum = totals_for attr (party, phase) in
-    Array.iteri (fun i n -> sum.(i) <- sum.(i) + n) frame;
-    List.iter
-      (fun p ->
-        let n = frame.(index p) in
-        if n > 0 then Secmed_obs.Trace.add_attr ("ops." ^ name p) (Secmed_obs.Json.Int n))
-      all
-  in
-  match f () with
-  | result ->
-    close ();
-    result
-  | exception e ->
-    close ();
-    raise e
+let count p = (table ()).(index p)
 
-let attribution () =
-  let attr = state () in
-  List.filter_map
-    (fun key ->
-      match Hashtbl.find_opt attr.totals key with
-      | Some a when Array.exists (fun n -> n <> 0) a -> Some (key, counts_of a)
-      | _ -> None)
-    !(attr.order)
-
-let reset_attribution () =
-  let attr = state () in
-  attr.frames <- [];
-  attr.order := [];
-  Hashtbl.reset attr.totals
-
-let reset () =
-  let attr = state () in
-  Array.fill attr.table 0 width 0;
-  reset_attribution ()
-
-let count p = (state ()).table.(index p)
-
-let snapshot () = counts_of (state ()).table
+let snapshot () =
+  let t = table () in
+  List.map (fun p -> (p, t.(index p))) all
 
 let used () = List.filter (fun p -> count p > 0) all
 
 let with_fresh f =
-  let attr = state () in
-  let saved = Array.copy attr.table in
-  let saved_frames = attr.frames in
-  let saved_order = !(attr.order) in
-  let saved_totals = Hashtbl.copy attr.totals in
+  let t = table () in
+  let saved = Array.copy t in
   reset ();
-  let restore () =
-    Array.blit saved 0 attr.table 0 width;
-    attr.frames <- saved_frames;
-    attr.order := saved_order;
-    Hashtbl.reset attr.totals;
-    Hashtbl.iter (Hashtbl.add attr.totals) saved_totals
-  in
+  let restore () = Array.blit saved 0 t 0 width in
   match f () with
   | result ->
     let counts = snapshot () in

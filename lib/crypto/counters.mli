@@ -4,16 +4,18 @@
     paper ("applied cryptographic primitives") can be regenerated from
     actual executions rather than asserted. *)
 
-(** All counter state (global table, attribution scopes) is thread-local:
-    each systhread — and therefore each OCaml 5 domain's initial thread —
-    counts independently from zero, so concurrent protocol drivers (the
-    mediator's session workers, a source daemon's per-session handlers, a
-    loadgen fleet) never observe each other's accounting.  A parallel
-    executor snapshots each worker's counts at join time and folds them
-    into the spawning thread with {!merge}, which lands them in the
-    caller's innermost open {!scoped} frame exactly as if the work had run
-    sequentially.  Long-lived servers should {!release} a session
-    thread's slot when the thread retires. *)
+(** Counts are a flat per-thread tally: each systhread — and therefore
+    each OCaml 5 domain's initial thread — counts independently from
+    zero, so concurrent protocol drivers (the mediator's session workers,
+    a source daemon's per-session handlers, a loadgen fleet) never observe
+    each other's counts.  A parallel executor snapshots each worker's
+    counts at join time and folds them into the spawning thread with
+    {!merge}.  Long-lived servers should {!release} a session thread's
+    slot when the thread retires.
+
+    The per-(party, phase) split of Table 2 is not kept here: a traced
+    phase span carries the counts bumped during it as [ops.<primitive>]
+    attributes (see [Outcome.Builder.timed]). *)
 
 type primitive =
   | Hash                  (** collision-free hash (SHA-256 in index tables) *)
@@ -37,8 +39,8 @@ val bump_by : primitive -> int -> unit
 val merge : (primitive * int) list -> unit
 (** Folds a {!snapshot} taken in another domain into this domain's
     counts, as a batch of {!bump_by}s — zero entries are skipped.  Used
-    by the Batch executor to re-attribute worker-domain counts to the
-    caller's open scope at join time. *)
+    by the Batch executor to fold worker-domain counts into the caller
+    at join time. *)
 
 val reset : unit -> unit
 
@@ -63,23 +65,4 @@ val with_fresh : (unit -> 'a) -> 'a * (primitive * int) list
 
     Not reentrant: a nested [with_fresh] isolates its own counts and then
     restores the outer partial counts, so nothing the inner thunk counted
-    is visible to the outer accounting.  The scoped-attribution API
-    ({!scoped}) is the supported way to nest accounting regions — it
-    splits one [with_fresh] total by (party, phase) instead of stacking
-    resets. *)
-
-val scoped : party:string -> phase:string -> (unit -> 'a) -> 'a
-(** Runs the thunk in an attribution scope.  Every {!bump} lands in the
-    innermost open scope (bumps outside any scope fall into the
-    [("unattributed", "")] bucket), so per-scope counts always sum to the
-    global {!snapshot}.  Scopes nest: an inner scope's counts are *not*
-    double-counted into the outer one.  On exit the scope's non-zero
-    counts are folded into the running (party, phase) attribution and —
-    when a trace collector is installed — attached to the innermost open
-    span as [ops.<primitive>] attributes. *)
-
-val attribution : unit -> ((string * string) * (primitive * int) list) list
-(** Per-(party, phase) counts accumulated by closed {!scoped} regions
-    since the last {!reset}, in first-appearance order; keys with all-zero
-    counts are omitted.  The sum over all entries equals {!snapshot}
-    (restricted to primitives bumped at least once). *)
+    is visible to the outer tally. *)

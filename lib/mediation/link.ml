@@ -60,14 +60,7 @@ type t = {
 let make ?(endpoint = Inproc) ?fault transcript = { endpoint; fault; transcript; seq = 0 }
 
 let transcript t = t.transcript
-let fault t = t.fault
-let endpoint t = t.endpoint
-
-let is_remote t = match t.endpoint with Inproc -> false | Remote _ -> true
-
 let computes t party = match t.endpoint with Inproc -> true | Remote tr -> tr.computes party
-
-let seq t = t.seq
 
 let next_seq t =
   let seq = t.seq in

@@ -118,17 +118,10 @@ val make : ?endpoint:endpoint -> ?fault:Fault.plan -> Transcript.t -> t
     {!Inproc} (direct calls, every party computed here). *)
 
 val transcript : t -> Transcript.t
-val fault : t -> Fault.plan option
-val endpoint : t -> endpoint
-val is_remote : t -> bool
 
 val computes : t -> Transcript.party -> bool
 (** Whether this process runs the party's local steps: always on an
     {!Inproc} link, else the transport's [computes]. *)
-
-val seq : t -> int
-(** Deliveries performed so far on this link (the next message's
-    sequence number). *)
 
 val deliver :
   t ->

@@ -13,20 +13,30 @@ type t = {
 
 let detail fmt = Printf.ksprintf Fun.id fmt
 
+(* A delivery's addressing, its payload, and how to re-encode the frame
+   around a damaged payload: a [Msg], or the first chunk of a stream — so
+   a rule's [times] counts deliveries either way. *)
+let delivery = function
+  | Frame.Msg m ->
+    Some (m.sender, m.receiver, m.label, m.payload, fun payload -> Frame.Msg { m with payload })
+  | Frame.Msg_chunk c when c.ck_chunk = 0 ->
+    Some
+      ( c.ck_sender, c.ck_receiver, c.ck_label, c.ck_payload,
+        fun ck_payload -> Frame.Msg_chunk { c with ck_payload } )
+  | _ -> None
+
 (* Forward one decoded frame, applying at most one rule.  Returns
    [false] when the stream was deliberately wrecked (truncation) and
    pumping must stop. *)
 let forward t dst frame body =
-  match frame with
-  | Frame.Msg m -> (
+  match delivery frame with
+  | Some (sender, receiver, label, payload, rebuild) -> (
     let verdict =
       Mutex.protect t.plan_mu (fun () ->
-          match
-            Fault.select t.plan ~sender:m.sender ~receiver:m.receiver ~label:m.label
-          with
+          match Fault.select t.plan ~sender ~receiver ~label with
           | None -> None
           | Some action ->
-            let log d = Fault.log_external t.plan ~sender:m.sender ~receiver:m.receiver ~label:m.label ~action d in
+            let log d = Fault.log_external t.plan ~sender ~receiver ~label ~action d in
             (match action with
             | Fault.Drop -> log (detail "proxy withheld the %d-byte frame" (String.length body))
             | Fault.Delay s -> log (detail "proxy stalled the stream %.3fs" s)
@@ -47,9 +57,9 @@ let forward t dst frame body =
       true
     | Some (Fault.Corrupt n) ->
       let corrupted =
-        Mutex.protect t.plan_mu (fun () -> Fault.corrupt_bytes t.plan ~count:n m.payload)
+        Mutex.protect t.plan_mu (fun () -> Fault.corrupt_bytes t.plan ~count:n payload)
       in
-      Io.send_frame dst (Frame.encode (Frame.Msg { m with payload = corrupted }));
+      Io.send_frame dst (Frame.encode (rebuild corrupted));
       true
     | Some Fault.Duplicate ->
       Io.send_frame dst body;
@@ -60,7 +70,7 @@ let forward t dst frame body =
       let keep = max 0 (String.length whole - max 1 n) in
       Io.send_raw dst (String.sub whole 0 keep);
       false)
-  | _ ->
+  | None ->
     Io.send_frame dst body;
     true
 

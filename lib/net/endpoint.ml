@@ -217,10 +217,6 @@ let plain_route ~send ~next = { r_send = send; r_next = next; r_sub = None }
    [Lazy.force] from two domains at once raises [Undefined], and these
    counters are bumped from recv threads and session workers that may
    live in loadgen worker domains. *)
-let frames_out = Obs.Metrics.counter "net.frames.out"
-let frames_in = Obs.Metrics.counter "net.frames.in"
-let payload_out = Obs.Metrics.counter "net.payload.out"
-let payload_in = Obs.Metrics.counter "net.payload.in"
 let stream_rows_out = Obs.Metrics.counter "stream.rows.out"
 let stream_rows_in = Obs.Metrics.counter "stream.rows.in"
 let stream_bytes_out = Obs.Metrics.counter "stream.bytes.out"
@@ -338,8 +334,6 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
          (* The link itself is down: a typed, retryable fault blamed at
             the unreachable party, like a simulated severed link. *)
          Fault.fail ~phase ~party:receiver (label ^ ": link down: " ^ msg));
-      Obs.Metrics.incr frames_out;
-      Obs.Metrics.incr ~by:size payload_out;
       trace_frame "send" ~phase ~party:receiver ~label ~size;
       after_io ~phase
   in
@@ -354,8 +348,6 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
         (Printf.sprintf "frame #%d: expected %s from %s, got %s from %s" seq label
            (Transcript.party_name sender) m.label (Transcript.party_name m.sender));
     let payload = unframe ~phase ~receiver ~label m.payload in
-    Obs.Metrics.incr frames_in;
-    Obs.Metrics.incr ~by:(String.length payload) payload_in;
     trace_frame "recv" ~phase ~party:sender ~label ~size:(String.length payload);
     after_io ~phase;
     (m.declared, payload)
@@ -406,10 +398,7 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           decr credits;
           incr outstanding;
           backlog_add 1;
-          Obs.Metrics.incr frames_out;
-          let bytes = entry_bytes entries in
-          Obs.Metrics.incr ~by:bytes payload_out;
-          Obs.Metrics.incr ~by:bytes stream_bytes_out;
+          Obs.Metrics.incr ~by:(entry_bytes entries) stream_bytes_out;
           Obs.Metrics.incr ~by:(List.length entries) stream_rows_out)
         chunks;
       (* Trailing credits are granted but never awaited; the leftover
@@ -478,8 +467,6 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
          with Io.Transport_error _ -> ());
         let bytes = entry_bytes entries in
         Obs.Hwm.alloc hwm_pending bytes;
-        Obs.Metrics.incr frames_in;
-        Obs.Metrics.incr ~by:bytes payload_in;
         Obs.Metrics.incr ~by:bytes stream_bytes_in;
         Obs.Metrics.incr ~by:(List.length entries) stream_rows_in;
         pending.(si) <- entries

@@ -12,8 +12,6 @@ type conn = {
   mutable wbuf : Bytes.t;
   mutable bytes_in : int;
   mutable bytes_out : int;
-  mutable frames_in : int;
-  mutable frames_out : int;
   mutable closed : bool;
   mutable reader : Thread.t option;
 }
@@ -59,8 +57,6 @@ let of_fd ?(timeout = 0.) ~peer fd =
     wbuf = Bytes.create 256;
     bytes_in = 0;
     bytes_out = 0;
-    frames_in = 0;
-    frames_out = 0;
     closed = false;
     reader = None;
   }
@@ -110,11 +106,8 @@ let accept ?timeout fd =
   | exception Unix.Unix_error (e, _, _) -> fail "accept: %s" (Unix.error_message e)
 
 let set_timeout t seconds = set_fd_timeout t.fd seconds
-let peer t = t.peer
 let bytes_in t = t.bytes_in
 let bytes_out t = t.bytes_out
-let frames_in t = t.frames_in
-let frames_out t = t.frames_out
 
 (* A full write in the face of short writes, EINTR, and timeouts.  The
    caller holds [send_mu], so the frame lands contiguously even when
@@ -165,7 +158,6 @@ let send_frame t body =
         (* Oversized one-off: pay the concat rather than pinning a huge
            scratch buffer to the connection for its whole life. *)
         write_all t (Wire.frame body);
-      t.frames_out <- t.frames_out + 1;
       Secmed_obs.Metrics.incr m_frames_sent)
 
 let send_raw t s = locked t.send_mu (fun () -> write_all t s)
@@ -174,7 +166,6 @@ let recv_frame t =
   let rec next () =
     match Wire.Stream.next_frame t.stream with
     | Some body ->
-      t.frames_in <- t.frames_in + 1;
       Secmed_obs.Metrics.incr m_frames_recv;
       body
     | None -> (

@@ -37,18 +37,12 @@ val accept : ?timeout:float -> Unix.file_descr -> conn
 val set_timeout : conn -> float -> unit
 (** Change the per-operation timeout of both directions. *)
 
-val peer : conn -> string
 val bytes_in : conn -> int
 val bytes_out : conn -> int
 (** Raw socket bytes moved (framing included) since the connection was
-    wrapped. *)
-
-val frames_in : conn -> int
-val frames_out : conn -> int
-(** Complete frames received/sent on this connection.  The same volumes
-    are also summed process-wide into the [net.bytes_sent],
-    [net.bytes_recv], [net.frames_sent] and [net.frames_recv] metrics
-    counters. *)
+    wrapped.  Bytes and complete frames are also summed process-wide
+    into the [net.bytes_sent], [net.bytes_recv], [net.frames_sent] and
+    [net.frames_recv] metrics counters. *)
 
 val send_frame : conn -> string -> unit
 (** Frame [body] and write it whole, looping over short writes and

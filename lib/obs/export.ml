@@ -4,7 +4,7 @@ let party_of_span s =
   | _ -> "run"
 
 (* Stable party -> Chrome thread-id assignment, in order of first
-   appearance; "run" (un-attributed spans, the roots) is tid 0. *)
+   appearance; "run" (spans without a party, the roots) is tid 0. *)
 let tid_table spans =
   let order = ref [ "run" ] in
   List.iter
@@ -117,51 +117,33 @@ let chrome_json_processes processes =
   Json.to_string_pretty
     (Json.List (List.concat_map chrome_events_of (List.filter has_content processes)))
 
-let chrome_json trace =
-  Json.to_string_pretty (Json.List (chrome_events_of (process_of_trace trace)))
-
-let span_json ?pid s =
-  let pid_field = match pid with None -> [] | Some p -> [ ("pid", Json.Int p) ] in
+let span_json ~pid s =
   Json.Obj
-    (("type", Json.Str "span")
-     :: pid_field
-    @ [
-        ("id", Json.Int s.Trace.id);
-        ( "parent",
-          match s.Trace.parent with Some p -> Json.Int p | None -> Json.Null );
-        ("name", Json.Str s.Trace.name);
-        ("kind", Json.Str (Trace.kind_name s.Trace.kind));
-        ("start_ns", Json.Int (Int64.to_int s.Trace.start_ns));
-        ("dur_ns", Json.Int (Int64.to_int (Trace.duration_ns s)));
-        ("attrs", Json.Obj (Trace.attrs s));
-      ])
+    [
+      ("type", Json.Str "span");
+      ("pid", Json.Int pid);
+      ("id", Json.Int s.Trace.id);
+      ("parent", match s.Trace.parent with Some p -> Json.Int p | None -> Json.Null);
+      ("name", Json.Str s.Trace.name);
+      ("kind", Json.Str (Trace.kind_name s.Trace.kind));
+      ("start_ns", Json.Int (Int64.to_int s.Trace.start_ns));
+      ("dur_ns", Json.Int (Int64.to_int (Trace.duration_ns s)));
+      ("attrs", Json.Obj (Trace.attrs s));
+    ]
 
-let event_json ?pid e =
-  let pid_field = match pid with None -> [] | Some p -> [ ("pid", Json.Int p) ] in
+let event_json ~pid e =
   Json.Obj
-    (("type", Json.Str "event")
-     :: pid_field
-    @ [
-        ("name", Json.Str e.Trace.ev_name);
-        ( "span",
-          match e.Trace.ev_span with Some p -> Json.Int p | None -> Json.Null );
-        ("at_ns", Json.Int (Int64.to_int e.Trace.ev_ns));
-        ("attrs", Json.Obj e.Trace.ev_attrs);
-      ])
+    [
+      ("type", Json.Str "event");
+      ("pid", Json.Int pid);
+      ("name", Json.Str e.Trace.ev_name);
+      ("span", match e.Trace.ev_span with Some p -> Json.Int p | None -> Json.Null);
+      ("at_ns", Json.Int (Int64.to_int e.Trace.ev_ns));
+      ("attrs", Json.Obj e.Trace.ev_attrs);
+    ]
 
 let clock_line =
   Json.Obj [ ("type", Json.Str "clock"); ("unit", Json.Str "ns"); ("monotonic", Json.Bool true) ]
-
-let jsonl trace =
-  let buf = Buffer.create 4096 in
-  let line v =
-    Buffer.add_string buf (Json.to_string v);
-    Buffer.add_char buf '\n'
-  in
-  line clock_line;
-  List.iter (fun s -> line (span_json s)) (Trace.spans trace);
-  List.iter (fun e -> line (event_json e)) (Trace.events trace);
-  Buffer.contents buf
 
 let jsonl_processes processes =
   let buf = Buffer.create 4096 in

@@ -6,11 +6,12 @@
     object per line: a [clock] header, then every span and event), meant
     for downstream tooling.
 
-    Both formats come in a single-trace and a multi-process flavour.  A
-    {!process} is one participant of a distributed run: its Chrome [pid]
-    lane, its display name, and the spans and events its collector
-    gathered (already rebased into the merged id/time space by the
-    caller — see [Secmed_net.Trace_wire]). *)
+    Both formats take a list of {!process}es.  A process is one
+    participant of a distributed run: its Chrome [pid] lane, its display
+    name, and the spans and events its collector gathered (already
+    rebased into the merged id/time space by the caller — see
+    [Secmed_net.Trace_wire]).  A local run is the one-element list
+    [[process_of_trace t]]. *)
 
 type process = {
   pr_pid : int;
@@ -22,18 +23,13 @@ type process = {
 val process_of_trace : ?pid:int -> ?name:string -> Trace.t -> process
 (** Defaults: [pid 1], anonymous — the single-process identity. *)
 
-val chrome_json : Trace.t -> string
-(** The whole file is a JSON array, parseable with {!Json.parse}. *)
-
 val chrome_json_processes : process list -> string
-(** One Chrome trace with a pid lane per process, each with its own
-    party -> tid table (deterministic: order of first appearance, "run"
-    = tid 0).  A process with no spans and no events is omitted
-    entirely — an empty span batch must not leave a dangling lane.
-    [chrome_json t] and [chrome_json_processes [process_of_trace t]]
-    are byte-identical for a non-empty trace. *)
-
-val jsonl : Trace.t -> string
+(** One Chrome trace — a JSON array, parseable with {!Json.parse} — with
+    a pid lane per process, each with its own party -> tid table
+    (deterministic: order of first appearance, "run" = tid 0).  An
+    anonymous process gets no process_name entry.  A process with no
+    spans and no events is omitted entirely — an empty span batch must
+    not leave a dangling lane. *)
 
 val jsonl_processes : process list -> string
 (** The clock header, then per process: a [{"type":"process",...}] line

@@ -146,50 +146,3 @@ let reset () =
         h.h_min <- Float.infinity;
         h.h_max <- Float.neg_infinity)
     registry
-
-let sorted_metrics () =
-  Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let histogram_json h =
-  let p50, p90, p99 = percentiles h in
-  Json.Obj
-    [
-      ("count", Json.Int h.h_count);
-      ("sum", Json.Float h.h_sum);
-      ("min", Json.Float (if h.h_count = 0 then 0.0 else h.h_min));
-      ("max", Json.Float (if h.h_count = 0 then 0.0 else h.h_max));
-      ("p50", Json.Float p50);
-      ("p90", Json.Float p90);
-      ("p99", Json.Float p99);
-    ]
-
-let snapshot () =
-  Json.Obj
-    (List.map
-       (fun (name, m) ->
-         match m with
-         | Counter c -> (name, Json.Int c.c_value)
-         | Gauge g -> (name, Json.Float g.g_value)
-         | Histogram h -> (name, histogram_json h))
-       (sorted_metrics ()))
-
-let render () =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Counter c ->
-        if c.c_value <> 0 then Buffer.add_string buf (Printf.sprintf "%-40s %d\n" name c.c_value)
-      | Gauge g ->
-        if g.g_value <> 0.0 then
-          Buffer.add_string buf (Printf.sprintf "%-40s %g\n" name g.g_value)
-      | Histogram h ->
-        if h.h_count > 0 then begin
-          let p50, p90, p99 = percentiles h in
-          Buffer.add_string buf
-            (Printf.sprintf "%-40s n=%d sum=%g min=%g p50=%g p90=%g p99=%g max=%g\n" name
-               h.h_count h.h_sum h.h_min p50 p90 p99 h.h_max)
-        end)
-    (sorted_metrics ());
-  Buffer.contents buf

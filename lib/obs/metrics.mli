@@ -30,7 +30,7 @@ val histogram : string -> histogram
 
 val private_histogram : unit -> histogram
 (** A fresh cell outside the registry: never interned, never reset by
-    {!reset}, invisible to {!snapshot}.  Give one to each concurrent
+    {!reset}.  Give one to each concurrent
     recorder (a loadgen worker, a worker domain) so the hot observe path
     needs no synchronisation, then fold them together with
     {!merge_into}. *)
@@ -58,10 +58,3 @@ val percentiles : histogram -> float * float * float
 
 val reset : unit -> unit
 (** Zero every registered metric (handles stay valid). *)
-
-val snapshot : unit -> Json.t
-(** All registered metrics as one JSON object: counters and gauges by
-    value, histograms as count/sum/min/max/p50/p90/p99. *)
-
-val render : unit -> string
-(** Human-readable listing of every non-empty metric, sorted by name. *)

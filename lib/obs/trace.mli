@@ -20,7 +20,7 @@
 
 type kind =
   | Protocol   (** one root per protocol attempt *)
-  | Phase      (** a driver phase, usually party-attributed *)
+  | Phase      (** a driver phase, usually labelled with its party *)
   | Operation  (** finer-grained work inside a phase *)
 
 val kind_name : kind -> string

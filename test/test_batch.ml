@@ -59,8 +59,9 @@ let test_parallel_map_basics () =
     (Invalid_argument "Batch.set_default_domains: must be >= 1") (fun () ->
       Batch.set_default_domains 0)
 
-(* Worker-domain counters must fold back into the caller's open scope:
-   totals and per-(party, phase) attribution equal the sequential run. *)
+(* Worker-domain counters must fold back into the caller's open phase:
+   the totals and the phase span's ops.* attributes equal the
+   sequential run's. *)
 let test_counter_merge () =
   let group = Group.default ~bits:160 in
   let kp = Elgamal.keygen (Prng.create ~seed:"batch-counter-key") group in
@@ -68,26 +69,40 @@ let test_counter_merge () =
   let prng = Prng.create ~seed:"batch-counter" in
   let payloads = Array.init 12 (fun i -> String.make 40 (Char.chr (65 + i))) in
   let run k =
-    Counters.with_fresh (fun () ->
-        Counters.scoped ~party:"S1" ~phase:"source-encrypt" (fun () ->
-            ignore
-              (Batch.map_seeded ~domains:k ~prng ~label:"cnt"
-                 (fun _ prng p -> Hybrid.encrypt prng pk p)
-                 payloads));
-        Counters.attribution ())
+    let b = Outcome.Builder.create ~scheme:"batch" in
+    let ((), counts), t =
+      Secmed_obs.Trace.collect (fun () ->
+          Counters.with_fresh (fun () ->
+              Outcome.Builder.timed b ~party:"S1" "source-encrypt" (fun () ->
+                  ignore
+                    (Batch.map_seeded ~domains:k ~prng ~label:"cnt"
+                       (fun _ prng p -> Hybrid.encrypt prng pk p)
+                       payloads))))
+    in
+    let ops =
+      List.concat_map
+        (fun s ->
+          List.filter
+            (fun (key, _) -> String.starts_with ~prefix:"ops." key)
+            (Secmed_obs.Trace.attrs s))
+        (Secmed_obs.Trace.spans t)
+    in
+    (ops, counts)
   in
-  let attr1, counts1 = run 1 in
+  let ops1, counts1 = run 1 in
   Alcotest.(check int) "sequential run counted hybrid encryptions" 12
     (List.assoc Counters.Hybrid_encrypt counts1);
+  Alcotest.(check bool) "phase span carries them" true
+    (ops1 = [ ("ops.hybrid-encrypt", Secmed_obs.Json.Int 12) ]);
   List.iter
     (fun k ->
-      let attrk, countsk = run k in
+      let opsk, countsk = run k in
       Alcotest.(check bool)
         (Printf.sprintf "totals at %d domains" k)
         true (counts1 = countsk);
       Alcotest.(check bool)
-        (Printf.sprintf "attribution at %d domains" k)
-        true (attr1 = attrk))
+        (Printf.sprintf "phase ops at %d domains" k)
+        true (ops1 = opsk))
     [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)

@@ -816,6 +816,35 @@ let test_chaos_corrupt_rejected_by_tag () =
   Alcotest.(check bool) "the proxy corrupted every query" true
     (List.length (Loopback.chaos_events c 1) >= List.length schemes)
 
+(* With no session fault plan the source rows travel as a chunked
+   stream, which the proxy damages too: it picks a rule once per
+   delivery, on the stream's first chunk, so [times=1] corrupts exactly
+   one delivery and the session ends in a typed fault. *)
+let test_chaos_corrupt_streamed_delivery () =
+  let plan =
+    Fault.plan
+      [
+        Fault.rule ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator ~times:1
+          (Fault.Corrupt 2);
+      ]
+  in
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~chaos:[ (1, plan) ] ~io_timeout:4.
+  @@ fun c ->
+  let response = Loopback.query c ~scheme:"das" ~fallback:false () in
+  (match response.Peer.result with
+   | Protocol.Served _ -> Alcotest.fail "a corrupted stream must not serve"
+   | Protocol.Unserved [ (_, f) ] ->
+     Alcotest.(check bool) "rejected by the integrity tag" true
+       (contains f.Protocol.reason "integrity tag mismatch");
+     Alcotest.(check string) "mediator blamed" "Mediator"
+       (Transcript.party_name f.Protocol.party)
+   | Protocol.Unserved tried ->
+     Alcotest.failf "expected one das failure: %a" Protocol.pp_session_failures tried);
+  match Loopback.chaos_events c 1 with
+  | [ { Fault.event_action = Fault.Corrupt _; _ } ] -> ()
+  | [ e ] -> Alcotest.failf "expected corrupt, got %s" (Fault.action_name e.Fault.event_action)
+  | es -> Alcotest.failf "expected exactly one proxy event, got %d" (List.length es)
+
 (* ------------------------------------------------------------------ *)
 (* Admission and handshake. *)
 
@@ -899,12 +928,12 @@ let test_net_metrics_counted () =
   Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
   let response = Loopback.query c ~scheme:"plain" () in
   let _ = served_exn "plain" response.Peer.result in
-  Alcotest.(check bool) "frames out counted" true
-    (Obs.Metrics.counter_value (Obs.Metrics.counter "net.frames.out") > 0);
-  Alcotest.(check bool) "frames in counted" true
-    (Obs.Metrics.counter_value (Obs.Metrics.counter "net.frames.in") > 0);
-  Alcotest.(check bool) "payload bytes counted" true
-    (Obs.Metrics.counter_value (Obs.Metrics.counter "net.payload.in") > 0)
+  Alcotest.(check bool) "frames sent counted" true
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "net.frames_sent") > 0);
+  Alcotest.(check bool) "frames received counted" true
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "net.frames_recv") > 0);
+  Alcotest.(check bool) "bytes received counted" true
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "net.bytes_recv") > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Regression: run_session must scope the plan's delay handler. *)
@@ -1007,6 +1036,8 @@ let () =
             test_chaos_truncate_severs_then_redials;
           Alcotest.test_case "corrupt source frame rejected by the tag" `Slow
             test_chaos_corrupt_rejected_by_tag;
+          Alcotest.test_case "corrupt streamed delivery" `Slow
+            test_chaos_corrupt_streamed_delivery;
         ] );
       ( "hostile",
         [

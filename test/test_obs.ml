@@ -322,7 +322,7 @@ let sample_trace () =
 
 let test_export_chrome_parses () =
   let t = sample_trace () in
-  match Json.parse (Export.chrome_json t) with
+  match Json.parse (Export.chrome_json_processes [ Export.process_of_trace t ]) with
   | Error e -> Alcotest.failf "chrome trace does not parse: %s" e
   | Ok (Json.List entries) ->
     let phs =
@@ -331,6 +331,8 @@ let test_export_chrome_parses () =
     Alcotest.(check bool) "has complete events" true (List.mem "X" phs);
     Alcotest.(check bool) "has metadata events" true (List.mem "M" phs);
     Alcotest.(check bool) "has instant events" true (List.mem "i" phs);
+    Alcotest.(check bool) "an anonymous process is not named" false
+      (List.exists (fun e -> Json.member "name" e = Some (Json.Str "process_name")) entries);
     List.iter
       (fun e ->
         if Option.bind (Json.member "ph" e) Json.to_str = Some "X" then begin
@@ -343,9 +345,11 @@ let test_export_chrome_parses () =
 let test_export_jsonl_parses () =
   let t = sample_trace () in
   let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' (Export.jsonl t))
+    List.filter
+      (fun l -> String.trim l <> "")
+      (String.split_on_char '\n' (Export.jsonl_processes [ Export.process_of_trace t ]))
   in
-  Alcotest.(check int) "header + 2 spans + 1 event" 4 (List.length lines);
+  Alcotest.(check int) "header + process + 2 spans + 1 event" 5 (List.length lines);
   let types =
     List.map
       (fun line ->
@@ -357,19 +361,12 @@ let test_export_jsonl_parses () =
            | None -> Alcotest.failf "line without type: %s" line))
       lines
   in
-  Alcotest.(check (list string)) "line types" [ "clock"; "span"; "span"; "event" ] types
+  Alcotest.(check (list string)) "line types" [ "clock"; "process"; "span"; "span"; "event" ]
+    types
 
 let test_export_format_of_path () =
   Alcotest.(check bool) "jsonl" true (Export.format_of_path "t.jsonl" = `Jsonl);
   Alcotest.(check bool) "chrome" true (Export.format_of_path "t.json" = `Chrome)
-
-(* The single-trace export is the one-process special case of the
-   multi-process export, byte for byte — the guarantee that lets the
-   distributed path share the in-process renderer. *)
-let test_export_processes_byte_identity () =
-  let t = sample_trace () in
-  Alcotest.(check string) "single-process flavours agree" (Export.chrome_json t)
-    (Export.chrome_json_processes [ Export.process_of_trace t ])
 
 (* Multi-process Chrome export: deterministic pid/tid lanes, named
    process metadata, and no dangling lane for an empty span batch. *)
@@ -470,60 +467,40 @@ let test_export_jsonl_processes_roundtrip () =
    | _ -> Alcotest.fail "expected exactly two span lines")
 
 (* ------------------------------------------------------------------ *)
-(* Counters: scoped attribution. *)
+(* Crypto counts on phase spans. *)
 
-let test_counters_scoped_nesting () =
-  let (), _counts =
-    Counters.with_fresh (fun () ->
-        Counters.bump Counters.Hash;
-        Counters.scoped ~party:"A" ~phase:"p" (fun () ->
-            Counters.bump Counters.Hash;
-            Counters.bump Counters.Hash;
-            Counters.scoped ~party:"B" ~phase:"q" (fun () ->
-                Counters.bump Counters.Random_number));
-        let attr = Counters.attribution () in
-        let find key = List.assoc_opt key attr in
-        let count key p =
-          match find key with Some counts -> List.assoc p counts | None -> -1
-        in
-        Alcotest.(check int) "outside any scope" 1 (count ("unattributed", "") Counters.Hash);
-        Alcotest.(check int) "A/p hashes" 2 (count ("A", "p") Counters.Hash);
-        Alcotest.(check int) "A/p did not absorb B/q" 0 (count ("A", "p") Counters.Random_number);
-        Alcotest.(check int) "B/q randoms" 1 (count ("B", "q") Counters.Random_number);
-        (* The invariant: attribution sums to the global snapshot. *)
-        List.iter
-          (fun (p, total) ->
-            let attributed =
-              List.fold_left
-                (fun acc (_, counts) -> acc + List.assoc p counts)
-                0 attr
-            in
-            Alcotest.(check int) ("sum " ^ Counters.name p) total attributed)
-          (Counters.snapshot ()))
-  in
-  ()
+let ops_of span =
+  List.filter_map
+    (fun p ->
+      match Trace.find_attr span ("ops." ^ Counters.name p) with
+      | Some (Json.Int n) -> Some (p, n)
+      | _ -> None)
+    Counters.all
 
-let test_counters_scoped_exception () =
-  let (), _ =
-    Counters.with_fresh (fun () ->
-        (try
-           Counters.scoped ~party:"A" ~phase:"p" (fun () ->
-               Counters.bump Counters.Hash;
-               raise Boom)
-         with Boom -> ());
-        Counters.bump Counters.Ideal_hash;
-        let attr = Counters.attribution () in
-        Alcotest.(check int) "scope closed on exception" 1
-          (List.assoc Counters.Hash (List.assoc ("A", "p") attr));
-        Alcotest.(check int) "later bumps fall outside" 1
-          (List.assoc Counters.Ideal_hash (List.assoc ("unattributed", "") attr)))
+(* A party-labelled phase that raises still carries the counts bumped
+   before the exception. *)
+let test_phase_exception () =
+  let b = Outcome.Builder.create ~scheme:"test" in
+  let phase () =
+    try
+      Outcome.Builder.timed b ~party:"A" "p" (fun () ->
+          Counters.bump Counters.Hash;
+          Counters.bump Counters.Hash;
+          raise Boom)
+    with Boom -> ()
   in
-  ()
+  let ((), counts), t = Trace.collect (fun () -> Counters.with_fresh phase) in
+  Alcotest.(check int) "counted" 2 (List.assoc Counters.Hash counts);
+  (match Trace.spans t with
+   | [ span ] ->
+     Alcotest.(check bool) "phase span" true (span.Trace.kind = Trace.Phase);
+     Alcotest.(check bool) "ops survive the exception" true
+       (ops_of span = [ (Counters.Hash, 2) ])
+   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans))
 
 (* The documented non-reentrancy of with_fresh: an inner with_fresh's
    counts vanish from the outer accounting (its restore puts back the
-   outer partial counts).  This pins the behaviour the mli documents and
-   steers nesting use-cases toward Counters.scoped. *)
+   outer partial counts).  This pins the behaviour the mli documents. *)
 let test_with_fresh_not_reentrant () =
   let (), outer_counts =
     Counters.with_fresh (fun () ->
@@ -538,34 +515,47 @@ let test_with_fresh_not_reentrant () =
     (List.assoc Counters.Hash outer_counts)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: for every scheme, the per-(party, phase) attribution in
-   the outcome sums to the global counter snapshot of the run. *)
+(* Differential: in a traced run of every scheme configuration no phase
+   span nests inside another, and each primitive's ops.* attributes
+   summed over the phase spans equal the run's counter snapshot — the
+   phase spans are the whole per-party split of Table 2. *)
 
-let test_attribution_sums_per_scheme () =
+let test_phase_ops_sum_per_scheme () =
   let env, client, query = scenario () in
+  let schemes =
+    Protocol.all_schemes
+    @ List.filter_map Protocol.scheme_of_name [ "das-singleton"; "commutative-ids" ]
+  in
+  Alcotest.(check int) "seven configurations" 7 (List.length schemes);
   List.iter
     (fun scheme ->
-      let outcome = Protocol.run_exn scheme env client ~query in
+      let name = Protocol.scheme_name scheme in
+      let outcome, t = Trace.collect (fun () -> Protocol.run_exn scheme env client ~query) in
+      let spans = Trace.spans t in
+      let by_id = Hashtbl.create 64 in
+      List.iter (fun s -> Hashtbl.replace by_id s.Trace.id s) spans;
+      let rec phase_above s =
+        match Option.bind s.Trace.parent (Hashtbl.find_opt by_id) with
+        | Some p -> p.Trace.kind = Trace.Phase || phase_above p
+        | None -> false
+      in
+      let phases = List.filter (fun s -> s.Trace.kind = Trace.Phase) spans in
+      List.iter
+        (fun s ->
+          if phase_above s then
+            Alcotest.failf "%s: phase %S nests inside a phase" name s.Trace.name)
+        phases;
+      let ops = List.concat_map ops_of phases in
       List.iter
         (fun (p, total) ->
-          let attributed =
-            List.fold_left
-              (fun acc ((_, _), counts) -> acc + List.assoc p counts)
-              0 outcome.Outcome.attributed
+          let on_spans =
+            List.fold_left (fun acc (q, n) -> if q = p then acc + n else acc) 0 ops
           in
           Alcotest.(check int)
-            (Printf.sprintf "%s: %s" (Protocol.scheme_name scheme) (Counters.name p))
-            total attributed)
-        outcome.Outcome.counters;
-      (* Every phase with attributed crypto work is party-labelled: the
-         drivers never let counts fall into the unattributed bucket. *)
-      List.iter
-        (fun ((party, phase), _) ->
-          if String.equal party "unattributed" then
-            Alcotest.failf "%s: unattributed crypto ops in phase %S"
-              (Protocol.scheme_name scheme) phase)
-        outcome.Outcome.attributed)
-    Protocol.all_schemes
+            (Printf.sprintf "%s: %s" name (Counters.name p))
+            total on_spans)
+        outcome.Outcome.counters)
+    schemes
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end tracing: a traced PM run produces a protocol root span
@@ -730,18 +720,15 @@ let () =
           Alcotest.test_case "chrome parses" `Quick test_export_chrome_parses;
           Alcotest.test_case "jsonl parses" `Quick test_export_jsonl_parses;
           Alcotest.test_case "format of path" `Quick test_export_format_of_path;
-          Alcotest.test_case "processes byte identity" `Quick
-            test_export_processes_byte_identity;
           Alcotest.test_case "process lanes" `Quick test_export_process_lanes;
           Alcotest.test_case "jsonl processes roundtrip" `Quick
             test_export_jsonl_processes_roundtrip;
         ] );
       ( "attribution",
         [
-          Alcotest.test_case "scoped nesting" `Quick test_counters_scoped_nesting;
-          Alcotest.test_case "scoped exception" `Quick test_counters_scoped_exception;
+          Alcotest.test_case "phase exception" `Quick test_phase_exception;
           Alcotest.test_case "with_fresh not reentrant" `Quick test_with_fresh_not_reentrant;
-          Alcotest.test_case "sums per scheme" `Slow test_attribution_sums_per_scheme;
+          Alcotest.test_case "sums per scheme" `Slow test_phase_ops_sum_per_scheme;
         ] );
       ( "end-to-end",
         [
