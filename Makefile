@@ -51,9 +51,13 @@ check-net:
 
 # Sustained-load serving suite: the deterministic loadgen fleet against
 # a forked loopback cluster (64 verified sessions, typed backpressure,
-# replica failover and drain, domain-parallel mux consumers).
+# replica failover and drain, domain-parallel mux consumers), then the
+# real binaries: two `secmed source` daemons and a `secmed serve`, a
+# verified `secmed loadgen` fleet, and a `secmed drain` of each daemon,
+# which must then exit 0 (the only check of the daemons' flag parsing).
 check-serve:
 	dune exec test/test_serve.exe -- test -e
+	sh tools/cli_cluster.sh
 
 # Crash/restart chaos suite: the pure-schedule and smoke-soak tests,
 # then a seeded CLI soak — real SIGKILLs against source replicas and a

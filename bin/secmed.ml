@@ -391,7 +391,7 @@ let serve_cmd =
   let source =
     let doc =
       "Datasource address as $(b,ID=shard@HOST:PORT[,HOST:PORT...][;shard@...]); repeat \
-       once per source.  Comma-separated endpoints are standby replicas: the pool dials \
+       once per source.  Comma-separated endpoints are standby replicas: the mediator dials \
        the first one that is up (primary first) and fails a severed or draining endpoint \
        over to the next, failing back after the $(b,--breaker) cooldown.  \
        Semicolon-separated groups are shards (the optional $(b,shard@) marker is \
@@ -417,22 +417,11 @@ let serve_cmd =
   let max_sessions =
     Arg.(value & opt int 8
          & info [ "max-sessions" ] ~docv:"N"
-             ~doc:"Concurrent client sessions admitted before answering Busy.")
+             ~doc:"Concurrent client sessions admitted before answering Busy; each runs \
+                   on its own connection thread.")
   in
-  let source_conns =
-    Arg.(value & opt int 2
-         & info [ "source-conns" ] ~docv:"K"
-             ~doc:"Pooled connections per datasource daemon; sessions check one out \
-                   round-robin by session id.")
-  in
-  let workers =
-    Arg.(value & opt (some int) None
-         & info [ "workers" ] ~docv:"N"
-             ~doc:"Concurrent protocol drivers (default: --max-sessions); admitted \
-                   sessions beyond this queue FIFO.")
-  in
-  let action bind port sources max_sessions source_conns workers io_timeout deadline breaker
-      health_interval drain_deadline spec =
+  let action bind port sources max_sessions io_timeout deadline breaker health_interval
+      drain_deadline spec =
     let parse_source spec_str =
       match Net.Shard.parse_source (String.trim spec_str) with
       | Ok (id, _) when id < 1 -> failwith (Printf.sprintf "--source: bad id in %S" spec_str)
@@ -465,12 +454,11 @@ let serve_cmd =
       sources;
     Net.Server.serve
       (Net.Server.create ~env ~client ~scenario ~sources ~listen_fd ~policy ~max_sessions
-         ~io_timeout ~source_conns ?workers ~drain_deadline ~health_interval ())
+         ~io_timeout ~drain_deadline ~health_interval ())
   in
   let term =
-    Term.(const action $ bind_arg $ port $ source $ max_sessions $ source_conns $ workers
-          $ io_timeout_arg $ deadline_arg $ breaker_arg $ health_interval $ drain_deadline
-          $ spec_term)
+    Term.(const action $ bind_arg $ port $ source $ max_sessions $ io_timeout_arg $ deadline_arg
+          $ breaker_arg $ health_interval $ drain_deadline $ spec_term)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -599,12 +587,6 @@ let loadgen_cmd =
                    primitive counters) against the in-process reference execution of \
                    its scheme.")
   in
-  let trace =
-    Arg.(value & flag
-         & info [ "trace" ]
-             ~doc:"Request distributed tracing on every session (batches are \
-                   discarded) — measures the span pipeline's overhead under load.")
-  in
   let retry =
     Arg.(value & opt int 0
          & info [ "retry" ] ~docv:"N"
@@ -613,7 +595,7 @@ let loadgen_cmd =
                    exponential backoff — lets the fleet ride out a rolling restart.  \
                    Busy is never retried.")
   in
-  let action connect workers sessions domains mix rate seed verify trace retry fault
+  let action connect workers sessions domains mix rate seed verify retry fault
       deadline fallback io_timeout spec =
     let host, port = parse_host_port "--connect" connect in
     let env, client, query = Workload.scenario spec in
@@ -635,7 +617,6 @@ let loadgen_cmd =
         fallback = (match fallback with `None -> false | `Auto | `Chain _ -> true);
         io_timeout;
         verify;
-        trace;
         retry_connect = retry;
       }
     in
@@ -655,7 +636,7 @@ let loadgen_cmd =
   in
   let term =
     Term.(const action $ connect $ workers $ sessions $ domains $ mix $ rate $ seed
-          $ verify $ trace $ retry $ fault_arg $ deadline_arg $ fallback_arg
+          $ verify $ retry $ fault_arg $ deadline_arg $ fallback_arg
           $ io_timeout_arg $ spec_term)
   in
   Cmd.v
@@ -680,22 +661,16 @@ let render_stats j =
   add "uptime %.1fs  scenario %s\n" (num [ "uptime_seconds" ])
     (let sc = s [ "scenario" ] in
      if String.length sc > 12 then String.sub sc 0 12 else sc);
-  add "sessions:  %d/%d active, %d admitted, %d refused (%d while draining)\n"
+  add "sessions:  %d/%d active, %d admitted, %d refused (%d while draining), %.1fs busy\n"
     (i [ "sessions"; "active" ])
     (i [ "sessions"; "max" ])
     (i [ "sessions"; "admitted" ])
     (i [ "sessions"; "refused" ])
-    (i [ "sessions"; "drain_refused" ]);
+    (i [ "sessions"; "drain_refused" ])
+    (num [ "scheduler"; "busy_seconds" ]);
   (match mem [ "sessions"; "draining" ] j with
   | Some (J.Bool true) -> add "draining:  yes (new sessions refused)\n"
   | _ -> ());
-  add "scheduler: %d workers, %d busy, %d queued, %d/%d completed, utilization %.1f%%\n"
-    (i [ "scheduler"; "workers" ])
-    (i [ "scheduler"; "busy" ])
-    (i [ "scheduler"; "queued" ])
-    (i [ "scheduler"; "completed" ])
-    (i [ "scheduler"; "submitted" ])
-    (100. *. num [ "scheduler"; "utilization" ]);
   (match Option.bind (mem [ "pool" ] j) J.to_list with
   | None | Some [] -> ()
   | Some sources ->
@@ -703,26 +678,6 @@ let render_stats j =
     List.iter
       (fun src ->
         let si path = Option.value ~default:0 (Option.bind (mem path src) J.to_int) in
-        let slots =
-          match Option.bind (mem [ "slots" ] src) J.to_list with
-          | None -> ""
-          | Some slots ->
-            String.concat ", "
-              (List.map
-                 (fun sl ->
-                   let up =
-                     match J.member "connected" sl with Some (J.Bool b) -> b | _ -> false
-                   in
-                   Printf.sprintf "slot %d %s (%d dial%s)"
-                     (Option.value ~default:0 (Option.bind (J.member "slot" sl) J.to_int))
-                     (if up then "up" else "down")
-                     (Option.value ~default:0 (Option.bind (J.member "dials" sl) J.to_int))
-                     (if Option.value ~default:0 (Option.bind (J.member "dials" sl) J.to_int)
-                         = 1
-                      then ""
-                      else "s"))
-                 slots)
-        in
         let replicas =
           match Option.bind (mem [ "replicas" ] src) J.to_list with
           | None | Some [] | Some [ _ ] -> ""
@@ -739,9 +694,12 @@ let render_stats j =
                         | _ -> "down"))
                     reps))
         in
-        add "  source %d @%s%s: %s\n" (si [ "source" ])
+        add "  source %d @%s%s: %s (%d dial%s)\n" (si [ "source" ])
           (Option.value ~default:"" (Option.bind (mem [ "addr" ] src) J.to_str))
-          replicas slots)
+          replicas
+          (match mem [ "connected" ] src with Some (J.Bool true) -> "up" | _ -> "down")
+          (si [ "dials" ])
+          (if si [ "dials" ] = 1 then "" else "s"))
       sources);
   (match
      Option.bind (mem [ "failover"; "count" ] j) J.to_int
@@ -857,8 +815,8 @@ let stats_cmd =
   let term = Term.(const action $ target $ watch $ json_flag $ io_timeout_arg) in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Show a running mediator's live serving telemetry (admission, scheduler \
-             utilization, connection pool, breakers, per-scheme latency)")
+       ~doc:"Show a running mediator's live serving telemetry (admission, busy time, \
+             source links, breakers, per-scheme latency)")
     term
 
 (* ------------------------------------------------------------------ *)

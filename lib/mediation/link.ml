@@ -116,18 +116,19 @@ let deliver t ~phase ~sender ~receiver ~label ?(guard = true) ?size payload =
              label (String.length received) (String.length computed))
     end
 
-(* Row-wise delivery: same transcript entry, same sequence slot, same
-   declared size as [deliver] of the concatenated rows — the scalar and
-   streamed encodings of a message are interchangeable at every layer
-   above the transport.  The streamed path engages only on a fault-free
-   remote link whose transport implements it; with a fault plan (which
-   every process agrees on, since the spec rides in the session
-   announcement) the rows collapse to one payload so the fault layer's
-   rule matching and padding semantics are untouched. *)
+(* Row-wise delivery: same transcript entry, same fault verdict, same
+   sequence slot, same declared size as [deliver] of the concatenated
+   rows — the scalar and streamed encodings of a message are
+   interchangeable at every layer above the transport.  The streamed
+   path engages on every remote link whose transport implements it; the
+   verdict never reads the payload, so a fault plan runs the same
+   [select]/[apply] here as in [deliver]. *)
 let deliver_rows t ~phase ~sender ~receiver ~label ?(guard = true) ~size rows =
-  match (t.endpoint, t.fault) with
-  | Remote ({ rows = Some rt; _ } as tr), None ->
+  match t.endpoint with
+  | Remote ({ rows = Some rt; _ } as tr) ->
     record t ~sender ~receiver ~label size;
+    apply t ~phase ~sender ~receiver ~label ~size:(Some size)
+      (select t ~guard ~sender ~receiver ~label);
     let seq = next_seq t in
     let indexed () =
       let indexed = List.mapi (fun i b -> (i, b)) (rows ()) in
@@ -197,6 +198,6 @@ let exchange_rows t ~phase ~sender ~receiver ~label ?(guard = true) ~size ~rows 
       deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size:(size v) (fun () -> rows v))
     ~take:(fun tr ~seq ->
       (* The branch [deliver_rows] took at the sender. *)
-      match (tr.rows, t.fault) with
-      | Some rt, None -> rt.take_rows ~phase ~seq ~sender ~receiver ~label
-      | _ -> tr.recv ~phase ~seq ~sender ~receiver ~label)
+      match tr.rows with
+      | Some rt -> rt.take_rows ~phase ~seq ~sender ~receiver ~label
+      | None -> tr.recv ~phase ~seq ~sender ~receiver ~label)

@@ -184,11 +184,10 @@ val exchange_rows :
   'a option
 (** {!exchange} of a row-wise message: the same transcript entry,
     sequence slot and padding to [size v] as {!exchange} of the rows'
-    concatenation — but on a fault-free remote link with a rows-capable
-    transport the rows travel as bounded chunks of (index, bytes)
-    entries, checked row by row at a computing receiver, so neither
-    side materialises the relation as one string.  On any other link
-    (in-process, fault plan active, legacy transport) the rows collapse
-    to one payload; since a fault plan is part of the shared session
-    announcement, every process takes the same branch.  A non-computing
-    receiver decodes the rows' concatenation. *)
+    concatenation, and the same payload-free fault verdict — but on a
+    remote link with a rows-capable transport the rows travel as
+    bounded chunks of (index, bytes) entries, checked row by row at a
+    computing receiver, so neither side materialises the relation as
+    one string.  On any other link (in-process, legacy transport) the
+    rows collapse to one payload.  A non-computing receiver decodes the
+    rows' concatenation. *)

@@ -124,7 +124,7 @@ module Mux = struct
         if not (Hashtbl.mem t.subs sid) then Hashtbl.replace t.subs sid (Queue.create ()))
 
   (* Tombstones are bounded: eviction is FIFO over insertion order, so a
-     long-lived pooled connection serving an unbounded session stream
+     long-lived source connection serving an unbounded session stream
      keeps O(max_tombstones) state.  [closed_order] may hold stale ids
      whose tombstone a later [subscribe] already cleared; popping those
      is a harmless no-op, and the queue is always at least as long as

@@ -33,7 +33,7 @@ module Mux : sig
   (** Spawn the receive thread.  The connection must have no other
       reader from this point on.  [max_tombstones] (default 1024) bounds
       the closed-session tombstone set; the oldest tombstones are
-      evicted FIFO so a long-lived pooled connection keeps O(1) state
+      evicted FIFO so a long-lived source connection keeps O(1) state
       per retained session.  [max_queue] (default 1024) bounds each
       session's parked-frame queue: a frame arriving at a full queue is
       dropped and the session poisoned, so its next {!next} raises

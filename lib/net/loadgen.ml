@@ -20,7 +20,6 @@ type config = {
   fallback : bool;
   io_timeout : float;
   verify : bool;
-  trace : bool;
   retry_connect : int;
 }
 
@@ -37,7 +36,6 @@ let default_config =
     fallback = true;
     io_timeout = 10.;
     verify = false;
-    trace = false;
     retry_connect = 0;
   }
 
@@ -176,13 +174,9 @@ let run_one config target ~t0 scheme =
       go (k + 1)
     in
     match
-      (* [trace] exercises the whole span pipeline (collect, batch,
-         forward) for overhead measurement; the batches themselves are
-         discarded — loadgen measures, it does not render. *)
       Peer.run ~host:target.host ~port:target.port ~scenario:target.scenario ~scheme
         ~query:target.query ~fault_spec:config.fault_spec ~deadline:config.deadline
-        ~fallback:config.fallback ~io_timeout:config.io_timeout ~trace:config.trace target.env
-        target.client
+        ~fallback:config.fallback ~io_timeout:config.io_timeout target.env target.client
     with
     | response ->
       let kind =

@@ -50,10 +50,6 @@ type config = {
   fallback : bool;
   io_timeout : float;
   verify : bool;
-  trace : bool;
-      (** request distributed tracing on every session; the returned
-          span batches are discarded — the knob exists to measure the
-          pipeline's overhead under load *)
   retry_connect : int;
       (** how many times a session that never started (unreachable
           peer, link death before the verdict, typed [Draining]) is

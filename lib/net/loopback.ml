@@ -141,8 +141,7 @@ let wait_mediator c = ask c (Stop (Mediator, None))
 let restart_mediator c = ignore (ask c (Start Mediator) : int)
 
 let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout = 10.)
-    ?source_conns ?workers ?(standbys = 0) ?(shards = 1) ?health_interval ?drain_deadline
-    ~spec f =
+    ?(standbys = 0) ?(shards = 1) ?health_interval ?drain_deadline ~spec f =
   if shards < 1 then invalid_arg "Loopback.with_cluster: shards must be >= 1";
   let c_env, c_client, c_query = Workload.scenario ?params spec in
   let c_scenario = Scenario.digest ?params spec in
@@ -188,8 +187,8 @@ let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout 
       in
       Server.serve
         (Server.create ~env:c_env ~client:c_client ~scenario:c_scenario ~sources
-           ~listen_fd:fd ?policy ~max_sessions ~io_timeout ?source_conns ?workers
-           ?drain_deadline ?health_interval ())
+           ~listen_fd:fd ?policy ~max_sessions ~io_timeout ?drain_deadline
+           ?health_interval ())
   in
   let ctl_owner, ctl_sup = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let sup_pid =

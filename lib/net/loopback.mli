@@ -44,8 +44,6 @@ val with_cluster :
   ?chaos:(int * Fault.plan) list ->
   ?max_sessions:int ->
   ?io_timeout:float ->
-  ?source_conns:int ->
-  ?workers:int ->
   ?standbys:int ->
   ?shards:int ->
   ?health_interval:float ->
@@ -55,10 +53,9 @@ val with_cluster :
   'a
 (** The supervisor and every daemon are killed and reaped (and proxies
     stopped) however the callback ends.
-    [source_conns]/[workers]/[health_interval]/[drain_deadline]
-    forward to {!Server.create}.  [standbys] (default 0) forks that
-    many extra replica daemons per shard — deterministic twins the
-    mediator's pool lists as failover candidates behind the primary;
+    [health_interval]/[drain_deadline] forward to {!Server.create}.
+    [standbys] (default 0) forks that many extra replica daemons per
+    shard — deterministic twins the mediator lists as failover candidates behind the primary;
     chaos proxies, when given, interpose on the primary (shard 0,
     replica 0) only.  [shards] (default 1) splits each source into that
     many partitioned daemons: streamed deliveries arrive as k merged

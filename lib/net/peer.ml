@@ -90,7 +90,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
     ?(drain_deadline = 30.) () =
   let role = Transcript.Source id in
   let life = Daemon.create ~role ~scenario ~drain_deadline in
-  (* Live session threads across every pooled connection. *)
+  (* Live session threads across every mediator connection. *)
   let active_mu = Mutex.create () in
   let active = ref 0 in
   let count () = Mutex.protect active_mu (fun () -> !active) in
@@ -124,7 +124,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
           in
           if fresh then begin
             if Daemon.draining life then begin
-              (* A brand-new session on a pooled connection that predates
+              (* A brand-new session on a connection that predates
                  the drain: refuse it with a typed report (the mediator
                  marks this replica down and retries on a standby) rather
                  than admitting work the deadline may cut short. *)
@@ -166,9 +166,8 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
   in
   (* A daemon waits for its mediator indefinitely; [io_timeout] guards
      per-operation I/O once a connection exists.  Each connection gets
-     its own thread: a mediator with a connection pool dials this daemon
-     [source_conns] times, and every pooled link must be serviceable at
-     once. *)
+     its own thread, so a second mediator's link is served alongside
+     the first. *)
   Daemon.serve life ~listen_fd ~io_timeout ~active:count ~idle:(fun () -> count () = 0) handle
 
 (* ------------------------------------------------------------------ *)
@@ -260,29 +259,31 @@ let run ~host ~port ~scenario ~scheme ~query ?(fault_spec = "") ?(deadline = 0.)
 (* ------------------------------------------------------------------ *)
 (* Ops client *)
 
-let stats ~host ~port ?(io_timeout = 10.) () =
+(* One ops exchange: connect, send [request], read one reply.  [answer]
+   maps the expected reply; [Busy] is a typed refusal and anything else
+   a transport error naming [what] was asked. *)
+let ops_request ~host ~port ~io_timeout ~what request answer =
   let conn = Io.connect ~timeout:io_timeout ~host ~port () in
   Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
-  Io.send_frame conn (Frame.encode Frame.Stats_request);
+  Io.send_frame conn (Frame.encode request);
   match Frame.decode (Io.recv_frame conn) with
-  | Frame.Stats { payload } -> payload
   | Frame.Busy reason -> raise (Refused reason)
-  | f -> raise (Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " to a stats request"))
+  | f -> (
+    match answer f with
+    | Some v -> v
+    | None -> raise (Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " to " ^ what)))
+
+let stats ~host ~port ?(io_timeout = 10.) () =
+  ops_request ~host ~port ~io_timeout ~what:"a stats request" Frame.Stats_request (function
+    | Frame.Stats { payload } -> Some payload
+    | _ -> None)
 
 let ping ~host ~port ?(io_timeout = 10.) () =
-  let conn = Io.connect ~timeout:io_timeout ~host ~port () in
-  Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
-  Io.send_frame conn (Frame.encode Frame.Ping);
-  match Frame.decode (Io.recv_frame conn) with
-  | Frame.Health { h_role; h_draining; h_active } -> { h_role; h_draining; h_active }
-  | Frame.Busy reason -> raise (Refused reason)
-  | f -> raise (Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " to a ping"))
+  ops_request ~host ~port ~io_timeout ~what:"a ping" Frame.Ping (function
+    | Frame.Health { h_role; h_draining; h_active } -> Some { h_role; h_draining; h_active }
+    | _ -> None)
 
 let drain ~host ~port ~scenario ?(deadline = 0.) ?(io_timeout = 10.) () =
-  let conn = Io.connect ~timeout:io_timeout ~host ~port () in
-  Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
-  Io.send_frame conn (Frame.encode (Frame.Drain { scenario; deadline }));
-  match Frame.decode (Io.recv_frame conn) with
-  | Frame.Drain_ok -> ()
-  | Frame.Busy reason -> raise (Refused reason)
-  | f -> raise (Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " to a drain request"))
+  ops_request ~host ~port ~io_timeout ~what:"a drain request"
+    (Frame.Drain { scenario; deadline })
+    (function Frame.Drain_ok -> Some () | _ -> None)

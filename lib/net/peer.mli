@@ -43,7 +43,8 @@ val source :
   unit ->
   unit
 (** Run datasource [id] as a daemon: accept mediator connections (a
-    thread per connection — a pooling mediator dials several),
+    thread per connection — one per mediator, and a restarted
+    mediator dials anew while the old link drains),
     multiplex concurrent sessions over each (a thread per session),
     and per [Session_start] run this source's replica of the attempt and
     report how it ended (with the attempt's span batch in the [Report]
@@ -59,7 +60,7 @@ val source :
     with a [Health] frame before any handshake, and a [Drain] frame
     carrying the right scenario digest, or SIGTERM, flips the daemon
     into draining.  New connections are then refused with [Draining],
-    brand-new sessions on existing pooled connections are refused with a
+    brand-new sessions on existing connections are refused with a
     typed [St_failed]/"draining" report (the mediator fails them over to
     a standby), in-flight sessions finish under [drain_deadline]
     (default 30s), and the daemon then returns cleanly. *)

@@ -18,27 +18,17 @@ type replica = {
   mutable re_dials : int;
 }
 
-(* One pooled connection to a datasource.  Each slot owns at most one
-   live mux; a session checks out exactly one slot per source for its
-   whole lifetime, so a severed pooled connection faults only the
-   sessions bound to that slot — the others never notice.  [ss_epoch]
-   counts successful dials: 1 on the first connect, +1 per redial, so
-   the ops surface can tell a stable slot from a flapping one.
-   [ss_replica] is the slot's replica cursor: which endpoint the live
-   mux is (or was last) dialed to. *)
-type source_slot = {
-  ss_index : int;
-  ss_mu : Mutex.t;
-  mutable ss_mux : Mux.t option;
-  mutable ss_epoch : int;
-  mutable ss_replica : int;
-}
-
 (* One shard of a logical source.  An unsharded source is the k = 1
-   special case, so the whole pool/failover machinery below is per
-   shard: each shard has its own replica set, its own slots, its own
-   health state, and is dialed with its own scenario digest
-   ({!Shard.digest}) so a miswired partition fails the handshake. *)
+   special case, so the whole failover machinery below is per shard:
+   each shard has its own replica set, its own health state, and is
+   dialed with its own scenario digest ({!Shard.digest}) so a miswired
+   partition fails the handshake.  A link owns one mux, which every
+   session multiplexes over: a severed link faults the sessions on it,
+   and each pays one retry on the redialed connection.  [sl_dials]
+   counts successful dials (1 on the first connect, +1 per redial), so
+   the ops surface can tell a stable link from a flapping one;
+   [sl_replica] is the replica cursor, the endpoint the live mux is
+   (or was last) dialed to. *)
 type source_link = {
   sl_id : int;
   sl_shard : int;
@@ -46,11 +36,14 @@ type source_link = {
   sl_scenario : string;  (* the shard digest this link dials with *)
   sl_mu : Mutex.t;  (* guards every replica's breaker and dial count *)
   sl_replicas : replica array;
-  sl_slots : source_slot array;
+  sl_conn_mu : Mutex.t;  (* guards the mux, dial count and cursor; held across a dial *)
+  mutable sl_mux : Mux.t option;
+  mutable sl_dials : int;
+  mutable sl_replica : int;
 }
 
 (* One entry of the failover transition log: a replica's breaker leaving
-   or re-entering Closed, or a slot cursor move, timestamped relative to
+   or re-entering Closed, or a link's cursor move, timestamped relative to
    server start so a soak harness can match them against its seeded kill
    schedule. *)
 type fo_event = {
@@ -73,10 +66,10 @@ type t = {
   io_timeout : float;
   life : Daemon.t;  (* drain state, SIGTERM and the accept loop *)
   health_interval : float;  (* 0. = no prober thread *)
-  sched : Sched.t;  (* bounds concurrent protocol drivers; overflow queues FIFO *)
   admission_mu : Mutex.t;
   mutable active : int;
   mutable next_session : int;
+  mutable busy_seconds : float;  (* wall time inside [run_query], under [admission_mu] *)
   mutable stopped : bool;
   started_at : float;
   fo_mu : Mutex.t;
@@ -127,17 +120,15 @@ let row_of key =
   | None -> List.assoc "unknown" scheme_rows
 
 let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_policy)
-    ?(max_sessions = 8) ?(io_timeout = 10.) ?(source_conns = 2) ?workers
-    ?(drain_deadline = 30.) ?(health_interval = 0.) () =
-  let source_conns = max 1 source_conns in
-  let workers = match workers with Some w -> max 1 w | None -> max_sessions in
+    ?(max_sessions = 8) ?(io_timeout = 10.) ?(drain_deadline = 30.) ?(health_interval = 0.)
+    () =
   let replica_config = R.replica_breaker ~cooldown:policy.R.breaker_config.R.cooldown in
   {
     env;
     client;
     scenario;
     sources =
-      (* Flattened over shards: every piece of pool machinery (dialing,
+      (* Flattened over shards: every piece of link machinery (dialing,
          failover, probing, teardown) iterates physical endpoints; the
          logical grouping is recovered by [sl_id] where it matters (the
          route merge in [make_routes]). *)
@@ -164,10 +155,10 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
                                (Transcript.Source sl_id);
                            re_dials = 0 })
                        replicas);
-                sl_slots =
-                  Array.init source_conns (fun ss_index ->
-                      { ss_index; ss_mu = Mutex.create (); ss_mux = None; ss_epoch = 0;
-                        ss_replica = 0 });
+                sl_conn_mu = Mutex.create ();
+                sl_mux = None;
+                sl_dials = 0;
+                sl_replica = 0;
               })
             shards)
         sources;
@@ -178,10 +169,10 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     io_timeout;
     life = Daemon.create ~role:Transcript.Mediator ~scenario ~drain_deadline;
     health_interval;
-    sched = Sched.create ~workers;
     admission_mu = Mutex.create ();
     active = 0;
     next_session = 1;
+    busy_seconds = 0.;
     stopped = false;
     started_at = Unix.gettimeofday ();
     fo_mu = Mutex.create ();
@@ -191,10 +182,6 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     conn_seq = 0;
     live_conns = Hashtbl.create 32;
   }
-
-(* A session's slot for a source: round-robin by session id, so tests
-   can predict which sessions share a pooled connection. *)
-let slot_of sl sid = sl.sl_slots.((sid - 1) mod Array.length sl.sl_slots)
 
 let log_fo t ~source ~replica ~kind ~detail =
   Mutex.protect t.fo_mu (fun () ->
@@ -231,7 +218,7 @@ let mark_down t sl idx ~reason = set_health t sl idx ~reason (R.breaker_record ~
    probe (failback), primary first within each group.  If none
    qualifies — every replica freshly down — try them all anyway: with
    a single replica that redials at once, and with several a
-   fully-partitioned pool still dials rather than giving up. *)
+   fully-partitioned link still dials rather than giving up. *)
 let candidates sl =
   let idxs = List.init (Array.length sl.sl_replicas) Fun.id in
   let closed, down =
@@ -241,20 +228,20 @@ let candidates sl =
   in
   match closed @ down with [] -> idxs | eligible -> eligible
 
-(* The pooled datasource connection, dialed on first use and redialed
+(* The link's datasource connection, dialed on first use and redialed
    when a previous incarnation died (e.g. peer SIGKILLed, or severed by
    the chaos proxy) — the transport-level half of "a connection failure
-   is a typed, retryable fault".  Lazy redial is per slot: only the
-   sessions checked out on the dead slot pay the reconnect.  The redial
+   is a typed, retryable fault".  Sessions that find the mux dead wait
+   on [sl_conn_mu] for one redial and share its result.  The redial
    walks the replica candidates in health order, so a dead primary
-   fails the bound sessions over to a standby within their one typed
+   fails the link's sessions over to a standby within their one typed
    retry; a later redial after the cooldown fails back.  A live mux
    whose replica was marked down out-of-band (health probe, draining
    report) is proactively switched — but only when some other replica
-   is known up, so a single-replica pool never churns a working
+   is known up, so a single-replica link never churns a working
    connection. *)
-let ensure_slot t sl slot =
-  Mutex.protect slot.ss_mu (fun () ->
+let ensure_link t sl =
+  Mutex.protect sl.sl_conn_mu (fun () ->
       (* A stopped server must not open fresh source connections: the
          teardown sweep severs the muxes it can see, and a session that
          transparently redialed behind it would sit out a full transport
@@ -292,10 +279,10 @@ let ensure_slot t sl slot =
             Error msg)
       in
       let redial () =
-        (match slot.ss_mux with
+        (match sl.sl_mux with
         | Some m -> Io.close (Mux.conn m)
         | None -> ());
-        slot.ss_mux <- None;
+        sl.sl_mux <- None;
         let rec try_each last = function
           | [] -> Error (Option.value last ~default:"no replica reachable")
           | idx :: rest -> (
@@ -306,17 +293,17 @@ let ensure_slot t sl slot =
               (* A dial proves the replica up, whether its breaker
                  admitted it or every replica was down. *)
               set_health t sl idx ~reason:"" R.breaker_close;
-              if slot.ss_epoch > 0 && slot.ss_replica <> idx then
+              if sl.sl_dials > 0 && sl.sl_replica <> idx then
                 log_fo t ~source:sl.sl_id ~replica:idx ~kind:"failover"
                   ~detail:
-                    (Printf.sprintf "%sslot %d: replica %d -> %d"
+                    (Printf.sprintf "%sreplica %d -> %d"
                        (if sl.sl_shard_count > 1 then
-                          Printf.sprintf "shard %d " sl.sl_shard
+                          Printf.sprintf "shard %d: " sl.sl_shard
                         else "")
-                       slot.ss_index slot.ss_replica idx);
-              slot.ss_replica <- idx;
-              slot.ss_mux <- Some m;
-              slot.ss_epoch <- slot.ss_epoch + 1;
+                       sl.sl_replica idx);
+              sl.sl_replica <- idx;
+              sl.sl_mux <- Some m;
+              sl.sl_dials <- sl.sl_dials + 1;
               Ok m
             | Error msg ->
               mark_down t sl idx ~reason:msg;
@@ -326,13 +313,13 @@ let ensure_slot t sl slot =
         in
         try_each None (candidates sl)
       in
-      match slot.ss_mux with
+      match sl.sl_mux with
       | Some m when Mux.alive m ->
         let switch =
           Mutex.protect sl.sl_mu (fun () ->
-              (not (up sl.sl_replicas.(slot.ss_replica)))
+              (not (up sl.sl_replicas.(sl.sl_replica)))
               && Array.exists
-                   (fun re -> up re && re.re_index <> slot.ss_replica)
+                   (fun re -> up re && re.re_index <> sl.sl_replica)
                    sl.sl_replicas)
         in
         if switch then redial () else Ok m
@@ -355,7 +342,7 @@ type peer_routes = {
   source_reports : (int * int * Endpoint.route * Frame.status option ref) list;
       (* one per physical shard: (source id, shard, shard route, report
          cell) — the commit barrier awaits every shard's report *)
-  bind : unit -> unit;  (* bind every shard route to its slot's mux for one attempt *)
+  bind : unit -> unit;  (* bind every shard route to its link's mux for one attempt *)
   stats : (Transcript.party * int ref * int ref) list;
 }
 
@@ -429,14 +416,13 @@ let make_routes t conn sid ~epoch ~batches =
               Io.set_timeout conn timeout;
               Frame.decode (Io.recv_frame conn))))
   in
-  (* A source route is bound to its slot's mux once per attempt, by
+  (* A source route is bound to its link's mux once per attempt, by
      [bind] at the attempt's start: when the previous incarnation died
      (peer crashed, chaos proxy severed the stream), that bind redials
-     through {!ensure_slot} — so a connection failure costs one attempt,
-     not the whole query, and only for the sessions bound to that slot.
-     A mux that dies mid-attempt fails the attempt's reads, writes and
-     end-of-attempt wait at once; nothing redials before the next
-     attempt.
+     through {!ensure_link} — so a connection failure costs one attempt,
+     not the whole query.  A mux that dies mid-attempt fails the
+     attempt's reads, writes and end-of-attempt wait at once; nothing
+     redials before the next attempt.
 
      A sharded source builds one such route per shard, then merges them:
      scalar sends broadcast (every shard replica awaits the mediator's
@@ -453,11 +439,10 @@ let make_routes t conn sid ~epoch ~batches =
           List.map
             (fun sl ->
               let cell = ref None in
-              let slot = slot_of sl sid in
               let bound = ref (Error "not bound to an attempt") in
               let bind () =
                 bound :=
-                  match ensure_slot t sl slot with
+                  match ensure_link t sl with
                   | Ok m ->
                     Mux.subscribe m sid;
                     Ok m
@@ -472,12 +457,12 @@ let make_routes t conn sid ~epoch ~batches =
               in
               (* A replica that reports "draining" is refusing new work
                  but still healthy enough to answer: mark it down so the
-                 retry's {!ensure_slot} proactively switches this slot to
+                 retry's {!ensure_link} proactively switches this link to
                  a standby instead of knocking on the same draining
                  daemon again. *)
               let on_failed (f : Fault.failure) =
                 if String.equal f.Fault.reason "draining" then
-                  mark_down t sl slot.ss_replica ~reason:"peer draining"
+                  mark_down t sl sl.sl_replica ~reason:"peer draining"
               in
               let r =
                 stashing ~on_failed ~epoch ~party:(Transcript.Source id) ~batches cell
@@ -593,8 +578,8 @@ let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
     (* A failed attempt on a stopped server must not enter the retry /
        degradation ladder: the client connection was severed by the
        teardown, so every further attempt (some of them crypto-heavy)
-       would burn a worker the [Sched.stop] join is waiting on.  The
-       typed abort unwinds the driver immediately. *)
+       would burn CPU for nobody.  The typed abort unwinds the driver
+       immediately. *)
     (match verdict with
     | Error f when t.stopped -> raise (Endpoint.Aborted f)
     | _ -> ());
@@ -644,11 +629,11 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
         { Fault.phase = "session"; party = Transcript.Mediator; reason = "bad fault spec: " ^ e }
     | Ok fault -> (
       (* Every source must be reachable before the session opens; each
-         attempt then binds its routes to the slots' muxes. *)
+         attempt then binds its routes to the links' muxes. *)
       let unreachable =
         List.find_map
           (fun sl ->
-            match ensure_slot t sl (slot_of sl sid) with
+            match ensure_link t sl with
             | Ok _ -> None
             | Error msg -> Some (sl.sl_id, msg))
           t.sources
@@ -659,15 +644,14 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
           { Fault.phase = "transport"; party = Transcript.Source source_id; reason = msg }
       | None ->
         Fun.protect ~finally:(fun () ->
-            (* Whatever mux this session's slot holds *now* — possibly a
-               redialed incarnation — gets the end-of-session notice.
+            (* Whatever mux the link holds *now* — possibly a redialed
+               incarnation — gets the end-of-session notice.
                [t.sources] is flat over shards, so every shard daemon
                hears it. *)
             List.iter
               (fun sl ->
-                let slot = slot_of sl sid in
-                Mutex.protect slot.ss_mu (fun () ->
-                    match slot.ss_mux with
+                Mutex.protect sl.sl_conn_mu (fun () ->
+                    match sl.sl_mux with
                     | Some m ->
                       (try Mux.send m (Frame.Session_end { session = sid })
                        with Io.Transport_error _ -> ());
@@ -680,7 +664,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
         let routes = make_routes t conn sid ~epoch ~batches in
         let failures = ref [] in
         (* Tracing: one collector for the whole session, bound to this
-           worker thread, with a root "session" span — the anchor each
+           connection thread, with a root "session" span — the anchor each
            replica's batch roots hang under. *)
         let trace_id = if trace then Printf.sprintf "s%d" sid else "" in
         let collector = if trace then Some (Obs.Trace.create ()) else None in
@@ -712,7 +696,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
            the long-lived breaker state, which only the shared session
            holds; queries content with the server policy share it (the
            shared session's breaker table is internally locked, so
-           concurrent workers may use it directly). *)
+           concurrent sessions may use it directly). *)
         let rsession =
           if deadline > 0. then
             R.session ~policy:{ t.policy with R.deadline_budget = Some deadline } ()
@@ -840,13 +824,8 @@ let stats_json t =
   let module J = Obs.Json in
   let now = Unix.gettimeofday () in
   let uptime = now -. t.started_at in
-  let active, next_session =
-    Mutex.protect t.admission_mu (fun () -> (t.active, t.next_session))
-  in
-  let sched = Sched.stats t.sched in
-  let utilization =
-    if uptime <= 0. then 0.
-    else sched.Sched.st_busy_seconds /. (uptime *. float_of_int sched.Sched.st_workers)
+  let active, next_session, busy_seconds =
+    Mutex.protect t.admission_mu (fun () -> (t.active, t.next_session, t.busy_seconds))
   in
   let pool =
     List.map
@@ -866,6 +845,11 @@ let stats_json t =
                        ])
                    sl.sl_replicas))
         in
+        let connected, replica, dials =
+          Mutex.protect sl.sl_conn_mu (fun () ->
+              ( (match sl.sl_mux with Some m -> Mux.alive m | None -> false),
+                sl.sl_replica, sl.sl_dials ))
+        in
         J.Obj
           [
             ("source", J.Int sl.sl_id);
@@ -876,26 +860,11 @@ let stats_json t =
                 (Printf.sprintf "%s:%d" sl.sl_replicas.(0).re_host sl.sl_replicas.(0).re_port)
             );
             ("replicas", J.List replicas);
-            ( "slots",
-              J.List
-                (Array.to_list
-                   (Array.map
-                      (fun slot ->
-                        let connected, dials, replica =
-                          Mutex.protect slot.ss_mu (fun () ->
-                              ( (match slot.ss_mux with
-                                | Some m -> Mux.alive m
-                                | None -> false),
-                                slot.ss_epoch, slot.ss_replica ))
-                        in
-                        J.Obj
-                          [
-                            ("slot", J.Int slot.ss_index);
-                            ("connected", J.Bool connected);
-                            ("dials", J.Int dials);
-                            ("replica", J.Int replica);
-                          ])
-                      sl.sl_slots)) );
+            ("connected", J.Bool connected);
+            ("replica", J.Int replica);
+            ("dials", J.Int dials);
+            (* perfbench/layers.ml sums [slots[].dials] into net.pool_dials. *)
+            ("slots", J.List [ J.Obj [ ("dials", J.Int dials) ] ]);
           ])
       t.sources
   in
@@ -973,18 +942,8 @@ let stats_json t =
             ("drain_refused", J.Int (Obs.Metrics.counter_value sessions_drain_refused));
             ("draining", J.Bool (Daemon.draining t.life));
           ] );
-      ( "scheduler",
-        J.Obj
-          [
-            ("workers", J.Int sched.Sched.st_workers);
-            ("busy", J.Int sched.Sched.st_busy);
-            ("queued", J.Int sched.Sched.st_queued);
-            ("submitted", J.Int sched.Sched.st_submitted);
-            ("completed", J.Int sched.Sched.st_completed);
-            ("rejected", J.Int sched.Sched.st_rejected);
-            ("busy_seconds", J.Float sched.Sched.st_busy_seconds);
-            ("utilization", J.Float utilization);
-          ] );
+      (* perfbench/layers.ml reads [busy_seconds] as net.sched_busy_share. *)
+      ("scheduler", J.Obj [ ("busy_seconds", J.Float busy_seconds) ]);
       ("pool", J.List pool);
       ("failover", failover);
       ("breakers", R.breakers_json t.rsession);
@@ -1003,27 +962,24 @@ let stats_json t =
 (* ------------------------------------------------------------------ *)
 (* Drain *)
 
-(* Done draining when nothing is admitted, executing, or queued.  The
-   admission slot frees just before the worker sends [Session_result],
-   so [st_busy] (which drops only when the thunk returns, strictly
-   after the send) is what keeps the barrier honest. *)
-let drained t =
-  let active = Mutex.protect t.admission_mu (fun () -> t.active) in
-  let s = Sched.stats t.sched in
-  active = 0 && s.Sched.st_busy = 0 && s.Sched.st_queued = 0
+(* Done draining when no client connection is left.  The admission
+   slot frees just before a session sends [Session_result], so
+   [active = 0] can hold while a verdict is still on its way; a
+   connection leaves [live_conns] only after its thread is done with
+   it. *)
+let drained t = Mutex.protect t.conns_mu (fun () -> Hashtbl.length t.live_conns = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop *)
 
 (* The connection thread routes the first frame {!Daemon.serve} did not
    answer itself: a stats request is answered immediately — no
-   admission, no worker — so the ops surface stays responsive on a
-   server at capacity; a client Hello goes through drain check, then
-   admission, then the handshake and query read, then blocks in
-   {!Sched.run} while a pool worker executes the driver.  Scheduling
-   whole sessions (not individual frames) keeps each driver's
-   thread-local state — counter attribution, bigint caches — private
-   to one worker for the session's entire lifetime. *)
+   admission — so the ops surface stays responsive on a server at
+   capacity; a client Hello goes through drain check, then admission,
+   then the handshake and query read, and the same thread then runs the
+   session's driver.  A session never changes threads, so its
+   thread-local state — crypto counters, bigint caches — stays private
+   to it. *)
 let handle t conn ~admit ~release = function
   | Frame.Stats_request ->
     Io.send_frame conn
@@ -1055,15 +1011,13 @@ let handle t conn ~admit ~release = function
               t.next_session <- sid + 1;
               sid)
         in
-        (try
-           Sched.run t.sched (fun () ->
-               run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
-                 ~trace)
-         with Sched.Stopped ->
-           (* The pool was torn down (drain deadline) with this session
-              still queued: a typed refusal, not a silent hang. *)
-           Io.send_frame conn
-             (Frame.encode (Frame.Draining "mediator drained before the session started")))
+        let started = Unix.gettimeofday () in
+        Fun.protect
+          ~finally:(fun () ->
+            let busy = Unix.gettimeofday () -. started in
+            Mutex.protect t.admission_mu (fun () -> t.busy_seconds <- t.busy_seconds +. busy))
+          (fun () ->
+            run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback ~trace)
       | _ -> ()
     end
   | Frame.Hello _ ->
@@ -1072,7 +1026,7 @@ let handle t conn ~admit ~release = function
 
 let conn_thread t conn frame =
   (* Registered so a deadline-expired teardown can sever this
-     connection and wake whichever worker is blocked on it. *)
+     connection and wake the session blocked on it. *)
   let token =
     Mutex.protect t.conns_mu (fun () ->
         t.conn_seq <- t.conn_seq + 1;
@@ -1080,8 +1034,8 @@ let conn_thread t conn frame =
         t.conn_seq)
   in
   (* [release] is called at most once per admitted session: by [reply]
-     on the worker thread (strictly before [Sched.run] returns), or by
-     the teardown below when the session never reached a verdict. *)
+     just before the verdict goes out, or by the teardown below when the
+     session never reached a verdict. *)
   let state_mu = Mutex.create () in
   let admitted = ref false in
   let released = ref false in
@@ -1114,13 +1068,14 @@ let conn_thread t conn frame =
   in
   Fun.protect
     ~finally:(fun () ->
-      Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token);
-      release ())
+      Secmed_crypto.Counters.release ();
+      release ();
+      Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token))
     (fun () -> handle t conn ~admit ~release frame)
 
 (* One health-probe pass: a short-lived connection per replica carrying
    a single Ping.  A draining or unreachable replica is marked down, so
-   the pool proactively switches slots away from it instead of paying a
+   its link proactively switches away from it instead of paying a
    session fault to discover the death. *)
 let probe_replica t re =
   let timeout = Float.min 2. t.io_timeout in
@@ -1166,33 +1121,26 @@ let prober t () =
   done
 
 (* The drain is over (every in-flight session finished, or the deadline
-   passed): sever the pooled datasource links and every open client
-   connection before joining the pool.  A worker mid-session may be
-   blocked reading its client for up to [io_timeout], and [Sched.stop]
-   joins — without the shutdown the deadline would quietly stretch by a
-   full I/O timeout.  The severed client sees a transport fault and
-   redials the restarted mediator; still-queued sessions get [Stopped]. *)
+   passed): sever the source links and every open client connection.
+   A session cut at the deadline sees a transport fault and unwinds;
+   its client redials the restarted mediator. *)
 let teardown t =
   t.stopped <- true;
   List.iter
     (fun sl ->
-      Array.iter
-        (fun slot ->
-          Mutex.protect slot.ss_mu (fun () ->
-              match slot.ss_mux with
-              | Some m ->
-                (* Shutdown first: close alone need not wake the mux's
-                   receive thread out of a blocked read, and sessions
-                   waiting on its replies would sit out the full I/O
-                   timeout. *)
-                Io.shutdown (Mux.conn m);
-                Io.close (Mux.conn m);
-                slot.ss_mux <- None
-              | None -> ()))
-        sl.sl_slots)
+      Mutex.protect sl.sl_conn_mu (fun () ->
+          match sl.sl_mux with
+          | Some m ->
+            (* Shutdown first: close alone need not wake the mux's
+               receive thread out of a blocked read, and sessions
+               waiting on its replies would sit out the full I/O
+               timeout. *)
+            Io.shutdown (Mux.conn m);
+            Io.close (Mux.conn m);
+            sl.sl_mux <- None
+          | None -> ()))
     t.sources;
-  Mutex.protect t.conns_mu (fun () -> Hashtbl.iter (fun _ conn -> Io.shutdown conn) t.live_conns);
-  Sched.stop t.sched
+  Mutex.protect t.conns_mu (fun () -> Hashtbl.iter (fun _ conn -> Io.shutdown conn) t.live_conns)
 
 let serve t =
   if t.health_interval > 0. then ignore (Thread.create (prober t) () : Thread.t);

@@ -1,14 +1,14 @@
 (** The mediator as a network server.
 
-    One process owns the hub of the star topology: it accepts client
-    connections (thread-per-session, bounded by [max_sessions] — excess
-    connections are refused with a typed [Busy] frame the load layer
-    counts as backpressure), keeps a pool of [source_conns] persistent,
-    multiplexed connections per datasource daemon (each dialed lazily,
-    redialed when found dead; a session checks out one pooled
-    connection per source by round-robin on its session id, so a
-    severed pooled link faults only the sessions bound to it), and
-    drives each query through {!Secmed_core.Protocol.run_session} with
+    One process owns the hub of the star topology.  It accepts client
+    connections, one thread per connection; admission ([max_sessions])
+    is its only concurrency bound, and an excess connection is refused
+    with a typed [Busy] frame the load layer counts as backpressure.
+    It keeps one persistent, multiplexed connection per datasource
+    shard, to one of its replicas (dialed lazily, redialed when found
+    dead; every session multiplexes over it), and each admitted
+    connection's thread drives
+    its query through {!Secmed_core.Protocol.run_session} with
 
     - a [Remote] link endpoint, so the mediator's protocol messages
       cross real sockets;
@@ -23,13 +23,10 @@
       state persists across queries (a per-query deadline in the [Query]
       frame gets a fresh session scoped to that budget).
 
-    Drivers execute concurrently on a bounded {!Sched} worker pool
-    ([workers], default [max_sessions]) — no head-of-line blocking:
-    admission bounds how many sessions are accepted, the pool bounds how
-    many drivers run at once, and sessions beyond the pool queue FIFO.
-    This is safe because every piece of cross-driver state is either
-    thread-local (crypto counter attribution, bigint caches) or
-    internally locked (the shared resilience session's breakers). *)
+    Concurrent sessions are safe because every piece of cross-session
+    state is either thread-local (crypto counters, bigint caches) or
+    internally locked (the shared resilience session's breakers, each
+    link's mux). *)
 
 open Secmed_mediation
 open Secmed_core
@@ -45,8 +42,6 @@ val create :
   ?policy:Resilience.policy ->
   ?max_sessions:int ->
   ?io_timeout:float ->
-  ?source_conns:int ->
-  ?workers:int ->
   ?drain_deadline:float ->
   ?health_interval:float ->
   unit ->
@@ -60,16 +55,14 @@ val create :
     dialed with its own {!Shard.digest} of [scenario] (which the client
     handshake still uses in base form).  [io_timeout] (default 10s)
     bounds each blocking frame exchange; [max_sessions] (default 8) the
-    concurrent client sessions; [source_conns] (default 2) the pooled
-    connections per shard; [workers] (default [max_sessions]) the
-    concurrent protocol drivers.
+    concurrent client sessions.
 
     Each replica's health is a {!Resilience.replica_breaker} whose
     cooldown is [policy]'s [breaker_config.cooldown]: one failed dial
     or probe, a draining health answer or a ["draining"] report opens
-    it.  Each pool slot keeps a replica cursor: a redial walks the
+    it.  Each shard link keeps a replica cursor: a redial walks the
     replicas in health order (up first, then those whose breaker admits
-    a probe, primary first), so a dead primary fails the slot over to a
+    a probe, primary first), so a dead primary fails the link over to a
     standby within a session's one typed retry, and a later redial
     after the cooldown fails back.  [drain_deadline] (default 30s)
     bounds how long a drain waits for in-flight sessions;
@@ -82,20 +75,22 @@ val serve : t -> unit
     authenticated [Drain] (or SIGTERM) are handled there, before
     admission.  Returns once a drain completes: all in-flight sessions
     finished, or the drain deadline passed.  The teardown then severs
-    the pooled source links and any open client connection, and rejects
-    still-queued sessions with a typed [Draining].  A [Stats_request] is
-    answered immediately — without admission control, so the ops
-    surface works on a server at capacity — and a client [Hello] goes
-    through drain check, admission, handshake, and the scheduler. *)
+    the source links and any open client connection.  A
+    [Stats_request] is answered immediately — without admission
+    control, so the ops surface works on a server at capacity — and a
+    client [Hello] goes through drain check, admission and handshake,
+    then runs its session on its own connection thread. *)
 
 val stats_json : t -> Secmed_obs.Json.t
 (** The live serving snapshot the [Stats] frame carries: uptime,
-    admission state (including draining), scheduler utilization,
-    per-source pool slots (with dial counts and replica cursors),
-    per-replica health, the failover transition log (the newest 512
-    entries, each a replica's breaker leaving or re-entering Closed —
-    kind ["down"]/["up"] — or a slot's replica cursor move —
-    ["failover"]), the session's protocol breaker states,
+    admission state (including draining), the cumulative wall time
+    spent inside sessions ([scheduler.busy_seconds]), one [pool] entry
+    per shard link (connection state, dial count and replica cursor;
+    its one-element [slots] list repeats the dial count for the
+    benchmark ledger), per-replica health, the failover transition log
+    (the newest 512 entries, each a replica's breaker leaving or
+    re-entering Closed — kind ["down"]/["up"] — or a link's replica
+    cursor move — ["failover"]), the session's protocol breaker states,
     process-wide transport volume, streamed-delivery totals (rows and
     bytes each way, the current chunk backlog, and the tracked
     high-water memory regions), and per-scheme served/degraded/failed

@@ -98,8 +98,7 @@ let drain_deadline = 10.
 let health_interval = 0.25
 
 (* The soak measures failover, not breaker policy: one SIGKILL severs a
-   pooled connection and faults every session bound to that slot at
-   once, which would trip a rate breaker whose open state is terminal
+   source link and faults every session on it at once, which would trip a rate breaker whose open state is terminal
    for a query.  A threshold above 1.0 can never be reached (the same
    knob the serving bench uses).  The cooldown is also the replicas'
    failback delay. *)
@@ -142,7 +141,7 @@ let transitions_of_payload ~incarnation payload =
 
 let run ?(progress = fun (_ : string) -> ()) cfg =
   Loopback.with_cluster ?params:cfg.params ~policy:soak_policy
-    ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout ~workers:cfg.workers
+    ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout
     ~standbys:cfg.standbys ~health_interval ~drain_deadline ~spec:cfg.spec
   @@ fun c ->
   let med_port = Loopback.port c in
@@ -156,9 +155,9 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
       domains = 1;
       arrival = (if cfg.rate > 0. then Loadgen.Poisson cfg.rate else Loadgen.Closed);
       seed = cfg.seed;
-      (* The resilience budget must absorb a SIGKILL severing a pooled
-         slot (faulting every session bound to it) plus a redial race
-         on top. *)
+      (* The resilience budget must absorb a SIGKILL severing a source
+         link (faulting every session on it) plus a redial race on
+         top. *)
       fault_spec = "retries=6";
       io_timeout = cfg.io_timeout;
       verify = cfg.verify;

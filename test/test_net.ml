@@ -513,13 +513,19 @@ let messages_of tr =
     (fun (m : Transcript.message) -> (m.seq, m.sender, m.receiver, m.label, m.size))
     (Transcript.messages tr)
 
-let check_differential c name =
+let check_differential ?(fault_spec = "") c name =
   let scheme = Option.get (Protocol.scheme_of_name name) in
+  (* A plan's presence is protocol-visible (the commutative canary
+     audit runs only under one), so the reference runs under the same
+     plan. *)
+  let fault =
+    if String.equal fault_spec "" then None else Result.to_option (Fault.of_spec fault_spec)
+  in
   let reference =
-    Protocol.run_exn scheme (Loopback.env c) (Loopback.client_of c)
+    Protocol.run_exn ?fault scheme (Loopback.env c) (Loopback.client_of c)
       ~query:(Loopback.canonical_query c)
   in
-  let response = Loopback.query c ~scheme:name () in
+  let response = Loopback.query c ~scheme:name ~fault_spec () in
   let outcome =
     match response.Peer.result with
     | Protocol.Served o -> o
@@ -575,6 +581,22 @@ let check_differential c name =
 let test_loopback_differential () =
   Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
   List.iter (check_differential c) (schemes @ variants)
+
+(* Fault verdicts never read payloads, so a session under a rule-free
+   plan streams its row-wise deliveries exactly like a fault-free one:
+   bit-identical to in-process under the same plan, with rows arriving
+   at the mediator as chunk streams. *)
+let test_fault_plan_streams () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  List.iter (check_differential ~fault_spec:"retries=2" c) [ "das"; "commutative" ];
+  let stats =
+    match Obs.Json.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "stats payload does not parse: %s" e
+  in
+  match Option.bind (Obs.Json.member "streams" stats) (Obs.Json.member "bytes_in") with
+  | Some (Obs.Json.Int n) -> Alcotest.(check bool) "mediator streamed rows in" true (n > 0)
+  | _ -> Alcotest.fail "stats: no streams.bytes_in"
 
 (* PM's direct-payload variant packs whole tuple sets into Paillier
    plaintexts, which needs a wider modulus and narrower tuples than
@@ -896,33 +918,6 @@ let test_admission_slot_freed_after_completion () =
   let c_response = Loopback.query c ~scheme:"plain" () in
   ignore (served_exn "plain" c_response.Peer.result)
 
-(* The source connection pool isolates transport faults: with two pooled
-   connections per source, session ids bind slots round-robin (sid 1 and
-   3 share slot 0, sid 2 rides slot 1), so a severed pooled link costs
-   the bound session one retry (lazy redial, exactly like the
-   single-connection case) and the other slot's sessions nothing. *)
-let test_pooled_connection_sever_isolated () =
-  let plan = chaos_rule ~times:1 (Fault.Truncate 6) in
-  Loopback.with_cluster ~params:fast ~spec:small_spec ~chaos:[ (1, plan) ]
-    ~source_conns:2 ~io_timeout:1.5
-  @@ fun c ->
-  (* sid 1 on slot 0: the truncate severs its pooled connection
-     mid-attempt; the retry redials the slot and serves. *)
-  let r1 = Loopback.query c ~scheme:"commutative" ~fault_spec:"retries=2" ~fallback:false () in
-  ignore (served_exn "commutative" r1.Peer.result);
-  Alcotest.(check int) "bound session paid one retry" 2 r1.Peer.epochs;
-  (* sid 2 on slot 1: a different pooled connection — never faulted. *)
-  let r2 = Loopback.query c ~scheme:"commutative" ~fault_spec:"retries=2" ~fallback:false () in
-  ignore (served_exn "commutative" r2.Peer.result);
-  Alcotest.(check int) "other slot untouched" 1 r2.Peer.epochs;
-  (* sid 3 back on slot 0: the redialed incarnation serves first try. *)
-  let r3 = Loopback.query c ~scheme:"commutative" ~fault_spec:"retries=2" ~fallback:false () in
-  ignore (served_exn "commutative" r3.Peer.result);
-  Alcotest.(check int) "redialed slot serves clean" 1 r3.Peer.epochs;
-  match Loopback.chaos_events c 1 with
-  | [ { Fault.event_action = Fault.Truncate _; _ } ] -> ()
-  | es -> Alcotest.failf "expected exactly one proxy event, got %d" (List.length es)
-
 let test_net_metrics_counted () =
   Obs.Metrics.reset ();
   Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
@@ -1012,6 +1007,7 @@ let () =
         [
           Alcotest.test_case "differential: all schemes bit-identical" `Slow
             test_loopback_differential;
+          Alcotest.test_case "fault plan still streams" `Slow test_fault_plan_streams;
           Alcotest.test_case "differential: pm direct payload" `Slow
             test_pm_direct_differential;
           Alcotest.test_case "at capacity refuses" `Quick test_server_at_capacity_refuses;
@@ -1019,8 +1015,6 @@ let () =
             test_scenario_digest_mismatch_refused;
           Alcotest.test_case "completed session frees its slot" `Slow
             test_admission_slot_freed_after_completion;
-          Alcotest.test_case "pooled connection sever isolated" `Slow
-            test_pooled_connection_sever_isolated;
           Alcotest.test_case "net metrics counted" `Quick test_net_metrics_counted;
         ] );
       ( "chaos",

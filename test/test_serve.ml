@@ -263,11 +263,11 @@ let pool_replica stats ~source ~replica =
 
 (* SIGTERM the primary of source 1 between sessions: it drains and
    exits, its health breaker opens, and the next session fails the
-   pooled slot over to the standby with a bit-identical answer.  One
-   pooled slot, so the second session reuses the first one's slot and
-   its cursor move is logged. *)
+   source link over to the standby with a bit-identical answer.  The
+   second session reuses the first one's link, so its cursor move is
+   logged. *)
 let test_source_drain_failover () =
-  Loopback.with_cluster ~params:fast ~spec:small_spec ~source_conns:1 ~standbys:1
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~standbys:1
     ~health_interval:0.2 @@ fun c ->
   let scheme = "das" and fault_spec = "retries=4" in
   ignore (Loopback.query c ~fault_spec ~scheme () : Peer.response);
