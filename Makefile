@@ -79,12 +79,15 @@ check-stream:
 	dune exec test/test_shard.exe -- test -e
 
 # Crypto hot-path suite: the bigint/crypto differential tests (CRT vs
-# plain decryption, Multi_exp vs separate mod_pows, domain-local cache
-# stress) plus the batch-executor determinism suite.
+# plain decryption, Multi_exp vs separate mod_pows, the Montgomery
+# multiply vs plain arithmetic, AES-CTR vs the vector-checked block
+# cipher, domain-local cache stress), the batch-executor determinism
+# suite, and the DAS client's decrypt-each-ciphertext-once test.
 check-crypto-perf:
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe
+	dune exec test/test_core_protocols.exe -- test das-decrypt-once
 
 # Non-comment, non-blank lines of the transport and the CLI, per file
 # and in total (the line budget ROADMAP.md tracks), then the total of

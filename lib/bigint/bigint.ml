@@ -491,39 +491,46 @@ module Montgomery = struct
       Some { m; n; m_prime; modulus; r_mod_m; r2_mod_m }
     end
 
-  (* t <- (a * b + (..) * m) / B^n, result < 2m then conditionally
-     subtracted; a, b are n-limb Montgomery representatives (< m). *)
+  (* Fused CIOS: each outer step adds a_i * b and u * m (u chosen to clear
+     the low limb) in one inner pass, then shifts one limb right.  [c1]
+     carries the a_i * b row and [c2] the u * m row; each partial sum is
+     at most (B-1) + (B-1)^2 + (B-1) = B^2 - 1 = max_int.  With b < m the
+     accumulator stays below 2m, so it fits n+1 limbs with a top limb of
+     at most 1, and one conditional subtraction makes the result
+     canonical.  Operands are trimmed representatives, shorter than n
+     limbs when their high limbs are zero: they are padded once here. *)
   let mont_mul ctx a b =
-    let n = ctx.n and m = ctx.m in
-    let t = Array.make (n + 2) 0 in
+    let n = ctx.n and m = ctx.m and m_prime = ctx.m_prime in
+    let pad x =
+      if Array.length x = n then x
+      else begin
+        let p = Array.make n 0 in
+        Array.blit x 0 p 0 (Array.length x);
+        p
+      end
+    in
+    let a = pad a and b = pad b in
+    let t = Array.make (n + 1) 0 in
+    let b0 = b.(0) and m0 = m.(0) in
     for i = 0 to n - 1 do
-      let ai = if i < Array.length a then a.(i) else 0 in
-      (* t += a_i * b *)
-      let carry = ref 0 in
-      for j = 0 to n - 1 do
-        let bj = if j < Array.length b then b.(j) else 0 in
-        let sum = t.(j) + (ai * bj) + !carry in
-        t.(j) <- sum land mask;
-        carry := sum lsr limb_bits
-      done;
-      let sum = t.(n) + !carry in
-      t.(n) <- sum land mask;
-      t.(n + 1) <- t.(n + 1) + (sum lsr limb_bits);
-      (* Reduce one limb: add mtimes * m and shift right one limb. *)
-      let mtimes = (t.(0) * ctx.m_prime) land mask in
-      let carry = ref ((t.(0) + (mtimes * m.(0))) lsr limb_bits) in
+      let ai = a.(i) in
+      let s1 = t.(0) + (ai * b0) in
+      let u = ((s1 land mask) * m_prime) land mask in
+      let c1 = ref (s1 lsr limb_bits) in
+      let c2 = ref (((s1 land mask) + (u * m0)) lsr limb_bits) in
       for j = 1 to n - 1 do
-        let sum = t.(j) + (mtimes * m.(j)) + !carry in
-        t.(j - 1) <- sum land mask;
-        carry := sum lsr limb_bits
+        let s1 = t.(j) + (ai * b.(j)) + !c1 in
+        c1 := s1 lsr limb_bits;
+        let s2 = (s1 land mask) + (u * m.(j)) + !c2 in
+        c2 := s2 lsr limb_bits;
+        t.(j - 1) <- s2 land mask
       done;
-      let sum = t.(n) + !carry in
-      t.(n - 1) <- sum land mask;
-      t.(n) <- t.(n + 1) + (sum lsr limb_bits);
-      t.(n + 1) <- 0
+      let s = t.(n) + !c1 + !c2 in
+      t.(n - 1) <- s land mask;
+      t.(n) <- s lsr limb_bits
     done;
-    let result = trim (Array.sub t 0 (n + 1)) in
-    if nat_cmp result ctx.m >= 0 then nat_sub result ctx.m else result
+    let result = trim t in
+    if nat_cmp result m >= 0 then nat_sub result m else result
 
   let to_mont ctx x =
     (* x * B^n mod m = mont_mul x (B^2n mod m): one CIOS pass instead of

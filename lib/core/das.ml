@@ -555,19 +555,28 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
                     (Schema.make
                        (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
                 in
+                (* A tuple's ciphertext recurs in every candidate pair it
+                   joins: decrypt (and authenticate) each distinct one once,
+                   keyed by its wire bytes. *)
+                let decrypted = Hashtbl.create 64 in
+                let decrypt label ct =
+                  let wire = Hybrid.to_wire ct in
+                  match Hashtbl.find_opt decrypted wire with
+                  | Some t -> t
+                  | None ->
+                    let t =
+                      Tuple.decode
+                        (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                           client.Env.key label ct)
+                    in
+                    Hashtbl.add decrypted wire t;
+                    t
+                in
                 let joined =
                   List.filter_map
                     (fun (ct1, ct2) ->
-                      let t1 =
-                        Tuple.decode
-                          (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                             client.Env.key "etuple1" ct1)
-                      in
-                      let t2 =
-                        Tuple.decode
-                          (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                             client.Env.key "etuple2" ct2)
-                      in
+                      let t1 = decrypt "etuple1" ct1 in
+                      let t2 = decrypt "etuple2" ct2 in
                       (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
                       if
                         Join_key.equal

@@ -1,6 +1,7 @@
 (** AES-128 block cipher (FIPS 197) with a CTR mode keystream.
 
-    Tables are derived from the GF(2^8) field arithmetic at module
+    Table-driven (T-tables), so not constant-time (DESIGN.md §5).  The
+    tables are derived from the GF(2^8) field arithmetic at module
     initialization rather than hard-coded; the test suite checks the FIPS
     197 and NIST SP 800-38A vectors. *)
 

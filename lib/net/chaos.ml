@@ -1,13 +1,17 @@
 open Secmed_mediation
 
+(* One proxied connection, pumped by two threads (one per direction)
+   until both have stopped. *)
+type pair = { inbound : Io.conn; outbound : Io.conn; mutable pumps : int }
+
 type t = {
   listen_fd : Unix.file_descr;
   port : int;
   plan : Fault.plan;
   plan_mu : Mutex.t;  (* rule counters and the event log are shared by both pumps *)
   target : string * int;
-  mu : Mutex.t;
-  mutable conns : (Io.conn * Io.conn) list;
+  mu : Mutex.t;  (* guards [pairs] and every pair's [pumps] and close *)
+  mutable pairs : pair list;
   mutable stopped : bool;
 }
 
@@ -74,7 +78,13 @@ let forward t dst frame body =
     Io.send_frame dst body;
     true
 
-let pump t src dst =
+(* A pump that stops shuts both sockets down: that wakes its sibling out
+   of a blocked read and fails the sibling's next write (one held by a
+   [Delay] may come seconds later), but releases neither descriptor.  A
+   released number goes to the next socket this process opens, and the
+   sibling would read or write that socket instead.  The second pump to
+   stop closes both. *)
+let pump t pair src dst =
   let rec loop () =
     let body = Io.recv_frame src in
     match Frame.decode body with
@@ -85,8 +95,15 @@ let pump t src dst =
       loop ()
   in
   (try loop () with Io.Transport_error _ -> ());
-  Io.close src;
-  Io.close dst
+  Mutex.protect t.mu (fun () ->
+      Io.shutdown src;
+      Io.shutdown dst;
+      pair.pumps <- pair.pumps - 1;
+      if pair.pumps = 0 then begin
+        Io.close src;
+        Io.close dst;
+        t.pairs <- List.filter (fun p -> p != pair) t.pairs
+      end)
 
 let start ~plan ~target_host ~target_port ?(port = 0) ?listen () =
   let listen_fd, port =
@@ -100,7 +117,7 @@ let start ~plan ~target_host ~target_port ?(port = 0) ?listen () =
       plan_mu = Mutex.create ();
       target = (target_host, target_port);
       mu = Mutex.create ();
-      conns = [];
+      pairs = [];
       stopped = false;
     }
   in
@@ -110,9 +127,10 @@ let start ~plan ~target_host ~target_port ?(port = 0) ?listen () =
       | inbound ->
         (match Io.connect ~host:(fst t.target) ~port:(snd t.target) () with
         | outbound ->
-          Mutex.protect t.mu (fun () -> t.conns <- (inbound, outbound) :: t.conns);
-          ignore (Thread.create (fun () -> pump t inbound outbound) () : Thread.t);
-          ignore (Thread.create (fun () -> pump t outbound inbound) () : Thread.t)
+          let pair = { inbound; outbound; pumps = 2 } in
+          Mutex.protect t.mu (fun () -> t.pairs <- pair :: t.pairs);
+          ignore (Thread.create (fun () -> pump t pair inbound outbound) () : Thread.t);
+          ignore (Thread.create (fun () -> pump t pair outbound inbound) () : Thread.t)
         | exception Io.Transport_error _ -> Io.close inbound);
         loop ()
       | exception Io.Transport_error _ -> ()  (* listener closed: stop *)
@@ -130,10 +148,10 @@ let stop t =
       if not t.stopped then begin
         t.stopped <- true;
         (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+        (* The pumps wake, stop and close their pair. *)
         List.iter
-          (fun (a, b) ->
-            Io.close a;
-            Io.close b)
-          t.conns;
-        t.conns <- []
+          (fun p ->
+            Io.shutdown p.inbound;
+            Io.shutdown p.outbound)
+          t.pairs
       end)

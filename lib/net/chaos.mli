@@ -38,4 +38,5 @@ val plan : t -> Fault.plan
 (** The live plan — its event log accumulates what the proxy did. *)
 
 val stop : t -> unit
-(** Close the listener and every live proxied connection. *)
+(** Close the listener and shut every live proxied connection down; its
+    two pump threads then stop and close it. *)

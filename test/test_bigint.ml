@@ -584,6 +584,53 @@ let props =
         let fb = Bigint.Fixed_base.create ~base ~modulus:m ~bits:300 in
         Bigint.equal (Bigint.Fixed_base.pow fb e)
           (Bigint.mod_pow_plain (Bigint.emod base m) e m));
+    (* The fused CIOS against the division-based reference on odd moduli
+       of 1, 9, 17 and 34 limbs.  A top limb near 2^31 pushes both
+       carries to their bounds; a one-limb operand reaches mont_mul
+       shorter than n limbs (as of_mont's [|1|] does); m - 1 is the
+       largest representative.  The in-domain product must also be the
+       canonical representative, which mont_equal relies on. *)
+    prop "montgomery ≡ plain on 1/9/17/34-limb moduli" ~count:160
+      (QCheck2.Gen.quad
+         (QCheck2.Gen.oneofl [ 1; 9; 17; 34 ])
+         QCheck2.Gen.bool
+         (QCheck2.Gen.pair (QCheck2.Gen.int_range 0 3) (QCheck2.Gen.int_range 0 3))
+         (QCheck2.Gen.int_range 17 160))
+      (fun (limbs, near_top, (shape_a, shape_b), exp_bits) ->
+        let source = Secmed_crypto.Prng.byte_source prng in
+        let bits = 31 * limbs in
+        let m =
+          let c =
+            if near_top then
+              Bigint.sub (Bigint.shift_left Bigint.one bits) (Bigint.random_bits source (bits - 8))
+            else
+              Bigint.add
+                (Bigint.shift_left Bigint.one (bits - 31))
+                (Bigint.random_bits source (bits - 1))
+          in
+          let c = if Bigint.is_even c then Bigint.pred c else c in
+          if Bigint.compare c (i 3) < 0 then i 3 else c
+        in
+        let operand = function
+          | 0 -> Bigint.random_below source m
+          | 1 -> Bigint.pred m
+          | 2 -> Bigint.emod (Bigint.random_bits source 31) m
+          | _ -> Bigint.one
+        in
+        let a = operand shape_a and b = operand shape_b in
+        let e =
+          Bigint.add (Bigint.shift_left Bigint.one (exp_bits - 1))
+            (Bigint.random_bits source (exp_bits - 1))
+        in
+        let c = Bigint.Ctx.create m in
+        let expected = Bigint.emod (Bigint.mul a b) m in
+        let product = Bigint.Ctx.mont_mul c (Bigint.Ctx.to_mont c a) (Bigint.Ctx.to_mont c b) in
+        let power = Bigint.mod_pow_plain a e m in
+        Bigint.Ctx.uses_montgomery c
+        && Bigint.equal (Bigint.Ctx.of_mont c product) expected
+        && Bigint.Ctx.mont_equal product (Bigint.Ctx.to_mont c expected)
+        && Bigint.equal (Bigint.Ctx.mod_pow c a e) power
+        && Bigint.equal (Bigint.Ctx.of_mont c (Bigint.Ctx.mont_pow c (Bigint.Ctx.to_mont c a) e)) power);
     prop "transparent cache: hit equals cold result" ~count:60
       (QCheck2.Gen.triple (QCheck2.Gen.int_range 1 256) (QCheck2.Gen.int_range 17 128)
          (QCheck2.Gen.int_range 64 256))

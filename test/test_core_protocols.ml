@@ -698,6 +698,76 @@ let test_das_encrypt_relation_internals () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "missing index table must be rejected"
 
+(* Step 7 decrypts each distinct R_C ciphertext once.  Under singleton
+   partitions R_C holds exactly the joining pairs, and each source row has
+   one ciphertext, so the distinct ciphertexts are the rows of either side
+   whose join value the other side has.  The client's other decryptions
+   are the two index tables of step 2. *)
+let das_singleton = Protocol.Das (Das_partition.Singleton, Das.Pair_index)
+
+let test_das_decrypts_each_ciphertext_once () =
+  let env, client, query = scenario () in
+  let o, trace =
+    Secmed_obs.Trace.collect (fun () -> Protocol.run_exn das_singleton env client ~query)
+  in
+  check_correct "das" o;
+  let client_decrypts =
+    List.fold_left
+      (fun acc span ->
+        let attr k = Secmed_obs.Trace.find_attr span k in
+        match (attr "party", attr "ops.hybrid-decrypt") with
+        | Some (Secmed_obs.Json.Str "Client"), Some (Secmed_obs.Json.Int n) -> acc + n
+        | _ -> acc)
+      0 (Secmed_obs.Trace.spans trace)
+  in
+  let join_values id =
+    match (Env.source_by_id env id).Env.relations with
+    | [ (_, r) ] -> Relation.column r "a_join"
+    | _ -> Alcotest.fail "one relation per source"
+  in
+  let left = join_values 1 and right = join_values 2 in
+  let joining mine theirs = List.length (List.filter (fun v -> List.mem v theirs) mine) in
+  let distinct = joining left right + joining right left in
+  let pairs = o.Outcome.client_received_tuples in
+  Alcotest.(check bool) "ciphertexts recur across pairs" true (2 * pairs > distinct);
+  Alcotest.(check int) "one decryption per distinct ciphertext" (distinct + 2) client_decrypts;
+  (* The transcript is the one the per-pair decryption produced: the memo
+     changes what the client computes, not what crosses the wire. *)
+  Alcotest.(check (list (triple string string int)))
+    "transcript"
+    [
+      ("Client->Mediator", "global-query", 185);
+      ("Mediator->Source1", "partial-query", 175);
+      ("Mediator->Source2", "partial-query", 175);
+      ("Source1->Mediator", "R1S+ITables", 1842);
+      ("Source2->Mediator", "R2S+ITables", 1842);
+      ("Mediator->Client", "enc(ITables_R1)", 318);
+      ("Mediator->Client", "enc(ITables_R2)", 318);
+      ("Client->Mediator", "server-query-qS", 48);
+      ("Mediator->Client", "RC", 3094);
+    ]
+    (List.map
+       (fun m ->
+         Transcript.
+           ( party_name m.sender ^ "->" ^ party_name m.receiver,
+             m.label,
+             m.size ))
+       (Transcript.messages o.Outcome.transcript))
+
+(* Decrypting once still authenticates every distinct ciphertext: a source
+   whose etuples fail their MAC is caught at the client, typed. *)
+let test_das_tampered_etuple_fails_typed () =
+  let env, client, query = scenario () in
+  let plan = Fault.plan ~byzantine:[ (1, Fault.Malformed_ciphertexts) ] [] in
+  match Protocol.run ~fault:plan das_singleton env client ~query with
+  | Protocol.Ok _ -> Alcotest.fail "a tampered etuple must not decrypt"
+  | Protocol.Fault f ->
+    Alcotest.(check string) "phase" "client-postprocess" f.Protocol.phase;
+    Alcotest.(check bool) "party" true (f.Protocol.party = Transcript.Client);
+    Alcotest.(check bool) "reason" true
+      (String.starts_with ~prefix:"authentication failure decrypting etuple"
+         f.Protocol.reason)
+
 let test_das_server_condition_shape () =
   let domain = ints 0 7 in
   let t1 = Das_partition.build (Das_partition.Equi_depth 2) ~relation:"R1" ~attr:"a" domain in
@@ -1396,6 +1466,12 @@ let () =
         [
           Alcotest.test_case "encrypt_relation" `Quick test_das_encrypt_relation_internals;
           Alcotest.test_case "server condition" `Quick test_das_server_condition_shape;
+        ] );
+      ( "das-decrypt-once",
+        [
+          Alcotest.test_case "one decryption per ciphertext" `Quick
+            test_das_decrypts_each_ciphertext_once;
+          Alcotest.test_case "tampered etuple" `Quick test_das_tampered_etuple_fails_typed;
         ] );
       ( "das-select",
         [

@@ -112,10 +112,21 @@ let test_aes_fips197 () =
     (Bytes_util.to_hex (Aes.decrypt_block key ct))
 
 let test_aes_sp800_38a () =
-  (* SP 800-38A F.1.1 ECB-AES128 block 1 (checks key schedule + rounds). *)
+  (* SP 800-38A F.1.1 / F.1.2 ECB-AES128, all four blocks (checks key
+     schedule + rounds both ways). *)
   let key = Aes.expand_key (hex "2b7e151628aed2a6abf7158809cf4f3c") in
-  Alcotest.(check string) "ecb block" "3ad77bb40d7a3660a89ecaf32466ef97"
-    (Bytes_util.to_hex (Aes.encrypt_block key (hex "6bc1bee22e409f96e93d7e117393172a")))
+  List.iter
+    (fun (plain, cipher) ->
+      Alcotest.(check string) "ecb encrypt" cipher
+        (Bytes_util.to_hex (Aes.encrypt_block key (hex plain)));
+      Alcotest.(check string) "ecb decrypt" plain
+        (Bytes_util.to_hex (Aes.decrypt_block key (hex cipher))))
+    [
+      ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97");
+      ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf");
+      ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688");
+      ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4");
+    ]
 
 let test_aes_roundtrip () =
   let g = prng () in
@@ -136,6 +147,23 @@ let test_aes_ctr_involution () =
       (Bytes_util.to_hex (Aes.ctr_transform ~key ~nonce ct));
     if len > 0 then
       Alcotest.(check bool) "actually encrypts" true (not (String.equal msg ct))
+  done
+
+(* CTR is the message XOR E_k(nonce || be32 i) for block i, the last
+   block cut to the message length; encrypt_block is the vector-checked
+   oracle. *)
+let test_aes_ctr_keystream () =
+  let g = prng () in
+  for len = 0 to 80 do
+    let key = Prng.bytes g 16 and nonce = Prng.bytes g 12 and msg = Prng.bytes g len in
+    let rk = Aes.expand_key key in
+    let expected =
+      String.init len (fun i ->
+          let keystream = Aes.encrypt_block rk (nonce ^ Bytes_util.be32 (i / 16)) in
+          Char.chr (Char.code msg.[i] lxor Char.code keystream.[i mod 16]))
+    in
+    Alcotest.(check string) (Printf.sprintf "len %d" len) (Bytes_util.to_hex expected)
+      (Bytes_util.to_hex (Aes.ctr_transform ~key ~nonce msg))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -597,6 +625,7 @@ let () =
           Alcotest.test_case "SP 800-38A vector" `Quick test_aes_sp800_38a;
           Alcotest.test_case "roundtrip" `Quick test_aes_roundtrip;
           Alcotest.test_case "CTR involution" `Quick test_aes_ctr_involution;
+          Alcotest.test_case "CTR keystream" `Quick test_aes_ctr_keystream;
         ] );
       ( "prng",
         [

@@ -317,7 +317,14 @@ let test_drain_typed_refusal_then_exit_zero () =
   let t =
     Thread.create (fun () -> inflight := Some (Loopback.query c ~scheme:"pm" ())) ()
   in
-  Thread.delay 0.3;
+  (* Drain only once the mediator counts the pm session as active, so it
+     is in flight however fast its crypto runs. *)
+  let active () = Option.bind (J.member "sessions" (mediator_stats c)) (jint "active") in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Option.value ~default:0 (active ()) < 1 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the pm session never became active";
+    Thread.delay 0.02
+  done;
   Peer.drain ~host:"127.0.0.1" ~port:(Loopback.port c) ~scenario:(Loopback.scenario c)
     ();
   (match Loopback.query c ~scheme:"das" () with
