@@ -2,6 +2,7 @@ open Secmed_bigint
 open Secmed_crypto
 open Secmed_relalg
 open Secmed_mediation
+module Round = Commutative_round
 
 type strategy =
   | Bundles
@@ -113,18 +114,103 @@ let combine_per_key kind ~c1 ~c2 ~p1 ~p2 index =
   | K_min (s, _) -> `Extremum (own s)
   | K_max (s, _) -> `Extremum (own s)
 
-let run ?(strategy = Bundles) env client ~query =
+(* Paillier ciphertexts at the fixed modulus width, [count] per value. *)
+let ciphertexts ppk ~count =
+  let width = (Bigint.numbits ppk.Paillier.n_squared + 7) / 8 in
+  {
+    Codec.size = (fun cts -> width * List.length cts);
+    write =
+      (fun w ->
+        List.iter (fun c ->
+            Wire.write_raw w (Bigint.to_bytes_be_padded width (Paillier.ciphertext_to_bigint c))));
+    read =
+      (fun r ->
+        List.init count (fun _ ->
+            Paillier.ciphertext_of_bigint ppk (Bigint.of_bytes_be (Wire.read_raw r width))));
+    malformed = Fun.id;
+  }
+
+let render = function
+  | `Weighted v | `Extremum v -> Value.Int v
+  | `Ratio (num, den) -> Value.Int (num / den)
+
+(* Two keys' values of one aggregate combined: a scalar query's fold. *)
+let merge kind a b =
+  match (kind, a, b) with
+  | K_min _, `Extremum x, `Extremum y -> `Extremum (Stdlib.min x y)
+  | K_max _, `Extremum x, `Extremum y -> `Extremum (Stdlib.max x y)
+  | _, `Weighted x, `Weighted y -> `Weighted (x + y)
+  | _, `Ratio (n, d), `Ratio (n', d') -> `Ratio (n + n', d + d')
+  | _ -> assert false
+
+(* The client's assembly of the per-key values into the aggregate
+   relation: one row per key when grouped, else one row overall. *)
+let assemble ~grouped ~group_keys ~join_attrs ~left_schema ~right_schema kinds specs per_key =
+  let spec_ty kind =
+    match kind with
+    | K_count | K_sum _ | K_avg _ -> Value.Tint
+    | K_min (side, column) | K_max (side, column) ->
+      let schema = match side with L -> left_schema | R -> right_schema in
+      (Schema.attr_at schema (Schema.find schema column)).Schema.ty
+  in
+  let agg_attrs =
+    List.map2
+      (fun kind (spec : Aggregate.spec) -> Schema.attr spec.Aggregate.alias (spec_ty kind))
+      kinds specs
+  in
+  if grouped then begin
+    let key_attrs =
+      List.map (fun name -> Schema.attr_at left_schema (Schema.find left_schema name)) group_keys
+    in
+    (* The key tuple follows join_attrs; group_keys may reorder them. *)
+    let rows =
+      List.map
+        (fun (key, values) ->
+          List.map
+            (fun name ->
+              Tuple.get key (Option.get (List.find_index (String.equal name) join_attrs)))
+            group_keys
+          @ List.map render values)
+        per_key
+    in
+    Relation.sort (Relation.of_rows (Schema.make (key_attrs @ agg_attrs)) rows)
+  end
+  else begin
+    let row =
+      match per_key with
+      | [] ->
+        (* Match Aggregate.group_by semantics on empty input. *)
+        List.map
+          (function
+            | K_count -> Value.Int 0
+            | K_sum _ | K_avg _ | K_min _ | K_max _ ->
+              invalid_arg "Aggregate.group_by: non-count aggregate over empty relation")
+          kinds
+      | (_, first) :: rest ->
+        List.map render
+          (List.fold_left
+             (fun acc (_, values) ->
+               List.map2 (fun kind (a, b) -> merge kind a b) kinds (List.combine acc values))
+             first rest)
+    in
+    Relation.of_rows (Schema.make agg_attrs) [ row ]
+  end
+
+let run ?fault ?(strategy = Bundles) env client ~query =
   let scheme =
     match strategy with Bundles -> "aggregate" | Homomorphic -> "aggregate-homomorphic"
   in
   let b = Outcome.Builder.create ~scheme in
   let tr = Outcome.Builder.transcript b in
-  let group = env.Env.group in
-  let group_bytes = (group.Group.bits + 7) / 8 in
-  let (result, exact, received), counters =
+  Fault.attach fault tr;
+  let link = Link.make ?fault tr in
+  let computes = Link.computes link in
+  let step party phase f = Outcome.Builder.step b link party phase f in
+  let (exact, client_view), counters =
     Counters.with_fresh (fun () ->
         let request =
-          Outcome.Builder.timed b "request" (fun () -> Request.run (Link.make tr) env client ~query)
+          Outcome.Builder.replicated b link Mediator "request" (fun () ->
+              Request.run link env client ~query)
         in
         let d = request.Request.decomposition in
         let specs, group_keys =
@@ -148,367 +234,186 @@ let run ?(strategy = Bundles) env client ~query =
            surface as Unsupported rather than a raw Not_found. *)
         let kinds = List.map (classify ~join_attrs left_schema right_schema) specs in
         let exact = Request.exact_result env request in
-        let s1 = d.Catalog.left.Catalog.source in
-        let s2 = d.Catalog.right.Catalog.source in
-        let prng1 = Env.prng_for env (Printf.sprintf "agg-source-%d" s1) in
-        let prng2 = Env.prng_for env (Printf.sprintf "agg-source-%d" s2) in
         let pk = request.Request.client_pk in
-        let groups1 = Request.groups request `Left in
-        let groups2 = Request.groups request `Right in
-
-        match strategy with
-        | Bundles ->
-          (* Each source sends, per key: commutatively encrypted hash +
-             hybrid-encrypted per-key statistics bundle. *)
-          let side_messages prng ~own_side ~schema groups =
-            let key = Commutative.keygen prng group in
-            let messages =
-              List.map
-                (fun (a, tuples) ->
-                  let hashed = Random_oracle.hash group (Join_key.encode a) in
-                  let partials = own_partials ~schema ~kinds ~own_side tuples in
-                  let bundle =
-                    Wire.contents
-                      (let w = Wire.writer () in
-                       Wire.write_string w (Join_key.encode a);
-                       Wire.write_string w
-                         (encode_bundle ~count:(List.length tuples) ~partials);
-                       w)
-                  in
-                  (Commutative.apply key hashed, Hybrid.encrypt prng pk bundle))
-                groups
+        let finalize relation =
+          let projected =
+            match d.Catalog.projection with
+            | None -> relation
+            | Some columns -> Relation.project columns relation
+          in
+          if d.Catalog.distinct then Relation.distinct projected else projected
+        in
+        let client_view =
+          match strategy with
+          | Bundles ->
+            (* Each source seals, per key, a bundle of its per-key
+               statistics; the mediator keeps both sets and forwards
+               ids. *)
+            let set which ~own_side ~schema label =
+              {
+                Round.groups = Request.groups request which;
+                seal =
+                  (fun prng a tuples ->
+                    let w = Wire.writer () in
+                    Wire.write_string w (Join_key.encode a);
+                    Wire.write_string w
+                      (encode_bundle ~count:(List.length tuples)
+                         ~partials:(own_partials ~schema ~kinds ~own_side tuples));
+                    Hybrid.encrypt prng pk (Wire.contents w));
+                payload = Codec.hybrid;
+                forward = Round.Id;
+                labels = ("agg-bundles", label, "doubly-encrypted");
+              }
             in
-            let shuffled = Array.of_list messages in
-            Prng.shuffle prng shuffled;
-            (key, Array.to_list shuffled)
-          in
-          let key1, m1 = Outcome.Builder.timed b "source-encrypt" (fun () ->
-              side_messages prng1 ~own_side:L ~schema:left_schema groups1)
-          in
-          let key2, m2 = Outcome.Builder.timed b "source-encrypt" (fun () ->
-              side_messages prng2 ~own_side:R ~schema:right_schema groups2)
-          in
-          let set_size ms =
-            List.fold_left (fun acc (_, ct) -> acc + group_bytes + Hybrid.size ct) 0 ms
-          in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"agg-bundles"
-            ~size:(set_size m1);
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"agg-bundles"
-            ~size:(set_size m2);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length m1);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length m2);
-          (* Hash exchange with retained payloads (IDs), as in Set_ops. *)
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s2) ~label:"hashes-1"
-            ~size:((group_bytes + 8) * List.length m1);
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s1) ~label:"hashes-2"
-            ~size:((group_bytes + 8) * List.length m2);
-          let from_s1 =
-            Outcome.Builder.timed b "source-reencrypt" (fun () ->
-                List.mapi (fun id (h, _) -> (id, Commutative.apply key1 h)) m2)
-          in
-          let from_s2 =
-            Outcome.Builder.timed b "source-reencrypt" (fun () ->
-                List.mapi (fun id (h, _) -> (id, Commutative.apply key2 h)) m1)
-          in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator
-            ~label:"doubly-encrypted" ~size:((group_bytes + 8) * List.length from_s1);
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator
-            ~label:"doubly-encrypted" ~size:((group_bytes + 8) * List.length from_s2);
-          (* Match: from_s2 re-encrypts S1's hashes (ids into m1); from_s1
-             re-encrypts S2's (ids into m2). *)
-          let matches =
-            Outcome.Builder.timed b "mediator-match" (fun () ->
-                let table = Hashtbl.create 64 in
-                List.iter
-                  (fun (id, h) -> Hashtbl.replace table (Bigint.to_string h) id)
-                  from_s2;
-                List.filter_map
-                  (fun (id2, h) ->
-                    Option.map
-                      (fun id1 -> (id1, id2))
-                      (Hashtbl.find_opt table (Bigint.to_string h)))
-                  from_s1)
-          in
-          Outcome.Builder.mediator_sees b "intersection-size" (List.length matches);
-          let payload1 = Array.of_list (List.map snd m1) in
-          let payload2 = Array.of_list (List.map snd m2) in
-          let forwarded =
-            List.map (fun (id1, id2) -> (payload1.(id1), payload2.(id2))) matches
-          in
-          Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"matched-bundles"
-            ~size:
-              (List.fold_left
-                 (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y)
-                 0 forwarded);
-          Outcome.Builder.client_sees b "bundles-received" (2 * List.length forwarded);
-
-          (* Client: decrypt bundles, combine per key, assemble. *)
-          let result =
-            Outcome.Builder.timed b "client-postprocess" (fun () ->
-                let decrypt ct =
-                  match Hybrid.decrypt client.Env.key ct with
-                  | Some blob ->
-                    let r = Wire.reader blob in
+            let doubled =
+              Round.run b link ?fault env request
+                ~left:(set `Left ~own_side:L ~schema:left_schema "hashes-1")
+                ~right:(set `Right ~own_side:R ~schema:right_schema "hashes-2")
+            in
+            let forwarded =
+              Option.bind doubled (fun (left, right) ->
+                  step Mediator "mediator-match" (fun () -> Round.pairs ~left ~right))
+            in
+            Option.iter
+              (fun f -> Outcome.Builder.mediator_sees b "intersection-size" (List.length f))
+              forwarded;
+            let forwarded =
+              Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator
+                ~receiver:Client ~label:"matched-bundles" (Codec.pair Codec.hybrid Codec.hybrid)
+                forwarded
+            in
+            (* Client: decrypt bundles, combine per key, assemble. *)
+            (match forwarded with
+            | Some forwarded when computes Client ->
+              Outcome.Builder.client_sees b "bundles-received" (2 * List.length forwarded);
+              step Client "client-postprocess" (fun () ->
+                  let decrypt ct =
+                    let r =
+                      Wire.reader
+                        (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                           client.Env.key "bundle" ct)
+                    in
                     let key = Tuple.decode (Wire.read_string r) in
                     let count, partials = decode_bundle (Wire.read_string r) in
                     Wire.expect_end r;
                     (key, count, partials)
-                  | None -> failwith "Aggregate_join: authentication failure"
-                in
-                let per_key =
-                  List.map
-                    (fun (ct1, ct2) ->
-                      let key, c1, p1 = decrypt ct1 in
-                      let _, c2, p2 = decrypt ct2 in
-                      let values =
-                        List.mapi
-                          (fun index kind -> combine_per_key kind ~c1 ~c2 ~p1 ~p2 index)
-                          kinds
-                      in
-                      (key, values))
-                    forwarded
-                in
-                let spec_ty kind (spec : Aggregate.spec) =
-                  match kind with
-                  | K_count | K_sum _ | K_avg _ -> Value.Tint
-                  | K_min (side, column) | K_max (side, column) ->
-                    let schema = match side with L -> left_schema | R -> right_schema in
-                    ignore spec;
-                    (Schema.attr_at schema (Schema.find schema column)).Schema.ty
-                in
-                let agg_attrs =
-                  List.map2
-                    (fun kind (spec : Aggregate.spec) ->
-                      Schema.attr spec.Aggregate.alias (spec_ty kind spec))
-                    kinds specs
-                in
-                let relation =
-                  if grouped then begin
-                    let key_attrs =
-                      List.map
-                        (fun name -> Schema.attr_at left_schema (Schema.find left_schema name))
-                        group_keys
-                    in
-                    let schema = Schema.make (key_attrs @ agg_attrs) in
-                    let key_positions = Join_key.positions left_schema join_attrs in
-                    (* group_keys may reorder join_attrs; map positions. *)
-                    let reorder key =
-                      List.map
-                        (fun name ->
-                          let rec find i = function
-                            | [] -> assert false
-                            | attr :: rest ->
-                              if String.equal attr name then i else find (i + 1) rest
-                          in
-                          Tuple.get key (find 0 join_attrs))
-                        group_keys
-                    in
-                    ignore key_positions;
-                    let rows =
-                      List.map
-                        (fun (key, values) ->
-                          reorder key
-                          @ List.map
-                              (function
-                                | `Weighted v -> Value.Int v
-                                | `Ratio (num, den) -> Value.Int (num / den)
-                                | `Extremum v -> Value.Int v)
-                              values)
-                        per_key
-                    in
-                    Relation.sort (Relation.of_rows schema rows)
-                  end
-                  else begin
-                    let schema = Schema.make agg_attrs in
-                    if per_key = [] then begin
-                      (* Match Aggregate.group_by semantics on empty input. *)
-                      let row =
-                        List.map
-                          (function
-                            | K_count -> Value.Int 0
-                            | K_sum _ | K_avg _ | K_min _ | K_max _ ->
-                              invalid_arg
-                                "Aggregate.group_by: non-count aggregate over empty relation")
-                          kinds
-                      in
-                      Relation.of_rows schema [ row ]
-                    end
-                    else begin
-                      let row =
+                  in
+                  let per_key =
+                    List.map
+                      (fun (ct1, ct2) ->
+                        let key, c1, p1 = decrypt ct1 in
+                        let _, c2, p2 = decrypt ct2 in
+                        ( key,
+                          List.mapi
+                            (fun index kind -> combine_per_key kind ~c1 ~c2 ~p1 ~p2 index)
+                            kinds ))
+                      forwarded
+                  in
+                  ( finalize
+                      (assemble ~grouped ~group_keys ~join_attrs ~left_schema ~right_schema kinds
+                         specs per_key),
+                    List.length forwarded ))
+            | _ -> None)
+          | Homomorphic ->
+            (* Scalar COUNT/SUM over right-side columns, mediator-side
+               combination under the client's Paillier key. *)
+            if grouped then unsupported "Homomorphic strategy supports scalar queries only";
+            List.iter
+              (fun kind ->
+                match kind with
+                | K_count | K_sum (R, _) -> ()
+                | K_sum (L, _) | K_avg _ | K_min _ | K_max _ ->
+                  unsupported
+                    "Homomorphic strategy supports COUNT and right-side SUM aggregates only")
+              kinds;
+            (* c1(a) must be 1 for every left key so that pair weighting is
+               trivial; S1 verifies this on its own plaintext. *)
+            if
+              List.exists
+                (fun (_, tuples) -> List.length tuples > 1)
+                (Request.groups request `Left)
+            then
+              unsupported
+                "Homomorphic strategy requires duplicate-free join keys in the left relation";
+            let ppk = Paillier.public client.Env.paillier_key in
+            let cts = ciphertexts ppk ~count:(List.length kinds) in
+            (* S1: bare hashes.  S2: per key, one Paillier ciphertext per
+               aggregate, which the mediator keeps and forwards by id. *)
+            let doubled =
+              Round.run b link ?fault env request
+                ~left:
+                  {
+                    Round.groups = Request.groups request `Left;
+                    seal = (fun _ _ _ -> ());
+                    payload = Codec.none;
+                    forward = Round.Bare;
+                    labels = ("hashes", "hashes-1", "doubly-encrypted");
+                  }
+                ~right:
+                  {
+                    Round.groups = Request.groups request `Right;
+                    seal =
+                      (fun prng _ tuples ->
+                        let sums = own_partials ~schema:right_schema ~kinds ~own_side:R tuples in
                         List.mapi
                           (fun index kind ->
-                            let values = List.map (fun (_, vs) -> List.nth vs index) per_key in
-                            match kind with
-                            | K_count | K_sum _ ->
-                              Value.Int
-                                (List.fold_left
-                                   (fun acc -> function
-                                     | `Weighted v -> acc + v
-                                     | `Ratio _ | `Extremum _ -> assert false)
-                                   0 values)
-                            | K_avg _ ->
-                              let num, den =
-                                List.fold_left
-                                  (fun (n, d) -> function
-                                    | `Ratio (num, den) -> (n + num, d + den)
-                                    | `Weighted _ | `Extremum _ -> assert false)
-                                  (0, 0) values
-                              in
-                              Value.Int (num / den)
-                            | K_min _ ->
-                              Value.Int
-                                (List.fold_left
-                                   (fun acc -> function
-                                     | `Extremum v -> Stdlib.min acc v
-                                     | `Weighted _ | `Ratio _ -> assert false)
-                                   max_int values)
-                            | K_max _ ->
-                              Value.Int
-                                (List.fold_left
-                                   (fun acc -> function
-                                     | `Extremum v -> Stdlib.max acc v
-                                     | `Weighted _ | `Ratio _ -> assert false)
-                                   min_int values))
-                          kinds
-                      in
-                      Relation.of_rows schema [ row ]
-                    end
-                  end
-                in
-                let projected =
-                  match d.Catalog.projection with
-                  | None -> relation
-                  | Some columns -> Relation.project columns relation
-                in
-                if d.Catalog.distinct then Relation.distinct projected else projected)
-          in
-          (result, exact, List.length forwarded)
-
-        | Homomorphic ->
-          (* Scalar COUNT/SUM over right-side columns, mediator-side
-             combination under the client's Paillier key. *)
-          if grouped then unsupported "Homomorphic strategy supports scalar queries only";
-          List.iter
-            (fun kind ->
-              match kind with
-              | K_count | K_sum (R, _) -> ()
-              | K_sum (L, _) | K_avg _ | K_min _ | K_max _ ->
-                unsupported
-                  "Homomorphic strategy supports COUNT and right-side SUM aggregates only")
-            kinds;
-          (* c1(a) must be 1 for every left key so that pair weighting is
-             trivial; S1 verifies this on its own plaintext. *)
-          if List.exists (fun (_, tuples) -> List.length tuples > 1) groups1 then
-            unsupported
-              "Homomorphic strategy requires duplicate-free join keys in the left relation";
-          let ppk = Paillier.public client.Env.paillier_key in
-          let ct_bytes = (Bigint.numbits ppk.Paillier.n_squared + 7) / 8 in
-          (* S1: bare hashes.  S2: hashes + per-key Paillier ciphertexts
-             (one per aggregate). *)
-          let key1 = Commutative.keygen prng1 group in
-          let hashes1 =
-            List.map
-              (fun (a, _) -> Commutative.apply key1 (Random_oracle.hash group (Join_key.encode a)))
-              groups1
-          in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"hashes"
-            ~size:(group_bytes * List.length hashes1);
-          let key2 = Commutative.keygen prng2 group in
-          let m2 =
-            Outcome.Builder.timed b "source-encrypt" (fun () ->
-                List.map
-                  (fun (a, tuples) ->
-                    let hashed =
-                      Commutative.apply key2 (Random_oracle.hash group (Join_key.encode a))
-                    in
-                    let cts =
-                      List.map
-                        (fun kind ->
-                          let plain =
-                            match kind with
-                            | K_count -> List.length tuples
-                            | K_sum (R, column) ->
-                              List.fold_left
-                                (fun acc t ->
-                                  match Tuple.get t (Schema.find right_schema column) with
-                                  | Value.Int n -> acc + n
-                                  | Value.Str _ | Value.Bool _ ->
-                                    unsupported "aggregate over non-integer column %s" column)
-                                0 tuples
-                            | K_sum (L, _) | K_avg _ | K_min _ | K_max _ -> assert false
-                          in
-                          Paillier.encrypt prng2 ppk (Bigint.of_int plain))
-                        kinds
-                    in
-                    (hashed, cts))
-                  groups2)
-          in
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"agg-ciphertexts"
-            ~size:(List.length m2 * (group_bytes + (ct_bytes * List.length kinds)));
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length hashes1);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length m2);
-          (* Exchange and double encryption. *)
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s2) ~label:"hashes-1"
-            ~size:(group_bytes * List.length hashes1);
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s1) ~label:"hashes-2"
-            ~size:((group_bytes + 8) * List.length m2);
-          let from_s1 =
-            List.mapi (fun id (h, _) -> (id, Commutative.apply key1 h)) m2
-          in
-          let from_s2 = List.map (Commutative.apply key2) hashes1 in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"doubly-encrypted"
-            ~size:((group_bytes + 8) * List.length from_s1);
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"doubly-encrypted"
-            ~size:(group_bytes * List.length from_s2);
-          (* Mediator: match, then combine the matched ciphertexts. *)
-          let matched_ids =
-            Outcome.Builder.timed b "mediator-match" (fun () ->
-                let left_set = Hashtbl.create 64 in
-                List.iter (fun h -> Hashtbl.replace left_set (Bigint.to_string h) ()) from_s2;
-                List.filter_map
-                  (fun (id, h) ->
-                    if Hashtbl.mem left_set (Bigint.to_string h) then Some id else None)
-                  from_s1)
-          in
-          Outcome.Builder.mediator_sees b "intersection-size" (List.length matched_ids);
-          let cts2 = Array.of_list (List.map snd m2) in
-          let mediator_prng = Env.prng_for env "agg-mediator" in
-          let totals =
-            Outcome.Builder.timed b "mediator-combine" (fun () ->
-                List.mapi
-                  (fun index _ ->
-                    let matched =
-                      List.map (fun id -> List.nth cts2.(id) index) matched_ids
-                    in
-                    match matched with
-                    | [] -> Paillier.encrypt mediator_prng ppk Bigint.zero
-                    | first :: rest -> List.fold_left (Paillier.add ppk) first rest)
-                  kinds)
-          in
-          Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"aggregate-totals"
-            ~size:(ct_bytes * List.length totals);
-          Outcome.Builder.client_sees b "ciphertexts-received" (List.length totals);
-          let result =
-            Outcome.Builder.timed b "client-postprocess" (fun () ->
-                let schema =
-                  Schema.make
-                    (List.map
-                       (fun (spec : Aggregate.spec) -> Schema.attr spec.Aggregate.alias Value.Tint)
-                       specs)
-                in
-                let row =
-                  List.map
-                    (fun ct -> Value.Int (Bigint.to_int (Paillier.decrypt client.Env.paillier_key ct)))
-                    totals
-                in
-                let relation = Relation.of_rows schema [ row ] in
-                let projected =
-                  match d.Catalog.projection with
-                  | None -> relation
-                  | Some columns -> Relation.project columns relation
-                in
-                if d.Catalog.distinct then Relation.distinct projected else projected)
-          in
-          (result, exact, List.length matched_ids))
+                            let plain =
+                              match kind with
+                              | K_count -> List.length tuples
+                              | _ -> List.assoc index sums
+                            in
+                            Paillier.encrypt prng ppk (Bigint.of_int plain))
+                          kinds);
+                    payload = cts;
+                    forward = Round.Id;
+                    labels = ("agg-ciphertexts", "hashes-2", "doubly-encrypted");
+                  }
+            in
+            (* Mediator: match, then combine the matched ciphertexts. *)
+            let matched =
+              Option.bind doubled (fun (left, right) ->
+                  step Mediator "mediator-match" (fun () ->
+                      List.map snd (Round.pairs ~left ~right)))
+            in
+            Option.iter
+              (fun m -> Outcome.Builder.mediator_sees b "intersection-size" (List.length m))
+              matched;
+            let totals =
+              Option.bind matched (fun matched ->
+                  step Mediator "mediator-combine" (fun () ->
+                      let mediator_prng = Env.prng_for env "agg-mediator" in
+                      List.mapi
+                        (fun index _ ->
+                          match List.map (fun cts -> List.nth cts index) matched with
+                          | [] -> Paillier.encrypt mediator_prng ppk Bigint.zero
+                          | first :: rest -> List.fold_left (Paillier.add ppk) first rest)
+                        kinds))
+            in
+            let totals =
+              Codec.exchange link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+                ~label:"aggregate-totals" cts totals
+            in
+            (match totals with
+            | Some totals when computes Client ->
+              Outcome.Builder.client_sees b "ciphertexts-received" (List.length totals);
+              step Client "client-postprocess" (fun () ->
+                  let schema =
+                    Schema.make
+                      (List.map
+                         (fun (spec : Aggregate.spec) ->
+                           Schema.attr spec.Aggregate.alias Value.Tint)
+                         specs)
+                  in
+                  let row =
+                    List.map
+                      (fun ct ->
+                        Value.Int (Bigint.to_int (Paillier.decrypt client.Env.paillier_key ct)))
+                      totals
+                  in
+                  ( finalize (Relation.of_rows schema [ row ]),
+                    Option.fold ~none:0 ~some:List.length matched ))
+            | _ -> None)
+        in
+        (exact, client_view))
   in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+  Outcome.Builder.finish_projected b ~exact ~counters client_view

@@ -8,17 +8,20 @@
     decomposes into per-join-key statistics each source can compute on its
     own plaintext — count c_i(a), sum/min/max of its own columns over
     Tup_i(a) — so the sources only ship *per-key aggregate bundles*, never
-    tuples.  Matching uses the commutative machinery of Listing 3.
+    tuples.  Matching is the commutative round of Listing 3
+    ({!Commutative_round}).
 
     Two delivery strategies:
 
     - {b Bundles} (default): each source hybrid-encrypts one bundle per
-      key; the mediator forwards the matched pairs; the client combines
+      key; the mediator keeps both sets, forwards ids, and sends the client
+      the matched pairs; the client combines
       them (e.g. SUM(R2.y) = Σ_a c_1(a)·s_2(a)).  The client learns per-key
       aggregates — strictly less than the full join it is entitled to.
     - {b Homomorphic}: for scalar (non-grouped) COUNT/SUM over right-side
-      columns with duplicate-free left join keys, the right source sends
-      Paillier ciphertexts and the *mediator* combines the matched ones
+      columns with duplicate-free left join keys, the left source sends
+      bare hashes, the right source Paillier ciphertexts (forwarded by id),
+      and the *mediator* combines the matched ones
       homomorphically, so the client receives a single ciphertext per
       aggregate and learns nothing but the totals. *)
 
@@ -34,6 +37,7 @@ exception Unsupported of string
     join keys are not duplicate-free. *)
 
 val run :
+  ?fault:Secmed_mediation.Fault.plan ->
   ?strategy:strategy ->
   Env.t ->
   Env.client ->
@@ -41,4 +45,11 @@ val run :
   Outcome.t
 (** The outcome's [result] is the aggregate relation (group keys followed
     by one column per aggregate, or a single row for scalar queries);
-    [exact] is the trusted-mediator reference. *)
+    [exact] is the trusted-mediator reference.
+
+    Every message goes through {!Secmed_mediation.Link}, so with a fault
+    plan the run may raise [Secmed_mediation.Fault.Fault_detected]:
+    channel faults at the receiver, a bundle that fails authentication
+    (byzantine [Malformed_ciphertexts]) at the client in
+    [client-postprocess], a stale re-encryption key at the mediator's
+    canary audit in [mediator-match].  It makes a single attempt. *)

@@ -192,13 +192,7 @@ let apply_byzantine mode er =
   | Some Fault.Wrong_partition_ids ->
     { er with rows = List.map (fun (ct, idx) -> (ct, Array.map (fun i -> -1 - i) idx)) er.rows }
   | Some Fault.Malformed_ciphertexts ->
-    {
-      er with
-      rows =
-        List.map
-          (fun (ct, idx) -> (Hybrid.of_wire (Fault.flip_tail (Hybrid.to_wire ct)), idx))
-          er.rows;
-    }
+    { er with rows = List.map (fun (ct, idx) -> (Codec.hybrid.Codec.malformed ct, idx)) er.rows }
   | _ -> er
 
 (* The mediator rejects index vectors outside the table range before
@@ -229,7 +223,7 @@ let er_rows er =
       Wire.contents w)
     er.rows
 
-let read_hybrid r = Wire.read_at r Hybrid.of_wire_at
+let read_hybrid = Codec.hybrid.Codec.read
 
 (* The receiver's side: [arity] indexes per row, rows until the end. *)
 let read_er ~arity r =
@@ -269,6 +263,11 @@ let decode_upload ~arity ~tables blob =
   in
   (read_er ~arity r, tables)
 
+let exchange_upload link ~sid ~label ~arity ~tables value =
+  Link.exchange_rows link ~phase:"source-upload" ~sender:(Source sid) ~receiver:Mediator ~label
+    ~size:(fun (er, tables) -> er.wire_size + tables_size tables)
+    ~rows:upload_rows ~decode:(decode_upload ~arity ~tables) value
+
 (* Canonical q_S encoding: 16 bytes per overlapping pair (two 8-byte
    big-endian indexes), matching the 16*|pairs| transcript size.
    Partition ids lie in [0, 2^62), so the first pair of each join
@@ -306,17 +305,8 @@ let pairs_of_payload ~arity blob =
 
 let pair_count pairs = List.fold_left (fun acc p -> acc + List.length p) 0 pairs
 
-let rc_size rc = List.fold_left (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y) 0 rc
-
-let decode_rc blob =
-  let r = Wire.reader blob in
-  Wire.read_rest r (fun () ->
-      let x = read_hybrid r in
-      (x, read_hybrid r))
-
-let sealed_exchange link ~phase ~receiver ~label ct =
-  Link.exchange link ~phase ~sender:Mediator ~receiver ~label ~size:Hybrid.size
-    ~encode:Hybrid.to_wire ~decode:Hybrid.of_wire ct
+let sealed_exchange link ~phase ~receiver ~label =
+  Codec.exchange link ~phase ~sender:Mediator ~receiver ~label Codec.hybrid
 
 let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval = Pair_index)
     ?(setting = Client_setting) env client ~query =
@@ -399,10 +389,8 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
             | Some (_, _, er), Some tables -> Some (er, tables)
             | _ -> None
           in
-          Link.exchange_rows link ~phase:"source-upload" ~sender:(Source sid) ~receiver:Mediator
-            ~label:(Printf.sprintf "R%dS+ITables" which)
-            ~size:(fun (er, tables) -> er.wire_size + tables_size tables)
-            ~rows:upload_rows ~decode:(decode_upload ~arity ~tables:kind) value
+          exchange_upload link ~sid ~label:(Printf.sprintf "R%dS+ITables" which) ~arity
+            ~tables:kind value
         in
         let up1 = upload s1 1 side1 tables1 ~kind:kind1 in
         let up2 = upload s2 2 side2 tables2 ~kind:kind2 in
@@ -528,10 +516,8 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
           | _ -> None
         in
         let rc =
-          Link.exchange_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-            ~label:"RC" ~size:rc_size
-            ~rows:(List.map (fun (x, y) -> Hybrid.to_wire x ^ Hybrid.to_wire y))
-            ~decode:decode_rc rc
+          Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"RC" (Codec.pair Codec.hybrid Codec.hybrid) rc
         in
 
         (* Step 7: the client decrypts R_C and applies q_C. *)

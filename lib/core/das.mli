@@ -75,6 +75,26 @@ val encrypt_relation :
     independent per-tuple PRNG streams: bit-identical rows at any
     [domains] count (default {!Batch.default_domains}). *)
 
+(** The index tables a source uploads beside its rows: none, sealed
+    under a key the mediator lacks, or in the clear. *)
+type tables_part =
+  | No_tables
+  | Sealed of Hybrid.ciphertext
+  | Clear of Das_partition.t list
+
+val exchange_upload :
+  Secmed_mediation.Link.t ->
+  sid:int ->
+  label:string ->
+  arity:int ->
+  tables:[ `None | `Sealed | `Clear ] ->
+  (encrypted_relation * tables_part) option ->
+  (encrypted_relation * tables_part) option
+(** A source's one upload to the mediator ({!Secmed_mediation.Link.exchange_rows},
+    phase [source-upload]): its tables part, then one row per encrypted
+    tuple with [arity] partition indexes.  [tables] is the form a
+    receiver expects; hostile bytes fail typed at the mediator. *)
+
 val server_query_pairs :
   left_tables:Das_partition.t list ->
   right_tables:Das_partition.t list ->
@@ -94,3 +114,13 @@ val server_join :
   encrypted_relation ->
   (Hybrid.ciphertext * Hybrid.ciphertext) list
 (** The mediator's evaluation of q_S: candidate ciphertext pairs R_C. *)
+
+val decrypt_or_fail :
+  phase:string ->
+  party:Secmed_mediation.Transcript.party ->
+  Elgamal.private_key ->
+  string ->
+  Hybrid.ciphertext ->
+  string
+(** Authenticated decryption, or {!Secmed_mediation.Fault.Fault_detected}
+    blamed on [party] in [phase] naming the labelled ciphertext. *)

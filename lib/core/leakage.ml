@@ -157,10 +157,10 @@ let verify (o : Outcome.t) ~(ground_truth : Ground_truth.t) =
     [
       claim ~subject:"mediator" ~description:"learns the left key-set size"
         ~expected:g.Ground_truth.domactive_left
-        ~measured:(mediator "cardinality-keys-left");
+        ~measured:(mediator "cardinality-domactive-R1");
       claim ~subject:"mediator" ~description:"learns the right key-set size"
         ~expected:g.Ground_truth.domactive_right
-        ~measured:(mediator "cardinality-keys-right");
+        ~measured:(mediator "cardinality-domactive-R2");
     ]
   else if String.length scheme >= 9 && String.sub scheme 0 9 = "aggregate" then
     [

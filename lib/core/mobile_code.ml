@@ -3,27 +3,14 @@ open Secmed_relalg
 open Secmed_sql
 open Secmed_mediation
 
-let encode_relation relation =
-  let w = Wire.writer () in
-  Wire.write_list w (fun t -> Wire.write_string w (Tuple.encode t)) (Relation.tuples relation);
-  Wire.contents w
-
-let decode_tuples blob =
-  let r = Wire.reader blob in
-  let tuples = Wire.read_list r (fun () -> Tuple.decode (Wire.read_string r)) in
-  Wire.expect_end r;
-  tuples
-
-let read_hybrid r = Wire.read_at r Hybrid.of_wire_at
-
 (* What the mediator ships to the client: both encrypted partial results
    followed by the mobile join program. *)
 let encode_bundle (ct1, ct2, program) = Hybrid.to_wire ct1 ^ Hybrid.to_wire ct2 ^ program
 
 let decode_bundle blob =
   let r = Wire.reader blob in
-  let ct1 = read_hybrid r in
-  let ct2 = read_hybrid r in
+  let ct1 = Codec.hybrid.Codec.read r in
+  let ct2 = Codec.hybrid.Codec.read r in
   (ct1, ct2, Wire.read_raw r (Wire.remaining r))
 
 let run ?fault ?endpoint env client ~query =
@@ -44,15 +31,15 @@ let run ?fault ?endpoint env client ~query =
           let ct =
             Outcome.Builder.step b link (Source sid) "source-encrypt" (fun () ->
                 let prng = Env.prng_for env (Printf.sprintf "mc-source-%d" sid) in
-                let ct = Hybrid.encrypt prng pk (encode_relation relation) in
+                let ct =
+                  Hybrid.encrypt prng pk (Codec.encode Codec.tuples (Relation.tuples relation))
+                in
                 match Fault.byzantine_mode fault sid with
-                | Some Fault.Malformed_ciphertexts ->
-                  Hybrid.of_wire (Fault.flip_tail (Hybrid.to_wire ct))
+                | Some Fault.Malformed_ciphertexts -> Codec.hybrid.Codec.malformed ct
                 | _ -> ct)
           in
-          Link.exchange link ~phase:"mediator-forward" ~sender:(Source sid) ~receiver:Mediator
-            ~label:(Printf.sprintf "encrypted-R%d" which)
-            ~size:Hybrid.size ~encode:Hybrid.to_wire ~decode:Hybrid.of_wire ct
+          Codec.exchange link ~phase:"mediator-forward" ~sender:(Source sid) ~receiver:Mediator
+            ~label:(Printf.sprintf "encrypted-R%d" which) Codec.hybrid ct
         in
         let ct1 =
           encrypt_side 1 request.Request.decomposition.Catalog.left request.Request.left_result
@@ -81,11 +68,8 @@ let run ?fault ?endpoint env client ~query =
 
         (* The client executes the code: decrypt, then join locally. *)
         let decrypt label ct =
-          match Hybrid.decrypt client.Env.key ct with
-          | Some blob -> decode_tuples blob
-          | None ->
-            Fault.fail ~phase:"client-postprocess" ~party:Client
-              ("authentication failure on " ^ label)
+          Codec.decode Codec.tuples
+            (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client client.Env.key label ct)
         in
         let client_view =
           match bundle with

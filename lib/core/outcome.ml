@@ -76,17 +76,13 @@ module Builder = struct
     let current = Option.value ~default:[] (List.assoc_opt id b.sources) in
     b.sources <- (id, current @ [ (key, value) ]) :: List.remove_assoc id b.sources
 
-  (* With a party and a trace being recorded, the phase span carries the
-     thread's counter deltas over the thunk as [ops.<primitive>]
-     attributes, stamped on exit (an exception included).  Batch merges
-     worker counts at join, inside this window. *)
-  let timed b ?party phase f =
+  (* With a trace being recorded, the phase span carries the thread's
+     counter deltas over the thunk as [ops.<primitive>] attributes,
+     stamped on exit (an exception included).  Batch merges worker
+     counts at join, inside this window. *)
+  let timed b ~party phase f =
     let start = Secmed_obs.Clock.now_ns () in
-    let before =
-      match party with
-      | Some _ when Secmed_obs.Trace.enabled () -> Some (Counters.snapshot ())
-      | _ -> None
-    in
+    let before = if Secmed_obs.Trace.enabled () then Some (Counters.snapshot ()) else None in
     let finish () =
       Option.iter
         (fun before ->
@@ -103,13 +99,10 @@ module Builder = struct
         b.timings <- (phase, prior +. elapsed) :: List.remove_assoc phase b.timings
       | None -> b.timings <- (phase, elapsed) :: b.timings
     in
-    let attrs =
-      match party with
-      | None -> []
-      | Some p -> [ ("party", Secmed_obs.Json.Str p) ]
-    in
-    Secmed_obs.Trace.with_span ~kind:Secmed_obs.Trace.Phase ~attrs phase (fun () ->
-        Fun.protect ~finally:finish f)
+    Secmed_obs.Trace.with_span ~kind:Secmed_obs.Trace.Phase
+      ~attrs:[ ("party", Secmed_obs.Json.Str party) ]
+      phase
+      (fun () -> Fun.protect ~finally:finish f)
 
   let step b link party phase f =
     if Link.computes link party then Some (timed b ~party:(Transcript.party_name party) phase f)
@@ -119,7 +112,12 @@ module Builder = struct
     if Link.computes link party then timed b ~party:(Transcript.party_name party) phase f
     else f ()
 
-  let finish b ~result ~exact ~client_received_tuples ~counters =
+  let finish_projected b ~exact ~counters client =
+    let result, client_received_tuples =
+      match client with
+      | Some view -> view
+      | None -> (Relation.make (Relation.schema exact) [], 0)
+    in
     {
       scheme = b.scheme;
       result;
@@ -133,12 +131,4 @@ module Builder = struct
       timings = List.rev b.timings;
       degraded_from = None;
     }
-
-  let finish_projected b ~exact ~counters client =
-    let result, client_received_tuples =
-      match client with
-      | Some view -> view
-      | None -> (Relation.make (Relation.schema exact) [], 0)
-    in
-    finish b ~result ~exact ~client_received_tuples ~counters
 end

@@ -52,12 +52,12 @@ module Builder : sig
   val mediator_sees : builder -> string -> int -> unit
   val client_sees : builder -> string -> int -> unit
   val source_sees : builder -> int -> string -> int -> unit
-  val timed : builder -> ?party:string -> string -> (unit -> 'a) -> 'a
+  val timed : builder -> party:string -> string -> (unit -> 'a) -> 'a
   (** Accumulates monotonic wall-clock time under the phase name (summing
-      repeats).  Opens a [Phase] trace span for the duration; with [?party]
-      the span carries a [party] attribute and, when a trace is being
-      recorded, one [ops.<primitive>] attribute per primitive the thunk
-      counted (even when it raises).  Untraced runs take no snapshot. *)
+      repeats).  Opens a [Phase] trace span with a [party] attribute for
+      the duration; when a trace is being recorded the span also carries
+      one [ops.<primitive>] attribute per primitive the thunk counted
+      (even when it raises).  Untraced runs take no snapshot. *)
 
   val step : builder -> Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a option
   (** One party-local step: {!timed} under the party's name where the
@@ -70,21 +70,13 @@ module Builder : sig
       process's trace holds exactly the phases of the parties it
       computes. *)
 
-  val finish :
-    builder ->
-    result:Relation.t ->
-    exact:Relation.t ->
-    client_received_tuples:int ->
-    counters:(Counters.primitive * int) list ->
-    t
-
   val finish_projected :
     builder ->
     exact:Relation.t ->
     counters:(Counters.primitive * int) list ->
     (Relation.t * int) option ->
     t
-  (** {!finish} from the client's (result, received tuples) when this
+  (** The outcome from the client's (result, received tuples) when this
       process computed the client; a process that did not gets an empty
       result over the reference schema and zero received tuples. *)
 end

@@ -31,7 +31,7 @@ let select_credentials (source : Env.source) credentials =
           (Credential.properties c))
       credentials
 
-let authorize env transcript source_id entry credentials =
+let authorize env source_id entry credentials =
   let source = Env.source_by_id env source_id in
   (* Step 4: S_i checks the credentials. *)
   List.iter
@@ -48,12 +48,9 @@ let authorize env transcript source_id entry credentials =
   let properties = List.concat_map Credential.properties credentials in
   match Policy.apply source.Env.policy properties relation with
   | None -> raise (Access_denied source_id)
-  | Some granted ->
-    ignore transcript;
-    Relation.rename entry.Catalog.relation granted
+  | Some granted -> Relation.rename entry.Catalog.relation granted
 
 let run link env (client : Env.client) ~query =
-  let transcript = Link.transcript link in
   (* Step 1: client -> mediator: the query and the credential set CR.
      The declared size includes the credential bytes; the wire frame is
      zero-padded up to it (the prototype never materialises credential
@@ -86,10 +83,8 @@ let run link env (client : Env.client) ~query =
     send_partial right_entry decomposition.Catalog.partial_query_right
   in
   (* Step 4 at each source. *)
-  let left_result = authorize env transcript left_entry.Catalog.source left_entry credentials_left in
-  let right_result =
-    authorize env transcript right_entry.Catalog.source right_entry credentials_right
-  in
+  let left_result = authorize env left_entry.Catalog.source left_entry credentials_left in
+  let right_result = authorize env right_entry.Catalog.source right_entry credentials_right in
   let client_pk =
     match credentials_left with
     | c :: _ -> Credential.public_key c
@@ -139,10 +134,3 @@ let join_attr_values t which =
   Join_key.distinct_keys (side t which) (join_attrs t)
 
 let groups t which = Join_key.group_by (side t which) (join_attrs t)
-
-let tup t which a =
-  let relation = side t which in
-  let positions = Join_key.positions (Relation.schema relation) (join_attrs t) in
-  List.filter
-    (fun tuple -> Join_key.equal (Join_key.of_tuple positions tuple) a)
-    (Relation.tuples relation)

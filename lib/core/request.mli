@@ -40,6 +40,12 @@ val run : Link.t -> Env.t -> Env.client -> query:string -> t
     [Catalog.Unsupported], or {!Fault.Fault_detected} when an installed
     fault plan hits the request-phase messages. *)
 
+val authorize : Env.t -> int -> Catalog.entry -> Credential.t list -> Relation.t
+(** Step 4 at source [i]: verify every credential, then evaluate the
+    entry's partial query under the source's policy, qualified with the
+    global relation name.  Raises {!Bad_credential} or {!Access_denied}
+    (also for an empty credential set). *)
+
 val exact_result : Env.t -> t -> Relation.t
 (** The reference global result: natural join of the partial results with
     the residual WHERE / projection / DISTINCT applied — what an honest
@@ -58,11 +64,9 @@ val join_attr_values : t -> [ `Left | `Right ] -> Join_key.t list
 (** dom_active(R_i.A_join) — sorted distinct join keys of a partial
     result. *)
 
-val tup : t -> [ `Left | `Right ] -> Join_key.t -> Tuple.t list
-(** The paper's Tup_i(a): tuples of R_i whose join key equals a. *)
-
 val groups : t -> [ `Left | `Right ] -> (Join_key.t * Tuple.t list) list
-(** All (a, Tup_i(a)) pairs at once, in key order. *)
+(** Every (a, Tup_i(a)) pair in key order, where the paper's Tup_i(a)
+    holds the tuples of R_i whose join key equals a. *)
 
 val credential_size : Credential.t list -> int
 (** Combined wire size, for transcript accounting. *)

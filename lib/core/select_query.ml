@@ -29,10 +29,83 @@ let normalize_predicate schema p =
   in
   go p
 
-let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
+(* Canonical q_S encoding: the predicate's nodes in prefix order — each
+   node's tag, then its operands — as one tuple of values, so decoding
+   starts from the hardened tuple decoder.  The mediator decodes the
+   client's bytes: every failure, nesting included, is [Wire.Malformed]. *)
+let comparisons = Predicate.[| Eq; Ne; Lt; Le; Gt; Ge |]
+
+let condition_to_wire condition =
+  let term = function
+    | Predicate.Attr a -> [ Value.Int 0; Value.Str a ]
+    | Predicate.Const v -> [ Value.Int 1; v ]
+  in
+  let rec go = function
+    | Predicate.True -> [ Value.Int 0 ]
+    | Predicate.False -> [ Value.Int 1 ]
+    | Predicate.Not a -> Value.Int 2 :: go a
+    | Predicate.And (a, b) -> (Value.Int 3 :: go a) @ go b
+    | Predicate.Or (a, b) -> (Value.Int 4 :: go a) @ go b
+    | Predicate.In (x, vs) -> (Value.Int 5 :: term x) @ (Value.Int (List.length vs) :: vs)
+    | Predicate.Cmp (op, x, y) ->
+      (Value.Int (6 + Option.get (Array.find_index (( = ) op) comparisons)) :: term x) @ term y
+  in
+  Tuple.encode (Tuple.of_list (go condition))
+
+let condition_of_wire blob =
+  let malformed what = raise (Wire.Malformed ("q_S: " ^ what)) in
+  let rest =
+    ref (try Tuple.to_list (Tuple.decode blob) with Invalid_argument msg -> malformed msg)
+  in
+  let next () =
+    match !rest with
+    | v :: tail ->
+      rest := tail;
+      v
+    | [] -> malformed "truncated"
+  in
+  let int () = match next () with Value.Int n -> n | Value.Str _ | Value.Bool _ -> malformed "tag" in
+  let term () =
+    match (int (), next ()) with
+    | 0, Value.Str a -> Predicate.Attr a
+    | 1, v -> Predicate.Const v
+    | _ -> malformed "term"
+  in
+  let rec go depth =
+    if depth > 256 then malformed "nests too deeply";
+    let sub () = go (depth + 1) in
+    match int () with
+    | 0 -> Predicate.True
+    | 1 -> Predicate.False
+    | 2 -> Predicate.Not (sub ())
+    | 3 ->
+      let a = sub () in
+      Predicate.And (a, sub ())
+    | 4 ->
+      let a = sub () in
+      Predicate.Or (a, sub ())
+    | 5 ->
+      let x = term () in
+      let n = int () in
+      if n < 0 || n > List.length !rest then malformed "IN list count";
+      Predicate.In (x, List.init n (fun _ -> next ()))
+    | n when n >= 6 && n < 12 ->
+      let x = term () in
+      Predicate.Cmp (comparisons.(n - 6), x, term ())
+    | n -> malformed (Printf.sprintf "node tag %d" n)
+  in
+  let condition = go 0 in
+  if !rest <> [] then malformed "trailing values";
+  condition
+
+let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
   let b = Outcome.Builder.create ~scheme:"das-select" in
   let tr = Outcome.Builder.transcript b in
-  let (result, exact, received), counters =
+  Fault.attach fault tr;
+  let link = Link.make ?fault tr in
+  let computes = Link.computes link in
+  let step party phase f = Outcome.Builder.step b link party phase f in
+  let (exact, client_view), counters =
     Counters.with_fresh (fun () ->
         let ast = Parser.parse query in
         if ast.Ast.joins <> [] then
@@ -45,28 +118,20 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
         in
         let sid = entry.Catalog.source in
         (* Request phase, single partial query. *)
-        Transcript.record tr ~sender:Client ~receiver:Mediator ~label:"global-query"
-          ~size:(String.length query + Request.credential_size client.Env.credentials);
-        Transcript.record tr ~sender:Mediator ~receiver:(Source sid) ~label:"partial-query"
-          ~size:
-            (String.length entry.Catalog.source_relation
-            + Request.credential_size client.Env.credentials);
-        let source = Env.source_by_id env sid in
-        List.iter
-          (fun c ->
-            if not (Credential.Authority.verify env.Env.ca c) then
-              raise (Request.Bad_credential sid))
-          client.Env.credentials;
-        let relation =
-          match List.assoc_opt entry.Catalog.source_relation source.Env.relations with
-          | Some r -> r
-          | None -> raise (Request.Access_denied sid)
-        in
-        let properties = List.concat_map Credential.properties client.Env.credentials in
+        let credentials = client.Env.credentials in
         let granted =
-          match Policy.apply source.Env.policy properties relation with
-          | Some r -> Relation.rename entry.Catalog.relation r
-          | None -> raise (Request.Access_denied sid)
+          Outcome.Builder.replicated b link Mediator "request" (fun () ->
+              Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
+                ~label:"global-query"
+                ~size:(String.length query + Request.credential_size credentials)
+                (fun () -> query);
+              Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source sid)
+                ~label:"partial-query"
+                ~size:
+                  (String.length entry.Catalog.source_relation
+                  + Request.credential_size credentials)
+                (fun () -> entry.Catalog.source_relation);
+              Request.authorize env sid entry credentials)
         in
         let schema = Relation.schema granted in
         let where =
@@ -108,130 +173,132 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
                    | None -> None)
                  (Predicate.attrs_used p))
         in
-        let prng = Env.prng_for env (Printf.sprintf "select-source-%d" sid) in
-        let pk =
-          match client.Env.credentials with
-          | c :: _ -> Credential.public_key c
-          | [] -> raise (Request.Access_denied sid)
+        let upload =
+          step (Source sid) "source-encrypt" (fun () ->
+              let prng = Env.prng_for env (Printf.sprintf "select-source-%d" sid) in
+              let pk =
+                match credentials with
+                | c :: _ -> Credential.public_key c
+                | [] -> raise (Request.Access_denied sid)
+              in
+              let tables =
+                List.map
+                  (fun attr ->
+                    let column = Relation.column granted attr in
+                    Das_partition.build
+                      (Das_partition.adapt strategy column)
+                      ~relation:entry.Catalog.relation ~attr column)
+                  indexed_attrs
+              in
+              let encrypted =
+                Das.encrypt_relation prng pk tables ~join_attrs:indexed_attrs granted
+              in
+              let w = Wire.writer () in
+              Wire.write_list w
+                (fun (attr, table) ->
+                  Wire.write_string w attr;
+                  Wire.write_string w (Das_partition.to_wire table))
+                (List.combine indexed_attrs tables);
+              (encrypted, Das.Sealed (Hybrid.encrypt prng pk (Wire.contents w))))
         in
-        let tables =
-          List.map
-            (fun attr ->
-              let column = Relation.column granted attr in
-              ( attr,
-                Das_partition.build
-                  (Das_partition.adapt strategy column)
-                  ~relation:entry.Catalog.relation ~attr column ))
-            indexed_attrs
+        let upload =
+          Das.exchange_upload link ~sid ~label:"RS+enc(ITables)"
+            ~arity:(List.length indexed_attrs) ~tables:`Sealed upload
         in
-        let encrypted_rows =
-          Outcome.Builder.timed b "source-encrypt" (fun () ->
-              List.map
-                (fun tuple ->
-                  let etuple = Hybrid.encrypt prng pk (Tuple.encode tuple) in
-                  let indexes =
-                    List.map
-                      (fun (attr, table) ->
-                        Das_partition.index_of table
-                          (Tuple.get tuple (Schema.find schema attr)))
-                      tables
-                  in
-                  (etuple, indexes))
-                (Relation.tuples granted))
-        in
-        let tables_wire =
-          let w = Wire.writer () in
-          Wire.write_list w
-            (fun (attr, table) ->
-              Wire.write_string w attr;
-              Wire.write_string w (Das_partition.to_wire table))
-            tables;
-          Wire.contents w
-        in
-        let enc_tables = Hybrid.encrypt prng pk tables_wire in
-        let rows_size =
-          List.fold_left
-            (fun acc (ct, idx) -> acc + Hybrid.size ct + (8 * List.length idx))
-            0 encrypted_rows
-        in
-        Transcript.record tr ~sender:(Source sid) ~receiver:Mediator ~label:"RS+enc(ITables)"
-          ~size:(rows_size + Hybrid.size enc_tables);
-        Outcome.Builder.mediator_sees b "cardinality-RS" (List.length encrypted_rows);
+        let upload = if computes Mediator then upload else None in
+        Option.iter
+          (fun (er, _) ->
+            Outcome.Builder.mediator_sees b "cardinality-RS" (List.length er.Das.rows))
+          upload;
 
         (* Client setting: tables travel to the client, which translates. *)
-        Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"enc(ITables)"
-          ~size:(Hybrid.size enc_tables);
-        let server_condition =
-          Outcome.Builder.timed b "client-translate" (fun () ->
-              match where with
-              | None -> Predicate.True
-              | Some p ->
-                let blob =
-                  match Hybrid.decrypt client.Env.key enc_tables with
-                  | Some blob -> blob
-                  | None -> failwith "Select_query: authentication failure on ITables"
-                in
-                let r = Wire.reader blob in
-                let decoded =
-                  Wire.read_list r (fun () ->
-                      let attr = Wire.read_string r in
-                      let table = Das_partition.of_wire (Wire.read_string r) in
-                      (attr, table))
-                in
-                Wire.expect_end r;
-                Das_translate.translate
-                  ~tables:(fun attr -> List.assoc_opt attr decoded)
-                  p)
+        let enc_tables =
+          Codec.exchange link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
+            ~label:"enc(ITables)" Codec.hybrid
+            (match upload with Some (_, Das.Sealed ct) -> Some ct | _ -> None)
         in
-        Transcript.record tr ~sender:Client ~receiver:Mediator ~label:"server-query-qS"
-          ~size:(24 * Stdlib.max 1 (Predicate.size server_condition));
-        Outcome.Builder.mediator_sees b "condition-size-qS" (Predicate.size server_condition);
+        let server_condition =
+          Option.bind enc_tables (fun enc_tables ->
+              step Client "client-translate" (fun () ->
+                  match where with
+                  | None -> Predicate.True
+                  | Some p ->
+                    let r =
+                      Wire.reader
+                        (Das.decrypt_or_fail ~phase:"client-translate" ~party:Client
+                           client.Env.key "ITables" enc_tables)
+                    in
+                    let decoded =
+                      Wire.read_list r (fun () ->
+                          let attr = Wire.read_string r in
+                          (attr, Das_partition.of_wire (Wire.read_string r)))
+                    in
+                    Wire.expect_end r;
+                    Das_translate.translate ~tables:(fun attr -> List.assoc_opt attr decoded) p))
+        in
+        let server_condition =
+          Link.exchange link ~phase:"mediator-server-query" ~sender:Client ~receiver:Mediator
+            ~label:"server-query-qS"
+            ~size:(fun c -> 24 * Stdlib.max 1 (Predicate.size c))
+            ~encode:condition_to_wire ~decode:condition_of_wire server_condition
+        in
 
         (* The mediator filters the encrypted relation with the relational
            engine over the index columns. *)
         let rc =
-          Outcome.Builder.timed b "mediator-server-query" (fun () ->
-              let index_schema =
-                Schema.make
-                  (Schema.attr "etuple" Value.Tstring
-                  :: List.map
-                       (fun (attr, _) -> Schema.attr (Das_translate.index_attr attr) Value.Tint)
-                       tables)
-              in
-              let index_relation =
-                Relation.make index_schema
-                  (List.map
-                     (fun (ct, indexes) ->
-                       Tuple.of_list
-                         (Value.Str (Hybrid.to_wire ct)
-                         :: List.map (fun i -> Value.Int i) indexes))
-                     encrypted_rows)
-              in
-              List.map
-                (fun t ->
-                  match Tuple.get t 0 with
-                  | Value.Str wire -> Hybrid.of_wire wire
-                  | Value.Int _ | Value.Bool _ -> assert false)
-                (Relation.tuples (Relation.select server_condition index_relation)))
+          match (server_condition, upload) with
+          | Some condition, Some (er, _) when computes Mediator ->
+            Outcome.Builder.mediator_sees b "condition-size-qS" (Predicate.size condition);
+            step Mediator "mediator-server-query" (fun () ->
+                let index_schema =
+                  Schema.make
+                    (Schema.attr "etuple" Value.Tstring
+                    :: List.map
+                         (fun attr -> Schema.attr (Das_translate.index_attr attr) Value.Tint)
+                         indexed_attrs)
+                in
+                let index_relation =
+                  Relation.make index_schema
+                    (List.map
+                       (fun (ct, indexes) ->
+                         Tuple.of_list
+                           (Value.Str (Hybrid.to_wire ct)
+                           :: Array.to_list (Array.map (fun i -> Value.Int i) indexes)))
+                       er.Das.rows)
+                in
+                List.map
+                  (fun t ->
+                    match Tuple.get t 0 with
+                    | Value.Str wire -> Hybrid.of_wire wire
+                    | Value.Int _ | Value.Bool _ -> assert false)
+                  (Relation.tuples (Relation.select condition index_relation)))
+          | _ -> None
         in
-        Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc);
-        Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"RC"
-          ~size:(List.fold_left (fun acc ct -> acc + Hybrid.size ct) 0 rc);
-        Outcome.Builder.client_sees b "candidates-received" (List.length rc);
+        Option.iter
+          (fun rc -> Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc))
+          rc;
+        let rc =
+          Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"RC" Codec.hybrid rc
+        in
 
         (* Client: decrypt, post-filter with the original condition. *)
-        let result =
-          Outcome.Builder.timed b "client-postprocess" (fun () ->
-              let tuples =
-                List.map
-                  (fun ct ->
-                    match Hybrid.decrypt client.Env.key ct with
-                    | Some blob -> Tuple.decode blob
-                    | None -> failwith "Select_query: authentication failure on etuple")
-                  rc
-              in
-              apply_clauses (Relation.make schema tuples))
+        let client_view =
+          match rc with
+          | Some rc when computes Client ->
+            Outcome.Builder.client_sees b "candidates-received" (List.length rc);
+            step Client "client-postprocess" (fun () ->
+                let tuples =
+                  List.map
+                    (fun ct ->
+                      Tuple.decode
+                        (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                           client.Env.key "etuple" ct))
+                    rc
+                in
+                (apply_clauses (Relation.make schema tuples), List.length rc))
+          | _ -> None
         in
-        (result, exact, List.length rc))
+        (exact, client_view))
   in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+  Outcome.Builder.finish_projected b ~exact ~counters client_view

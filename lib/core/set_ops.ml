@@ -2,6 +2,7 @@ open Secmed_bigint
 open Secmed_crypto
 open Secmed_relalg
 open Secmed_mediation
+module Round = Commutative_round
 
 type op =
   | Intersection
@@ -12,17 +13,6 @@ let op_name = function
   | Intersection -> "intersection"
   | Semi_join -> "semi-join"
   | Difference -> "difference"
-
-let encode_tuple_set tuples =
-  let w = Wire.writer () in
-  Wire.write_list w (fun t -> Wire.write_string w (Tuple.encode t)) tuples;
-  Wire.contents w
-
-let decode_tuple_set blob =
-  let r = Wire.reader blob in
-  let tuples = Wire.read_list r (fun () -> Tuple.decode (Wire.read_string r)) in
-  Wire.expect_end r;
-  tuples
 
 let bare_names relation =
   List.map (fun a -> a.Schema.name) (Schema.attrs (Relation.schema relation))
@@ -42,18 +32,21 @@ let exact_result op ~on left right =
            List.exists (Join_key.equal key) right_keys)
          (Relation.tuples left))
 
-let run ?on env client op ~left ~right =
+let run ?fault ?on env client op ~left ~right =
   let b = Outcome.Builder.create ~scheme:(op_name op) in
   let tr = Outcome.Builder.transcript b in
-  let group = env.Env.group in
-  let group_bytes = (group.Group.bits + 7) / 8 in
-  let (result, exact, received), counters =
+  Fault.attach fault tr;
+  let link = Link.make ?fault tr in
+  let computes = Link.computes link in
+  let step party phase f = Outcome.Builder.step b link party phase f in
+  let (exact, client_view), counters =
     Counters.with_fresh (fun () ->
         (* Request phase as usual; the two partial queries are the same
            "select *" queries as for a join. *)
         let query = Printf.sprintf "select * from %s natural join %s" left right in
         let request =
-          Outcome.Builder.timed b "request" (fun () -> Request.run (Link.make tr) env client ~query)
+          Outcome.Builder.replicated b link Mediator "request" (fun () ->
+              Request.run link env client ~query)
         in
         let left_rel = request.Request.left_result in
         let right_rel = request.Request.right_result in
@@ -70,13 +63,6 @@ let run ?on env client op ~left ~right =
         in
         let exact = Request.finalize request (exact_result op ~on:key_attrs left_rel right_rel) in
         let pk = request.Request.client_pk in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
-        let prng1 = Env.prng_for env (Printf.sprintf "setop-source-%d" s1) in
-        let prng2 = Env.prng_for env (Printf.sprintf "setop-source-%d" s2) in
-
-        (* S1: commutative key + hashed keys + encrypted payloads. *)
-        let key1 = Commutative.keygen prng1 group in
         let payload_of tuples =
           match op with
           | Semi_join -> tuples
@@ -85,108 +71,75 @@ let run ?on env client op ~left ~right =
                tuple; ship one representative (set semantics). *)
             (match tuples with [] -> [] | t :: _ -> [ t ])
         in
-        let m1 =
-          Outcome.Builder.timed b "source-encrypt" (fun () ->
-              let entries =
-                List.map
-                  (fun (key, tuples) ->
-                    let hashed = Random_oracle.hash group (Join_key.encode key) in
-                    ( Commutative.apply key1 hashed,
-                      Hybrid.encrypt prng1 pk (encode_tuple_set (payload_of tuples)) ))
-                  (Join_key.group_by left_rel key_attrs)
-              in
-              let shuffled = Array.of_list entries in
-              Prng.shuffle prng1 shuffled;
-              Array.to_list shuffled)
+        (* Only S1 seals payloads, which the mediator keeps and forwards
+           by id; S2 contributes bare hashes — no tuple data leaves S2. *)
+        let doubled =
+          Round.run b link ?fault env request
+            ~left:
+              {
+                Round.groups = Join_key.group_by left_rel key_attrs;
+                seal =
+                  (fun prng _ tuples ->
+                    Hybrid.encrypt prng pk (Codec.encode Codec.tuples (payload_of tuples)));
+                payload = Codec.hybrid;
+                forward = Round.Id;
+                labels = ("M_1(keys+payloads)", "hashes-1", "doubly-encrypted-1");
+              }
+            ~right:
+              {
+                Round.groups = Join_key.group_by right_rel key_attrs;
+                seal = (fun _ _ _ -> ());
+                payload = Codec.none;
+                forward = Round.Bare;
+                labels = ("M_2(keys)", "hashes-2", "doubly-encrypted-2");
+              }
         in
-        Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"M_1(keys+payloads)"
-          ~size:
-            (List.fold_left (fun acc (_, ct) -> acc + group_bytes + Hybrid.size ct) 0 m1);
-
-        (* S2: bare hashed keys only — no tuple data leaves S2. *)
-        let key2 = Commutative.keygen prng2 group in
-        let m2 =
-          Outcome.Builder.timed b "source-encrypt" (fun () ->
-              let hashes =
-                List.map
-                  (fun key ->
-                    Commutative.apply key2 (Random_oracle.hash group (Join_key.encode key)))
-                  (Join_key.distinct_keys right_rel key_attrs)
-              in
-              let shuffled = Array.of_list hashes in
-              Prng.shuffle prng2 shuffled;
-              Array.to_list shuffled)
-        in
-        Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"M_2(keys)"
-          ~size:(group_bytes * List.length m2);
-        Outcome.Builder.mediator_sees b "cardinality-keys-left" (List.length m1);
-        Outcome.Builder.mediator_sees b "cardinality-keys-right" (List.length m2);
-
-        (* Exchange: the mediator retains the payloads and forwards only
-           the hashes (with positional IDs for the left set). *)
-        Transcript.record tr ~sender:Mediator ~receiver:(Source s2) ~label:"hashes-1"
-          ~size:((group_bytes + 8) * List.length m1);
-        Transcript.record tr ~sender:Mediator ~receiver:(Source s1) ~label:"hashes-2"
-          ~size:(group_bytes * List.length m2);
-
-        (* Double encryption on both sides. *)
-        let from_s1 =
-          Outcome.Builder.timed b "source-reencrypt" (fun () ->
-              List.map (fun h -> Commutative.apply key1 h) m2)
-        in
-        Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"doubly-encrypted-2"
-          ~size:(group_bytes * List.length from_s1);
-        let from_s2 =
-          Outcome.Builder.timed b "source-reencrypt" (fun () ->
-              List.mapi (fun id (h, _) -> (id, Commutative.apply key2 h)) m1)
-        in
-        Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"doubly-encrypted-1"
-          ~size:((group_bytes + 8) * List.length from_s2);
-
-        (* Matching at the mediator. *)
+        (* Matching: intersection and semi-join keep the left payloads
+           whose key the right set holds, difference the others. *)
         let selected =
-          Outcome.Builder.timed b "mediator-match" (fun () ->
-              let right_set = Hashtbl.create 64 in
-              List.iter (fun h -> Hashtbl.replace right_set (Bigint.to_string h) ()) from_s1;
-              let payloads = Array.of_list (List.map snd m1) in
-              List.filter_map
-                (fun (id, h) ->
-                  let matched = Hashtbl.mem right_set (Bigint.to_string h) in
+          Option.bind doubled (fun (left, right) ->
+              step Mediator "mediator-match" (fun () ->
+                  let present = Hashtbl.create 64 in
+                  List.iter (fun (h, ()) -> Hashtbl.replace present (Bigint.to_string h) ()) right;
                   let wanted =
-                    match op with
-                    | Intersection | Semi_join -> matched
-                    | Difference -> not matched
+                    match op with Intersection | Semi_join -> true | Difference -> false
                   in
-                  if wanted then Some payloads.(id) else None)
-                from_s2)
+                  List.filter_map
+                    (fun (h, ct) ->
+                      if Hashtbl.mem present (Bigint.to_string h) = wanted then Some ct else None)
+                    left))
         in
-        Outcome.Builder.mediator_sees b "payloads-forwarded" (List.length selected);
-        Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"selected-payloads"
-          ~size:(List.fold_left (fun acc ct -> acc + Hybrid.size ct) 0 selected);
+        Option.iter
+          (fun selected ->
+            Outcome.Builder.mediator_sees b "payloads-forwarded" (List.length selected))
+          selected;
+        let selected =
+          Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"selected-payloads" Codec.hybrid selected
+        in
 
         (* Client: decrypt and assemble. *)
-        let received = ref 0 in
-        let result =
-          Outcome.Builder.timed b "client-postprocess" (fun () ->
-              let tuples =
-                List.concat_map
-                  (fun ct ->
-                    match Hybrid.decrypt client.Env.key ct with
-                    | Some blob ->
-                      let tuples = decode_tuple_set blob in
-                      received := !received + List.length tuples;
-                      tuples
-                    | None -> failwith "Set_ops: authentication failure on payload")
-                  selected
-              in
-              let relation = Relation.make (Relation.schema left_rel) tuples in
-              let relation =
-                match op with
-                | Intersection | Difference -> Relation.distinct relation
-                | Semi_join -> relation
-              in
-              Request.finalize request relation)
+        let client_view =
+          match selected with
+          | Some selected when computes Client ->
+            step Client "client-postprocess" (fun () ->
+                let tuples =
+                  List.concat_map
+                    (fun ct ->
+                      Codec.decode Codec.tuples
+                        (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                           client.Env.key "payload" ct))
+                    selected
+                in
+                let relation = Relation.make (Relation.schema left_rel) tuples in
+                let relation =
+                  match op with
+                  | Intersection | Difference -> Relation.distinct relation
+                  | Semi_join -> relation
+                in
+                (Request.finalize request relation, List.length tuples))
+          | _ -> None
         in
-        (result, exact, !received))
+        (exact, client_view))
   in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+  Outcome.Builder.finish_projected b ~exact ~counters client_view

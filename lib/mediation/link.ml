@@ -59,7 +59,6 @@ type t = {
 
 let make ?(endpoint = Inproc) ?fault transcript = { endpoint; fault; transcript; seq = 0 }
 
-let transcript t = t.transcript
 let computes t party = match t.endpoint with Inproc -> true | Remote tr -> tr.computes party
 
 let next_seq t =

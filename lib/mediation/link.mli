@@ -1,7 +1,10 @@
 (** Endpoint-parametric, role-aware message delivery.
 
-    Every protocol message a driver emits goes through this module, which
-    keeps the three things that must stay in lockstep per message:
+    Every protocol message of every query class goes through this module
+    — the five join schemes, and the set operations, aggregation and
+    selection drivers, which run in-process only — so no driver records
+    a transcript entry itself.  Per message it keeps three things in
+    lockstep:
 
     - the {b transcript} entry ([Transcript.record]) — the paper's
       communication accounting;
@@ -116,8 +119,6 @@ type t
 val make : ?endpoint:endpoint -> ?fault:Fault.plan -> Transcript.t -> t
 (** A link bound to one protocol run's transcript.  Default endpoint is
     {!Inproc} (direct calls, every party computed here). *)
-
-val transcript : t -> Transcript.t
 
 val computes : t -> Transcript.party -> bool
 (** Whether this process runs the party's local steps: always on an

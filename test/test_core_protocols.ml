@@ -662,6 +662,107 @@ let test_setop_right_source_ships_no_tuples () =
   Alcotest.(check bool) "S2 sends less in the semi-join" true (sent semi < sent join)
 
 (* ------------------------------------------------------------------ *)
+(* Every query class's transcript — (sender, receiver, label, size) per
+   message, in order — pinned to literals, so that reworking the message
+   path or the commutative round cannot move a byte of the paper's
+   communication accounting unnoticed. *)
+
+let pinned_transcripts =
+  let open Transcript in
+  [
+      ( "intersection",
+        [
+          (Client, Mediator, "global-query", 185);
+          (Mediator, Source 1, "partial-query", 175);
+          (Mediator, Source 2, "partial-query", 175);
+          (Source 1, Mediator, "M_1(keys+payloads)", 690);
+          (Source 2, Mediator, "M_2(keys)", 100);
+          (Mediator, Source 2, "hashes-1", 140);
+          (Mediator, Source 1, "hashes-2", 100);
+          (Source 1, Mediator, "doubly-encrypted-2", 100);
+          (Source 2, Mediator, "doubly-encrypted-1", 140);
+          (Mediator, Client, "selected-payloads", 354);
+        ] );
+      ( "semi-join",
+        [
+          (Client, Mediator, "global-query", 185);
+          (Mediator, Source 1, "partial-query", 175);
+          (Mediator, Source 2, "partial-query", 175);
+          (Source 1, Mediator, "M_1(keys+payloads)", 890);
+          (Source 2, Mediator, "M_2(keys)", 100);
+          (Mediator, Source 2, "hashes-1", 140);
+          (Mediator, Source 1, "hashes-2", 100);
+          (Source 1, Mediator, "doubly-encrypted-2", 100);
+          (Source 2, Mediator, "doubly-encrypted-1", 140);
+          (Mediator, Client, "selected-payloads", 536);
+        ] );
+      ( "difference",
+        [
+          (Client, Mediator, "global-query", 185);
+          (Mediator, Source 1, "partial-query", 175);
+          (Mediator, Source 2, "partial-query", 175);
+          (Source 1, Mediator, "M_1(keys+payloads)", 690);
+          (Source 2, Mediator, "M_2(keys)", 100);
+          (Mediator, Source 2, "hashes-1", 140);
+          (Mediator, Source 1, "hashes-2", 100);
+          (Source 1, Mediator, "doubly-encrypted-2", 100);
+          (Source 2, Mediator, "doubly-encrypted-1", 140);
+          (Mediator, Client, "selected-payloads", 236);
+        ] );
+      ( "aggregate",
+        [
+          (Client, Mediator, "global-query", 239);
+          (Mediator, Source 1, "partial-query", 175);
+          (Mediator, Source 2, "partial-query", 175);
+          (Source 1, Mediator, "agg-bundles", 830);
+          (Source 2, Mediator, "agg-bundles", 750);
+          (Mediator, Source 2, "hashes-1", 140);
+          (Mediator, Source 1, "hashes-2", 140);
+          (Source 1, Mediator, "doubly-encrypted", 140);
+          (Source 2, Mediator, "doubly-encrypted", 140);
+          (Mediator, Client, "matched-bundles", 828);
+        ] );
+      ( "aggregate-homomorphic",
+        [
+          (Client, Mediator, "global-query", 215);
+          (Mediator, Source 1, "partial-query", 175);
+          (Mediator, Source 2, "partial-query", 175);
+          (Source 1, Mediator, "hashes", 100);
+          (Source 2, Mediator, "agg-ciphertexts", 1060);
+          (Mediator, Source 2, "hashes-1", 100);
+          (Mediator, Source 1, "hashes-2", 140);
+          (Source 1, Mediator, "doubly-encrypted", 140);
+          (Source 2, Mediator, "doubly-encrypted", 100);
+          (Mediator, Client, "aggregate-totals", 192);
+        ] );
+      ( "das-select",
+        [
+          (Client, Mediator, "global-query", 184);
+          (Mediator, Source 1, "partial-query", 155);
+          (Source 1, Mediator, "RS+enc(ITables)", 1520);
+          (Mediator, Client, "enc(ITables)", 250);
+          (Client, Mediator, "server-query-qS", 24);
+          (Mediator, Client, "RC", 714);
+        ] );
+  ]
+
+let test_query_class_transcripts () =
+  List.iter
+    (fun (name, expected) ->
+      let o = (Query_classes.find name).Query_classes.run None in
+      check_correct name o;
+      let actual =
+        List.map
+          (fun m -> (m.Transcript.sender, m.Transcript.receiver, m.Transcript.label, m.Transcript.size))
+          (Transcript.messages o.Outcome.transcript)
+      in
+      let show (s, r, l, n) =
+        Printf.sprintf "%s->%s %s %d" (Transcript.party_name s) (Transcript.party_name r) l n
+      in
+      Alcotest.(check (list string)) name (List.map show expected) (List.map show actual))
+    pinned_transcripts
+
+(* ------------------------------------------------------------------ *)
 (* DAS exposed internals. *)
 
 let das_internal_env () =
@@ -1462,6 +1563,8 @@ let () =
           Alcotest.test_case "layout mismatch" `Quick test_setop_layout_mismatch;
           Alcotest.test_case "lean right source" `Quick test_setop_right_source_ships_no_tuples;
         ] );
+      ( "query-classes",
+        [ Alcotest.test_case "pinned transcripts" `Quick test_query_class_transcripts ] );
       ( "das-internals",
         [
           Alcotest.test_case "encrypt_relation" `Quick test_das_encrypt_relation_internals;

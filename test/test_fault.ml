@@ -151,6 +151,35 @@ let test_reader_negative_length () =
   | _ -> Alcotest.fail "negative string length accepted"
   | exception Wire.Malformed _ -> ()
 
+(* The selection's server condition q_S is decoded at the mediator from
+   the client's bytes: any damage, including nesting deep enough to
+   exhaust a naive recursive reader, fails as Wire.Malformed. *)
+let conditions =
+  Predicate.
+    [|
+      True;
+      Cmp (Lt, Attr "idx_price", Const (Value.Int 3));
+      And
+        ( Or (Cmp (Eq, Attr "idx_a", Const (Value.Str "x")), False),
+          Not (In (Attr "idx_b", [ Value.Int 1; Value.Str "y"; Value.Bool true ])) );
+    |]
+
+let prop_condition_fuzz =
+  QCheck_alcotest.to_alcotest ~rand:(seed_rand ())
+    (QCheck2.Test.make ~name:"fuzzed q_S decoder only raises Wire.Malformed" ~count:500
+       QCheck2.Gen.(pair (int_range 0 (Array.length conditions - 1)) gen_mutation)
+       (fun (i, mutation) ->
+         let blob = Select_query.condition_to_wire conditions.(i) in
+         match Select_query.condition_of_wire (apply_mutation blob mutation) with
+         | decoded -> mutation <> Keep || decoded = conditions.(i)
+         | exception Wire.Malformed _ -> mutation <> Keep))
+
+let test_condition_deep_nesting () =
+  let deep = List.fold_left (fun p _ -> Predicate.Not p) Predicate.True (List.init 10_000 Fun.id) in
+  match Select_query.condition_of_wire (Select_query.condition_to_wire deep) with
+  | _ -> Alcotest.fail "ten thousand nested NOTs decoded"
+  | exception Wire.Malformed _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Shared fault-test scenario. *)
 
@@ -342,6 +371,28 @@ let test_byzantine_detected () =
         1 f.Protocol.attempts)
     cases
 
+(* The other query classes run the same hooks: a damaged payload of S1
+   fails authentication at the client, and S1's stale re-encryption key
+   trips the canary audit in every caller of the commutative round. *)
+let test_query_class_byzantine_detected () =
+  List.iter
+    (fun (name, mode, expected_phase, expected_party) ->
+      let plan = Fault.plan ~byzantine:[ (1, mode) ] [] in
+      let what = Printf.sprintf "%s/%s" name (Fault.mode_name mode) in
+      match (Query_classes.find name).Query_classes.run (Some plan) with
+      | _ -> Alcotest.failf "%s: expected a typed fault" what
+      | exception Fault.Fault_detected f ->
+        Alcotest.(check string) (what ^ ": detection phase") expected_phase f.Fault.phase;
+        Alcotest.(check string)
+          (what ^ ": blamed party")
+          (Transcript.party_name expected_party)
+          (Transcript.party_name f.Fault.party))
+    ([ ("intersection", Fault.Malformed_ciphertexts, "client-postprocess", Transcript.Client);
+       ("aggregate", Fault.Malformed_ciphertexts, "client-postprocess", Transcript.Client) ]
+    @ List.map
+        (fun name -> (name, Fault.Stale_commutative_key, "mediator-match", Transcript.Mediator))
+        [ "intersection"; "semi-join"; "difference"; "aggregate"; "aggregate-homomorphic" ])
+
 (* ------------------------------------------------------------------ *)
 (* Outcome edge cases. *)
 
@@ -471,25 +522,39 @@ let test_no_fault_differential () =
         Protocol.all_schemes)
     [ (6, 3, 2); (10, 5, 0); (12, 6, 6); (8, 4, 1) ]
 
-(* Random fault plans over random schemes: the differential property —
-   Ok implies correct; the only other allowed outcome is a typed Fault.
-   Any escaped exception fails the property by propagating. *)
+(* Random fault plans over random schemes and query classes: the
+   differential property — Ok implies correct; the only other allowed
+   outcome is a typed Fault.  Any escaped exception fails the property by
+   propagating.  Query classes draw channel rules only; a labelled rule
+   targets the class's final mediator -> client message. *)
+type target =
+  | Join of Protocol.scheme
+  | Class of Query_classes.t
+
 let gen_case =
   QCheck2.Gen.(
-    let gen_scheme = oneofl Protocol.all_schemes in
+    let gen_target =
+      oneofl
+        (List.map (fun s -> Join s) Protocol.all_schemes
+        @ List.map (fun c -> Class c) Query_classes.all)
+    in
     let gen_action =
       oneofl [ Fault.Drop; Fault.Truncate 4; Fault.Corrupt 2; Fault.Duplicate; Fault.Delay 0.01 ]
     in
-    gen_scheme >>= fun scheme ->
+    gen_target >>= fun target ->
     let applicable_modes =
-      match scheme with
-      | Protocol.Das _ -> [ Fault.Wrong_partition_ids; Fault.Malformed_ciphertexts ]
-      | Protocol.Commutative _ ->
+      match target with
+      | Join (Protocol.Das _) -> [ Fault.Wrong_partition_ids; Fault.Malformed_ciphertexts ]
+      | Join (Protocol.Commutative _) ->
         [ Fault.Stale_commutative_key; Fault.Malformed_ciphertexts ]
-      | Protocol.Private_matching _ ->
+      | Join (Protocol.Private_matching _) ->
         [ Fault.Garbage_paillier; Fault.Malformed_ciphertexts ]
-      | Protocol.Mobile_code -> [ Fault.Malformed_ciphertexts ]
-      | Protocol.Plain -> []
+      | Join Protocol.Mobile_code -> [ Fault.Malformed_ciphertexts ]
+      | Join Protocol.Plain | Class _ -> []
+    in
+    let final = function
+      | Join scheme -> final_label scheme
+      | Class c -> c.Query_classes.final_label
     in
     let gen_byzantine =
       if applicable_modes = [] then return []
@@ -504,13 +569,13 @@ let gen_case =
           ( 4,
             map
               (fun (action, times, labelled) ->
-                let label = if labelled then Some (final_label scheme) else None in
+                let label = if labelled then Some (final target) else None in
                 [ Fault.rule ?label ~times action ])
               (triple gen_action (int_range 1 3) bool) );
         ]
     in
     map
-      (fun (rules, byzantine, retries, seed) -> (scheme, rules, byzantine, retries, seed))
+      (fun (rules, byzantine, retries, seed) -> (target, rules, byzantine, retries, seed))
       (quad gen_rules gen_byzantine (int_range 0 2) nat))
 
 let prop_differential_under_faults =
@@ -518,11 +583,17 @@ let prop_differential_under_faults =
     (QCheck2.Test.make
        ~name:"fault plans never yield a wrong answer or an untyped exception" ~count:200
        gen_case
-       (fun (scheme, rules, byzantine, retries, seed) ->
+       (fun (target, rules, byzantine, retries, seed) ->
          let plan = Fault.plan ~seed ~max_retries:retries ~byzantine rules in
-         match run_with (Some plan) scheme with
-         | Protocol.Ok outcome -> Outcome.correct outcome
-         | Protocol.Fault f -> f.Protocol.reason <> ""))
+         match target with
+         | Join scheme -> (
+           match run_with (Some plan) scheme with
+           | Protocol.Ok outcome -> Outcome.correct outcome
+           | Protocol.Fault f -> f.Protocol.reason <> "")
+         | Class c -> (
+           match c.Query_classes.run (Some plan) with
+           | outcome -> Outcome.correct outcome
+           | exception Fault.Fault_detected f -> f.Fault.reason <> "")))
 
 (* ------------------------------------------------------------------ *)
 
@@ -534,6 +605,8 @@ let () =
           prop_wire_fuzz;
           Alcotest.test_case "hostile list count" `Quick test_read_list_hostile_count;
           Alcotest.test_case "negative length" `Quick test_reader_negative_length;
+          prop_condition_fuzz;
+          Alcotest.test_case "q_S deep nesting" `Quick test_condition_deep_nesting;
         ] );
       ( "channel-faults",
         [
@@ -550,7 +623,10 @@ let () =
           Alcotest.test_case "budget exhausts" `Quick test_retry_budget_exhausts;
         ] );
       ( "byzantine",
-        [ Alcotest.test_case "all modes detected" `Quick test_byzantine_detected ] );
+        [
+          Alcotest.test_case "all modes detected" `Quick test_byzantine_detected;
+          Alcotest.test_case "query classes detected" `Quick test_query_class_byzantine_detected;
+        ] );
       ( "outcome-edges",
         [
           Alcotest.test_case "empty join" `Quick test_outcome_empty_join;

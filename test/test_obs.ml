@@ -515,8 +515,9 @@ let test_with_fresh_not_reentrant () =
     (List.assoc Counters.Hash outer_counts)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: in a traced run of every scheme configuration no phase
-   span nests inside another, and each primitive's ops.* attributes
+(* Differential: in a traced run of every scheme configuration and of
+   every other query class (set operations, aggregation, selection) no
+   phase span nests inside another, and each primitive's ops.* attributes
    summed over the phase spans equal the run's counter snapshot — the
    phase spans are the whole per-party split of Table 2. *)
 
@@ -527,10 +528,19 @@ let test_phase_ops_sum_per_scheme () =
     @ List.filter_map Protocol.scheme_of_name [ "das-singleton"; "commutative-ids" ]
   in
   Alcotest.(check int) "seven configurations" 7 (List.length schemes);
+  let configurations =
+    List.map
+      (fun scheme ->
+        (Protocol.scheme_name scheme, fun () -> Protocol.run_exn scheme env client ~query))
+      schemes
+    @ List.map
+        (fun c -> (c.Query_classes.name, fun () -> c.Query_classes.run None))
+        Query_classes.all
+  in
+  Alcotest.(check int) "thirteen configurations" 13 (List.length configurations);
   List.iter
-    (fun scheme ->
-      let name = Protocol.scheme_name scheme in
-      let outcome, t = Trace.collect (fun () -> Protocol.run_exn scheme env client ~query) in
+    (fun (name, run) ->
+      let outcome, t = Trace.collect run in
       let spans = Trace.spans t in
       let by_id = Hashtbl.create 64 in
       List.iter (fun s -> Hashtbl.replace by_id s.Trace.id s) spans;
@@ -555,7 +565,7 @@ let test_phase_ops_sum_per_scheme () =
             (Printf.sprintf "%s: %s" name (Counters.name p))
             total on_spans)
         outcome.Outcome.counters)
-    schemes
+    configurations
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end tracing: a traced PM run produces a protocol root span
