@@ -54,9 +54,10 @@ check-net:
 # Sustained-load serving suite: the deterministic loadgen fleet against
 # a forked loopback cluster (64 verified sessions, typed backpressure,
 # replica failover and drain, domain-parallel mux consumers), then the
-# real binaries: two `secmed source` daemons and a `secmed serve`, a
-# verified `secmed loadgen` fleet, and a `secmed drain` of each daemon,
-# which must then exit 0 (the only check of the daemons' flag parsing).
+# real binaries: bad address and id flags must exit 124 (usage error),
+# then two `secmed source` daemons and a `secmed serve`, a verified
+# `secmed loadgen` fleet, and a `secmed drain` of each daemon, which
+# must then exit 0.
 check-serve:
 	dune exec test/test_serve.exe -- test -e
 	sh tools/cli_cluster.sh
@@ -72,13 +73,13 @@ check-soak:
 	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
 
 # Streaming-delivery suite: chunk codec / reassembly / credit-flow
-# units (bounded merge-window high-water marks, drained backlog, and the
-# reused receive buffer allocating less than a fresh one per read), and
-# the sharded-vs-single differential (k=4, all five schemes,
-# bit-identical results and transcripts).
+# units (a receive window bounded by one chunk, a drained backlog, and
+# the reused receive buffer allocating less than a fresh one per read),
+# and every typed rejection of the chunk reader (out-of-order row,
+# chunk gap, disagreeing declared sizes, short stream, entries past
+# the end; a replayed chunk is merged once).
 check-stream:
 	dune exec test/test_stream.exe -- test -e
-	dune exec test/test_shard.exe -- test -e
 
 # Crypto hot-path suite: the bigint/crypto differential tests (CRT vs
 # plain decryption, Multi_exp vs separate mod_pows, the Montgomery

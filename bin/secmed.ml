@@ -242,20 +242,16 @@ let io_timeout_arg =
   in
   Arg.(value & opt float 10. & info [ "io-timeout" ] ~docv:"SECONDS" ~doc)
 
-let parse_host_port what target =
-  match String.rindex_opt target ':' with
-  | None -> failwith (Printf.sprintf "%s expects HOST:PORT, got %S" what target)
-  | Some i ->
-    let host = String.sub target 0 i in
-    let port = String.sub target (i + 1) (String.length target - i - 1) in
-    (match int_of_string_opt port with
-    | Some p when p > 0 && p < 65536 ->
-      ((if String.equal host "" then "127.0.0.1" else host), p)
-    | _ -> failwith (Printf.sprintf "%s: bad port in %S" what target))
+(* Address flags parse with [Net.Io.parse_addr], so a bad one is a
+   usage error (exit 124) before any command runs. *)
+let pp_addr fmt (host, port) = Format.fprintf fmt "%s:%d" host port
+let msg_error r = Result.map_error (fun e -> `Msg e) r
+let addr_conv = Arg.conv ((fun s -> msg_error (Net.Io.parse_addr s)), pp_addr)
 
-let run_remote ~target ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout ~trace_file
-    ~verbose =
-  let host, port = parse_host_port "--connect" target in
+let addr_doc what = what ^ "  An empty HOST (\":PORT\") means 127.0.0.1."
+
+let run_remote ~target:(host, port) ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout
+    ~trace_file ~verbose =
   let fallback =
     match fallback with
     | `None -> false
@@ -313,9 +309,12 @@ let run_remote ~target ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout ~tra
 let run_cmd =
   let connect =
     let doc =
-      "Run as a remote client against a `secmed serve' mediator at $(docv)        instead of in-process.  The workload flags must match the ones the        mediator and its datasources were started with (enforced by a        scenario-digest handshake)."
+      addr_doc
+        "Run as a remote client against a `secmed serve' mediator instead of in-process.  \
+         The workload flags must match the ones the mediator and its datasources were \
+         started with (enforced by a scenario-digest handshake)."
     in
-    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
+    Arg.(value & opt (some addr_conv) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
   in
   let action scheme spec connect fault deadline fallback breaker io_timeout trace_file
       verbose =
@@ -390,17 +389,26 @@ let serve_cmd =
   in
   let source =
     let doc =
-      "Datasource address as $(b,ID=shard@HOST:PORT[,HOST:PORT...][;shard@...]); repeat \
-       once per source.  Comma-separated endpoints are standby replicas: the mediator dials \
-       the first one that is up (primary first) and fails a severed or draining endpoint \
-       over to the next, failing back after the $(b,--breaker) cooldown.  \
-       Semicolon-separated groups are shards (the optional $(b,shard@) marker is \
-       cosmetic): each must run `secmed source --shard J/K', streamed deliveries \
-       arrive as K partitioned chunk streams merged in row order, and results are \
-       bit-identical to the unsharded run.  The two-relation workload needs sources \
-       1 and 2."
+      "Datasource address as $(b,ID=HOST:PORT[,HOST:PORT...]); give sources 1 and 2 once \
+       each.  Comma-separated endpoints are standby replicas: the mediator dials the first \
+       one that is up (primary first) and fails a severed or draining endpoint over to the \
+       next, failing back after the $(b,--breaker) cooldown.  An empty HOST \
+       ($(b,1=:7001)) means 127.0.0.1."
     in
-    Arg.(value & opt_all string [] & info [ "source" ] ~docv:"ID=[shard@]H:P,...;..." ~doc)
+    let print fmt (id, addrs) =
+      Format.fprintf fmt "%d=%s" id
+        (String.concat "," (List.map (Format.asprintf "%a" pp_addr) addrs))
+    in
+    let source_conv = Arg.conv ((fun s -> msg_error (Net.Server.parse_source s)), print) in
+    let check sources =
+      match List.sort compare (List.map fst sources) with
+      | [ 1; 2 ] -> Ok sources
+      | _ -> Error (`Msg "the workload needs exactly one --source 1=... and one --source 2=...")
+    in
+    let sources =
+      Arg.(value & opt_all source_conv [] & info [ "source" ] ~docv:"ID=H:P,..." ~doc)
+    in
+    Term.(term_result ~usage:true (const check $ sources))
   in
   let health_interval =
     Arg.(value & opt float 1.0
@@ -422,18 +430,6 @@ let serve_cmd =
   in
   let action bind port sources max_sessions io_timeout deadline breaker health_interval
       drain_deadline spec =
-    let parse_source spec_str =
-      match Net.Shard.parse_source (String.trim spec_str) with
-      | Ok (id, _) when id < 1 -> failwith (Printf.sprintf "--source: bad id in %S" spec_str)
-      | Ok parsed -> parsed
-      | Error msg -> failwith ("--source: " ^ msg)
-    in
-    let sources = List.map parse_source sources in
-    List.iter
-      (fun id ->
-        if not (List.mem_assoc id sources) then
-          failwith (Printf.sprintf "missing --source %d=HOST:PORT" id))
-      [ 1; 2 ];
     let env, client, _query = Workload.scenario spec in
     let scenario = Net.Scenario.digest spec in
     let policy =
@@ -443,14 +439,9 @@ let serve_cmd =
     Printf.printf "mediator listening on %s:%d (scenario %s)\n%!" bind bound
       (String.sub scenario 0 12);
     List.iter
-      (fun (id, shards) ->
+      (fun (id, replicas) ->
         Printf.printf "  source %d at %s\n%!" id
-          (String.concat "; "
-             (List.map
-                (fun replicas ->
-                  String.concat ", "
-                    (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) replicas))
-                shards)))
+          (String.concat ", " (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) replicas)))
       sources;
     Net.Server.serve
       (Net.Server.create ~env ~client ~scenario ~sources ~listen_fd ~policy ~max_sessions
@@ -467,8 +458,13 @@ let serve_cmd =
 
 let source_cmd =
   let id =
-    Arg.(required & opt (some int) None
-         & info [ "id" ] ~docv:"N" ~doc:"Datasource id (1 or 2 in the synthetic workload).")
+    let check id =
+      if id = 1 || id = 2 then Ok id else Error (`Msg "--id: the workload has sources 1 and 2")
+    in
+    Term.(term_result ~usage:true
+            (const check
+             $ Arg.(required & opt (some int) None
+                    & info [ "id" ] ~docv:"N" ~doc:"Datasource id: 1 or 2.")))
   in
   let port =
     Arg.(value & opt int 0
@@ -481,34 +477,16 @@ let source_cmd =
              ~doc:"On SIGTERM (or an authenticated Drain frame) refuse new sessions, \
                    let in-flight ones finish up to this long, then exit 0.")
   in
-  let shard_arg =
-    Arg.(value & opt string "0/1"
-         & info [ "shard" ] ~docv:"J/K"
-             ~doc:"Serve shard J of K of this source: transmit only the rows with \
-                   index mod K = J in streamed deliveries (shard 0 alone speaks the \
-                   scalar frames).  The mediator must list all K shards for this \
-                   source, semicolon-separated, in its matching --source flag.")
-  in
-  let action bind id port shard_str io_timeout drain_deadline spec =
-    if id < 1 || id > 2 then failwith "the synthetic workload has sources 1 and 2";
-    let shard =
-      match Net.Shard.parse_shard_flag shard_str with
-      | Ok s -> s
-      | Error msg -> failwith ("--shard: " ^ msg)
-    in
+  let action bind id port io_timeout drain_deadline spec =
     let env, client, _query = Workload.scenario spec in
-    let scenario = Net.Shard.digest (Net.Scenario.digest spec) ~shard in
+    let scenario = Net.Scenario.digest spec in
     let listen_fd, bound = Net.Io.listen ~host:bind ~port () in
-    let j, k = shard in
-    Printf.printf "source %d%s listening on %s:%d (scenario %s)\n%!" id
-      (if k > 1 then Printf.sprintf " shard %d/%d" j k else "")
-      bind bound
+    Printf.printf "source %d listening on %s:%d (scenario %s)\n%!" id bind bound
       (String.sub scenario 0 12);
-    Net.Peer.source ~id ~env ~client ~scenario ~listen_fd ~shard ~io_timeout ~drain_deadline ()
+    Net.Peer.source ~id ~env ~client ~scenario ~listen_fd ~io_timeout ~drain_deadline ()
   in
   let term =
-    Term.(const action $ bind_arg $ id $ port $ shard_arg $ io_timeout_arg $ drain_deadline
-          $ spec_term)
+    Term.(const action $ bind_arg $ id $ port $ io_timeout_arg $ drain_deadline $ spec_term)
   in
   Cmd.v
     (Cmd.info "source" ~doc:"Run one datasource as a daemon for a `secmed serve' mediator")
@@ -543,8 +521,8 @@ let mix_conv =
 
 let loadgen_cmd =
   let connect =
-    Arg.(required & opt (some string) None
-         & info [ "connect" ] ~docv:"HOST:PORT" ~doc:"Mediator address to drive load at.")
+    Arg.(required & opt (some addr_conv) None
+         & info [ "connect" ] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator to drive load at."))
   in
   let workers =
     Arg.(value & opt int 8
@@ -595,9 +573,8 @@ let loadgen_cmd =
                    exponential backoff — lets the fleet ride out a rolling restart.  \
                    Busy is never retried.")
   in
-  let action connect workers sessions domains mix rate seed verify retry fault
+  let action (host, port) workers sessions domains mix rate seed verify retry fault
       deadline fallback io_timeout spec =
-    let host, port = parse_host_port "--connect" connect in
     let env, client, query = Workload.scenario spec in
     let scenario = Net.Scenario.digest spec in
     let config =
@@ -763,8 +740,8 @@ let render_stats j =
 
 let stats_cmd =
   let target =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"HOST:PORT" ~doc:"Mediator address to query.")
+    Arg.(required & pos 0 (some addr_conv) None
+         & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator to query."))
   in
   let watch =
     Arg.(value & opt (some float) None
@@ -774,8 +751,7 @@ let stats_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the raw JSON snapshot instead.")
   in
-  let action target watch json_flag io_timeout =
-    let host, port = parse_host_port "stats" target in
+  let action (host, port) watch json_flag io_timeout =
     let once () =
       let payload = Net.Peer.stats ~host ~port ~io_timeout () in
       if json_flag then print_endline payload
@@ -824,11 +800,10 @@ let stats_cmd =
 
 let ping_cmd =
   let target =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"HOST:PORT" ~doc:"Mediator or datasource address to probe.")
+    Arg.(required & pos 0 (some addr_conv) None
+         & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator or datasource to probe."))
   in
-  let action target io_timeout =
-    let host, port = parse_host_port "ping" target in
+  let action (host, port) io_timeout =
     match Net.Peer.ping ~host ~port ~io_timeout () with
     | h ->
       Printf.printf "%s: %s, %d active session%s\n"
@@ -848,17 +823,16 @@ let ping_cmd =
 
 let drain_cmd =
   let target =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"HOST:PORT" ~doc:"Mediator or datasource address to drain.")
+    Arg.(required & pos 0 (some addr_conv) None
+         & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator or datasource to drain."))
   in
   let deadline =
     Arg.(value & opt (some float) None
          & info [ "drain-deadline" ] ~docv:"SECONDS"
              ~doc:"Override the peer's drain deadline for this drain.")
   in
-  let action target deadline io_timeout spec =
+  let action (host, port) deadline io_timeout spec =
     let scenario = Net.Scenario.digest spec in
-    let host, port = parse_host_port "drain" target in
     match
       Net.Peer.drain ~host ~port ~scenario
         ~deadline:(Option.value deadline ~default:0.)

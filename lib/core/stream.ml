@@ -4,10 +4,8 @@
    e-values, commutative message sets — is delivered as a sequence of
    bounded [Msg_chunk] frames instead of one whole-relation payload.
    Each chunk carries a batch of (row index, bytes) entries; the indexes
-   make the stream self-describing under sharding: shard j of k owns
-   exactly the rows with [index mod k = j], and the receiver merges the
-   per-shard streams back into index order, so a sharded run is
-   byte-identical to the single-source run by construction.
+   make the stream self-describing, so the receiver can check that every
+   row arrives, once, in order.
 
    This module is pure planning and codec; the transport semantics
    (credits, epoch filtering, verification) live in Secmed_net. *)
@@ -88,16 +86,3 @@ let plan ?(chunk_bytes = default_chunk_bytes) rows =
       else go acc ({ s_row = row; s_bytes = bytes } :: batch) (used + cost) rest
   in
   go [] [] 0 rows
-
-(* ------------------------------------------------------------------ *)
-(* Shard partitioning.  Round-robin by row index: cheap, exactly
-   balanced, and — because every replica numbers rows identically — the
-   same partition at every party without coordination. *)
-
-let shard_of_row ~k row =
-  if k <= 0 then invalid_arg "Stream.shard_of_row: k must be positive";
-  row mod k
-
-let partition ~k ~shard rows =
-  if shard < 0 || shard >= k then invalid_arg "Stream.partition: shard out of range";
-  List.filter (fun (row, _) -> shard_of_row ~k row = shard) rows

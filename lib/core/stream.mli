@@ -2,10 +2,8 @@
     (DESIGN.md §16).
 
     A row-wise delivery is split into bounded chunks of
-    (row index, bytes) entries; the explicit indexes let k shards each
-    transmit their own partition ([index mod k]) while the receiver
-    merges the streams back into index order, making a sharded run
-    byte-identical to the single-source run by construction. *)
+    (row index, bytes) entries; the explicit indexes let the receiver
+    check that every row arrives, once, in order. *)
 
 type entry = { s_row : int; s_bytes : string }
 
@@ -34,9 +32,3 @@ val payload_row_bytes : string -> int
 val plan : ?chunk_bytes:int -> (int * string) list -> entry list list
 (** Split rows (in order) into batches whose encoded size stays near
     [chunk_bytes]; an oversized single row forms a chunk of one. *)
-
-val shard_of_row : k:int -> int -> int
-(** Round-robin partition: the shard owning a row index. *)
-
-val partition : k:int -> shard:int -> (int * string) list -> (int * string) list
-(** The sub-list of rows owned by [shard] of [k], order preserved. *)

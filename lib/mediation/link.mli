@@ -18,11 +18,11 @@
     The execution model is {e projected}: each process {e computes} a
     set of parties ({!computes}).  An in-process run (the default
     {!Inproc} endpoint) and the remote client replica compute every
-    party; the mediator computes [Mediator]; datasource [i] (and each of
-    its shards) computes [Source i].  A driver runs a party's local step
-    only where that party is computed, and hands each message's value to
-    {!exchange} (or {!exchange_rows}) as [Some v] exactly when it
-    computed the sender:
+    party; the mediator computes [Mediator]; datasource [i] computes
+    [Source i].  A driver runs a party's local step only where that
+    party is computed, and hands each message's value to {!exchange}
+    (or {!exchange_rows}) as [Some v] exactly when it computed the
+    sender:
 
     - a computing sender builds the value and sends it;
     - a computing receiver (the client) byte-compares what arrives with
@@ -46,12 +46,12 @@
    to discard duplicated or stale frames. *)
 
 (** Streamed variant of a delivery: the message as (row index, bytes)
-    entries instead of one payload.  [send_rows] chunks and transmits
-    (a sharded sender transmits only its partition); [recv_rows] pulls
-    chunk frames and verifies each entry against the locally computed
-    [expect] list incrementally — the received relation is never
-    materialised as one string; [take_rows] is the receive of a process
-    that did not compute the rows: it merges every shard's chunks into
+    entries instead of one payload.  [send_rows] chunks and transmits;
+    [recv_rows] pulls chunk frames and verifies each entry against the
+    locally computed [expect] list incrementally — the received
+    relation is never materialised as one string; [take_rows] is the
+    receive of a process
+    that did not compute the rows: it checks that the rows arrive in
     index order and returns the stream's declared size and its bytes.
     All raise typed faults like {!transport.recv}. *)
 type rows_transport = {

@@ -201,17 +201,9 @@ module Mux = struct
   let next_control t ~timeout = wait t ~timeout ~what:"control" (fun () -> t.control)
 end
 
-(* [r_sub]: the per-shard sub-routes behind a fanned-out logical source.
-   Scalar traffic uses the merged route ([r_send] broadcasts, [r_next]
-   reads the designated shard 0); streamed deliveries merge chunk
-   streams from every sub-route in row order. *)
-type route = {
-  r_send : Frame.t -> unit;
-  r_next : timeout:float -> Frame.t;
-  r_sub : route array option;
-}
+type route = { r_send : Frame.t -> unit; r_next : timeout:float -> Frame.t }
 
-let plain_route ~send ~next = { r_send = send; r_next = next; r_sub = None }
+let plain_route ~send ~next = { r_send = send; r_next = next }
 
 (* Interned eagerly at module init (single-threaded, main domain):
    [Lazy.force] from two domains at once raises [Undefined], and these
@@ -241,8 +233,8 @@ let stream_backlog () = int_of_float (Obs.Metrics.gauge_value backlog_gauge)
    mux queue bound, far above what keeps a loopback pipe busy. *)
 let credit_window = 8
 
-(* Decoded-but-unmerged entries buffered while interleaving per-shard
-   streams: bounded by one chunk per shard, and the bench asserts it. *)
+(* Decoded entries a streamed receiver holds before handing them on:
+   bounded by one chunk, and the bench asserts it. *)
 let hwm_pending = Obs.Hwm.region "stream.pending"
 
 let trace_frame dir ~phase ~party ~label ~size =
@@ -301,10 +293,7 @@ let entry_bytes entries =
   List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
 
 let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~io_timeout
-    ~route_of ?(shard = (0, 1)) ?(after_io = fun ~phase:_ -> ()) () =
-  let shard_index, shard_count = shard in
-  if shard_count <= 0 || shard_index < 0 || shard_index >= shard_count then
-    invalid_arg "Endpoint.transport: shard out of range";
+    ~route_of ?(after_io = fun ~phase:_ -> ()) () =
   let route ~phase ~receiver ~label party =
     match route_of party with
     | Some r -> r
@@ -318,12 +307,6 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
   let send ~phase ~seq ~sender ~receiver ~label ~size payload =
     match route_of receiver with
     | None -> ()
-    | Some _ when shard_index <> 0 ->
-      (* Scalar payloads are whole-message: exactly one shard may put
-         them on the wire or the receiver would see k copies.  Shard 0
-         is the designated scalar speaker; the others advance their
-         sequence numbers silently. *)
-      ()
     | Some r ->
       (try
          r.r_send
@@ -352,21 +335,17 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
     after_io ~phase;
     (m.declared, payload)
   in
-  (* Streamed sender: chunk this process's partition of the rows and
-     keep at most [credit_window] chunks unacknowledged, replenished by
-     the receiver's [Credit] grants arriving on the same route. *)
+  (* Streamed sender: chunk the rows and keep at most [credit_window]
+     chunks unacknowledged, replenished by the receiver's [Credit]
+     grants arriving on the same route. *)
   let send_rows ~phase ~seq ~sender ~receiver ~label ~size rows =
     match route_of receiver with
     | None -> ()
     | Some r ->
       let here = epoch () in
-      let rows =
-        if shard_count = 1 then rows
-        else Stream.partition ~k:shard_count ~shard:shard_index rows
-      in
       (* At least one chunk, empty or not: a receiver that did not
-         compute the rows learns that a shard's stream ended only from
-         its chunks. *)
+         compute the rows learns that the stream ended only from its
+         chunks. *)
       let chunks = match Stream.plan rows with [] -> [ [] ] | chunks -> chunks in
       let n = List.length chunks in
       let credits = ref credit_window in
@@ -407,44 +386,40 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
       trace_frame "send" ~phase ~party:receiver ~label ~size;
       after_io ~phase
   in
-  (* The one k-shard row merge behind both streamed receivers.  Row [i]
-     comes from shard [i mod k] of the sender's per-shard chunk streams,
-     and [on_row] sees the rows in index order.  The merge holds at most
-     one decoded chunk per shard (charged to the "stream.pending"
-     region), so receive memory is bounded by shards x chunk size.  It
-     stops after [rows] rows when the receiver knows the count, else at
-     the first row whose shard stream has ended; every shard must then
-     be spent.  Every chunk must declare [size] bytes, or, with no
-     [size], the size the first one declares, which is returned. *)
-  let merge_rows ~phase ~seq ~sender ~receiver ~label ?size ?rows on_row =
+  (* The one chunk reader behind both streamed receivers: [on_row]
+     sees every entry with the row index it is due at.  It holds at most
+     one decoded chunk (charged to the "stream.pending" region), so
+     receive memory is bounded by one chunk however many rows flow.  It
+     stops after [rows] rows when the receiver knows the count, else
+     once the last chunk is spent; either way the stream must then be
+     spent.  Every chunk must declare [size] bytes, or, with no [size],
+     the size the first one declares, which is returned. *)
+  let read_rows ~phase ~seq ~sender ~receiver ~label ?size ?rows on_row =
     let r = route ~phase ~receiver ~label sender in
-    let subs = match r.r_sub with Some a when Array.length a > 0 -> a | _ -> [| r |] in
-    let k = Array.length subs in
     let here = epoch () in
     let declared = ref size in
-    let pending = Array.make k ([] : Stream.entry list) in
-    let next_chunk = Array.make k 0 in
-    let chunks = Array.make k max_int in
+    let pending = ref ([] : Stream.entry list) in
+    let next_chunk = ref 0 in
+    let chunks = ref max_int in
     let reject fmt =
       Printf.ksprintf (fun m -> Fault.fail ~phase ~party:receiver (label ^ " rejected: " ^ m)) fmt
     in
-    (* Park the next chunk of shard [si] in [pending.(si)]. *)
-    let rec pull si =
+    (* Park the next chunk in [pending]. *)
+    let rec pull () =
       let m =
-        await subs.(si) ~timeout:io_timeout ~epoch:here ~seq
-          ~fail:(failing ~phase ~receiver label)
+        await r ~timeout:io_timeout ~epoch:here ~seq ~fail:(failing ~phase ~receiver label)
           (function Frame.Msg_chunk m -> Some m | _ -> None)
       in
       if not (Transcript.party_equal m.ck_sender sender && String.equal m.ck_label label) then
         Fault.fail ~phase ~party:receiver
           (Printf.sprintf "frame #%d: expected %s chunk from %s, got %s from %s" seq label
              (Transcript.party_name sender) m.ck_label (Transcript.party_name m.ck_sender))
-      else if m.ck_chunk < next_chunk.(si) then
-        (* A replayed chunk (chaos Duplicate): already merged. *)
-        pull si
-      else if m.ck_chunk > next_chunk.(si) then
+      else if m.ck_chunk < !next_chunk then
+        (* A replayed chunk (chaos Duplicate): already read. *)
+        pull ()
+      else if m.ck_chunk > !next_chunk then
         Fault.fail ~phase ~party:receiver
-          (Printf.sprintf "%s: chunk gap: awaiting chunk %d, got %d" label next_chunk.(si)
+          (Printf.sprintf "%s: chunk gap: awaiting chunk %d, got %d" label !next_chunk
              m.ck_chunk)
       else begin
         (match !declared with
@@ -452,58 +427,53 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
         | Some d when d <> m.ck_declared ->
           reject "stream declares %d bytes, %d expected" m.ck_declared d
         | Some _ -> ());
-        next_chunk.(si) <- m.ck_chunk + 1;
-        chunks.(si) <- m.ck_chunks;
+        next_chunk := m.ck_chunk + 1;
+        chunks := m.ck_chunks;
         let entries =
           try Stream.decode_entries (unframe ~phase ~receiver ~label m.ck_payload)
           with Wire.Malformed msg -> reject "malformed chunk %d: %s" m.ck_chunk msg
         in
-        (* Grant the replacement credit before merging so the sender's
+        (* Grant the replacement credit before reading on so the sender's
            pipeline never drains on our account.  A dead return path
            surfaces on the next pull, not here. *)
         (try
-           subs.(si).r_send
-             (Frame.Credit { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
+           r.r_send (Frame.Credit { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
          with Io.Transport_error _ -> ());
         let bytes = entry_bytes entries in
         Obs.Hwm.alloc hwm_pending bytes;
         Obs.Metrics.incr ~by:bytes stream_bytes_in;
         Obs.Metrics.incr ~by:(List.length entries) stream_rows_in;
-        pending.(si) <- entries
+        pending := entries
       end
     in
-    (* The next entry of shard [si], or [None] once its stream ended. *)
-    let take si =
-      while pending.(si) = [] && next_chunk.(si) < chunks.(si) do
-        pull si
+    (* The next entry, or [None] once the stream ended. *)
+    let take () =
+      while !pending = [] && !next_chunk < !chunks do
+        pull ()
       done;
-      match pending.(si) with
+      match !pending with
       | [] -> None
       | e :: rest ->
-        pending.(si) <- rest;
+        pending := rest;
         Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
         Some e
     in
-    Fun.protect ~finally:(fun () ->
-        Array.iter (fun p -> Obs.Hwm.release hwm_pending (entry_bytes p)) pending)
+    Fun.protect ~finally:(fun () -> Obs.Hwm.release hwm_pending (entry_bytes !pending))
     @@ fun () ->
-    let rec merge row =
+    let rec read row =
       if Option.fold rows ~none:true ~some:(fun n -> row < n) then
-        match take (Stream.shard_of_row ~k row) with
+        match take () with
         | Some e ->
           on_row row e;
-          merge (row + 1)
+          read (row + 1)
         | None when rows <> None ->
-          (* The shard's stream is exhausted but rows remain: an elided
-             tail is a mismatch, not a hang. *)
+          (* Rows remain but the stream is exhausted: an elided tail is
+             a mismatch, not a hang. *)
           reject "wire payload mismatch (stream ended before row %d)" row
         | None -> ()
     in
-    merge 0;
-    Array.iteri
-      (fun si _ ->
-        if take si <> None then reject "stream entries from shard %d past the end" si)
-      pending;
+    read 0;
+    if take () <> None then reject "stream entries past the end";
     let size = Option.value !declared ~default:0 in
     trace_frame "recv" ~phase ~party:sender ~label ~size;
     after_io ~phase;
@@ -514,7 +484,7 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
   let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
     let expect = Array.of_list expect in
     ignore
-      (merge_rows ~phase ~seq ~sender ~receiver ~label ~size ~rows:(Array.length expect)
+      (read_rows ~phase ~seq ~sender ~receiver ~label ~size ~rows:(Array.length expect)
          (fun i e ->
            let row, bytes = expect.(i) in
            if e.Stream.s_row <> row || not (String.equal e.Stream.s_bytes bytes) then
@@ -528,12 +498,12 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
        : int)
   in
   (* Streamed receiver of a process that did not compute the rows: the
-     merged rows become the one string the caller decodes — a receiver
+     received rows become the one string the caller decodes — a receiver
      that uses the rows holds them anyway. *)
   let take_rows ~phase ~seq ~sender ~receiver ~label =
     let buf = Buffer.create 4096 in
     let size =
-      merge_rows ~phase ~seq ~sender ~receiver ~label (fun row e ->
+      read_rows ~phase ~seq ~sender ~receiver ~label (fun row e ->
           if e.Stream.s_row <> row then
             Fault.fail ~phase ~party:receiver
               (Printf.sprintf "%s rejected: stream row %d where row %d was due" label
@@ -545,7 +515,7 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
   { Link.role; computes; send; recv; rows = Some { Link.send_rows; recv_rows; take_rows } }
 
 let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout
-    ?shard ~route env client =
+    ~route env client =
   match Protocol.scheme_of_name scheme with
   | None ->
     ( Frame.St_failed
@@ -553,7 +523,7 @@ let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~
       None )
   | Some sch -> (
     let tr =
-      transport ~role ?computes ~session ~epoch:(fun () -> epoch) ~io_timeout ?shard
+      transport ~role ?computes ~session ~epoch:(fun () -> epoch) ~io_timeout
         ~route_of:(fun _ -> Some route) ()
     in
     match Protocol.attempt ?fault ~endpoint:(Link.Remote tr) sch env client ~query ~attempt with

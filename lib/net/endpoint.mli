@@ -11,9 +11,8 @@
     travels with the [Fault.frame] integrity tag, checked at the
     receiver before anything decodes it.
 
-    Row-wise deliveries ([Link.exchange_rows]) travel as bounded
-    [Msg_chunk] frames under credit-based flow control, and a logical
-    source split into shards fans the stream out across the shard routes
+    Row-wise deliveries ([Link.exchange_rows]) travel as one stream of
+    bounded [Msg_chunk] frames under credit-based flow control
     (DESIGN.md §16).
 
     {!Mux} demultiplexes one shared connection (a mediator↔datasource
@@ -92,19 +91,12 @@ end
 type route = {
   r_send : Frame.t -> unit;
   r_next : timeout:float -> Frame.t;  (** already session-filtered *)
-  r_sub : route array option;
-      (** per-shard sub-routes behind a fanned-out logical source:
-          [r_send] on the merged route broadcasts and [r_next] reads the
-          designated shard 0, while streamed receives interleave every
-          sub-route's chunk stream in row order.  [None] for an unsharded
-          counterpart. *)
 }
 (** One counterpart this process exchanges frames with.  A leaf (client
     or datasource) has exactly one route — its mediator connection; the
     mediator has one per remote counterpart. *)
 
 val plain_route : send:(Frame.t -> unit) -> next:(timeout:float -> Frame.t) -> route
-(** An unsharded route ([r_sub = None]). *)
 
 val await :
   route -> timeout:float -> epoch:int -> seq:int -> fail:(string -> 'a) ->
@@ -140,7 +132,6 @@ val transport :
   epoch:(unit -> int) ->
   io_timeout:float ->
   route_of:(Transcript.party -> route option) ->
-  ?shard:int * int ->
   ?after_io:(phase:string -> unit) ->
   unit ->
   Link.transport
@@ -158,19 +149,16 @@ val transport :
     mid-attempt.  [epoch] is read per frame so the mediator can reuse
     one transport across every attempt of a resilient session.
 
-    [shard] (default [(0, 1)]) is this process's (index, count) within a
-    sharded logical source: shard 0 alone speaks scalar messages for the
-    party, and a streamed [send_rows] transmits only the shard's
-    row partition ([Secmed_core.Stream.partition]).  [recv_rows] and
-    [take_rows] share one k-shard row merge: row [i] comes from shard
-    [i mod k], at most one decoded chunk per shard is held (charged to
-    the ["stream.pending"] {!Secmed_obs.Hwm} region), so receive memory
-    is bounded by shards × chunk size regardless of how many rows flow,
-    and every shard's stream must be spent when the merge ends.
-    [recv_rows] checks each row against the locally computed one;
-    [take_rows] returns the rows as the one string a non-computing
-    receiver decodes.  A streamed send always carries at least one
-    (possibly empty) chunk per shard. *)
+    [recv_rows] and [take_rows] share one chunk reader.  It holds at
+    most one decoded chunk (charged to the ["stream.pending"]
+    {!Secmed_obs.Hwm} region), so receive memory is bounded by one chunk
+    however many rows flow.  A replayed chunk is skipped; a chunk gap,
+    chunks that disagree on the declared size, a stream shorter than the
+    expected rows and entries past the end fail typed.  [recv_rows]
+    checks each row against the locally computed one; [take_rows]
+    checks that the rows arrive in index order and returns them as the
+    one string a non-computing receiver decodes.  A streamed send
+    always carries at least one (possibly empty) chunk. *)
 
 val run_replica :
   role:Transcript.party ->
@@ -182,7 +170,6 @@ val run_replica :
   scheme:string ->
   query:string ->
   io_timeout:float ->
-  ?shard:int * int ->
   route:route ->
   Secmed_core.Env.t ->
   Secmed_core.Env.client ->

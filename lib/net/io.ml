@@ -65,6 +65,20 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
   | Unix.ADDR_UNIX p -> p
 
+(* The one HOST:PORT syntax of every address flag.  IPv4 only, so a
+   host never holds a ':'; an empty host is the loopback address. *)
+let parse_addr s =
+  let bad why = Error (Printf.sprintf "bad address %S (%s)" s why) in
+  match String.split_on_char ':' s with
+  | [ host; _ ] when String.exists (fun c -> String.contains ",;= \t" c) host ->
+    bad "bad character in HOST"
+  | [ host; port ] -> (
+    match int_of_string_opt port with
+    | Some p when p > 0 && p < 65536 && String.for_all (fun c -> c >= '0' && c <= '9') port ->
+      Ok ((if String.equal host "" then "127.0.0.1" else host), p)
+    | _ -> bad "PORT must be 1-65535")
+  | _ -> bad "expected HOST:PORT"
+
 let connect ?timeout ~host ~port () =
   let addr =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)

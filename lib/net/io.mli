@@ -23,6 +23,11 @@ val of_fd : ?timeout:float -> peer:string -> Unix.file_descr -> conn
     to each blocking read and write ([SO_RCVTIMEO]/[SO_SNDTIMEO]);
     [0.] or omitted means block indefinitely. *)
 
+val parse_addr : string -> (string * int, string) result
+(** ["HOST:PORT"], the address syntax of every flag: PORT in 1–65535,
+    HOST an IPv4 address or name without [':'], [','], [';'], ['='] or
+    blanks, and an empty HOST means [127.0.0.1] ([":7000"]). *)
+
 val connect : ?timeout:float -> host:string -> port:int -> unit -> conn
 (** TCP connect (with [TCP_NODELAY]); raises {!Transport_error} when the
     peer is unreachable. *)

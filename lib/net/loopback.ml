@@ -1,9 +1,9 @@
 open Secmed_mediation
 open Secmed_core
 
-(* A cluster member: a datasource daemon keyed (source id, shard,
-   replica), or the mediator. *)
-type member = Source of int * int * int | Mediator
+(* A cluster member: a datasource daemon keyed (source id, replica), or
+   the mediator. *)
+type member = Source of int * int | Mediator
 
 (* What the owner asks its supervisor.  [Stop (m, signal)] sends
    [signal] (if any), reaps the process and answers its exit code;
@@ -33,12 +33,10 @@ let port c = c.c_port
 let pid_of c m = Mutex.protect c.c_mu (fun () -> Hashtbl.find_opt c.c_pids m)
 let mediator_pid c = Option.get (pid_of c Mediator)
 
-let source_pid c ?(shard = 0) ~id ~replica () =
-  match pid_of c (Source (id, shard, replica)) with
+let source_pid c ~id ~replica () =
+  match pid_of c (Source (id, replica)) with
   | Some pid -> pid
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Loopback.source_pid: no source %d shard %d replica %d" id shard replica)
+  | None -> invalid_arg (Printf.sprintf "Loopback.source_pid: no source %d replica %d" id replica)
 
 let chaos_events c sid =
   match List.assoc_opt sid c.c_proxies with
@@ -133,58 +131,46 @@ let ask c cmd =
       v)
 
 let kill_source c ~id ~replica =
-  ignore (ask c (Stop (Source (id, 0, replica), Some Sys.sigkill)) : int)
+  ignore (ask c (Stop (Source (id, replica), Some Sys.sigkill)) : int)
 
-let restart_source c ~id ~replica = ignore (ask c (Start (Source (id, 0, replica))) : int)
+let restart_source c ~id ~replica = ignore (ask c (Start (Source (id, replica))) : int)
 let drain_mediator c = ask c (Stop (Mediator, Some Sys.sigterm))
 let wait_mediator c = ask c (Stop (Mediator, None))
 let restart_mediator c = ignore (ask c (Start Mediator) : int)
 
 let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout = 10.)
-    ?(standbys = 0) ?(shards = 1) ?health_interval ?drain_deadline ~spec f =
-  if shards < 1 then invalid_arg "Loopback.with_cluster: shards must be >= 1";
+    ?(standbys = 0) ?health_interval ?drain_deadline ~spec f =
   let c_env, c_client, c_query = Workload.scenario ?params spec in
   let c_scenario = Scenario.digest ?params spec in
   let replicas = 1 + max 0 standbys in
   (* Reserve every port before any process starts: a pre-bound listener
      queues connections until its owner calls accept, so there is no
-     startup race to sleep around.  With [standbys], each shard gets
+     startup race to sleep around.  With [standbys], each source gets
      that many extra daemon processes — every replica a deterministic
-     twin built from the same seed; with [shards] > 1, each source id
-     splits into that many partitioned daemons (DESIGN.md §16). *)
+     twin built from the same seed. *)
   let listeners =
     List.concat_map
-      (fun sid ->
-        List.concat_map
-          (fun sh ->
-            List.init replicas (fun r -> (Source (sid, sh, r), Io.listen ~port:0 ())))
-          (List.init shards Fun.id))
+      (fun sid -> List.init replicas (fun r -> (Source (sid, r), Io.listen ~port:0 ())))
       [ 1; 2 ]
     @ [ (Mediator, Io.listen ~port:0 ()) ]
   in
   let port_of m = snd (List.assoc m listeners) in
   let proxy_fds = List.map (fun (sid, plan) -> (sid, plan, Io.listen ~port:0 ())) chaos in
-  (* A chaos proxy interposes on the primary (shard 0, replica 0) only:
-     the plan narrates one link's faults, and failover tests want the
-     standby clean. *)
-  let addr_for sid sh r =
-    match List.find_opt (fun (psid, _, _) -> psid = sid && sh = 0 && r = 0) proxy_fds with
+  (* A chaos proxy interposes on the primary (replica 0) only: the plan
+     narrates one link's faults, and failover tests want the standby
+     clean. *)
+  let addr_for sid r =
+    match List.find_opt (fun (psid, _, _) -> psid = sid && r = 0) proxy_fds with
     | Some (_, _, (_, pport)) -> ("127.0.0.1", pport)
-    | None -> ("127.0.0.1", port_of (Source (sid, sh, r)))
+    | None -> ("127.0.0.1", port_of (Source (sid, r)))
   in
   let run m fd =
     match m with
-    | Source (sid, sh, _) ->
-      Peer.source ~id:sid ~env:c_env ~client:c_client
-        ~scenario:(Shard.digest c_scenario ~shard:(sh, shards))
-        ~listen_fd:fd ~shard:(sh, shards) ~io_timeout ?drain_deadline ()
+    | Source (sid, _) ->
+      Peer.source ~id:sid ~env:c_env ~client:c_client ~scenario:c_scenario ~listen_fd:fd
+        ~io_timeout ?drain_deadline ()
     | Mediator ->
-      let sources =
-        List.map
-          (fun sid ->
-            (sid, List.init shards (fun sh -> List.init replicas (fun r -> addr_for sid sh r))))
-          [ 1; 2 ]
-      in
+      let sources = List.map (fun sid -> (sid, List.init replicas (addr_for sid))) [ 1; 2 ] in
       Server.serve
         (Server.create ~env:c_env ~client:c_client ~scenario:c_scenario ~sources
            ~listen_fd:fd ?policy ~max_sessions ~io_timeout ?drain_deadline
@@ -221,7 +207,7 @@ let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout 
     List.map
       (fun (sid, plan, (pfd, pport)) ->
         ( sid,
-          Chaos.start ~plan ~target_host:"127.0.0.1" ~target_port:(port_of (Source (sid, 0, 0)))
+          Chaos.start ~plan ~target_host:"127.0.0.1" ~target_port:(port_of (Source (sid, 0)))
             ~listen:(pfd, pport) () ))
       proxy_fds
   in

@@ -45,7 +45,6 @@ val with_cluster :
   ?max_sessions:int ->
   ?io_timeout:float ->
   ?standbys:int ->
-  ?shards:int ->
   ?health_interval:float ->
   ?drain_deadline:float ->
   spec:Workload.spec ->
@@ -55,29 +54,26 @@ val with_cluster :
     stopped) however the callback ends.
     [health_interval]/[drain_deadline] forward to {!Server.create}.
     [standbys] (default 0) forks that many extra replica daemons per
-    shard — deterministic twins the mediator lists as failover candidates behind the primary;
-    chaos proxies, when given, interpose on the primary (shard 0,
-    replica 0) only.  [shards] (default 1) splits each source into that
-    many partitioned daemons: streamed deliveries arrive as k merged
-    chunk streams, and results must be bit-identical to the unsharded
-    run (DESIGN.md §16).  Every daemon drains on SIGTERM
+    source — deterministic twins the mediator lists as failover
+    candidates behind the primary; chaos proxies, when given, interpose
+    on the primary (replica 0) only.  Every daemon drains on SIGTERM
     ({!Daemon.serve}), so a test can drain-restart it like a real
     deployment would. *)
 
-val source_pid : cluster -> ?shard:int -> id:int -> replica:int -> unit -> int
+val source_pid : cluster -> id:int -> replica:int -> unit -> int
 (** The current incarnation of the daemon serving [replica] (0 =
-    primary) of source [id] (shard 0 by default).  Raises
+    primary) of source [id].  Raises
     [Invalid_argument] for a member the cluster does not have. *)
 
 val mediator_pid : cluster -> int
 (** The current incarnation of the mediator. *)
 
 val kill_source : cluster -> id:int -> replica:int -> unit
-(** SIGKILL [replica] of source [id] (shard 0) and reap it.  Its port
+(** SIGKILL [replica] of source [id] and reap it.  Its port
     then refuses connections until {!restart_source}. *)
 
 val restart_source : cluster -> id:int -> replica:int -> unit
-(** Fork a fresh incarnation of [replica] of source [id] (shard 0) on
+(** Fork a fresh incarnation of [replica] of source [id] on
     its old port, killing a live one first.  The port is bound again
     before this returns, so connections queue from then on. *)
 

@@ -21,7 +21,7 @@ type health = { h_role : Transcript.party; h_draining : bool; h_active : int }
    [ship_spans], a traced attempt runs under a fresh collector bound to
    this thread, so concurrent sessions on a shared mux never interleave
    spans, and its batch rides in the attempt's [Report]. *)
-let replica_session ~role ?computes ?shard ?(ship_spans = false) ~io_timeout ~idle ~route
+let replica_session ~role ?computes ?(ship_spans = false) ~io_timeout ~idle ~route
     ~keep env client finish =
   let plan = ref None in
   let plan_of fault_spec =
@@ -38,7 +38,7 @@ let replica_session ~role ?computes ?shard ?(ship_spans = false) ~io_timeout ~id
   let run_attempt ~session ~epoch ~attempt ~scheme ~query ~fault_spec ~trace_id =
     let run () =
       Endpoint.run_replica ~role ?computes ~fault:(plan_of fault_spec) ~session ~epoch ~attempt
-        ~scheme ~query ~io_timeout ?shard ~route env client
+        ~scheme ~query ~io_timeout ~route env client
     in
     let (status, outcome), spans =
       if ship_spans && not (String.equal trace_id "") then begin
@@ -72,21 +72,21 @@ let replica_session ~role ?computes ?shard ?(ship_spans = false) ~io_timeout ~id
 (* ------------------------------------------------------------------ *)
 (* Datasource daemon *)
 
-let source_session ~role ~shard ~env ~client ~io_timeout mux session =
+let source_session ~role ~env ~client ~io_timeout mux session =
   let route =
     Endpoint.plain_route
       ~send:(fun f -> Mux.send mux f)
       ~next:(fun ~timeout -> Mux.next mux ~session ~timeout)
   in
   (try
-     replica_session ~role ~shard ~ship_spans:true ~io_timeout ~idle:120. ~route
+     replica_session ~role ~ship_spans:true ~io_timeout ~idle:120. ~route
        ~keep:ignore env client (fun ~last:_ -> function
        | Frame.Session_end _ -> Some ()
        | _ -> None)
    with Io.Transport_error _ | Endpoint.Aborted _ -> ());
   Mux.unsubscribe mux session
 
-let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout = 10.)
+let source ~id ~env ~client ~scenario ~listen_fd ?(io_timeout = 10.)
     ?(drain_deadline = 30.) () =
   let role = Transcript.Source id in
   let life = Daemon.create ~role ~scenario ~drain_deadline in
@@ -149,7 +149,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
                          Secmed_crypto.Counters.release ();
                          Mutex.protect live_mu (fun () -> Hashtbl.remove live session);
                          Mutex.protect active_mu (fun () -> decr active))
-                       (fun () -> source_session ~role ~shard ~env ~client ~io_timeout mux session))
+                       (fun () -> source_session ~role ~env ~client ~io_timeout mux session))
                    ()
                   : Thread.t)
             end

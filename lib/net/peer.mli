@@ -37,7 +37,6 @@ val source :
   client:Env.client ->
   scenario:string ->
   listen_fd:Unix.file_descr ->
-  ?shard:int * int ->
   ?io_timeout:float ->
   ?drain_deadline:float ->
   unit ->
@@ -48,10 +47,8 @@ val source :
     multiplex concurrent sessions over each (a thread per session),
     and per [Session_start] run this source's replica of the attempt and
     report how it ended (with the attempt's span batch in the [Report]
-    when the session is traced).  [shard] (default [(0, 1)]) makes this daemon
-    shard j of k of the logical source: it transmits only its row
-    partition of streamed deliveries (shard 0 alone speaks the scalar
-    frames), and [scenario] must then be the matching {!Shard.digest}.
+    when the session is traced).  [scenario] is the {!Scenario.digest}
+    the mediator's [Hello] must present.
     The session's fault spec is parsed once, so a [times]-bounded rule
     burns down across attempts exactly as it does in-process.  Returns
     once a drain completes.

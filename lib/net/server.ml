@@ -18,22 +18,15 @@ type replica = {
   mutable re_dials : int;
 }
 
-(* One shard of a logical source.  An unsharded source is the k = 1
-   special case, so the whole failover machinery below is per shard:
-   each shard has its own replica set, its own health state, and is
-   dialed with its own scenario digest ({!Shard.digest}) so a miswired
-   partition fails the handshake.  A link owns one mux, which every
-   session multiplexes over: a severed link faults the sessions on it,
-   and each pays one retry on the redialed connection.  [sl_dials]
-   counts successful dials (1 on the first connect, +1 per redial), so
-   the ops surface can tell a stable link from a flapping one;
-   [sl_replica] is the replica cursor, the endpoint the live mux is
-   (or was last) dialed to. *)
+(* One datasource: its replica set, their health state, and the one
+   mux every session multiplexes over.  A severed link faults the
+   sessions on it, and each pays one retry on the redialed connection.
+   [sl_dials] counts successful dials (1 on the first connect, +1 per
+   redial), so the ops surface can tell a stable link from a flapping
+   one; [sl_replica] is the replica cursor, the endpoint the live mux
+   is (or was last) dialed to. *)
 type source_link = {
   sl_id : int;
-  sl_shard : int;
-  sl_shard_count : int;
-  sl_scenario : string;  (* the shard digest this link dials with *)
   sl_mu : Mutex.t;  (* guards every replica's breaker and dial count *)
   sl_replicas : replica array;
   sl_conn_mu : Mutex.t;  (* guards the mux, dial count and cursor; held across a dial *)
@@ -123,44 +116,37 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     ?(max_sessions = 8) ?(io_timeout = 10.) ?(drain_deadline = 30.) ?(health_interval = 0.)
     () =
   let replica_config = R.replica_breaker ~cooldown:policy.R.breaker_config.R.cooldown in
+  (* Sorted by id: the commit barrier reads the sources' reports in this
+     order, so the lower id wins the blame between two failing sources
+     whatever order the operator listed them in. *)
+  let sources = List.sort (fun (a, _) (b, _) -> compare a b) sources in
+  if List.length (List.sort_uniq compare (List.map fst sources)) <> List.length sources then
+    invalid_arg "Server.create: duplicate source id";
   {
     env;
     client;
     scenario;
     sources =
-      (* Flattened over shards: every piece of link machinery (dialing,
-         failover, probing, teardown) iterates physical endpoints; the
-         logical grouping is recovered by [sl_id] where it matters (the
-         route merge in [make_routes]). *)
-      List.concat_map
-        (fun (sl_id, shards) ->
-          if shards = [] then invalid_arg "Server.create: source with no shards";
-          let sl_shard_count = List.length shards in
-          List.mapi
-            (fun sl_shard replicas ->
-              if replicas = [] then invalid_arg "Server.create: source with no replicas";
-              {
-                sl_id;
-                sl_shard;
-                sl_shard_count;
-                sl_scenario = Shard.digest scenario ~shard:(sl_shard, sl_shard_count);
-                sl_mu = Mutex.create ();
-                sl_replicas =
-                  Array.of_list
-                    (List.mapi
-                       (fun re_index (re_host, re_port) ->
-                         { re_index; re_host; re_port;
-                           re_breaker =
-                             R.breaker ~config:replica_config R.monotonic
-                               (Transcript.Source sl_id);
-                           re_dials = 0 })
-                       replicas);
-                sl_conn_mu = Mutex.create ();
-                sl_mux = None;
-                sl_dials = 0;
-                sl_replica = 0;
-              })
-            shards)
+      List.map
+        (fun (sl_id, replicas) ->
+          if replicas = [] then invalid_arg "Server.create: source with no replicas";
+          {
+            sl_id;
+            sl_mu = Mutex.create ();
+            sl_replicas =
+              Array.of_list
+                (List.mapi
+                   (fun re_index (re_host, re_port) ->
+                     { re_index; re_host; re_port;
+                       re_breaker =
+                         R.breaker ~config:replica_config R.monotonic (Transcript.Source sl_id);
+                       re_dials = 0 })
+                   replicas);
+            sl_conn_mu = Mutex.create ();
+            sl_mux = None;
+            sl_dials = 0;
+            sl_replica = 0;
+          })
         sources;
     listen_fd;
     policy;
@@ -182,6 +168,19 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     conn_seq = 0;
     live_conns = Hashtbl.create 32;
   }
+
+let parse_source s =
+  match String.index_opt s '=' with
+  | None -> Error (Printf.sprintf "bad source %S (expected ID=HOST:PORT[,HOST:PORT...])" s)
+  | Some i -> (
+    match int_of_string_opt (String.sub s 0 i) with
+    | Some id when id >= 1 ->
+      let rec addrs acc = function
+        | [] -> Ok (id, List.rev acc)
+        | a :: rest -> Result.bind (Io.parse_addr a) (fun addr -> addrs (addr :: acc) rest)
+      in
+      addrs [] (String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)))
+    | _ -> Error (Printf.sprintf "bad source id in %S" s))
 
 let log_fo t ~source ~replica ~kind ~detail =
   Mutex.protect t.fo_mu (fun () ->
@@ -253,14 +252,10 @@ let ensure_link t sl =
         | exception Io.Transport_error msg -> Error msg
         | conn -> (
           try
-            (* Each shard is dialed with its own digest: shard daemons
-               prove which partition they serve the same way every peer
-               proves which workload it built. *)
             Io.send_frame conn
-              (Frame.encode
-                 (Frame.Hello { role = Transcript.Mediator; scenario = sl.sl_scenario }));
+              (Frame.encode (Frame.Hello { role = Transcript.Mediator; scenario = t.scenario }));
             match Frame.decode (Io.recv_frame conn) with
-            | Frame.Hello_ok { scenario } when String.equal scenario sl.sl_scenario ->
+            | Frame.Hello_ok { scenario } when String.equal scenario t.scenario ->
               (* The mux receive thread must outlive idle periods. *)
               Io.set_timeout conn 0.;
               Ok (Mux.create conn)
@@ -295,12 +290,7 @@ let ensure_link t sl =
               set_health t sl idx ~reason:"" R.breaker_close;
               if sl.sl_dials > 0 && sl.sl_replica <> idx then
                 log_fo t ~source:sl.sl_id ~replica:idx ~kind:"failover"
-                  ~detail:
-                    (Printf.sprintf "%sreplica %d -> %d"
-                       (if sl.sl_shard_count > 1 then
-                          Printf.sprintf "shard %d: " sl.sl_shard
-                        else "")
-                       sl.sl_replica idx);
+                  ~detail:(Printf.sprintf "replica %d -> %d" sl.sl_replica idx);
               sl.sl_replica <- idx;
               sl.sl_mux <- Some m;
               sl.sl_dials <- sl.sl_dials + 1;
@@ -334,15 +324,10 @@ let wire_failure (f : Protocol.failure) =
 type peer_routes = {
   client_route : Endpoint.route;
   client_report : Frame.status option ref;
-  source_routes : (int * Endpoint.route) list;
-      (* per logical source: the merged route the driver's transport
-         uses — [r_send] broadcasts to every shard, [r_next] reads the
-         designated scalar speaker (shard 0), [r_sub] carries the
-         per-shard routes a streamed receive merges *)
-  source_reports : (int * int * Endpoint.route * Frame.status option ref) list;
-      (* one per physical shard: (source id, shard, shard route, report
-         cell) — the commit barrier awaits every shard's report *)
-  bind : unit -> unit;  (* bind every shard route to its link's mux for one attempt *)
+  source_routes : (int * Endpoint.route * Frame.status option ref) list;
+      (* per source: (id, route, report cell) — the commit barrier
+         awaits every source's report *)
+  bind : unit -> unit;  (* bind every source route to its link's mux for one attempt *)
   stats : (Transcript.party * int ref * int ref) list;
 }
 
@@ -379,10 +364,9 @@ let stashing ?(on_failed = fun (_ : Fault.failure) -> ()) ~epoch ~party ~batches
   }
 
 (* Payload byte accounting per counterpart.  A [Msg_chunk] counts its
-   row bytes (peeked from the count prefix, no decode), so for an
-   unsharded run the per-link totals still equal the transcript's
-   bytes-on-link — scalar and streamed encodings are interchangeable in
-   the accounting too. *)
+   row bytes (peeked from the count prefix, no decode), so the per-link
+   totals equal the transcript's bytes-on-link — scalar and streamed
+   encodings are interchangeable in the accounting too. *)
 let counted (_, out_c, in_c) (route : Endpoint.route) =
   (* Payloads carry the integrity tag, which no byte stat counts. *)
   let bytes = function
@@ -391,7 +375,6 @@ let counted (_, out_c, in_c) (route : Endpoint.route) =
     | _ -> 0
   in
   {
-    route with
     Endpoint.r_send =
       (fun f ->
         out_c := !out_c + bytes f;
@@ -422,79 +405,47 @@ let make_routes t conn sid ~epoch ~batches =
      through {!ensure_link} — so a connection failure costs one attempt,
      not the whole query.  A mux that dies mid-attempt fails the
      attempt's reads, writes and end-of-attempt wait at once; nothing
-     redials before the next attempt.
-
-     A sharded source builds one such route per shard, then merges them:
-     scalar sends broadcast (every shard replica awaits the mediator's
-     messages), scalar receives read shard 0 (the designated scalar
-     speaker), and the per-shard routes ride along in [r_sub] for the
-     streamed receive to interleave. *)
-  let ids = List.sort_uniq compare (List.map (fun sl -> sl.sl_id) t.sources) in
+     redials before the next attempt. *)
   let per_source =
     List.map
-      (fun id ->
-        let shards = List.filter (fun sl -> sl.sl_id = id) t.sources in
+      (fun sl ->
+        let id = sl.sl_id in
         let s = stat (Transcript.Source id) in
-        let with_cells =
-          List.map
-            (fun sl ->
-              let cell = ref None in
-              let bound = ref (Error "not bound to an attempt") in
-              let bind () =
-                bound :=
-                  match ensure_link t sl with
-                  | Ok m ->
-                    Mux.subscribe m sid;
-                    Ok m
-                  | Error msg ->
-                    Error
-                      (if sl.sl_shard_count > 1 then
-                         Printf.sprintf "source %d shard %d: %s" id sl.sl_shard msg
-                       else Printf.sprintf "source %d: %s" id msg)
-              in
-              let mux () =
-                match !bound with Ok m -> m | Error msg -> raise (Io.Transport_error msg)
-              in
-              (* A replica that reports "draining" is refusing new work
-                 but still healthy enough to answer: mark it down so the
-                 retry's {!ensure_link} proactively switches this link to
-                 a standby instead of knocking on the same draining
-                 daemon again. *)
-              let on_failed (f : Fault.failure) =
-                if String.equal f.Fault.reason "draining" then
-                  mark_down t sl sl.sl_replica ~reason:"peer draining"
-              in
-              let r =
-                stashing ~on_failed ~epoch ~party:(Transcript.Source id) ~batches cell
-                  (counted s
-                     (Endpoint.plain_route
-                        ~send:(fun f -> Mux.send (mux ()) f)
-                        ~next:(fun ~timeout -> Mux.next (mux ()) ~session:sid ~timeout)))
-              in
-              (id, sl.sl_shard, r, cell, bind))
-            shards
+        let cell = ref None in
+        let bound = ref (Error "not bound to an attempt") in
+        let bind () =
+          bound :=
+            match ensure_link t sl with
+            | Ok m ->
+              Mux.subscribe m sid;
+              Ok m
+            | Error msg -> Error (Printf.sprintf "source %d: %s" id msg)
         in
-        let arr = Array.of_list (List.map (fun (_, _, r, _, _) -> r) with_cells) in
-        let merged =
-          if Array.length arr = 1 then arr.(0)
-          else
-            {
-              Endpoint.r_send = (fun f -> Array.iter (fun r -> r.Endpoint.r_send f) arr);
-              r_next = arr.(0).Endpoint.r_next;
-              r_sub = Some arr;
-            }
+        let mux () = match !bound with Ok m -> m | Error msg -> raise (Io.Transport_error msg) in
+        (* A replica that reports "draining" is refusing new work but
+           still healthy enough to answer: mark it down so the retry's
+           {!ensure_link} proactively switches this link to a standby
+           instead of knocking on the same draining daemon again. *)
+        let on_failed (f : Fault.failure) =
+          if String.equal f.Fault.reason "draining" then
+            mark_down t sl sl.sl_replica ~reason:"peer draining"
         in
-        (id, s, merged, with_cells))
-      ids
+        let r =
+          stashing ~on_failed ~epoch ~party:(Transcript.Source id) ~batches cell
+            (counted s
+               (Endpoint.plain_route
+                  ~send:(fun f -> Mux.send (mux ()) f)
+                  ~next:(fun ~timeout -> Mux.next (mux ()) ~session:sid ~timeout)))
+        in
+        (s, (id, r, cell), bind))
+      t.sources
   in
-  let shard_routes = List.concat_map (fun (_, _, _, cells) -> cells) per_source in
   {
     client_route;
     client_report;
-    source_routes = List.map (fun (id, _, merged, _) -> (id, merged)) per_source;
-    source_reports = List.map (fun (id, shard, r, c, _) -> (id, shard, r, c)) shard_routes;
-    bind = (fun () -> List.iter (fun (_, _, _, _, bind) -> bind ()) shard_routes);
-    stats = client_stat :: List.map (fun (_, s, _, _) -> s) per_source;
+    source_routes = List.map (fun (_, route, _) -> route) per_source;
+    bind = (fun () -> List.iter (fun (_, _, bind) -> bind ()) per_source);
+    stats = client_stat :: List.map (fun (s, _, _) -> s) per_source;
   }
 
 (* The commit barrier around each attempt: announce it, and afterwards
@@ -502,14 +453,11 @@ let make_routes t conn sid ~epoch ~batches =
    attempt.  A replica's own typed fault is the root cause and outranks
    whatever downstream stall the mediator observed locally. *)
 let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
-  let cells =
-    routes.client_report :: List.map (fun (_, _, _, c) -> c) routes.source_reports
-  in
+  let cells = routes.client_report :: List.map (fun (_, _, c) -> c) routes.source_routes in
   let broadcast frame =
     (try routes.client_route.Endpoint.r_send frame with Io.Transport_error _ -> ());
-    (* The merged route's send fans out to every shard. *)
     List.iter
-      (fun (_, r) -> try r.Endpoint.r_send frame with Io.Transport_error _ -> ())
+      (fun (_, r, _) -> try r.Endpoint.r_send frame with Io.Transport_error _ -> ())
       routes.source_routes
   in
   let begin_attempt ~scheme ~attempt =
@@ -549,18 +497,11 @@ let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
        downstream of every mediator stall, so when a source frame was
        lost the client's "mediator went quiet" timeout is a symptom —
        the source's own failure is the root cause and must win the
-       blame, exactly as it does in the simulated (in-process) run.
-       Every shard replica owes its own report. *)
+       blame, exactly as it does in the simulated (in-process) run. *)
     let statuses =
       List.map
-        (fun (id, shard, r, c) ->
-          let name =
-            if List.exists (fun (i, s, _, _) -> i = id && s <> shard) routes.source_reports
-            then Printf.sprintf "source %d shard %d" id shard
-            else Printf.sprintf "source %d" id
-          in
-          await name (Transcript.Source id) r c)
-        routes.source_reports
+        (fun (id, r, c) -> await (Printf.sprintf "source %d" id) (Transcript.Source id) r c)
+        routes.source_routes
       @ [ await "client" Transcript.Client routes.client_route routes.client_report ]
     in
     let peer_failure =
@@ -645,9 +586,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
       | None ->
         Fun.protect ~finally:(fun () ->
             (* Whatever mux the link holds *now* — possibly a redialed
-               incarnation — gets the end-of-session notice.
-               [t.sources] is flat over shards, so every shard daemon
-               hears it. *)
+               incarnation — gets the end-of-session notice. *)
             List.iter
               (fun sl ->
                 Mutex.protect sl.sl_conn_mu (fun () ->
@@ -674,7 +613,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
           | Transcript.Client -> Some routes.client_route
           | Transcript.Source i ->
             List.find_map
-              (fun (id, r) -> if id = i then Some r else None)
+              (fun (id, r, _) -> if id = i then Some r else None)
               routes.source_routes
           | Transcript.Mediator | Transcript.Authority -> None
         in
@@ -803,7 +742,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
                (Frame.Abort { session = sid; epoch = !epoch; failure = last_failure })
            with Io.Transport_error _ -> ());
           List.iter
-            (fun (_, r) ->
+            (fun (_, r, _) ->
               try
                 r.Endpoint.r_send
                   (Frame.Abort { session = sid; epoch = !epoch; failure = last_failure })
@@ -853,8 +792,6 @@ let stats_json t =
         J.Obj
           [
             ("source", J.Int sl.sl_id);
-            ("shard", J.Int sl.sl_shard);
-            ("shards", J.Int sl.sl_shard_count);
             ( "addr",
               J.Str
                 (Printf.sprintf "%s:%d" sl.sl_replicas.(0).re_host sl.sl_replicas.(0).re_port)

@@ -4,8 +4,8 @@
     connections, one thread per connection; admission ([max_sessions])
     is its only concurrency bound, and an excess connection is refused
     with a typed [Busy] frame the load layer counts as backpressure.
-    It keeps one persistent, multiplexed connection per datasource
-    shard, to one of its replicas (dialed lazily, redialed when found
+    It keeps one persistent, multiplexed connection per datasource,
+    to one of its replicas (dialed lazily, redialed when found
     dead; every session multiplexes over it), and each admitted
     connection's thread drives
     its query through {!Secmed_core.Protocol.run_session} with
@@ -37,7 +37,7 @@ val create :
   env:Env.t ->
   client:Env.client ->
   scenario:string ->
-  sources:(int * (string * int) list list) list ->
+  sources:(int * (string * int) list) list ->
   listen_fd:Unix.file_descr ->
   ?policy:Resilience.policy ->
   ?max_sessions:int ->
@@ -46,21 +46,17 @@ val create :
   ?health_interval:float ->
   unit ->
   t
-(** [sources] maps each datasource id to its shards, each shard a
-    replica list — [(host, port)] endpoints, primary first, every one a
-    daemon serving the same deterministic replica of that source.  A
-    single-shard entry is the classic unsharded deployment; with k
-    shards, streamed deliveries arrive as k partitioned chunk streams
-    merged back into row order (DESIGN.md §16), and each shard is
-    dialed with its own {!Shard.digest} of [scenario] (which the client
-    handshake still uses in base form).  [io_timeout] (default 10s)
+(** [sources] maps each datasource id (at most once) to its replica
+    list — [(host, port)] endpoints, primary first, every one a daemon
+    serving the same deterministic replica of that source, and each
+    dialed with the [scenario] digest.  [io_timeout] (default 10s)
     bounds each blocking frame exchange; [max_sessions] (default 8) the
     concurrent client sessions.
 
     Each replica's health is a {!Resilience.replica_breaker} whose
     cooldown is [policy]'s [breaker_config.cooldown]: one failed dial
     or probe, a draining health answer or a ["draining"] report opens
-    it.  Each shard link keeps a replica cursor: a redial walks the
+    it.  Each source link keeps a replica cursor: a redial walks the
     replicas in health order (up first, then those whose breaker admits
     a probe, primary first), so a dead primary fails the link over to a
     standby within a session's one typed retry, and a later redial
@@ -69,6 +65,11 @@ val create :
     [health_interval] > 0 (default 0 = off) starts a prober thread that
     Pings every up replica, and each down one once per cooldown, and
     proactively marks draining or unreachable ones down. *)
+
+val parse_source : string -> (int * (string * int) list, string) result
+(** ["ID=HOST:PORT[,HOST:PORT...]"], one [sources] entry as
+    [secmed serve --source] takes it: a positive id, then its replicas,
+    primary first, each in {!Io.parse_addr}'s syntax. *)
 
 val serve : t -> unit
 (** Run the mediator daemon under {!Daemon.serve}: [Ping] and an
@@ -85,7 +86,7 @@ val stats_json : t -> Secmed_obs.Json.t
 (** The live serving snapshot the [Stats] frame carries: uptime,
     admission state (including draining), the cumulative wall time
     spent inside sessions ([scheduler.busy_seconds]), one [pool] entry
-    per shard link (connection state, dial count and replica cursor;
+    per source link (connection state, dial count and replica cursor;
     its one-element [slots] list repeats the dial count for the
     benchmark ledger), per-replica health, the failover transition log
     (the newest 512 entries, each a replica's breaker leaving or

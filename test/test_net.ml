@@ -606,6 +606,47 @@ let test_pm_direct_differential () =
     ~spec:{ small_spec with rows_left = 6; rows_right = 6; extra_attrs = 0 }
   @@ fun c -> check_differential c "pm-direct"
 
+(* Every daemon of a cluster with a standby is its own live process,
+   addressable by (source id, replica); an unknown member does not
+   resolve. *)
+let test_daemons_forked_and_addressable () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~standbys:1 @@ fun c ->
+  let alive pid = Unix.kill pid 0 = () in
+  Alcotest.(check bool) "mediator alive" true (alive (Loopback.mediator_pid c));
+  let pids =
+    List.concat_map
+      (fun id -> List.map (fun replica -> Loopback.source_pid c ~id ~replica ()) [ 0; 1 ])
+      [ 1; 2 ]
+  in
+  Alcotest.(check bool) "every source replica alive" true (List.for_all alive pids);
+  Alcotest.(check int) "one process each" 4 (List.length (List.sort_uniq compare pids));
+  match Loopback.source_pid c ~id:1 ~replica:2 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an unknown replica must not resolve"
+
+(* ------------------------------------------------------------------ *)
+(* Address flags: one HOST:PORT syntax, and the mediator's source list. *)
+
+let test_address_parsers () =
+  let addr = Alcotest.(result (pair string int) string) in
+  let ok s expected = Alcotest.check addr s (Ok expected) (Io.parse_addr s) in
+  let bad s = Alcotest.(check bool) (s ^ " rejected") true (Result.is_error (Io.parse_addr s)) in
+  ok "localhost:7000" ("localhost", 7000);
+  ok "10.0.0.2:65535" ("10.0.0.2", 65535);
+  (* The one empty-host rule of every address flag. *)
+  ok ":7000" ("127.0.0.1", 7000);
+  List.iter bad
+    [ "nohostport"; "localhost:99999"; "localhost:notaport"; "localhost:0"; "localhost:";
+      "localhost:+80"; "a:b:7000"; "h1;h2:7000"; "h 1:7000"; "" ];
+  let sources = Alcotest.(result (pair int (list (pair string int))) string) in
+  Alcotest.check sources "replicas in order"
+    (Ok (2, [ ("h1", 70); ("127.0.0.1", 71) ]))
+    (Server.parse_source "2=h1:70,:71");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true (Result.is_error (Server.parse_source s)))
+    [ "1=nohost"; "1=h1:70;h3:72"; "1=h1:70,,h2:71"; "1="; "0=h:70"; "x=h:70"; "h:70" ]
+
 (* ------------------------------------------------------------------ *)
 (* Chaos conformance: live stream damage = simulated damage, typed. *)
 
@@ -1016,7 +1057,10 @@ let () =
           Alcotest.test_case "completed session frees its slot" `Slow
             test_admission_slot_freed_after_completion;
           Alcotest.test_case "net metrics counted" `Quick test_net_metrics_counted;
+          Alcotest.test_case "daemons forked and addressable" `Quick
+            test_daemons_forked_and_addressable;
         ] );
+      ("addressing", [ Alcotest.test_case "address parsers" `Quick test_address_parsers ]);
       ( "chaos",
         [
           Alcotest.test_case "corrupt retried then served" `Slow

@@ -1,8 +1,8 @@
 (* Streaming delivery suite (DESIGN.md §16): the chunk codec and
    planner, the tracked high-water allocator, the reusable reassembly
-   buffer, the bounded mux queues, and — end to end over real sockets —
-   the credit-flow-controlled send_rows/recv_rows pair, unsharded and
-   sharded, with the merge verified bit for bit. *)
+   buffer, the bounded mux queues, the credit-flow-controlled
+   send_rows/recv_rows pair end to end over real sockets, and every
+   typed rejection of the chunk reader, fed hand-built frames. *)
 
 open Secmed_mediation
 open Secmed_core
@@ -218,24 +218,6 @@ let test_plan_properties () =
   | _ -> Alcotest.fail "oversized row must form a chunk of one");
   Alcotest.(check bool) "no rows, no chunks" true (Stream.plan [] = [])
 
-let test_partition_properties () =
-  let rows = List.init 103 (fun i -> (i, string_of_int i)) in
-  let k = 4 in
-  let parts = List.init k (fun shard -> Stream.partition ~k ~shard rows) in
-  Alcotest.(check int) "partitions cover every row"
-    (List.length rows)
-    (List.fold_left (fun acc p -> acc + List.length p) 0 parts);
-  List.iteri
-    (fun shard part ->
-      List.iter
-        (fun (row, _) ->
-          Alcotest.(check int) "row on its own shard" shard (Stream.shard_of_row ~k row))
-        part;
-      (* Order within a shard is the global order restricted to it. *)
-      Alcotest.(check bool) "order preserved" true
-        (part = List.filter (fun (row, _) -> row mod k = shard) rows))
-    parts
-
 (* ------------------------------------------------------------------ *)
 (* Frame codec: chunk and credit frames, and the hostile-count cap. *)
 
@@ -363,10 +345,10 @@ let make_leg () =
   in
   ((a, b), route ma, route mb)
 
-let transport_for ~role ~shard ~counterpart route =
+let transport_for ~role ~counterpart route =
   Endpoint.transport ~role ~session:7 ~epoch:(fun () -> 1) ~io_timeout:10.
     ~route_of:(fun p -> if Transcript.party_equal p counterpart then Some route else None)
-    ~shard ()
+    ()
 
 let rows_fixture n =
   (* Enough bytes that the default 64 KiB chunking needs > credit_window
@@ -382,11 +364,11 @@ let test_send_recv_rows_roundtrip () =
   let rows = rows_fixture 700 in
   let size = Stream.total_bytes rows in
   let sender =
-    transport_for ~role:(Transcript.Source 1) ~shard:(0, 1) ~counterpart:Transcript.Mediator
+    transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator
       sender_route
   in
   let receiver =
-    transport_for ~role:Transcript.Mediator ~shard:(0, 1) ~counterpart:(Transcript.Source 1)
+    transport_for ~role:Transcript.Mediator ~counterpart:(Transcript.Source 1)
       receiver_route
   in
   let sender_err = ref None in
@@ -423,11 +405,11 @@ let test_recv_rows_detects_mismatch () =
     List.map (fun (i, b) -> if i = 13 then (i, "not the canonical bytes") else (i, b)) rows
   in
   let sender =
-    transport_for ~role:(Transcript.Source 1) ~shard:(0, 1) ~counterpart:Transcript.Mediator
+    transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator
       sender_route
   in
   let receiver =
-    transport_for ~role:Transcript.Mediator ~shard:(0, 1) ~counterpart:(Transcript.Source 1)
+    transport_for ~role:Transcript.Mediator ~counterpart:(Transcript.Source 1)
       receiver_route
   in
   let t =
@@ -448,171 +430,120 @@ let test_recv_rows_detects_mismatch () =
   | () -> Alcotest.fail "a tampered row must be detected");
   Thread.join t
 
-let test_sharded_merge_bit_identical () =
-  Obs.Hwm.reset ();
-  let k = 2 in
-  let (ca, cb), s0_route, r0_route = make_leg () in
-  let (da, db), s1_route, r1_route = make_leg () in
-  Fun.protect
-    ~finally:(fun () -> List.iter Io.close [ ca; cb; da; db ])
-  @@ fun () ->
-  let rows = rows_fixture 301 in
-  let size = Stream.total_bytes rows in
-  let send_via shard route =
-    let tr =
-      transport_for ~role:(Transcript.Source 1) ~shard:(shard, k)
-        ~counterpart:Transcript.Mediator route
-    in
-    Thread.create
-      (fun () ->
-        (stream_of tr).Link.send_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
-          ~receiver:Transcript.Mediator ~label:"L" ~size rows)
-      ()
-  in
-  let t0 = send_via 0 s0_route and t1 = send_via 1 s1_route in
-  (* The mediator's merged view of the sharded source. *)
-  let merged =
-    {
-      Endpoint.r_send =
-        (fun f ->
-          r0_route.Endpoint.r_send f;
-          r1_route.Endpoint.r_send f);
-      r_next = r0_route.Endpoint.r_next;
-      r_sub = Some [| r0_route; r1_route |];
-    }
-  in
-  let receiver =
-    transport_for ~role:Transcript.Mediator ~shard:(0, 1) ~counterpart:(Transcript.Source 1)
-      merged
-  in
-  (stream_of receiver).Link.recv_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
-    ~receiver:Transcript.Mediator ~label:"L" ~size ~expect:rows;
-  Thread.join t0;
-  Thread.join t1;
-  Alcotest.(check int) "no stream backlog after sharded merge" 0
-    (Endpoint.stream_backlog ());
-  (* Merge window: bounded by one chunk per shard. *)
-  let pending_peak = Obs.Hwm.peak (Obs.Hwm.region "stream.pending") in
-  Alcotest.(check bool)
-    (Printf.sprintf "merge window bounded by k chunks (peak %d)" pending_peak)
-    true
-    (pending_peak <= k * (Stream.default_chunk_bytes + 1024))
-
-(* A receiver that did not compute the rows takes them: every shard's
-   stream is drained and merged back into index order, including
-   streams shorter than the shard count and empty ones (a shard with no
-   rows still sends one empty chunk, so its end is observable). *)
+(* A receiver that did not compute the rows takes them in index order,
+   from streams of several chunks' rows down to an empty one (which
+   still sends one empty chunk, so its end is observable). *)
 let test_take_rows_merges_short_and_empty_streams () =
-  let k = 3 in
-  let legs = List.init k (fun _ -> make_leg ()) in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun ((a, b), _, _) -> Io.close a; Io.close b) legs)
-  @@ fun () ->
-  let merged =
-    {
-      Endpoint.r_send =
-        (fun f -> List.iter (fun (_, _, (r : Endpoint.route)) -> r.Endpoint.r_send f) legs);
-      r_next = (let _, _, r = List.hd legs in r.Endpoint.r_next);
-      r_sub = Some (Array.of_list (List.map (fun (_, _, r) -> r) legs));
-    }
+  let (ca, cb), sender_route, receiver_route = make_leg () in
+  Fun.protect ~finally:(fun () -> Io.close ca; Io.close cb) @@ fun () ->
+  let sender =
+    transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator sender_route
   in
   let receiver =
-    transport_for ~role:Transcript.Mediator ~shard:(0, 1) ~counterpart:(Transcript.Source 1)
-      merged
+    transport_for ~role:Transcript.Mediator ~counterpart:(Transcript.Source 1) receiver_route
   in
   List.iteri
     (fun seq n ->
       let rows = List.init n (fun i -> (i, Printf.sprintf "row-%d;" i)) in
       let size = Stream.total_bytes rows in
-      let senders =
-        List.mapi
-          (fun shard (_, route, _) ->
-            let tr =
-              transport_for ~role:(Transcript.Source 1) ~shard:(shard, k)
-                ~counterpart:Transcript.Mediator route
-            in
-            Thread.create
-              (fun () ->
-                (stream_of tr).Link.send_rows ~phase:"t" ~seq ~sender:(Transcript.Source 1)
-                  ~receiver:Transcript.Mediator ~label:"L" ~size rows)
-              ())
-          legs
+      let t =
+        Thread.create
+          (fun () ->
+            (stream_of sender).Link.send_rows ~phase:"t" ~seq ~sender:(Transcript.Source 1)
+              ~receiver:Transcript.Mediator ~label:"L" ~size rows)
+          ()
       in
       let declared, bytes =
         (stream_of receiver).Link.take_rows ~phase:"t" ~seq ~sender:(Transcript.Source 1)
           ~receiver:Transcript.Mediator ~label:"L"
       in
-      List.iter Thread.join senders;
+      Thread.join t;
       Alcotest.(check int) (Printf.sprintf "%d rows: declared size" n) size declared;
       Alcotest.(check string)
-        (Printf.sprintf "%d rows: merged in index order" n)
+        (Printf.sprintf "%d rows: taken in index order" n)
         (String.concat "" (List.map snd rows))
         bytes)
     [ 7; 1; 0 ]
 
-(* A non-designated shard must not speak scalar messages: its sends
-   vanish, only its streamed partition crosses the wire. *)
-let test_shard_scalar_speaker_suppression () =
-  let sent = ref [] in
-  let route =
-    Endpoint.plain_route
-      ~send:(fun f -> sent := f :: !sent)
-      ~next:(fun ~timeout:_ -> Alcotest.fail "nothing should be awaited")
-  in
-  let tr =
-    transport_for ~role:(Transcript.Source 1) ~shard:(1, 2) ~counterpart:Transcript.Mediator
-      route
-  in
-  tr.Link.send ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator
-    ~label:"scalar" ~size:2 "xy";
-  Alcotest.(check int) "shard 1 suppresses scalar sends" 0 (List.length !sent);
-  (* Streamed sends carry only the shard's partition (no credits needed
-     below one window's worth of chunks). *)
-  let rows = List.init 10 (fun i -> (i, Printf.sprintf "row%d" i)) in
-  (stream_of tr).Link.send_rows ~phase:"t" ~seq:1 ~sender:(Transcript.Source 1)
-    ~receiver:Transcript.Mediator ~label:"L" ~size:(Stream.total_bytes rows) rows;
-  let streamed =
-    List.concat_map
-      (function
-        | Frame.Msg_chunk m ->
-          (* Chunk payloads travel behind the integrity tag. *)
-          Stream.decode_entries (Result.get_ok (Fault.unframe ~label:"L" m.Frame.ck_payload))
-        | f -> Alcotest.fail ("unexpected frame " ^ Frame.tag_name f))
-      (List.rev !sent)
-  in
-  Alcotest.(check bool) "only the odd rows crossed" true
-    (List.map (fun e -> e.Stream.s_row) streamed = [ 1; 3; 5; 7; 9 ])
-
 (* ------------------------------------------------------------------ *)
-(* Shard addressing. *)
+(* The chunk reader's typed rejections: hand-built chunk frames from
+   source 1, replayed to a mediator transport through a scripted route
+   (the credits it grants are dropped). *)
 
-let test_shard_digest () =
-  Alcotest.(check string) "k=1 is the base digest" "base" (Shard.digest "base" ~shard:(0, 1));
-  let d0 = Shard.digest "base" ~shard:(0, 4) and d1 = Shard.digest "base" ~shard:(1, 4) in
-  Alcotest.(check bool) "shards get distinct digests" true
-    (d0 <> d1 && d0 <> "base" && d1 <> "base");
-  Alcotest.(check string) "deterministic" d0 (Shard.digest "base" ~shard:(0, 4));
-  (match Shard.digest "base" ~shard:(4, 4) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range shard must be rejected")
+let scripted frames =
+  let q = Queue.of_seq (List.to_seq frames) in
+  let route =
+    Endpoint.plain_route ~send:ignore ~next:(fun ~timeout:_ ->
+        match Queue.take_opt q with
+        | Some f -> f
+        | None -> raise (Io.Transport_error "script ended"))
+  in
+  stream_of (transport_for ~role:Transcript.Mediator ~counterpart:(Transcript.Source 1) route)
 
-let test_shard_parsers () =
-  (match Shard.parse_source "2=shard@h1:70,h2:71;shard@h3:72" with
-  | Ok (2, [ [ ("h1", 70); ("h2", 71) ]; [ ("h3", 72) ] ]) -> ()
-  | Ok _ -> Alcotest.fail "mis-parsed sharded source"
-  | Error e -> Alcotest.fail e);
-  (match Shard.parse_source "1=localhost:9000" with
-  | Ok (1, [ [ ("localhost", 9000) ] ]) -> ()
-  | _ -> Alcotest.fail "unsharded source must parse as one shard");
-  (match Shard.parse_source "nope" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage must not parse");
-  (match Shard.parse_shard_flag "2/4" with
-  | Ok (2, 4) -> ()
-  | _ -> Alcotest.fail "shard flag must parse");
-  match Shard.parse_shard_flag "4/4" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "out-of-range shard flag must be rejected"
+let scripted_chunk ?(declared = 0) ~chunk ~chunks rows =
+  Frame.Msg_chunk
+    { ck_session = 7; ck_epoch = 1; ck_seq = 0; ck_sender = Transcript.Source 1;
+      ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = chunk; ck_chunks = chunks;
+      ck_declared = declared;
+      ck_payload = Fault.frame ~label:"L" (Stream.encode_entries (entries_of rows)) }
+
+let take frames =
+  (scripted frames).Link.take_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
+    ~receiver:Transcript.Mediator ~label:"L"
+
+let recv ~expect frames =
+  (scripted frames).Link.recv_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
+    ~receiver:Transcript.Mediator ~label:"L" ~size:0 ~expect
+
+(* A rejection is a typed fault blamed on the receiving mediator. *)
+let rejected reason f =
+  match f () with
+  | exception Fault.Fault_detected failure ->
+    Alcotest.(check bool) "blamed on the receiver" true
+      (Transcript.party_equal failure.Fault.party Transcript.Mediator);
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %S" failure.Fault.reason reason)
+      true
+      (contains failure.Fault.reason reason)
+  | _ -> Alcotest.failf "a stream that should fail with %S was accepted" reason
+
+let test_out_of_order_row_rejected () =
+  rejected "stream row 2 where row 1 was due" (fun () ->
+      ignore (take [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (2, "c") ] ]))
+
+let test_chunk_gap_rejected () =
+  rejected "chunk gap: awaiting chunk 1, got 2" (fun () ->
+      ignore
+        (take
+           [ scripted_chunk ~chunk:0 ~chunks:3 [ (0, "a") ];
+             scripted_chunk ~chunk:2 ~chunks:3 [ (1, "b") ] ]))
+
+let test_replayed_chunk_merged_once () =
+  let first = scripted_chunk ~declared:3 ~chunk:0 ~chunks:2 [ (0, "a"); (1, "b") ] in
+  let declared, bytes =
+    take [ first; first; scripted_chunk ~declared:3 ~chunk:1 ~chunks:2 [ (2, "c") ] ]
+  in
+  Alcotest.(check int) "declared size" 3 declared;
+  Alcotest.(check string) "the replay is skipped" "abc" bytes
+
+let test_declared_sizes_disagree () =
+  rejected "stream declares 11 bytes, 10 expected" (fun () ->
+      ignore
+        (take
+           [ scripted_chunk ~declared:10 ~chunk:0 ~chunks:2 [ (0, "a") ];
+             scripted_chunk ~declared:11 ~chunk:1 ~chunks:2 [ (1, "b") ] ]))
+
+let test_short_stream_rejected () =
+  rejected "stream ended before row 2" (fun () ->
+      recv
+        ~expect:[ (0, "a"); (1, "b"); (2, "c") ]
+        [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (1, "b") ] ])
+
+let test_entries_past_the_end_rejected () =
+  rejected "past the end" (fun () ->
+      recv
+        ~expect:[ (0, "a"); (1, "b") ]
+        [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (1, "b"); (2, "c") ] ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -637,8 +568,6 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick test_entries_reject_garbage;
           Alcotest.test_case "payload row bytes peeked" `Quick test_payload_row_bytes;
           Alcotest.test_case "plan bounds chunks" `Quick test_plan_properties;
-          Alcotest.test_case "partition covers and preserves order" `Quick
-            test_partition_properties;
           Alcotest.test_case "chunk/credit frames roundtrip" `Quick test_chunk_frame_roundtrip;
           Alcotest.test_case "hostile chunk count capped" `Quick test_chunk_count_cap_hostile;
           Alcotest.test_case "chunk frames split at every offset" `Quick
@@ -653,16 +582,18 @@ let () =
         [
           Alcotest.test_case "roundtrip with credit flow" `Slow test_send_recv_rows_roundtrip;
           Alcotest.test_case "tampered row detected" `Slow test_recv_rows_detects_mismatch;
-          Alcotest.test_case "sharded merge bit-identical" `Slow
-            test_sharded_merge_bit_identical;
-          Alcotest.test_case "non-designated shard speaks no scalars" `Quick
-            test_shard_scalar_speaker_suppression;
           Alcotest.test_case "take_rows merges short and empty streams" `Quick
             test_take_rows_merges_short_and_empty_streams;
         ] );
-      ( "shard-addressing",
+      ( "chunk-reader",
         [
-          Alcotest.test_case "per-shard digest" `Quick test_shard_digest;
-          Alcotest.test_case "address parsers" `Quick test_shard_parsers;
+          Alcotest.test_case "out-of-order row rejected" `Quick test_out_of_order_row_rejected;
+          Alcotest.test_case "chunk gap rejected" `Quick test_chunk_gap_rejected;
+          Alcotest.test_case "replayed chunk merged once" `Quick
+            test_replayed_chunk_merged_once;
+          Alcotest.test_case "declared sizes disagree" `Quick test_declared_sizes_disagree;
+          Alcotest.test_case "short stream rejected" `Quick test_short_stream_rejected;
+          Alcotest.test_case "entries past the end rejected" `Quick
+            test_entries_past_the_end_rejected;
         ] );
     ]

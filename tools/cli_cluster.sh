@@ -1,10 +1,12 @@
 #!/bin/sh
-# Smoke test of the real daemon binaries: two `secmed source` daemons
-# and a `secmed serve` mediator on ephemeral localhost ports, a verified
-# loadgen fleet that must exit 0, then an authenticated `secmed drain`
-# of the mediator and of each source, after which every daemon must
-# exit 0.  Exits nonzero on the first failure; a trap kills whatever
-# daemon is still running.  Run from the repository root:
+# Smoke test of the real daemon binaries.  First, every bad address or
+# id flag must be a usage error (exit 124).  Then two `secmed source`
+# daemons and a `secmed serve` mediator on ephemeral localhost ports
+# (addressed as ":PORT", the empty-host form), a verified loadgen fleet
+# that must exit 0, then an authenticated `secmed drain` of the
+# mediator and of each source, after which every daemon must exit 0.
+# Exits nonzero on the first failure; a trap kills whatever daemon is
+# still running.  Run from the repository root:
 #
 #   sh tools/cli_cluster.sh
 set -eu
@@ -54,6 +56,26 @@ drain() {
   fi
 }
 
+# A flag that wrongly parsed would start a daemon, so each case runs
+# under a KILL timeout (exit 137, never 124).
+usage_error() {
+  status=0
+  timeout -s KILL 30 "$exe" "$@" > "$dir/usage.log" 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "cli cluster: 'secmed $*' exited $status, not 124 (usage error)" >&2
+    cat "$dir/usage.log" >&2
+    exit 1
+  fi
+}
+usage_error serve --port 0 --source 1=nohost --source 2=127.0.0.1:7002
+usage_error serve --port 0 --source 1=127.0.0.1:7001
+usage_error serve --port 0 --source "1=127.0.0.1:7001;127.0.0.1:7011" --source 2=:7002
+usage_error source --id 3 --port 0
+usage_error run --connect localhost:99999
+usage_error stats localhost:notaport
+usage_error ping nohostport
+usage_error drain :0
+
 for id in 1 2; do
   # shellcheck disable=SC2086
   "$exe" source --id "$id" --port 0 $spec > "$dir/source$id.log" 2>&1 &
@@ -65,14 +87,14 @@ port1=$(port_of "$dir/source1.log")
 port2=$(port_of "$dir/source2.log")
 
 # shellcheck disable=SC2086
-"$exe" serve --port 0 --source "1=127.0.0.1:$port1" --source "2=127.0.0.1:$port2" \
+"$exe" serve --port 0 --source "1=:$port1" --source "2=127.0.0.1:$port2" \
   --max-sessions 8 $spec > "$dir/serve.log" 2>&1 &
 serve=$!
 pids="$pids $serve"
 port=$(port_of "$dir/serve.log")
 
 # shellcheck disable=SC2086
-"$exe" loadgen --connect "127.0.0.1:$port" --workers 4 --sessions 2 \
+"$exe" loadgen --connect ":$port" --workers 4 --sessions 2 \
   --mix das=2,commutative=1,pm=1 --verify $spec
 
 drain serve "$port" "$serve"
