@@ -73,11 +73,14 @@ check-soak:
 	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
 
 # Streaming-delivery suite: chunk codec / reassembly / credit-flow
-# units (a receive window bounded by one chunk, a drained backlog, and
-# the reused receive buffer allocating less than a fresh one per read),
-# and every typed rejection of the chunk reader (out-of-order row,
-# chunk gap, disagreeing declared sizes, short stream, entries past
-# the end; a replayed chunk is merged once).
+# units (a receive window bounded by one chunk, a drained backlog, the
+# credit rule — a grant only for a chunk beyond the sender's first
+# window, so a long stream blocks on exactly its grants and a one-chunk
+# stream sends no Credit — and the reused receive buffer allocating
+# less than a fresh one per read), and every typed rejection of the
+# chunk reader (out-of-order row, chunk gap, disagreeing declared sizes,
+# short stream, entries past the end, surplus bytes; a replayed chunk
+# is merged once).
 check-stream:
 	dune exec test/test_stream.exe -- test -e
 

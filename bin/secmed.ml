@@ -13,10 +13,10 @@ let scheme_conv =
   let parse name =
     match Protocol.scheme_of_name name with
     | Some scheme -> Ok scheme
-    | None -> Error (`Msg (Printf.sprintf "unknown scheme %S (try `secmed schemes')" name))
+    | None -> Error (Printf.sprintf "unknown scheme %S (try `secmed schemes')" name)
   in
   let print fmt scheme = Format.pp_print_string fmt (Protocol.scheme_name scheme) in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let scheme_arg =
   let doc = "Delivery protocol: das, das-singleton, das-nested-loop, commutative, \
@@ -31,10 +31,8 @@ let verbose_arg =
 (* The raw spec string rides along with the parsed plan: a --connect
    client forwards the text so every replica re-parses the same plan. *)
 let fault_conv =
-  let parse s =
-    match Fault.of_spec s with Ok plan -> Ok (s, plan) | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt (s, _) -> Format.pp_print_string fmt s)
+  let parse s = Result.map (fun plan -> (s, plan)) (Fault.of_spec s) in
+  Arg.conv' (parse, fun fmt (s, _) -> Format.pp_print_string fmt s)
 
 let fault_arg =
   let doc =
@@ -73,7 +71,7 @@ let fallback_conv =
         | name :: rest -> (
           match Protocol.scheme_of_name (String.trim name) with
           | Some scheme -> go (scheme :: acc) rest
-          | None -> Error (`Msg (Printf.sprintf "unknown fallback scheme %S" name)))
+          | None -> Error (Printf.sprintf "unknown fallback scheme %S" name))
       in
       go [] (String.split_on_char ',' spec)
   in
@@ -84,7 +82,7 @@ let fallback_conv =
       Format.pp_print_string fmt
         (String.concat "," (List.map Protocol.scheme_name schemes))
   in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let fallback_arg =
   let doc =
@@ -116,7 +114,7 @@ let breaker_conv =
       | field :: rest -> (
         match apply cfg (String.trim field) with
         | Some cfg -> go cfg rest
-        | None -> Error (`Msg (Printf.sprintf "bad breaker field %S" field)))
+        | None -> Error (Printf.sprintf "bad breaker field %S" field))
     in
     go R.default_breaker (String.split_on_char ',' spec)
   in
@@ -124,7 +122,7 @@ let breaker_conv =
     Format.fprintf fmt "window=%d,threshold=%g,min=%d,cooldown=%g,probes=%d" cfg.R.window
       cfg.R.failure_threshold cfg.R.min_samples cfg.R.cooldown cfg.R.half_open_probes
   in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let breaker_arg =
   let doc =
@@ -203,9 +201,9 @@ let valid_spec term =
   let check spec =
     match Workload.validate spec with
     | () -> Ok spec
-    | exception Invalid_argument msg -> Error (`Msg msg)
+    | exception Invalid_argument msg -> Error msg
   in
-  Term.(term_result ~usage:true (const check $ term))
+  Term.(term_result' ~usage:true (const check $ term))
 
 (* Workload flags shared by every process of a deployment: all replicas
    must rebuild the identical scenario, so `run`, `serve` and `source`
@@ -245,8 +243,7 @@ let io_timeout_arg =
 (* Address flags parse with [Net.Io.parse_addr], so a bad one is a
    usage error (exit 124) before any command runs. *)
 let pp_addr fmt (host, port) = Format.fprintf fmt "%s:%d" host port
-let msg_error r = Result.map_error (fun e -> `Msg e) r
-let addr_conv = Arg.conv ((fun s -> msg_error (Net.Io.parse_addr s)), pp_addr)
+let addr_conv = Arg.conv' (Net.Io.parse_addr, pp_addr)
 
 let addr_doc what = what ^ "  An empty HOST (\":PORT\") means 127.0.0.1."
 
@@ -399,16 +396,16 @@ let serve_cmd =
       Format.fprintf fmt "%d=%s" id
         (String.concat "," (List.map (Format.asprintf "%a" pp_addr) addrs))
     in
-    let source_conv = Arg.conv ((fun s -> msg_error (Net.Server.parse_source s)), print) in
+    let source_conv = Arg.conv' (Net.Server.parse_source, print) in
     let check sources =
       match List.sort compare (List.map fst sources) with
       | [ 1; 2 ] -> Ok sources
-      | _ -> Error (`Msg "the workload needs exactly one --source 1=... and one --source 2=...")
+      | _ -> Error "the workload needs exactly one --source 1=... and one --source 2=..."
     in
     let sources =
       Arg.(value & opt_all source_conv [] & info [ "source" ] ~docv:"ID=H:P,..." ~doc)
     in
-    Term.(term_result ~usage:true (const check $ sources))
+    Term.(term_result' ~usage:true (const check $ sources))
   in
   let health_interval =
     Arg.(value & opt float 1.0
@@ -459,9 +456,9 @@ let serve_cmd =
 let source_cmd =
   let id =
     let check id =
-      if id = 1 || id = 2 then Ok id else Error (`Msg "--id: the workload has sources 1 and 2")
+      if id = 1 || id = 2 then Ok id else Error "--id: the workload has sources 1 and 2"
     in
-    Term.(term_result ~usage:true
+    Term.(term_result' ~usage:true
             (const check
              $ Arg.(required & opt (some int) None
                     & info [ "id" ] ~docv:"N" ~doc:"Datasource id: 1 or 2.")))
@@ -511,13 +508,13 @@ let mix_conv =
                | _ -> failwith (Printf.sprintf "bad weight in %S" field))
              | _ -> failwith (Printf.sprintf "expected SCHEME=WEIGHT, got %S" field))
            (String.split_on_char ',' s))
-    with Failure msg -> Error (`Msg ("--mix: " ^ msg))
+    with Failure msg -> Error ("--mix: " ^ msg)
   in
   let print fmt mix =
     Format.pp_print_string fmt
       (String.concat "," (List.map (fun (s, w) -> Printf.sprintf "%s=%d" s w) mix))
   in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let loadgen_cmd =
   let connect =
@@ -977,12 +974,12 @@ let types_conv =
              | "bool" -> Value.Tbool
              | other -> failwith other)
            (String.split_on_char ',' s))
-    with Failure t -> Error (`Msg (Printf.sprintf "unknown type %S (use int|string|bool)" t))
+    with Failure t -> Error (Printf.sprintf "unknown type %S (use int|string|bool)" t)
   in
   let print fmt tys =
     Format.pp_print_string fmt (String.concat "," (List.map Value.ty_name tys))
   in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let load_csv path types =
   let header =
@@ -1047,9 +1044,9 @@ let setop_cmd =
       | "intersection" | "intersect" -> Ok Set_ops.Intersection
       | "difference" | "diff" -> Ok Set_ops.Difference
       | "semi-join" | "semijoin" -> Ok Set_ops.Semi_join
-      | other -> Error (`Msg (Printf.sprintf "unknown operation %S" other))
+      | other -> Error (Printf.sprintf "unknown operation %S" other)
     in
-    Arg.conv (parse, fun fmt op -> Format.pp_print_string fmt (Set_ops.op_name op))
+    Arg.conv' (parse, fun fmt op -> Format.pp_print_string fmt (Set_ops.op_name op))
   in
   let op_arg =
     Arg.(required & pos 0 (some op_conv) None

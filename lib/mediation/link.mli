@@ -12,8 +12,8 @@
       channel faults, decided from the message's addressing and the
       plan's state, never from its bytes;
     - the {b transport hop} — when an {!endpoint} is attached, the bytes
-      actually cross a socket, framed with the [Fault.frame] integrity
-      tag.
+      actually cross a socket as a stream of rows (a scalar message is a
+      one-row stream), framed with the [Fault.frame] integrity tag.
 
     The execution model is {e projected}: each process {e computes} a
     set of parties ({!computes}).  An in-process run (the default
@@ -45,15 +45,15 @@
    because they make the same delivery calls in the same order — used
    to discard duplicated or stale frames. *)
 
-(** Streamed variant of a delivery: the message as (row index, bytes)
-    entries instead of one payload.  [send_rows] chunks and transmits;
-    [recv_rows] pulls chunk frames and verifies each entry against the
-    locally computed [expect] list incrementally — the received
-    relation is never materialised as one string; [take_rows] is the
-    receive of a process
+(** How a delivery crosses the wire: the message as (row index, bytes)
+    entries.  [send_rows] chunks and transmits; [recv_rows] pulls chunk
+    frames and verifies each entry against the locally computed
+    [expect] list incrementally — the received relation is never
+    materialised as one string; [take_rows] is the receive of a process
     that did not compute the rows: it checks that the rows arrive in
     index order and returns the stream's declared size and its bytes.
-    All raise typed faults like {!transport.recv}. *)
+    Receive failures (timeout, closed stream, tag mismatch) raise,
+    ideally as a typed {!Fault.Fault_detected}. *)
 type rows_transport = {
   send_rows :
     phase:string ->
@@ -87,29 +87,9 @@ type transport = {
   computes : Transcript.party -> bool;
       (** the parties whose local steps this process runs (its own
           role at least) *)
-  send :
-    phase:string ->
-    seq:int ->
-    sender:Transcript.party ->
-    receiver:Transcript.party ->
-    label:string ->
-    size:int ->
-    string ->
-    unit;
-  recv :
-    phase:string ->
-    seq:int ->
-    sender:Transcript.party ->
-    receiver:Transcript.party ->
-    label:string ->
-    int * string;
-      (** The frame's declared size and its payload (integrity tag
-          checked and removed); raises on transport failure (timeout,
-          closed stream, tag mismatch), ideally as a typed
-          {!Fault.Fault_detected}. *)
   rows : rows_transport option;
-      (** [None] on transports predating chunked delivery;
-          {!exchange_rows} then falls back to the scalar path. *)
+      (** Always [Some]: {!make} rejects [None] with
+          [Invalid_argument]. *)
 }
 
 type endpoint = Inproc | Remote of transport
@@ -118,7 +98,8 @@ type t
 
 val make : ?endpoint:endpoint -> ?fault:Fault.plan -> Transcript.t -> t
 (** A link bound to one protocol run's transcript.  Default endpoint is
-    {!Inproc} (direct calls, every party computed here). *)
+    {!Inproc} (direct calls, every party computed here).  Raises
+    [Invalid_argument] on a [Remote] transport without [rows]. *)
 
 val computes : t -> Transcript.party -> bool
 (** Whether this process runs the party's local steps: always on an
@@ -139,15 +120,15 @@ val deliver :
     interception (audit-only messages) while still crossing the
     transport.  [size] is the declared transcript size in bytes
     (defaults to the payload length); when it exceeds the payload length
-    the wire frame is zero-padded up to it, so socket byte counts match
-    transcript totals.  The payload thunk is never forced on an
-    in-process link, fault plan or not.
+    a zero-filled row pads the wire stream up to it, so socket byte
+    counts match transcript totals.  The payload thunk is never forced
+    on an in-process link, fault plan or not.
 
-    On a remote link, when this process is the sender the payload is
-    sent; when it is the receiver the frame is awaited and compared
-    against the locally computed payload (mismatch ⇒
-    {!Fault.Fault_detected} blamed on the receiving party); otherwise
-    only the sequence number advances. *)
+    On a remote link the payload travels as a one-row stream: when this
+    process is the sender it is sent; when it is the receiver it is
+    awaited and compared against the locally computed payload
+    (mismatch ⇒ {!Fault.Fault_detected} blamed on the receiving party);
+    otherwise only the sequence number advances. *)
 
 val exchange :
   t ->
@@ -165,8 +146,9 @@ val exchange :
     computes [sender]; it is delivered as {!deliver} would ([size v]
     declared, [encode v] on the wire) and returned.  Given [None], a
     process playing [receiver] awaits the frame, records its declared
-    size and returns [Some (decode bytes)] — a decoder's [Wire.Malformed]
-    or [Invalid_argument] becomes a typed {!Fault.Fault_detected} at the
+    size and returns [Some (decode bytes)] — bytes that do not match the
+    declared size, or a decoder's [Wire.Malformed] or
+    [Invalid_argument], become a typed {!Fault.Fault_detected} at the
     receiver — and any other process returns [None].  Every process
     runs the same payload-free fault verdict.  Raises [Invalid_argument]
     when given [None] on an in-process link or at the sender. *)
@@ -186,9 +168,7 @@ val exchange_rows :
 (** {!exchange} of a row-wise message: the same transcript entry,
     sequence slot and padding to [size v] as {!exchange} of the rows'
     concatenation, and the same payload-free fault verdict — but on a
-    remote link with a rows-capable transport the rows travel as
-    bounded chunks of (index, bytes) entries, checked row by row at a
-    computing receiver, so neither side materialises the relation as
-    one string.  On any other link (in-process, legacy transport) the
-    rows collapse to one payload.  A non-computing receiver decodes the
-    rows' concatenation. *)
+    remote link each row is its own stream entry, checked row by row
+    at a computing receiver, so neither side materialises the relation
+    as one string.  A non-computing receiver decodes the rows'
+    concatenation. *)

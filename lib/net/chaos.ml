@@ -17,24 +17,14 @@ type t = {
 
 let detail fmt = Printf.ksprintf Fun.id fmt
 
-(* A delivery's addressing, its payload, and how to re-encode the frame
-   around a damaged payload: a [Msg], or the first chunk of a stream — so
-   a rule's [times] counts deliveries either way. *)
-let delivery = function
-  | Frame.Msg m ->
-    Some (m.sender, m.receiver, m.label, m.payload, fun payload -> Frame.Msg { m with payload })
-  | Frame.Msg_chunk c when c.ck_chunk = 0 ->
-    Some
-      ( c.ck_sender, c.ck_receiver, c.ck_label, c.ck_payload,
-        fun ck_payload -> Frame.Msg_chunk { c with ck_payload } )
-  | _ -> None
-
-(* Forward one decoded frame, applying at most one rule.  Returns
-   [false] when the stream was deliberately wrecked (truncation) and
-   pumping must stop. *)
+(* Forward one decoded frame, applying at most one rule to a delivery's
+   first chunk — so a rule's [times] counts deliveries, not chunks.
+   Returns [false] when the stream was deliberately wrecked (truncation)
+   and pumping must stop. *)
 let forward t dst frame body =
-  match delivery frame with
-  | Some (sender, receiver, label, payload, rebuild) -> (
+  match frame with
+  | Frame.Msg_chunk
+      ({ ck_chunk = 0; ck_sender = sender; ck_receiver = receiver; ck_label = label; _ } as c) -> (
     let verdict =
       Mutex.protect t.plan_mu (fun () ->
           match Fault.select t.plan ~sender ~receiver ~label with
@@ -61,9 +51,9 @@ let forward t dst frame body =
       true
     | Some (Fault.Corrupt n) ->
       let corrupted =
-        Mutex.protect t.plan_mu (fun () -> Fault.corrupt_bytes t.plan ~count:n payload)
+        Mutex.protect t.plan_mu (fun () -> Fault.corrupt_bytes t.plan ~count:n c.ck_payload)
       in
-      Io.send_frame dst (Frame.encode (rebuild corrupted));
+      Io.send_frame dst (Frame.encode (Frame.Msg_chunk { c with ck_payload = corrupted }));
       true
     | Some Fault.Duplicate ->
       Io.send_frame dst body;
@@ -74,7 +64,7 @@ let forward t dst frame body =
       let keep = max 0 (String.length whole - max 1 n) in
       Io.send_raw dst (String.sub whole 0 keep);
       false)
-  | None ->
+  | _ ->
     Io.send_frame dst body;
     true
 

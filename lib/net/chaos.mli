@@ -2,8 +2,8 @@
     table replayed against live byte streams.
 
     Interpose an instance on a mediator↔datasource link and it decodes
-    the frames flowing through, matches each delivery — a [Msg] frame,
-    or the first chunk of a streamed one — against the plan's rules by
+    the frames flowing through, matches each delivery — by its first
+    [Msg_chunk] frame — against the plan's rules by
     (sender, receiver, label), consuming [times] counters exactly as the
     simulated layer does, and damages that frame for
     real: dropped frames are never forwarded, delays stall the socket,

@@ -31,14 +31,13 @@ module Mux = struct
     64
     +
     match frame with
-    | Frame.Msg { payload; _ } -> String.length payload
     | Frame.Msg_chunk { ck_payload; _ } -> String.length ck_payload
     | Frame.Stats { payload; _ } -> String.length payload
     | _ -> 0
 
   (* Routing must not depend on a consumer having subscribed yet: the
      recv thread sees a session's [Session_start] and, microseconds
-     later, the [Msg] frames behind it — before any control-loop thread
+     later, the chunk frames behind it — before any control-loop thread
      has had a chance to react.  So the first frame of an unknown
      session creates its queue and parks there.  Every [Session_start]
      is additionally announced on the control queue (a daemon spawns a
@@ -265,8 +264,7 @@ let await (r : route) ~timeout ~epoch ~seq ~fail want =
   let rec go () =
     match r.r_next ~timeout with
     | exception Io.Transport_error msg -> fail ("never arrived: " ^ msg)
-    | ( Frame.Msg { epoch = e; seq = s; _ }
-      | Frame.Msg_chunk { ck_epoch = e; ck_seq = s; _ }
+    | ( Frame.Msg_chunk { ck_epoch = e; ck_seq = s; _ }
       | Frame.Credit { cr_epoch = e; cr_seq = s; _ } ) as f -> (
       let order = compare (e, s) (epoch, seq) in
       match (want f, f) with
@@ -304,40 +302,9 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
   let failing ~phase ~receiver what reason =
     Fault.fail ~phase ~party:receiver (Printf.sprintf "%s: %s" what reason)
   in
-  let send ~phase ~seq ~sender ~receiver ~label ~size payload =
-    match route_of receiver with
-    | None -> ()
-    | Some r ->
-      (try
-         r.r_send
-           (Frame.Msg
-              { session; epoch = epoch (); seq; sender; receiver; label; declared = size;
-                payload = Fault.frame ~label payload })
-       with Io.Transport_error msg ->
-         (* The link itself is down: a typed, retryable fault blamed at
-            the unreachable party, like a simulated severed link. *)
-         Fault.fail ~phase ~party:receiver (label ^ ": link down: " ^ msg));
-      trace_frame "send" ~phase ~party:receiver ~label ~size;
-      after_io ~phase
-  in
-  let recv ~phase ~seq ~sender ~receiver ~label =
-    let m =
-      await (route ~phase ~receiver ~label sender) ~timeout:io_timeout ~epoch:(epoch ()) ~seq
-        ~fail:(failing ~phase ~receiver label)
-        (function Frame.Msg m -> Some m | _ -> None)
-    in
-    if not (Transcript.party_equal m.sender sender && String.equal m.label label) then
-      Fault.fail ~phase ~party:receiver
-        (Printf.sprintf "frame #%d: expected %s from %s, got %s from %s" seq label
-           (Transcript.party_name sender) m.label (Transcript.party_name m.sender));
-    let payload = unframe ~phase ~receiver ~label m.payload in
-    trace_frame "recv" ~phase ~party:sender ~label ~size:(String.length payload);
-    after_io ~phase;
-    (m.declared, payload)
-  in
-  (* Streamed sender: chunk the rows and keep at most [credit_window]
-     chunks unacknowledged, replenished by the receiver's [Credit]
-     grants arriving on the same route. *)
+  (* Sender: chunk the rows and keep at most [credit_window] chunks
+     unacknowledged, replenished by the receiver's [Credit] grants
+     arriving on the same route. *)
   let send_rows ~phase ~seq ~sender ~receiver ~label ~size rows =
     match route_of receiver with
     | None -> ()
@@ -373,6 +340,8 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
                     ck_receiver = receiver; ck_label = label; ck_chunk = ci; ck_chunks = n;
                     ck_declared = size; ck_payload = payload })
            with Io.Transport_error msg ->
+             (* The link itself is down: a typed, retryable fault blamed
+                at the unreachable party, like a simulated severed link. *)
              Fault.fail ~phase ~party:receiver (label ^ ": link down: " ^ msg));
           decr credits;
           incr outstanding;
@@ -380,8 +349,8 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           Obs.Metrics.incr ~by:(entry_bytes entries) stream_bytes_out;
           Obs.Metrics.incr ~by:(List.length entries) stream_rows_out)
         chunks;
-      (* Trailing credits are granted but never awaited; the leftover
-         rule absorbs them later.  Settle the backlog gauge now. *)
+      (* The last window is never acknowledged (the receiver grants
+         only credits this loop awaits): settle the backlog gauge now. *)
       backlog_add (- !outstanding);
       trace_frame "send" ~phase ~party:receiver ~label ~size;
       after_io ~phase
@@ -434,11 +403,15 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           with Wire.Malformed msg -> reject "malformed chunk %d: %s" m.ck_chunk msg
         in
         (* Grant the replacement credit before reading on so the sender's
-           pipeline never drains on our account.  A dead return path
-           surfaces on the next pull, not here. *)
-        (try
-           r.r_send (Frame.Credit { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
-         with Io.Transport_error _ -> ());
+           pipeline never drains on our account — but only for a chunk
+           the sender will await it for: its first window is free, so a
+           stream of at most [credit_window] chunks draws no credit.  A
+           dead return path surfaces on the next pull, not here. *)
+        if m.ck_chunk + credit_window < m.ck_chunks then (
+          try
+            r.r_send
+              (Frame.Credit { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
+          with Io.Transport_error _ -> ());
         let bytes = entry_bytes entries in
         Obs.Hwm.alloc hwm_pending bytes;
         Obs.Metrics.incr ~by:bytes stream_bytes_in;
@@ -479,8 +452,8 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
     after_io ~phase;
     size
   in
-  (* Streamed receiver: verify each entry against the locally computed
-     rows.  Nothing is concatenated. *)
+  (* Receiver that computed the rows: verify each entry against its
+     own.  Nothing is concatenated. *)
   let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
     let expect = Array.of_list expect in
     ignore
@@ -497,9 +470,9 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
                   (String.length bytes)))
        : int)
   in
-  (* Streamed receiver of a process that did not compute the rows: the
-     received rows become the one string the caller decodes — a receiver
-     that uses the rows holds them anyway. *)
+  (* Receiver that did not compute the rows: the received rows become
+     the one string the caller decodes — a receiver that uses the rows
+     holds them anyway. *)
   let take_rows ~phase ~seq ~sender ~receiver ~label =
     let buf = Buffer.create 4096 in
     let size =
@@ -512,7 +485,7 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
     in
     (size, Buffer.contents buf)
   in
-  { Link.role; computes; send; recv; rows = Some { Link.send_rows; recv_rows; take_rows } }
+  { Link.role; computes; rows = Some { Link.send_rows; recv_rows; take_rows } }
 
 let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout
     ~route env client =

@@ -11,9 +11,9 @@
     travels with the [Fault.frame] integrity tag, checked at the
     receiver before anything decodes it.
 
-    Row-wise deliveries ([Link.exchange_rows]) travel as one stream of
-    bounded [Msg_chunk] frames under credit-based flow control
-    (DESIGN.md §16).
+    Every delivery travels as one stream of bounded [Msg_chunk] frames
+    — a scalar message is a one-row stream in one chunk — under
+    credit-based flow control (DESIGN.md §16).
 
     {!Mux} demultiplexes one shared connection (a mediator↔datasource
     link carries every concurrent session) into per-session frame queues
@@ -22,7 +22,7 @@
 open Secmed_mediation
 
 exception Aborted of Fault.failure
-(** Raised out of a replica's [recv] when the mediator aborts the
+(** Raised out of a replica's receive when the mediator aborts the
     attempt; the replica's driver unwinds and reports [St_aborted]. *)
 
 module Mux : sig
@@ -103,10 +103,10 @@ val await :
   (Frame.t -> 'a option) -> 'a
 (** The leftover rule, shared by every session reader.  A reader at
     delivery [seq] of [epoch] takes the next frame [want] accepts, where
-    a [Msg], [Msg_chunk] or [Credit] counts only at exactly (epoch, seq).
+    a [Msg_chunk] or [Credit] counts only at exactly (epoch, seq).
     Of the rest:
-    - a [Msg] or [Msg_chunk] from an older epoch or an earlier slot of
-      this one is skipped; one from a later slot fails ["frame gap"];
+    - a [Msg_chunk] from an older epoch or an earlier slot of this one
+      is skipped; one from a later slot fails ["frame gap"];
     - [Credit] residue and every [Report] are skipped;
     - an [Abort] of [epoch] or later raises {!Aborted}; an older one is
       skipped, and so is a [Session_start] of [epoch] or earlier;
@@ -117,8 +117,10 @@ val await :
     ran. *)
 
 val credit_window : int
-(** Chunks a streaming sender may leave unacknowledged before blocking
-    on a [Credit] grant. *)
+(** Chunks a sender may leave unacknowledged before blocking on a
+    [Credit] grant.  A receiver grants credit for chunk [j] of [n] only
+    when [j + credit_window < n] — exactly the grants the sender awaits
+    — so a stream of at most [credit_window] chunks draws none. *)
 
 val stream_backlog : unit -> int
 (** Unacknowledged chunks currently in flight from this process, summed
@@ -140,11 +142,11 @@ val transport :
     local — nothing crosses a wire).  Receive-side failures surface as
     typed faults blamed on this process's receiving party: a timeout
     matches a simulated [Drop], a frame failing its integrity tag (or,
-    at a receiver that computed the message, a payload mismatch checked
-    by [Link.deliver]) matches a simulated [Corrupt].  [computes]
+    at a receiver that computed the message, a row mismatch checked by
+    [recv_rows]) matches a simulated [Corrupt].  [computes]
     (default: the [role] alone) is the set of parties whose steps this
-    process runs ({!Link.computes}).  [after_io] runs
-    after every blocking send/recv — the mediator hooks its real-time
+    process runs ({!Link.computes}).  [after_io] runs after every
+    blocking send or receive — the mediator hooks its real-time
     deadline check here so wall-clock stalls trip the budget
     mid-attempt.  [epoch] is read per frame so the mediator can reuse
     one transport across every attempt of a resilient session.
@@ -157,8 +159,8 @@ val transport :
     expected rows and entries past the end fail typed.  [recv_rows]
     checks each row against the locally computed one; [take_rows]
     checks that the rows arrive in index order and returns them as the
-    one string a non-computing receiver decodes.  A streamed send
-    always carries at least one (possibly empty) chunk. *)
+    one string a non-computing receiver decodes.  A send always
+    carries at least one (possibly empty) chunk. *)
 
 val run_replica :
   role:Transcript.party ->

@@ -11,22 +11,11 @@ type wire_result =
     }
   | W_unserved of (string * Fault.failure * int) list
 
-type msg = {
-  session : int;
-  epoch : int;
-  seq : int;
-  sender : Transcript.party;
-  receiver : Transcript.party;
-  label : string;
-  declared : int;
-  payload : string;
-}
-
-(* One bounded slice of a streamed delivery: [chunk] of [chunks], same
-   addressing as the scalar [msg] it replaces, payload a counted batch
-   of (row index, bytes) entries (Secmed_core.Stream codec).  [declared]
-   repeats the whole stream's transcript size on every chunk so any one
-   frame identifies the delivery it belongs to. *)
+(* One bounded slice of a delivery: [chunk] of [chunks] of the message
+   at (session, epoch, seq), payload a counted batch of (row index,
+   bytes) entries (Secmed_core.Stream codec).  [declared] repeats the
+   whole stream's transcript size on every chunk so any one frame
+   identifies the delivery it belongs to. *)
 type chunk = {
   ck_session : int;
   ck_epoch : int;
@@ -61,13 +50,8 @@ type t =
       fault_spec : string;
       trace_id : string;
     }
-  | Msg of msg
   | Msg_chunk of chunk
   | Credit of { cr_session : int; cr_epoch : int; cr_seq : int; cr_n : int }
-      (** Flow-control grant: the receiver of a streamed delivery has
-          consumed a chunk of (epoch, seq) and permits [cr_n] more in
-          flight.  Residue outside an active [send_rows] is skipped
-          wherever it lands. *)
   | Report of { session : int; epoch : int; status : status; spans : string }
   | Abort of { session : int; epoch : int; failure : Fault.failure }
   | Session_result of { session : int; result : wire_result; spans : Trace_wire.remote list }
@@ -215,16 +199,6 @@ let encode t =
     Wire.write_string w query;
     Wire.write_string w fault_spec;
     Wire.write_string w trace_id
-  | Msg { session; epoch; seq; sender; receiver; label; declared; payload } ->
-    Wire.write_int w 5;
-    Wire.write_int w session;
-    Wire.write_int w epoch;
-    Wire.write_int w seq;
-    write_party w sender;
-    write_party w receiver;
-    Wire.write_string w label;
-    Wire.write_int w declared;
-    Wire.write_string w payload
   | Report { session; epoch; status; spans } ->
     Wire.write_int w 6;
     Wire.write_int w session;
@@ -317,16 +291,6 @@ let decode body =
       let fault_spec = Wire.read_string r in
       let trace_id = Wire.read_string r in
       Session_start { session; epoch; attempt; scheme; query; fault_spec; trace_id }
-    | 5 ->
-      let session = Wire.read_int r in
-      let epoch = Wire.read_int r in
-      let seq = Wire.read_int r in
-      let sender = read_party r in
-      let receiver = read_party r in
-      let label = Wire.read_string r in
-      let declared = Wire.read_int r in
-      let payload = Wire.read_string r in
-      Msg { session; epoch; seq; sender; receiver; label; declared; payload }
     | 6 ->
       let session = Wire.read_int r in
       let epoch = Wire.read_int r in
@@ -399,7 +363,6 @@ let tag_name = function
   | Busy _ -> "busy"
   | Query _ -> "query"
   | Session_start _ -> "session-start"
-  | Msg _ -> "msg"
   | Report _ -> "report"
   | Abort _ -> "abort"
   | Session_result _ -> "session-result"
@@ -418,7 +381,6 @@ let session_of = function
   | Hello _ | Hello_ok _ | Busy _ | Query _ | Stats_request | Stats _ | Ping | Health _
   | Drain _ | Drain_ok | Draining _ -> None
   | Session_start { session; _ }
-  | Msg { session; _ }
   | Report { session; _ }
   | Abort { session; _ }
   | Session_result { session; _ }

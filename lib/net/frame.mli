@@ -7,10 +7,11 @@
     - connection setup: [Hello] / [Hello_ok] (or [Busy]);
     - the client poses a [Query]; the mediator opens one session per
       attempt-chain and broadcasts [Session_start] per attempt;
-    - protocol messages travel as [Msg], or as [Msg_chunk] slices under
-      [Credit] flow control when streamed, each tagged with (session,
-      epoch, seq) so stale frames from an abandoned attempt are
-      skippable ({!Endpoint.await} is the one rule that skips them);
+    - every protocol message travels as a stream of [Msg_chunk]
+      slices — one slice unless it outgrows a chunk — under [Credit]
+      flow control, each tagged with (session, epoch, seq) so stale
+      frames from an abandoned attempt are skippable ({!Endpoint.await}
+      is the one rule that skips them);
     - each replica ends an attempt with a [Report], which carries its
       span batch for the attempt when the session is traced; the
       mediator may cut an attempt short with [Abort];
@@ -38,32 +39,18 @@ type wire_result =
   | W_unserved of (string * Fault.failure * int) list
       (** per tried scheme: name, final failure, attempts *)
 
-(** A protocol message in flight.  [epoch] is the session-global attempt
-    counter (monotonic across a degradation chain, unlike the per-scheme
-    attempt number, so stale frames are always distinguishable); [seq]
-    the link's delivery index within the epoch; [declared] the
-    transcript size the payload is padded to.  A named record (not
-    inline) so the chaos proxy and the endpoint filters can bind and
-    rewrite one wholesale. *)
-type msg = {
-  session : int;
-  epoch : int;
-  seq : int;
-  sender : Transcript.party;
-  receiver : Transcript.party;
-  label : string;
-  declared : int;
-  payload : string;
-}
-
-(** One bounded slice of a streamed delivery (DESIGN.md §16): same
-    addressing as the scalar [msg] it replaces, plus its position
-    [ck_chunk] of [ck_chunks].  [ck_payload] is a counted batch of
-    (row index, bytes) entries in the [Secmed_core.Stream] codec;
-    [ck_declared] repeats the whole stream's transcript size so any one
-    frame identifies its delivery.  The decoder enforces the
-    [Stream.max_chunks] cap, so a corrupted header cannot promise a
-    pathological chunk count. *)
+(** One bounded slice of a protocol message in flight (DESIGN.md §16),
+    chunk [ck_chunk] of [ck_chunks].  [ck_epoch] is the session-global
+    attempt counter (monotonic across a degradation chain, unlike the
+    per-scheme attempt number, so stale frames are always
+    distinguishable); [ck_seq] the link's delivery index within the
+    epoch.  [ck_payload] is a counted batch of (row index, bytes)
+    entries in the [Secmed_core.Stream] codec; [ck_declared] repeats the
+    whole stream's transcript size so any one frame identifies its
+    delivery.  The decoder enforces the [Stream.max_chunks] cap, so a
+    corrupted header cannot promise a pathological chunk count.  A
+    named record (not inline) so the chaos proxy can bind and rewrite
+    one wholesale. *)
 type chunk = {
   ck_session : int;
   ck_epoch : int;
@@ -98,13 +85,14 @@ type t =
       fault_spec : string;
       trace_id : string;  (** [""] = tracing off for this session *)
     }
-  | Msg of msg
   | Msg_chunk of chunk
   | Credit of { cr_session : int; cr_epoch : int; cr_seq : int; cr_n : int }
       (** Flow-control grant: the consumer of stream (epoch, seq) has
-          absorbed a chunk and permits [cr_n] more in flight.  Residue
-          arriving outside an active [send_rows] is skipped wherever it
-          lands. *)
+          absorbed a chunk and permits [cr_n] more in flight.  Sent only
+          for a chunk the sender's window does not already cover, so a
+          stream of at most {!Endpoint.credit_window} chunks draws none.
+          Residue arriving outside an active [send_rows] is skipped
+          wherever it lands. *)
   | Report of {
       session : int;
       epoch : int;

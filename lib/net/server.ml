@@ -332,7 +332,7 @@ type peer_routes = {
 }
 
 (* A replica's Report can arrive while the mediator's driver is still
-   blocked on a Msg from that very party — the replica gave up first
+   blocked on a delivery from that very party — the replica gave up first
    (its own receive timed out, or it detected corruption on delivery).
    The driver's receive loop must not swallow the root cause: every
    current-epoch Report is stashed where the commit barrier can find
@@ -365,12 +365,10 @@ let stashing ?(on_failed = fun (_ : Fault.failure) -> ()) ~epoch ~party ~batches
 
 (* Payload byte accounting per counterpart.  A [Msg_chunk] counts its
    row bytes (peeked from the count prefix, no decode), so the per-link
-   totals equal the transcript's bytes-on-link — scalar and streamed
-   encodings are interchangeable in the accounting too. *)
+   totals equal the transcript's bytes-on-link. *)
 let counted (_, out_c, in_c) (route : Endpoint.route) =
   (* Payloads carry the integrity tag, which no byte stat counts. *)
   let bytes = function
-    | Frame.Msg m -> max 0 (String.length m.Frame.payload - Fault.tag_bytes)
     | Frame.Msg_chunk m -> max 0 (Stream.payload_row_bytes m.Frame.ck_payload - Fault.tag_bytes)
     | _ -> 0
   in

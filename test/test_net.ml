@@ -116,10 +116,10 @@ let roundtrip_frames =
     Frame.Session_start
       { session = 3; epoch = 6; attempt = 3; scheme = "pm"; query = "q"; fault_spec = "";
         trace_id = "s3" };
-    Frame.Msg
-      { session = 3; epoch = 5; seq = 12; sender = Transcript.Mediator;
-        receiver = Transcript.Source 1; label = "rewritten-query";
-        declared = 5; payload = "\x00\xffabc" };
+    Frame.Msg_chunk
+      { ck_session = 3; ck_epoch = 5; ck_seq = 12; ck_sender = Transcript.Mediator;
+        ck_receiver = Transcript.Source 1; ck_label = "rewritten-query"; ck_chunk = 0;
+        ck_chunks = 1; ck_declared = 5; ck_payload = "\x00\xffabc" };
     Frame.Report { session = 3; epoch = 5; status = Frame.St_ok; spans = "" };
     Frame.Report
       { session = 3; epoch = 5; status = Frame.St_failed sample_failure; spans = "" };
@@ -174,18 +174,23 @@ let test_frame_deadline_precision () =
 
 (* ------------------------------------------------------------------ *)
 (* The leftover rule ({!Endpoint.await}), driven through a transport's
-   [recv] over a scripted route: the reader awaits #2 of epoch 3 from
-   source 1, and each row puts one frame ahead of the wanted one. *)
+   [take_rows] over a scripted route: the reader awaits #2 of epoch 3
+   from source 1, and each row puts one frame ahead of the wanted one. *)
 
+(* A whole one-row delivery, the form every scalar message takes. *)
 let rule_msg ~epoch ~seq =
-  Frame.Msg
-    { session = 1; epoch; seq; sender = Transcript.Source 1; receiver = Transcript.Mediator;
-      label = "L"; declared = 3; payload = Fault.frame ~label:"L" "abc" }
-
-let rule_chunk ~epoch ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 0; ck_chunks = 1;
+      ck_declared = 3;
+      ck_payload =
+        Fault.frame ~label:"L" (Stream.encode_entries [ { Stream.s_row = 0; s_bytes = "abc" } ]) }
+
+(* A later slice of a longer stream. *)
+let rule_chunk ~epoch ~seq =
+  Frame.Msg_chunk
+    { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
+      ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 1; ck_chunks = 3;
       ck_declared = 0; ck_payload = "" }
 
 let rule_abort epoch = Frame.Abort { session = 1; epoch; failure = sample_failure }
@@ -211,8 +216,8 @@ let recv_scripted frames =
     Endpoint.transport ~role:Transcript.Mediator ~session:1 ~epoch:(fun () -> 3) ~io_timeout:1.
       ~route_of:(fun _ -> Some route) ()
   in
-  tr.Link.recv ~phase:"t" ~seq:2 ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator
-    ~label:"L"
+  (Option.get tr.Link.rows).Link.take_rows ~phase:"t" ~seq:2 ~sender:(Transcript.Source 1)
+    ~receiver:Transcript.Mediator ~label:"L"
 
 type rule_outcome = Delivered | Aborts | Fails of string
 
@@ -220,8 +225,8 @@ let leftover_table =
   let wanted = rule_msg ~epoch:3 ~seq:2 in
   let skipped name f = (name, [ f; wanted ], Delivered) in
   [
-    skipped "msg of an older epoch" (rule_msg ~epoch:2 ~seq:9);
-    skipped "msg of an earlier slot" (rule_msg ~epoch:3 ~seq:1);
+    skipped "delivery of an older epoch" (rule_msg ~epoch:2 ~seq:9);
+    skipped "delivery of an earlier slot" (rule_msg ~epoch:3 ~seq:1);
     skipped "chunk of an older epoch" (rule_chunk ~epoch:2 ~seq:5);
     skipped "chunk of an earlier slot" (rule_chunk ~epoch:3 ~seq:0);
     skipped "credit residue of this slot"
@@ -234,7 +239,7 @@ let leftover_table =
     skipped "session-start of the current epoch" (rule_start 3);
     ("abort of the current epoch", [ rule_abort 3; wanted ], Aborts);
     ("abort of a newer epoch", [ rule_abort 4; wanted ], Aborts);
-    ("msg ahead of the slot", [ rule_msg ~epoch:3 ~seq:3; wanted ], Fails "frame gap");
+    ("delivery ahead of the slot", [ rule_msg ~epoch:3 ~seq:3; wanted ], Fails "frame gap");
     ("chunk of a newer epoch", [ rule_chunk ~epoch:4 ~seq:0; wanted ], Fails "frame gap");
     ("session-start of a newer epoch", [ rule_start 4; wanted ], Fails "unexpected");
     ("route error", [], Fails "never arrived");
@@ -264,10 +269,11 @@ let socket_pair () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (Io.of_fd ~peer:"a" a, Io.of_fd ~peer:"b" b)
 
-let msg ~seq label =
-  Frame.Msg
-    { session = 1; epoch = 1; seq; sender = Transcript.Mediator;
-      receiver = Transcript.Source 1; label; declared = 2; payload = "xy" }
+let msg ?(session = 1) ~seq label =
+  Frame.Msg_chunk
+    { ck_session = session; ck_epoch = 1; ck_seq = seq; ck_sender = Transcript.Mediator;
+      ck_receiver = Transcript.Source 1; ck_label = label; ck_chunk = 0; ck_chunks = 1;
+      ck_declared = 2; ck_payload = "xy" }
 
 let test_mux_parks_frames_before_subscription () =
   let a, b = socket_pair () in
@@ -288,10 +294,10 @@ let test_mux_parks_frames_before_subscription () =
   | Frame.Session_start _ -> ()
   | f -> Alcotest.fail ("expected parked Session_start, got " ^ Frame.tag_name f));
   (match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-  | Frame.Msg { label = "first"; _ } -> ()
+  | Frame.Msg_chunk { ck_label = "first"; _ } -> ()
   | f -> Alcotest.fail ("expected first msg, got " ^ Frame.tag_name f));
   match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-  | Frame.Msg { label = "second"; _ } -> ()
+  | Frame.Msg_chunk { ck_label = "second"; _ } -> ()
   | f -> Alcotest.fail ("expected second msg, got " ^ Frame.tag_name f)
 
 let test_mux_drops_frames_of_closed_sessions () =
@@ -302,7 +308,7 @@ let test_mux_drops_frames_of_closed_sessions () =
   Endpoint.Mux.unsubscribe mux 1;
   Io.send_frame a (Frame.encode (msg ~seq:0 "stale"));
   Io.send_frame a (Frame.encode (Frame.Busy "marker"));
-  (* The control frame arrives, proving the stale Msg was dropped rather
+  (* The control frame arrives, proving the stale chunk was dropped rather
      than misrouted onto the control queue ahead of it. *)
   match Endpoint.Mux.next_control mux ~timeout:5. with
   | Frame.Busy "marker" -> ()
@@ -345,16 +351,11 @@ let test_mux_tombstones_bounded () =
      frame is parked as an unknown session, not dropped; session 10's
      tombstone survives, so its late frame is dropped. *)
   Io.send_frame a (Frame.encode (msg ~seq:0 "late-evicted"));
-  Io.send_frame a
-    (Frame.encode
-       (Frame.Msg
-          { session = 10; epoch = 1; seq = 0; sender = Transcript.Mediator;
-            receiver = Transcript.Source 1; label = "late-tombstoned"; declared = 2;
-            payload = "xy" }));
+  Io.send_frame a (Frame.encode (msg ~session:10 ~seq:0 "late-tombstoned"));
   mux_sync a mux;
   Alcotest.(check int) "tombstoned frame dropped" 1 (Endpoint.Mux.dropped mux);
   match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-  | Frame.Msg { label = "late-evicted"; _ } -> ()
+  | Frame.Msg_chunk { ck_label = "late-evicted"; _ } -> ()
   | f -> Alcotest.fail ("expected the parked frame, got " ^ Frame.tag_name f)
 
 let test_mux_subscribe_resurrects_tombstoned_id () =
@@ -369,7 +370,7 @@ let test_mux_subscribe_resurrects_tombstoned_id () =
   Alcotest.(check int) "tombstone cleared" 0 (Endpoint.Mux.tombstones mux);
   Io.send_frame a (Frame.encode (msg ~seq:0 "revived"));
   (match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-  | Frame.Msg { label = "revived"; _ } -> ()
+  | Frame.Msg_chunk { ck_label = "revived"; _ } -> ()
   | f -> Alcotest.fail ("expected the revived frame, got " ^ Frame.tag_name f));
   Alcotest.(check int) "nothing dropped" 0 (Endpoint.Mux.dropped mux)
 
@@ -396,7 +397,7 @@ let test_mux_reader_gone_when_closed () =
   Endpoint.Mux.subscribe mux 1;
   Io.send_frame a (Frame.encode (msg ~seq:0 "before-close"));
   (match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-  | Frame.Msg { label = "before-close"; _ } -> ()
+  | Frame.Msg_chunk { ck_label = "before-close"; _ } -> ()
   | f -> Alcotest.fail ("expected the first frame, got " ^ Frame.tag_name f));
   (* The peer stays open: only the close itself can stop the reader. *)
   Io.close b;
@@ -409,7 +410,7 @@ let test_mux_reader_gone_when_closed () =
   done;
   for seq = 0 to 49 do
     match Frame.decode (Io.recv_frame d) with
-    | Frame.Msg m -> Alcotest.(check int) "frame kept by its own socket" seq m.Frame.seq
+    | Frame.Msg_chunk m -> Alcotest.(check int) "frame kept by its own socket" seq m.Frame.ck_seq
     | f -> Alcotest.fail ("unexpected " ^ Frame.tag_name f)
   done
 
@@ -450,8 +451,8 @@ let test_mux_concurrent_sessions_stress () =
                 try
                   for _ = 1 to frames_per_session do
                     match Endpoint.Mux.next mux ~session:(sid k) ~timeout:10. with
-                    | Frame.Msg { session; seq; label; _ } ->
-                      received.(k) <- (session, seq, label) :: received.(k)
+                    | Frame.Msg_chunk { ck_session; ck_seq; ck_label; _ } ->
+                      received.(k) <- (ck_session, ck_seq, ck_label) :: received.(k)
                     | f ->
                       errors := Frame.tag_name f :: !errors
                   done
@@ -461,12 +462,7 @@ let test_mux_concurrent_sessions_stress () =
       Array.iter
         (fun (session, seq) ->
           Io.send_frame a
-            (Frame.encode
-               (Frame.Msg
-                  { session; epoch = 1; seq; sender = Transcript.Mediator;
-                    receiver = Transcript.Source 1;
-                    label = Printf.sprintf "s%d-%d" session seq;
-                    declared = 2; payload = "xy" })))
+            (Frame.encode (msg ~session ~seq (Printf.sprintf "s%d-%d" session seq))))
         schedule;
       List.iter Thread.join consumers;
       Alcotest.(check (list string)) "no consumer errors" [] !errors;

@@ -435,7 +435,8 @@ let test_mux_domain_parallel_consumers () =
             (try
                for _ = 1 to frames_per_session do
                  match Endpoint.Mux.next mux ~session:(k + 1) ~timeout:10. with
-                 | Frame.Msg { session; seq; _ } -> received := (session, seq) :: !received
+                 | Frame.Msg_chunk { ck_session; ck_seq; _ } ->
+                   received := (ck_session, ck_seq) :: !received
                  | _ -> ()
                done
              with Io.Transport_error _ -> ());
@@ -445,16 +446,18 @@ let test_mux_domain_parallel_consumers () =
     (fun (session, seq) ->
       Io.send_frame a
         (Frame.encode
-           (Frame.Msg
+           (Frame.Msg_chunk
               {
-                session;
-                epoch = 1;
-                seq;
-                sender = Secmed_mediation.Transcript.Mediator;
-                receiver = Secmed_mediation.Transcript.Source 1;
-                label = Printf.sprintf "s%d-%d" session seq;
-                declared = 2;
-                payload = "xy";
+                ck_session = session;
+                ck_epoch = 1;
+                ck_seq = seq;
+                ck_sender = Secmed_mediation.Transcript.Mediator;
+                ck_receiver = Secmed_mediation.Transcript.Source 1;
+                ck_label = Printf.sprintf "s%d-%d" session seq;
+                ck_chunk = 0;
+                ck_chunks = 1;
+                ck_declared = 2;
+                ck_payload = "xy";
               })))
     schedule;
   let results = List.map Domain.join consumers in

@@ -289,9 +289,10 @@ let socket_pair () =
   (Io.of_fd ~peer:"a" a, Io.of_fd ~peer:"b" b)
 
 let msg ~seq =
-  Frame.Msg
-    { session = 1; epoch = 1; seq; sender = Transcript.Mediator;
-      receiver = Transcript.Source 1; label = "flood"; declared = 2; payload = "xy" }
+  Frame.Msg_chunk
+    { ck_session = 1; ck_epoch = 1; ck_seq = seq; ck_sender = Transcript.Mediator;
+      ck_receiver = Transcript.Source 1; ck_label = "flood"; ck_chunk = 0; ck_chunks = 1;
+      ck_declared = 2; ck_payload = "xy" }
 
 let mux_sync a mux =
   Io.send_frame a (Frame.encode (Frame.Busy "sync"));
@@ -324,23 +325,25 @@ let test_mux_queue_overflow_poisons_session () =
   Alcotest.(check int) "resubscribe releases the stale frames" 0 (Endpoint.Mux.backlog mux);
   Io.send_frame a (Frame.encode (msg ~seq:99));
   (match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-  | Frame.Msg { seq = 99; _ } -> ()
+  | Frame.Msg_chunk { ck_seq = 99; _ } -> ()
   | f -> Alcotest.fail ("expected the fresh frame, got " ^ Frame.tag_name f));
   Alcotest.(check bool) "fresh frame not poisoned" false (Endpoint.Mux.overflowed mux 1)
 
 (* ------------------------------------------------------------------ *)
 (* send_rows/recv_rows end to end over sockets, with real credits. *)
 
-let make_leg () =
+let make_leg ?(credits = ref 0) () =
   (* One leg: a mux on each end of a socketpair, both subscribed to the
-     test session. *)
+     test session.  [credits] counts the Credit frames either end sends. *)
   let a, b = socket_pair () in
   let ma = Endpoint.Mux.create a and mb = Endpoint.Mux.create b in
   Endpoint.Mux.subscribe ma 7;
   Endpoint.Mux.subscribe mb 7;
   let route m =
     Endpoint.plain_route
-      ~send:(Endpoint.Mux.send m)
+      ~send:(fun f ->
+        (match f with Frame.Credit _ -> incr credits | _ -> ());
+        Endpoint.Mux.send m f)
       ~next:(fun ~timeout -> Endpoint.Mux.next m ~session:7 ~timeout)
   in
   ((a, b), route ma, route mb)
@@ -357,11 +360,14 @@ let rows_fixture n =
 
 let stream_of tr = Option.get tr.Link.rows
 
-let test_send_recv_rows_roundtrip () =
-  Obs.Hwm.reset ();
-  let (ca, cb), sender_route, receiver_route = make_leg () in
+(* [rows_fixture n] from source 1 to the mediator over a fresh leg,
+   verified row by row at the receiver; returns how many chunks the
+   stream took and how many Credit frames the receiver sent. *)
+let stream_over_leg n =
+  let credits = ref 0 in
+  let (ca, cb), sender_route, receiver_route = make_leg ~credits () in
   Fun.protect ~finally:(fun () -> Io.close ca; Io.close cb) @@ fun () ->
-  let rows = rows_fixture 700 in
+  let rows = rows_fixture n in
   let size = Stream.total_bytes rows in
   let sender =
     transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator
@@ -388,6 +394,14 @@ let test_send_recv_rows_roundtrip () =
   | Some e -> Alcotest.fail ("sender raised: " ^ Printexc.to_string e)
   | None -> ());
   Alcotest.(check int) "no stream backlog after completion" 0 (Endpoint.stream_backlog ());
+  (List.length (Stream.plan rows), !credits)
+
+let test_send_recv_rows_roundtrip () =
+  Obs.Hwm.reset ();
+  let chunks, credits = stream_over_leg 700 in
+  (* One grant per chunk beyond the first window: each one awaited. *)
+  Alcotest.(check bool) "stream outruns the window" true (chunks > Endpoint.credit_window);
+  Alcotest.(check int) "credits granted" (chunks - Endpoint.credit_window) credits;
   (* The receiver held at most ~one decoded chunk: far below the
      relation (700 KiB), within one chunk plus one max-sized row. *)
   let pending_peak = Obs.Hwm.peak (Obs.Hwm.region "stream.pending") in
@@ -395,6 +409,13 @@ let test_send_recv_rows_roundtrip () =
     (Printf.sprintf "merge window bounded (peak %d)" pending_peak)
     true
     (pending_peak > 0 && pending_peak <= Stream.default_chunk_bytes + 1024)
+
+(* A stream that fits the sender's first window draws no Credit: a
+   one-chunk delivery — every scalar message — costs one frame. *)
+let test_one_chunk_stream_sends_no_credit () =
+  let chunks, credits = stream_over_leg 3 in
+  Alcotest.(check int) "one chunk" 1 chunks;
+  Alcotest.(check int) "no credit sent" 0 credits
 
 let test_recv_rows_detects_mismatch () =
   let (ca, cb), sender_route, receiver_route = make_leg () in
@@ -470,7 +491,7 @@ let test_take_rows_merges_short_and_empty_streams () =
    source 1, replayed to a mediator transport through a scripted route
    (the credits it grants are dropped). *)
 
-let scripted frames =
+let scripted_transport frames =
   let q = Queue.of_seq (List.to_seq frames) in
   let route =
     Endpoint.plain_route ~send:ignore ~next:(fun ~timeout:_ ->
@@ -478,7 +499,9 @@ let scripted frames =
         | Some f -> f
         | None -> raise (Io.Transport_error "script ended"))
   in
-  stream_of (transport_for ~role:Transcript.Mediator ~counterpart:(Transcript.Source 1) route)
+  transport_for ~role:Transcript.Mediator ~counterpart:(Transcript.Source 1) route
+
+let scripted frames = stream_of (scripted_transport frames)
 
 let scripted_chunk ?(declared = 0) ~chunk ~chunks rows =
   Frame.Msg_chunk
@@ -545,6 +568,20 @@ let test_entries_past_the_end_rejected () =
         ~expect:[ (0, "a"); (1, "b") ]
         [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (1, "b"); (2, "c") ] ])
 
+(* A receiver that did not compute the message takes exactly the bytes
+   the stream declares: surplus is rejected before anything decodes it. *)
+let test_surplus_bytes_rejected () =
+  rejected "3 bytes received, 2 declared" (fun () ->
+      let link =
+        Link.make
+          ~endpoint:
+            (Link.Remote
+               (scripted_transport [ scripted_chunk ~declared:2 ~chunk:0 ~chunks:1 [ (0, "abc") ] ]))
+          (Transcript.create ())
+      in
+      Link.exchange link ~phase:"t" ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator
+        ~label:"L" ~size:String.length ~encode:Fun.id ~decode:Fun.id None)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -584,6 +621,8 @@ let () =
           Alcotest.test_case "tampered row detected" `Slow test_recv_rows_detects_mismatch;
           Alcotest.test_case "take_rows merges short and empty streams" `Quick
             test_take_rows_merges_short_and_empty_streams;
+          Alcotest.test_case "one-chunk stream sends no credit" `Quick
+            test_one_chunk_stream_sends_no_credit;
         ] );
       ( "chunk-reader",
         [
@@ -595,5 +634,6 @@ let () =
           Alcotest.test_case "short stream rejected" `Quick test_short_stream_rejected;
           Alcotest.test_case "entries past the end rejected" `Quick
             test_entries_past_the_end_rejected;
+          Alcotest.test_case "surplus bytes rejected" `Quick test_surplus_bytes_rejected;
         ] );
     ]
