@@ -84,11 +84,13 @@ check-soak:
 check-stream:
 	dune exec test/test_stream.exe -- test -e
 
-# Crypto hot-path suite: the bigint/crypto differential tests (CRT vs
-# plain decryption, Multi_exp vs separate mod_pows, the Montgomery
-# multiply vs plain arithmetic, AES-CTR vs the vector-checked block
-# cipher, domain-local cache stress), the batch-executor determinism
-# suite, and the DAS client's decrypt-each-ciphertext-once test.
+# Crypto hot-path suite: the bigint/crypto differential tests (the C
+# Montgomery kernel's multiply, exponentiation, Multi_exp, Fixed_base
+# and domain conversions vs mod_pow_plain at 64-bit word edges and on
+# even moduli, binary vs Euclidean gcd, CRT vs plain decryption,
+# AES-CTR vs the vector-checked block cipher, domain-local cache
+# stress), the batch-executor determinism suite, and the DAS client's
+# decrypt-each-ciphertext-once test.
 check-crypto-perf:
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe

@@ -419,9 +419,98 @@ let testbit a n =
 (* ------------------------------------------------------------------ *)
 (* Number theory. *)
 
+(* Binary (Stein) gcd: for odd u > v, gcd(u, v) = gcd((u - v) / 2^j, v),
+   so every step is one subtraction and one shift, done in place on two
+   copies of the magnitudes regrouped into 62-bit limbs (two 31-bit
+   limbs each), with no division and no allocation per step. *)
+let gcd_limb_bits = 2 * limb_bits
+let gcd_mask = (1 lsl gcd_limb_bits) - 1
+
+let gcd_limbs_of_nat (a : int array) =
+  let la = Array.length a in
+  Array.init ((la + 1) / 2) (fun i ->
+      let hi = if (2 * i) + 1 < la then a.((2 * i) + 1) lsl limb_bits else 0 in
+      a.(2 * i) lor hi)
+
+let nat_of_gcd_limbs (x : int array) len =
+  let r = Array.make (2 * len) 0 in
+  for i = 0 to len - 1 do
+    r.(2 * i) <- x.(i) land mask;
+    r.((2 * i) + 1) <- x.(i) lsr limb_bits
+  done;
+  trim r
+
+(* Count of trailing zero bits of a non-zero value. *)
+let gcd_twos x =
+  let i = ref 0 in
+  while x.(!i) = 0 do
+    incr i
+  done;
+  let c = ref 0 in
+  while (x.(!i) lsr !c) land 1 = 0 do
+    incr c
+  done;
+  (!i * gcd_limb_bits) + !c
+
+(* x (of [len] limbs) >>= s in place; returns the trimmed length. *)
+let gcd_shift_right x len s =
+  let limbs = s / gcd_limb_bits and bits = s mod gcd_limb_bits in
+  let n = len - limbs in
+  for i = 0 to n - 1 do
+    let hi =
+      if bits > 0 && i + limbs + 1 < len then
+        (x.(i + limbs + 1) lsl (gcd_limb_bits - bits)) land gcd_mask
+      else 0
+    in
+    x.(i) <- (x.(i + limbs) lsr bits) lor hi
+  done;
+  let n = ref n in
+  while !n > 0 && x.(!n - 1) = 0 do
+    decr n
+  done;
+  !n
+
+let gcd_cmp x xl y yl =
+  if xl <> yl then Int.compare xl yl
+  else begin
+    let i = ref (xl - 1) in
+    while !i >= 0 && x.(!i) = y.(!i) do
+      decr i
+    done;
+    if !i < 0 then 0 else Int.compare x.(!i) y.(!i)
+  end
+
+(* x -= y in place, for x > y; a negative difference has bit 62 set. *)
+let gcd_sub x xl y yl =
+  let borrow = ref 0 in
+  for i = 0 to xl - 1 do
+    let d = x.(i) - (if i < yl then y.(i) else 0) - !borrow in
+    x.(i) <- d land gcd_mask;
+    borrow := (d lsr gcd_limb_bits) land 1
+  done
+
 let gcd a b =
-  let rec go a b = if is_zero b then a else go b (emod a b) in
-  go (abs a) (abs b)
+  if a.sign = 0 then abs b
+  else if b.sign = 0 then abs a
+  else begin
+    let u = gcd_limbs_of_nat a.mag and v = gcd_limbs_of_nat b.mag in
+    let tu = gcd_twos u and tv = gcd_twos v in
+    let ul = ref (gcd_shift_right u (Array.length u) tu)
+    and vl = ref (gcd_shift_right v (Array.length v) tv) in
+    let c = ref (gcd_cmp u !ul v !vl) in
+    while !c <> 0 do
+      if !c > 0 then begin
+        gcd_sub u !ul v !vl;
+        ul := gcd_shift_right u !ul (gcd_twos u)
+      end
+      else begin
+        gcd_sub v !vl u !ul;
+        vl := gcd_shift_right v !vl (gcd_twos v)
+      end;
+      c := gcd_cmp u !ul v !vl
+    done;
+    shift_left (make 1 (nat_of_gcd_limbs u !ul)) (Stdlib.min tu tv)
+  end
 
 let extended_gcd a b =
   (* Invariants: r = u*a + v*b for both running rows. *)
@@ -454,120 +543,120 @@ let mod_pow_plain b e m =
   !result
 
 (* ------------------------------------------------------------------ *)
-(* Montgomery arithmetic (CIOS) for odd moduli: multiplication in the
-   Montgomery domain avoids the per-step long division of the plain
-   route.  All loops stay within the 63-bit int bounds established for
-   the schoolbook multiplier. *)
+(* Montgomery arithmetic for odd moduli, on the C kernel in
+   bigint_stubs.c: a CIOS multiply over native-endian 64-bit words with
+   R = 2^(64k) for a k-word modulus, and a whole windowed exponentiation
+   per call.  Residues in the Montgomery domain are [Bytes.t] of exactly
+   k words, always below the modulus; the 31-bit limbs of [t] are
+   converted to and from words only on the way in and out of the
+   domain.  The kernels are noalloc and stateless: every result and
+   scratch buffer is allocated here and passed in, which keeps them safe
+   to run from any number of domains at once. *)
+
+(* ctx r a b scratch: r <- a * b * R^-1 mod m; scratch is k + 2 words. *)
+external kernel_mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "secmed_bigint_mont_mul"
+[@@noalloc]
+
+(* ctx r base e scratch: r <- base^e for a non-zero exponent given as its
+   31-bit limbs; scratch is 16k + 2 words. *)
+external kernel_mont_pow : Bytes.t -> Bytes.t -> Bytes.t -> int array -> Bytes.t -> unit
+  = "secmed_bigint_mont_pow"
+[@@noalloc]
+
+let word_bits = 64
+
+let words_for m = Stdlib.max 1 ((nat_numbits m + word_bits - 1) / word_bits)
+
+(* The magnitude [a] (below 2^(64k)) as k words, least significant
+   first, each in native byte order. *)
+let words_of_nat k (a : int array) =
+  let w = Bytes.make (8 * k) '\000' in
+  let acc = ref 0L and fill = ref 0 and pos = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    let limb = a.(i) in
+    acc := Int64.logor !acc (Int64.shift_left (Int64.of_int limb) !fill);
+    fill := !fill + limb_bits;
+    if !fill >= word_bits then begin
+      Bytes.set_int64_ne w !pos !acc;
+      pos := !pos + 8;
+      fill := !fill - word_bits;
+      acc := Int64.of_int (limb lsr (limb_bits - !fill))
+    end
+  done;
+  (* Bits left over past the last whole word are zero when they would
+     fall outside the k words. *)
+  if !fill > 0 && !pos < Bytes.length w then Bytes.set_int64_ne w !pos !acc;
+  w
+
+let nat_of_words (w : Bytes.t) =
+  let k = Bytes.length w / 8 in
+  let n = ((word_bits * k) + limb_bits - 1) / limb_bits in
+  let r = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let bit = i * limb_bits in
+    let wi = bit / word_bits and off = bit mod word_bits in
+    let lo = Int64.shift_right_logical (Bytes.get_int64_ne w (8 * wi)) off in
+    let v =
+      if off + limb_bits > word_bits && wi + 1 < k then
+        Int64.logor lo (Int64.shift_left (Bytes.get_int64_ne w (8 * (wi + 1))) (word_bits - off))
+      else lo
+    in
+    r.(i) <- Int64.to_int v land mask
+  done;
+  trim r
 
 module Montgomery = struct
   type ctx = {
-    m : int array; (* modulus limbs, n >= 1, odd *)
-    n : int;
-    m_prime : int; (* -m^{-1} mod B *)
+    k : int; (* words of the modulus *)
+    kernel_ctx : Bytes.t; (* m's k words, then -m^{-1} mod 2^64 *)
     modulus : t;
-    r_mod_m : t; (* B^n mod m: the Montgomery representation of 1 *)
-    r2_mod_m : int array; (* B^2n mod m: converts into the domain by mont_mul *)
+    one : Bytes.t; (* R mod m: the Montgomery representation of 1 *)
+    r2 : Bytes.t; (* R^2 mod m: converts into the domain by mont_mul *)
+    unit_words : Bytes.t; (* plain 1: converts out of the domain *)
   }
 
-  (* Inverse of an odd limb modulo B = 2^31 by Newton iteration. *)
-  let limb_inverse m0 =
+  (* Inverse of an odd word modulo 2^64 by Newton iteration: m0 is its
+     own inverse to 3 bits, and each step doubles the correct bits. *)
+  let word_inverse m0 =
     let x = ref m0 in
-    (* Each step doubles the number of correct low bits; 5 steps > 31. *)
     for _ = 1 to 5 do
-      x := (!x * ((2 - (m0 * !x)) land mask)) land mask
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul m0 !x))
     done;
     !x
 
   let create modulus =
     if modulus.sign <= 0 || is_even modulus || is_one modulus then None
     else begin
-      let m = modulus.mag in
-      let n = Array.length m in
-      let m_prime = (base - limb_inverse m.(0)) land mask in
-      let r_mod_m = emod { sign = 1; mag = nat_shift_left [| 1 |] (n * limb_bits) } modulus in
-      let r2_mod_m =
-        (emod { sign = 1; mag = nat_shift_left [| 1 |] (2 * n * limb_bits) } modulus).mag
-      in
-      Some { m; n; m_prime; modulus; r_mod_m; r2_mod_m }
+      let k = words_for modulus.mag in
+      let kernel_ctx = Bytes.make (8 * (k + 1)) '\000' in
+      Bytes.blit (words_of_nat k modulus.mag) 0 kernel_ctx 0 (8 * k);
+      Bytes.set_int64_ne kernel_ctx (8 * k)
+        (Int64.neg (word_inverse (Bytes.get_int64_ne kernel_ctx 0)));
+      let r_pow i = words_of_nat k (emod (shift_left one (i * k * word_bits)) modulus).mag in
+      Some
+        { k; kernel_ctx; modulus; one = r_pow 1; r2 = r_pow 2; unit_words = words_of_nat k [| 1 |] }
     end
 
-  (* Fused CIOS: each outer step adds a_i * b and u * m (u chosen to clear
-     the low limb) in one inner pass, then shifts one limb right.  [c1]
-     carries the a_i * b row and [c2] the u * m row; each partial sum is
-     at most (B-1) + (B-1)^2 + (B-1) = B^2 - 1 = max_int.  With b < m the
-     accumulator stays below 2m, so it fits n+1 limbs with a top limb of
-     at most 1, and one conditional subtraction makes the result
-     canonical.  Operands are trimmed representatives, shorter than n
-     limbs when their high limbs are zero: they are padded once here. *)
   let mont_mul ctx a b =
-    let n = ctx.n and m = ctx.m and m_prime = ctx.m_prime in
-    let pad x =
-      if Array.length x = n then x
-      else begin
-        let p = Array.make n 0 in
-        Array.blit x 0 p 0 (Array.length x);
-        p
-      end
-    in
-    let a = pad a and b = pad b in
-    let t = Array.make (n + 1) 0 in
-    let b0 = b.(0) and m0 = m.(0) in
-    for i = 0 to n - 1 do
-      let ai = a.(i) in
-      let s1 = t.(0) + (ai * b0) in
-      let u = ((s1 land mask) * m_prime) land mask in
-      let c1 = ref (s1 lsr limb_bits) in
-      let c2 = ref (((s1 land mask) + (u * m0)) lsr limb_bits) in
-      for j = 1 to n - 1 do
-        let s1 = t.(j) + (ai * b.(j)) + !c1 in
-        c1 := s1 lsr limb_bits;
-        let s2 = (s1 land mask) + (u * m.(j)) + !c2 in
-        c2 := s2 lsr limb_bits;
-        t.(j - 1) <- s2 land mask
-      done;
-      let s = t.(n) + !c1 + !c2 in
-      t.(n - 1) <- s land mask;
-      t.(n) <- s lsr limb_bits
-    done;
-    let result = trim t in
-    if nat_cmp result m >= 0 then nat_sub result m else result
+    let r = Bytes.create (8 * ctx.k) in
+    kernel_mont_mul ctx.kernel_ctx r a b (Bytes.create (8 * (ctx.k + 2)));
+    r
 
-  let to_mont ctx x =
-    (* x * B^n mod m = mont_mul x (B^2n mod m): one CIOS pass instead of
-       the shift-and-divide the seed paid per conversion. *)
-    mont_mul ctx x.mag ctx.r2_mod_m
+  (* x is reduced below m. *)
+  let to_mont ctx x = mont_mul ctx (words_of_nat ctx.k x.mag) ctx.r2
 
-  let from_mont ctx x = make 1 (mont_mul ctx x [| 1 |])
+  let from_mont ctx x = make 1 (nat_of_words (mont_mul ctx x ctx.unit_words))
 
-  (* Left-to-right 4-bit fixed-window exponentiation entirely in the
-     Montgomery domain: takes and returns Montgomery representatives, so
-     callers chaining many operations avoid per-step conversions. *)
+  (* Takes and returns Montgomery representatives, so callers chaining
+     many operations avoid per-step conversions. *)
   let pow_mont ctx b_mont e =
-    if is_zero e then ctx.r_mod_m.mag
+    if is_zero e then ctx.one
     else begin
-      let one_mont = ctx.r_mod_m.mag in
-      (* Precompute b^0..b^15 in Montgomery form. *)
-      let window = 4 in
-      let table = Array.make (1 lsl window) one_mont in
-      for i = 1 to (1 lsl window) - 1 do
-        table.(i) <- mont_mul ctx table.(i - 1) b_mont
-      done;
-      let nbits = numbits e in
-      let top_chunk = (nbits + window - 1) / window in
-      let acc = ref one_mont in
-      for chunk = top_chunk - 1 downto 0 do
-        if chunk < top_chunk - 1 then
-          for _ = 1 to window do
-            acc := mont_mul ctx !acc !acc
-          done;
-        let digit = ref 0 in
-        for bit = window - 1 downto 0 do
-          let position = (chunk * window) + bit in
-          digit := (!digit lsl 1) lor (if position < nbits && testbit e position then 1 else 0)
-        done;
-        if !digit <> 0 then acc := mont_mul ctx !acc table.(!digit)
-      done;
-      !acc
+      let r = Bytes.create (8 * ctx.k) in
+      kernel_mont_pow ctx.kernel_ctx r b_mont e.mag
+        (Bytes.create (8 * ((16 * ctx.k) + 2)));
+      r
     end
 
   let mod_pow ctx b e =
@@ -579,7 +668,7 @@ let use_montgomery = ref true
 
 (* ------------------------------------------------------------------ *)
 (* Reusable per-modulus contexts.  A [Ctx.ctx] carries the Montgomery
-   state (inverse limb, R mod m) for one modulus so that the setup cost
+   state (word inverse, R mod m, R^2 mod m) for one modulus so that the setup cost
    is paid once per modulus instead of once per exponentiation.  Even
    moduli (for which no Montgomery inverse exists) degrade to a plain
    context whose operations fall back to division-based arithmetic. *)
@@ -589,20 +678,21 @@ module Ctx = struct
     | Mont of Montgomery.ctx
     | Plain (* even modulus, or modulus = 1: no Montgomery inverse *)
 
-  type ctx = { modulus : t; kind : kind }
+  type ctx = { modulus : t; kind : kind; words : int }
 
-  (* Montgomery-domain representative: a trimmed limb array < m.  For a
-     [Plain] context the "domain" is the ordinary residue ring, so the
-     representative is just the reduced magnitude. *)
-  type mont = int array
+  (* Representative: exactly [words] 64-bit words below m, in the
+     Montgomery domain for a [Mont] context and the ordinary residue
+     ring for a [Plain] one. *)
+  type mont = Bytes.t
 
   let create modulus =
     if modulus.sign <= 0 then
       invalid_arg "Bigint.Ctx.create: modulus must be positive"
     else begin
+      let words = words_for modulus.mag in
       match Montgomery.create modulus with
-      | Some mc -> { modulus; kind = Mont mc }
-      | None -> { modulus; kind = Plain }
+      | Some mc -> { modulus; kind = Mont mc; words }
+      | None -> { modulus; kind = Plain; words }
     end
 
   let modulus c = c.modulus
@@ -612,39 +702,49 @@ module Ctx = struct
 
   let mod_mul c a b = emod (mul a b) c.modulus
 
+  let plain_words c x = words_of_nat c.words (emod x c.modulus).mag
+
   let to_mont c x =
     let x = emod x c.modulus in
     match c.kind with
     | Mont mc -> Montgomery.to_mont mc x
-    | Plain -> x.mag
+    | Plain -> words_of_nat c.words x.mag
+
+  (* The kernel reads exactly [words] words of every operand, so an
+     operand from a context of another width is refused here. *)
+  let check c (r : mont) =
+    if Bytes.length r <> 8 * c.words then
+      invalid_arg "Bigint.Ctx: representative from another context"
 
   let of_mont c r =
+    check c r;
     match c.kind with
     | Mont mc -> Montgomery.from_mont mc r
-    | Plain -> make 1 r
+    | Plain -> make 1 (nat_of_words r)
 
   let mont_one c =
     match c.kind with
-    | Mont mc -> mc.Montgomery.r_mod_m.mag
-    | Plain -> (emod one c.modulus).mag
+    | Mont mc -> mc.Montgomery.one
+    | Plain -> plain_words c one
 
-  (* Representatives are canonical (reduced below m and trimmed), so
-     structural equality of the limb arrays decides value equality. *)
-  let mont_equal (a : mont) (b : mont) = a = b
+  (* Representatives are canonical (below m, fixed width), so byte
+     equality decides value equality. *)
+  let mont_equal (a : mont) (b : mont) = Bytes.equal a b
 
   let mont_mul c a b =
+    check c a;
+    check c b;
     match c.kind with
     | Mont mc -> Montgomery.mont_mul mc a b
-    | Plain -> (emod (mul (make 1 a) (make 1 b)) c.modulus).mag
+    | Plain -> plain_words c (mul (make 1 (nat_of_words a)) (make 1 (nat_of_words b)))
 
   let mont_pow c b e =
     if e.sign < 0 then invalid_arg "Bigint.Ctx.mont_pow: negative exponent"
     else begin
+      check c b;
       match c.kind with
       | Mont mc -> Montgomery.pow_mont mc b e
-      | Plain ->
-        if is_one c.modulus then [||]
-        else (mod_pow_plain (make 1 b) e c.modulus).mag
+      | Plain -> plain_words c (mod_pow_plain (make 1 (nat_of_words b)) e c.modulus)
     end
 
   let mod_pow c b e =

@@ -1,7 +1,9 @@
 (** Arbitrary-precision signed integers.
 
-    Pure OCaml sign–magnitude implementation on 31-bit limbs (no external
-    bignum dependency is available in this environment).  All operations are
+    From-scratch sign–magnitude implementation on 31-bit limbs, with no
+    bignum library (no GMP, no zarith): OCaml throughout, except the
+    Montgomery multiply and exponentiation behind {!mod_pow} and {!Ctx},
+    which run in a small C kernel over 64-bit words.  All operations are
     functional; values are immutable and structurally comparable via
     {!compare}/{!equal}.
 
@@ -121,7 +123,8 @@ val mod_pow : t -> t -> t -> t
 (** {1 Modular-ring contexts}
 
     A {!Ctx.ctx} packages the per-modulus Montgomery state so hot loops
-    can pay the setup (limb inverse + R mod m) once and additionally
+    can pay the setup (word inverse, R mod m and R^2 mod m, for
+    R = 2^(64k) and a k-word modulus) once and additionally
     chain operations in the Montgomery domain without converting in and
     out at every step.  Even moduli (no Montgomery inverse exists) give
     a degraded context whose operations fall back to division-based

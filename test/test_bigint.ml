@@ -331,6 +331,69 @@ let test_multi_exp () =
     (Bigint.Multi_exp.pow2 c (b1, e1) (b2, e2));
   Bigint.use_montgomery := true
 
+(* The word kernel against division-based arithmetic at its edges: moduli
+   one bit below, at and above 64-bit word boundaries (so the top word is
+   nearly empty, full, or holds one bit), all-ones moduli whose products
+   push every carry and the final conditional subtraction to their
+   bounds, operands 0, 1 and m - 1, and exponents that are 0, 1, all
+   ones, or one set bit followed by long runs of zero windows.  Even
+   moduli take the Plain context through the same entry points. *)
+let test_kernel_word_edges () =
+  let rng = Secmed_crypto.Prng.of_int_seed 6464 in
+  let rand bits = Bigint.random_bits (Secmed_crypto.Prng.byte_source rng) bits in
+  let pow2 k = Bigint.shift_left Bigint.one k in
+  let ones k = Bigint.pred (pow2 k) in
+  let exponents =
+    [ Bigint.zero; Bigint.one; i 15; i 16; ones 31; ones 64; ones 65; ones 128;
+      pow2 200; Bigint.succ (pow2 257); Bigint.shift_left (ones 64) 128; rand 160 ]
+  in
+  let plain_pow a e m = Bigint.mod_pow_plain (Bigint.emod a m) e m in
+  List.iter
+    (fun bits ->
+      let top = pow2 (bits - 1) in
+      let odd_random = Bigint.add top (Bigint.succ (Bigint.shift_left (rand (bits - 2)) 1)) in
+      let moduli =
+        [ ones bits; Bigint.succ top; odd_random; pow2 bits; Bigint.sub (pow2 bits) (i 2) ]
+      in
+      List.iter
+        (fun m ->
+          let c = Bigint.Ctx.create m in
+          let label what = Printf.sprintf "%d-bit %s %s" bits (Bigint.to_hex m) what in
+          Alcotest.(check bool) (label "kind") (Bigint.is_odd m) (Bigint.Ctx.uses_montgomery c);
+          let operands =
+            [ Bigint.zero; Bigint.one; Bigint.pred m;
+              Bigint.random_below (Secmed_crypto.Prng.byte_source rng) m ]
+          in
+          List.iter
+            (fun a ->
+              let a_m = Bigint.Ctx.to_mont c a in
+              check_big (label "roundtrip") (Bigint.to_string a) (Bigint.Ctx.of_mont c a_m);
+              List.iter
+                (fun bb ->
+                  let product = Bigint.emod (Bigint.mul a bb) m in
+                  let got = Bigint.Ctx.mont_mul c a_m (Bigint.Ctx.to_mont c bb) in
+                  check_big (label "mont_mul") (Bigint.to_string product) (Bigint.Ctx.of_mont c got);
+                  Alcotest.(check bool) (label "canonical product") true
+                    (Bigint.Ctx.mont_equal got (Bigint.Ctx.to_mont c product)))
+                operands;
+              let fb = Bigint.Fixed_base.create ~base:a ~modulus:m ~bits:260 in
+              List.iter
+                (fun e ->
+                  let want = plain_pow a e m in
+                  let label what = label (Printf.sprintf "%s e=%s" what (Bigint.to_hex e)) in
+                  check_big (label "mont_pow") (Bigint.to_string want)
+                    (Bigint.Ctx.of_mont c (Bigint.Ctx.mont_pow c a_m e));
+                  check_big (label "Fixed_base.pow") (Bigint.to_string want) (Bigint.Fixed_base.pow fb e);
+                  let other = Bigint.pred m and e2 = Bigint.succ e in
+                  check_big (label "mont_pow2")
+                    (Bigint.to_string (Bigint.emod (Bigint.mul want (plain_pow other e2 m)) m))
+                    (Bigint.Ctx.of_mont c
+                       (Bigint.Multi_exp.mont_pow2 c a_m e (Bigint.Ctx.to_mont c other) e2)))
+                exponents)
+            operands)
+        moduli)
+    [ 63; 64; 65; 127; 128; 129; 1023; 1024; 1025; 2048; 4096 ]
+
 let test_cache_domain_stress () =
   (* Domains hammer the transparent context cache with more distinct odd
      moduli than slots, concurrently; every result must match the plain
@@ -444,6 +507,13 @@ let props =
         QCheck2.assume (not (Bigint.is_zero a) || not (Bigint.is_zero bb));
         let g = Bigint.gcd a bb in
         Bigint.is_zero (Bigint.emod a g) && Bigint.is_zero (Bigint.emod bb g));
+    prop "binary gcd matches Euclid" pair2 (fun (a, bb) ->
+        let rec euclid x y = if Bigint.is_zero y then x else euclid y (Bigint.emod x y) in
+        (* Shifted copies share factors of two; a * bb shares all of a. *)
+        List.for_all
+          (fun (x, y) -> Bigint.equal (Bigint.gcd x y) (euclid (Bigint.abs x) (Bigint.abs y)))
+          [ (a, bb); (Bigint.shift_left a 70, Bigint.shift_left bb 3); (a, Bigint.zero);
+            (Bigint.mul a bb, a) ]);
     prop "egcd bezout" pair2 (fun (a, bb) ->
         let g, u, v = Bigint.extended_gcd a bb in
         Bigint.equal g (Bigint.add (Bigint.mul u a) (Bigint.mul v bb)));
@@ -584,12 +654,15 @@ let props =
         let fb = Bigint.Fixed_base.create ~base ~modulus:m ~bits:300 in
         Bigint.equal (Bigint.Fixed_base.pow fb e)
           (Bigint.mod_pow_plain (Bigint.emod base m) e m));
-    (* The fused CIOS against the division-based reference on odd moduli
-       of 1, 9, 17 and 34 limbs.  A top limb near 2^31 pushes both
-       carries to their bounds; a one-limb operand reaches mont_mul
-       shorter than n limbs (as of_mont's [|1|] does); m - 1 is the
-       largest representative.  The in-domain product must also be the
-       canonical representative, which mont_equal relies on. *)
+    (* The Montgomery route against the division-based reference on odd
+       moduli of 1, 9, 17 and 34 31-bit limbs, where the conversion
+       between limbs and 64-bit words splits limbs across words.  A top
+       limb near 2^31 sets every high bit of the modulus; a one-limb
+       operand converts to mostly zero words; m - 1 is the largest
+       representative.  The
+       in-domain product must also be the canonical representative,
+       which mont_equal relies on.  Word boundaries themselves are
+       covered by the kernel word-edge test. *)
     prop "montgomery ≡ plain on 1/9/17/34-limb moduli" ~count:160
       (QCheck2.Gen.quad
          (QCheck2.Gen.oneofl [ 1; 9; 17; 34 ])
@@ -712,6 +785,7 @@ let () =
           Alcotest.test_case "fixed-base edges" `Quick test_fixed_base_edges;
           Alcotest.test_case "context cache" `Quick test_ctx_cache;
           Alcotest.test_case "simultaneous multi-exponentiation" `Quick test_multi_exp;
+          Alcotest.test_case "kernel word edges" `Quick test_kernel_word_edges;
           Alcotest.test_case "domain-local caches under stress" `Quick
             test_cache_domain_stress;
           Alcotest.test_case "infix operators" `Quick test_infix;
