@@ -45,9 +45,12 @@ check-resilience:
 	    --fault "byzantine:1:garbage-paillier" --fallback auto --deadline 30; \
 	    test $$? -eq 4
 
-# Networked-transport suite: frame codec and mux units, the forked
-# loopback cluster differential (distributed run bit-identical to the
-# in-process one) and live chaos-proxy conformance.
+# Networked-transport suite: frame codec and mux units (receivers wake
+# on arrival: a parked reader wakes at once when its reader thread
+# dies, and a timeout fires on time), the projected request phase (only
+# source i checks its credentials), the forked loopback cluster
+# differential (distributed run bit-identical to the in-process one)
+# and live chaos-proxy conformance.
 check-net:
 	dune exec test/test_net.exe -- test -e
 
@@ -73,14 +76,15 @@ check-soak:
 	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
 
 # Streaming-delivery suite: chunk codec / reassembly / credit-flow
-# units (a receive window bounded by one chunk, a drained backlog, the
-# credit rule — a grant only for a chunk beyond the sender's first
-# window, so a long stream blocks on exactly its grants and a one-chunk
-# stream sends no Credit — and the reused receive buffer allocating
-# less than a fresh one per read), and every typed rejection of the
-# chunk reader (out-of-order row, chunk gap, disagreeing declared sizes,
-# short stream, entries past the end, surplus bytes; a replayed chunk
-# is merged once).
+# units (receivers wake on arrival, a receive window bounded by one
+# chunk, a drained backlog, the credit rule — a grant only for a chunk
+# beyond the sender's first window, so a long stream blocks on exactly
+# its grants and a one-chunk stream sends no Credit — a one-row message
+# sent bare, and the reused receive buffer allocating less than a fresh
+# one per read), and every typed rejection of the chunk reader
+# (out-of-order row, chunk gap, disagreeing declared sizes, short
+# stream, entries past the end, surplus bytes, a one-row chunk whose
+# row is not its declared size; a replayed chunk is merged once).
 check-stream:
 	dune exec test/test_stream.exe -- test -e
 

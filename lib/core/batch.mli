@@ -17,9 +17,14 @@
     [Counters.merge] at join time, inside the caller's open phase span,
     so the span's crypto counts match a sequential run exactly.
 
-    Domains are spawned per call and joined before returning — no
-    persistent pool, keeping the process fork-safe for the loopback
-    transport.  Worker exceptions propagate after all domains joined. *)
+    Domains are spawned per call and joined before returning.  A
+    persistent pool is ruled out: [Unix.fork] is illegal once any domain
+    has been spawned, and the loopback clusters, the ledger and the soak
+    all fork.  Spawning is not free either: a [Domain.spawn] plus [join]
+    of an empty domain cost 0.15–4 ms per call (median 0.3–1.7 ms) on a
+    2-vCPU box, more than a small batch saves, which is why the default
+    stays 1 (DESIGN.md §12).  Worker exceptions propagate after all
+    domains joined. *)
 
 val default_domains : unit -> int
 (** Current default worker-domain count (1 unless overridden).  The

@@ -31,14 +31,17 @@ let select_credentials (source : Env.source) credentials =
           (Credential.properties c))
       credentials
 
-let authorize env source_id entry credentials =
+(* Step 4 at S_i.  Only S_i checks its credentials (Listing 1, Figure
+   2): a process that does not compute [Source i] — the mediator, the
+   other source — skips the signature checks and still evaluates q_i. *)
+let authorize link env source_id entry credentials =
   let source = Env.source_by_id env source_id in
-  (* Step 4: S_i checks the credentials. *)
-  List.iter
-    (fun c ->
-      if not (Credential.Authority.verify env.Env.ca c) then
-        raise (Bad_credential source_id))
-    credentials;
+  if Link.computes link (Source source_id) then
+    List.iter
+      (fun c ->
+        if not (Credential.Authority.verify env.Env.ca c) then
+          raise (Bad_credential source_id))
+      credentials;
   if credentials = [] then raise (Access_denied source_id);
   let relation =
     match List.assoc_opt entry.Catalog.source_relation source.Env.relations with
@@ -83,8 +86,10 @@ let run link env (client : Env.client) ~query =
     send_partial right_entry decomposition.Catalog.partial_query_right
   in
   (* Step 4 at each source. *)
-  let left_result = authorize env left_entry.Catalog.source left_entry credentials_left in
-  let right_result = authorize env right_entry.Catalog.source right_entry credentials_right in
+  let left_result = authorize link env left_entry.Catalog.source left_entry credentials_left in
+  let right_result =
+    authorize link env right_entry.Catalog.source right_entry credentials_right
+  in
   let client_pk =
     match credentials_left with
     | c :: _ -> Credential.public_key c

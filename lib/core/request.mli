@@ -7,7 +7,9 @@
        selects credential subsets CR1/CR2;
     3. the mediator sends ⟨q_i, CR_i, A_i⟩ to S_i;
     4. S_i checks the credentials and, if authorized, evaluates q_i
-       (applying any row-level policy filter) yielding R_i.
+       (applying any row-level policy filter) yielding R_i.  Only a
+       process that computes [Source i] checks CR_i: the mediator
+       verifies nothing.
 
     The partial results R_i conceptually remain at the sources; the record
     returned here hands them to the delivery-phase implementations as the
@@ -40,8 +42,9 @@ val run : Link.t -> Env.t -> Env.client -> query:string -> t
     [Catalog.Unsupported], or {!Fault.Fault_detected} when an installed
     fault plan hits the request-phase messages. *)
 
-val authorize : Env.t -> int -> Catalog.entry -> Credential.t list -> Relation.t
-(** Step 4 at source [i]: verify every credential, then evaluate the
+val authorize : Link.t -> Env.t -> int -> Catalog.entry -> Credential.t list -> Relation.t
+(** Step 4 at source [i]: verify every credential where the link
+    computes [Source i] (only S_i checks its CR_i), then evaluate the
     entry's partial query under the source's policy, qualified with the
     global relation name.  Raises {!Bad_credential} or {!Access_denied}
     (also for an empty credential set). *)

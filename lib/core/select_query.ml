@@ -131,7 +131,7 @@ let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
                   (String.length entry.Catalog.source_relation
                   + Request.credential_size credentials)
                 (fun () -> entry.Catalog.source_relation);
-              Request.authorize env sid entry credentials)
+              Request.authorize link env sid entry credentials)
         in
         let schema = Relation.schema granted in
         let where =

@@ -3,7 +3,9 @@
 
     A row-wise delivery is split into bounded chunks of
     (row index, bytes) entries; the explicit indexes let the receiver
-    check that every row arrives, once, in order. *)
+    check that every row arrives, once, in order.  A whole message of
+    one row skips this codec: the transport sends that row bare, in the
+    one-row form of [Msg_chunk]. *)
 
 type entry = { s_row : int; s_bytes : string }
 

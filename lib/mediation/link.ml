@@ -92,10 +92,16 @@ let deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size rows =
       let total = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 indexed in
       (* The wire always carries at least [size] bytes: a modelled size
          above the materialised bytes (e.g. attached credentials) travels
-         as one trailing zero-filled row, so the socket-level byte count
-         equals the transcript entry. *)
-      if total < size then indexed @ [ (List.length indexed, String.make (size - total) '\000') ]
-      else indexed
+         as zero bytes appended to the last row (a row of its own when
+         there is none), so the socket-level byte count equals the
+         transcript entry and a padded scalar message is still one
+         row. *)
+      if total >= size then indexed
+      else
+        let pad = String.make (size - total) '\000' in
+        match List.rev indexed with
+        | [] -> [ (0, pad) ]
+        | (i, last) :: rest -> List.rev ((i, last ^ pad) :: rest)
     in
     if Transcript.party_equal tr.role sender then
       rt.send_rows ~phase ~seq ~sender ~receiver ~label ~size (indexed ())

@@ -34,10 +34,11 @@
       declared size;
     - every other process only advances the sequence number.
 
-    The plaintext request phase ({!deliver}) still runs in every
-    process, and every process still derives every party's keys from
-    the shared seed: projection distributes the {e computation}, not yet
-    the {e secrets} (DESIGN.md §11). *)
+    The plaintext request phase ({!deliver}) runs everywhere, but
+    credentials are verified only where their source is computed, and
+    every process still derives every party's keys from the shared
+    seed: projection distributes the {e computation}, not yet the
+    {e secrets} (DESIGN.md §11). *)
 
 (* One process's view of a live transport is {!transport} below, as
    closures so this library stays below [Secmed_net].  [seq] is the
@@ -120,8 +121,8 @@ val deliver :
     interception (audit-only messages) while still crossing the
     transport.  [size] is the declared transcript size in bytes
     (defaults to the payload length); when it exceeds the payload length
-    a zero-filled row pads the wire stream up to it, so socket byte
-    counts match transcript totals.  The payload thunk is never forced
+    zero bytes pad the one row up to it, so socket byte counts match
+    transcript totals.  The payload thunk is never forced
     on an in-process link, fault plan or not.
 
     On a remote link the payload travels as a one-row stream: when this

@@ -18,6 +18,8 @@ module Mux = struct
     control : (Frame.t * int) Queue.t;
     mutable dropped : int;  (* frames discarded because their session was closed *)
     mutable dead : string option;
+    changed : Condition.t;  (* a frame routed, a queue closed, or the reader died *)
+    mutable timed_waiters : int;  (* waiters blocked with a finite deadline *)
   }
 
   (* Parked frames are mediator memory a fast peer controls, so they are
@@ -48,6 +50,8 @@ module Mux = struct
      dropped. *)
   let route t frame =
     Mutex.protect t.mu (fun () ->
+        (* Waiters re-check their queue once the lock is released. *)
+        Condition.broadcast t.changed;
         match Frame.session_of frame with
         | None -> Queue.push (frame, 0) t.control
         | Some sid when Hashtbl.mem t.closed sid -> t.dropped <- t.dropped + 1
@@ -75,20 +79,28 @@ module Mux = struct
           | Frame.Session_start _ -> Queue.push (frame, 0) t.control
           | _ -> ()))
 
+  (* Set under the lock, then broadcast: a waiter that found no frame
+     and no death must not miss the death it is about to sleep on. *)
+  let die t msg =
+    Mutex.protect t.mu (fun () ->
+        t.dead <- Some msg;
+        Condition.broadcast t.changed)
+
   let create ?(max_tombstones = 1024) ?(max_queue = 1024) conn =
     let t =
       { conn; mu = Mutex.create (); subs = Hashtbl.create 8; closed = Hashtbl.create 8;
         closed_order = Queue.create (); max_tombstones = max max_tombstones 1;
         max_queue = max max_queue 1; over = Hashtbl.create 4;
-        control = Queue.create (); dropped = 0; dead = None }
+        control = Queue.create (); dropped = 0; dead = None; changed = Condition.create ();
+        timed_waiters = 0 }
     in
     let rec recv_loop () =
       match Frame.decode (Io.recv_frame conn) with
       | frame ->
         route t frame;
         recv_loop ()
-      | exception Io.Transport_error msg -> t.dead <- Some msg
-      | exception Wire.Malformed msg -> t.dead <- Some ("malformed frame: " ^ msg)
+      | exception Io.Transport_error msg -> die t msg
+      | exception Wire.Malformed msg -> die t ("malformed frame: " ^ msg)
     in
     (* Registered with the connection so [Io.close] shuts the socket
        down and waits for this thread to leave before releasing the
@@ -135,6 +147,8 @@ module Mux = struct
         | None -> ());
         Hashtbl.remove t.subs sid;
         Hashtbl.remove t.over sid;
+        (* A reader still parked on the session now fails "not subscribed". *)
+        Condition.broadcast t.changed;
         if not (Hashtbl.mem t.closed sid) then begin
           Hashtbl.replace t.closed sid ();
           Queue.push sid t.closed_order;
@@ -153,32 +167,78 @@ module Mux = struct
     Mutex.protect t.mu (fun () ->
         Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.subs (Queue.length t.control))
 
-  (* The stdlib has no timed condition wait, so waiting is a polling
-     loop at 1 ms granularity — coarse enough to stay invisible next to
-     crypto, fine enough not to matter against I/O timeouts. *)
+  (* Waking a waiter with a deadline.  OCaml 5.1's stdlib has no timed
+     condition wait, so a waiter about to block with a finite deadline
+     registers its mux here, and one ticker thread broadcasts on every
+     registered mux each [tick] seconds: a timeout fires at most one tick
+     late, while an arrival or a death wakes its waiters at once.  The
+     ticker exits when nothing is registered, since a thread left
+     running keeps its domain from being joined; the next registration
+     starts a new one.  Entries carry their process id, so a child
+     forked while waiters were registered starts its own ticker and
+     never touches its parent's muxes. *)
+  let tick = 0.05
+  let registered : (int * t) list Atomic.t = Atomic.make []
+  let ticker = Atomic.make 0 (* the process id whose ticker runs, or 0 *)
+
+  let rec update f =
+    let l = Atomic.get registered in
+    if not (Atomic.compare_and_set registered l (f l)) then update f
+
+  let rec run_ticker pid =
+    Unix.sleepf tick;
+    let mine () = List.filter (fun (p, _) -> p = pid) (Atomic.get registered) in
+    match mine () with
+    | [] ->
+      (* Give up the slot, then look once more: a waiter that registered
+         meanwhile is seen here, or finds the slot free and starts its
+         own ticker — never neither. *)
+      Atomic.set ticker 0;
+      if mine () <> [] && Atomic.compare_and_set ticker 0 pid then run_ticker pid
+    | waiting ->
+      List.iter
+        (fun (_, t) -> Mutex.protect t.mu (fun () -> Condition.broadcast t.changed))
+        waiting;
+      run_ticker pid
+
+  (* Both under [t.mu]. *)
+  let register t =
+    t.timed_waiters <- t.timed_waiters + 1;
+    if t.timed_waiters = 1 then begin
+      let pid = Unix.getpid () in
+      update (List.cons (pid, t));
+      let running = Atomic.get ticker in
+      if running <> pid && Atomic.compare_and_set ticker running pid then
+        ignore (Thread.create run_ticker pid : Thread.t)
+    end
+
+  let unregister t =
+    t.timed_waiters <- t.timed_waiters - 1;
+    if t.timed_waiters = 0 then update (List.filter (fun (_, m) -> m != t))
+
+  (* Take the next frame of [q_of ()], sleeping on [changed] until one
+     is routed, the reader dies or the deadline passes. *)
   let wait t ~timeout ~what q_of =
     let deadline = if timeout > 0. then Unix.gettimeofday () +. timeout else infinity in
+    let fail why = raise (Io.Transport_error (Printf.sprintf "%s: %s" what why)) in
+    Mutex.protect t.mu @@ fun () ->
+    let on_ticker = ref false in
+    Fun.protect ~finally:(fun () -> if !on_ticker then unregister t) @@ fun () ->
     let rec loop () =
-      let item, dead =
-        Mutex.protect t.mu (fun () ->
-            let q = q_of () in
-            ( (if Queue.is_empty q then None
-               else begin
-                 let frame, cost = Queue.pop q in
-                 Obs.Hwm.release hwm cost;
-                 Some frame
-               end),
-              t.dead ))
-      in
-      match item with
-      | Some frame -> frame
+      match Queue.take_opt (q_of ()) with
+      | Some (frame, cost) ->
+        Obs.Hwm.release hwm cost;
+        frame
       | None ->
-        (match dead with
-        | Some msg -> raise (Io.Transport_error (Printf.sprintf "%s: %s" what msg))
-        | None -> ());
-        if Unix.gettimeofday () > deadline then
-          raise (Io.Transport_error (Printf.sprintf "%s: timeout" what));
-        Thread.delay 0.001;
+        Option.iter fail t.dead;
+        if deadline < infinity then begin
+          if Unix.gettimeofday () > deadline then fail "timeout";
+          if not !on_ticker then begin
+            on_ticker := true;
+            register t
+          end
+        end;
+        Condition.wait t.changed t.mu;
         loop ()
     in
     loop ()
@@ -315,6 +375,12 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
          chunks. *)
       let chunks = match Stream.plan rows with [] -> [ [] ] | chunks -> chunks in
       let n = List.length chunks in
+      (* A whole message of one row travels bare (DESIGN.md §16). *)
+      let one_row =
+        match chunks with
+        | [ [ { Stream.s_row = 0; s_bytes } ] ] -> String.length s_bytes = size
+        | _ -> false
+      in
       let credits = ref credit_window in
       let outstanding = ref 0 in
       let await_credit () =
@@ -332,13 +398,18 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           while !credits <= 0 do
             await_credit ()
           done;
-          let payload = Fault.frame ~label (Stream.encode_entries entries) in
+          let payload =
+            Fault.frame ~label
+              (match entries with
+              | [ e ] when one_row -> e.Stream.s_bytes
+              | _ -> Stream.encode_entries entries)
+          in
           (try
              r.r_send
                (Frame.Msg_chunk
                   { ck_session = session; ck_epoch = here; ck_seq = seq; ck_sender = sender;
                     ck_receiver = receiver; ck_label = label; ck_chunk = ci; ck_chunks = n;
-                    ck_declared = size; ck_payload = payload })
+                    ck_declared = size; ck_payload = payload; ck_one_row = one_row })
            with Io.Transport_error msg ->
              (* The link itself is down: a typed, retryable fault blamed
                 at the unreachable party, like a simulated severed link. *)
@@ -398,9 +469,16 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
         | Some _ -> ());
         next_chunk := m.ck_chunk + 1;
         chunks := m.ck_chunks;
+        let payload = unframe ~phase ~receiver ~label m.ck_payload in
         let entries =
-          try Stream.decode_entries (unframe ~phase ~receiver ~label m.ck_payload)
-          with Wire.Malformed msg -> reject "malformed chunk %d: %s" m.ck_chunk msg
+          if m.ck_one_row then
+            if String.length payload <> m.ck_declared then
+              reject "one-row chunk carries %d bytes, %d declared" (String.length payload)
+                m.ck_declared
+            else [ { Stream.s_row = 0; s_bytes = payload } ]
+          else
+            try Stream.decode_entries payload
+            with Wire.Malformed msg -> reject "malformed chunk %d: %s" m.ck_chunk msg
         in
         (* Grant the replacement credit before reading on so the sender's
            pipeline never drains on our account — but only for a chunk

@@ -12,12 +12,15 @@
     receiver before anything decodes it.
 
     Every delivery travels as one stream of bounded [Msg_chunk] frames
-    — a scalar message is a one-row stream in one chunk — under
-    credit-based flow control (DESIGN.md §16).
+    — a scalar message is a one-row stream in one chunk, sent in the
+    one-row form without an entry header — under credit-based flow
+    control (DESIGN.md §16).
 
     {!Mux} demultiplexes one shared connection (a mediator↔datasource
     link carries every concurrent session) into per-session frame queues
-    fed by a single receive thread. *)
+    fed by a single receive thread.  Receivers wake on arrival: a reader
+    of an empty queue sleeps on the mux's condition, which the receive
+    thread signals on every frame and on its death. *)
 
 open Secmed_mediation
 
@@ -79,10 +82,14 @@ module Mux : sig
   (** Frames currently parked across all queues (control included). *)
 
   val next : t -> session:int -> timeout:float -> Frame.t
-  (** Block (polling) until the session's queue yields a frame.  Raises
+  (** Block until the session's queue yields a frame, woken by its
+      arrival ([timeout = 0.] waits without a deadline).  Raises
       {!Io.Transport_error} on timeout, when the receive thread died and
       the queue is drained, when the session's queue overflowed, or when
-      the session is not subscribed (already closed). *)
+      the session is not subscribed (already closed, including by an
+      {!unsubscribe} while this reader waits).  A deadline is observed
+      by one per-process ticker with a 50 ms period, so a timeout fires
+      no earlier than [timeout] and at most one tick later. *)
 
   val next_control : t -> timeout:float -> Frame.t
   (** Same, for connection-level frames and session announcements. *)
@@ -156,7 +163,9 @@ val transport :
     {!Secmed_obs.Hwm} region), so receive memory is bounded by one chunk
     however many rows flow.  A replayed chunk is skipped; a chunk gap,
     chunks that disagree on the declared size, a stream shorter than the
-    expected rows and entries past the end fail typed.  [recv_rows]
+    expected rows, entries past the end and a one-row chunk whose row is
+    not its declared size fail typed.  A send of one row (index 0) whose
+    bytes are exactly [size] uses the one-row form ({!Frame.chunk}).  [recv_rows]
     checks each row against the locally computed one; [take_rows]
     checks that the rows arrive in index order and returns them as the
     one string a non-computing receiver decodes.  A send always

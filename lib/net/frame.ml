@@ -13,9 +13,10 @@ type wire_result =
 
 (* One bounded slice of a delivery: [chunk] of [chunks] of the message
    at (session, epoch, seq), payload a counted batch of (row index,
-   bytes) entries (Secmed_core.Stream codec).  [declared] repeats the
-   whole stream's transcript size on every chunk so any one frame
-   identifies the delivery it belongs to. *)
+   bytes) entries (Secmed_core.Stream codec), or, with [one_row], the
+   message's only row bare.  [declared] repeats the whole stream's
+   transcript size on every chunk so any one frame identifies the
+   delivery it belongs to. *)
 type chunk = {
   ck_session : int;
   ck_epoch : int;
@@ -27,6 +28,7 @@ type chunk = {
   ck_chunks : int;
   ck_declared : int;
   ck_payload : string;
+  ck_one_row : bool;
 }
 
 type t =
@@ -244,16 +246,22 @@ let encode t =
     Wire.write_string w reason
   | Msg_chunk
       { ck_session; ck_epoch; ck_seq; ck_sender; ck_receiver; ck_label; ck_chunk; ck_chunks;
-        ck_declared; ck_payload } ->
-    Wire.write_int w 18;
+        ck_declared; ck_payload; ck_one_row } ->
+    (* A one-row chunk has its own tag and omits the chunk index and
+       count, which are always 0 of 1. *)
+    if ck_one_row && (ck_chunk, ck_chunks) <> (0, 1) then
+      invalid_arg "Frame.encode: a one-row chunk is chunk 0 of 1";
+    Wire.write_int w (if ck_one_row then 20 else 18);
     Wire.write_int w ck_session;
     Wire.write_int w ck_epoch;
     Wire.write_int w ck_seq;
     write_party w ck_sender;
     write_party w ck_receiver;
     Wire.write_string w ck_label;
-    Wire.write_int w ck_chunk;
-    Wire.write_int w ck_chunks;
+    if not ck_one_row then begin
+      Wire.write_int w ck_chunk;
+      Wire.write_int w ck_chunks
+    end;
     Wire.write_int w ck_declared;
     Wire.write_string w ck_payload
   | Credit { cr_session; cr_epoch; cr_seq; cr_n } ->
@@ -328,15 +336,16 @@ let decode body =
       Drain { scenario; deadline }
     | 16 -> Drain_ok
     | 17 -> Draining (Wire.read_string r)
-    | 18 ->
+    | (18 | 20) as tag ->
+      let ck_one_row = tag = 20 in
       let ck_session = Wire.read_int r in
       let ck_epoch = Wire.read_int r in
       let ck_seq = Wire.read_int r in
       let ck_sender = read_party r in
       let ck_receiver = read_party r in
       let ck_label = Wire.read_string r in
-      let ck_chunk = Wire.read_int r in
-      let ck_chunks = Wire.read_int r in
+      let ck_chunk = if ck_one_row then 0 else Wire.read_int r in
+      let ck_chunks = if ck_one_row then 1 else Wire.read_int r in
       if ck_chunks < 0 || ck_chunks > Secmed_core.Stream.max_chunks then
         malformed "chunk count %d exceeds the %d cap" ck_chunks Secmed_core.Stream.max_chunks;
       if ck_chunk < 0 || ck_chunk >= ck_chunks then
@@ -345,7 +354,7 @@ let decode body =
       let ck_payload = Wire.read_string r in
       Msg_chunk
         { ck_session; ck_epoch; ck_seq; ck_sender; ck_receiver; ck_label; ck_chunk; ck_chunks;
-          ck_declared; ck_payload }
+          ck_declared; ck_payload; ck_one_row }
     | 19 ->
       let cr_session = Wire.read_int r in
       let cr_epoch = Wire.read_int r in

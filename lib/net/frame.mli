@@ -47,8 +47,13 @@ type wire_result =
     epoch.  [ck_payload] is a counted batch of (row index, bytes)
     entries in the [Secmed_core.Stream] codec; [ck_declared] repeats the
     whole stream's transcript size so any one frame identifies its
-    delivery.  The decoder enforces the [Stream.max_chunks] cap, so a
-    corrupted header cannot promise a pathological chunk count.  A
+    delivery.  A [ck_one_row] chunk is a whole message of one row
+    (index 0) whose bytes are exactly [ck_declared]: its payload is that
+    row bare, with no entry count, row index or length, and its frame,
+    told apart by its tag, omits the chunk index and count (always 0 of
+    1; {!encode} raises [Invalid_argument] otherwise).  The decoder
+    enforces the [Stream.max_chunks] cap, so a corrupted header cannot
+    promise a pathological chunk count.  A
     named record (not inline) so the chaos proxy can bind and rewrite
     one wholesale. *)
 type chunk = {
@@ -62,6 +67,7 @@ type chunk = {
   ck_chunks : int;
   ck_declared : int;
   ck_payload : string;
+  ck_one_row : bool;
 }
 
 type t =

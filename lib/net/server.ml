@@ -364,11 +364,14 @@ let stashing ?(on_failed = fun (_ : Fault.failure) -> ()) ~epoch ~party ~batches
   }
 
 (* Payload byte accounting per counterpart.  A [Msg_chunk] counts its
-   row bytes (peeked from the count prefix, no decode), so the per-link
-   totals equal the transcript's bytes-on-link. *)
+   row bytes (the bare payload of a one-row chunk, else peeked from the
+   count prefix, no decode), so the per-link totals equal the
+   transcript's bytes-on-link. *)
 let counted (_, out_c, in_c) (route : Endpoint.route) =
   (* Payloads carry the integrity tag, which no byte stat counts. *)
   let bytes = function
+    | Frame.Msg_chunk { ck_one_row = true; ck_payload; _ } ->
+      max 0 (String.length ck_payload - Fault.tag_bytes)
     | Frame.Msg_chunk m -> max 0 (Stream.payload_row_bytes m.Frame.ck_payload - Fault.tag_bytes)
     | _ -> 0
   in

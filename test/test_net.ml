@@ -119,7 +119,11 @@ let roundtrip_frames =
     Frame.Msg_chunk
       { ck_session = 3; ck_epoch = 5; ck_seq = 12; ck_sender = Transcript.Mediator;
         ck_receiver = Transcript.Source 1; ck_label = "rewritten-query"; ck_chunk = 0;
-        ck_chunks = 1; ck_declared = 5; ck_payload = "\x00\xffabc" };
+        ck_chunks = 1; ck_declared = 5; ck_payload = "\x00\xffabc"; ck_one_row = false };
+    Frame.Msg_chunk
+      { ck_session = 3; ck_epoch = 5; ck_seq = 13; ck_sender = Transcript.Source 2;
+        ck_receiver = Transcript.Mediator; ck_label = "partial-result"; ck_chunk = 0;
+        ck_chunks = 1; ck_declared = 3; ck_payload = "abc"; ck_one_row = true };
     Frame.Report { session = 3; epoch = 5; status = Frame.St_ok; spans = "" };
     Frame.Report
       { session = 3; epoch = 5; status = Frame.St_failed sample_failure; spans = "" };
@@ -182,16 +186,14 @@ let rule_msg ~epoch ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = 3;
-      ck_payload =
-        Fault.frame ~label:"L" (Stream.encode_entries [ { Stream.s_row = 0; s_bytes = "abc" } ]) }
+      ck_declared = 3; ck_payload = Fault.frame ~label:"L" "abc"; ck_one_row = true }
 
 (* A later slice of a longer stream. *)
 let rule_chunk ~epoch ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 1; ck_chunks = 3;
-      ck_declared = 0; ck_payload = "" }
+      ck_declared = 0; ck_payload = ""; ck_one_row = false }
 
 let rule_abort epoch = Frame.Abort { session = 1; epoch; failure = sample_failure }
 
@@ -263,6 +265,66 @@ let test_leftover_rule () =
     leftover_table
 
 (* ------------------------------------------------------------------ *)
+(* The request phase projected: only S_i checks CR_i (Listing 1 step 4).
+   Source 1 decides on "clearance", source 2 on "role"; the client's
+   "clearance" credential is signed by a rogue authority, so CR_1 is
+   forged and CR_2 is good.  [Request.run] runs over a scripted
+   transport that accepts every delivery, in the process of one
+   party. *)
+
+let forged_scenario () =
+  let env, client, query = Workload.scenario ~params:fast small_spec in
+  let advertised id = if id = 1 then [ "clearance" ] else [ "role" ] in
+  let env =
+    { env with
+      Env.sources =
+        List.map (fun s -> { s with Env.advertised = advertised s.Env.source_id }) env.Env.sources
+    }
+  in
+  let rogue = Secmed_crypto.Prng.create ~seed:"rogue-ca" in
+  let forged =
+    Credential.Authority.issue
+      (Credential.Authority.create ~name:"rogue" rogue env.Env.group)
+      rogue
+      ~properties:[ Credential.property "clearance" "top" ]
+      (Credential.public_key (List.hd client.Env.credentials))
+  in
+  (env, { client with Env.credentials = forged :: client.Env.credentials }, query)
+
+let accept_all =
+  {
+    Link.send_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ _ -> ());
+    recv_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ ~expect:_ -> ());
+    take_rows =
+      (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ->
+        Alcotest.fail "the request phase receives nothing it did not compute");
+  }
+
+let request_as party =
+  let env, client, query = forged_scenario () in
+  let endpoint =
+    Link.Remote
+      { Link.role = party; computes = Transcript.party_equal party; rows = Some accept_all }
+  in
+  Request.run (Link.make ~endpoint (Transcript.create ())) env client ~query
+
+let test_source_rejects_own_forged_credential () =
+  (match request_as (Transcript.Source 1) with
+  | exception Request.Bad_credential 1 -> ()
+  | exception Request.Bad_credential i -> Alcotest.failf "source %d blamed" i
+  | _ -> Alcotest.fail "source 1 accepted its forged credential");
+  (* An in-process run computes every party, so it still rejects. *)
+  let env, client, query = forged_scenario () in
+  match Request.run (Link.make (Transcript.create ())) env client ~query with
+  | exception Request.Bad_credential 1 -> ()
+  | _ -> Alcotest.fail "the in-process run accepted the forged credential"
+
+let test_mediator_verifies_nothing () = ignore (request_as Transcript.Mediator : Request.t)
+
+let test_other_source_skips_forged_credential () =
+  ignore (request_as (Transcript.Source 2) : Request.t)
+
+(* ------------------------------------------------------------------ *)
 (* Mux: frames that race in behind a Session_start must not be lost. *)
 
 let socket_pair () =
@@ -273,7 +335,7 @@ let msg ?(session = 1) ~seq label =
   Frame.Msg_chunk
     { ck_session = session; ck_epoch = 1; ck_seq = seq; ck_sender = Transcript.Mediator;
       ck_receiver = Transcript.Source 1; ck_label = label; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = 2; ck_payload = "xy" }
+      ck_declared = 2; ck_payload = "xy"; ck_one_row = false }
 
 let test_mux_parks_frames_before_subscription () =
   let a, b = socket_pair () in
@@ -413,6 +475,58 @@ let test_mux_reader_gone_when_closed () =
     | Frame.Msg_chunk m -> Alcotest.(check int) "frame kept by its own socket" seq m.Frame.ck_seq
     | f -> Alcotest.fail ("unexpected " ^ Frame.tag_name f)
   done
+
+(* Run a mux read on its own thread, then wait at most 5 s for its
+   outcome: a reader that is never woken fails the test instead of
+   hanging it. *)
+let parked read =
+  let outcome = ref None in
+  ignore (Thread.create (fun () -> outcome := Some (try Ok (read ()) with e -> Error e)) ()
+          : Thread.t);
+  fun () ->
+    let t0 = Unix.gettimeofday () in
+    while !outcome = None && Unix.gettimeofday () -. t0 < 5. do
+      Thread.delay 0.001
+    done;
+    !outcome
+
+(* Receivers wake on arrival: a waiter with no deadline sleeps on the
+   mux's condition, so only the reader's death signal can wake it. *)
+let test_mux_death_wakes_waiter () =
+  let a, b = socket_pair () in
+  Fun.protect ~finally:(fun () -> Io.close b) @@ fun () ->
+  let mux = Endpoint.Mux.create b in
+  let outcome = parked (fun () -> Endpoint.Mux.next_control mux ~timeout:0.) in
+  Thread.delay 0.1;
+  let closed = Unix.gettimeofday () in
+  Io.close a;
+  match outcome () with
+  | Some (Error (Io.Transport_error m)) ->
+    let woke = Unix.gettimeofday () -. closed in
+    Alcotest.(check bool) (Printf.sprintf "typed control failure (%S)" m) true
+      (contains m "control");
+    Alcotest.(check bool) (Printf.sprintf "woken %.3f s after the death" woke) true (woke < 0.5)
+  | Some (Ok f) -> Alcotest.fail ("woke with " ^ Frame.tag_name f)
+  | Some (Error e) -> raise e
+  | None -> Alcotest.fail "the waiter slept through its reader's death"
+
+(* A finite deadline is served by the ticker: never early, at most a
+   tick or so late. *)
+let test_mux_timeout_fires_on_time () =
+  let a, b = socket_pair () in
+  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
+  let mux = Endpoint.Mux.create b in
+  Endpoint.Mux.subscribe mux 1;
+  let started = Unix.gettimeofday () in
+  match parked (fun () -> Endpoint.Mux.next mux ~session:1 ~timeout:0.2) () with
+  | Some (Error (Io.Transport_error m)) ->
+    let took = Unix.gettimeofday () -. started in
+    Alcotest.(check bool) (Printf.sprintf "typed timeout (%S)" m) true (contains m "timeout");
+    Alcotest.(check bool) (Printf.sprintf "not early (%.3f s)" took) true (took >= 0.2);
+    Alcotest.(check bool) (Printf.sprintf "well before 1 s (%.3f s)" took) true (took < 1.)
+  | Some (Ok f) -> Alcotest.fail ("an empty queue yielded " ^ Frame.tag_name f)
+  | Some (Error e) -> raise e
+  | None -> Alcotest.fail "the timeout never fired"
 
 (* A seeded concurrency stress: one producer interleaves the frames of
    many sessions on the wire (the interleaving drawn from a PRNG, so a
@@ -1037,6 +1151,18 @@ let () =
             test_mux_next_on_closed_session_is_typed;
           Alcotest.test_case "reader gone when its connection closes" `Quick
             test_mux_reader_gone_when_closed;
+          Alcotest.test_case "reader death wakes a parked waiter" `Quick
+            test_mux_death_wakes_waiter;
+          Alcotest.test_case "timeout fires on time" `Quick test_mux_timeout_fires_on_time;
+        ] );
+      ( "projection",
+        [
+          Alcotest.test_case "source rejects its forged credential" `Quick
+            test_source_rejects_own_forged_credential;
+          Alcotest.test_case "mediator verifies no credential" `Quick
+            test_mediator_verifies_nothing;
+          Alcotest.test_case "other source skips the forged one" `Quick
+            test_other_source_skips_forged_credential;
         ] );
       ( "scenario",
         [ Alcotest.test_case "digest deterministic" `Quick test_scenario_digest_deterministic ] );

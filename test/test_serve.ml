@@ -458,6 +458,7 @@ let test_mux_domain_parallel_consumers () =
                 ck_chunks = 1;
                 ck_declared = 2;
                 ck_payload = "xy";
+                ck_one_row = false;
               })))
     schedule;
   let results = List.map Domain.join consumers in

@@ -225,7 +225,7 @@ let chunk ?(ck_chunk = 0) ?(ck_chunks = 3) ?(payload = "p") () =
   Frame.Msg_chunk
     { ck_session = 5; ck_epoch = 2; ck_seq = 9; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "R1S+ITables"; ck_chunk; ck_chunks;
-      ck_declared = 12345; ck_payload = payload }
+      ck_declared = 12345; ck_payload = payload; ck_one_row = false }
 
 let test_chunk_frame_roundtrip () =
   List.iter
@@ -258,6 +258,22 @@ let test_chunk_count_cap_hostile () =
   | Frame.Msg_chunk { ck_chunks; _ } ->
     Alcotest.(check int) "cap accepted" Stream.max_chunks ck_chunks
   | _ -> Alcotest.fail "cap-count chunk must decode"
+
+(* The one-row form is a whole message: its frame omits the chunk index
+   and count, so the codec refuses to encode it as a slice. *)
+let test_one_row_chunk_must_be_whole () =
+  let one_row = function
+    | Frame.Msg_chunk c -> Frame.Msg_chunk { c with ck_one_row = true }
+    | f -> f
+  in
+  (match Frame.encode (one_row (chunk ~ck_chunks:3 ())) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a one-row slice of three chunks must not encode");
+  let whole = one_row (chunk ~ck_chunks:1 ()) in
+  Alcotest.(check bool) "a whole one-row chunk roundtrips" true
+    (Frame.decode (Frame.encode whole) = whole);
+  Alcotest.(check int) "16 header bytes lighter" 16
+    (String.length (Frame.encode (chunk ~ck_chunks:1 ())) - String.length (Frame.encode whole))
 
 (* Chunk frames through the reassembly stream, split at every offset:
    the transport boundary must be invisible to the codec. *)
@@ -292,7 +308,7 @@ let msg ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = 1; ck_seq = seq; ck_sender = Transcript.Mediator;
       ck_receiver = Transcript.Source 1; ck_label = "flood"; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = 2; ck_payload = "xy" }
+      ck_declared = 2; ck_payload = "xy"; ck_one_row = false }
 
 let mux_sync a mux =
   Io.send_frame a (Frame.encode (Frame.Busy "sync"));
@@ -486,6 +502,36 @@ let test_take_rows_merges_short_and_empty_streams () =
         bytes)
     [ 7; 1; 0 ]
 
+(* A message of one row whose bytes are the declared size travels bare,
+   without the 16-byte entry header; any other message keeps the entry
+   form. *)
+let test_one_row_message_travels_bare () =
+  let sent = ref [] in
+  let route =
+    Endpoint.plain_route
+      ~send:(fun f -> sent := f :: !sent)
+      ~next:(fun ~timeout:_ -> raise (Io.Transport_error "nothing to read"))
+  in
+  let tr = transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator route in
+  let send ~size rows =
+    sent := [];
+    (stream_of tr).Link.send_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
+      ~receiver:Transcript.Mediator ~label:"L" ~size rows;
+    match !sent with
+    | [ Frame.Msg_chunk c ] -> c
+    | _ -> Alcotest.fail "expected exactly one chunk frame"
+  in
+  let bare = send ~size:3 [ (0, "abc") ] in
+  Alcotest.(check bool) "one row: bare form" true bare.Frame.ck_one_row;
+  Alcotest.(check string) "one row: payload is the row" (Fault.frame ~label:"L" "abc")
+    bare.Frame.ck_payload;
+  let entries = send ~size:4 [ (0, "ab"); (1, "cd") ] in
+  Alcotest.(check bool) "two rows: entry form" false entries.Frame.ck_one_row;
+  Alcotest.(check int) "the bare form saves the entry header" 16
+    (String.length (Stream.encode_entries (entries_of [ (0, "abc") ])) - 3);
+  Alcotest.(check bool) "an oversized row: entry form" false
+    (send ~size:2 [ (0, "abc") ]).Frame.ck_one_row
+
 (* ------------------------------------------------------------------ *)
 (* The chunk reader's typed rejections: hand-built chunk frames from
    source 1, replayed to a mediator transport through a scripted route
@@ -508,7 +554,14 @@ let scripted_chunk ?(declared = 0) ~chunk ~chunks rows =
     { ck_session = 7; ck_epoch = 1; ck_seq = 0; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = chunk; ck_chunks = chunks;
       ck_declared = declared;
-      ck_payload = Fault.frame ~label:"L" (Stream.encode_entries (entries_of rows)) }
+      ck_payload = Fault.frame ~label:"L" (Stream.encode_entries (entries_of rows));
+      ck_one_row = false }
+
+let scripted_one_row ~declared bytes =
+  Frame.Msg_chunk
+    { ck_session = 7; ck_epoch = 1; ck_seq = 0; ck_sender = Transcript.Source 1;
+      ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 0; ck_chunks = 1;
+      ck_declared = declared; ck_payload = Fault.frame ~label:"L" bytes; ck_one_row = true }
 
 let take frames =
   (scripted frames).Link.take_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
@@ -568,6 +621,15 @@ let test_entries_past_the_end_rejected () =
         ~expect:[ (0, "a"); (1, "b") ]
         [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (1, "b"); (2, "c") ] ])
 
+let test_one_row_taken () =
+  let declared, bytes = take [ scripted_one_row ~declared:3 "abc" ] in
+  Alcotest.(check int) "declared size" 3 declared;
+  Alcotest.(check string) "the bare row" "abc" bytes
+
+let test_one_row_size_disagreement_rejected () =
+  rejected "one-row chunk carries 3 bytes, 4 declared" (fun () ->
+      ignore (take [ scripted_one_row ~declared:4 "abc" ]))
+
 (* A receiver that did not compute the message takes exactly the bytes
    the stream declares: surplus is rejected before anything decodes it. *)
 let test_surplus_bytes_rejected () =
@@ -609,6 +671,8 @@ let () =
           Alcotest.test_case "hostile chunk count capped" `Quick test_chunk_count_cap_hostile;
           Alcotest.test_case "chunk frames split at every offset" `Quick
             test_chunk_frames_split_at_every_offset;
+          Alcotest.test_case "one-row chunk must be whole" `Quick
+            test_one_row_chunk_must_be_whole;
         ] );
       ( "mux",
         [
@@ -623,6 +687,8 @@ let () =
             test_take_rows_merges_short_and_empty_streams;
           Alcotest.test_case "one-chunk stream sends no credit" `Quick
             test_one_chunk_stream_sends_no_credit;
+          Alcotest.test_case "one-row message travels bare" `Quick
+            test_one_row_message_travels_bare;
         ] );
       ( "chunk-reader",
         [
@@ -635,5 +701,8 @@ let () =
           Alcotest.test_case "entries past the end rejected" `Quick
             test_entries_past_the_end_rejected;
           Alcotest.test_case "surplus bytes rejected" `Quick test_surplus_bytes_rejected;
+          Alcotest.test_case "one-row chunk taken bare" `Quick test_one_row_taken;
+          Alcotest.test_case "one-row size disagreement rejected" `Quick
+            test_one_row_size_disagreement_rejected;
         ] );
     ]
