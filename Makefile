@@ -88,14 +88,18 @@ check-soak:
 check-stream:
 	dune exec test/test_stream.exe -- test -e
 
-# Crypto hot-path suite: the bigint/crypto differential tests (the C
-# Montgomery kernel's multiply, exponentiation, Multi_exp, Fixed_base
-# and domain conversions vs mod_pow_plain at 64-bit word edges and on
-# even moduli, binary vs Euclidean gcd, CRT vs plain decryption,
-# AES-CTR vs the vector-checked block cipher, domain-local cache
-# stress), the batch-executor determinism suite, and the DAS client's
-# decrypt-each-ciphertext-once test.
+# Crypto hot-path suite.  The grep fails if the bigint interface
+# exports a global mutable knob (a `ref`): one context type alone picks
+# the Montgomery kernel or the plain residue ring.  Then the bigint/
+# crypto differential tests (both context kinds' multiply,
+# exponentiation, Multi_exp, Fixed_base and domain conversions vs
+# mod_pow_plain at 64-bit word edges and on even moduli, binary vs
+# Euclidean gcd, CRT vs plain decryption, AES-CTR vs the vector-checked
+# block cipher, domain-local cache stress), the batch-executor
+# determinism suite, and the DAS client's decrypt-each-ciphertext-once
+# test.
 check-crypto-perf:
+	! grep -nE ':[^:]* ref$$' lib/bigint/bigint.mli
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe
@@ -103,11 +107,13 @@ check-crypto-perf:
 
 # Non-comment, non-blank lines of the transport and the CLI, per file
 # and in total (the line budget ROADMAP.md tracks), then the total of
-# the crypto, protocol-driver and observability libraries.
+# the crypto, protocol-driver and observability libraries, then the
+# total of the bigint library.
 loc:
 	dune exec tools/loc.exe -- lib/net/*.ml lib/net/*.mli bin/*.ml
 	dune exec tools/loc.exe -- lib/crypto/*.ml lib/crypto/*.mli lib/core/*.ml \
 	    lib/core/*.mli lib/obs/*.ml lib/obs/*.mli | tail -n 1
+	dune exec tools/loc.exe -- lib/bigint/*.ml lib/bigint/*.mli | tail -n 1
 
 # Full benchmark/reproduction suite (slow).
 bench:

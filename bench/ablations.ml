@@ -141,11 +141,9 @@ let measure_karatsuba () =
     in
     gen ()
   in
-  let saved = !Bigint.karatsuba_threshold in
+  let default = Bigint.karatsuba_threshold in
   let timed threshold x y =
-    Bench_util.best_time (fun () ->
-        Bigint.karatsuba_threshold := threshold;
-        Bigint.mul x y)
+    Bench_util.best_time (fun () -> Bigint.mul_karatsuba ~threshold x y)
   in
   let sweep =
     List.map
@@ -163,7 +161,7 @@ let measure_karatsuba () =
   let crossover =
     match List.find_opt (fun s -> s.ks_split < s.ks_school) sweep with
     | Some s -> s.ks_limbs
-    | None -> saved
+    | None -> default
   in
   (* Full recursion: best threshold over 2048-bit operands. *)
   let x = full_width 2048 and y = full_width 2048 in
@@ -173,9 +171,8 @@ let measure_karatsuba () =
   let best_threshold, _ =
     List.fold_left
       (fun (bt, bv) (t, v) -> if v < bv then (t, v) else (bt, bv))
-      (saved, infinity) recursive
+      (default, infinity) recursive
   in
-  Bigint.karatsuba_threshold := saved;
   (sweep, crossover, recursive, best_threshold)
 
 let karatsuba () =
@@ -192,7 +189,7 @@ let karatsuba () =
            string_of_bool (s.ks_split < s.ks_school) ])
        sweep);
   Printf.printf "measured crossover: %d limbs (current default threshold: %d)\n"
-    crossover !Bigint.karatsuba_threshold;
+    crossover Bigint.karatsuba_threshold;
   Bench_util.subheading "full recursion at 2048-bit operands, by threshold";
   Bench_util.print_table
     ~headers:[ "threshold"; "2048-bit multiply (µs)" ]
@@ -203,7 +200,8 @@ let karatsuba () =
 (* ------------------------------------------------------------------ *)
 (* A5 — modular exponentiation: plain division vs per-call Montgomery
    setup (the pre-context behaviour) vs cached context vs fixed-base
-   window tables, plus the end-to-end effect on a full PM run. *)
+   window tables, plus the transparent context cache's hit rate over a
+   run of every scheme. *)
 
 (* One measurement row: median seconds per exponentiation for each of
    the four configurations at the given modulus width. *)
@@ -223,8 +221,8 @@ let measure_modexp ?exp_bits bits =
   let m = Bigint.random_bits src bits in
   let m = if Bigint.is_even m then Bigint.succ m else m in
   let b = Bigint.emod (Bigint.random_bits src bits) m in
-  (* Insist on a full-width exponent so every configuration runs its
-     Montgomery path (mod_pow falls back to plain below 17 bits). *)
+  (* Insist on a full-width exponent so every context configuration
+     runs the kernel (mod_pow takes the plain loop below 17 bits). *)
   let rec gen_exp () =
     let e = Bigint.random_bits src exp_bits in
     if Bigint.numbits e = exp_bits then e else gen_exp ()
@@ -232,12 +230,7 @@ let measure_modexp ?exp_bits bits =
   let e = gen_exp () in
   let ctx = Bigint.Ctx.create m in
   let fb = Bigint.Fixed_base.create ~base:b ~modulus:m ~bits:exp_bits in
-  let plain () =
-    Bigint.use_montgomery := false;
-    let r = Bigint.mod_pow b e m in
-    Bigint.use_montgomery := true;
-    r
-  in
+  let plain () = Bigint.mod_pow_plain b e m in
   (* Per-call rebuilds the Montgomery context on every exponentiation:
      exactly what every call paid before the transparent cache. *)
   let per_call () = Bigint.Ctx.mod_pow (Bigint.Ctx.create m) b e in
@@ -315,7 +308,9 @@ let measure_multi_exp bits =
             (Bigint.Ctx.mod_pow ctx b2 e2));
     t_joint =
       Bench_util.best_time (fun () ->
-          Bigint.Multi_exp.pow2 ctx (b1, e1) (b2, e2));
+          Bigint.Ctx.of_mont ctx
+            (Bigint.Multi_exp.mont_pow2 ctx (Bigint.Ctx.to_mont ctx b1) e1
+               (Bigint.Ctx.to_mont ctx b2) e2));
   }
 
 (* Source-side batch encryption: tuples/sec of per-tuple hybrid
@@ -359,7 +354,7 @@ let hot_path_tables () =
   let me = List.map measure_multi_exp [ 256; 512; 1024 ] in
   Bench_util.subheading "simultaneous 2-base exponentiation (Shamir) vs two mod_pows";
   Bench_util.print_table
-    ~headers:[ "modulus bits"; "two mod_pows (ms)"; "joint pow2 (ms)"; "speedup" ]
+    ~headers:[ "modulus bits"; "two mod_pows (ms)"; "joint mont_pow2 (ms)"; "speedup" ]
     (List.map
        (fun s ->
          [ string_of_int s.me_bits; fmt_ms s.t_separate; fmt_ms s.t_joint;
@@ -414,26 +409,13 @@ let montgomery () =
   print_endline
     "the short-exponent rows (e ~ 2^16 over 1024/2048-bit moduli) isolate the setup";
   print_endline "cost the cached context avoids on every call.";
-  (* End-to-end effect on the exponentiation-heavy PM protocol, and the
-     transparent cache's efficacy over that run. *)
-  let spec = Experiments.spec_for_domain 8 in
-  let env, client, query = Workload.scenario ~params:Experiments.bench_params spec in
-  let run_pm flag =
-    Bigint.use_montgomery := flag;
-    let t =
-      Bench_util.time_median ~runs:3 (fun () ->
-          Protocol.run_exn (Protocol.Private_matching Pm_join.Session_keys) env client ~query)
-    in
-    Bigint.use_montgomery := true;
-    t
-  in
-  let t_on = run_pm true and t_off = run_pm false in
-  Printf.printf "\nfull PM run at |domactive|=8: %.1f ms with Montgomery, %.1f ms without (%.2fx)\n"
-    (t_on *. 1000.0) (t_off *. 1000.0) (t_off /. Float.max 1e-9 t_on);
-  (* The protocols thread explicit contexts through their own hot loops,
+  (* The transparent cache's efficacy over a run of every scheme.  The
+     protocols thread explicit contexts through their own hot loops,
      so the transparent cache only sees the remaining generic mod_pow
      callers (group membership, ElGamal decryption, credentials); run
      every scheme once to exercise them all. *)
+  let spec = Experiments.spec_for_domain 8 in
+  let env, client, query = Workload.scenario ~params:Experiments.bench_params spec in
   Bigint.ctx_cache_reset ();
   List.iter
     (fun scheme -> ignore (Protocol.run_exn scheme env client ~query))

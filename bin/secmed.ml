@@ -93,6 +93,13 @@ let fallback_arg =
   in
   Arg.(value & opt fallback_conv `None & info [ "fallback" ] ~docv:"CHAIN" ~doc)
 
+(* A served query carries only whether to degrade: the chain is the
+   mediator's, so a client naming one is a usage error (exit 124). *)
+let remote_fallback = function
+  | `None -> Ok false
+  | `Auto -> Ok true
+  | `Chain _ -> Error "--fallback: a remote client takes auto or none (the chain is the mediator's)"
+
 let breaker_conv =
   let parse spec =
     let apply cfg field =
@@ -249,13 +256,6 @@ let addr_doc what = what ^ "  An empty HOST (\":PORT\") means 127.0.0.1."
 
 let run_remote ~target:(host, port) ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout
     ~trace_file ~verbose =
-  let fallback =
-    match fallback with
-    | `None -> false
-    | `Auto -> true
-    | `Chain _ ->
-      failwith "--connect supports --fallback auto or none (the chain is the mediator's)"
-  in
   let env, client, query = Workload.scenario spec in
   let scenario = Net.Scenario.digest spec in
   Printf.printf "scheme: %s\nquery:  %s\nvia:    %s:%d (scenario %s)\n\n"
@@ -311,15 +311,24 @@ let run_cmd =
          The workload flags must match the ones the mediator and its datasources were \
          started with (enforced by a scenario-digest handshake)."
     in
-    Arg.(value & opt (some addr_conv) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
+    let connect =
+      Arg.(value & opt (some addr_conv) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
+    in
+    let check connect fallback =
+      match connect with
+      | None -> Ok (None, fallback)
+      | Some target ->
+        Result.map (fun degrade -> (Some (target, degrade), fallback)) (remote_fallback fallback)
+    in
+    Term.(term_result' ~usage:true (const check $ connect $ fallback_arg))
   in
-  let action scheme spec connect fault deadline fallback breaker io_timeout trace_file
+  let action scheme spec (connect, fallback) fault deadline breaker io_timeout trace_file
       verbose =
     match connect with
-    | Some target ->
+    | Some (target, degrade) ->
       (try
-         run_remote ~target ~spec ~scheme ~fault:(Option.map fst fault) ~deadline ~fallback
-           ~io_timeout ~trace_file ~verbose
+         run_remote ~target ~spec ~scheme ~fault:(Option.map fst fault) ~deadline
+           ~fallback:degrade ~io_timeout ~trace_file ~verbose
        with Net.Io.Transport_error msg ->
          Printf.eprintf "transport error: %s\n" msg;
          exit exit_fault)
@@ -365,7 +374,7 @@ let run_cmd =
   in
   let term =
     Term.(const action $ scheme_arg $ spec_term $ connect $ fault_arg $ deadline_arg
-          $ fallback_arg $ breaker_arg $ io_timeout_arg $ trace_arg $ verbose_arg)
+          $ breaker_arg $ io_timeout_arg $ trace_arg $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -542,13 +551,22 @@ let loadgen_cmd =
              ~doc:"Weighted scheme mix each session draws from, e.g. \
                    $(b,das=2,commutative=1,pm=1).")
   in
-  let rate =
-    Arg.(value & opt (some float) None
-         & info [ "rate" ] ~docv:"QPS"
-             ~doc:"Open-loop (Poisson) aggregate arrival rate in sessions/sec.  Without \
-                   it the fleet runs closed-loop: each worker poses its next session \
-                   when the previous one finishes.")
+  let arrival =
+    let check = function
+      | None -> Ok Net.Loadgen.Closed
+      | Some r when r > 0. -> Ok (Net.Loadgen.Poisson r)
+      | Some _ -> Error "--rate must be positive"
+    in
+    let rate =
+      Arg.(value & opt (some float) None
+           & info [ "rate" ] ~docv:"QPS"
+               ~doc:"Open-loop (Poisson) aggregate arrival rate in sessions/sec.  Without \
+                     it the fleet runs closed-loop: each worker poses its next session \
+                     when the previous one finishes.")
+    in
+    Term.(term_result' ~usage:true (const check $ rate))
   in
+  let fallback = Term.(term_result' ~usage:true (const remote_fallback $ fallback_arg)) in
   let seed =
     Arg.(value & opt string "loadgen"
          & info [ "loadgen-seed" ] ~docv:"SEED"
@@ -570,7 +588,7 @@ let loadgen_cmd =
                    exponential backoff — lets the fleet ride out a rolling restart.  \
                    Busy is never retried.")
   in
-  let action (host, port) workers sessions domains mix rate seed verify retry fault
+  let action (host, port) workers sessions domains mix arrival seed verify retry fault
       deadline fallback io_timeout spec =
     let env, client, query = Workload.scenario spec in
     let scenario = Net.Scenario.digest spec in
@@ -580,15 +598,11 @@ let loadgen_cmd =
         sessions_per_worker = sessions;
         domains;
         mix;
-        arrival =
-          (match rate with
-          | None -> Net.Loadgen.Closed
-          | Some r when r > 0. -> Net.Loadgen.Poisson r
-          | Some _ -> failwith "--rate must be positive");
+        arrival;
         seed;
         fault_spec = (match fault with None -> "" | Some (raw, _) -> raw);
         deadline = Option.value deadline ~default:0.;
-        fallback = (match fallback with `None -> false | `Auto | `Chain _ -> true);
+        fallback;
         io_timeout;
         verify;
         retry_connect = retry;
@@ -609,8 +623,8 @@ let loadgen_cmd =
     then exit exit_fault
   in
   let term =
-    Term.(const action $ connect $ workers $ sessions $ domains $ mix $ rate $ seed
-          $ verify $ retry $ fault_arg $ deadline_arg $ fallback_arg
+    Term.(const action $ connect $ workers $ sessions $ domains $ mix $ arrival $ seed
+          $ verify $ retry $ fault_arg $ deadline_arg $ fallback
           $ io_timeout_arg $ spec_term)
   in
   Cmd.v

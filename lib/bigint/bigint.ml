@@ -20,7 +20,7 @@ let mask = base - 1
    split first beats schoolbook at 40-limb (~1240-bit) operands on the
    31-bit-limb representation; [bench ablation-karatsuba] prints the
    measured sweep. *)
-let karatsuba_threshold = ref 40
+let karatsuba_threshold = 40
 
 let zero = { sign = 0; mag = [||] }
 
@@ -122,17 +122,17 @@ let nat_split a k =
   if la <= k then (a, [||])
   else (Array.sub a 0 k, Array.sub a k (la - k))
 
-let rec nat_mul a b =
+let rec nat_mul ~threshold a b =
   let la = Array.length a and lb = Array.length b in
   let smaller = if la < lb then la else lb in
-  if smaller < !karatsuba_threshold then nat_mul_school a b
+  if smaller < threshold then nat_mul_school a b
   else begin
     let k = (if la > lb then la else lb) / 2 in
     let a0, a1 = nat_split a k in
     let b0, b1 = nat_split b k in
-    let z0 = nat_mul a0 b0 in
-    let z2 = nat_mul a1 b1 in
-    let z1 = nat_sub (nat_mul (nat_add a0 a1) (nat_add b0 b1)) (nat_add z0 z2) in
+    let z0 = nat_mul ~threshold a0 b0 in
+    let z2 = nat_mul ~threshold a1 b1 in
+    let z1 = nat_sub (nat_mul ~threshold (nat_add a0 a1) (nat_add b0 b1)) (nat_add z0 z2) in
     (* result = z2 * B^2k + z1 * B^k + z0 *)
     let lr = la + lb in
     let r = Array.make lr 0 in
@@ -355,9 +355,11 @@ let sub a b = add a (neg b)
 let succ a = add a one
 let pred a = sub a one
 
-let mul a b =
+let mul_karatsuba ~threshold a b =
   if a.sign = 0 || b.sign = 0 then zero
-  else make (a.sign * b.sign) (nat_mul a.mag b.mag)
+  else make (a.sign * b.sign) (nat_mul ~threshold a.mag b.mag)
+
+let mul a b = mul_karatsuba ~threshold:karatsuba_threshold a b
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero_big
@@ -531,8 +533,8 @@ let mod_inverse a m =
     if is_one g then Some (emod u m) else None
   end
 
-(* Plain square-and-multiply with full divisions after every step; kept as
-   the reference implementation and the fallback for even moduli. *)
+(* Plain square-and-multiply with full divisions after every step: the
+   reference implementation, and the arithmetic of a plain context. *)
 let mod_pow_plain b e m =
   let nbits = numbits e in
   let result = ref one and acc = ref b in
@@ -542,14 +544,29 @@ let mod_pow_plain b e m =
   done;
   !result
 
+(* b^e mod m for m > 0, with a negative exponent inverting the base
+   first.  [wide] computes exponents of more than 16 bits; below that
+   the division-based loop beats the domain conversions (a square, e = 2,
+   takes about 1.1 µs plain and 1.4 µs through the kernel at 256 bits). *)
+let pow_checked name b e m ~wide =
+  if is_one m then zero
+  else begin
+    let b =
+      if e.sign < 0 then
+        match mod_inverse b m with
+        | Some inv -> inv
+        | None -> invalid_arg (name ^ ": negative exponent, base not invertible")
+      else emod b m
+    in
+    let e = abs e in
+    if numbits e > 16 then wide b e else mod_pow_plain b e m
+  end
+
 (* ------------------------------------------------------------------ *)
-(* Montgomery arithmetic for odd moduli, on the C kernel in
+(* Montgomery arithmetic for odd moduli runs on the C kernel in
    bigint_stubs.c: a CIOS multiply over native-endian 64-bit words with
    R = 2^(64k) for a k-word modulus, and a whole windowed exponentiation
-   per call.  Residues in the Montgomery domain are [Bytes.t] of exactly
-   k words, always below the modulus; the 31-bit limbs of [t] are
-   converted to and from words only on the way in and out of the
-   domain.  The kernels are noalloc and stateless: every result and
+   per call.  The kernels are noalloc and stateless: every result and
    scratch buffer is allocated here and passed in, which keeps them safe
    to run from any number of domains at once. *)
 
@@ -606,15 +623,29 @@ let nat_of_words (w : Bytes.t) =
   done;
   trim r
 
-module Montgomery = struct
-  type ctx = {
-    k : int; (* words of the modulus *)
-    kernel_ctx : Bytes.t; (* m's k words, then -m^{-1} mod 2^64 *)
-    modulus : t;
-    one : Bytes.t; (* R mod m: the Montgomery representation of 1 *)
-    r2 : Bytes.t; (* R^2 mod m: converts into the domain by mont_mul *)
-    unit_words : Bytes.t; (* plain 1: converts out of the domain *)
-  }
+(* ------------------------------------------------------------------ *)
+(* Per-modulus contexts: the only code that knows whether a modulus
+   runs on the Montgomery kernel (odd m > 1) or in the plain residue
+   ring (even m, or m = 1, where no Montgomery inverse exists).  Both
+   kinds answer the same in-domain operations, so every caller above
+   this module runs one code path for any modulus. *)
+
+module Ctx = struct
+  type kind =
+    | Mont of {
+        kernel_ctx : Bytes.t; (* m's k words, then -m^{-1} mod 2^64 *)
+        one : Bytes.t; (* R mod m: the Montgomery representation of 1 *)
+        r2 : Bytes.t; (* R^2 mod m: converts into the domain by a multiply *)
+        unit_words : Bytes.t; (* plain 1: converts out of the domain *)
+      }
+    | Plain
+
+  type ctx = { modulus : t; kind : kind; words : int }
+
+  (* Representative: exactly [words] 64-bit words below m, in the
+     Montgomery domain for a [Mont] context and the ordinary residue
+     ring for a [Plain] one. *)
+  type mont = Bytes.t
 
   (* Inverse of an odd word modulo 2^64 by Newton iteration: m0 is its
      own inverse to 3 bits, and each step doubles the correct bits. *)
@@ -626,89 +657,38 @@ module Montgomery = struct
     !x
 
   let create modulus =
-    if modulus.sign <= 0 || is_even modulus || is_one modulus then None
-    else begin
-      let k = words_for modulus.mag in
-      let kernel_ctx = Bytes.make (8 * (k + 1)) '\000' in
-      Bytes.blit (words_of_nat k modulus.mag) 0 kernel_ctx 0 (8 * k);
-      Bytes.set_int64_ne kernel_ctx (8 * k)
-        (Int64.neg (word_inverse (Bytes.get_int64_ne kernel_ctx 0)));
-      let r_pow i = words_of_nat k (emod (shift_left one (i * k * word_bits)) modulus).mag in
-      Some
-        { k; kernel_ctx; modulus; one = r_pow 1; r2 = r_pow 2; unit_words = words_of_nat k [| 1 |] }
-    end
-
-  let mont_mul ctx a b =
-    let r = Bytes.create (8 * ctx.k) in
-    kernel_mont_mul ctx.kernel_ctx r a b (Bytes.create (8 * (ctx.k + 2)));
-    r
-
-  (* x is reduced below m. *)
-  let to_mont ctx x = mont_mul ctx (words_of_nat ctx.k x.mag) ctx.r2
-
-  let from_mont ctx x = make 1 (nat_of_words (mont_mul ctx x ctx.unit_words))
-
-  (* Takes and returns Montgomery representatives, so callers chaining
-     many operations avoid per-step conversions. *)
-  let pow_mont ctx b_mont e =
-    if is_zero e then ctx.one
-    else begin
-      let r = Bytes.create (8 * ctx.k) in
-      kernel_mont_pow ctx.kernel_ctx r b_mont e.mag
-        (Bytes.create (8 * ((16 * ctx.k) + 2)));
-      r
-    end
-
-  let mod_pow ctx b e =
-    if is_zero e then emod one ctx.modulus
-    else from_mont ctx (pow_mont ctx (to_mont ctx (emod b ctx.modulus)) e)
-end
-
-let use_montgomery = ref true
-
-(* ------------------------------------------------------------------ *)
-(* Reusable per-modulus contexts.  A [Ctx.ctx] carries the Montgomery
-   state (word inverse, R mod m, R^2 mod m) for one modulus so that the setup cost
-   is paid once per modulus instead of once per exponentiation.  Even
-   moduli (for which no Montgomery inverse exists) degrade to a plain
-   context whose operations fall back to division-based arithmetic. *)
-
-module Ctx = struct
-  type kind =
-    | Mont of Montgomery.ctx
-    | Plain (* even modulus, or modulus = 1: no Montgomery inverse *)
-
-  type ctx = { modulus : t; kind : kind; words : int }
-
-  (* Representative: exactly [words] 64-bit words below m, in the
-     Montgomery domain for a [Mont] context and the ordinary residue
-     ring for a [Plain] one. *)
-  type mont = Bytes.t
-
-  let create modulus =
-    if modulus.sign <= 0 then
-      invalid_arg "Bigint.Ctx.create: modulus must be positive"
-    else begin
-      let words = words_for modulus.mag in
-      match Montgomery.create modulus with
-      | Some mc -> { modulus; kind = Mont mc; words }
-      | None -> { modulus; kind = Plain; words }
-    end
+    if modulus.sign <= 0 then invalid_arg "Bigint.Ctx.create: modulus must be positive";
+    let k = words_for modulus.mag in
+    let kind =
+      if is_even modulus || is_one modulus then Plain
+      else begin
+        let kernel_ctx = Bytes.make (8 * (k + 1)) '\000' in
+        Bytes.blit (words_of_nat k modulus.mag) 0 kernel_ctx 0 (8 * k);
+        Bytes.set_int64_ne kernel_ctx (8 * k)
+          (Int64.neg (word_inverse (Bytes.get_int64_ne kernel_ctx 0)));
+        let r_pow i = words_of_nat k (emod (shift_left one (i * k * word_bits)) modulus).mag in
+        Mont { kernel_ctx; one = r_pow 1; r2 = r_pow 2; unit_words = words_of_nat k [| 1 |] }
+      end
+    in
+    { modulus; kind; words = k }
 
   let modulus c = c.modulus
-
-  let uses_montgomery c =
-    !use_montgomery && (match c.kind with Mont _ -> true | Plain -> false)
-
+  let uses_montgomery c = match c.kind with Mont _ -> true | Plain -> false
   let mod_mul c a b = emod (mul a b) c.modulus
 
+  let kernel_mul c kernel_ctx a b =
+    let r = Bytes.create (8 * c.words) in
+    kernel_mont_mul kernel_ctx r a b (Bytes.create (8 * (c.words + 2)));
+    r
+
   let plain_words c x = words_of_nat c.words (emod x c.modulus).mag
+  let value r = make 1 (nat_of_words r)
 
   let to_mont c x =
-    let x = emod x c.modulus in
+    let x = plain_words c x in
     match c.kind with
-    | Mont mc -> Montgomery.to_mont mc x
-    | Plain -> words_of_nat c.words x.mag
+    | Mont mc -> kernel_mul c mc.kernel_ctx x mc.r2
+    | Plain -> x
 
   (* The kernel reads exactly [words] words of every operand, so an
      operand from a context of another width is refused here. *)
@@ -719,13 +699,10 @@ module Ctx = struct
   let of_mont c r =
     check c r;
     match c.kind with
-    | Mont mc -> Montgomery.from_mont mc r
-    | Plain -> make 1 (nat_of_words r)
+    | Mont mc -> value (kernel_mul c mc.kernel_ctx r mc.unit_words)
+    | Plain -> value r
 
-  let mont_one c =
-    match c.kind with
-    | Mont mc -> mc.Montgomery.one
-    | Plain -> plain_words c one
+  let mont_one c = match c.kind with Mont mc -> mc.one | Plain -> plain_words c one
 
   (* Representatives are canonical (below m, fixed width), so byte
      equality decides value equality. *)
@@ -735,137 +712,113 @@ module Ctx = struct
     check c a;
     check c b;
     match c.kind with
-    | Mont mc -> Montgomery.mont_mul mc a b
-    | Plain -> plain_words c (mul (make 1 (nat_of_words a)) (make 1 (nat_of_words b)))
+    | Mont mc -> kernel_mul c mc.kernel_ctx a b
+    | Plain -> plain_words c (mul (value a) (value b))
 
   let mont_pow c b e =
-    if e.sign < 0 then invalid_arg "Bigint.Ctx.mont_pow: negative exponent"
-    else begin
-      check c b;
-      match c.kind with
-      | Mont mc -> Montgomery.pow_mont mc b e
-      | Plain -> plain_words c (mod_pow_plain (make 1 (nat_of_words b)) e c.modulus)
-    end
+    if e.sign < 0 then invalid_arg "Bigint.Ctx.mont_pow: negative exponent";
+    check c b;
+    match c.kind with
+    | Mont mc when is_zero e -> mc.one
+    | Mont mc ->
+      let r = Bytes.create (8 * c.words) in
+      kernel_mont_pow mc.kernel_ctx r b e.mag (Bytes.create (8 * ((16 * c.words) + 2)));
+      r
+    | Plain -> plain_words c (mod_pow_plain (value b) e c.modulus)
 
   let mod_pow c b e =
-    let m = c.modulus in
-    if is_one m then zero
-    else begin
-      let b =
-        if e.sign < 0 then
-          match mod_inverse b m with
-          | Some inv -> inv
-          | None ->
-            invalid_arg "Bigint.Ctx.mod_pow: negative exponent, base not invertible"
-        else emod b m
-      in
-      let e = abs e in
-      match c.kind with
-      | Mont mc when !use_montgomery && numbits e > 16 -> Montgomery.mod_pow mc b e
-      | Mont _ | Plain -> mod_pow_plain b e m
-    end
+    pow_checked "Bigint.Ctx.mod_pow" b e c.modulus ~wide:(fun b e ->
+        of_mont c (mont_pow c (to_mont c b) e))
 end
 
 (* ------------------------------------------------------------------ *)
-(* Transparent bounded context cache.  The protocol workloads reuse a
-   handful of moduli (n^2, p, q, prime candidates) across thousands of
-   exponentiations; caching the contexts drops Montgomery setup from
-   O(#modexps) to O(#moduli) without any caller-visible API change. *)
+(* Bounded least-recently-used caches, one per domain and per kind of
+   entry.  Entries are immutable once built, but the slots, stamps and
+   counters are not, so each domain keeps its own and concurrent domains
+   never race on the bookkeeping; the price is one rebuild per (domain,
+   entry) pair. *)
 
-let ctx_cache_slots = 8
+let lru_slots = 8
 
-type ctx_slot = { slot_ctx : Ctx.ctx; mutable stamp : int }
-
-(* The cache is domain-local state: each domain gets its own slot array
-   and counters, so concurrent domains never race on the LRU bookkeeping
-   (the slot mutations and tick/hit/miss increments are unsynchronised).
-   Contexts built under one domain are immutable after creation and could
-   in principle be shared, but the bookkeeping around them cannot; per-
-   domain replication keeps the fast path free of locks at the cost of
-   one table rebuild per (domain, modulus) pair. *)
-type ctx_cache_state = {
-  slots : ctx_slot option array;
+type 'a lru = {
+  entries : 'a option array;
+  stamps : int array; (* last use; 0 for an empty slot *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let ctx_cache_key : ctx_cache_state Domain.DLS.key =
+let lru_key () =
   Domain.DLS.new_key (fun () ->
-      { slots = Array.make ctx_cache_slots None; tick = 0; hits = 0; misses = 0 })
+      { entries = Array.make lru_slots None; stamps = Array.make lru_slots 0; tick = 0;
+        hits = 0; misses = 0 })
 
-let ctx_cache () = Domain.DLS.get ctx_cache_key
+(* The first entry satisfying [matches]; on a miss, [build ()] replaces
+   the least recently used slot. *)
+let lru_find key matches build =
+  let st = Domain.DLS.get key in
+  st.tick <- st.tick + 1;
+  let rec find i =
+    if i = lru_slots then None
+    else
+      match st.entries.(i) with
+      | Some v when matches v ->
+        st.stamps.(i) <- st.tick;
+        Some v
+      | _ -> find (i + 1)
+  in
+  match find 0 with
+  | Some v ->
+    st.hits <- st.hits + 1;
+    v
+  | None ->
+    st.misses <- st.misses + 1;
+    let v = build () in
+    let victim = ref 0 in
+    for i = 1 to lru_slots - 1 do
+      if st.stamps.(i) < st.stamps.(!victim) then victim := i
+    done;
+    st.entries.(!victim) <- Some v;
+    st.stamps.(!victim) <- st.tick;
+    v
+
+(* The protocol workloads reuse a handful of moduli (n^2, p, q, prime
+   candidates) across thousands of exponentiations; caching their
+   contexts pays the Montgomery setup once per modulus instead of once
+   per exponentiation, without any caller-visible API change. *)
+let ctx_cache : Ctx.ctx lru Domain.DLS.key = lru_key ()
 
 let ctx_cache_stats () =
-  let st = ctx_cache () in
+  let st = Domain.DLS.get ctx_cache in
   (st.hits, st.misses)
 
 let ctx_cache_reset () =
-  let st = ctx_cache () in
-  Array.fill st.slots 0 ctx_cache_slots None;
+  let st = Domain.DLS.get ctx_cache in
+  Array.fill st.entries 0 lru_slots None;
+  Array.fill st.stamps 0 lru_slots 0;
   st.tick <- 0;
   st.hits <- 0;
   st.misses <- 0
 
-let ctx_of_modulus m =
-  let st = ctx_cache () in
-  st.tick <- st.tick + 1;
-  let found = ref None in
-  for i = 0 to ctx_cache_slots - 1 do
-    match st.slots.(i) with
-    | Some slot when !found = None && equal (Ctx.modulus slot.slot_ctx) m ->
-      slot.stamp <- st.tick;
-      found := Some slot.slot_ctx
-    | _ -> ()
-  done;
-  match !found with
-  | Some c ->
-    st.hits <- st.hits + 1;
-    c
-  | None ->
-    st.misses <- st.misses + 1;
-    let c = Ctx.create m in
-    (* Evict the least-recently-used slot (empty slots have stamp 0). *)
-    let victim = ref 0 and victim_stamp = ref max_int in
-    for i = 0 to ctx_cache_slots - 1 do
-      let stamp = match st.slots.(i) with None -> 0 | Some slot -> slot.stamp in
-      if stamp < !victim_stamp then begin
-        victim := i;
-        victim_stamp := stamp
-      end
-    done;
-    st.slots.(!victim) <- Some { slot_ctx = c; stamp = st.tick };
-    c
+let ctx_of_modulus m = lru_find ctx_cache (fun c -> equal c.Ctx.modulus m) (fun () -> Ctx.create m)
 
 let cached_ctx m =
   if m.sign <= 0 then invalid_arg "Bigint.cached_ctx: modulus must be positive"
   else ctx_of_modulus m
 
+(* Only odd moduli enter the cache: an even one needs no setup. *)
 let mod_pow b e m =
   if m.sign <= 0 then invalid_arg "Bigint.mod_pow: modulus must be positive"
-  else if is_one m then zero
-  else begin
-    let b =
-      if e.sign < 0 then
-        match mod_inverse b m with
-        | Some inv -> inv
-        | None -> invalid_arg "Bigint.mod_pow: negative exponent, base not invertible"
-      else emod b m
-    in
-    let e = abs e in
-    (* Montgomery pays off once the exponent is more than a few words;
-       only odd moduli enter the cache, so every cached context carries
-       usable Montgomery state. *)
-    if !use_montgomery && is_odd m && numbits e > 16 then
-      Ctx.mod_pow (ctx_of_modulus m) b e
-    else mod_pow_plain b e m
-  end
+  else
+    pow_checked "Bigint.mod_pow" b e m ~wide:(fun b e ->
+        let c = if is_odd m then ctx_of_modulus m else Ctx.create m in
+        Ctx.of_mont c (Ctx.mont_pow c (Ctx.to_mont c b) e))
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-base windowed exponentiation.  For a base that is raised to
    many different exponents under one modulus (group generators, public
    keys), precompute base^(d * 16^i) for every 4-bit window position i
-   and digit d in Montgomery form: an exponentiation then costs one
+   and digit d in the context's domain: an exponentiation then costs one
    multiplication per non-zero window and no squarings at all. *)
 
 module Fixed_base = struct
@@ -875,11 +828,8 @@ module Fixed_base = struct
     fb_ctx : Ctx.ctx;
     fb_base : t;
     covered_bits : int; (* exponents of up to this many bits use the table *)
-    table : mont_table;
+    table : Ctx.mont array array; (* table.(i).(d-1) = base^(d * 16^i) *)
   }
-
-  and mont_table = Ctx.mont array array
-  (* table.(i).(d-1) = base^(d * 16^i) in the Montgomery domain. *)
 
   let create ~base ~modulus ~bits =
     if bits <= 0 then invalid_arg "Bigint.Fixed_base.create: bits must be positive";
@@ -899,98 +849,48 @@ module Fixed_base = struct
     in
     { fb_ctx; fb_base = base; covered_bits = windows * window; table }
 
-  let base fb = fb.fb_base
-  let modulus fb = Ctx.modulus fb.fb_ctx
+  let covers fb e = e.sign >= 0 && numbits e <= fb.covered_bits
 
-  let pow fb e =
-    let m = Ctx.modulus fb.fb_ctx in
-    if is_one m then zero
-    else if e.sign < 0 || numbits e > fb.covered_bits || not (Ctx.uses_montgomery fb.fb_ctx)
-    then
-      (* Out-of-range exponents and the [use_montgomery := false]
-         ablation take the general (context) route. *)
-      Ctx.mod_pow fb.fb_ctx fb.fb_base e
-    else if is_zero e then emod one m
-    else begin
-      let acc = ref (Ctx.mont_one fb.fb_ctx) in
-      let nbits = numbits e in
-      let windows = (nbits + window - 1) / window in
-      for i = 0 to windows - 1 do
-        let digit = ref 0 in
-        for bit = window - 1 downto 0 do
-          let position = (i * window) + bit in
-          digit :=
-            (!digit lsl 1) lor (if position < nbits && testbit e position then 1 else 0)
-        done;
-        if !digit <> 0 then acc := Ctx.mont_mul fb.fb_ctx !acc fb.table.(i).(!digit - 1)
+  (* acc * base^e in the domain, for an exponent the table covers: one
+     table multiplication per non-zero window. *)
+  let scan fb acc e =
+    let acc = ref acc in
+    for i = 0 to ((numbits e + window - 1) / window) - 1 do
+      let digit = ref 0 in
+      for bit = window - 1 downto 0 do
+        digit := (!digit lsl 1) lor (if testbit e ((i * window) + bit) then 1 else 0)
       done;
-      Ctx.of_mont fb.fb_ctx !acc
-    end
+      if !digit <> 0 then acc := Ctx.mont_mul fb.fb_ctx !acc fb.table.(i).(!digit - 1)
+    done;
+    !acc
 
-  (* Bounded cache of tables keyed on (base, modulus), LRU eviction as
-     for the context cache.  A cached table is reused when it covers at
-     least the requested exponent width. *)
+  (* Negative exponents and exponents wider than the table take the
+     context's general exponentiation. *)
+  let pow fb e =
+    if covers fb e then Ctx.of_mont fb.fb_ctx (scan fb (Ctx.mont_one fb.fb_ctx) e)
+    else Ctx.mod_pow fb.fb_ctx fb.fb_base e
 
-  let cache_slots = 8
-
-  type fb_slot = { slot_fb : fb; mutable fb_stamp : int }
-
-  (* Domain-local for the same reason as the context cache: tables are
-     immutable once built, but the LRU slots and stamps are not. *)
-  type fb_cache_state = {
-    fb_slots : fb_slot option array;
-    mutable fb_tick : int;
-  }
-
-  let cache_key : fb_cache_state Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { fb_slots = Array.make cache_slots None; fb_tick = 0 })
+  (* A cached table is reused when it covers at least [bits]. *)
+  let cache : fb lru Domain.DLS.key = lru_key ()
 
   let cached ~base ~modulus ~bits =
-    let st = Domain.DLS.get cache_key in
-    st.fb_tick <- st.fb_tick + 1;
-    let found = ref None in
-    for i = 0 to cache_slots - 1 do
-      match st.fb_slots.(i) with
-      | Some slot
-        when !found = None
-             && equal slot.slot_fb.fb_base base
-             && equal (Ctx.modulus slot.slot_fb.fb_ctx) modulus
-             && slot.slot_fb.covered_bits >= bits ->
-        slot.fb_stamp <- st.fb_tick;
-        found := Some slot.slot_fb
-      | _ -> ()
-    done;
-    match !found with
-    | Some fb -> fb
-    | None ->
-      let fb = create ~base ~modulus ~bits in
-      let victim = ref 0 and victim_stamp = ref max_int in
-      for i = 0 to cache_slots - 1 do
-        let stamp = match st.fb_slots.(i) with None -> 0 | Some slot -> slot.fb_stamp in
-        if stamp < !victim_stamp then begin
-          victim := i;
-          victim_stamp := stamp
-        end
-      done;
-      st.fb_slots.(!victim) <- Some { slot_fb = fb; fb_stamp = st.fb_tick };
-      fb
+    lru_find cache
+      (fun fb ->
+        equal fb.fb_base base && equal (Ctx.modulus fb.fb_ctx) modulus && fb.covered_bits >= bits)
+      (fun () -> create ~base ~modulus ~bits)
 end
 
 (* ------------------------------------------------------------------ *)
-(* Simultaneous multi-exponentiation (Shamir's trick).  b1^e1 * b2^e2
-   is computed with one joint 2-bit-window scan of both exponents over
-   a shared Montgomery context: the squaring chain is paid once instead
-   of twice, and each window column costs at most one multiplication by
-   a precomputed b1^i * b2^j table entry.  Against two independent
-   windowed exponentiations this saves ~40% of the modular
-   multiplications, which is exactly the shape of Paillier's g^m * r^n
-   encrypt-then-mask and ElGamal's m * y^r. *)
+(* Simultaneous multi-exponentiation (Shamir's trick).  a^ea * b^eb is
+   computed with one joint 2-bit-window scan of both exponents in one
+   context's domain: the squaring chain is paid once instead of twice,
+   and each window column costs at most one multiplication by a
+   precomputed a^i * b^j table entry, which is the shape of PM's
+   eval^r * s^n masking. *)
 
 module Multi_exp = struct
   let window = 2
 
-  (* In-domain core: a^ea * b^eb for non-negative exponents. *)
   let mont_pow2 (c : Ctx.ctx) (a : Ctx.mont) ea (b : Ctx.mont) eb =
     if ea.sign < 0 || eb.sign < 0 then
       invalid_arg "Bigint.Multi_exp: negative exponent";
@@ -1007,118 +907,40 @@ module Multi_exp = struct
       done
     done;
     let nbits = Stdlib.max (numbits ea) (numbits eb) in
-    if nbits = 0 then one_m
-    else begin
-      let cols = (nbits + window - 1) / window in
-      let digit e col =
-        let d = ref 0 in
-        for bit = window - 1 downto 0 do
-          let pos = (col * window) + bit in
-          d := (!d lsl 1) lor (if testbit e pos then 1 else 0)
-        done;
-        !d
-      in
-      let acc = ref one_m in
-      let started = ref false in
-      for col = cols - 1 downto 0 do
-        if !started then
-          for _ = 1 to window do
-            acc := Ctx.mont_mul c !acc !acc
-          done;
-        let da = digit ea col and db = digit eb col in
-        if da <> 0 || db <> 0 then begin
-          acc := if !started then Ctx.mont_mul c !acc table.(da).(db) else table.(da).(db);
-          started := true
-        end
+    let digit e col =
+      let d = ref 0 in
+      for bit = window - 1 downto 0 do
+        d := (!d lsl 1) lor (if testbit e ((col * window) + bit) then 1 else 0)
       done;
-      !acc
-    end
+      !d
+    in
+    let acc = ref one_m in
+    let started = ref false in
+    for col = ((nbits + window - 1) / window) - 1 downto 0 do
+      if !started then
+        for _ = 1 to window do
+          acc := Ctx.mont_mul c !acc !acc
+        done;
+      let da = digit ea col and db = digit eb col in
+      if da <> 0 || db <> 0 then begin
+        acc := if !started then Ctx.mont_mul c !acc table.(da).(db) else table.(da).(db);
+        started := true
+      end
+    done;
+    !acc
 
-  let pow2 c (b1, e1) (b2, e2) =
-    if is_one (Ctx.modulus c) then zero
-    else if e1.sign < 0 || e2.sign < 0 then
-      invalid_arg "Bigint.Multi_exp.pow2: negative exponent"
-    else if Ctx.uses_montgomery c then
-      Ctx.of_mont c
-        (mont_pow2 c (Ctx.to_mont c b1) e1 (Ctx.to_mont c b2) e2)
-    else
-      (* Even-modulus / ablation fallback: two plain exponentiations. *)
-      Ctx.mod_mul c (Ctx.mod_pow c b1 e1) (Ctx.mod_pow c b2 e2)
-
-  (* a * b^e with the conversions fused: one to_mont for [a] instead of
-     a full-width modular multiplication at the end. *)
+  (* a * b^e with the conversions fused: one conversion of [a] into the
+     domain instead of a full-width modular multiplication at the end. *)
   let mul_pow c a b e =
-    if is_one (Ctx.modulus c) then zero
-    else if e.sign < 0 then Ctx.mod_mul c a (Ctx.mod_pow c b e)
-    else if Ctx.uses_montgomery c then begin
-      let b_m = Ctx.to_mont c b in
-      let p_m = Ctx.mont_pow c b_m e in
-      Ctx.of_mont c (Ctx.mont_mul c (Ctx.to_mont c a) p_m)
-    end
-    else Ctx.mod_mul c a (Ctx.mod_pow c b e)
+    if e.sign < 0 then Ctx.mod_mul c a (Ctx.mod_pow c b e)
+    else Ctx.of_mont c (Ctx.mont_mul c (Ctx.to_mont c a) (Ctx.mont_pow c (Ctx.to_mont c b) e))
 
-  (* a * base^e against a fixed-base table: the table multiplications
-     accumulate directly onto [a] in the Montgomery domain, so a full
-     exponentiation-then-multiply collapses into the window scan. *)
+  (* a * base^e against a fixed-base table: the window multiplications
+     accumulate directly onto [a] in the domain. *)
   let mul_pow_fb (fb : Fixed_base.fb) a e =
     let c = fb.Fixed_base.fb_ctx in
-    let m = Ctx.modulus c in
-    if is_one m then zero
-    else if
-      e.sign < 0
-      || numbits e > fb.Fixed_base.covered_bits
-      || not (Ctx.uses_montgomery c)
-    then Ctx.mod_mul c a (Fixed_base.pow fb e)
-    else begin
-      let w = Fixed_base.window in
-      let acc = ref (Ctx.to_mont c a) in
-      let nbits = numbits e in
-      let windows = (nbits + w - 1) / w in
-      for i = 0 to windows - 1 do
-        let digit = ref 0 in
-        for bit = w - 1 downto 0 do
-          let position = (i * w) + bit in
-          digit :=
-            (!digit lsl 1)
-            lor (if position < nbits && testbit e position then 1 else 0)
-        done;
-        if !digit <> 0 then
-          acc := Ctx.mont_mul c !acc fb.Fixed_base.table.(i).(!digit - 1)
-      done;
-      Ctx.of_mont c !acc
-    end
-
-  (* base^e1 * b2^e2 where [base] has a fixed-base table: b2^e2 runs the
-     shared squaring chain and the table entries for e1 (absolute powers,
-     independent of the chain) are folded in afterwards, all in-domain. *)
-  let pow2_fb (fb : Fixed_base.fb) e1 (b2, e2) =
-    let c = fb.Fixed_base.fb_ctx in
-    let m = Ctx.modulus c in
-    if is_one m then zero
-    else if
-      e1.sign < 0 || e2.sign < 0
-      || numbits e1 > fb.Fixed_base.covered_bits
-      || not (Ctx.uses_montgomery c)
-    then Ctx.mod_mul c (Fixed_base.pow fb e1) (Ctx.mod_pow c b2 e2)
-    else begin
-      let p2_m = Ctx.mont_pow c (Ctx.to_mont c b2) e2 in
-      let w = Fixed_base.window in
-      let acc = ref p2_m in
-      let nbits = numbits e1 in
-      let windows = (nbits + w - 1) / w in
-      for i = 0 to windows - 1 do
-        let digit = ref 0 in
-        for bit = w - 1 downto 0 do
-          let position = (i * w) + bit in
-          digit :=
-            (!digit lsl 1)
-            lor (if position < nbits && testbit e1 position then 1 else 0)
-        done;
-        if !digit <> 0 then
-          acc := Ctx.mont_mul c !acc fb.Fixed_base.table.(i).(!digit - 1)
-      done;
-      Ctx.of_mont c !acc
-    end
+    if Fixed_base.covers fb e then Ctx.of_mont c (Fixed_base.scan fb (Ctx.to_mont c a) e)
+    else Ctx.mod_mul c a (Fixed_base.pow fb e)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -7,6 +7,12 @@
     functional; values are immutable and structurally comparable via
     {!compare}/{!equal}.
 
+    Modular arithmetic has one path: a {!Ctx.ctx} alone chooses whether
+    its modulus runs on the Montgomery kernel (odd moduli) or in the
+    plain residue ring (even moduli and 1), and every other modular
+    operation here ({!mod_pow}, {!Fixed_base}, {!Multi_exp}) is written
+    once against it.
+
     Conventions: [div]/[rem] truncate toward zero (like OCaml's [/] and
     [mod]); [ediv]/[emod] are Euclidean (remainder always non-negative). *)
 
@@ -69,6 +75,17 @@ val succ : t -> t
 val pred : t -> t
 val mul : t -> t -> t
 
+val karatsuba_threshold : int
+(** Operand width in limbs from which {!mul} splits Karatsuba-style: 40,
+    the measured schoolbook/Karatsuba crossover of the A4 calibration
+    sweep ([bench ablation-karatsuba]). *)
+
+val mul_karatsuba : threshold:int -> t -> t -> t
+(** {!mul} with an explicit split threshold in limbs ([mul] is
+    [mul_karatsuba ~threshold:karatsuba_threshold]); a threshold wider
+    than both operands is pure schoolbook.  For the A4 sweep and the
+    Karatsuba-vs-schoolbook test. *)
+
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r], [q] truncated toward zero
     and [sign r = sign a] (or [r = 0]). *)
@@ -114,21 +131,23 @@ val mod_pow : t -> t -> t -> t
     use the modular inverse of [b] and raise [Invalid_argument] when the
     inverse does not exist.  Requires [m > 0].
 
-    Odd moduli with non-trivial exponents take a Montgomery (CIOS) fast
-    path whose per-modulus setup is memoized in a small transparent cache
-    (see {!ctx_cache_stats}); repeated exponentiations under the same
-    modulus — the shape of every protocol in this system — pay the setup
-    once.  The {!use_montgomery} knob bypasses the fast path entirely. *)
+    Exponents of more than 16 bits run in a {!Ctx} context; an odd
+    modulus's context is memoized in a small transparent cache (see
+    {!ctx_cache_stats}), so repeated exponentiations under the same
+    modulus — the shape of every protocol in this system — pay the
+    Montgomery setup once.  Shorter exponents take {!mod_pow_plain},
+    which beats the domain conversions at that size. *)
 
 (** {1 Modular-ring contexts}
 
-    A {!Ctx.ctx} packages the per-modulus Montgomery state so hot loops
-    can pay the setup (word inverse, R mod m and R^2 mod m, for
-    R = 2^(64k) and a k-word modulus) once and additionally
-    chain operations in the Montgomery domain without converting in and
-    out at every step.  Even moduli (no Montgomery inverse exists) give
-    a degraded context whose operations fall back to division-based
-    arithmetic but satisfy the same equations. *)
+    A {!Ctx.ctx} packages the per-modulus state so hot loops pay the
+    setup once and chain operations in the context's domain without
+    converting in and out at every step.  An odd modulus above 1 gets a
+    Montgomery context (word inverse, R mod m and R^2 mod m, for
+    R = 2^(64k) and a k-word modulus) on the C kernel; an even modulus
+    or 1, which has no Montgomery inverse, gets a plain context whose
+    domain is the ordinary residue ring.  Both kinds answer every
+    operation below with the same results. *)
 
 module Ctx : sig
   type ctx
@@ -145,8 +164,9 @@ module Ctx : sig
   val modulus : ctx -> t
 
   val uses_montgomery : ctx -> bool
-  (** Whether operations on this context run in the Montgomery domain:
-      true iff the modulus is odd (and > 1) and {!use_montgomery} is on. *)
+  (** The context's kind: true iff the modulus is odd and above 1, so
+      operations run in the Montgomery domain.  Only the tests read
+      it; no caller needs to branch on it. *)
 
   val mod_pow : ctx -> t -> t -> t
   (** As {!Bigint.mod_pow} with the cached context; same conventions for
@@ -193,8 +213,8 @@ val cached_ctx : t -> Ctx.ctx
 
     For a base raised to many exponents under one modulus (group
     generators, long-lived public keys), a precomputed table of
-    [base^(d * 16^i)] in Montgomery form turns each exponentiation into
-    at most one multiplication per 4-bit window — no squarings. *)
+    [base^(d * 16^i)] in the context's domain turns each exponentiation
+    into at most one multiplication per 4-bit window — no squarings. *)
 
 module Fixed_base : sig
   type fb
@@ -210,34 +230,26 @@ module Fixed_base : sig
 
   val pow : fb -> t -> t
   (** [pow fb e = base^e mod modulus].  Exponents that are negative or
-      wider than the table, and runs with {!use_montgomery} off, fall
-      back to the general context route (still correct, not
+      wider than the table take {!Ctx.mod_pow} (still correct, not
       table-accelerated). *)
-
-  val base : fb -> t
-  val modulus : fb -> t
 end
 
 (** {1 Simultaneous multi-exponentiation}
 
-    Shamir's trick: [b1^e1 * b2^e2 mod m] with one shared squaring chain
-    and a 16-entry [b1^i * b2^j] table, scanned in joint 2-bit windows.
-    Roughly [max(|e1|,|e2|)] squarings plus one multiplication per
+    Shamir's trick: [a^ea * b^eb mod m] with one shared squaring chain
+    and a 16-entry [a^i * b^j] table, scanned in joint 2-bit windows.
+    Roughly [max(|ea|,|eb|)] squarings plus one multiplication per
     non-zero window column, against ~2.5 multiplications per bit for two
-    independent exponentiations.  Paillier's [g^m * r^n] and ElGamal's
-    [m * y^r] are exactly this shape. *)
+    independent exponentiations; PM's [eval^r * s^n] masking is this
+    shape.  The fused products [a * b^e] serve Paillier's encryption
+    and ElGamal's encryption and decryption. *)
 
 module Multi_exp : sig
-  val pow2 : Ctx.ctx -> t * t -> t * t -> t
-  (** [pow2 c (b1, e1) (b2, e2) = b1^e1 * b2^e2 mod m].  Requires
-      non-negative exponents (raises [Invalid_argument] otherwise).
-      Even-modulus contexts and the [use_montgomery := false] ablation
-      fall back to two plain exponentiations — same result, no sharing. *)
-
   val mont_pow2 : Ctx.ctx -> Ctx.mont -> t -> Ctx.mont -> t -> Ctx.mont
-  (** In-domain core of {!pow2}: [mont_pow2 c a ea b eb = a^ea * b^eb]
-      with all values in the context's Montgomery representation, for
-      callers that chain further in-domain operations. *)
+  (** [mont_pow2 c a ea b eb = a^ea * b^eb] with all values in the
+      context's representation, for callers that chain further
+      in-domain operations.  Requires non-negative exponents (raises
+      [Invalid_argument] otherwise). *)
 
   val mul_pow : Ctx.ctx -> t -> t -> t -> t
   (** [mul_pow c a b e = a * b^e mod m] with the domain conversions
@@ -248,13 +260,8 @@ module Multi_exp : sig
   val mul_pow_fb : Fixed_base.fb -> t -> t -> t
   (** [mul_pow_fb fb a e = a * base^e mod m] where [base]/[m] come from
       the fixed-base table: the window multiplications accumulate
-      directly onto [a] in the Montgomery domain.  Exponents outside the
-      table's coverage fall back to [Fixed_base.pow] then multiply. *)
-
-  val pow2_fb : Fixed_base.fb -> t -> t * t -> t
-  (** [pow2_fb fb e1 (b2, e2) = base^e1 * b2^e2 mod m]: the variable
-      base runs the squaring chain, the fixed-base windows for [e1] are
-      folded in afterwards without leaving the Montgomery domain. *)
+      directly onto [a] in the context's domain.  Exponents outside the
+      table's coverage take [Fixed_base.pow] then multiply. *)
 end
 
 (** {1 Byte serialization} *)
@@ -299,19 +306,7 @@ module Infix : sig
   val ( ~- ) : t -> t
 end
 
-(** {1 Tuning} *)
-
-val karatsuba_threshold : int ref
-(** Limb count above which multiplication switches to Karatsuba.  Exposed
-    for the ablation benchmark; default 40, the measured schoolbook/
-    Karatsuba crossover from the A4 calibration sweep
-    ([bench ablation-karatsuba]). *)
-
-val use_montgomery : bool ref
-(** Whether {!mod_pow} may take the Montgomery (CIOS) fast path for odd
-    moduli (default [true]).  Exposed for the ablation benchmark; the
-    plain square-and-multiply-with-division route is always used for even
-    moduli and tiny exponents. *)
+(** {1 Reference and number-theoretic helpers} *)
 
 val mod_pow_plain : t -> t -> t -> t
 (** Reference modular exponentiation (no Montgomery), exported for

@@ -43,30 +43,23 @@ let eval_encrypted pk encrypted_coeffs x =
   match List.rev encrypted_coeffs with
   | [] -> invalid_arg "Pm_poly.eval_encrypted: empty coefficient list"
   | highest :: rest ->
+    (* Horner entirely in the domain of n^2's context: one conversion in
+       per coefficient and one conversion out at the end, instead of a
+       domain round-trip per scalar_mul/add.  The counter bumps mirror
+       the homomorphic operations Horner's rule performs (one scalar
+       multiplication and one addition per step), keeping Table 2
+       reproductions identical. *)
     let ctx = pk.Paillier.n2_ctx in
-    if Bigint.Ctx.uses_montgomery ctx then begin
-      (* Horner entirely in the Montgomery domain of n^2: one conversion
-         in per coefficient and one conversion out at the end, instead
-         of a domain round-trip per scalar_mul/add.  The counter bumps
-         mirror the homomorphic operations the generic route performs,
-         keeping Table 2 reproductions identical. *)
-      let x = Bigint.emod x pk.Paillier.n in
-      let acc =
-        ref (Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint highest))
-      in
-      List.iter
-        (fun c ->
-          Counters.bump Counters.Homomorphic_scalar;
-          Counters.bump Counters.Homomorphic_add;
-          let c_m = Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint c) in
-          acc := Bigint.Ctx.mont_mul ctx (Bigint.Ctx.mont_pow ctx !acc x) c_m)
-        rest;
-      Paillier.ciphertext_of_bigint pk (Bigint.Ctx.of_mont ctx !acc)
-    end
-    else
-      List.fold_left
-        (fun acc c -> Paillier.add pk (Paillier.scalar_mul pk x acc) c)
-        highest rest
+    let x = Bigint.emod x pk.Paillier.n in
+    let acc = ref (Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint highest)) in
+    List.iter
+      (fun c ->
+        Counters.bump Counters.Homomorphic_scalar;
+        Counters.bump Counters.Homomorphic_add;
+        let c_m = Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint c) in
+        acc := Bigint.Ctx.mont_mul ctx (Bigint.Ctx.mont_pow ctx !acc x) c_m)
+      rest;
+    Paillier.ciphertext_of_bigint pk (Bigint.Ctx.of_mont ctx !acc)
 
 let eval_encrypted_naive prng pk encrypted_coeffs x =
   let zero = Paillier.encrypt prng pk Bigint.zero in
@@ -83,29 +76,22 @@ let mask_and_add prng pk evaluated ~payload =
   Counters.bump Counters.Random_number;
   let n = pk.Paillier.n in
   let r = Bigint.succ (Bigint.random_below (Prng.byte_source prng) (Bigint.pred n)) in
+  (* E(eval)^r * E(payload; s) = eval^r * s^n * (1 + payload*n): the two
+     variable-base exponentiations (same n^2 modulus, same-width
+     exponents) share one squaring chain via Shamir's trick, and the
+     binomial factor folds in with a single in-domain multiplication.
+     The counter bumps mirror the homomorphic encryption, scalar
+     multiplication and addition this computes, keeping Table 2
+     reproductions identical. *)
   let ctx = pk.Paillier.n2_ctx in
-  if Bigint.Ctx.uses_montgomery ctx then begin
-    (* E(eval)^r * E(payload; s) = eval^r * s^n * (1 + payload*n): the
-       two variable-base exponentiations (same n^2 modulus, same-width
-       exponents) share one squaring chain via Shamir's trick, and the
-       binomial factor folds in with a single in-domain multiplication.
-       The counter bumps mirror the operations the generic route
-       performs, keeping Table 2 reproductions identical. *)
-    Counters.bump Counters.Homomorphic_encrypt;
-    let s = Paillier.random_unit prng pk in
-    Counters.bump Counters.Homomorphic_scalar;
-    Counters.bump Counters.Homomorphic_add;
-    if Bigint.sign payload < 0 || Bigint.compare payload n >= 0 then
-      invalid_arg "Pm_poly.mask_and_add: payload out of range";
-    let g_m = Bigint.emod (Bigint.succ (Bigint.mul payload n)) pk.Paillier.n_squared in
-    let eval_m = Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint evaluated) in
-    let pair_m = Bigint.Multi_exp.mont_pow2 ctx eval_m r (Bigint.Ctx.to_mont ctx s) n in
-    let masked = Bigint.Ctx.mont_mul ctx pair_m (Bigint.Ctx.to_mont ctx g_m) in
-    Paillier.ciphertext_of_bigint pk (Bigint.Ctx.of_mont ctx masked)
-  end
-  else
-    (* Non-Montgomery route: same draws in the same order (r, then the
-       blinding unit inside [encrypt]), so both routes consume the PRNG
-       identically. *)
-    Paillier.add pk (Paillier.scalar_mul pk r evaluated)
-      (Paillier.encrypt prng pk payload)
+  Counters.bump Counters.Homomorphic_encrypt;
+  let s = Paillier.random_unit prng pk in
+  Counters.bump Counters.Homomorphic_scalar;
+  Counters.bump Counters.Homomorphic_add;
+  if Bigint.sign payload < 0 || Bigint.compare payload n >= 0 then
+    invalid_arg "Pm_poly.mask_and_add: payload out of range";
+  let g_m = Bigint.emod (Bigint.succ (Bigint.mul payload n)) pk.Paillier.n_squared in
+  let eval_m = Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint evaluated) in
+  let pair_m = Bigint.Multi_exp.mont_pow2 ctx eval_m r (Bigint.Ctx.to_mont ctx s) n in
+  let masked = Bigint.Ctx.mont_mul ctx pair_m (Bigint.Ctx.to_mont ctx g_m) in
+  Paillier.ciphertext_of_bigint pk (Bigint.Ctx.of_mont ctx masked)

@@ -192,7 +192,7 @@ let test_montgomery_edges () =
 
 let test_ctx_edges () =
   (* Explicit contexts: degenerate moduli, exponent zero, base >= m,
-     even moduli (no Montgomery inverse — Plain fallback kind). *)
+     even moduli (no Montgomery inverse — plain kind). *)
   Alcotest.check_raises "zero modulus" (Invalid_argument "Bigint.Ctx.create: modulus must be positive")
     (fun () -> ignore (Bigint.Ctx.create Bigint.zero));
   Alcotest.check_raises "negative modulus" (Invalid_argument "Bigint.Ctx.create: modulus must be positive")
@@ -229,10 +229,12 @@ let test_fixed_base_edges () =
   check_big "negative exponent falls back"
     (Bigint.to_string (Bigint.mod_pow g (i (-1)) m))
     (Bigint.Fixed_base.pow fb (i (-1)));
-  (* The knob disables the table entirely but the answer is unchanged. *)
-  Bigint.use_montgomery := false;
-  check_big "knob off" (Bigint.to_string (Bigint.mod_pow_plain g e m)) (Bigint.Fixed_base.pow fb e);
-  Bigint.use_montgomery := true
+  (* An even modulus gets a plain context: the same table scan runs in
+     the ordinary residue ring. *)
+  let even = Bigint.succ m in
+  let fb_even = Bigint.Fixed_base.create ~base:g ~modulus:even ~bits:64 in
+  check_big "plain kind" (Bigint.to_string (Bigint.mod_pow_plain g e even))
+    (Bigint.Fixed_base.pow fb_even e)
 
 let test_ctx_cache () =
   (* A cache hit must return exactly what the cold miss computed, and
@@ -260,10 +262,14 @@ let test_multi_exp () =
   let reference c b1 e1 b2 e2 =
     Bigint.Ctx.mod_mul c (Bigint.Ctx.mod_pow c b1 e1) (Bigint.Ctx.mod_pow c b2 e2)
   in
+  let pow2 c b1 e1 b2 e2 =
+    Bigint.Ctx.of_mont c
+      (Bigint.Multi_exp.mont_pow2 c (Bigint.Ctx.to_mont c b1) e1 (Bigint.Ctx.to_mont c b2) e2)
+  in
   let moduli =
     [
-      b "0xc000000000000000000000000000000d" (* odd: Montgomery route *);
-      Bigint.succ (b "0xc000000000000000000000000000000d") (* even: fallback *);
+      b "0xc000000000000000000000000000000d" (* odd: Montgomery kind *);
+      Bigint.succ (b "0xc000000000000000000000000000000d") (* even: plain kind *);
       i 2;
       i 1 (* ring collapses to 0 *);
     ]
@@ -274,17 +280,17 @@ let test_multi_exp () =
       for _ = 1 to 25 do
         let b1 = Bigint.emod (rand 130) m and b2 = Bigint.emod (rand 130) m in
         let e1 = rand 130 and e2 = rand 130 in
-        check_big "pow2 matches two mod_pows"
+        check_big "mont_pow2 matches two mod_pows"
           (Bigint.to_string (reference c b1 e1 b2 e2))
-          (Bigint.Multi_exp.pow2 c (b1, e1) (b2, e2))
+          (pow2 c b1 e1 b2 e2)
       done;
       (* Degenerate exponent shapes. *)
       let b1 = Bigint.emod (rand 100) m and b2 = Bigint.emod (rand 100) m in
       List.iter
         (fun (e1, e2) ->
-          check_big "pow2 edge exponents"
+          check_big "mont_pow2 edge exponents"
             (Bigint.to_string (reference c b1 e1 b2 e2))
-            (Bigint.Multi_exp.pow2 c (b1, e1) (b2, e2)))
+            (pow2 c b1 e1 b2 e2))
         [
           (Bigint.zero, Bigint.zero);
           (Bigint.zero, rand 90);
@@ -304,14 +310,15 @@ let test_multi_exp () =
       (Bigint.to_string (Bigint.Ctx.mod_mul c a (Bigint.Ctx.mod_pow c base e)))
       (Bigint.Multi_exp.mul_pow c a base e)
   done;
-  (* Fixed-base composition: in-table, out-of-table, and knob-off paths. *)
+  (* Fixed-base composition, in-table and out-of-table: g^e1 * b2^e2
+     as b2^e2 accumulated onto the table scan. *)
   let g = i 7 in
   let fb = Bigint.Fixed_base.create ~base:g ~modulus:m ~bits:64 in
   let check_fb e1 b2 e2 =
-    check_big "pow2_fb"
+    check_big "mul_pow_fb onto a power"
       (Bigint.to_string
          (Bigint.Ctx.mod_mul c (Bigint.mod_pow g e1 m) (Bigint.Ctx.mod_pow c b2 e2)))
-      (Bigint.Multi_exp.pow2_fb fb e1 (b2, e2));
+      (Bigint.Multi_exp.mul_pow_fb fb (Bigint.Ctx.mod_pow c b2 e2) e1);
     check_big "mul_pow_fb"
       (Bigint.to_string (Bigint.Ctx.mod_mul c b2 (Bigint.mod_pow g e1 m)))
       (Bigint.Multi_exp.mul_pow_fb fb b2 e1)
@@ -321,15 +328,19 @@ let test_multi_exp () =
   done;
   check_fb (rand 100) (Bigint.emod (rand 64) m) (rand 64);
   check_fb Bigint.zero (Bigint.emod (rand 64) m) Bigint.zero;
-  Bigint.use_montgomery := false;
-  check_fb (rand 64) (Bigint.emod (rand 64) m) (rand 64);
-  let b1 = Bigint.emod (rand 64) m and e1 = rand 64 in
-  let b2 = Bigint.emod (rand 64) m and e2 = rand 64 in
-  check_big "pow2 with knob off"
-    (Bigint.to_string
-       (Bigint.emod (Bigint.mul (Bigint.mod_pow b1 e1 m) (Bigint.mod_pow b2 e2 m)) m))
-    (Bigint.Multi_exp.pow2 c (b1, e1) (b2, e2));
-  Bigint.use_montgomery := true
+  (* An even modulus runs the same in-domain code on a plain context. *)
+  let even = Bigint.succ m in
+  let ce = Bigint.Ctx.create even in
+  let fb_even = Bigint.Fixed_base.create ~base:g ~modulus:even ~bits:64 in
+  let a = Bigint.emod (rand 64) even and base = Bigint.emod (rand 64) even in
+  let e = rand 64 in
+  let plain_product x y e = Bigint.emod (Bigint.mul x (Bigint.mod_pow_plain y e even)) even in
+  check_big "plain-kind Fixed_base.pow" (Bigint.to_string (Bigint.mod_pow_plain g e even))
+    (Bigint.Fixed_base.pow fb_even e);
+  check_big "plain-kind mul_pow" (Bigint.to_string (plain_product a base e))
+    (Bigint.Multi_exp.mul_pow ce a base e);
+  check_big "plain-kind mul_pow_fb" (Bigint.to_string (plain_product a g e))
+    (Bigint.Multi_exp.mul_pow_fb fb_even a e)
 
 (* The word kernel against division-based arithmetic at its edges: moduli
    one bit below, at and above 64-bit word boundaries (so the top word is
@@ -557,12 +568,8 @@ let props =
         let source = Secmed_crypto.Prng.byte_source prng in
         let x = Bigint.random_bits source bits_a in
         let y = Bigint.random_bits source bits_b in
-        let saved = !Bigint.karatsuba_threshold in
-        Bigint.karatsuba_threshold := 4;
-        let fast = Bigint.mul x y in
-        Bigint.karatsuba_threshold := 1_000_000;
-        let slow = Bigint.mul x y in
-        Bigint.karatsuba_threshold := saved;
+        let fast = Bigint.mul_karatsuba ~threshold:4 x y in
+        let slow = Bigint.mul_karatsuba ~threshold:1_000_000 x y in
         Bigint.equal fast slow);
     prop "random_below in range" ~count:100
       (QCheck2.Gen.int_range 1 1_000_000)
@@ -595,7 +602,7 @@ let props =
          (QCheck2.Gen.int_range 1 512))
       (fun (base_bits, exp_bits, mod_bits) ->
         (* Both kinds: odd moduli take the Montgomery kind, even ones the
-           Plain fallback — the answers must be indistinguishable. *)
+           plain kind — the answers must be indistinguishable. *)
         let source = Secmed_crypto.Prng.byte_source prng in
         let base = Bigint.random_bits source base_bits in
         let e = Bigint.random_bits source exp_bits in

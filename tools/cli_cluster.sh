@@ -1,12 +1,12 @@
 #!/bin/sh
-# Smoke test of the real daemon binaries.  First, every bad address or
-# id flag must be a usage error (exit 124).  Then two `secmed source`
-# daemons and a `secmed serve` mediator on ephemeral localhost ports
-# (addressed as ":PORT", the empty-host form), a verified loadgen fleet
-# that must exit 0, then an authenticated `secmed drain` of the
-# mediator and of each source, after which every daemon must exit 0.
-# Exits nonzero on the first failure; a trap kills whatever daemon is
-# still running.  Run from the repository root:
+# Smoke test of the real daemon binaries.  First, every bad address,
+# id, rate or remote fallback flag must be a usage error (exit 124).
+# Then two `secmed source` daemons and a `secmed serve` mediator on
+# ephemeral localhost ports (addressed as ":PORT", the empty-host form),
+# a verified loadgen fleet that must exit 0, then an authenticated
+# `secmed drain` of the mediator and of each source, after which every
+# daemon must exit 0.  Exits nonzero on the first failure; a trap kills
+# whatever daemon is still running.  Run from the repository root:
 #
 #   sh tools/cli_cluster.sh
 set -eu
@@ -75,6 +75,9 @@ usage_error run --connect localhost:99999
 usage_error stats localhost:notaport
 usage_error ping nohostport
 usage_error drain :0
+usage_error run --connect :1 --fallback das
+usage_error loadgen --connect :1 --rate=0
+usage_error loadgen --connect :1 --fallback das
 
 for id in 1 2; do
   # shellcheck disable=SC2086
