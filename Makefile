@@ -12,9 +12,13 @@ test: check
 
 # Fault-injection / differential conformance suite on its own (all its
 # randomized tests run under a fixed seed baked into the test file).
-# The grep fails if a driver records a transcript entry instead of delivering through Link.
+# The first grep fails if a driver records a transcript entry instead of
+# delivering through Link; the second if anything in lib/core outside the
+# run frame (Outcome.Builder.run) sets up a run itself, so no driver can
+# skip the frame.
 check-fault:
 	! grep -rn "Transcript.record" lib/core
+	! grep -rnE "Link\.make|Fault\.attach|Counters\.with_fresh|Outcome\.Builder\.create" lib/core --exclude=outcome.ml --exclude=outcome.mli
 	dune exec test/test_fault.exe
 
 # Telemetry suite: the obs unit/differential tests, a traced run whose

@@ -70,8 +70,11 @@ let das_server_eval ~sizes () =
         let spec = Experiments.spec_for_domain size in
         let env, client, query = Workload.scenario ~params:Experiments.bench_params spec in
         let mediator_time eval =
-          let o = Protocol.run_exn (Protocol.Das (Das_partition.Equi_depth 4, eval)) env client ~query in
-          Option.value ~default:0.0 (List.assoc_opt "mediator-server-query" o.Outcome.timings)
+          let _, phases =
+            Bench_util.with_phase_times (fun () ->
+                Protocol.run_exn (Protocol.Das (Das_partition.Equi_depth 4, eval)) env client ~query)
+          in
+          Bench_util.phase_time phases "mediator-server-query"
         in
         [
           string_of_int size;

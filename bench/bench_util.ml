@@ -37,6 +37,30 @@ let print_table ~headers rows =
   line ()
 
 let fmt_ms seconds = Printf.sprintf "%.1f" (seconds *. 1000.0)
+
+(* Run [f] under a fresh trace collector and return its result with the
+   phase times of that run: the Phase spans `secmed report` renders,
+   seconds summed per phase name, in first-appearance order. *)
+let with_phase_times f =
+  let module Trace = Secmed_obs.Trace in
+  let result, trace = Trace.collect f in
+  let phases = List.filter (fun s -> s.Trace.kind = Trace.Phase) (Trace.spans trace) in
+  let names =
+    List.fold_left
+      (fun acc s -> if List.mem s.Trace.name acc then acc else s.Trace.name :: acc)
+      [] phases
+  in
+  let seconds name =
+    List.fold_left
+      (fun acc s ->
+        if s.Trace.name = name then acc +. Secmed_obs.Clock.ns_to_s (Trace.duration_ns s)
+        else acc)
+      0.0 phases
+  in
+  (result, List.rev_map (fun name -> (name, seconds name)) names)
+
+let phase_time phases name = Option.value ~default:0.0 (List.assoc_opt name phases)
+
 let fmt_bytes b =
   if b >= 1_048_576 then Printf.sprintf "%.2f MiB" (float_of_int b /. 1_048_576.0)
   else if b >= 1024 then Printf.sprintf "%.1f KiB" (float_of_int b /. 1024.0)

@@ -192,11 +192,13 @@ let perf ~sizes () =
   Bench_util.subheading (Printf.sprintf "phase breakdown at |domactive| = %d (ms)" largest);
   List.iter
     (fun scheme ->
-      let o = Protocol.run_exn scheme env client ~query in
+      let _, phases =
+        Bench_util.with_phase_times (fun () -> Protocol.run_exn scheme env client ~query)
+      in
       Printf.printf "%-22s " (Protocol.scheme_name scheme);
       List.iter
         (fun (phase, seconds) -> Printf.printf "%s=%.1f  " phase (seconds *. 1000.0))
-        o.Outcome.timings;
+        phases;
       print_newline ())
     Protocol.paper_schemes
 
@@ -241,11 +243,13 @@ let postproc () =
   let rows =
     List.map
       (fun scheme ->
-        let o = Protocol.run_exn scheme env client ~query in
+        let o, phases =
+          Bench_util.with_phase_times (fun () -> Protocol.run_exn scheme env client ~query)
+        in
         let exact = Relation.cardinality o.Outcome.exact in
         let postprocess =
-          Option.value ~default:0.0 (List.assoc_opt "client-postprocess" o.Outcome.timings)
-          +. Option.value ~default:0.0 (List.assoc_opt "client-translate" o.Outcome.timings)
+          Bench_util.phase_time phases "client-postprocess"
+          +. Bench_util.phase_time phases "client-translate"
         in
         [
           Protocol.scheme_name scheme;

@@ -1026,26 +1026,34 @@ let query_cmd =
              ~doc:"Join query (default: SELECT * FROM L NATURAL JOIN R).")
   in
   let action scheme left_path right_path left_types right_types sql verbose =
-    let left = load_csv left_path left_types in
-    let right = load_csv right_path right_types in
-    let env = Env.two_source ~left:("L", left) ~right:("R", right) () in
-    let client = Env.make_client env ~identity:"cli" ~properties:[ [] ] in
-    let query = Option.value ~default:"select * from L natural join R" sql in
-    Printf.printf "scheme: %s\nquery:  %s\n\n" (Protocol.scheme_name scheme) query;
-    let outcome = Protocol.run_exn scheme env client ~query in
-    let join_attr =
-      match Schema.common_names (Relation.schema left) (Relation.schema right) with
-      | [ a ] -> Some a
-      | _ -> None
-    in
-    let ground_truth =
-      Option.map (fun join_attr -> Ground_truth.compute left right ~join_attr) join_attr
-    in
-    report outcome ~verbose ~ground_truth
+    (* An unreadable or malformed CSV is reported, not an internal error. *)
+    match
+      let left = load_csv left_path left_types in
+      (left, load_csv right_path right_types)
+    with
+    | exception (Sys_error msg | Failure msg | Invalid_argument msg) -> Error (`Msg msg)
+    | exception End_of_file -> Error (`Msg "a CSV file has no header row")
+    | left, right ->
+      let env = Env.two_source ~left:("L", left) ~right:("R", right) () in
+      let client = Env.make_client env ~identity:"cli" ~properties:[ [] ] in
+      let query = Option.value ~default:"select * from L natural join R" sql in
+      Printf.printf "scheme: %s\nquery:  %s\n\n" (Protocol.scheme_name scheme) query;
+      let outcome = Protocol.run_exn scheme env client ~query in
+      let join_attr =
+        match Schema.common_names (Relation.schema left) (Relation.schema right) with
+        | [ a ] -> Some a
+        | _ -> None
+      in
+      let ground_truth =
+        Option.map (fun join_attr -> Ground_truth.compute left right ~join_attr) join_attr
+      in
+      report outcome ~verbose ~ground_truth;
+      Ok ()
   in
   let term =
-    Term.(const action $ scheme_arg $ left_csv $ right_csv $ left_types $ right_types $ sql
-          $ verbose_arg)
+    Term.(term_result
+            (const action $ scheme_arg $ left_csv $ right_csv $ left_types $ right_types $ sql
+             $ verbose_arg))
   in
   Cmd.v (Cmd.info "query" ~doc:"Mediate a join over two CSV files") term
 
@@ -1106,10 +1114,13 @@ let setop_cmd =
 
 let chain_cmd =
   let sources =
-    Arg.(value & opt int 3 & info [ "sources" ] ~docv:"N" ~doc:"Number of datasources (>= 2).")
+    let check n = if n >= 2 then Ok n else Error "--sources must be at least 2" in
+    let sources =
+      Arg.(value & opt int 3 & info [ "sources" ] ~docv:"N" ~doc:"Number of datasources (>= 2).")
+    in
+    Term.(term_result' ~usage:true (const check $ sources))
   in
   let action scheme n_sources =
-    if n_sources < 2 then failwith "need at least 2 sources";
     let prng = Secmed_crypto.Prng.of_int_seed 99 in
     let relations =
       List.init n_sources (fun i ->
@@ -1169,7 +1180,12 @@ let chain_cmd =
 let select_cmd =
   let rows = Arg.(value & opt int 64 & info [ "rows" ] ~docv:"N" ~doc:"Rows in the relation.") in
   let partitions =
-    Arg.(value & opt int 4 & info [ "partitions" ] ~docv:"K" ~doc:"Index partitions per attribute.")
+    let check k = if k > 0 then Ok k else Error "--partitions must be positive" in
+    let partitions =
+      Arg.(value & opt int 4
+           & info [ "partitions" ] ~docv:"K" ~doc:"Index partitions per attribute.")
+    in
+    Term.(term_result' ~usage:true (const check $ partitions))
   in
   let sql =
     Arg.(value & opt (some string) None

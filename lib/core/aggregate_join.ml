@@ -200,220 +200,209 @@ let run ?fault ?(strategy = Bundles) env client ~query =
   let scheme =
     match strategy with Bundles -> "aggregate" | Homomorphic -> "aggregate-homomorphic"
   in
-  let b = Outcome.Builder.create ~scheme in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?fault tr in
-  let computes = Link.computes link in
-  let step party phase f = Outcome.Builder.step b link party phase f in
-  let (exact, client_view), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.replicated b link Mediator "request" (fun () ->
-              Request.run link env client ~query)
+  Outcome.Builder.run_request ~scheme ?fault env client ~query (fun b link request _exact ->
+      let computes = Link.computes link in
+      let step party phase f = Outcome.Builder.step link party phase f in
+      let d = request.Request.decomposition in
+      let specs, group_keys =
+        match d.Catalog.aggregation with
+        | Some (specs, keys) -> (specs, keys)
+        | None -> unsupported "query has no aggregates; use the join protocols"
+      in
+      if d.Catalog.residual_where <> None then
+        unsupported "WHERE is not supported by the aggregation protocol";
+      let join_attrs = Request.join_attrs request in
+      let grouped =
+        match group_keys with
+        | [] -> false
+        | keys ->
+          if List.sort compare keys = List.sort compare join_attrs then true
+          else unsupported "GROUP BY must list exactly the join attributes"
+      in
+      let left_schema = Relation.schema request.Request.left_result in
+      let right_schema = Relation.schema request.Request.right_result in
+      (* Classify here: the frame builds the reference only after the
+         body, so malformed queries surface as Unsupported rather than a
+         raw Not_found. *)
+      let kinds = List.map (classify ~join_attrs left_schema right_schema) specs in
+      let pk = request.Request.client_pk in
+      let finalize relation =
+        let projected =
+          match d.Catalog.projection with
+          | None -> relation
+          | Some columns -> Relation.project columns relation
         in
-        let d = request.Request.decomposition in
-        let specs, group_keys =
-          match d.Catalog.aggregation with
-          | Some (specs, keys) -> (specs, keys)
-          | None -> unsupported "query has no aggregates; use the join protocols"
-        in
-        if d.Catalog.residual_where <> None then
-          unsupported "WHERE is not supported by the aggregation protocol";
-        let join_attrs = Request.join_attrs request in
-        let grouped =
-          match group_keys with
-          | [] -> false
-          | keys ->
-            if List.sort compare keys = List.sort compare join_attrs then true
-            else unsupported "GROUP BY must list exactly the join attributes"
-        in
-        let left_schema = Relation.schema request.Request.left_result in
-        let right_schema = Relation.schema request.Request.right_result in
-        (* Classify before computing the reference so malformed queries
-           surface as Unsupported rather than a raw Not_found. *)
-        let kinds = List.map (classify ~join_attrs left_schema right_schema) specs in
-        let exact = Request.exact_result env request in
-        let pk = request.Request.client_pk in
-        let finalize relation =
-          let projected =
-            match d.Catalog.projection with
-            | None -> relation
-            | Some columns -> Relation.project columns relation
+        if d.Catalog.distinct then Relation.distinct projected else projected
+      in
+      let client_view =
+        match strategy with
+        | Bundles ->
+          (* Each source seals, per key, a bundle of its per-key
+             statistics; the mediator keeps both sets and forwards
+             ids. *)
+          let set which ~own_side ~schema label =
+            {
+              Round.groups = Request.groups request which;
+              seal =
+                (fun prng a tuples ->
+                  let w = Wire.writer () in
+                  Wire.write_string w (Join_key.encode a);
+                  Wire.write_string w
+                    (encode_bundle ~count:(List.length tuples)
+                       ~partials:(own_partials ~schema ~kinds ~own_side tuples));
+                  Hybrid.encrypt prng pk (Wire.contents w));
+              payload = Codec.hybrid;
+              forward = Round.Id;
+              labels = ("agg-bundles", label, "doubly-encrypted");
+            }
           in
-          if d.Catalog.distinct then Relation.distinct projected else projected
-        in
-        let client_view =
-          match strategy with
-          | Bundles ->
-            (* Each source seals, per key, a bundle of its per-key
-               statistics; the mediator keeps both sets and forwards
-               ids. *)
-            let set which ~own_side ~schema label =
-              {
-                Round.groups = Request.groups request which;
-                seal =
-                  (fun prng a tuples ->
-                    let w = Wire.writer () in
-                    Wire.write_string w (Join_key.encode a);
-                    Wire.write_string w
-                      (encode_bundle ~count:(List.length tuples)
-                         ~partials:(own_partials ~schema ~kinds ~own_side tuples));
-                    Hybrid.encrypt prng pk (Wire.contents w));
-                payload = Codec.hybrid;
-                forward = Round.Id;
-                labels = ("agg-bundles", label, "doubly-encrypted");
-              }
-            in
-            let doubled =
-              Round.run b link ?fault env request
-                ~left:(set `Left ~own_side:L ~schema:left_schema "hashes-1")
-                ~right:(set `Right ~own_side:R ~schema:right_schema "hashes-2")
-            in
-            let forwarded =
-              Option.bind doubled (fun (left, right) ->
-                  step Mediator "mediator-match" (fun () -> Round.pairs ~left ~right))
-            in
-            Option.iter
-              (fun f -> Outcome.Builder.mediator_sees b "intersection-size" (List.length f))
-              forwarded;
-            let forwarded =
-              Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator
-                ~receiver:Client ~label:"matched-bundles" (Codec.pair Codec.hybrid Codec.hybrid)
-                forwarded
-            in
-            (* Client: decrypt bundles, combine per key, assemble. *)
-            (match forwarded with
-            | Some forwarded when computes Client ->
-              Outcome.Builder.client_sees b "bundles-received" (2 * List.length forwarded);
-              step Client "client-postprocess" (fun () ->
-                  let decrypt ct =
-                    let r =
-                      Wire.reader
-                        (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key "bundle" ct)
-                    in
-                    let key = Tuple.decode (Wire.read_string r) in
-                    let count, partials = decode_bundle (Wire.read_string r) in
-                    Wire.expect_end r;
-                    (key, count, partials)
+          let doubled =
+            Round.run b link ?fault env request
+              ~left:(set `Left ~own_side:L ~schema:left_schema "hashes-1")
+              ~right:(set `Right ~own_side:R ~schema:right_schema "hashes-2")
+          in
+          let forwarded =
+            Option.bind doubled (fun (left, right) ->
+                step Mediator "mediator-match" (fun () -> Round.pairs ~left ~right))
+          in
+          Option.iter
+            (fun f -> Outcome.Builder.mediator_sees b "intersection-size" (List.length f))
+            forwarded;
+          let forwarded =
+            Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator
+              ~receiver:Client ~label:"matched-bundles" (Codec.pair Codec.hybrid Codec.hybrid)
+              forwarded
+          in
+          (* Client: decrypt bundles, combine per key, assemble. *)
+          (match forwarded with
+          | Some forwarded when computes Client ->
+            Outcome.Builder.client_sees b "bundles-received" (2 * List.length forwarded);
+            step Client "client-postprocess" (fun () ->
+                let decrypt ct =
+                  let r =
+                    Wire.reader
+                      (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                         client.Env.key "bundle" ct)
                   in
-                  let per_key =
-                    List.map
-                      (fun (ct1, ct2) ->
-                        let key, c1, p1 = decrypt ct1 in
-                        let _, c2, p2 = decrypt ct2 in
-                        ( key,
-                          List.mapi
-                            (fun index kind -> combine_per_key kind ~c1 ~c2 ~p1 ~p2 index)
-                            kinds ))
-                      forwarded
-                  in
-                  ( finalize
-                      (assemble ~grouped ~group_keys ~join_attrs ~left_schema ~right_schema kinds
-                         specs per_key),
-                    List.length forwarded ))
-            | _ -> None)
-          | Homomorphic ->
-            (* Scalar COUNT/SUM over right-side columns, mediator-side
-               combination under the client's Paillier key. *)
-            if grouped then unsupported "Homomorphic strategy supports scalar queries only";
-            List.iter
-              (fun kind ->
-                match kind with
-                | K_count | K_sum (R, _) -> ()
-                | K_sum (L, _) | K_avg _ | K_min _ | K_max _ ->
-                  unsupported
-                    "Homomorphic strategy supports COUNT and right-side SUM aggregates only")
-              kinds;
-            (* c1(a) must be 1 for every left key so that pair weighting is
-               trivial; S1 verifies this on its own plaintext. *)
-            if
-              List.exists
-                (fun (_, tuples) -> List.length tuples > 1)
-                (Request.groups request `Left)
-            then
-              unsupported
-                "Homomorphic strategy requires duplicate-free join keys in the left relation";
-            let ppk = Paillier.public client.Env.paillier_key in
-            let cts = ciphertexts ppk ~count:(List.length kinds) in
-            (* S1: bare hashes.  S2: per key, one Paillier ciphertext per
-               aggregate, which the mediator keeps and forwards by id. *)
-            let doubled =
-              Round.run b link ?fault env request
-                ~left:
-                  {
-                    Round.groups = Request.groups request `Left;
-                    seal = (fun _ _ _ -> ());
-                    payload = Codec.none;
-                    forward = Round.Bare;
-                    labels = ("hashes", "hashes-1", "doubly-encrypted");
-                  }
-                ~right:
-                  {
-                    Round.groups = Request.groups request `Right;
-                    seal =
-                      (fun prng _ tuples ->
-                        let sums = own_partials ~schema:right_schema ~kinds ~own_side:R tuples in
+                  let key = Tuple.decode (Wire.read_string r) in
+                  let count, partials = decode_bundle (Wire.read_string r) in
+                  Wire.expect_end r;
+                  (key, count, partials)
+                in
+                let per_key =
+                  List.map
+                    (fun (ct1, ct2) ->
+                      let key, c1, p1 = decrypt ct1 in
+                      let _, c2, p2 = decrypt ct2 in
+                      ( key,
                         List.mapi
-                          (fun index kind ->
-                            let plain =
-                              match kind with
-                              | K_count -> List.length tuples
-                              | _ -> List.assoc index sums
-                            in
-                            Paillier.encrypt prng ppk (Bigint.of_int plain))
-                          kinds);
-                    payload = cts;
-                    forward = Round.Id;
-                    labels = ("agg-ciphertexts", "hashes-2", "doubly-encrypted");
-                  }
-            in
-            (* Mediator: match, then combine the matched ciphertexts. *)
-            let matched =
-              Option.bind doubled (fun (left, right) ->
-                  step Mediator "mediator-match" (fun () ->
-                      List.map snd (Round.pairs ~left ~right)))
-            in
-            Option.iter
-              (fun m -> Outcome.Builder.mediator_sees b "intersection-size" (List.length m))
-              matched;
-            let totals =
-              Option.bind matched (fun matched ->
-                  step Mediator "mediator-combine" (fun () ->
-                      let mediator_prng = Env.prng_for env "agg-mediator" in
+                          (fun index kind -> combine_per_key kind ~c1 ~c2 ~p1 ~p2 index)
+                          kinds ))
+                    forwarded
+                in
+                ( finalize
+                    (assemble ~grouped ~group_keys ~join_attrs ~left_schema ~right_schema kinds
+                       specs per_key),
+                  List.length forwarded ))
+          | _ -> None)
+        | Homomorphic ->
+          (* Scalar COUNT/SUM over right-side columns, mediator-side
+             combination under the client's Paillier key. *)
+          if grouped then unsupported "Homomorphic strategy supports scalar queries only";
+          List.iter
+            (fun kind ->
+              match kind with
+              | K_count | K_sum (R, _) -> ()
+              | K_sum (L, _) | K_avg _ | K_min _ | K_max _ ->
+                unsupported
+                  "Homomorphic strategy supports COUNT and right-side SUM aggregates only")
+            kinds;
+          (* c1(a) must be 1 for every left key so that pair weighting is
+             trivial; S1 verifies this on its own plaintext. *)
+          if
+            List.exists
+              (fun (_, tuples) -> List.length tuples > 1)
+              (Request.groups request `Left)
+          then
+            unsupported
+              "Homomorphic strategy requires duplicate-free join keys in the left relation";
+          let ppk = Paillier.public client.Env.paillier_key in
+          let cts = ciphertexts ppk ~count:(List.length kinds) in
+          (* S1: bare hashes.  S2: per key, one Paillier ciphertext per
+             aggregate, which the mediator keeps and forwards by id. *)
+          let doubled =
+            Round.run b link ?fault env request
+              ~left:
+                {
+                  Round.groups = Request.groups request `Left;
+                  seal = (fun _ _ _ -> ());
+                  payload = Codec.none;
+                  forward = Round.Bare;
+                  labels = ("hashes", "hashes-1", "doubly-encrypted");
+                }
+              ~right:
+                {
+                  Round.groups = Request.groups request `Right;
+                  seal =
+                    (fun prng _ tuples ->
+                      let sums = own_partials ~schema:right_schema ~kinds ~own_side:R tuples in
                       List.mapi
-                        (fun index _ ->
-                          match List.map (fun cts -> List.nth cts index) matched with
-                          | [] -> Paillier.encrypt mediator_prng ppk Bigint.zero
-                          | first :: rest -> List.fold_left (Paillier.add ppk) first rest)
-                        kinds))
-            in
-            let totals =
-              Codec.exchange link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-                ~label:"aggregate-totals" cts totals
-            in
-            (match totals with
-            | Some totals when computes Client ->
-              Outcome.Builder.client_sees b "ciphertexts-received" (List.length totals);
-              step Client "client-postprocess" (fun () ->
-                  let schema =
-                    Schema.make
-                      (List.map
-                         (fun (spec : Aggregate.spec) ->
-                           Schema.attr spec.Aggregate.alias Value.Tint)
-                         specs)
-                  in
-                  let row =
-                    List.map
-                      (fun ct ->
-                        Value.Int (Bigint.to_int (Paillier.decrypt client.Env.paillier_key ct)))
-                      totals
-                  in
-                  ( finalize (Relation.of_rows schema [ row ]),
-                    Option.fold ~none:0 ~some:List.length matched ))
-            | _ -> None)
-        in
-        (exact, client_view))
-  in
-  Outcome.Builder.finish_projected b ~exact ~counters client_view
+                        (fun index kind ->
+                          let plain =
+                            match kind with
+                            | K_count -> List.length tuples
+                            | _ -> List.assoc index sums
+                          in
+                          Paillier.encrypt prng ppk (Bigint.of_int plain))
+                        kinds);
+                  payload = cts;
+                  forward = Round.Id;
+                  labels = ("agg-ciphertexts", "hashes-2", "doubly-encrypted");
+                }
+          in
+          (* Mediator: match, then combine the matched ciphertexts. *)
+          let matched =
+            Option.bind doubled (fun (left, right) ->
+                step Mediator "mediator-match" (fun () ->
+                    List.map snd (Round.pairs ~left ~right)))
+          in
+          Option.iter
+            (fun m -> Outcome.Builder.mediator_sees b "intersection-size" (List.length m))
+            matched;
+          let totals =
+            Option.bind matched (fun matched ->
+                step Mediator "mediator-combine" (fun () ->
+                    let mediator_prng = Env.prng_for env "agg-mediator" in
+                    List.mapi
+                      (fun index _ ->
+                        match List.map (fun cts -> List.nth cts index) matched with
+                        | [] -> Paillier.encrypt mediator_prng ppk Bigint.zero
+                        | first :: rest -> List.fold_left (Paillier.add ppk) first rest)
+                      kinds))
+          in
+          let totals =
+            Codec.exchange link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+              ~label:"aggregate-totals" cts totals
+          in
+          (match totals with
+          | Some totals when computes Client ->
+            Outcome.Builder.client_sees b "ciphertexts-received" (List.length totals);
+            step Client "client-postprocess" (fun () ->
+                let schema =
+                  Schema.make
+                    (List.map
+                       (fun (spec : Aggregate.spec) ->
+                         Schema.attr spec.Aggregate.alias Value.Tint)
+                       specs)
+                in
+                let row =
+                  List.map
+                    (fun ct ->
+                      Value.Int (Bigint.to_int (Paillier.decrypt client.Env.paillier_key ct)))
+                    totals
+                in
+                ( finalize (Relation.of_rows schema [ row ]),
+                  Option.fold ~none:0 ~some:List.length matched ))
+          | _ -> None)
+      in
+      client_view)

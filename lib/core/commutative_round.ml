@@ -54,7 +54,7 @@ type 'p set = {
 
 let run b link ?fault env request ~left ~right =
   let computes = Link.computes link in
-  let step party phase f = Outcome.Builder.step b link party phase f in
+  let step party phase f = Outcome.Builder.step link party phase f in
   let group = env.Env.group in
   let point = Codec.point group in
   let s1 = request.Request.decomposition.Catalog.left.Catalog.source in

@@ -315,266 +315,255 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
     | Client_setting -> "das"
     | Source_setting | Mediator_setting -> "das/" ^ setting_name setting
   in
-  let b = Outcome.Builder.create ~scheme in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?endpoint ?fault tr in
-  let computes = Link.computes link in
-  let step party phase f = Outcome.Builder.step b link party phase f in
-  let (exact, client_view), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.replicated b link Mediator "request" (fun () ->
-              Request.run link env client ~query)
-        in
-        let exact = Request.exact_result env request in
-        let join_attrs = Request.join_attrs request in
-        let arity = List.length join_attrs in
-        let pk = request.Request.client_pk in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
+  Outcome.Builder.run_request ~scheme ?fault ?endpoint env client ~query
+    (fun b link request _exact ->
+      let computes = Link.computes link in
+      let step party phase f = Outcome.Builder.step link party phase f in
+      let join_attrs = Request.join_attrs request in
+      let arity = List.length join_attrs in
+      let pk = request.Request.client_pk in
+      let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
+      let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
 
-        (* Listing 2, steps 1-3 at each source: partition every join
-           attribute and encrypt the partial result DAS-style.  Where the
-           index tables go — and under which key — depends on the
-           translator placement. *)
-        let source_side (entry : Catalog.entry) relation =
-          let sid = entry.Catalog.source in
+      (* Listing 2, steps 1-3 at each source: partition every join
+         attribute and encrypt the partial result DAS-style.  Where the
+         index tables go — and under which key — depends on the
+         translator placement. *)
+      let source_side (entry : Catalog.entry) relation =
+        let sid = entry.Catalog.source in
+        step (Source sid) "source-encrypt" (fun () ->
+            let prng = Env.prng_for env (Printf.sprintf "das-source-%d" sid) in
+            let tables =
+              List.map
+                (fun attr ->
+                  let column = Relation.column relation attr in
+                  Das_partition.build
+                    (Das_partition.adapt strategy column)
+                    ~relation:entry.Catalog.relation ~attr column)
+                join_attrs
+            in
+            let encrypted = encrypt_relation prng pk tables ~join_attrs relation in
+            (prng, tables, apply_byzantine (Fault.byzantine_mode fault sid) encrypted))
+      in
+      let side1 =
+        source_side request.Request.decomposition.Catalog.left request.Request.left_result
+      in
+      let side2 =
+        source_side request.Request.decomposition.Catalog.right request.Request.right_result
+      in
+      (* S1's key pair, for the source setting: S2 seals its tables to
+         it, S1 opens them. *)
+      let s1_keys = lazy (source_keypair env s1) in
+      let seal sid key = function
+        | None -> None
+        | Some (prng, tables, _) ->
           step (Source sid) "source-encrypt" (fun () ->
-              let prng = Env.prng_for env (Printf.sprintf "das-source-%d" sid) in
-              let tables =
-                List.map
-                  (fun attr ->
-                    let column = Relation.column relation attr in
-                    Das_partition.build
-                      (Das_partition.adapt strategy column)
-                      ~relation:entry.Catalog.relation ~attr column)
-                  join_attrs
-              in
-              let encrypted = encrypt_relation prng pk tables ~join_attrs relation in
-              (prng, tables, apply_byzantine (Fault.byzantine_mode fault sid) encrypted))
+              Sealed (Hybrid.encrypt prng (key ()) (tables_to_wire tables)))
+      in
+      let clear = Option.map (fun (_, tables, _) -> Clear tables) in
+      let bare = Option.map (fun _ -> No_tables) in
+      let (tables1, kind1), (tables2, kind2) =
+        match setting with
+        | Client_setting ->
+          ( (seal s1 (fun () -> pk) side1, `Sealed),
+            (seal s2 (fun () -> pk) side2, `Sealed) )
+        | Source_setting ->
+          ( (bare side1, `None),
+            (seal s2 (fun () -> Elgamal.public (Lazy.force s1_keys)) side2, `Sealed) )
+        | Mediator_setting -> ((clear side1, `Clear), (clear side2, `Clear))
+      in
+      (* One upload per source: the encrypted rows plus this setting's
+         form of the index tables (so sources still "send data once"). *)
+      let upload sid which side tables ~kind =
+        let value =
+          match (side, tables) with
+          | Some (_, _, er), Some tables -> Some (er, tables)
+          | _ -> None
         in
-        let side1 =
-          source_side request.Request.decomposition.Catalog.left request.Request.left_result
-        in
-        let side2 =
-          source_side request.Request.decomposition.Catalog.right request.Request.right_result
-        in
-        (* S1's key pair, for the source setting: S2 seals its tables to
-           it, S1 opens them. *)
-        let s1_keys = lazy (source_keypair env s1) in
-        let seal sid key = function
-          | None -> None
-          | Some (prng, tables, _) ->
-            step (Source sid) "source-encrypt" (fun () ->
-                Sealed (Hybrid.encrypt prng (key ()) (tables_to_wire tables)))
-        in
-        let clear = Option.map (fun (_, tables, _) -> Clear tables) in
-        let bare = Option.map (fun _ -> No_tables) in
-        let (tables1, kind1), (tables2, kind2) =
-          match setting with
-          | Client_setting ->
-            ( (seal s1 (fun () -> pk) side1, `Sealed),
-              (seal s2 (fun () -> pk) side2, `Sealed) )
-          | Source_setting ->
-            ( (bare side1, `None),
-              (seal s2 (fun () -> Elgamal.public (Lazy.force s1_keys)) side2, `Sealed) )
-          | Mediator_setting -> ((clear side1, `Clear), (clear side2, `Clear))
-        in
-        (* One upload per source: the encrypted rows plus this setting's
-           form of the index tables (so sources still "send data once"). *)
-        let upload sid which side tables ~kind =
-          let value =
-            match (side, tables) with
-            | Some (_, _, er), Some tables -> Some (er, tables)
+        exchange_upload link ~sid ~label:(Printf.sprintf "R%dS+ITables" which) ~arity
+          ~tables:kind value
+      in
+      let up1 = upload s1 1 side1 tables1 ~kind:kind1 in
+      let up2 = upload s2 2 side2 tables2 ~kind:kind2 in
+      (* What the mediator holds from here on: the uploads as received. *)
+      let up1 = if computes Mediator then up1 else None in
+      let up2 = if computes Mediator then up2 else None in
+      let sealed_of = function Some (_, Sealed ct) -> Some ct | _ -> None in
+      (match (up1, up2) with
+      | Some (r1s, _), Some (r2s, _) ->
+        (* The tuple-wise encryption reveals the partial result sizes
+           to the mediator. *)
+        Outcome.Builder.mediator_sees b "cardinality-R1S" (List.length r1s.rows);
+        Outcome.Builder.mediator_sees b "cardinality-R2S" (List.length r2s.rows)
+      | _ -> ());
+
+      (* Steps 4/5: route the index tables to the translator, which
+         derives the server query q_S. *)
+      let send_query sender pairs =
+        Link.exchange link ~phase:"mediator-server-query" ~sender ~receiver:Mediator
+          ~label:"server-query-qS"
+          ~size:(fun pairs -> 16 * pair_count pairs)
+          ~encode:pairs_payload ~decode:(pairs_of_payload ~arity) pairs
+      in
+      let per_attr_pairs =
+        match setting with
+        | Client_setting ->
+          (* Tables encrypted for the client; client translates. *)
+          let enc_it1 =
+            sealed_exchange link ~phase:"client-translate" ~receiver:Client
+              ~label:"enc(ITables_R1)" (sealed_of up1)
+          in
+          let enc_it2 =
+            sealed_exchange link ~phase:"client-translate" ~receiver:Client
+              ~label:"enc(ITables_R2)" (sealed_of up2)
+          in
+          let pairs =
+            match (enc_it1, enc_it2) with
+            | Some enc_it1, Some enc_it2 ->
+              step Client "client-translate" (fun () ->
+                  let it1 =
+                    tables_of_wire
+                      (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
+                         "ITables_R1" enc_it1)
+                  in
+                  let it2 =
+                    tables_of_wire
+                      (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
+                         "ITables_R2" enc_it2)
+                  in
+                  Outcome.Builder.client_sees b "partitions-R1" (partition_count_sum it1);
+                  Outcome.Builder.client_sees b "partitions-R2" (partition_count_sum it2);
+                  server_query_pairs ~left_tables:it1 ~right_tables:it2)
             | _ -> None
           in
-          exchange_upload link ~sid ~label:(Printf.sprintf "R%dS+ITables" which) ~arity
-            ~tables:kind value
-        in
-        let up1 = upload s1 1 side1 tables1 ~kind:kind1 in
-        let up2 = upload s2 2 side2 tables2 ~kind:kind2 in
-        (* What the mediator holds from here on: the uploads as received. *)
-        let up1 = if computes Mediator then up1 else None in
-        let up2 = if computes Mediator then up2 else None in
-        let sealed_of = function Some (_, Sealed ct) -> Some ct | _ -> None in
-        (match (up1, up2) with
-        | Some (r1s, _), Some (r2s, _) ->
-          (* The tuple-wise encryption reveals the partial result sizes
-             to the mediator. *)
-          Outcome.Builder.mediator_sees b "cardinality-R1S" (List.length r1s.rows);
-          Outcome.Builder.mediator_sees b "cardinality-R2S" (List.length r2s.rows)
-        | _ -> ());
+          send_query Client pairs
+        | Source_setting ->
+          (* S2's tables travel, encrypted under S1's source key, to S1,
+             which translates — learning S2's partition structure. *)
+          let enc_it2 =
+            sealed_exchange link ~phase:"source-translate" ~receiver:(Source s1)
+              ~label:"enc_S1(ITables_R2)" (sealed_of up2)
+          in
+          let pairs =
+            match (side1, enc_it2) with
+            | Some (_, tables1, _), Some enc_it2 ->
+              step (Source s1) "source-translate" (fun () ->
+                  let it2 =
+                    tables_of_wire
+                      (decrypt_or_fail ~phase:"source-translate" ~party:(Source s1)
+                         (Lazy.force s1_keys) "ITables_R2" enc_it2)
+                  in
+                  Outcome.Builder.source_sees b s1 "partitions-R2" (partition_count_sum it2);
+                  server_query_pairs ~left_tables:tables1 ~right_tables:it2)
+            | _ -> None
+          in
+          send_query (Source s1) pairs
+        | Mediator_setting -> (
+          (* Tables in plaintext at the mediator — cheapest, but the
+             mediator can now approximate every tuple's join value
+             (the paper's Section 6 warning). *)
+          match (up1, up2) with
+          | Some (_, Clear tables1), Some (_, Clear tables2) ->
+            Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
+            Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
+            (* Measured value approximation: entropy of the index values
+               it holds, in centibits per tuple. *)
+            let centibits tables relation =
+              List.fold_left
+                (fun acc table ->
+                  acc
+                  + int_of_float
+                      (100.0
+                      *. Das_partition.disclosure_bits table
+                           (Relation.column relation (Das_partition.attr table))))
+                0 tables
+            in
+            Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
+              (centibits tables1 request.Request.left_result);
+            Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
+              (centibits tables2 request.Request.right_result);
+            step Mediator "mediator-translate" (fun () ->
+                server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
+          | _ -> None)
+      in
 
-        (* Steps 4/5: route the index tables to the translator, which
-           derives the server query q_S. *)
-        let send_query sender pairs =
-          Link.exchange link ~phase:"mediator-server-query" ~sender ~receiver:Mediator
-            ~label:"server-query-qS"
-            ~size:(fun pairs -> 16 * pair_count pairs)
-            ~encode:pairs_payload ~decode:(pairs_of_payload ~arity) pairs
-        in
-        let per_attr_pairs =
-          match setting with
-          | Client_setting ->
-            (* Tables encrypted for the client; client translates. *)
-            let enc_it1 =
-              sealed_exchange link ~phase:"client-translate" ~receiver:Client
-                ~label:"enc(ITables_R1)" (sealed_of up1)
-            in
-            let enc_it2 =
-              sealed_exchange link ~phase:"client-translate" ~receiver:Client
-                ~label:"enc(ITables_R2)" (sealed_of up2)
-            in
-            let pairs =
-              match (enc_it1, enc_it2) with
-              | Some enc_it1, Some enc_it2 ->
-                step Client "client-translate" (fun () ->
-                    let it1 =
-                      tables_of_wire
-                        (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
-                           "ITables_R1" enc_it1)
-                    in
-                    let it2 =
-                      tables_of_wire
-                        (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
-                           "ITables_R2" enc_it2)
-                    in
-                    Outcome.Builder.client_sees b "partitions-R1" (partition_count_sum it1);
-                    Outcome.Builder.client_sees b "partitions-R2" (partition_count_sum it2);
-                    server_query_pairs ~left_tables:it1 ~right_tables:it2)
-              | _ -> None
-            in
-            send_query Client pairs
-          | Source_setting ->
-            (* S2's tables travel, encrypted under S1's source key, to S1,
-               which translates — learning S2's partition structure. *)
-            let enc_it2 =
-              sealed_exchange link ~phase:"source-translate" ~receiver:(Source s1)
-                ~label:"enc_S1(ITables_R2)" (sealed_of up2)
-            in
-            let pairs =
-              match (side1, enc_it2) with
-              | Some (_, tables1, _), Some enc_it2 ->
-                step (Source s1) "source-translate" (fun () ->
-                    let it2 =
-                      tables_of_wire
-                        (decrypt_or_fail ~phase:"source-translate" ~party:(Source s1)
-                           (Lazy.force s1_keys) "ITables_R2" enc_it2)
-                    in
-                    Outcome.Builder.source_sees b s1 "partitions-R2" (partition_count_sum it2);
-                    server_query_pairs ~left_tables:tables1 ~right_tables:it2)
-              | _ -> None
-            in
-            send_query (Source s1) pairs
-          | Mediator_setting -> (
-            (* Tables in plaintext at the mediator — cheapest, but the
-               mediator can now approximate every tuple's join value
-               (the paper's Section 6 warning). *)
-            match (up1, up2) with
-            | Some (_, Clear tables1), Some (_, Clear tables2) ->
-              Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
-              Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
-              (* Measured value approximation: entropy of the index values
-                 it holds, in centibits per tuple. *)
-              let centibits tables relation =
-                List.fold_left
-                  (fun acc table ->
-                    acc
-                    + int_of_float
-                        (100.0
-                        *. Das_partition.disclosure_bits table
-                             (Relation.column relation (Das_partition.attr table))))
-                  0 tables
+      (* Step 6: the mediator evaluates q_S over the encrypted relations
+         it received and returns R_C. *)
+      let rc =
+        match (per_attr_pairs, up1, up2) with
+        | Some pairs, Some (r1s, _), Some (r2s, _) ->
+          let rc =
+            step Mediator "mediator-server-query" (fun () ->
+                validate_indexes 1 r1s;
+                validate_indexes 2 r2s;
+                server_join server_eval pairs r1s r2s)
+          in
+          Option.iter
+            (fun rc ->
+              Outcome.Builder.mediator_sees b "condition-size-qS" (pair_count pairs);
+              Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc))
+            rc;
+          rc
+        | _ -> None
+      in
+      let rc =
+        Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+          ~label:"RC" (Codec.pair Codec.hybrid Codec.hybrid) rc
+      in
+
+      (* Step 7: the client decrypts R_C and applies q_C. *)
+      let client_view =
+        match rc with
+        | Some rc when computes Client ->
+          Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
+          step Client "client-postprocess" (fun () ->
+              let left_schema = Relation.schema request.Request.left_result in
+              let right_schema = Relation.schema request.Request.right_result in
+              let pos_left = Join_key.positions left_schema join_attrs in
+              let pos_right = Join_key.positions right_schema join_attrs in
+              let keep_right =
+                Array.of_list
+                  (List.filter
+                     (fun i -> not (Array.exists (Int.equal i) pos_right))
+                     (List.init (Schema.arity right_schema) Fun.id))
               in
-              Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
-                (centibits tables1 request.Request.left_result);
-              Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
-                (centibits tables2 request.Request.right_result);
-              step Mediator "mediator-translate" (fun () ->
-                  server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
-            | _ -> None)
-        in
-
-        (* Step 6: the mediator evaluates q_S over the encrypted relations
-           it received and returns R_C. *)
-        let rc =
-          match (per_attr_pairs, up1, up2) with
-          | Some pairs, Some (r1s, _), Some (r2s, _) ->
-            let rc =
-              step Mediator "mediator-server-query" (fun () ->
-                  validate_indexes 1 r1s;
-                  validate_indexes 2 r2s;
-                  server_join server_eval pairs r1s r2s)
-            in
-            Option.iter
-              (fun rc ->
-                Outcome.Builder.mediator_sees b "condition-size-qS" (pair_count pairs);
-                Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc))
-              rc;
-            rc
-          | _ -> None
-        in
-        let rc =
-          Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-            ~label:"RC" (Codec.pair Codec.hybrid Codec.hybrid) rc
-        in
-
-        (* Step 7: the client decrypts R_C and applies q_C. *)
-        let client_view =
-          match rc with
-          | Some rc when computes Client ->
-            Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
-            step Client "client-postprocess" (fun () ->
-                let left_schema = Relation.schema request.Request.left_result in
-                let right_schema = Relation.schema request.Request.right_result in
-                let pos_left = Join_key.positions left_schema join_attrs in
-                let pos_right = Join_key.positions right_schema join_attrs in
-                let keep_right =
-                  Array.of_list
-                    (List.filter
-                       (fun i -> not (Array.exists (Int.equal i) pos_right))
-                       (List.init (Schema.arity right_schema) Fun.id))
-                in
-                let joined_schema =
-                  Schema.append left_schema
-                    (Schema.make
-                       (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
-                in
-                (* A tuple's ciphertext recurs in every candidate pair it
-                   joins: decrypt (and authenticate) each distinct one once,
-                   keyed by its wire bytes. *)
-                let decrypted = Hashtbl.create 64 in
-                let decrypt label ct =
-                  let wire = Hybrid.to_wire ct in
-                  match Hashtbl.find_opt decrypted wire with
-                  | Some t -> t
-                  | None ->
-                    let t =
-                      Tuple.decode
-                        (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key label ct)
-                    in
-                    Hashtbl.add decrypted wire t;
-                    t
-                in
-                let joined =
-                  List.filter_map
-                    (fun (ct1, ct2) ->
-                      let t1 = decrypt "etuple1" ct1 in
-                      let t2 = decrypt "etuple2" ct2 in
-                      (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
-                      if
-                        Join_key.equal
-                          (Join_key.of_tuple pos_left t1)
-                          (Join_key.of_tuple pos_right t2)
-                      then Some (Tuple.append t1 (Tuple.project keep_right t2))
-                      else None)
-                    rc
-                in
-                (Request.finalize request (Relation.make joined_schema joined), List.length rc))
-          | _ -> None
-        in
-        (exact, client_view))
-  in
-  Outcome.Builder.finish_projected b ~exact ~counters client_view
+              let joined_schema =
+                Schema.append left_schema
+                  (Schema.make
+                     (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
+              in
+              (* A tuple's ciphertext recurs in every candidate pair it
+                 joins: decrypt (and authenticate) each distinct one once,
+                 keyed by its wire bytes. *)
+              let decrypted = Hashtbl.create 64 in
+              let decrypt label ct =
+                let wire = Hybrid.to_wire ct in
+                match Hashtbl.find_opt decrypted wire with
+                | Some t -> t
+                | None ->
+                  let t =
+                    Tuple.decode
+                      (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                         client.Env.key label ct)
+                  in
+                  Hashtbl.add decrypted wire t;
+                  t
+              in
+              let joined =
+                List.filter_map
+                  (fun (ct1, ct2) ->
+                    let t1 = decrypt "etuple1" ct1 in
+                    let t2 = decrypt "etuple2" ct2 in
+                    (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
+                    if
+                      Join_key.equal
+                        (Join_key.of_tuple pos_left t1)
+                        (Join_key.of_tuple pos_right t2)
+                    then Some (Tuple.append t1 (Tuple.project keep_right t2))
+                    else None)
+                  rc
+              in
+              (Request.finalize request (Relation.make joined_schema joined), List.length rc))
+        | _ -> None
+      in
+      client_view)

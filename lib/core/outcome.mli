@@ -1,7 +1,9 @@
 (** Result of one end-to-end protocol run: the global result the client
     obtained, plus everything the evaluation harness needs — transcript,
-    per-party derived observations (for Table 1), primitive counts (for
-    Table 2) and per-phase timings. *)
+    per-party derived observations (for Table 1) and primitive counts
+    (for Table 2).  Phase time is not kept here: each party step is one
+    [Phase] trace span ({!Builder.phase}), which carries its duration and,
+    in a recorded trace, its per-primitive counts. *)
 
 open Secmed_crypto
 open Secmed_relalg
@@ -19,7 +21,6 @@ type t = {
   client_received_tuples : int;
       (** source tuples the client could decrypt (DAS: the superset) *)
   counters : (Counters.primitive * int) list;
-  timings : (string * float) list; (** phase -> seconds, in execution order *)
   degraded_from : string option;
       (** [Some s] when the resilience session served the query with this
           scheme only after scheme [s] exhausted its retry/deadline budget
@@ -40,43 +41,63 @@ val superset_factor : t -> float
     correct protocol with a non-empty result; 1 = minimal disclosure). *)
 
 val observed : (string * int) list -> string -> int option
-val timing_total : t -> float
-val pp_summary : Format.formatter -> t -> unit
 
-(** Mutable builder used by the protocol implementations. *)
+(** The run frame every protocol driver runs inside, and the party
+    steps it runs. *)
 module Builder : sig
   type builder
+  (** The per-party observations of one run (Table 1). *)
 
-  val create : scheme:string -> builder
-  val transcript : builder -> Transcript.t
   val mediator_sees : builder -> string -> int -> unit
   val client_sees : builder -> string -> int -> unit
   val source_sees : builder -> int -> string -> int -> unit
-  val timed : builder -> party:string -> string -> (unit -> 'a) -> 'a
-  (** Accumulates monotonic wall-clock time under the phase name (summing
-      repeats).  Opens a [Phase] trace span with a [party] attribute for
-      the duration; when a trace is being recorded the span also carries
-      one [ops.<primitive>] attribute per primitive the thunk counted
-      (even when it raises).  Untraced runs take no snapshot. *)
 
-  val step : builder -> Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a option
-  (** One party-local step: {!timed} under the party's name where the
+  val phase : party:string -> string -> (unit -> 'a) -> 'a
+  (** Runs the thunk as one [Phase] trace span with a [party] attribute.
+      When a trace is being recorded the span also carries one
+      [ops.<primitive>] attribute per primitive the thunk counted (even
+      when it raises); untraced runs take no snapshot. *)
+
+  val step : Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a option
+  (** One party-local step: a {!phase} under the party's name where the
       link computes the party ({!Link.computes}), [None] — the thunk not
       run — everywhere else. *)
 
-  val replicated : builder -> Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a
-  (** A step every process runs (the plaintext request phase), timed as
-      the party's phase only where the link computes the party — so each
-      process's trace holds exactly the phases of the parties it
+  val replicated : Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a
+  (** A step every process runs (the plaintext request phase), a
+      {!phase} of the party only where the link computes the party — so
+      each process's trace holds exactly the phases of the parties it
       computes. *)
 
-  val finish_projected :
-    builder ->
-    exact:Relation.t ->
-    counters:(Counters.primitive * int) list ->
-    (Relation.t * int) option ->
+  val run :
+    scheme:string ->
+    ?fault:Fault.plan ->
+    ?endpoint:Link.endpoint ->
+    (builder -> Link.t -> Relation.t * (Relation.t * int) option) ->
     t
-  (** The outcome from the client's (result, received tuples) when this
-      process computed the client; a process that did not gets an empty
-      result over the reference schema and zero received tuples. *)
+  (** The run frame: a fresh transcript with the fault plan attached
+      ({!Fault.attach}), the link over it ({!Link.make}), and the body
+      run inside one {!Counters.with_fresh} window.  The body returns
+      the reference result and, where this process computed the client,
+      the client's (result, received tuples); a process that did not
+      gets an empty result over the reference schema and zero received
+      tuples. *)
+
+  val request : Link.t -> Env.t -> Env.client -> query:string -> Request.t
+  (** Listing 1's request phase ({!Request.run}), {!replicated} as the
+      mediator's ["request"] phase. *)
+
+  val run_request :
+    scheme:string ->
+    ?fault:Fault.plan ->
+    ?endpoint:Link.endpoint ->
+    Env.t ->
+    Env.client ->
+    query:string ->
+    (builder -> Link.t -> Request.t -> Relation.t Lazy.t -> (Relation.t * int) option) ->
+    t
+  (** {!run} with the {!request} phase first: the body gets the request
+      and the reference result ({!Request.exact_result}), which the frame
+      computes on first force and forces after the body, so a body that
+      rejects the query does so before the reference is built. *)
 end

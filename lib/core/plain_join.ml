@@ -1,5 +1,4 @@
 open Secmed_relalg
-open Secmed_crypto
 open Secmed_mediation
 
 let relation_size relation =
@@ -14,50 +13,39 @@ let decode_tuples schema blob =
   Relation.make schema (Wire.read_rest r (fun () -> Wire.read_at r Tuple.decode_at))
 
 let run ?fault ?endpoint env client ~query =
-  let b = Outcome.Builder.create ~scheme:"plain" in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?endpoint ?fault tr in
-  let (exact, client_view), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.replicated b link Mediator "request" (fun () ->
-              Request.run link env client ~query)
-        in
-        let exact = Request.exact_result env request in
-        let send which (entry : Catalog.entry) relation =
-          let sender = Transcript.Source entry.Catalog.source in
-          Link.exchange link ~phase:"mediator-join" ~sender ~receiver:Mediator
-            ~label:(Printf.sprintf "plaintext-R%d" which)
-            ~size:relation_size ~encode:encode_tuples
-            ~decode:(decode_tuples (Relation.schema relation))
-            (if Link.computes link sender then Some relation else None)
-        in
-        let r1 = send 1 request.Request.decomposition.Catalog.left request.Request.left_result in
-        let r2 = send 2 request.Request.decomposition.Catalog.right request.Request.right_result in
-        (* The mediator joins what the sources sent, and sees all of it. *)
-        let result =
-          match (r1, r2) with
-          | Some r1, Some r2 when Link.computes link Mediator ->
-            Outcome.Builder.mediator_sees b "plaintext-tuples-seen"
-              (Relation.cardinality r1 + Relation.cardinality r2);
-            Outcome.Builder.step b link Mediator "mediator-join" (fun () ->
-                Request.finalize request (Relation.natural_join r1 r2))
-          | _ -> None
-        in
-        let result =
-          Link.exchange link ~phase:"client-receive" ~sender:Mediator ~receiver:Client
-            ~label:"global-result" ~size:relation_size ~encode:encode_tuples
-            ~decode:(decode_tuples (Relation.schema exact))
-            result
-        in
-        let client_view =
-          match result with
-          | Some result when Link.computes link Client ->
-            Outcome.Builder.client_sees b "tuples-received" (Relation.cardinality result);
-            Some (result, Relation.cardinality result)
-          | _ -> None
-        in
-        (exact, client_view))
-  in
-  Outcome.Builder.finish_projected b ~exact ~counters client_view
+  Outcome.Builder.run_request ~scheme:"plain" ?fault ?endpoint env client ~query
+    (fun b link request exact ->
+      let send which (entry : Catalog.entry) relation =
+        let sender = Transcript.Source entry.Catalog.source in
+        Link.exchange link ~phase:"mediator-join" ~sender ~receiver:Mediator
+          ~label:(Printf.sprintf "plaintext-R%d" which)
+          ~size:relation_size ~encode:encode_tuples
+          ~decode:(decode_tuples (Relation.schema relation))
+          (if Link.computes link sender then Some relation else None)
+      in
+      let r1 = send 1 request.Request.decomposition.Catalog.left request.Request.left_result in
+      let r2 = send 2 request.Request.decomposition.Catalog.right request.Request.right_result in
+      (* The mediator joins what the sources sent, and sees all of it. *)
+      let result =
+        match (r1, r2) with
+        | Some r1, Some r2 when Link.computes link Mediator ->
+          Outcome.Builder.mediator_sees b "plaintext-tuples-seen"
+            (Relation.cardinality r1 + Relation.cardinality r2);
+          Outcome.Builder.step link Mediator "mediator-join" (fun () ->
+              Request.finalize request (Relation.natural_join r1 r2))
+        | _ -> None
+      in
+      let result =
+        Link.exchange link ~phase:"client-receive" ~sender:Mediator ~receiver:Client
+          ~label:"global-result" ~size:relation_size ~encode:encode_tuples
+          ~decode:(fun blob -> decode_tuples (Relation.schema (Lazy.force exact)) blob)
+          result
+      in
+      let client_view =
+        match result with
+        | Some result when Link.computes link Client ->
+          Outcome.Builder.client_sees b "tuples-received" (Relation.cardinality result);
+          Some (result, Relation.cardinality result)
+        | _ -> None
+      in
+      client_view)

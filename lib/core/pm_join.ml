@@ -228,262 +228,251 @@ let decode_pk blob =
   Paillier.public_of_n n
 
 let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
-  let b = Outcome.Builder.create ~scheme:("pm-" ^ variant_name variant) in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?endpoint ?fault tr in
-  let computes = Link.computes link in
-  let step party phase f = Outcome.Builder.step b link party phase f in
   (* Only a party that holds the value runs these; the others pass
      [None] and never call them. *)
   let with_pk pk f x = f (Option.get pk) x in
-  let (exact, client_view), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.replicated b link Mediator "request" (fun () ->
-              Request.run link env client ~query)
-        in
-        let exact = Request.exact_result env request in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
+  Outcome.Builder.run_request ~scheme:("pm-" ^ variant_name variant) ?fault ?endpoint env client
+    ~query (fun b link request _exact ->
+      let computes = Link.computes link in
+      let step party phase f = Outcome.Builder.step link party phase f in
+      let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
+      let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
 
-        (* Step 1: the client's homomorphic public key is distributed with
-           its credentials (we account for it explicitly); every party
-           works under the copy it received. *)
-        let share ~sender ~receiver pk =
-          Link.exchange link ~phase:"request" ~sender ~receiver ~label:"homomorphic-pk"
-            ~size:modulus_bytes
-            ~encode:(fun pk -> Bigint.to_bytes_be_padded (modulus_bytes pk) pk.Paillier.n)
-            ~decode:decode_pk pk
-        in
-        let pk_client =
-          if computes Client then Some (Paillier.public client.Env.paillier_key) else None
-        in
-        let pk_mediator = share ~sender:Client ~receiver:Mediator pk_client in
-        let forward_pk sid =
-          share ~sender:Mediator ~receiver:(Source sid)
-            (if computes Mediator then pk_mediator else None)
-        in
-        let pk1 = forward_pk s1 in
-        let pk2 = forward_pk s2 in
+      (* Step 1: the client's homomorphic public key is distributed with
+         its credentials (we account for it explicitly); every party
+         works under the copy it received. *)
+      let share ~sender ~receiver pk =
+        Link.exchange link ~phase:"request" ~sender ~receiver ~label:"homomorphic-pk"
+          ~size:modulus_bytes
+          ~encode:(fun pk -> Bigint.to_bytes_be_padded (modulus_bytes pk) pk.Paillier.n)
+          ~decode:decode_pk pk
+      in
+      let pk_client =
+        if computes Client then Some (Paillier.public client.Env.paillier_key) else None
+      in
+      let pk_mediator = share ~sender:Client ~receiver:Mediator pk_client in
+      let forward_pk sid =
+        share ~sender:Mediator ~receiver:(Source sid)
+          (if computes Mediator then pk_mediator else None)
+      in
+      let pk1 = forward_pk s1 in
+      let pk2 = forward_pk s2 in
 
-        (* Steps 2/3: each source builds its polynomial from its active
-           domain and sends the encrypted coefficients to the mediator. *)
-        let prng_of sid = Env.prng_for env (Printf.sprintf "pm-source-%d" sid) in
-        let prng1 = lazy (prng_of s1) and prng2 = lazy (prng_of s2) in
-        let build_poly which prng sid pk =
-          let coeffs =
-            match pk with
-            | None -> None
-            | Some pk ->
-              step (Source sid) "source-polynomial" (fun () ->
-                  let roots = List.map root_of_key (Request.join_attr_values request which) in
-                  let poly = Pm_poly.from_roots ~modulus:pk.Paillier.n roots in
-                  let coeffs = Pm_poly.encrypt (Lazy.force prng) pk poly in
-                  (* A byzantine source ships values outside the
-                     ciphertext group; the opposite source's range check
-                     catches them. *)
-                  match Fault.byzantine_mode fault sid with
-                  | Some Fault.Garbage_paillier ->
-                    List.map (fun _ -> Paillier.ciphertext_of_bigint pk Bigint.zero) coeffs
-                  | _ -> coeffs)
-          in
-          Link.exchange_rows link ~phase:"mediator-forward" ~sender:(Source sid)
-            ~receiver:Mediator ~label:"encrypted-coefficients"
-            ~size:(with_pk pk (fun pk coeffs -> ciphertext_bytes pk * List.length coeffs))
-            ~rows:(with_pk pk (fun pk -> cts_rows (ciphertext_bytes pk)))
-            ~decode:(with_pk pk_mediator decode_cts) coeffs
+      (* Steps 2/3: each source builds its polynomial from its active
+         domain and sends the encrypted coefficients to the mediator. *)
+      let prng_of sid = Env.prng_for env (Printf.sprintf "pm-source-%d" sid) in
+      let prng1 = lazy (prng_of s1) and prng2 = lazy (prng_of s2) in
+      let build_poly which prng sid pk =
+        let coeffs =
+          match pk with
+          | None -> None
+          | Some pk ->
+            step (Source sid) "source-polynomial" (fun () ->
+                let roots = List.map root_of_key (Request.join_attr_values request which) in
+                let poly = Pm_poly.from_roots ~modulus:pk.Paillier.n roots in
+                let coeffs = Pm_poly.encrypt (Lazy.force prng) pk poly in
+                (* A byzantine source ships values outside the
+                   ciphertext group; the opposite source's range check
+                   catches them. *)
+                match Fault.byzantine_mode fault sid with
+                | Some Fault.Garbage_paillier ->
+                  List.map (fun _ -> Paillier.ciphertext_of_bigint pk Bigint.zero) coeffs
+                | _ -> coeffs)
         in
-        let coeffs1 = build_poly `Left prng1 s1 pk1 in
-        let coeffs2 = build_poly `Right prng2 s2 pk2 in
-        let at_mediator v = if computes Mediator then v else None in
-        (* The coefficient count reveals the polynomial degree, i.e. the
-           size of the active domain, to the mediator (and to the opposite
-           source after forwarding). *)
-        (match (at_mediator coeffs1, at_mediator coeffs2) with
-        | Some coeffs1, Some coeffs2 ->
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length coeffs1 - 1);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length coeffs2 - 1)
-        | _ -> ());
+        Link.exchange_rows link ~phase:"mediator-forward" ~sender:(Source sid)
+          ~receiver:Mediator ~label:"encrypted-coefficients"
+          ~size:(with_pk pk (fun pk coeffs -> ciphertext_bytes pk * List.length coeffs))
+          ~rows:(with_pk pk (fun pk -> cts_rows (ciphertext_bytes pk)))
+          ~decode:(with_pk pk_mediator decode_cts) coeffs
+      in
+      let coeffs1 = build_poly `Left prng1 s1 pk1 in
+      let coeffs2 = build_poly `Right prng2 s2 pk2 in
+      let at_mediator v = if computes Mediator then v else None in
+      (* The coefficient count reveals the polynomial degree, i.e. the
+         size of the active domain, to the mediator (and to the opposite
+         source after forwarding). *)
+      (match (at_mediator coeffs1, at_mediator coeffs2) with
+      | Some coeffs1, Some coeffs2 ->
+        Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length coeffs1 - 1);
+        Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length coeffs2 - 1)
+      | _ -> ());
 
-        (* Step 4: the mediator forwards the encrypted coefficients. *)
-        let forward sid label coeffs pk =
-          Link.exchange link ~phase:"source-evaluate" ~sender:Mediator ~receiver:(Source sid)
-            ~label
-            ~size:(with_pk pk_mediator (fun pk coeffs -> ciphertext_bytes pk * List.length coeffs))
-            ~encode:(with_pk pk_mediator (fun pk -> cts_payload (ciphertext_bytes pk)))
-            ~decode:(with_pk pk decode_cts) (at_mediator coeffs)
-        in
-        let opp2 = forward s2 "encrypted-coefficients-P1" coeffs1 pk2 in
-        let opp1 = forward s1 "encrypted-coefficients-P2" coeffs2 pk1 in
-        let sees sid opp =
-          match opp with
-          | Some opp when computes (Source sid) ->
-            Outcome.Builder.source_sees b sid "degree-opposite-polynomial" (List.length opp - 1)
-          | _ -> ()
-        in
-        sees s1 opp1;
-        sees s2 opp2;
+      (* Step 4: the mediator forwards the encrypted coefficients. *)
+      let forward sid label coeffs pk =
+        Link.exchange link ~phase:"source-evaluate" ~sender:Mediator ~receiver:(Source sid)
+          ~label
+          ~size:(with_pk pk_mediator (fun pk coeffs -> ciphertext_bytes pk * List.length coeffs))
+          ~encode:(with_pk pk_mediator (fun pk -> cts_payload (ciphertext_bytes pk)))
+          ~decode:(with_pk pk decode_cts) (at_mediator coeffs)
+      in
+      let opp2 = forward s2 "encrypted-coefficients-P1" coeffs1 pk2 in
+      let opp1 = forward s1 "encrypted-coefficients-P2" coeffs2 pk1 in
+      let sees sid opp =
+        match opp with
+        | Some opp when computes (Source sid) ->
+          Outcome.Builder.source_sees b sid "degree-opposite-polynomial" (List.length opp - 1)
+        | _ -> ()
+      in
+      sees s1 opp1;
+      sees s2 opp2;
 
-        (* Steps 5/6: each source evaluates the opposite polynomial it
-           received at its own values and returns the masked e-values.
-           IDs are unique across both sides: the right side's start after
-           the left side's, whose count is the degree of the left
-           polynomial it received. *)
-        let eval_side which prng sid pk opp_coeffs =
-          let output =
-            match (pk, opp_coeffs) with
-            | Some pk, Some opp_coeffs ->
-              step (Source sid) "source-evaluate" (fun () ->
-                  if opp_coeffs = [] then
-                    Fault.fail ~phase:"source-evaluate" ~party:(Source sid)
-                      "opposite polynomial has no coefficients";
-                  validate_ciphertexts ~phase:"source-evaluate" ~party:(Source sid)
-                    "opposite polynomial" opp_coeffs;
-                  let first_id =
-                    match which with `Left -> 0 | `Right -> List.length opp_coeffs - 1
-                  in
-                  let output =
-                    evaluate_side ~variant ~prng:(Lazy.force prng) ~pk ~opp_coeffs ~request
-                      ~which ~first_id
-                  in
-                  (* A byzantine source damages the DEM blobs of its ID
-                     table (session-key variant); the client's
-                     authenticated DEM decryption fails on every matched
-                     entry. *)
-                  match Fault.byzantine_mode fault sid with
-                  | Some Fault.Malformed_ciphertexts ->
-                    {
-                      output with
-                      id_table =
-                        List.map (fun (id, blob) -> (id, Fault.flip_tail blob)) output.id_table;
-                    }
-                  | _ -> output)
-            | _ -> None
-          in
-          let own_coeffs = match which with `Left -> coeffs1 | `Right -> coeffs2 in
-          Link.exchange_rows link ~phase:"mediator-forward" ~sender:(Source sid)
-            ~receiver:Mediator ~label:"e-values" ~size:(with_pk pk output_size)
-            ~rows:
-              (with_pk pk (fun pk output ->
-                   cts_rows (ciphertext_bytes pk) output.e_values @ id_table_rows output.id_table))
-            ~decode:(fun blob ->
-              (* One e-value per value of the sender's own domain: the
-                 degree of the polynomial it sent. *)
-              decode_output variant (Option.get pk_mediator)
-                ~count:(List.length (Option.get own_coeffs) - 1)
-                blob)
-            output
-        in
-        let out1 = eval_side `Left prng1 s1 pk1 opp1 in
-        let out2 = eval_side `Right prng2 s2 pk2 opp2 in
-
-        (* Step 7: the mediator sends the n+m encrypted values (and, in the
-           session-key variant, the ID tables) to the client. *)
-        let outputs =
-          match (at_mediator out1, at_mediator out2) with
-          | Some out1, Some out2 -> Some (out1, out2)
+      (* Steps 5/6: each source evaluates the opposite polynomial it
+         received at its own values and returns the masked e-values.
+         IDs are unique across both sides: the right side's start after
+         the left side's, whose count is the degree of the left
+         polynomial it received. *)
+      let eval_side which prng sid pk opp_coeffs =
+        let output =
+          match (pk, opp_coeffs) with
+          | Some pk, Some opp_coeffs ->
+            step (Source sid) "source-evaluate" (fun () ->
+                if opp_coeffs = [] then
+                  Fault.fail ~phase:"source-evaluate" ~party:(Source sid)
+                    "opposite polynomial has no coefficients";
+                validate_ciphertexts ~phase:"source-evaluate" ~party:(Source sid)
+                  "opposite polynomial" opp_coeffs;
+                let first_id =
+                  match which with `Left -> 0 | `Right -> List.length opp_coeffs - 1
+                in
+                let output =
+                  evaluate_side ~variant ~prng:(Lazy.force prng) ~pk ~opp_coeffs ~request
+                    ~which ~first_id
+                in
+                (* A byzantine source damages the DEM blobs of its ID
+                   table (session-key variant); the client's
+                   authenticated DEM decryption fails on every matched
+                   entry. *)
+                match Fault.byzantine_mode fault sid with
+                | Some Fault.Malformed_ciphertexts ->
+                  {
+                    output with
+                    id_table =
+                      List.map (fun (id, blob) -> (id, Fault.flip_tail blob)) output.id_table;
+                  }
+                | _ -> output)
           | _ -> None
         in
-        let outputs =
-          Link.exchange_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-            ~label:"e-values"
-            ~size:(with_pk pk_mediator (fun pk (out1, out2) ->
-                output_size pk out1 + output_size pk out2))
-            ~rows:
-              (with_pk pk_mediator (fun pk (out1, out2) ->
-                   let ct_bytes = ciphertext_bytes pk in
-                   cts_rows ct_bytes out1.e_values
-                   @ cts_rows ct_bytes out2.e_values
-                   @ id_table_rows out1.id_table
-                   @ id_table_rows out2.id_table))
-            ~decode:(fun blob ->
-              let degree coeffs = List.length (Option.get coeffs) - 1 in
-              decode_outputs variant (Option.get pk_client)
-                ~counts:(degree coeffs1, degree coeffs2)
-                blob)
-            outputs
-        in
+        let own_coeffs = match which with `Left -> coeffs1 | `Right -> coeffs2 in
+        Link.exchange_rows link ~phase:"mediator-forward" ~sender:(Source sid)
+          ~receiver:Mediator ~label:"e-values" ~size:(with_pk pk output_size)
+          ~rows:
+            (with_pk pk (fun pk output ->
+                 cts_rows (ciphertext_bytes pk) output.e_values @ id_table_rows output.id_table))
+          ~decode:(fun blob ->
+            (* One e-value per value of the sender's own domain: the
+               degree of the polynomial it sent. *)
+            decode_output variant (Option.get pk_mediator)
+              ~count:(List.length (Option.get own_coeffs) - 1)
+              blob)
+          output
+      in
+      let out1 = eval_side `Left prng1 s1 pk1 opp1 in
+      let out2 = eval_side `Right prng2 s2 pk2 opp2 in
 
-        (* Step 8: the client decrypts everything and keeps the matches. *)
-        let client_view =
-          match outputs with
-          | Some (out1, out2) when computes Client ->
-            Outcome.Builder.client_sees b "ciphertexts-received"
-              (List.length out1.e_values + List.length out2.e_values);
-            step Client "client-postprocess" (fun () ->
-                validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
-                  out1.e_values;
-                validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
-                  out2.e_values;
-                let entries1 = decrypt_entries client.Env.paillier_key out1.e_values in
-                let entries2 = decrypt_entries client.Env.paillier_key out2.e_values in
-                Outcome.Builder.client_sees b "well-formed-decryptions"
-                  (List.length entries1 + List.length entries2);
-                (* Hash the ID tables and the right-side entries once, so
-                   the postprocess is O(n + m) rather than O(n * m) list
-                   scans (mirrors the mediator's match in
-                   commutative_join.ml). *)
-                let id_lookup table =
-                  let h = Hashtbl.create (List.length table) in
-                  List.iter
-                    (fun (id, blob) -> if not (Hashtbl.mem h id) then Hashtbl.add h id blob)
-                    table;
-                  Hashtbl.find_opt h
-                in
-                let by_root = Hashtbl.create (List.length entries2) in
-                List.iter (fun e -> Hashtbl.replace by_root e.root e) entries2;
-                let join_attrs = Request.join_attrs request in
-                let right_schema = Relation.schema request.Request.right_result in
-                let pos_right = Join_key.positions right_schema join_attrs in
-                let keep_right =
-                  Array.of_list
-                    (List.filter
-                       (fun i -> not (Array.exists (Int.equal i) pos_right))
-                       (List.init (Schema.arity right_schema) Fun.id))
-                in
-                let joined_schema =
-                  Schema.append
-                    (Relation.schema request.Request.left_result)
-                    (Schema.make
-                       (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
-                in
-                let received = ref 0 in
-                let joined =
-                  List.concat_map
-                    (fun e1 ->
-                      match Hashtbl.find_opt by_root e1.root with
-                      | None -> []
-                      | Some e2 -> (
-                        let tup1 =
-                          recover_tuples ~variant ~id_lookup:(id_lookup out1.id_table) e1
-                        in
-                        let tup2 =
-                          recover_tuples ~variant ~id_lookup:(id_lookup out2.id_table) e2
-                        in
-                        match (tup1, tup2) with
-                        | Some tup1, Some tup2 ->
-                          received := !received + (List.length tup1 * List.length tup2);
-                          List.concat_map
-                            (fun t1 ->
-                              List.map
-                                (fun t2 -> Tuple.append t1 (Tuple.project keep_right t2))
-                                tup2)
-                            tup1
-                        | None, _ | _, None ->
-                          (* A root match certifies both sides carried
-                             this join value, so honest payloads always
-                             recover (16-byte root collisions are
-                             negligible): an unrecoverable payload is a
-                             damaged ID table, not a non-match — fail
-                             closed rather than silently under-report. *)
-                          Fault.fail ~phase:"client-postprocess" ~party:Client
-                            "matched entry with unrecoverable payload"))
-                    entries1
-                in
-                (Request.finalize request (Relation.make joined_schema joined), !received))
-          | _ -> None
-        in
-        (exact, client_view))
-  in
-  Outcome.Builder.finish_projected b ~exact ~counters client_view
+      (* Step 7: the mediator sends the n+m encrypted values (and, in the
+         session-key variant, the ID tables) to the client. *)
+      let outputs =
+        match (at_mediator out1, at_mediator out2) with
+        | Some out1, Some out2 -> Some (out1, out2)
+        | _ -> None
+      in
+      let outputs =
+        Link.exchange_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+          ~label:"e-values"
+          ~size:(with_pk pk_mediator (fun pk (out1, out2) ->
+              output_size pk out1 + output_size pk out2))
+          ~rows:
+            (with_pk pk_mediator (fun pk (out1, out2) ->
+                 let ct_bytes = ciphertext_bytes pk in
+                 cts_rows ct_bytes out1.e_values
+                 @ cts_rows ct_bytes out2.e_values
+                 @ id_table_rows out1.id_table
+                 @ id_table_rows out2.id_table))
+          ~decode:(fun blob ->
+            let degree coeffs = List.length (Option.get coeffs) - 1 in
+            decode_outputs variant (Option.get pk_client)
+              ~counts:(degree coeffs1, degree coeffs2)
+              blob)
+          outputs
+      in
+
+      (* Step 8: the client decrypts everything and keeps the matches. *)
+      let client_view =
+        match outputs with
+        | Some (out1, out2) when computes Client ->
+          Outcome.Builder.client_sees b "ciphertexts-received"
+            (List.length out1.e_values + List.length out2.e_values);
+          step Client "client-postprocess" (fun () ->
+              validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
+                out1.e_values;
+              validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
+                out2.e_values;
+              let entries1 = decrypt_entries client.Env.paillier_key out1.e_values in
+              let entries2 = decrypt_entries client.Env.paillier_key out2.e_values in
+              Outcome.Builder.client_sees b "well-formed-decryptions"
+                (List.length entries1 + List.length entries2);
+              (* Hash the ID tables and the right-side entries once, so
+                 the postprocess is O(n + m) rather than O(n * m) list
+                 scans (mirrors the mediator's match in
+                 commutative_join.ml). *)
+              let id_lookup table =
+                let h = Hashtbl.create (List.length table) in
+                List.iter
+                  (fun (id, blob) -> if not (Hashtbl.mem h id) then Hashtbl.add h id blob)
+                  table;
+                Hashtbl.find_opt h
+              in
+              let by_root = Hashtbl.create (List.length entries2) in
+              List.iter (fun e -> Hashtbl.replace by_root e.root e) entries2;
+              let join_attrs = Request.join_attrs request in
+              let right_schema = Relation.schema request.Request.right_result in
+              let pos_right = Join_key.positions right_schema join_attrs in
+              let keep_right =
+                Array.of_list
+                  (List.filter
+                     (fun i -> not (Array.exists (Int.equal i) pos_right))
+                     (List.init (Schema.arity right_schema) Fun.id))
+              in
+              let joined_schema =
+                Schema.append
+                  (Relation.schema request.Request.left_result)
+                  (Schema.make
+                     (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
+              in
+              let received = ref 0 in
+              let joined =
+                List.concat_map
+                  (fun e1 ->
+                    match Hashtbl.find_opt by_root e1.root with
+                    | None -> []
+                    | Some e2 -> (
+                      let tup1 =
+                        recover_tuples ~variant ~id_lookup:(id_lookup out1.id_table) e1
+                      in
+                      let tup2 =
+                        recover_tuples ~variant ~id_lookup:(id_lookup out2.id_table) e2
+                      in
+                      match (tup1, tup2) with
+                      | Some tup1, Some tup2 ->
+                        received := !received + (List.length tup1 * List.length tup2);
+                        List.concat_map
+                          (fun t1 ->
+                            List.map
+                              (fun t2 -> Tuple.append t1 (Tuple.project keep_right t2))
+                              tup2)
+                          tup1
+                      | None, _ | _, None ->
+                        (* A root match certifies both sides carried
+                           this join value, so honest payloads always
+                           recover (16-byte root collisions are
+                           negligible): an unrecoverable payload is a
+                           damaged ID table, not a non-match — fail
+                           closed rather than silently under-report. *)
+                        Fault.fail ~phase:"client-postprocess" ~party:Client
+                          "matched entry with unrecoverable payload"))
+                  entries1
+              in
+              (Request.finalize request (Relation.make joined_schema joined), !received))
+        | _ -> None
+      in
+      client_view)

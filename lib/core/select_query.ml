@@ -99,206 +99,199 @@ let condition_of_wire blob =
   condition
 
 let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
-  let b = Outcome.Builder.create ~scheme:"das-select" in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?fault tr in
-  let computes = Link.computes link in
-  let step party phase f = Outcome.Builder.step b link party phase f in
-  let (exact, client_view), counters =
-    Counters.with_fresh (fun () ->
-        let ast = Parser.parse query in
-        if ast.Ast.joins <> [] then
-          unsupported "selection protocol handles single relations; use the join protocols";
-        if Ast.has_aggregates ast || ast.Ast.group_by <> [] then
-          unsupported "use the aggregation protocol for aggregate queries";
-        let entry =
-          try Catalog.locate env.Env.catalog ast.Ast.from.Ast.table
-          with Not_found -> unsupported "unknown relation %s" ast.Ast.from.Ast.table
+  Outcome.Builder.run ~scheme:"das-select" ?fault (fun b link ->
+      let computes = Link.computes link in
+      let step party phase f = Outcome.Builder.step link party phase f in
+      let ast = Parser.parse query in
+      if ast.Ast.joins <> [] then
+        unsupported "selection protocol handles single relations; use the join protocols";
+      if Ast.has_aggregates ast || ast.Ast.group_by <> [] then
+        unsupported "use the aggregation protocol for aggregate queries";
+      let entry =
+        try Catalog.locate env.Env.catalog ast.Ast.from.Ast.table
+        with Not_found -> unsupported "unknown relation %s" ast.Ast.from.Ast.table
+      in
+      let sid = entry.Catalog.source in
+      (* Request phase, single partial query. *)
+      let credentials = client.Env.credentials in
+      let granted =
+        Outcome.Builder.replicated link Mediator "request" (fun () ->
+            Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
+              ~label:"global-query"
+              ~size:(String.length query + Request.credential_size credentials)
+              (fun () -> query);
+            Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source sid)
+              ~label:"partial-query"
+              ~size:
+                (String.length entry.Catalog.source_relation
+                + Request.credential_size credentials)
+              (fun () -> entry.Catalog.source_relation);
+            Request.authorize link env sid entry credentials)
+      in
+      let schema = Relation.schema granted in
+      let where =
+        Option.map
+          (fun w -> normalize_predicate schema (Algebra.predicate_of_expr w))
+          ast.Ast.where
+      in
+      (* Reference result. *)
+      let apply_clauses relation =
+        let filtered =
+          match where with None -> relation | Some p -> Relation.select p relation
         in
-        let sid = entry.Catalog.source in
-        (* Request phase, single partial query. *)
-        let credentials = client.Env.credentials in
-        let granted =
-          Outcome.Builder.replicated b link Mediator "request" (fun () ->
-              Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
-                ~label:"global-query"
-                ~size:(String.length query + Request.credential_size credentials)
-                (fun () -> query);
-              Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source sid)
-                ~label:"partial-query"
-                ~size:
-                  (String.length entry.Catalog.source_relation
-                  + Request.credential_size credentials)
-                (fun () -> entry.Catalog.source_relation);
-              Request.authorize link env sid entry credentials)
+        let projected =
+          match ast.Ast.select with
+          | None -> filtered
+          | Some items ->
+            Relation.project
+              (List.map
+                 (function
+                   | Ast.S_column c -> Ast.column_name c
+                   | Ast.S_aggregate _ -> assert false)
+                 items)
+              filtered
         in
-        let schema = Relation.schema granted in
-        let where =
-          Option.map
-            (fun w -> normalize_predicate schema (Algebra.predicate_of_expr w))
-            ast.Ast.where
-        in
-        (* Reference result. *)
-        let apply_clauses relation =
-          let filtered =
-            match where with None -> relation | Some p -> Relation.select p relation
-          in
-          let projected =
-            match ast.Ast.select with
-            | None -> filtered
-            | Some items ->
-              Relation.project
-                (List.map
-                   (function
-                     | Ast.S_column c -> Ast.column_name c
-                     | Ast.S_aggregate _ -> assert false)
-                   items)
-                filtered
-          in
-          if ast.Ast.distinct then Relation.distinct projected else projected
-        in
-        let exact = apply_clauses granted in
+        if ast.Ast.distinct then Relation.distinct projected else projected
+      in
+      let exact = apply_clauses granted in
 
-        (* The source indexes every attribute the condition references. *)
-        let indexed_attrs =
-          match where with
-          | None -> []
-          | Some p ->
-            List.sort_uniq String.compare
-              (List.filter_map
-                 (fun name ->
-                   match Schema.find_opt schema name with
-                   | Some position -> Some (Schema.attr_at schema position).Schema.name
-                   | None -> None)
-                 (Predicate.attrs_used p))
-        in
-        let upload =
-          step (Source sid) "source-encrypt" (fun () ->
-              let prng = Env.prng_for env (Printf.sprintf "select-source-%d" sid) in
-              let pk =
-                match credentials with
-                | c :: _ -> Credential.public_key c
-                | [] -> raise (Request.Access_denied sid)
+      (* The source indexes every attribute the condition references. *)
+      let indexed_attrs =
+        match where with
+        | None -> []
+        | Some p ->
+          List.sort_uniq String.compare
+            (List.filter_map
+               (fun name ->
+                 match Schema.find_opt schema name with
+                 | Some position -> Some (Schema.attr_at schema position).Schema.name
+                 | None -> None)
+               (Predicate.attrs_used p))
+      in
+      let upload =
+        step (Source sid) "source-encrypt" (fun () ->
+            let prng = Env.prng_for env (Printf.sprintf "select-source-%d" sid) in
+            let pk =
+              match credentials with
+              | c :: _ -> Credential.public_key c
+              | [] -> raise (Request.Access_denied sid)
+            in
+            let tables =
+              List.map
+                (fun attr ->
+                  let column = Relation.column granted attr in
+                  Das_partition.build
+                    (Das_partition.adapt strategy column)
+                    ~relation:entry.Catalog.relation ~attr column)
+                indexed_attrs
+            in
+            let encrypted =
+              Das.encrypt_relation prng pk tables ~join_attrs:indexed_attrs granted
+            in
+            let w = Wire.writer () in
+            Wire.write_list w
+              (fun (attr, table) ->
+                Wire.write_string w attr;
+                Wire.write_string w (Das_partition.to_wire table))
+              (List.combine indexed_attrs tables);
+            (encrypted, Das.Sealed (Hybrid.encrypt prng pk (Wire.contents w))))
+      in
+      let upload =
+        Das.exchange_upload link ~sid ~label:"RS+enc(ITables)"
+          ~arity:(List.length indexed_attrs) ~tables:`Sealed upload
+      in
+      let upload = if computes Mediator then upload else None in
+      Option.iter
+        (fun (er, _) ->
+          Outcome.Builder.mediator_sees b "cardinality-RS" (List.length er.Das.rows))
+        upload;
+
+      (* Client setting: tables travel to the client, which translates. *)
+      let enc_tables =
+        Codec.exchange link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
+          ~label:"enc(ITables)" Codec.hybrid
+          (match upload with Some (_, Das.Sealed ct) -> Some ct | _ -> None)
+      in
+      let server_condition =
+        Option.bind enc_tables (fun enc_tables ->
+            step Client "client-translate" (fun () ->
+                match where with
+                | None -> Predicate.True
+                | Some p ->
+                  let r =
+                    Wire.reader
+                      (Das.decrypt_or_fail ~phase:"client-translate" ~party:Client
+                         client.Env.key "ITables" enc_tables)
+                  in
+                  let decoded =
+                    Wire.read_list r (fun () ->
+                        let attr = Wire.read_string r in
+                        (attr, Das_partition.of_wire (Wire.read_string r)))
+                  in
+                  Wire.expect_end r;
+                  Das_translate.translate ~tables:(fun attr -> List.assoc_opt attr decoded) p))
+      in
+      let server_condition =
+        Link.exchange link ~phase:"mediator-server-query" ~sender:Client ~receiver:Mediator
+          ~label:"server-query-qS"
+          ~size:(fun c -> 24 * Stdlib.max 1 (Predicate.size c))
+          ~encode:condition_to_wire ~decode:condition_of_wire server_condition
+      in
+
+      (* The mediator filters the encrypted relation with the relational
+         engine over the index columns. *)
+      let rc =
+        match (server_condition, upload) with
+        | Some condition, Some (er, _) when computes Mediator ->
+          Outcome.Builder.mediator_sees b "condition-size-qS" (Predicate.size condition);
+          step Mediator "mediator-server-query" (fun () ->
+              let index_schema =
+                Schema.make
+                  (Schema.attr "etuple" Value.Tstring
+                  :: List.map
+                       (fun attr -> Schema.attr (Das_translate.index_attr attr) Value.Tint)
+                       indexed_attrs)
               in
-              let tables =
+              let index_relation =
+                Relation.make index_schema
+                  (List.map
+                     (fun (ct, indexes) ->
+                       Tuple.of_list
+                         (Value.Str (Hybrid.to_wire ct)
+                         :: Array.to_list (Array.map (fun i -> Value.Int i) indexes)))
+                     er.Das.rows)
+              in
+              List.map
+                (fun t ->
+                  match Tuple.get t 0 with
+                  | Value.Str wire -> Hybrid.of_wire wire
+                  | Value.Int _ | Value.Bool _ -> assert false)
+                (Relation.tuples (Relation.select condition index_relation)))
+        | _ -> None
+      in
+      Option.iter
+        (fun rc -> Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc))
+        rc;
+      let rc =
+        Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+          ~label:"RC" Codec.hybrid rc
+      in
+
+      (* Client: decrypt, post-filter with the original condition. *)
+      let client_view =
+        match rc with
+        | Some rc when computes Client ->
+          Outcome.Builder.client_sees b "candidates-received" (List.length rc);
+          step Client "client-postprocess" (fun () ->
+              let tuples =
                 List.map
-                  (fun attr ->
-                    let column = Relation.column granted attr in
-                    Das_partition.build
-                      (Das_partition.adapt strategy column)
-                      ~relation:entry.Catalog.relation ~attr column)
-                  indexed_attrs
+                  (fun ct ->
+                    Tuple.decode
+                      (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
+                         client.Env.key "etuple" ct))
+                  rc
               in
-              let encrypted =
-                Das.encrypt_relation prng pk tables ~join_attrs:indexed_attrs granted
-              in
-              let w = Wire.writer () in
-              Wire.write_list w
-                (fun (attr, table) ->
-                  Wire.write_string w attr;
-                  Wire.write_string w (Das_partition.to_wire table))
-                (List.combine indexed_attrs tables);
-              (encrypted, Das.Sealed (Hybrid.encrypt prng pk (Wire.contents w))))
-        in
-        let upload =
-          Das.exchange_upload link ~sid ~label:"RS+enc(ITables)"
-            ~arity:(List.length indexed_attrs) ~tables:`Sealed upload
-        in
-        let upload = if computes Mediator then upload else None in
-        Option.iter
-          (fun (er, _) ->
-            Outcome.Builder.mediator_sees b "cardinality-RS" (List.length er.Das.rows))
-          upload;
-
-        (* Client setting: tables travel to the client, which translates. *)
-        let enc_tables =
-          Codec.exchange link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
-            ~label:"enc(ITables)" Codec.hybrid
-            (match upload with Some (_, Das.Sealed ct) -> Some ct | _ -> None)
-        in
-        let server_condition =
-          Option.bind enc_tables (fun enc_tables ->
-              step Client "client-translate" (fun () ->
-                  match where with
-                  | None -> Predicate.True
-                  | Some p ->
-                    let r =
-                      Wire.reader
-                        (Das.decrypt_or_fail ~phase:"client-translate" ~party:Client
-                           client.Env.key "ITables" enc_tables)
-                    in
-                    let decoded =
-                      Wire.read_list r (fun () ->
-                          let attr = Wire.read_string r in
-                          (attr, Das_partition.of_wire (Wire.read_string r)))
-                    in
-                    Wire.expect_end r;
-                    Das_translate.translate ~tables:(fun attr -> List.assoc_opt attr decoded) p))
-        in
-        let server_condition =
-          Link.exchange link ~phase:"mediator-server-query" ~sender:Client ~receiver:Mediator
-            ~label:"server-query-qS"
-            ~size:(fun c -> 24 * Stdlib.max 1 (Predicate.size c))
-            ~encode:condition_to_wire ~decode:condition_of_wire server_condition
-        in
-
-        (* The mediator filters the encrypted relation with the relational
-           engine over the index columns. *)
-        let rc =
-          match (server_condition, upload) with
-          | Some condition, Some (er, _) when computes Mediator ->
-            Outcome.Builder.mediator_sees b "condition-size-qS" (Predicate.size condition);
-            step Mediator "mediator-server-query" (fun () ->
-                let index_schema =
-                  Schema.make
-                    (Schema.attr "etuple" Value.Tstring
-                    :: List.map
-                         (fun attr -> Schema.attr (Das_translate.index_attr attr) Value.Tint)
-                         indexed_attrs)
-                in
-                let index_relation =
-                  Relation.make index_schema
-                    (List.map
-                       (fun (ct, indexes) ->
-                         Tuple.of_list
-                           (Value.Str (Hybrid.to_wire ct)
-                           :: Array.to_list (Array.map (fun i -> Value.Int i) indexes)))
-                       er.Das.rows)
-                in
-                List.map
-                  (fun t ->
-                    match Tuple.get t 0 with
-                    | Value.Str wire -> Hybrid.of_wire wire
-                    | Value.Int _ | Value.Bool _ -> assert false)
-                  (Relation.tuples (Relation.select condition index_relation)))
-          | _ -> None
-        in
-        Option.iter
-          (fun rc -> Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc))
-          rc;
-        let rc =
-          Codec.exchange_list link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-            ~label:"RC" Codec.hybrid rc
-        in
-
-        (* Client: decrypt, post-filter with the original condition. *)
-        let client_view =
-          match rc with
-          | Some rc when computes Client ->
-            Outcome.Builder.client_sees b "candidates-received" (List.length rc);
-            step Client "client-postprocess" (fun () ->
-                let tuples =
-                  List.map
-                    (fun ct ->
-                      Tuple.decode
-                        (Das.decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key "etuple" ct))
-                    rc
-                in
-                (apply_clauses (Relation.make schema tuples), List.length rc))
-          | _ -> None
-        in
-        (exact, client_view))
-  in
-  Outcome.Builder.finish_projected b ~exact ~counters client_view
+              (apply_clauses (Relation.make schema tuples), List.length rc))
+        | _ -> None
+      in
+      (exact, client_view))

@@ -15,7 +15,7 @@
 
     The per-(party, phase) split of Table 2 is not kept here: a traced
     phase span carries the counts bumped during it as [ops.<primitive>]
-    attributes (see [Outcome.Builder.timed]). *)
+    attributes (see [Outcome.Builder.phase]). *)
 
 type primitive =
   | Hash                  (** collision-free hash (SHA-256 in index tables) *)

@@ -95,8 +95,6 @@ let events p = List.rev p.rev_events
 
 let simulated_delay p = p.simulated_delay
 
-let set_delay_handler p handler = p.on_delay <- handler
-
 (* A crashed run must not leave its handler installed: the next query on
    the same plan would charge link delays to a deadline that no longer
    exists.  Scope the handler to the callback and restore whatever was

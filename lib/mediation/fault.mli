@@ -89,21 +89,16 @@ val events : plan -> event list
 val simulated_delay : plan -> float
 val attempts : plan -> int
 
-val set_delay_handler : plan -> (float -> unit) option -> unit
-(** Install (or clear, with [None]) a callback invoked with the delay in
-    seconds each time a [Delay] rule fires, after the event is logged.
-    The resilience session layer uses it to charge simulated link delays
-    against the query deadline ({!Resilience.charge}), which may raise
-    {!Resilience.Deadline_exceeded} out of the delivery point.
-
-    Prefer {!with_delay_handler}: a bare [set] that is never reset leaks
-    the handler into the plan's next use. *)
-
 val with_delay_handler : plan -> (float -> unit) option -> (unit -> 'a) -> 'a
-(** [with_delay_handler p h f] runs [f] with [h] installed as the delay
-    handler and restores the {e previous} handler when [f] returns or
-    raises — so a crashed query cannot charge later queries' link delays
-    to its dead deadline, and nesting composes. *)
+(** [with_delay_handler p h f] runs [f] with [h] installed (or, with
+    [None], cleared) as the callback invoked with the delay in seconds
+    each time a [Delay] rule fires, after the event is logged.  The
+    resilience session layer uses it to charge simulated link delays
+    against the query deadline ({!Resilience.charge}), which may raise
+    {!Resilience.Deadline_exceeded} out of the delivery point.  The
+    {e previous} handler is restored when [f] returns or raises — so a
+    crashed query cannot charge later queries' link delays to its dead
+    deadline, and nesting composes. *)
 
 val delay_handler_installed : plan -> bool
 (** Whether a delay handler is currently installed (regression hook for

@@ -387,7 +387,7 @@ let execute ?session ~deadline ~label ~retryable ~budget ~parties_of attempt =
           else Exhausted { failure = f; attempts = n }
         | exception Deadline_exceeded { phase; elapsed; budget = b } ->
           (* A mid-attempt trip: an injected link delay charged the budget
-             over the line (see Fault.set_delay_handler). *)
+             over the line (see Fault.with_delay_handler). *)
           Timed_out { phase; elapsed; budget = b; attempts = n }))
   in
   go 1

@@ -8,7 +8,7 @@
 
     - {b deadline budgets} — a per-query wall-clock budget on a monotonic
       (and injectable) clock, charged both by real elapsed time and by
-      simulated link delays (see {!Fault.set_delay_handler}), tripping a
+      simulated link delays (see {!Fault.with_delay_handler}), tripping a
       typed {!Deadline_exceeded} instead of hanging;
     - {b exponential backoff} with deterministic, seeded jitter between
       retry attempts;
@@ -103,7 +103,7 @@ val check : deadline -> phase:string -> unit
 
 val charge : deadline -> phase:string -> float -> unit
 (** Consume [seconds] of simulated time, then {!check}.  Installed as the
-    {!Fault.set_delay_handler} of a plan, this makes an injected [Delay]
+    {!Fault.with_delay_handler} of a plan, this makes an injected [Delay]
     fault trip the deadline mid-protocol instead of being free. *)
 
 val phase_budget : deadline -> fraction:float -> float

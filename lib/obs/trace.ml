@@ -120,11 +120,6 @@ let collect f =
 
 let rel t = Int64.sub (Clock.now_ns ()) t.epoch_ns
 
-(* Span-close histogram observes go through one lock: the registry's
-   histograms are shared across collectors, and an unsynchronized
-   bucket bump from two pool workers could lose a count. *)
-let metrics_mu = Mutex.create ()
-
 let with_span ?(kind = Operation) ?(attrs = []) name f =
   match current () with
   | None -> f ()
@@ -152,11 +147,7 @@ let with_span ?(kind = Operation) ?(attrs = []) name f =
             | [] -> []
             | x :: rest -> if x == s then rest else pop rest
           in
-          Hashtbl.replace t.stacks key (pop (stack_of t key)));
-      Mutex.protect metrics_mu (fun () ->
-          Metrics.observe
-            (Metrics.histogram ("span." ^ name ^ ".seconds"))
-            (Int64.to_float (Int64.sub s.stop_ns s.start_ns) /. 1e9))
+          Hashtbl.replace t.stacks key (pop (stack_of t key)))
     in
     (match f () with
      | result ->

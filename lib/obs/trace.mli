@@ -76,8 +76,7 @@ val collect : (unit -> 'a) -> 'a * t
 val with_span : ?kind:kind -> ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** Opens a child of the calling thread's innermost open span (or a
     root), runs the thunk and closes the span — also on exceptions.
-    The span's duration is observed into the ["span.<name>.seconds"]
-    histogram as it closes. *)
+    The span itself is the only record of its duration. *)
 
 val add_attr : string -> Json.t -> unit
 (** Attach an attribute to the innermost open span (no-op without one). *)

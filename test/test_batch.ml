@@ -69,11 +69,10 @@ let test_counter_merge () =
   let prng = Prng.create ~seed:"batch-counter" in
   let payloads = Array.init 12 (fun i -> String.make 40 (Char.chr (65 + i))) in
   let run k =
-    let b = Outcome.Builder.create ~scheme:"batch" in
     let ((), counts), t =
       Secmed_obs.Trace.collect (fun () ->
           Counters.with_fresh (fun () ->
-              Outcome.Builder.timed b ~party:"S1" "source-encrypt" (fun () ->
+              Outcome.Builder.phase ~party:"S1" "source-encrypt" (fun () ->
                   ignore
                     (Batch.map_seeded ~domains:k ~prng ~label:"cnt"
                        (fun _ prng p -> Hybrid.encrypt prng pk p)

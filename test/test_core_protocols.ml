@@ -1494,13 +1494,21 @@ let test_protocol_names () =
         (Protocol.scheme_of_name bogus = None))
     [ "quantum"; "pm["; "das[equi-depth(5)]"; "commutative[IDS]"; ""; "PLAIN" ]
 
+(* Phase time lives only in the trace: a run's Phase spans name at
+   least three distinct phases and add up to a positive total. *)
 let test_outcome_accessors () =
+  let module Trace = Secmed_obs.Trace in
   let env, client, query = scenario () in
-  let o = Protocol.run_exn (Protocol.Commutative { use_ids = false }) env client ~query in
-  Alcotest.(check bool) "timings recorded" true (List.length o.Outcome.timings >= 3);
-  Alcotest.(check bool) "total positive" true (Outcome.timing_total o > 0.0);
-  Alcotest.(check bool) "summary renders" true
-    (String.length (Format.asprintf "%a" Outcome.pp_summary o) > 0)
+  let o, trace =
+    Trace.collect (fun () ->
+        Protocol.run_exn (Protocol.Commutative { use_ids = false }) env client ~query)
+  in
+  Alcotest.(check bool) "correct" true (Outcome.correct o);
+  let phases = List.filter (fun s -> s.Trace.kind = Trace.Phase) (Trace.spans trace) in
+  let names = List.sort_uniq compare (List.map (fun s -> s.Trace.name) phases) in
+  Alcotest.(check bool) "phases recorded" true (List.length names >= 3);
+  let total = List.fold_left (fun acc s -> Int64.add acc (Trace.duration_ns s)) 0L phases in
+  Alcotest.(check bool) "total positive" true (Int64.compare total 0L > 0)
 
 let () =
   Alcotest.run "core-protocols"

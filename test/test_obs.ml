@@ -480,10 +480,9 @@ let ops_of span =
 (* A party-labelled phase that raises still carries the counts bumped
    before the exception. *)
 let test_phase_exception () =
-  let b = Outcome.Builder.create ~scheme:"test" in
   let phase () =
     try
-      Outcome.Builder.timed b ~party:"A" "p" (fun () ->
+      Outcome.Builder.phase ~party:"A" "p" (fun () ->
           Counters.bump Counters.Hash;
           Counters.bump Counters.Hash;
           raise Boom)

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Smoke test of the real daemon binaries.  First, every bad address,
-# id, rate or remote fallback flag must be a usage error (exit 124).
+# id, rate, remote fallback, source-count or partition-count flag, and
+# a missing CSV file, must be a usage error (exit 124).
 # Then two `secmed source` daemons and a `secmed serve` mediator on
 # ephemeral localhost ports (addressed as ":PORT", the empty-host form),
 # a verified loadgen fleet that must exit 0, then an authenticated
@@ -78,6 +79,9 @@ usage_error drain :0
 usage_error run --connect :1 --fallback das
 usage_error loadgen --connect :1 --rate=0
 usage_error loadgen --connect :1 --fallback das
+usage_error chain --sources 1
+usage_error select --partitions 0
+usage_error query "$dir/missing-left.csv" "$dir/missing-right.csv" --left-types int --right-types int
 
 for id in 1 2; do
   # shellcheck disable=SC2086
