@@ -15,10 +15,13 @@ test: check
 # The first grep fails if a driver records a transcript entry instead of
 # delivering through Link; the second if anything in lib/core outside the
 # run frame (Outcome.Builder.run) sets up a run itself, so no driver can
-# skip the frame.
+# skip the frame; the third if a message every process computes, or a
+# step every process runs, comes back: every message is a projected
+# exchange, every step a party's own.
 check-fault:
 	! grep -rn "Transcript.record" lib/core
 	! grep -rnE "Link\.make|Fault\.attach|Counters\.with_fresh|Outcome\.Builder\.create" lib/core --exclude=outcome.ml --exclude=outcome.mli
+	! grep -rnE "Link\.deliver\b|Builder\.replicated" lib bin test bench
 	dune exec test/test_fault.exe
 
 # Telemetry suite: the obs unit/differential tests, a traced run whose
@@ -52,8 +55,10 @@ check-resilience:
 # Networked-transport suite: frame codec and mux units (receivers wake
 # on arrival: a parked reader wakes at once when its reader thread
 # dies, and a timeout fires on time), the projected request phase (only
-# source i checks its credentials), the forked loopback cluster
-# differential (distributed run bit-identical to the in-process one)
+# source i checks its credentials and evaluates its partial query; the
+# mediator, serving from a view with no relation, reads no source data),
+# the forked loopback cluster differential (distributed run bit-identical
+# to the in-process one), typed refusals of bad queries and credentials,
 # and live chaos-proxy conformance.
 check-net:
 	dune exec test/test_net.exe -- test -e

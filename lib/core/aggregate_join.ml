@@ -200,7 +200,7 @@ let run ?fault ?(strategy = Bundles) env client ~query =
   let scheme =
     match strategy with Bundles -> "aggregate" | Homomorphic -> "aggregate-homomorphic"
   in
-  Outcome.Builder.run_request ~scheme ?fault env client ~query (fun b link request _exact ->
+  Request.frame ~scheme ?fault env client ~query (fun b link request ->
       let computes = Link.computes link in
       let step party phase f = Outcome.Builder.step link party phase f in
       let d = request.Request.decomposition in
@@ -219,8 +219,8 @@ let run ?fault ?(strategy = Bundles) env client ~query =
           if List.sort compare keys = List.sort compare join_attrs then true
           else unsupported "GROUP BY must list exactly the join attributes"
       in
-      let left_schema = Relation.schema request.Request.left_result in
-      let right_schema = Relation.schema request.Request.right_result in
+      let left_schema = Request.schema request `Left in
+      let right_schema = Request.schema request `Right in
       (* Classify here: the frame builds the reference only after the
          body, so malformed queries surface as Unsupported rather than a
          raw Not_found. *)
@@ -242,7 +242,7 @@ let run ?fault ?(strategy = Bundles) env client ~query =
              ids. *)
           let set which ~own_side ~schema label =
             {
-              Round.groups = Request.groups request which;
+              Round.groups = lazy (Request.groups request which);
               seal =
                 (fun prng a tuples ->
                   let w = Wire.writer () in
@@ -320,9 +320,10 @@ let run ?fault ?(strategy = Bundles) env client ~query =
           (* c1(a) must be 1 for every left key so that pair weighting is
              trivial; S1 verifies this on its own plaintext. *)
           if
-            List.exists
-              (fun (_, tuples) -> List.length tuples > 1)
-              (Request.groups request `Left)
+            computes (Source d.Catalog.left.Catalog.source)
+            && List.exists
+                 (fun (_, tuples) -> List.length tuples > 1)
+                 (Request.groups request `Left)
           then
             unsupported
               "Homomorphic strategy requires duplicate-free join keys in the left relation";
@@ -334,7 +335,7 @@ let run ?fault ?(strategy = Bundles) env client ~query =
             Round.run b link ?fault env request
               ~left:
                 {
-                  Round.groups = Request.groups request `Left;
+                  Round.groups = lazy (Request.groups request `Left);
                   seal = (fun _ _ _ -> ());
                   payload = Codec.none;
                   forward = Round.Bare;
@@ -342,7 +343,7 @@ let run ?fault ?(strategy = Bundles) env client ~query =
                 }
               ~right:
                 {
-                  Round.groups = Request.groups request `Right;
+                  Round.groups = lazy (Request.groups request `Right);
                   seal =
                     (fun prng _ tuples ->
                       let sums = own_partials ~schema:right_schema ~kinds ~own_side:R tuples in

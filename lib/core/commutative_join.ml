@@ -4,8 +4,8 @@ open Secmed_mediation
 module Round = Commutative_round
 
 let run ?fault ?endpoint ?(use_ids = false) env client ~query =
-  Outcome.Builder.run_request ~scheme:"commutative" ?fault ?endpoint env client ~query
-    (fun b link request _exact ->
+  Request.frame ~scheme:"commutative" ?fault ?endpoint env client ~query
+    (fun b link request ->
       let computes = Link.computes link in
       let step party phase f = Outcome.Builder.step link party phase f in
       let pk = request.Request.client_pk in
@@ -15,7 +15,7 @@ let run ?fault ?endpoint ?(use_ids = false) env client ~query =
          (footnote 1) as fixed-length IDs. *)
       let set which label =
         {
-          Round.groups = Request.groups request which;
+          Round.groups = lazy (Request.groups request which);
           seal = (fun prng _ tuples -> Hybrid.encrypt prng pk (Codec.encode Codec.tuples tuples));
           payload = Codec.hybrid;
           forward = (if use_ids then Round.Id else Round.Payload);
@@ -45,7 +45,7 @@ let run ?fault ?endpoint ?(use_ids = false) env client ~query =
         match result_messages with
         | Some result_messages when computes Client ->
           let join_attrs = Request.join_attrs request in
-          let right_schema = Relation.schema request.Request.right_result in
+          let right_schema = Request.schema request `Right in
           let pos_right = Join_key.positions right_schema join_attrs in
           let keep_right =
             Array.of_list
@@ -54,8 +54,7 @@ let run ?fault ?endpoint ?(use_ids = false) env client ~query =
                  (List.init (Schema.arity right_schema) Fun.id))
           in
           let joined_schema =
-            Schema.append
-              (Relation.schema request.Request.left_result)
+            Schema.append (Request.schema request `Left)
               (Schema.make (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
           in
           let decrypt_set label ct =

@@ -45,7 +45,7 @@ let resolve (type p) (retained : p array) label : p slot -> p = function
   | Nothing -> ()
 
 type 'p set = {
-  groups : (Join_key.t * Tuple.t list) list;
+  groups : (Join_key.t * Tuple.t list) list Lazy.t;
   seal : Prng.t -> Join_key.t -> Tuple.t list -> 'p;
   payload : 'p Codec.t;
   forward : 'p forward;
@@ -77,7 +77,7 @@ let run b link ?fault env request ~left ~right =
               (fun _ prng (a, tuples) ->
                 ( Commutative.apply key (Random_oracle.hash group (Join_key.encode a)),
                   set.seal prng a tuples ))
-              (Array.of_list set.groups)
+              (Array.of_list (Lazy.force set.groups))
           in
           Prng.shuffle prng shuffled;
           let messages = Array.to_list shuffled in

@@ -28,7 +28,8 @@ type _ forward =
   | Bare : unit forward
 
 type 'p set = {
-  groups : (Join_key.t * Tuple.t list) list;  (** the source's keys and their tuples *)
+  groups : (Join_key.t * Tuple.t list) list Lazy.t;
+      (** the source's keys and their tuples, forced only in its step *)
   seal : Prng.t -> Join_key.t -> Tuple.t list -> 'p;
       (** the payload of one key, on its own split PRNG stream *)
   payload : 'p Codec.t;

@@ -315,8 +315,7 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
     | Client_setting -> "das"
     | Source_setting | Mediator_setting -> "das/" ^ setting_name setting
   in
-  Outcome.Builder.run_request ~scheme ?fault ?endpoint env client ~query
-    (fun b link request _exact ->
+  Request.frame ~scheme ?fault ?endpoint env client ~query (fun b link request ->
       let computes = Link.computes link in
       let step party phase f = Outcome.Builder.step link party phase f in
       let join_attrs = Request.join_attrs request in
@@ -329,9 +328,10 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
          attribute and encrypt the partial result DAS-style.  Where the
          index tables go — and under which key — depends on the
          translator placement. *)
-      let source_side (entry : Catalog.entry) relation =
+      let source_side (entry : Catalog.entry) side =
         let sid = entry.Catalog.source in
         step (Source sid) "source-encrypt" (fun () ->
+            let relation = Request.partial request side in
             let prng = Env.prng_for env (Printf.sprintf "das-source-%d" sid) in
             let tables =
               List.map
@@ -345,12 +345,8 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
             let encrypted = encrypt_relation prng pk tables ~join_attrs relation in
             (prng, tables, apply_byzantine (Fault.byzantine_mode fault sid) encrypted))
       in
-      let side1 =
-        source_side request.Request.decomposition.Catalog.left request.Request.left_result
-      in
-      let side2 =
-        source_side request.Request.decomposition.Catalog.right request.Request.right_result
-      in
+      let side1 = source_side request.Request.decomposition.Catalog.left `Left in
+      let side2 = source_side request.Request.decomposition.Catalog.right `Right in
       (* S1's key pair, for the source setting: S2 seals its tables to
          it, S1 opens them. *)
       let s1_keys = lazy (source_keypair env s1) in
@@ -467,21 +463,26 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
             Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
             Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
             (* Measured value approximation: entropy of the index values
-               it holds, in centibits per tuple. *)
-            let centibits tables relation =
+               it holds, in centibits per tuple.  A ground-truth
+               measurement over the sources' rows, like the reference
+               result, so it is taken only where the client is. *)
+            let centibits tables side =
               List.fold_left
                 (fun acc table ->
                   acc
                   + int_of_float
                       (100.0
                       *. Das_partition.disclosure_bits table
-                           (Relation.column relation (Das_partition.attr table))))
+                           (Relation.column (Request.partial request side)
+                              (Das_partition.attr table))))
                 0 tables
             in
-            Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
-              (centibits tables1 request.Request.left_result);
-            Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
-              (centibits tables2 request.Request.right_result);
+            if computes Client then begin
+              Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
+                (centibits tables1 `Left);
+              Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
+                (centibits tables2 `Right)
+            end;
             step Mediator "mediator-translate" (fun () ->
                 server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
           | _ -> None)
@@ -517,8 +518,8 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
         | Some rc when computes Client ->
           Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
           step Client "client-postprocess" (fun () ->
-              let left_schema = Relation.schema request.Request.left_result in
-              let right_schema = Relation.schema request.Request.right_result in
+              let left_schema = Request.schema request `Left in
+              let right_schema = Request.schema request `Right in
               let pos_left = Join_key.positions left_schema join_attrs in
               let pos_right = Join_key.positions right_schema join_attrs in
               let keep_right =

@@ -54,6 +54,10 @@ let make_client t ~identity ~properties =
 
 let source_by_id t id = List.find (fun s -> s.source_id = id) t.sources
 
+let view t party =
+  let keep s = Transcript.party_equal party (Source s.source_id) in
+  { t with sources = List.map (fun s -> if keep s then s else { s with relations = [] }) t.sources }
+
 let two_source ?params ?seed ~left:(left_name, left_rel) ~right:(right_name, right_rel) () =
   let entry relation source rel =
     {

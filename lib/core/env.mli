@@ -63,6 +63,13 @@ val make_client :
 val source_by_id : t -> int -> source
 (** Raises [Not_found]. *)
 
+val view : t -> Transcript.party -> t
+(** The data a served process of [party] holds: datasource [i] keeps
+    only its own relations, and every other party — the mediator above
+    all — none.  Policies, advertised keys, the catalogue and every key
+    stay (only the client replica, which still computes every party,
+    keeps the whole environment). *)
+
 val prng_for : t -> string -> Prng.t
 (** Independent deterministic randomness stream for the named participant
     and run (parties must not share randomness). *)

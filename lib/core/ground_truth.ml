@@ -36,10 +36,6 @@ let compute_keys left right ~join_attrs =
 
 let compute left right ~join_attr = compute_keys left right ~join_attrs:[ join_attr ]
 
-let of_request (request : Request.t) =
-  compute_keys request.Request.left_result request.Request.right_result
-    ~join_attrs:request.Request.decomposition.Secmed_mediation.Catalog.join_attrs
-
 let pp fmt t =
   Format.fprintf fmt
     "|R1|=%d |R2|=%d |dom1|=%d |dom2|=%d |dom1∩dom2|=%d |R1⋈R2|=%d" t.card_left

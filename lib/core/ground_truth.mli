@@ -17,5 +17,4 @@ val compute : Relation.t -> Relation.t -> join_attr:string -> t
 val compute_keys : Relation.t -> Relation.t -> join_attrs:string list -> t
 (** Composite-key variant (the Section 8 extension). *)
 
-val of_request : Request.t -> t
 val pp : Format.formatter -> t -> unit

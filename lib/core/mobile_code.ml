@@ -14,17 +14,16 @@ let decode_bundle blob =
   (ct1, ct2, Wire.read_raw r (Wire.remaining r))
 
 let run ?fault ?endpoint env client ~query =
-  Outcome.Builder.run_request ~scheme:"mobile-code" ?fault ?endpoint env client ~query
-    (fun b link request _exact ->
+  Request.frame ~scheme:"mobile-code" ?fault ?endpoint env client ~query
+    (fun b link request ->
       let pk = request.Request.client_pk in
-      let encrypt_side which (entry : Catalog.entry) relation =
+      let encrypt_side which side (entry : Catalog.entry) =
         let sid = entry.Catalog.source in
         let ct =
           Outcome.Builder.step link (Source sid) "source-encrypt" (fun () ->
               let prng = Env.prng_for env (Printf.sprintf "mc-source-%d" sid) in
-              let ct =
-                Hybrid.encrypt prng pk (Codec.encode Codec.tuples (Relation.tuples relation))
-              in
+              let tuples = Relation.tuples (Request.partial request side) in
+              let ct = Hybrid.encrypt prng pk (Codec.encode Codec.tuples tuples) in
               match Fault.byzantine_mode fault sid with
               | Some Fault.Malformed_ciphertexts -> Codec.hybrid.Codec.malformed ct
               | _ -> ct)
@@ -32,13 +31,8 @@ let run ?fault ?endpoint env client ~query =
         Codec.exchange link ~phase:"mediator-forward" ~sender:(Source sid) ~receiver:Mediator
           ~label:(Printf.sprintf "encrypted-R%d" which) Codec.hybrid ct
       in
-      let ct1 =
-        encrypt_side 1 request.Request.decomposition.Catalog.left request.Request.left_result
-      in
-      let ct2 =
-        encrypt_side 2 request.Request.decomposition.Catalog.right
-          request.Request.right_result
-      in
+      let ct1 = encrypt_side 1 `Left request.Request.decomposition.Catalog.left in
+      let ct2 = encrypt_side 2 `Right request.Request.decomposition.Catalog.right in
       (* The mediator ships the partial results plus the mobile join
          program (the rendered algebra tree). *)
       let bundle =
@@ -67,12 +61,8 @@ let run ?fault ?endpoint env client ~query =
         | None -> None
         | Some (ct1, ct2, _) ->
           Outcome.Builder.step link Client "client-postprocess" (fun () ->
-              let left =
-                Relation.make (Relation.schema request.Request.left_result) (decrypt "R1" ct1)
-              in
-              let right =
-                Relation.make (Relation.schema request.Request.right_result) (decrypt "R2" ct2)
-              in
+              let left = Relation.make (Request.schema request `Left) (decrypt "R1" ct1) in
+              let right = Relation.make (Request.schema request `Right) (decrypt "R2" ct2) in
               let received = Relation.cardinality left + Relation.cardinality right in
               Outcome.Builder.client_sees b "tuples-received" received;
               (Request.finalize request (Relation.natural_join left right), received))

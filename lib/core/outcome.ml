@@ -69,9 +69,6 @@ module Builder = struct
     if Link.computes link party then Some (phase ~party:(Transcript.party_name party) name f)
     else None
 
-  let replicated link party name f =
-    if Link.computes link party then phase ~party:(Transcript.party_name party) name f else f ()
-
   (* The run frame: the only place a driver's transcript, fault plan,
      link and counter window are set up, and the outcome assembled. *)
   let run ~scheme ?fault ?endpoint body =
@@ -96,14 +93,4 @@ module Builder = struct
       counters;
       degraded_from = None;
     }
-
-  let request link env client ~query =
-    replicated link Mediator "request" (fun () -> Request.run link env client ~query)
-
-  let run_request ~scheme ?fault ?endpoint env client ~query body =
-    run ~scheme ?fault ?endpoint (fun b link ->
-        let request = request link env client ~query in
-        let exact = lazy (Request.exact_result env request) in
-        let client = body b link request exact in
-        (Lazy.force exact, client))
 end

@@ -11,8 +11,12 @@ open Secmed_mediation
 
 type t = {
   scheme : string;
-  result : Relation.t;             (** global result as obtained by the client *)
-  exact : Relation.t;              (** trusted-mediator reference result *)
+  result : Relation.t;
+      (** global result as obtained by the client; empty in a process
+          that does not compute the client *)
+  exact : Relation.t;
+      (** trusted-mediator reference result, built only where the client
+          is computed (empty elsewhere) *)
   transcript : Transcript.t;
   mediator_observed : (string * int) list;
       (** quantities the mediator could derive from what it handled *)
@@ -63,12 +67,6 @@ module Builder : sig
       link computes the party ({!Link.computes}), [None] — the thunk not
       run — everywhere else. *)
 
-  val replicated : Link.t -> Transcript.party -> string -> (unit -> 'a) -> 'a
-  (** A step every process runs (the plaintext request phase), a
-      {!phase} of the party only where the link computes the party — so
-      each process's trace holds exactly the phases of the parties it
-      computes. *)
-
   val run :
     scheme:string ->
     ?fault:Fault.plan ->
@@ -81,23 +79,6 @@ module Builder : sig
       the reference result and, where this process computed the client,
       the client's (result, received tuples); a process that did not
       gets an empty result over the reference schema and zero received
-      tuples. *)
-
-  val request : Link.t -> Env.t -> Env.client -> query:string -> Request.t
-  (** Listing 1's request phase ({!Request.run}), {!replicated} as the
-      mediator's ["request"] phase. *)
-
-  val run_request :
-    scheme:string ->
-    ?fault:Fault.plan ->
-    ?endpoint:Link.endpoint ->
-    Env.t ->
-    Env.client ->
-    query:string ->
-    (builder -> Link.t -> Request.t -> Relation.t Lazy.t -> (Relation.t * int) option) ->
-    t
-  (** {!run} with the {!request} phase first: the body gets the request
-      and the reference result ({!Request.exact_result}), which the frame
-      computes on first force and forces after the body, so a body that
-      rejects the query does so before the reference is built. *)
+      tuples.  Listing 1's request phase and the join reference come
+      with {!Request.frame}, which runs inside this one. *)
 end

@@ -13,18 +13,18 @@ let decode_tuples schema blob =
   Relation.make schema (Wire.read_rest r (fun () -> Wire.read_at r Tuple.decode_at))
 
 let run ?fault ?endpoint env client ~query =
-  Outcome.Builder.run_request ~scheme:"plain" ?fault ?endpoint env client ~query
-    (fun b link request exact ->
-      let send which (entry : Catalog.entry) relation =
-        let sender = Transcript.Source entry.Catalog.source in
-        Link.exchange link ~phase:"mediator-join" ~sender ~receiver:Mediator
-          ~label:(Printf.sprintf "plaintext-R%d" which)
-          ~size:relation_size ~encode:encode_tuples
-          ~decode:(decode_tuples (Relation.schema relation))
-          (if Link.computes link sender then Some relation else None)
+  Request.frame ~scheme:"plain" ?fault ?endpoint env client ~query (fun b link request ->
+      let send which side (entry : Catalog.entry) relation =
+        Link.exchange link ~phase:"mediator-join" ~sender:(Source entry.Catalog.source)
+          ~receiver:Mediator ~label:(Printf.sprintf "plaintext-R%d" which) ~size:relation_size
+          ~encode:encode_tuples ~decode:(decode_tuples (Request.schema request side)) relation
       in
-      let r1 = send 1 request.Request.decomposition.Catalog.left request.Request.left_result in
-      let r2 = send 2 request.Request.decomposition.Catalog.right request.Request.right_result in
+      let r1 =
+        send 1 `Left request.Request.decomposition.Catalog.left request.Request.left_result
+      in
+      let r2 =
+        send 2 `Right request.Request.decomposition.Catalog.right request.Request.right_result
+      in
       (* The mediator joins what the sources sent, and sees all of it. *)
       let result =
         match (r1, r2) with
@@ -38,7 +38,7 @@ let run ?fault ?endpoint env client ~query =
       let result =
         Link.exchange link ~phase:"client-receive" ~sender:Mediator ~receiver:Client
           ~label:"global-result" ~size:relation_size ~encode:encode_tuples
-          ~decode:(fun blob -> decode_tuples (Relation.schema (Lazy.force exact)) blob)
+          ~decode:(decode_tuples (Request.result_schema request))
           result
       in
       let client_view =

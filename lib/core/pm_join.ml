@@ -231,8 +231,8 @@ let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
   (* Only a party that holds the value runs these; the others pass
      [None] and never call them. *)
   let with_pk pk f x = f (Option.get pk) x in
-  Outcome.Builder.run_request ~scheme:("pm-" ^ variant_name variant) ?fault ?endpoint env client
-    ~query (fun b link request _exact ->
+  Request.frame ~scheme:("pm-" ^ variant_name variant) ?fault ?endpoint env client ~query
+    (fun b link request ->
       let computes = Link.computes link in
       let step party phase f = Outcome.Builder.step link party phase f in
       let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
@@ -425,7 +425,7 @@ let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
               let by_root = Hashtbl.create (List.length entries2) in
               List.iter (fun e -> Hashtbl.replace by_root e.root e) entries2;
               let join_attrs = Request.join_attrs request in
-              let right_schema = Relation.schema request.Request.right_result in
+              let right_schema = Request.schema request `Right in
               let pos_right = Join_key.positions right_schema join_attrs in
               let keep_right =
                 Array.of_list
@@ -434,8 +434,7 @@ let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
                      (List.init (Schema.arity right_schema) Fun.id))
               in
               let joined_schema =
-                Schema.append
-                  (Relation.schema request.Request.left_result)
+                Schema.append (Request.schema request `Left)
                   (Schema.make
                      (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
               in

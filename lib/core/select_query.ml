@@ -112,23 +112,14 @@ let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
         with Not_found -> unsupported "unknown relation %s" ast.Ast.from.Ast.table
       in
       let sid = entry.Catalog.source in
-      (* Request phase, single partial query. *)
+      (* Request phase, single partial query: the source's relation name,
+         with every credential. *)
       let credentials = client.Env.credentials in
-      let granted =
-        Outcome.Builder.replicated link Mediator "request" (fun () ->
-            Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
-              ~label:"global-query"
-              ~size:(String.length query + Request.credential_size credentials)
-              (fun () -> query);
-            Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source sid)
-              ~label:"partial-query"
-              ~size:
-                (String.length entry.Catalog.source_relation
-                + Request.credential_size credentials)
-              (fun () -> entry.Catalog.source_relation);
-            Request.authorize link env sid entry credentials)
-      in
-      let schema = Relation.schema granted in
+      ignore (Request.send_query link client ~query : string option);
+      Request.send_partial link entry ~padding:(Request.credential_size credentials)
+        entry.Catalog.source_relation;
+      let granted = Request.authorize link env entry credentials in
+      let schema = Schema.qualify entry.Catalog.relation entry.Catalog.schema in
       let where =
         Option.map
           (fun w -> normalize_predicate schema (Algebra.predicate_of_expr w))
@@ -153,7 +144,6 @@ let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
         in
         if ast.Ast.distinct then Relation.distinct projected else projected
       in
-      let exact = apply_clauses granted in
 
       (* The source indexes every attribute the condition references. *)
       let indexed_attrs =
@@ -169,6 +159,7 @@ let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
                (Predicate.attrs_used p))
       in
       let upload =
+        Option.bind granted @@ fun granted ->
         step (Source sid) "source-encrypt" (fun () ->
             let prng = Env.prng_for env (Printf.sprintf "select-source-%d" sid) in
             let pk =
@@ -293,5 +284,10 @@ let run ?fault ?(strategy = Das_partition.Equi_depth 4) env client ~query =
               in
               (apply_clauses (Relation.make schema tuples), List.length rc))
         | _ -> None
+      in
+      let exact =
+        match granted with
+        | Some granted when computes Client -> apply_clauses granted
+        | _ -> apply_clauses (Relation.make schema [])
       in
       (exact, client_view))

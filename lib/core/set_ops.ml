@@ -14,9 +14,6 @@ let op_name = function
   | Semi_join -> "semi-join"
   | Difference -> "difference"
 
-let bare_names relation =
-  List.map (fun a -> a.Schema.name) (Schema.attrs (Relation.schema relation))
-
 (* Reference (trusted-mediator) results. *)
 let exact_result op ~on left right =
   match op with
@@ -40,21 +37,19 @@ let run ?fault ?on env client op ~left ~right =
          "select *" queries as for a join, but the reference is the set
          operation, not their join. *)
       let query = Printf.sprintf "select * from %s natural join %s" left right in
-      let request = Outcome.Builder.request link env client ~query in
-      let left_rel = request.Request.left_result in
-      let right_rel = request.Request.right_result in
+      let request = Request.run link env client ~query in
+      let left_schema = Request.schema request `Left in
       let key_attrs =
         match op with
         | Semi_join -> Option.value ~default:(Request.join_attrs request) on
         | Intersection | Difference ->
-          if not (Schema.equal_layout (Relation.schema left_rel) (Relation.schema right_rel))
-          then
+          if not (Schema.equal_layout left_schema (Request.schema request `Right)) then
             invalid_arg
               (Printf.sprintf "Set_ops.%s: relations %s and %s have different layouts"
                  (op_name op) left right);
-          bare_names left_rel
+          List.map (fun a -> a.Schema.name) (Schema.attrs left_schema)
       in
-      let exact = Request.finalize request (exact_result op ~on:key_attrs left_rel right_rel) in
+      let groups which = lazy (Join_key.group_by (Request.partial request which) key_attrs) in
       let pk = request.Request.client_pk in
       let payload_of tuples =
         match op with
@@ -70,7 +65,7 @@ let run ?fault ?on env client op ~left ~right =
         Round.run b link ?fault env request
           ~left:
             {
-              Round.groups = Join_key.group_by left_rel key_attrs;
+              Round.groups = groups `Left;
               seal =
                 (fun prng _ tuples ->
                   Hybrid.encrypt prng pk (Codec.encode Codec.tuples (payload_of tuples)));
@@ -80,7 +75,7 @@ let run ?fault ?on env client op ~left ~right =
             }
           ~right:
             {
-              Round.groups = Join_key.group_by right_rel key_attrs;
+              Round.groups = groups `Right;
               seal = (fun _ _ _ -> ());
               payload = Codec.none;
               forward = Round.Bare;
@@ -124,7 +119,7 @@ let run ?fault ?on env client op ~left ~right =
                          client.Env.key "payload" ct))
                   selected
               in
-              let relation = Relation.make (Relation.schema left_rel) tuples in
+              let relation = Relation.make left_schema tuples in
               let relation =
                 match op with
                 | Intersection | Difference -> Relation.distinct relation
@@ -132,5 +127,13 @@ let run ?fault ?on env client op ~left ~right =
               in
               (Request.finalize request relation, List.length tuples))
         | _ -> None
+      in
+      (* The reference, built only where the client is. *)
+      let exact =
+        if computes Client then
+          Request.finalize request
+            (exact_result op ~on:key_attrs (Request.partial request `Left)
+               (Request.partial request `Right))
+        else Relation.make left_schema []
       in
       (exact, client_view))

@@ -57,9 +57,6 @@ let next_seq t =
   t.seq <- seq + 1;
   seq
 
-let record t ~sender ~receiver ~label size =
-  Transcript.record t.transcript ~sender ~receiver ~label ~size
-
 (* The fault verdict for one delivery: chosen from the addressing and
    the plan's state alone, so every process draws the same one whether
    or not it holds the payload. *)
@@ -80,7 +77,7 @@ let apply t ~phase ~sender ~receiver ~label ~size = function
    never reads the payload, and an in-process link never materialises
    it. *)
 let deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size rows =
-  record t ~sender ~receiver ~label size;
+  Transcript.record t.transcript ~sender ~receiver ~label ~size;
   apply t ~phase ~sender ~receiver ~label ~size:(Some size)
     (select t ~guard ~sender ~receiver ~label);
   match t.remote with
@@ -108,12 +105,6 @@ let deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size rows =
     else if Transcript.party_equal tr.role receiver then
       rt.recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect:(indexed ())
 
-(* A scalar message is a one-row stream. *)
-let deliver t ~phase ~sender ~receiver ~label ?(guard = true) ?size payload =
-  let payload = lazy (payload ()) in
-  let size = match size with Some s -> s | None -> String.length (Lazy.force payload) in
-  deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size (fun () -> [ Lazy.force payload ])
-
 (* This process plays [receiver] without having computed the message:
    the bytes are all it has.  A failing verdict fires before the frame
    is awaited (the sender, reaching the same verdict, never sends it);
@@ -131,7 +122,7 @@ let receive t rt ~phase ~sender ~receiver ~label ~guard ~decode =
     Fault.fail ~phase ~party:receiver
       (Printf.sprintf "%s rejected: %d bytes received, %d declared" label
          (String.length payload) declared);
-  record t ~sender ~receiver ~label declared;
+  Transcript.record t.transcript ~sender ~receiver ~label ~size:declared;
   apply t ~phase ~sender ~receiver ~label ~size:(Some declared) verdict;
   match decode payload with
   | value -> value

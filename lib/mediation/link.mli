@@ -29,16 +29,15 @@
       its own value, so wire corruption surfaces as a typed
       {!Fault.Fault_detected} at the receiving party;
     - a non-computing receiver decodes the bytes it received — the
-      mediator matches and forwards what the sources sent, and a source
-      evaluates what the mediator forwarded — and records the frame's
-      declared size;
+      mediator decomposes the query the client sent and matches and
+      forwards what the sources sent; a source checks the partial query
+      it was sent and evaluates what the mediator forwarded — and
+      records the frame's declared size;
     - every other process only advances the sequence number.
 
-    The plaintext request phase ({!deliver}) runs everywhere, but
-    credentials are verified only where their source is computed, and
-    every process still derives every party's keys from the shared
-    seed: projection distributes the {e computation}, not yet the
-    {e secrets} (DESIGN.md §11). *)
+    Every process still derives every party's keys from the shared
+    seed: projection distributes the {e computation} and the {e data},
+    not yet the {e secrets} (DESIGN.md §11). *)
 
 (* One process's view of a live transport is {!transport} below, as
    closures so this library stays below [Secmed_net].  [seq] is the
@@ -106,31 +105,6 @@ val computes : t -> Transcript.party -> bool
 (** Whether this process runs the party's local steps: always on an
     {!Inproc} link, else the transport's [computes]. *)
 
-val deliver :
-  t ->
-  phase:string ->
-  sender:Transcript.party ->
-  receiver:Transcript.party ->
-  label:string ->
-  ?guard:bool ->
-  ?size:int ->
-  (unit -> string) ->
-  unit
-(** Record one message that {e every} process computes (the plaintext
-    request phase).  [~guard:false] exempts the message from fault-plan
-    interception (audit-only messages) while still crossing the
-    transport.  [size] is the declared transcript size in bytes
-    (defaults to the payload length); when it exceeds the payload length
-    zero bytes pad the one row up to it, so socket byte counts match
-    transcript totals.  The payload thunk is never forced
-    on an in-process link, fault plan or not.
-
-    On a remote link the payload travels as a one-row stream: when this
-    process is the sender it is sent; when it is the receiver it is
-    awaited and compared against the locally computed payload
-    (mismatch ⇒ {!Fault.Fault_detected} blamed on the receiving party);
-    otherwise only the sequence number advances. *)
-
 val exchange :
   t ->
   phase:string ->
@@ -144,8 +118,14 @@ val exchange :
   'a option ->
   'a option
 (** One projected message.  Pass [Some v] exactly when this process
-    computes [sender]; it is delivered as {!deliver} would ([size v]
-    declared, [encode v] on the wire) and returned.  Given [None], a
+    computes [sender]; it is recorded with [size v] declared, runs the
+    fault verdict ([~guard:false] exempts audit-only messages from
+    interception), and is returned.  On a remote link [encode v]
+    travels as a one-row stream, zero bytes padding it up to [size v]
+    when that exceeds it, so socket byte counts match transcript
+    totals: the sender sends it, and a computing receiver byte-compares
+    what arrives with its own value (a mismatch is a typed
+    {!Fault.Fault_detected} at the receiving party).  Given [None], a
     process playing [receiver] awaits the frame, records its declared
     size and returns [Some (decode bytes)] — bytes that do not match the
     declared size, or a decoder's [Wire.Malformed] or

@@ -123,7 +123,10 @@ let start ~plan ~target_host ~target_port ?(port = 0) ?listen () =
           ignore (Thread.create (fun () -> pump t pair outbound inbound) () : Thread.t)
         | exception Io.Transport_error _ -> Io.close inbound);
         loop ()
-      | exception Io.Transport_error _ -> ()  (* listener closed: stop *)
+      | exception Io.Transport_error _ ->
+        (* The listener was shut down: only now is its descriptor
+           released, by the one thread that uses it. *)
+        (try Unix.close listen_fd with Unix.Unix_error _ -> ())
     in
     loop ()
   in
@@ -133,11 +136,17 @@ let start ~plan ~target_host ~target_port ?(port = 0) ?listen () =
 let port t = t.port
 let plan t = t.plan
 
+(* Shut the listener down rather than close it: a close does not wake
+   an [accept] blocked on it, which then pins the socket — the port
+   keeps listening — and a later [accept] would run on whatever socket
+   reuses the freed descriptor number.  Shutdown fails the blocked
+   [accept] and every later one, and the acceptor releases the
+   descriptor as it leaves. *)
 let stop t =
   Mutex.protect t.mu (fun () ->
       if not t.stopped then begin
         t.stopped <- true;
-        (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+        (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         (* The pumps wake, stop and close their pair. *)
         List.iter
           (fun p ->

@@ -38,5 +38,6 @@ val plan : t -> Fault.plan
 (** The live plan — its event log accumulates what the proxy did. *)
 
 val stop : t -> unit
-(** Close the listener and shut every live proxied connection down; its
-    two pump threads then stop and close it. *)
+(** Shut the listener down (it refuses connections from now on, and the
+    accepting thread closes it as it leaves) and every live proxied
+    connection; its two pump threads then stop and close it. *)

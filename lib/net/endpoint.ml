@@ -1,6 +1,7 @@
 open Secmed_mediation
 module Obs = Secmed_obs
 module Protocol = Secmed_core.Protocol
+module Request = Secmed_core.Request
 module Stream = Secmed_core.Stream
 
 exception Aborted of Fault.failure
@@ -565,6 +566,10 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
   in
   { Link.role; computes; rows = Some { Link.send_rows; recv_rows; take_rows } }
 
+(* A source that refused the request, as the replica computing it reports it. *)
+let refused i reason =
+  Frame.St_failed { Fault.phase = "request"; party = Transcript.Source i; reason }
+
 let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout
     ~route env client =
   match Protocol.scheme_of_name scheme with
@@ -583,6 +588,8 @@ let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~
     | exception Aborted _ -> (Frame.St_aborted, None)
     | exception Io.Transport_error msg ->
       (Frame.St_failed { Fault.phase = "transport"; party = role; reason = msg }, None)
+    | exception Request.Bad_credential i -> (refused i "bad credential", None)
+    | exception Request.Access_denied i -> (refused i "access denied", None)
     | exception e ->
       (* A step choking on what it received (this process decodes
          hostile bytes) must still report, or the mediator would wait

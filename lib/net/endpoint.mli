@@ -188,5 +188,7 @@ val run_replica :
 (** One leaf-side protocol attempt: resolve the scheme name, run the
     driver over a [Remote] link bound to [route] (computing the parties
     [computes] names, default [role] alone), and translate the ending
-    into the {!Frame.status} the process reports.  The outcome is
+    into the {!Frame.status} the process reports — a source's refusal
+    of the request ([Request.Bad_credential], [Request.Access_denied])
+    as a ["request"]-phase failure of that source.  The outcome is
     returned on [St_ok] so the client replica can keep its result. *)

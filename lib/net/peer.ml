@@ -89,6 +89,7 @@ let source_session ~role ~env ~client ~io_timeout mux session =
 let source ~id ~env ~client ~scenario ~listen_fd ?(io_timeout = 10.)
     ?(drain_deadline = 30.) () =
   let role = Transcript.Source id in
+  let env = Env.view env role in
   let life = Daemon.create ~role ~scenario ~drain_deadline in
   (* Live session threads across every mediator connection. *)
   let active_mu = Mutex.create () in

@@ -41,7 +41,8 @@ val source :
   ?drain_deadline:float ->
   unit ->
   unit
-(** Run datasource [id] as a daemon: accept mediator connections (a
+(** Run datasource [id] as a daemon, holding only its own relations of
+    [env] ({!Env.view}): accept mediator connections (a
     thread per connection — one per mediator, and a restarted
     mediator dials anew while the old link drains),
     multiplex concurrent sessions over each (a thread per session),

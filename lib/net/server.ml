@@ -123,7 +123,7 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
   if List.length (List.sort_uniq compare (List.map fst sources)) <> List.length sources then
     invalid_arg "Server.create: duplicate source id";
   {
-    env;
+    env = Env.view env Transcript.Mediator;
     client;
     scenario;
     sources =
@@ -678,6 +678,17 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
                a severed connection it redials — not a terminal Unserved
                verdict racing the teardown's socket sweep. *)
             None
+          | exception
+              ( Secmed_sql.Parser.Error reason
+              | Secmed_sql.Lexer.Error (reason, _)
+              | Catalog.Unsupported reason ) ->
+            (* The mediator could not decompose the query it was sent:
+               no scheme can serve it. *)
+            Some
+              (Protocol.Unserved
+                 [ (scheme,
+                    { Protocol.phase = "request"; party = Transcript.Mediator; reason;
+                      attempts = !epoch }) ])
         in
         (* Every replica's batch arrived in its Reports, which each
            attempt's barrier awaited; the mediator's own goes last. *)

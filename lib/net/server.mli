@@ -46,7 +46,9 @@ val create :
   ?health_interval:float ->
   unit ->
   t
-(** [sources] maps each datasource id (at most once) to its replica
+(** The server keeps only the mediator's view of [env]
+    ({!Env.view}): no source's relation.  [sources] maps each
+    datasource id (at most once) to its replica
     list — [(host, port)] endpoints, primary first, every one a daemon
     serving the same deterministic replica of that source, and each
     dialed with the [scenario] digest.  [io_timeout] (default 10s)

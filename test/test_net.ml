@@ -265,12 +265,14 @@ let test_leftover_rule () =
     leftover_table
 
 (* ------------------------------------------------------------------ *)
-(* The request phase projected: only S_i checks CR_i (Listing 1 step 4).
+(* The request phase projected (Listing 1): the mediator decomposes the
+   query it received, and only S_i checks CR_i and evaluates q_i.
    Source 1 decides on "clearance", source 2 on "role"; the client's
    "clearance" credential is signed by a rogue authority, so CR_1 is
    forged and CR_2 is good.  [Request.run] runs over a scripted
-   transport that accepts every delivery, in the process of one
-   party. *)
+   transport in the process of one party: it accepts every send and
+   serves each text that party receives without computing it — q at the
+   mediator, q_i at source i — zero-padded as on the wire. *)
 
 let forged_scenario () =
   let env, client, query = Workload.scenario ~params:fast small_spec in
@@ -291,25 +293,35 @@ let forged_scenario () =
   in
   (env, { client with Env.credentials = forged :: client.Env.credentials }, query)
 
-let accept_all =
-  {
-    Link.send_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ _ -> ());
-    recv_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ ~expect:_ -> ());
-    take_rows =
-      (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ->
-        Alcotest.fail "the request phase receives nothing it did not compute");
-  }
+(* The text a receiver is sent: q, or the q_i of its source. *)
+let honest_text env query ~label ~receiver =
+  let d = Catalog.decompose env.Env.catalog (Secmed_sql.Parser.parse query) in
+  match (label, receiver) with
+  | "global-query", Transcript.Mediator -> query
+  | "partial-query", Transcript.Source i when i = d.Catalog.left.Catalog.source ->
+    d.Catalog.partial_query_left
+  | "partial-query", Transcript.Source i when i = d.Catalog.right.Catalog.source ->
+    d.Catalog.partial_query_right
+  | _ -> Alcotest.failf "the request phase sends %s no %s" (Transcript.party_name receiver) label
 
-let request_as party =
-  let env, client, query = forged_scenario () in
+let request_as ?(payload = fun text -> text ^ String.make 8 '\000') party (env, client, query) =
+  let rows =
+    {
+      Link.send_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ _ -> ());
+      recv_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ ~expect:_ -> ());
+      take_rows =
+        (fun ~phase:_ ~seq:_ ~sender:_ ~receiver ~label ->
+          let bytes = payload (honest_text env query ~label ~receiver) in
+          (String.length bytes, bytes));
+    }
+  in
   let endpoint =
-    Link.Remote
-      { Link.role = party; computes = Transcript.party_equal party; rows = Some accept_all }
+    Link.Remote { Link.role = party; computes = Transcript.party_equal party; rows = Some rows }
   in
   Request.run (Link.make ~endpoint (Transcript.create ())) env client ~query
 
 let test_source_rejects_own_forged_credential () =
-  (match request_as (Transcript.Source 1) with
+  (match request_as (Transcript.Source 1) (forged_scenario ()) with
   | exception Request.Bad_credential 1 -> ()
   | exception Request.Bad_credential i -> Alcotest.failf "source %d blamed" i
   | _ -> Alcotest.fail "source 1 accepted its forged credential");
@@ -319,10 +331,49 @@ let test_source_rejects_own_forged_credential () =
   | exception Request.Bad_credential 1 -> ()
   | _ -> Alcotest.fail "the in-process run accepted the forged credential"
 
-let test_mediator_verifies_nothing () = ignore (request_as Transcript.Mediator : Request.t)
+let test_mediator_verifies_nothing () =
+  ignore (request_as Transcript.Mediator (forged_scenario ()) : Request.t)
 
 let test_other_source_skips_forged_credential () =
-  ignore (request_as (Transcript.Source 2) : Request.t)
+  let request = request_as (Transcript.Source 2) (forged_scenario ()) in
+  Alcotest.(check bool) "holds R_2 only" true
+    (request.Request.left_result = None && request.Request.right_result <> None)
+
+(* The mediator's view holds no relation at all, and its request phase
+   still succeeds: it reads no source data.  The same view fails as
+   source 1, which has nothing to evaluate q_1 over. *)
+let test_mediator_reads_no_source_data () =
+  let env, client, query = Workload.scenario ~params:fast small_spec in
+  let bare = Env.view env Transcript.Mediator in
+  Alcotest.(check bool) "no relation" true
+    (List.for_all (fun s -> s.Env.relations = []) bare.Env.sources);
+  let request = request_as Transcript.Mediator (bare, client, query) in
+  Alcotest.(check bool) "no partial result" true
+    (request.Request.left_result = None && request.Request.right_result = None);
+  Alcotest.(check string) "schema from the catalogue"
+    (Schema.to_string (Relation.schema (List.assoc "R1" (Env.source_by_id env 1).Env.relations)))
+    (Schema.to_string (Schema.unqualify (Request.schema request `Left)));
+  match request_as (Transcript.Source 1) (bare, client, query) with
+  | exception Request.Access_denied 1 -> ()
+  | _ -> Alcotest.fail "source 1 evaluated q_1 without its relation"
+
+(* A receiver that decodes a request-phase text rejects bad padding and
+   a q_i other than its own, typed, as the receiving party. *)
+let test_receivers_reject_typed () =
+  let expect_rejected name party ~payload needle =
+    match request_as ~payload party (Workload.scenario ~params:fast small_spec) with
+    | exception Fault.Fault_detected f ->
+      Alcotest.(check string) (name ^ ": phase") "request" f.Fault.phase;
+      Alcotest.(check bool) (name ^ ": blamed at the receiver") true (f.Fault.party = party);
+      Alcotest.(check bool) (name ^ ": " ^ f.Fault.reason) true (contains f.Fault.reason needle)
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  expect_rejected "non-NUL padding" Transcript.Mediator
+    ~payload:(fun text -> text ^ "\000x")
+    "padding";
+  expect_rejected "foreign q_i" (Transcript.Source 1)
+    ~payload:(fun text -> text ^ "X\000")
+    "q_1"
 
 (* ------------------------------------------------------------------ *)
 (* Mux: frames that race in behind a Session_start must not be lost. *)
@@ -993,6 +1044,22 @@ let test_chaos_corrupt_rejected_by_tag () =
    stream, which the proxy damages too: it picks a rule once per
    delivery, on the stream's first chunk, so [times=1] corrupts exactly
    one delivery and the session ends in a typed fault. *)
+(* A stopped proxy refuses connections at once, even though its
+   acceptor was blocked in [accept] (a close alone leaves that socket
+   listening, and the freed descriptor number open to reuse under a
+   live acceptor). *)
+let test_chaos_stop_releases_port () =
+  let target_fd, target_port = Io.listen ~port:0 () in
+  Fun.protect ~finally:(fun () -> Unix.close target_fd) @@ fun () ->
+  let proxy = Chaos.start ~plan:(Fault.plan []) ~target_host:"127.0.0.1" ~target_port () in
+  Thread.delay 0.1;
+  Chaos.stop proxy;
+  match Io.connect ~timeout:1. ~host:"127.0.0.1" ~port:(Chaos.port proxy) () with
+  | conn ->
+    Io.close conn;
+    Alcotest.fail "a stopped proxy still listens"
+  | exception Io.Transport_error _ -> ()
+
 let test_chaos_corrupt_streamed_delivery () =
   let plan =
     Fault.plan
@@ -1038,6 +1105,55 @@ let test_scenario_digest_mismatch_refused () =
   | _ -> Alcotest.fail "a divergent scenario digest must be refused"
   | exception Peer.Refused msg ->
     Alcotest.(check bool) "refusal names the digest" true (contains msg "digest mismatch")
+
+(* One session posed by [client] (any env / credentials the caller
+   doctors), which must come back unserved with exactly [expected] —
+   not a dead session thread or an untyped catch-all. *)
+let expect_unserved c ?(client = Loopback.client_of c) ~query name (expected : Fault.failure) =
+  let response =
+    Peer.run ~host:"127.0.0.1" ~port:(Loopback.port c) ~scenario:(Loopback.scenario c)
+      ~scheme:"plain" ~query (Loopback.env c) client
+  in
+  match response.Peer.result with
+  | Protocol.Served _ -> Alcotest.failf "%s: served" name
+  | Protocol.Unserved tried ->
+    List.iter
+      (fun (scheme, (f : Protocol.failure)) ->
+        Alcotest.(check (triple string string string))
+          (Printf.sprintf "%s (%s)" name scheme)
+          (expected.Fault.phase, Transcript.party_name expected.Fault.party, expected.Fault.reason)
+          (f.Protocol.phase, Transcript.party_name f.Protocol.party, f.Protocol.reason))
+      tried
+
+(* A query the mediator cannot parse or decompose is answered unserved,
+   typed as the mediator's request phase, and the session thread lives
+   on: the next query on the same cluster is served. *)
+let test_undecomposable_query_unserved () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  List.iter
+    (fun (query, reason) ->
+      expect_unserved c ~query query
+        { Fault.phase = "request"; party = Transcript.Mediator; reason })
+    [
+      ("garbage (((", "expected SELECT but found identifier \"garbage\"");
+      ("select * from R1", "query has no JOIN; the protocols mediate exactly one join");
+    ];
+  ignore (served_exn "plain" (Loopback.query c ~scheme:"plain" ()).Peer.result)
+
+(* A request refused at source 1 — a credential from a foreign CA, or no
+   credential at all — reaches the client as that source's typed
+   request-phase failure.  The client replica computes source 1, so it
+   is the leaf that refuses. *)
+let test_refused_request_typed () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let client = Loopback.client_of c in
+  let _, forged, _ = forged_scenario () in
+  let refused reason = { Fault.phase = "request"; party = Transcript.Source 1; reason } in
+  expect_unserved c ~client:forged ~query:(Loopback.canonical_query c) "foreign CA"
+    (refused "bad credential");
+  expect_unserved c ~client:{ client with Env.credentials = [] }
+    ~query:(Loopback.canonical_query c) "no credential" (refused "access denied");
+  ignore (served_exn "plain" (Loopback.query c ~scheme:"plain" ()).Peer.result)
 
 (* Admission is a slot machine, not a one-way valve: a full mediator
    refuses the (N+1)th session with the typed Busy, and a completed
@@ -1163,6 +1279,9 @@ let () =
             test_mediator_verifies_nothing;
           Alcotest.test_case "other source skips the forged one" `Quick
             test_other_source_skips_forged_credential;
+          Alcotest.test_case "mediator reads no source data" `Quick
+            test_mediator_reads_no_source_data;
+          Alcotest.test_case "receivers reject typed" `Quick test_receivers_reject_typed;
         ] );
       ( "scenario",
         [ Alcotest.test_case "digest deterministic" `Quick test_scenario_digest_deterministic ] );
@@ -1179,6 +1298,9 @@ let () =
           Alcotest.test_case "completed session frees its slot" `Slow
             test_admission_slot_freed_after_completion;
           Alcotest.test_case "net metrics counted" `Quick test_net_metrics_counted;
+          Alcotest.test_case "undecomposable query unserved, typed" `Quick
+            test_undecomposable_query_unserved;
+          Alcotest.test_case "refused request typed" `Quick test_refused_request_typed;
           Alcotest.test_case "daemons forked and addressable" `Quick
             test_daemons_forked_and_addressable;
         ] );
@@ -1198,6 +1320,8 @@ let () =
             test_chaos_corrupt_rejected_by_tag;
           Alcotest.test_case "corrupt streamed delivery" `Slow
             test_chaos_corrupt_streamed_delivery;
+          Alcotest.test_case "stopped proxy releases its port" `Quick
+            test_chaos_stop_releases_port;
         ] );
       ( "hostile",
         [

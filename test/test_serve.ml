@@ -301,10 +301,22 @@ let test_source_drain_failover () =
 (* The authenticated drain frame: a wrong digest is refused and changes
    nothing; the right digest flips the mediator into draining, where a
    new session gets the typed [Draining] (never misfiled as [Busy]),
-   the in-flight session still finishes, and the process exits 0. *)
+   the in-flight session still finishes, and the process exits 0.  A
+   chaos proxy holds the pm session's first frame to source 1, so the
+   session is in flight when the drain and the refused session arrive:
+   a pm session on a fast host can otherwise end between two stats
+   polls, or between the poll and the drain, and a drained mediator
+   with nothing in flight exits before the refused session connects. *)
 let test_drain_typed_refusal_then_exit_zero () =
+  let hold =
+    Secmed_mediation.Fault.plan
+      [
+        Secmed_mediation.Fault.rule ~receiver:(Secmed_mediation.Transcript.Source 1)
+          ~label:"homomorphic-pk" ~times:1 (Secmed_mediation.Fault.Delay 1.5);
+      ]
+  in
   Loopback.with_cluster ~params:fast ~spec:slow_spec ~max_sessions:4
-    ~drain_deadline:8. @@ fun c ->
+    ~drain_deadline:8. ~chaos:[ (1, hold) ] @@ fun c ->
   (match
      Peer.drain ~host:"127.0.0.1" ~port:(Loopback.port c) ~scenario:"deadbeef" ()
    with
@@ -338,6 +350,8 @@ let test_drain_typed_refusal_then_exit_zero () =
   in
   Alcotest.(check bool) "in-flight session finished under drain" true
     (match response.Peer.result with Protocol.Served _ -> true | _ -> false);
+  Alcotest.(check bool) "the pm session was held in flight" true
+    (Loopback.chaos_events c 1 <> []);
   Alcotest.(check int) "drained mediator exits 0" 0 (Loopback.wait_mediator c)
 
 (* A SIGKILLed replica takes its port down with it: a probe is refused
