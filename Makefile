@@ -44,13 +44,20 @@ check-obs-net:
 	dune exec test/test_trace_net.exe -- test -e
 
 # Resilience suite: deterministic session-layer tests (manual clocks,
-# seeded jitter — never sleeps) and a CLI run that must degrade
-# gracefully (exit 4 = degraded-but-served).
+# seeded jitter — never sleeps) and CLI runs that must degrade
+# gracefully (exit 4 = degraded-but-served) or fail typed (exit 3 =
+# FAULT): a byzantine pm source, and a pm-direct Tup_i over the
+# Paillier plaintext capacity, which is the evaluating source's typed
+# failure and degrades to commutative under --fallback auto.
 check-resilience:
 	dune exec test/test_resilience.exe
 	dune exec bin/secmed.exe -- run --scheme pm --rows 16 --distinct 8 --overlap 4 \
 	    --fault "byzantine:1:garbage-paillier" --fallback auto --deadline 30; \
 	    test $$? -eq 4
+	dune exec bin/secmed.exe -- run --scheme pm-direct --rows 16 --distinct 8 --overlap 4; \
+	    test $$? -eq 3
+	dune exec bin/secmed.exe -- run --scheme pm-direct --rows 16 --distinct 8 --overlap 4 \
+	    --fallback auto; test $$? -eq 4
 
 # Networked-transport suite: frame codec and mux units (receivers wake
 # on arrival: a parked reader wakes at once when its reader thread
@@ -84,17 +91,20 @@ check-soak:
 	dune exec bin/secmed.exe -- soak --fast --workers 2 --sessions 3 --kills 2 \
 	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
 
-# Streaming-delivery suite: chunk codec / reassembly / credit-flow
-# units (receivers wake on arrival, a receive window bounded by one
-# chunk, a drained backlog, the credit rule — a grant only for a chunk
-# beyond the sender's first window, so a long stream blocks on exactly
-# its grants and a one-chunk stream sends no Credit — a one-row message
-# sent bare, and the reused receive buffer allocating less than a fresh
-# one per read), and every typed rejection of the chunk reader
-# (out-of-order row, chunk gap, disagreeing declared sizes, short
-# stream, entries past the end, surplus bytes, a one-row chunk whose
-# row is not its declared size; a replayed chunk is merged once).
+# Streaming-delivery suite.  The grep fails if a second chunk form or
+# a chunk codec outside Frame comes back: Frame alone encodes a chunk's
+# header and rows, one form, with no per-row index.  Then the chunk
+# codec / reassembly / credit-flow units (receivers wake on arrival, a
+# receive window bounded by one chunk, a drained backlog, the credit
+# rule — a grant only for a chunk beyond the sender's first window, so
+# a long stream blocks on exactly its grants and a one-chunk stream
+# sends no Credit — the size pin of a one-row chunk and a Credit, and
+# the reused receive buffer allocating less than a fresh one per read),
+# and every typed rejection of the chunk reader (a row out of position,
+# chunk gap, disagreeing declared sizes, short stream, rows past the
+# end, surplus or missing bytes; a replayed chunk is merged once).
 check-stream:
+	! grep -rnwE "ck_one_row|encode_entries|decode_entries|payload_row_bytes|entry_overhead|s_row" lib bin test
 	dune exec test/test_stream.exe -- test -e
 
 # Crypto hot-path suite.  The grep fails if the bigint interface

@@ -53,13 +53,24 @@ let exit_degraded = 4
 
 module R = Secmed_mediation.Resilience
 
+(* A deadline travels in frames as a non-negative count of
+   milliseconds, so a flag that sets one must be finite and
+   non-negative. *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f >= 0. && f *. 1000. < float_of_int max_int -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a non-negative number of seconds" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let deadline_arg =
   let doc =
     "Per-query wall-clock budget in seconds.  Elapsed time and injected link \
      delays (--fault delay rules) consume it; when spent, the run fails with \
      a typed deadline failure instead of hanging."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (some seconds_conv) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let fallback_conv =
   let parse = function
@@ -838,7 +849,7 @@ let drain_cmd =
          & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator or datasource to drain."))
   in
   let deadline =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some seconds_conv) None
          & info [ "drain-deadline" ] ~docv:"SECONDS"
              ~doc:"Override the peer's drain deadline for this drain.")
   in

@@ -61,7 +61,7 @@ type side_output = {
    and is independent across entries.  IDs are assigned by position —
    entry i of this side gets [first_id + i] — which reproduces the
    sequential numbering for any domain count. *)
-let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~first_id =
+let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~sid ~first_id =
   let items =
     Batch.map_seeded ~prng ~label:"pm-eval"
       (fun i prng (a, tuples) ->
@@ -77,7 +77,9 @@ let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~first_id =
         let message =
           try Paillier.encode_bytes pk packed
           with Invalid_argument _ ->
-            invalid_arg
+            (* A plaintext over the key's capacity is the evaluating
+               source's typed failure, in its own phase. *)
+            Fault.fail ~phase:"source-evaluate" ~party:(Source sid)
               (Printf.sprintf
                  "Pm_join: Tup_i(%s) needs %d plaintext bytes but the Paillier key holds %d; \
                   use the Session_keys variant or a larger key"
@@ -336,7 +338,7 @@ let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
                 in
                 let output =
                   evaluate_side ~variant ~prng:(Lazy.force prng) ~pk ~opp_coeffs ~request
-                    ~which ~first_id
+                    ~which ~sid ~first_id
                 in
                 (* A byzantine source damages the DEM blobs of its ID
                    table (session-key variant); the client's

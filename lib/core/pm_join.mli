@@ -29,8 +29,9 @@ val run :
   query:string ->
   Outcome.t
 (** Default variant: [Session_keys] (never hits capacity limits).  With
-    [Direct_payload], raises [Invalid_argument] when some Tup_i(a) does
-    not fit the Paillier plaintext space.
+    [Direct_payload], a Tup_i(a) that does not fit the Paillier
+    plaintext space raises [Secmed_mediation.Fault.Fault_detected],
+    blamed on the evaluating source in its ["source-evaluate"] phase.
 
     With a fault plan the run may raise
     [Secmed_mediation.Fault.Fault_detected]: channel faults are caught by

@@ -46,14 +46,15 @@
    to discard duplicated or stale frames. *)
 
 (** How a delivery crosses the wire: the message as (row index, bytes)
-    entries.  [send_rows] chunks and transmits; [recv_rows] pulls chunk
-    frames and verifies each entry against the locally computed
-    [expect] list incrementally — the received relation is never
-    materialised as one string; [take_rows] is the receive of a process
-    that did not compute the rows: it checks that the rows arrive in
-    index order and returns the stream's declared size and its bytes.
-    Receive failures (timeout, closed stream, tag mismatch) raise,
-    ideally as a typed {!Fault.Fault_detected}. *)
+    rows, where a row's index is its position — the index never travels,
+    and a transport may raise [Invalid_argument] on a row out of
+    position.  [send_rows] chunks and transmits; [recv_rows] pulls chunk
+    frames and verifies each row against the locally computed [expect]
+    list incrementally — the received relation is never materialised as
+    one string; [take_rows] is the receive of a process that did not
+    compute the rows: it returns the stream's declared size and its rows'
+    bytes in stream order.  Receive failures (timeout, closed stream, tag
+    mismatch) raise, ideally as a typed {!Fault.Fault_detected}. *)
 type rows_transport = {
   send_rows :
     phase:string ->

@@ -62,5 +62,18 @@ let serve d ~listen_fd ~io_timeout ~active ~idle handle =
         | exception Io.Transport_error _ -> ());
         loop ()
   in
+  (* Closing the listener would reset every connection still queued on
+     it: answer each first, on its own thread under a short timeout, so
+     a [Hello] gets the handler's typed refusal.  At most a listen
+     backlog's worth, so a flood of new peers cannot hold the exit. *)
+  let rec queued n threads =
+    match Unix.select [ listen_fd ] [] [] 0. with
+    | _ :: _, _, _ when n > 0 -> (
+      match Io.accept ~timeout:(Float.min io_timeout 1.) listen_fd with
+      | conn -> queued (n - 1) (Thread.create connection conn :: threads)
+      | exception Io.Transport_error _ -> threads)
+    | _ | (exception Unix.Unix_error _) -> threads
+  in
   loop ();
+  List.iter Thread.join (queued 256 []);
   try Unix.close listen_fd with Unix.Unix_error _ -> ()

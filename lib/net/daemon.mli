@@ -35,4 +35,8 @@ val serve :
     just ends it.  The loop ticks on a 0.2 s select, so a drain is seen
     promptly; it keeps accepting while draining (probes stay answerable,
     late [Hello]s get refused by the handler) and returns once [idle ()]
-    holds or the drain deadline has passed, closing the listener. *)
+    holds or the drain deadline has passed, closing the listener.  Before
+    it closes, every connection already queued on the listener is
+    accepted and answered the same way, with an I/O timeout of at most
+    a second, so a peer that connected during the drain reads a typed
+    refusal, never a reset. *)

@@ -2,7 +2,6 @@ open Secmed_mediation
 module Obs = Secmed_obs
 module Protocol = Secmed_core.Protocol
 module Request = Secmed_core.Request
-module Stream = Secmed_core.Stream
 
 exception Aborted of Fault.failure
 
@@ -308,15 +307,6 @@ let trace_frame dir ~phase ~party ~label ~size =
           ("bytes", Obs.Json.Int size);
         ]
 
-(* Received payloads carry the [Fault.frame] integrity tag; a frame
-   whose tag does not verify is rejected at the receiving party before
-   anything decodes it. *)
-let unframe ~phase ~receiver ~label framed =
-  match Fault.unframe ~label framed with
-  | Ok payload -> payload
-  | Error reason ->
-    Fault.fail ~phase ~party:receiver (Printf.sprintf "%s rejected: %s" label reason)
-
 (* The one leftover rule, which every session reader calls (the
    interface lists what it skips).  Only here is a frame's (epoch, seq)
    compared with the reader's. *)
@@ -348,8 +338,16 @@ let await (r : route) ~timeout ~epoch ~seq ~fail want =
   in
   go ()
 
-let entry_bytes entries =
-  List.fold_left (fun acc e -> acc + String.length e.Stream.s_bytes) 0 entries
+let bytes_of rows = List.fold_left (fun acc b -> acc + String.length b) 0 rows
+
+(* The rows of a stream, whose indexes only a caller's bug could make
+   anything but their positions: the index never travels. *)
+let positional rows =
+  List.mapi
+    (fun i (row, bytes) ->
+      if row <> i then invalid_arg (Printf.sprintf "Endpoint: row %d at position %d" row i);
+      bytes)
+    rows
 
 let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~io_timeout
     ~route_of ?(after_io = fun ~phase:_ -> ()) () =
@@ -367,21 +365,13 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
      unacknowledged, replenished by the receiver's [Credit] grants
      arriving on the same route. *)
   let send_rows ~phase ~seq ~sender ~receiver ~label ~size rows =
+    let rows = positional rows in
     match route_of receiver with
     | None -> ()
     | Some r ->
       let here = epoch () in
-      (* At least one chunk, empty or not: a receiver that did not
-         compute the rows learns that the stream ended only from its
-         chunks. *)
-      let chunks = match Stream.plan rows with [] -> [ [] ] | chunks -> chunks in
+      let chunks = Frame.plan rows in
       let n = List.length chunks in
-      (* A whole message of one row travels bare (DESIGN.md §16). *)
-      let one_row =
-        match chunks with
-        | [ [ { Stream.s_row = 0; s_bytes } ] ] -> String.length s_bytes = size
-        | _ -> false
-      in
       let credits = ref credit_window in
       let outstanding = ref 0 in
       let await_credit () =
@@ -395,22 +385,16 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
         backlog_add (-granted)
       in
       List.iteri
-        (fun ci entries ->
+        (fun ci batch ->
           while !credits <= 0 do
             await_credit ()
           done;
-          let payload =
-            Fault.frame ~label
-              (match entries with
-              | [ e ] when one_row -> e.Stream.s_bytes
-              | _ -> Stream.encode_entries entries)
-          in
           (try
              r.r_send
                (Frame.Msg_chunk
                   { ck_session = session; ck_epoch = here; ck_seq = seq; ck_sender = sender;
                     ck_receiver = receiver; ck_label = label; ck_chunk = ci; ck_chunks = n;
-                    ck_declared = size; ck_payload = payload; ck_one_row = one_row })
+                    ck_declared = size; ck_payload = Frame.pack ~label batch })
            with Io.Transport_error msg ->
              (* The link itself is down: a typed, retryable fault blamed
                 at the unreachable party, like a simulated severed link. *)
@@ -418,8 +402,8 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           decr credits;
           incr outstanding;
           backlog_add 1;
-          Obs.Metrics.incr ~by:(entry_bytes entries) stream_bytes_out;
-          Obs.Metrics.incr ~by:(List.length entries) stream_rows_out)
+          Obs.Metrics.incr ~by:(bytes_of batch) stream_bytes_out;
+          Obs.Metrics.incr ~by:(List.length batch) stream_rows_out)
         chunks;
       (* The last window is never acknowledged (the receiver grants
          only credits this loop awaits): settle the backlog gauge now. *)
@@ -428,18 +412,19 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
       after_io ~phase
   in
   (* The one chunk reader behind both streamed receivers: [on_row]
-     sees every entry with the row index it is due at.  It holds at most
-     one decoded chunk (charged to the "stream.pending" region), so
-     receive memory is bounded by one chunk however many rows flow.  It
-     stops after [rows] rows when the receiver knows the count, else
-     once the last chunk is spent; either way the stream must then be
-     spent.  Every chunk must declare [size] bytes, or, with no [size],
-     the size the first one declares, which is returned. *)
+     sees every row with the index it is due at, its position in the
+     stream.  It holds at most one decoded chunk (charged to the
+     "stream.pending" region), so receive memory is bounded by one chunk
+     however many rows flow.  It stops after [rows] rows when the
+     receiver knows the count, else once the last chunk is spent; either
+     way the stream must then be spent.  Every chunk must declare [size]
+     bytes, or, with no [size], the size the first one declares, which
+     is returned. *)
   let read_rows ~phase ~seq ~sender ~receiver ~label ?size ?rows on_row =
     let r = route ~phase ~receiver ~label sender in
     let here = epoch () in
     let declared = ref size in
-    let pending = ref ([] : Stream.entry list) in
+    let pending = ref [] in
     let next_chunk = ref 0 in
     let chunks = ref max_int in
     let reject fmt =
@@ -470,16 +455,8 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
         | Some _ -> ());
         next_chunk := m.ck_chunk + 1;
         chunks := m.ck_chunks;
-        let payload = unframe ~phase ~receiver ~label m.ck_payload in
-        let entries =
-          if m.ck_one_row then
-            if String.length payload <> m.ck_declared then
-              reject "one-row chunk carries %d bytes, %d declared" (String.length payload)
-                m.ck_declared
-            else [ { Stream.s_row = 0; s_bytes = payload } ]
-          else
-            try Stream.decode_entries payload
-            with Wire.Malformed msg -> reject "malformed chunk %d: %s" m.ck_chunk msg
+        let batch =
+          match Frame.unpack m with Ok rows -> rows | Error reason -> reject "%s" reason
         in
         (* Grant the replacement credit before reading on so the sender's
            pipeline never drains on our account — but only for a chunk
@@ -491,62 +468,59 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
             r.r_send
               (Frame.Credit { cr_session = session; cr_epoch = here; cr_seq = seq; cr_n = 1 })
           with Io.Transport_error _ -> ());
-        let bytes = entry_bytes entries in
+        let bytes = bytes_of batch in
         Obs.Hwm.alloc hwm_pending bytes;
         Obs.Metrics.incr ~by:bytes stream_bytes_in;
-        Obs.Metrics.incr ~by:(List.length entries) stream_rows_in;
-        pending := entries
+        Obs.Metrics.incr ~by:(List.length batch) stream_rows_in;
+        pending := batch
       end
     in
-    (* The next entry, or [None] once the stream ended. *)
+    (* The next row, or [None] once the stream ended. *)
     let take () =
       while !pending = [] && !next_chunk < !chunks do
         pull ()
       done;
       match !pending with
       | [] -> None
-      | e :: rest ->
+      | row :: rest ->
         pending := rest;
-        Obs.Hwm.release hwm_pending (String.length e.Stream.s_bytes);
-        Some e
+        Obs.Hwm.release hwm_pending (String.length row);
+        Some row
     in
-    Fun.protect ~finally:(fun () -> Obs.Hwm.release hwm_pending (entry_bytes !pending))
+    Fun.protect ~finally:(fun () -> Obs.Hwm.release hwm_pending (bytes_of !pending))
     @@ fun () ->
-    let rec read row =
-      if Option.fold rows ~none:true ~some:(fun n -> row < n) then
+    let rec read i =
+      if Option.fold rows ~none:true ~some:(fun n -> i < n) then
         match take () with
-        | Some e ->
-          on_row row e;
-          read (row + 1)
+        | Some row ->
+          on_row i row;
+          read (i + 1)
         | None when rows <> None ->
           (* Rows remain but the stream is exhausted: an elided tail is
              a mismatch, not a hang. *)
-          reject "wire payload mismatch (stream ended before row %d)" row
+          reject "wire payload mismatch (stream ended before row %d)" i
         | None -> ()
     in
     read 0;
-    if take () <> None then reject "stream entries past the end";
+    if take () <> None then reject "stream rows past the end";
     let size = Option.value !declared ~default:0 in
     trace_frame "recv" ~phase ~party:sender ~label ~size;
     after_io ~phase;
     size
   in
-  (* Receiver that computed the rows: verify each entry against its
-     own.  Nothing is concatenated. *)
+  (* Receiver that computed the rows: verify each row against its own.
+     Nothing is concatenated. *)
   let recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect =
-    let expect = Array.of_list expect in
+    let expect = Array.of_list (positional expect) in
     ignore
       (read_rows ~phase ~seq ~sender ~receiver ~label ~size ~rows:(Array.length expect)
-         (fun i e ->
-           let row, bytes = expect.(i) in
-           if e.Stream.s_row <> row || not (String.equal e.Stream.s_bytes bytes) then
+         (fun i row ->
+           if not (String.equal row expect.(i)) then
              Fault.fail ~phase ~party:receiver
                (Printf.sprintf
                   "%s rejected: wire payload mismatch (stream row %d: %d bytes received, %d \
                    computed)"
-                  label row
-                  (String.length e.Stream.s_bytes)
-                  (String.length bytes)))
+                  label i (String.length row) (String.length expect.(i))))
        : int)
   in
   (* Receiver that did not compute the rows: the received rows become
@@ -555,12 +529,7 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
   let take_rows ~phase ~seq ~sender ~receiver ~label =
     let buf = Buffer.create 4096 in
     let size =
-      read_rows ~phase ~seq ~sender ~receiver ~label (fun row e ->
-          if e.Stream.s_row <> row then
-            Fault.fail ~phase ~party:receiver
-              (Printf.sprintf "%s rejected: stream row %d where row %d was due" label
-                 e.Stream.s_row row);
-          Buffer.add_string buf e.Stream.s_bytes)
+      read_rows ~phase ~seq ~sender ~receiver ~label (fun _ row -> Buffer.add_string buf row)
     in
     (size, Buffer.contents buf)
   in

@@ -12,9 +12,9 @@
     receiver before anything decodes it.
 
     Every delivery travels as one stream of bounded [Msg_chunk] frames
-    — a scalar message is a one-row stream in one chunk, sent in the
-    one-row form without an entry header — under credit-based flow
-    control (DESIGN.md §16).
+    in {!Frame}'s one chunk format — a scalar message is a one-row
+    stream in one chunk — under credit-based flow control (DESIGN.md
+    §16).
 
     {!Mux} demultiplexes one shared connection (a mediator↔datasource
     link carries every concurrent session) into per-session frame queues
@@ -158,18 +158,19 @@ val transport :
     mid-attempt.  [epoch] is read per frame so the mediator can reuse
     one transport across every attempt of a resilient session.
 
-    [recv_rows] and [take_rows] share one chunk reader.  It holds at
-    most one decoded chunk (charged to the ["stream.pending"]
-    {!Secmed_obs.Hwm} region), so receive memory is bounded by one chunk
-    however many rows flow.  A replayed chunk is skipped; a chunk gap,
+    A row's index is its position in the stream and never travels:
+    [send_rows] and [recv_rows] raise [Invalid_argument] on a row whose
+    index is not its position.  [recv_rows] and [take_rows] share one
+    chunk reader.  It holds at most one decoded chunk (charged to the
+    ["stream.pending"] {!Secmed_obs.Hwm} region), so receive memory is
+    bounded by one chunk however many rows flow.  A replayed chunk is
+    skipped; a chunk gap, a chunk whose tag or row list is rejected,
     chunks that disagree on the declared size, a stream shorter than the
-    expected rows, entries past the end and a one-row chunk whose row is
-    not its declared size fail typed.  A send of one row (index 0) whose
-    bytes are exactly [size] uses the one-row form ({!Frame.chunk}).  [recv_rows]
-    checks each row against the locally computed one; [take_rows]
-    checks that the rows arrive in index order and returns them as the
-    one string a non-computing receiver decodes.  A send always
-    carries at least one (possibly empty) chunk. *)
+    expected rows and rows past the end fail typed.  [recv_rows] checks
+    each row against the locally computed one; [take_rows] returns the
+    rows, in stream order, as the one string a non-computing receiver
+    decodes.  A send always carries at least one (possibly empty)
+    chunk. *)
 
 val run_replica :
   role:Transcript.party ->

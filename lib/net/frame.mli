@@ -1,8 +1,8 @@
 (** The session-layer frame vocabulary of the distributed transport.
 
-    One TCP connection carries a sequence of these, each encoded with
-    {!Wire} and delimited by the {!Wire.frame} length prefix (decoded by
-    [Io]).  The conversation shape (DESIGN.md §11):
+    One TCP connection carries a sequence of these, each encoded by
+    {!encode} and delimited by the {!Wire.frame} length prefix (decoded
+    by [Io]).  The conversation shape (DESIGN.md §11):
 
     - connection setup: [Hello] / [Hello_ok] (or [Busy]);
     - the client poses a [Query]; the mediator opens one session per
@@ -44,18 +44,12 @@ type wire_result =
     attempt counter (monotonic across a degradation chain, unlike the
     per-scheme attempt number, so stale frames are always
     distinguishable); [ck_seq] the link's delivery index within the
-    epoch.  [ck_payload] is a counted batch of (row index, bytes)
-    entries in the [Secmed_core.Stream] codec; [ck_declared] repeats the
-    whole stream's transcript size so any one frame identifies its
-    delivery.  A [ck_one_row] chunk is a whole message of one row
-    (index 0) whose bytes are exactly [ck_declared]: its payload is that
-    row bare, with no entry count, row index or length, and its frame,
-    told apart by its tag, omits the chunk index and count (always 0 of
-    1; {!encode} raises [Invalid_argument] otherwise).  The decoder
-    enforces the [Stream.max_chunks] cap, so a corrupted header cannot
-    promise a pathological chunk count.  A
-    named record (not inline) so the chaos proxy can bind and rewrite
-    one wholesale. *)
+    epoch.  [ck_payload] is the chunk's rows as {!pack} builds them;
+    [ck_declared] repeats the whole stream's transcript size so any one
+    frame identifies its delivery.  The decoder enforces the
+    {!max_chunks} cap, so a corrupted header cannot promise a
+    pathological chunk count.  A named record (not inline) so the chaos
+    proxy can bind and rewrite one wholesale. *)
 type chunk = {
   ck_session : int;
   ck_epoch : int;
@@ -67,7 +61,6 @@ type chunk = {
   ck_chunks : int;
   ck_declared : int;
   ck_payload : string;
-  ck_one_row : bool;
 }
 
 type t =
@@ -134,8 +127,48 @@ type t =
           [Busy] so clients can retry against a restarted process *)
 
 val encode : t -> string
+(** Every int of a frame travels as a canonical unsigned LEB128 varint,
+    every string as its varint length and bytes, so a header field of
+    under 128 takes one byte.  Raises [Invalid_argument] on a negative
+    int (no frame has one: ids, counts, sizes and millisecond deadlines
+    are non-negative, and a span's parent travels as [rm_parent + 1]). *)
+
 val decode : string -> t
-(** Raises {!Wire.Malformed} on anything {!encode} would not produce. *)
+(** Raises {!Wire.Malformed} on anything {!encode} would not produce,
+    among it a truncated, non-canonical, over-long (past nine bytes) or
+    above-[max_int] varint, and a chunk whose count exceeds
+    {!max_chunks} or whose index is not below its count. *)
+
+(** {2 Chunk payloads}
+
+    The one chunk format: a chunk's rows travel as a [Wire] list of
+    strings behind the [Fault.frame] integrity tag over (label, rows).
+    No row carries an index — a row's index is its position in the
+    stream. *)
+
+val max_chunks : int
+(** Hostile cap on a frame's declared chunk count. *)
+
+val chunk_bytes : int
+(** Target payload per chunk (64 KiB). *)
+
+val plan : string list -> string list list
+(** Split rows, in order, into batches whose payload stays within
+    {!chunk_bytes}; a larger row forms a batch of one.  Never empty: no
+    rows make one empty batch, so a receiver that did not compute the
+    rows still learns from a chunk that the stream ended. *)
+
+val pack : label:string -> string list -> string
+(** A chunk payload carrying [rows]. *)
+
+val unpack : chunk -> (string list, string) result
+(** The chunk's rows, or why its tag (checked against [ck_label]) or
+    its row list is rejected. *)
+
+val row_bytes : chunk -> int
+(** The row bytes a chunk carries, peeked in O(1) from the payload's
+    count prefix without checking the tag (0 when the payload is
+    shorter than a count and a tag) — for byte accounting. *)
 
 val tag_name : t -> string
 (** Constructor name, for traces and error messages. *)

@@ -363,18 +363,11 @@ let stashing ?(on_failed = fun (_ : Fault.failure) -> ()) ~epoch ~party ~batches
         | f -> f);
   }
 
-(* Payload byte accounting per counterpart.  A [Msg_chunk] counts its
-   row bytes (the bare payload of a one-row chunk, else peeked from the
-   count prefix, no decode), so the per-link totals equal the
-   transcript's bytes-on-link. *)
+(* Payload byte accounting per counterpart: a [Msg_chunk] counts its
+   row bytes, peeked without a decode and without the integrity tag, so
+   the per-link totals equal the transcript's bytes-on-link. *)
 let counted (_, out_c, in_c) (route : Endpoint.route) =
-  (* Payloads carry the integrity tag, which no byte stat counts. *)
-  let bytes = function
-    | Frame.Msg_chunk { ck_one_row = true; ck_payload; _ } ->
-      max 0 (String.length ck_payload - Fault.tag_bytes)
-    | Frame.Msg_chunk m -> max 0 (Stream.payload_row_bytes m.Frame.ck_payload - Fault.tag_bytes)
-    | _ -> 0
-  in
+  let bytes = function Frame.Msg_chunk c -> Frame.row_bytes c | _ -> 0 in
   {
     Endpoint.r_send =
       (fun f ->

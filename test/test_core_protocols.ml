@@ -294,6 +294,38 @@ let test_pm_variants_agree () =
   Alcotest.(check bool) "same result" true
     (Relation.equal_contents direct.Outcome.result session.Outcome.result)
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+(* The CLI's `--rows 16 --distinct 8 --overlap 4` at the default key
+   size: a Tup_i(a) of the direct-payload variant outgrows the Paillier
+   plaintext space.  That is the evaluating source's typed failure in
+   its own phase, not an escaped [Invalid_argument], and the default
+   chain degrades to commutative. *)
+let test_pm_direct_over_capacity_typed () =
+  let spec =
+    { Workload.default with rows_left = 16; rows_right = 16; distinct_left = 8;
+      distinct_right = 8; overlap = 4 }
+  in
+  let env, client, query = Workload.scenario spec in
+  let scheme = Protocol.Private_matching Pm_join.Direct_payload in
+  (match Protocol.run_session ~chain:[] scheme env client ~query with
+  | Protocol.Unserved [ (_, f) ] ->
+    Alcotest.(check string) "phase" "source-evaluate" f.Protocol.phase;
+    Alcotest.(check bool) "blamed on a source" true
+      (match f.Protocol.party with Transcript.Source _ -> true | _ -> false);
+    Alcotest.(check bool) (Printf.sprintf "reason %S" f.Protocol.reason) true
+      (contains f.Protocol.reason "plaintext bytes but the Paillier key holds")
+  | Protocol.Unserved _ -> Alcotest.fail "expected exactly one failed scheme"
+  | Protocol.Served _ -> Alcotest.fail "an over-capacity Tup_i must not be served");
+  match Protocol.run_session scheme env client ~query with
+  | Protocol.Served o ->
+    check_correct "degraded" o;
+    Alcotest.(check string) "served by commutative" "commutative" o.Outcome.scheme
+  | Protocol.Unserved _ -> Alcotest.fail "the default chain must degrade to commutative"
+
 let test_multiple_seeds () =
   List.iter
     (fun seed ->
@@ -1278,11 +1310,6 @@ let test_table_rendering () =
   let t1 = Leakage.table1 outcomes and t2 = Leakage.table2 outcomes in
   Alcotest.(check bool) "table1 non-trivial" true (String.length t1 > 100);
   Alcotest.(check bool) "table2 non-trivial" true (String.length t2 > 100);
-  let contains haystack needle =
-    let nl = String.length needle and hl = String.length haystack in
-    let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "commutative row" true (contains t1 "commutative");
   Alcotest.(check bool) "homomorphic column" true (contains t2 "homomorphic")
 
@@ -1542,6 +1569,8 @@ let () =
           Alcotest.test_case "das nested loop agrees" `Quick test_das_nested_loop_agrees;
           Alcotest.test_case "commutative ids variant" `Quick test_commutative_ids_variant;
           Alcotest.test_case "pm variants agree" `Slow test_pm_variants_agree;
+          Alcotest.test_case "pm direct over capacity fails typed" `Slow
+            test_pm_direct_over_capacity_typed;
           Alcotest.test_case "multiple seeds" `Slow test_multiple_seeds;
           Alcotest.test_case "string join values" `Quick test_string_join_values;
           Alcotest.test_case "disjoint domains" `Quick test_disjoint_domains;

@@ -119,11 +119,11 @@ let roundtrip_frames =
     Frame.Msg_chunk
       { ck_session = 3; ck_epoch = 5; ck_seq = 12; ck_sender = Transcript.Mediator;
         ck_receiver = Transcript.Source 1; ck_label = "rewritten-query"; ck_chunk = 0;
-        ck_chunks = 1; ck_declared = 5; ck_payload = "\x00\xffabc"; ck_one_row = false };
+        ck_chunks = 1; ck_declared = 5; ck_payload = "\x00\xffabc" };
     Frame.Msg_chunk
       { ck_session = 3; ck_epoch = 5; ck_seq = 13; ck_sender = Transcript.Source 2;
         ck_receiver = Transcript.Mediator; ck_label = "partial-result"; ck_chunk = 0;
-        ck_chunks = 1; ck_declared = 3; ck_payload = "abc"; ck_one_row = true };
+        ck_chunks = 1; ck_declared = 3; ck_payload = "abc" };
     Frame.Report { session = 3; epoch = 5; status = Frame.St_ok; spans = "" };
     Frame.Report
       { session = 3; epoch = 5; status = Frame.St_failed sample_failure; spans = "" };
@@ -154,18 +154,81 @@ let roundtrip_frames =
     Frame.Draining "mediator is draining; retry after restart";
   ]
 
+(* Every int field of every frame set to [v], at the varint edges: 0,
+   one byte's largest, two bytes' smallest and largest, three bytes'
+   smallest, and [max_int].  A chunk's index and count stay within the
+   cap, and a deadline stays within a float's exact milliseconds. *)
+let edge_frames v =
+  let failure = { sample_failure with Fault.party = Transcript.Source v } in
+  let chunks = max 1 (min v Frame.max_chunks) in
+  let ms = float_of_int (min v 16384) /. 1000. in
+  [
+    Frame.Hello { role = Transcript.Source v; scenario = "" };
+    Frame.Query
+      { scheme = "das"; query = "q"; fault_spec = ""; deadline = ms; fallback = true;
+        trace = true };
+    Frame.Session_start
+      { session = v; epoch = v; attempt = v; scheme = "das"; query = "q"; fault_spec = "";
+        trace_id = "" };
+    Frame.Msg_chunk
+      { ck_session = v; ck_epoch = v; ck_seq = v; ck_sender = Transcript.Source v;
+        ck_receiver = Transcript.Source v; ck_label = "L"; ck_chunk = chunks - 1;
+        ck_chunks = chunks; ck_declared = v; ck_payload = "" };
+    Frame.Credit { cr_session = v; cr_epoch = v; cr_seq = v; cr_n = v };
+    Frame.Report { session = v; epoch = v; status = Frame.St_failed failure; spans = "" };
+    Frame.Abort { session = v; epoch = v; failure };
+    Frame.Session_result
+      { session = v;
+        result =
+          Frame.W_served
+            { w_scheme = "pm"; w_attempts = v; w_degraded = None;
+              w_link_stats = [ (Transcript.Source v, v, v) ] };
+        spans =
+          [ { Trace_wire.rm_party = Transcript.Source v; rm_parent = v - 1; rm_payload = "" } ] };
+    Frame.Session_result
+      { session = v; result = Frame.W_unserved [ ("pm", failure, v) ]; spans = [] };
+    Frame.Session_end { session = v };
+    Frame.Health { h_role = Transcript.Source v; h_draining = true; h_active = v };
+    Frame.Drain { scenario = ""; deadline = ms };
+  ]
+
 let test_frame_roundtrip () =
   List.iter
     (fun f ->
       Alcotest.(check bool)
         (Frame.tag_name f ^ " roundtrips") true
         (Frame.decode (Frame.encode f) = f))
-    roundtrip_frames
+    (roundtrip_frames @ List.concat_map edge_frames [ 0; 127; 128; 16383; 16384; max_int ])
 
 let test_frame_rejects_garbage () =
   match Frame.decode "\x2a\x00garbage" with
   | exception Wire.Malformed _ -> ()
   | _ -> Alcotest.fail "garbage must not decode"
+
+(* A header int is a canonical varint: a truncated one, one with a zero
+   final group ([0x80 0x00] for 0), one past nine bytes and one above
+   [max_int] are each malformed, in a frame's tag and in a field. *)
+let test_malformed_varints_rejected () =
+  let cases =
+    [
+      ("truncated", "\x80");
+      ("non-canonical", "\x80\x00");
+      ("10-byte", String.make 9 '\xff' ^ "\x01");
+      ("above max_int", String.make 8 '\xff' ^ "\x40");
+    ]
+  in
+  List.iter
+    (fun (what, varint) ->
+      List.iter
+        (fun (where, body) ->
+          match Frame.decode body with
+          | exception Wire.Malformed _ -> ()
+          | _ -> Alcotest.failf "a %s varint as the %s decoded" what where)
+        [ ("tag", varint); ("session id", "\x09" ^ varint) ])
+    cases;
+  Alcotest.(check bool) "max_int itself decodes" true
+    (Frame.decode ("\x09" ^ String.make 8 '\xff' ^ "\x3f")
+    = Frame.Session_end { session = max_int })
 
 (* The millisecond encoding must not mangle deadlines. *)
 let test_frame_deadline_precision () =
@@ -181,19 +244,19 @@ let test_frame_deadline_precision () =
    [take_rows] over a scripted route: the reader awaits #2 of epoch 3
    from source 1, and each row puts one frame ahead of the wanted one. *)
 
-(* A whole one-row delivery, the form every scalar message takes. *)
+(* A whole one-chunk delivery of one row, as every scalar message travels. *)
 let rule_msg ~epoch ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = 3; ck_payload = Fault.frame ~label:"L" "abc"; ck_one_row = true }
+      ck_declared = 3; ck_payload = Frame.pack ~label:"L" [ "abc" ] }
 
 (* A later slice of a longer stream. *)
 let rule_chunk ~epoch ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = epoch; ck_seq = seq; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 1; ck_chunks = 3;
-      ck_declared = 0; ck_payload = ""; ck_one_row = false }
+      ck_declared = 0; ck_payload = "" }
 
 let rule_abort epoch = Frame.Abort { session = 1; epoch; failure = sample_failure }
 
@@ -386,7 +449,7 @@ let msg ?(session = 1) ~seq label =
   Frame.Msg_chunk
     { ck_session = session; ck_epoch = 1; ck_seq = seq; ck_sender = Transcript.Mediator;
       ck_receiver = Transcript.Source 1; ck_label = label; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = 2; ck_payload = "xy"; ck_one_row = false }
+      ck_declared = 2; ck_payload = "xy" }
 
 let test_mux_parks_frames_before_subscription () =
   let a, b = socket_pair () in
@@ -1327,6 +1390,7 @@ let () =
         [
           Alcotest.test_case "byzantine modes fail as in process" `Slow
             test_byzantine_modes_match_inproc;
+          Alcotest.test_case "malformed varints rejected" `Quick test_malformed_varints_rejected;
         ] );
       ( "regressions",
         [

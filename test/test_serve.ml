@@ -354,6 +354,62 @@ let test_drain_typed_refusal_then_exit_zero () =
     (Loopback.chaos_events c 1 <> []);
   Alcotest.(check int) "drained mediator exits 0" 0 (Loopback.wait_mediator c)
 
+(* A drained daemon answers the connections still queued on its
+   listener before closing it.  [idle] holds the drained daemon at the
+   end of its accept loop until a second client has connected and
+   written its [Hello], so that client is queued, never accepted by the
+   loop, when the listener is about to close: it must read the typed
+   [Draining], not a reset. *)
+let test_drain_answers_queued_connections () =
+  let listen_fd, port = Io.listen ~port:0 () in
+  let d =
+    Daemon.create ~role:Secmed_mediation.Transcript.Mediator ~scenario:"s" ~drain_deadline:30.
+  in
+  let mu = Mutex.create () and changed = Condition.create () in
+  let idling = ref false and hello_written = ref false in
+  let idle () =
+    Mutex.protect mu (fun () ->
+        idling := true;
+        Condition.broadcast changed;
+        while not !hello_written do
+          Condition.wait changed mu
+        done);
+    true
+  in
+  let handle conn = function
+    | Frame.Hello _ when Daemon.draining d ->
+      Io.send_frame conn (Frame.encode (Frame.Draining "draining"))
+    | f -> Io.send_frame conn (Frame.encode (Frame.Busy ("unexpected " ^ Frame.tag_name f)))
+  in
+  let server =
+    Thread.create
+      (fun () -> Daemon.serve d ~listen_fd ~io_timeout:5. ~active:(fun () -> 0) ~idle handle)
+      ()
+  in
+  let ask frame =
+    let conn = Io.connect ~timeout:5. ~host:"127.0.0.1" ~port () in
+    Io.send_frame conn (Frame.encode frame);
+    conn
+  in
+  let reply conn =
+    Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
+    match Frame.decode (Io.recv_frame conn) with
+    | f -> Frame.tag_name f
+    | exception Io.Transport_error msg -> "transport error: " ^ msg
+  in
+  Alcotest.(check string) "drain accepted" "drain-ok"
+    (reply (ask (Frame.Drain { scenario = "s"; deadline = 30. })));
+  Mutex.protect mu (fun () ->
+      while not !idling do
+        Condition.wait changed mu
+      done);
+  let queued = ask (Frame.Hello { role = Secmed_mediation.Transcript.Client; scenario = "s" }) in
+  Mutex.protect mu (fun () ->
+      hello_written := true;
+      Condition.broadcast changed);
+  Alcotest.(check string) "queued Hello refused typed" "draining" (reply queued);
+  Thread.join server
+
 (* A SIGKILLed replica takes its port down with it: a probe is refused
    at once, not left to sit out its I/O timeout on a listener another
    process of the cluster inherited.  A restart serves the same port. *)
@@ -472,7 +528,6 @@ let test_mux_domain_parallel_consumers () =
                 ck_chunks = 1;
                 ck_declared = 2;
                 ck_payload = "xy";
-                ck_one_row = false;
               })))
     schedule;
   let results = List.map Domain.join consumers in
@@ -514,6 +569,8 @@ let () =
             test_failover_mid_session_bit_identical;
           Alcotest.test_case "drain refuses typed, finishes in-flight, exits 0"
             `Slow test_drain_typed_refusal_then_exit_zero;
+          Alcotest.test_case "drain answers queued connections" `Quick
+            test_drain_answers_queued_connections;
           Alcotest.test_case "source drain fails over" `Slow test_source_drain_failover;
           Alcotest.test_case "killed replica refuses" `Slow test_killed_replica_refuses;
           Alcotest.test_case "owner death stops the cluster" `Slow

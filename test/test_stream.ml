@@ -156,76 +156,79 @@ let test_reused_recv_allocates_less () =
     true (reused < naive)
 
 (* ------------------------------------------------------------------ *)
-(* Chunk codec. *)
-
-let entries_of rows = List.map (fun (r, b) -> { Stream.s_row = r; s_bytes = b }) rows
-
-let test_entries_roundtrip () =
-  let cases =
-    [
-      [];
-      [ (0, "") ];
-      [ (3, "abc"); (7, String.make 300 'z'); (12, "\x00\xff") ];
-      List.init 100 (fun i -> (i * 5, Printf.sprintf "row-%d" i));
-    ]
-  in
-  List.iter
-    (fun rows ->
-      let entries = entries_of rows in
-      Alcotest.(check bool) "roundtrips" true
-        (Stream.decode_entries (Stream.encode_entries entries) = entries))
-    cases
-
-let test_entries_reject_garbage () =
-  let good = Stream.encode_entries (entries_of [ (1, "hello"); (2, "world") ]) in
-  (* Truncation at every offset short of the full payload. *)
-  for cut = 0 to String.length good - 1 do
-    match Stream.decode_entries (String.sub good 0 cut) with
-    | exception Wire.Malformed _ -> ()
-    | _ -> Alcotest.failf "truncation at %d must be rejected" cut
-  done;
-  match Stream.decode_entries (good ^ "!") with
-  | exception Wire.Malformed _ -> ()
-  | _ -> Alcotest.fail "trailing bytes must be rejected"
-
-let test_payload_row_bytes () =
-  List.iter
-    (fun rows ->
-      let entries = entries_of rows in
-      Alcotest.(check int) "peeked row bytes match"
-        (Stream.total_bytes rows)
-        (Stream.payload_row_bytes (Stream.encode_entries entries)))
-    [ []; [ (0, "") ]; [ (1, "abcd") ]; List.init 50 (fun i -> (i, String.make i 'x')) ];
-  Alcotest.(check int) "short payload reads zero" 0 (Stream.payload_row_bytes "ab")
-
-let test_plan_properties () =
-  let rows = List.init 500 (fun i -> (i, String.make (1 + (i * 7 mod 97)) 'r')) in
-  let chunks = Stream.plan ~chunk_bytes:512 rows in
-  Alcotest.(check bool) "concat of chunks is the rows in order" true
-    (List.concat chunks = entries_of rows);
-  List.iter
-    (fun chunk ->
-      let encoded = String.length (Stream.encode_entries chunk) in
-      (* The 4-byte count prefix rides above the per-entry budget. *)
-      if List.length chunk > 1 && encoded > 512 + 4 then
-        Alcotest.failf "multi-entry chunk of %d encoded bytes exceeds the budget" encoded)
-    chunks;
-  (* An oversized single row still travels, alone. *)
-  (match Stream.plan ~chunk_bytes:16 [ (0, String.make 4096 'x'); (1, "y") ] with
-  | [ [ big ]; [ small ] ] ->
-    Alcotest.(check int) "big row alone" 4096 (String.length big.Stream.s_bytes);
-    Alcotest.(check string) "small row follows" "y" small.Stream.s_bytes
-  | _ -> Alcotest.fail "oversized row must form a chunk of one");
-  Alcotest.(check bool) "no rows, no chunks" true (Stream.plan [] = [])
-
-(* ------------------------------------------------------------------ *)
-(* Frame codec: chunk and credit frames, and the hostile-count cap. *)
+(* Chunk codec: Frame's rows-as-a-list payload, its planner, and the
+   chunk and credit frames. *)
 
 let chunk ?(ck_chunk = 0) ?(ck_chunks = 3) ?(payload = "p") () =
   Frame.Msg_chunk
     { ck_session = 5; ck_epoch = 2; ck_seq = 9; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "R1S+ITables"; ck_chunk; ck_chunks;
-      ck_declared = 12345; ck_payload = payload; ck_one_row = false }
+      ck_declared = 12345; ck_payload = payload }
+
+let chunk_record = function Frame.Msg_chunk c -> c | _ -> assert false
+
+(* A chunk of label "R1S+ITables" carrying [rows]. *)
+let packed rows = chunk_record (chunk ~payload:(Frame.pack ~label:"R1S+ITables" rows) ())
+
+let row_cases =
+  [ []; [ "" ]; [ "abc"; String.make 300 'z'; "\x00\xff" ];
+    List.init 100 (Printf.sprintf "row-%d") ]
+
+let test_entries_roundtrip () =
+  List.iter
+    (fun rows ->
+      Alcotest.(check (result (list string) string)) "roundtrips" (Ok rows)
+        (Frame.unpack (packed rows)))
+    row_cases
+
+(* Rows whose tag verifies but whose list does not parse are rejected,
+   and so is a payload whose tag does not verify. *)
+let test_entries_reject_garbage () =
+  let w = Wire.writer () in
+  Wire.write_list w (Wire.write_string w) [ "hello"; "world" ];
+  let good = Wire.contents w in
+  let tagged rows =
+    { (packed []) with Frame.ck_payload = Fault.frame ~label:"R1S+ITables" rows }
+  in
+  let rejected what c =
+    match Frame.unpack c with Error _ -> () | Ok _ -> Alcotest.failf "%s must be rejected" what
+  in
+  for cut = 0 to String.length good - 1 do
+    rejected (Printf.sprintf "truncation at %d" cut) (tagged (String.sub good 0 cut))
+  done;
+  rejected "trailing bytes" (tagged (good ^ "!"));
+  rejected "a payload tagged under another label"
+    { (packed []) with Frame.ck_payload = Fault.frame ~label:"other" good };
+  rejected "a payload without its tag" { (packed []) with Frame.ck_payload = good }
+
+let test_payload_row_bytes () =
+  List.iter
+    (fun rows ->
+      Alcotest.(check int) "peeked row bytes match"
+        (List.fold_left (fun acc r -> acc + String.length r) 0 rows)
+        (Frame.row_bytes (packed rows)))
+    (row_cases @ [ List.init 50 (fun i -> String.make i 'x') ]);
+  Alcotest.(check int) "short payload reads zero" 0
+    (Frame.row_bytes (chunk_record (chunk ~payload:"ab" ())))
+
+let test_plan_properties () =
+  let rows = List.init 500 (fun i -> String.make (1 + (i * 7919 mod 1024)) 'r') in
+  let chunks = Frame.plan rows in
+  Alcotest.(check bool) "several chunks" true (List.length chunks > 2);
+  Alcotest.(check (list string)) "concat of chunks is the rows in order" rows
+    (List.concat chunks);
+  List.iter
+    (fun batch ->
+      (* The 4-byte count and the tag ride above the payload budget. *)
+      let payload = String.length (Frame.pack ~label:"L" batch) - 4 - Fault.tag_bytes in
+      if payload > Frame.chunk_bytes then
+        Alcotest.failf "a chunk of %d payload bytes exceeds the budget" payload)
+    chunks;
+  (* An oversized single row still travels, alone. *)
+  let big = String.make (Frame.chunk_bytes + 1) 'x' in
+  Alcotest.(check (list (list string))) "oversized row alone" [ [ big ]; [ "y" ] ]
+    (Frame.plan [ big; "y" ]);
+  Alcotest.(check (list (list string))) "no rows, one empty chunk" [ [] ] (Frame.plan [])
 
 let test_chunk_frame_roundtrip () =
   List.iter
@@ -248,41 +251,41 @@ let test_chunk_count_cap_hostile () =
       match Frame.decode (Frame.encode f) with
       | exception Wire.Malformed _ -> ()
       | _ -> Alcotest.fail "hostile chunk header must be rejected")
-    [
-      chunk ~ck_chunks:(Stream.max_chunks + 1) ();
-      chunk ~ck_chunk:3 ~ck_chunks:3 ();
-      chunk ~ck_chunk:(-1) ();
-    ];
+    [ chunk ~ck_chunks:(Frame.max_chunks + 1) (); chunk ~ck_chunk:3 ~ck_chunks:3 () ];
   (* The cap itself is legal. *)
-  match Frame.decode (Frame.encode (chunk ~ck_chunk:0 ~ck_chunks:Stream.max_chunks ())) with
+  match Frame.decode (Frame.encode (chunk ~ck_chunk:0 ~ck_chunks:Frame.max_chunks ())) with
   | Frame.Msg_chunk { ck_chunks; _ } ->
-    Alcotest.(check int) "cap accepted" Stream.max_chunks ck_chunks
+    Alcotest.(check int) "cap accepted" Frame.max_chunks ck_chunks
   | _ -> Alcotest.fail "cap-count chunk must decode"
 
-(* The one-row form is a whole message: its frame omits the chunk index
-   and count, so the codec refuses to encode it as a slice. *)
+(* No frame int is negative, so the encoder refuses one in any field of
+   a chunk or a credit rather than emit bytes no decoder accepts. *)
 let test_one_row_chunk_must_be_whole () =
-  let one_row = function
-    | Frame.Msg_chunk c -> Frame.Msg_chunk { c with ck_one_row = true }
-    | f -> f
-  in
-  (match Frame.encode (one_row (chunk ~ck_chunks:3 ())) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a one-row slice of three chunks must not encode");
-  let whole = one_row (chunk ~ck_chunks:1 ()) in
-  Alcotest.(check bool) "a whole one-row chunk roundtrips" true
-    (Frame.decode (Frame.encode whole) = whole);
-  Alcotest.(check int) "16 header bytes lighter" 16
-    (String.length (Frame.encode (chunk ~ck_chunks:1 ())) - String.length (Frame.encode whole))
+  let c = chunk_record (chunk ()) in
+  List.iter
+    (fun (field, f) ->
+      match Frame.encode f with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "a negative %s must not encode" field)
+    [
+      ("session", Frame.Msg_chunk { c with ck_session = -1 });
+      ("epoch", Frame.Msg_chunk { c with ck_epoch = -1 });
+      ("seq", Frame.Msg_chunk { c with ck_seq = -1 });
+      ("sender id", Frame.Msg_chunk { c with ck_sender = Transcript.Source (-1) });
+      ("chunk index", Frame.Msg_chunk { c with ck_chunk = -1 });
+      ("chunk count", Frame.Msg_chunk { c with ck_chunks = -1 });
+      ("declared size", Frame.Msg_chunk { c with ck_declared = -1 });
+      ("credit", Frame.Credit { cr_session = 1; cr_epoch = 1; cr_seq = 1; cr_n = -1 });
+    ]
 
 (* Chunk frames through the reassembly stream, split at every offset:
    the transport boundary must be invisible to the codec. *)
 let test_chunk_frames_split_at_every_offset () =
   let frames =
     [
-      chunk ~payload:(Stream.encode_entries (entries_of [ (0, "a"); (1, "bb") ])) ();
+      chunk ~payload:(Frame.pack ~label:"R1S+ITables" [ "a"; "bb" ]) ();
       Frame.Credit { cr_session = 5; cr_epoch = 2; cr_seq = 9; cr_n = 1 };
-      chunk ~ck_chunk:1 ~payload:(Stream.encode_entries (entries_of [ (2, String.make 200 'q') ])) ();
+      chunk ~ck_chunk:1 ~payload:(Frame.pack ~label:"R1S+ITables" [ String.make 200 'q' ]) ();
     ]
   in
   let whole = String.concat "" (List.map (fun f -> Wire.frame (Frame.encode f)) frames) in
@@ -308,7 +311,7 @@ let msg ~seq =
   Frame.Msg_chunk
     { ck_session = 1; ck_epoch = 1; ck_seq = seq; ck_sender = Transcript.Mediator;
       ck_receiver = Transcript.Source 1; ck_label = "flood"; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = 2; ck_payload = "xy"; ck_one_row = false }
+      ck_declared = 2; ck_payload = "xy" }
 
 let mux_sync a mux =
   Io.send_frame a (Frame.encode (Frame.Busy "sync"));
@@ -410,7 +413,7 @@ let stream_over_leg n =
   | Some e -> Alcotest.fail ("sender raised: " ^ Printexc.to_string e)
   | None -> ());
   Alcotest.(check int) "no stream backlog after completion" 0 (Endpoint.stream_backlog ());
-  (List.length (Stream.plan rows), !credits)
+  (List.length (Frame.plan (List.map snd rows)), !credits)
 
 let test_send_recv_rows_roundtrip () =
   Obs.Hwm.reset ();
@@ -424,7 +427,7 @@ let test_send_recv_rows_roundtrip () =
   Alcotest.(check bool)
     (Printf.sprintf "merge window bounded (peak %d)" pending_peak)
     true
-    (pending_peak > 0 && pending_peak <= Stream.default_chunk_bytes + 1024)
+    (pending_peak > 0 && pending_peak <= Frame.chunk_bytes + 1024)
 
 (* A stream that fits the sender's first window draws no Credit: a
    one-chunk delivery — every scalar message — costs one frame. *)
@@ -502,9 +505,11 @@ let test_take_rows_merges_short_and_empty_streams () =
         bytes)
     [ 7; 1; 0 ]
 
-(* A message of one row whose bytes are the declared size travels bare,
-   without the 16-byte entry header; any other message keeps the entry
-   form. *)
+(* The size pin of the one chunk form: a 3-byte one-row message from
+   source 1 to the mediator (session 1, epoch 1, seq 3, label "L") is one
+   chunk of at most 48 encoded bytes, and the credit for it at most 12.
+   A message of several rows is the same form: its rows are its
+   payload's list, in order. *)
 let test_one_row_message_travels_bare () =
   let sent = ref [] in
   let route =
@@ -512,25 +517,31 @@ let test_one_row_message_travels_bare () =
       ~send:(fun f -> sent := f :: !sent)
       ~next:(fun ~timeout:_ -> raise (Io.Transport_error "nothing to read"))
   in
-  let tr = transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator route in
-  let send ~size rows =
+  let tr =
+    Endpoint.transport ~role:(Transcript.Source 1) ~session:1 ~epoch:(fun () -> 1)
+      ~io_timeout:10. ~route_of:(fun _ -> Some route) ()
+  in
+  let send rows =
     sent := [];
-    (stream_of tr).Link.send_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
-      ~receiver:Transcript.Mediator ~label:"L" ~size rows;
+    (stream_of tr).Link.send_rows ~phase:"t" ~seq:3 ~sender:(Transcript.Source 1)
+      ~receiver:Transcript.Mediator ~label:"L" ~size:(Stream.total_bytes rows) rows;
     match !sent with
-    | [ Frame.Msg_chunk c ] -> c
+    | [ (Frame.Msg_chunk c as f) ] -> (c, String.length (Frame.encode f))
     | _ -> Alcotest.fail "expected exactly one chunk frame"
   in
-  let bare = send ~size:3 [ (0, "abc") ] in
-  Alcotest.(check bool) "one row: bare form" true bare.Frame.ck_one_row;
-  Alcotest.(check string) "one row: payload is the row" (Fault.frame ~label:"L" "abc")
-    bare.Frame.ck_payload;
-  let entries = send ~size:4 [ (0, "ab"); (1, "cd") ] in
-  Alcotest.(check bool) "two rows: entry form" false entries.Frame.ck_one_row;
-  Alcotest.(check int) "the bare form saves the entry header" 16
-    (String.length (Stream.encode_entries (entries_of [ (0, "abc") ])) - 3);
-  Alcotest.(check bool) "an oversized row: entry form" false
-    (send ~size:2 [ (0, "abc") ]).Frame.ck_one_row
+  let one, one_bytes = send [ (0, "abc") ] in
+  Alcotest.(check (pair int int)) "one row: chunk 0 of 1" (0, 1) (one.ck_chunk, one.ck_chunks);
+  Alcotest.(check (result (list string) string)) "one row: the row" (Ok [ "abc" ])
+    (Frame.unpack one);
+  Alcotest.(check bool) (Printf.sprintf "one-row chunk of %d bytes <= 48" one_bytes) true
+    (one_bytes <= 48);
+  let credit = Frame.Credit { cr_session = 1; cr_epoch = 1; cr_seq = 3; cr_n = 1 } in
+  let credit_bytes = String.length (Frame.encode credit) in
+  Alcotest.(check bool) (Printf.sprintf "credit of %d bytes <= 12" credit_bytes) true
+    (credit_bytes <= 12);
+  let two, _ = send [ (0, "ab"); (1, "cd") ] in
+  Alcotest.(check (result (list string) string)) "two rows: the rows in order"
+    (Ok [ "ab"; "cd" ]) (Frame.unpack two)
 
 (* ------------------------------------------------------------------ *)
 (* The chunk reader's typed rejections: hand-built chunk frames from
@@ -553,15 +564,7 @@ let scripted_chunk ?(declared = 0) ~chunk ~chunks rows =
   Frame.Msg_chunk
     { ck_session = 7; ck_epoch = 1; ck_seq = 0; ck_sender = Transcript.Source 1;
       ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = chunk; ck_chunks = chunks;
-      ck_declared = declared;
-      ck_payload = Fault.frame ~label:"L" (Stream.encode_entries (entries_of rows));
-      ck_one_row = false }
-
-let scripted_one_row ~declared bytes =
-  Frame.Msg_chunk
-    { ck_session = 7; ck_epoch = 1; ck_seq = 0; ck_sender = Transcript.Source 1;
-      ck_receiver = Transcript.Mediator; ck_label = "L"; ck_chunk = 0; ck_chunks = 1;
-      ck_declared = declared; ck_payload = Fault.frame ~label:"L" bytes; ck_one_row = true }
+      ck_declared = declared; ck_payload = Frame.pack ~label:"L" rows }
 
 let take frames =
   (scripted frames).Link.take_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
@@ -570,6 +573,10 @@ let take frames =
 let recv ~expect frames =
   (scripted frames).Link.recv_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
     ~receiver:Transcript.Mediator ~label:"L" ~size:0 ~expect
+
+(* A mediator link whose transport reads [frames]. *)
+let link_of frames =
+  Link.make ~endpoint:(Link.Remote (scripted_transport frames)) (Transcript.create ())
 
 (* A rejection is a typed fault blamed on the receiving mediator. *)
 let rejected reason f =
@@ -583,21 +590,38 @@ let rejected reason f =
       (contains failure.Fault.reason reason)
   | _ -> Alcotest.failf "a stream that should fail with %S was accepted" reason
 
+(* A row's index is its position: the index never travels, and a
+   stream whose indexes are not positions is a caller's bug, refused
+   before anything is sent or read. *)
 let test_out_of_order_row_rejected () =
-  rejected "stream row 2 where row 1 was due" (fun () ->
-      ignore (take [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (2, "c") ] ]))
+  let nothing =
+    Endpoint.plain_route
+      ~send:(fun _ -> Alcotest.fail "nothing may be sent")
+      ~next:(fun ~timeout:_ -> Alcotest.fail "nothing may be read")
+  in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s with a row out of position must be refused" what
+  in
+  let rows = [ (0, "a"); (2, "c") ] in
+  refused "send_rows" (fun () ->
+      (stream_of (transport_for ~role:(Transcript.Source 1) ~counterpart:Transcript.Mediator
+                    nothing)).Link.send_rows ~phase:"t" ~seq:0 ~sender:(Transcript.Source 1)
+        ~receiver:Transcript.Mediator ~label:"L" ~size:2 rows);
+  refused "recv_rows" (fun () -> recv ~expect:rows [])
 
 let test_chunk_gap_rejected () =
   rejected "chunk gap: awaiting chunk 1, got 2" (fun () ->
       ignore
         (take
-           [ scripted_chunk ~chunk:0 ~chunks:3 [ (0, "a") ];
-             scripted_chunk ~chunk:2 ~chunks:3 [ (1, "b") ] ]))
+           [ scripted_chunk ~chunk:0 ~chunks:3 [ "a" ];
+             scripted_chunk ~chunk:2 ~chunks:3 [ "b" ] ]))
 
 let test_replayed_chunk_merged_once () =
-  let first = scripted_chunk ~declared:3 ~chunk:0 ~chunks:2 [ (0, "a"); (1, "b") ] in
+  let first = scripted_chunk ~declared:3 ~chunk:0 ~chunks:2 [ "a"; "b" ] in
   let declared, bytes =
-    take [ first; first; scripted_chunk ~declared:3 ~chunk:1 ~chunks:2 [ (2, "c") ] ]
+    take [ first; first; scripted_chunk ~declared:3 ~chunk:1 ~chunks:2 [ "c" ] ]
   in
   Alcotest.(check int) "declared size" 3 declared;
   Alcotest.(check string) "the replay is skipped" "abc" bytes
@@ -606,43 +630,43 @@ let test_declared_sizes_disagree () =
   rejected "stream declares 11 bytes, 10 expected" (fun () ->
       ignore
         (take
-           [ scripted_chunk ~declared:10 ~chunk:0 ~chunks:2 [ (0, "a") ];
-             scripted_chunk ~declared:11 ~chunk:1 ~chunks:2 [ (1, "b") ] ]))
+           [ scripted_chunk ~declared:10 ~chunk:0 ~chunks:2 [ "a" ];
+             scripted_chunk ~declared:11 ~chunk:1 ~chunks:2 [ "b" ] ]))
 
 let test_short_stream_rejected () =
   rejected "stream ended before row 2" (fun () ->
       recv
         ~expect:[ (0, "a"); (1, "b"); (2, "c") ]
-        [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (1, "b") ] ])
+        [ scripted_chunk ~chunk:0 ~chunks:1 [ "a"; "b" ] ])
 
 let test_entries_past_the_end_rejected () =
   rejected "past the end" (fun () ->
       recv
         ~expect:[ (0, "a"); (1, "b") ]
-        [ scripted_chunk ~chunk:0 ~chunks:1 [ (0, "a"); (1, "b"); (2, "c") ] ])
+        [ scripted_chunk ~chunk:0 ~chunks:1 [ "a"; "b"; "c" ] ])
 
+(* A one-row message is an ordinary chunk: taken whole, its row is the
+   message. *)
 let test_one_row_taken () =
-  let declared, bytes = take [ scripted_one_row ~declared:3 "abc" ] in
+  let declared, bytes = take [ scripted_chunk ~declared:3 ~chunk:0 ~chunks:1 [ "abc" ] ] in
   Alcotest.(check int) "declared size" 3 declared;
-  Alcotest.(check string) "the bare row" "abc" bytes
+  Alcotest.(check string) "the row" "abc" bytes
 
+(* A one-row chunk whose row is shorter than its declared size is
+   rejected before anything decodes it, as surplus bytes are below. *)
 let test_one_row_size_disagreement_rejected () =
-  rejected "one-row chunk carries 3 bytes, 4 declared" (fun () ->
-      ignore (take [ scripted_one_row ~declared:4 "abc" ]))
+  rejected "3 bytes received, 4 declared" (fun () ->
+      Link.exchange (link_of [ scripted_chunk ~declared:4 ~chunk:0 ~chunks:1 [ "abc" ] ])
+        ~phase:"t" ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator ~label:"L"
+        ~size:String.length ~encode:Fun.id ~decode:Fun.id None)
 
 (* A receiver that did not compute the message takes exactly the bytes
    the stream declares: surplus is rejected before anything decodes it. *)
 let test_surplus_bytes_rejected () =
   rejected "3 bytes received, 2 declared" (fun () ->
-      let link =
-        Link.make
-          ~endpoint:
-            (Link.Remote
-               (scripted_transport [ scripted_chunk ~declared:2 ~chunk:0 ~chunks:1 [ (0, "abc") ] ]))
-          (Transcript.create ())
-      in
-      Link.exchange link ~phase:"t" ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator
-        ~label:"L" ~size:String.length ~encode:Fun.id ~decode:Fun.id None)
+      Link.exchange (link_of [ scripted_chunk ~declared:2 ~chunk:0 ~chunks:1 [ "abc" ] ])
+        ~phase:"t" ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator ~label:"L"
+        ~size:String.length ~encode:Fun.id ~decode:Fun.id None)
 
 (* ------------------------------------------------------------------ *)
 

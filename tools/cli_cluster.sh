@@ -1,7 +1,7 @@
 #!/bin/sh
 # Smoke test of the real daemon binaries.  First, every bad address,
-# id, rate, remote fallback, source-count or partition-count flag, and
-# a missing CSV file, must be a usage error (exit 124).
+# id, rate, deadline, remote fallback, source-count or partition-count
+# flag, and a missing CSV file, must be a usage error (exit 124).
 # Then two `secmed source` daemons and a `secmed serve` mediator on
 # ephemeral localhost ports (addressed as ":PORT", the empty-host form),
 # a verified loadgen fleet that must exit 0, then an authenticated
@@ -78,6 +78,8 @@ usage_error ping nohostport
 usage_error drain :0
 usage_error run --connect :1 --fallback das
 usage_error loadgen --connect :1 --rate=0
+usage_error run --connect :1 --deadline=-1
+usage_error drain :1 --drain-deadline=-5
 usage_error loadgen --connect :1 --fallback das
 usage_error chain --sources 1
 usage_error select --partitions 0
