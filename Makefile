@@ -107,18 +107,22 @@ check-stream:
 	! grep -rnwE "ck_one_row|encode_entries|decode_entries|payload_row_bytes|entry_overhead|s_row" lib bin test
 	dune exec test/test_stream.exe -- test -e
 
-# Crypto hot-path suite.  The grep fails if the bigint interface
+# Crypto hot-path suite.  The first grep fails if the bigint interface
 # exports a global mutable knob (a `ref`): one context type alone picks
-# the Montgomery kernel or the plain residue ring.  Then the bigint/
-# crypto differential tests (both context kinds' multiply,
-# exponentiation, Multi_exp, Fixed_base and domain conversions vs
-# mod_pow_plain at 64-bit word edges and on even moduli, binary vs
-# Euclidean gcd, CRT vs plain decryption, AES-CTR vs the vector-checked
-# block cipher, domain-local cache stress), the batch-executor
-# determinism suite, and the DAS client's decrypt-each-ciphertext-once
-# test.
+# the Montgomery kernel or the plain residue ring.  The second fails if
+# an OCaml SHA-256 compression loop comes back: the rounds run only in
+# the C kernel (sha256_stubs.c).  Then the bigint/crypto differential
+# tests (both context kinds' multiply, exponentiation, Multi_exp,
+# Fixed_base and domain conversions vs mod_pow_plain at 64-bit word
+# edges and on even moduli, binary vs Euclidean gcd, the linear byte
+# codec vs its shift-and-add reference, CRT vs plain decryption, the
+# SHA-256 kernel on FIPS 180-4 vectors and mid-block updates, AES-CTR
+# vs the vector-checked block cipher, domain-local cache stress), the
+# batch-executor determinism suite, and the DAS client's
+# decrypt-each-ciphertext-once test.
 check-crypto-perf:
 	! grep -nE ':[^:]* ref$$' lib/bigint/bigint.mli
+	! grep -nE "process_block|rotr" lib/crypto/sha256.ml
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe

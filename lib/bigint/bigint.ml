@@ -1066,33 +1066,57 @@ let of_string_opt s = try Some (of_string s) with Invalid_argument _ -> None
 (* ------------------------------------------------------------------ *)
 (* Byte serialization (big-endian, magnitude only). *)
 
-let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+(* Both directions run once over the bytes, least significant first,
+   through a bit accumulator of at most 38 bits: 31-bit limbs leave it
+   as bytes arrive, and bytes leave it as limbs are read. *)
 
-let byte_length a =
-  let nb = numbits a in
-  (nb + 7) / 8
+let of_bytes_be s =
+  let n = String.length s in
+  let mag = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and limb = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      mag.(!limb) <- !acc land mask;
+      incr limb;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits
+    end
+  done;
+  if !bits > 0 then mag.(!limb) <- !acc;
+  make 1 mag
+
+(* The magnitude as [width] big-endian bytes; [width] is at least the
+   value's byte length, so the bytes left once [pos] passes the front
+   (the top limb's high zero bits) are all zero. *)
+let write_bytes_be width a =
+  let out = Bytes.make width '\000' in
+  let acc = ref 0 and bits = ref 0 and pos = ref (width - 1) in
+  Array.iter
+    (fun l ->
+      acc := !acc lor (l lsl !bits);
+      bits := !bits + limb_bits;
+      while !bits >= 8 && !pos >= 0 do
+        Bytes.unsafe_set out !pos (Char.unsafe_chr (!acc land 0xff));
+        decr pos;
+        acc := !acc lsr 8;
+        bits := !bits - 8
+      done)
+    a.mag;
+  if !acc <> 0 then Bytes.set out !pos (Char.unsafe_chr !acc);
+  Bytes.unsafe_to_string out
+
+let byte_length a = (numbits a + 7) / 8
 
 let to_bytes_be a =
   if a.sign < 0 then invalid_arg "Bigint.to_bytes_be: negative value"
-  else begin
-    let len = byte_length a in
-    String.init len (fun i ->
-        let bit = (len - 1 - i) * 8 in
-        let byte = ref 0 in
-        for b = 7 downto 0 do
-          byte := (!byte lsl 1) lor (if testbit a (bit + b) then 1 else 0)
-        done;
-        Char.chr !byte)
-  end
+  else write_bytes_be (byte_length a) a
 
 let to_bytes_be_padded width a =
-  let s = to_bytes_be a in
-  let len = String.length s in
-  if len > width then invalid_arg "Bigint.to_bytes_be_padded: value too wide"
-  else String.make (width - len) '\000' ^ s
+  if a.sign < 0 then invalid_arg "Bigint.to_bytes_be: negative value"
+  else if byte_length a > width then invalid_arg "Bigint.to_bytes_be_padded: value too wide"
+  else write_bytes_be width a
 
 (* ------------------------------------------------------------------ *)
 (* Randomness. *)

@@ -1,83 +1,27 @@
-(* FIPS 180-4 SHA-256 on native ints masked to 32 bits. *)
+(* FIPS 180-4 SHA-256: buffering and padding here, the compression
+   function in sha256_stubs.c. *)
 
 let digest_size = 32
-let m32 = 0xFFFFFFFF
 
-let k =
-  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-     0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-     0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-     0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-     0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-     0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-     0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-     0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+(* [compress state s off n] hashes the [n] 64-byte blocks of [s] from
+   byte [off] into [state] (H0..H7, big-endian). *)
+external compress : Bytes.t -> string -> int -> int -> unit = "secmed_sha256_compress"
+[@@noalloc]
+
+let iv =
+  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\
+   \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
 type ctx = {
-  h : int array; (* 8 words *)
+  h : Bytes.t; (* 32-byte state *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes fed *)
-  w : int array; (* message schedule scratch *)
 }
 
-let init () =
-  {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+let init () = { h = Bytes.of_string iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
-
-let process_block ctx block off =
-  let w = ctx.w in
-  for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get block (off + (4 * t))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * t) + 3))
-  done;
-  for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
-  done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor ((lnot !e) land !g land m32) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = ((!a land !b) lxor (!a land !c)) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land m32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land m32
-  done;
-  h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !b) land m32;
-  h.(2) <- (h.(2) + !c) land m32;
-  h.(3) <- (h.(3) + !d) land m32;
-  h.(4) <- (h.(4) + !e) land m32;
-  h.(5) <- (h.(5) + !f) land m32;
-  h.(6) <- (h.(6) + !g) land m32;
-  h.(7) <- (h.(7) + !hh) land m32
+let compress_buf ctx = compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0 1
 
 let update ctx s =
   let len = String.length s in
@@ -85,41 +29,37 @@ let update ctx s =
   let pos = ref 0 in
   (* Top up a partially filled block first. *)
   if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = Stdlib.min need len in
+    let take = Stdlib.min (64 - ctx.buf_len) len in
     Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
-  let tmp = Bytes.create 64 in
-  while len - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    process_block ctx tmp 0;
-    pos := !pos + 64
-  done;
+  let blocks = (len - !pos) / 64 in
+  if blocks > 0 then begin
+    compress ctx.h s !pos blocks;
+    pos := !pos + (64 * blocks)
+  end;
   if !pos < len then begin
     Bytes.blit_string s !pos ctx.buf ctx.buf_len (len - !pos);
     ctx.buf_len <- ctx.buf_len + (len - !pos)
   end
 
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem else 120 - rem
-  in
-  let padding = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set padding 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set padding (1 + pad_len + i) (Char.chr ((bit_len lsr ((7 - i) * 8)) land 0xff))
-  done;
-  update ctx (Bytes.to_string padding);
-  assert (ctx.buf_len = 0);
-  String.concat "" (Array.to_list (Array.map Bytes_util.be32 ctx.h))
+  let n = ctx.buf_len in
+  Bytes.set ctx.buf n '\x80';
+  Bytes.fill ctx.buf (n + 1) (63 - n) '\000';
+  (* The 64-bit length needs the last 8 bytes of a block. *)
+  if n >= 56 then begin
+    compress_buf ctx;
+    Bytes.fill ctx.buf 0 56 '\000'
+  end;
+  Bytes.set_int64_be ctx.buf 56 (Int64.of_int (ctx.total * 8));
+  compress_buf ctx;
+  Bytes.to_string ctx.h
 
 let digest s =
   let ctx = init () in

@@ -1,7 +1,9 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4).  The compression function is a C kernel
+    (sha256_stubs.c) that hashes a whole run of 64-byte blocks per call;
+    this module buffers partial blocks and pads.
 
-    Verified against the NIST short-message test vectors in the test suite.
-    Both a one-shot and an incremental interface are provided. *)
+    Verified against the FIPS 180-4 and NIST test vectors in the test
+    suite.  Both a one-shot and an incremental interface are provided. *)
 
 type ctx
 

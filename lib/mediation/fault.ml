@@ -158,7 +158,9 @@ let attach plan transcript =
 let tag_bytes = 16
 
 let tag ~label payload =
-  String.sub (Sha256.digest ("secmed-frame\x00" ^ label ^ "\x00" ^ payload)) 0 tag_bytes
+  let ctx = Sha256.init () in
+  List.iter (Sha256.update ctx) [ "secmed-frame\x00"; label; "\x00"; payload ];
+  String.sub (Sha256.finalize ctx) 0 tag_bytes
 
 let frame ~label payload = payload ^ tag ~label payload
 

@@ -484,6 +484,59 @@ let prop name ?(count = 300) gen f =
 let pair2 = QCheck2.Gen.pair arbitrary_bigint arbitrary_bigint
 let triple3 = QCheck2.Gen.triple arbitrary_bigint arbitrary_bigint arbitrary_bigint
 
+(* The quadratic definitions the linear byte codec replaced, kept as its
+   reference: one shift and one add per byte in, one [testbit] per bit
+   out. *)
+let ref_of_bytes_be s =
+  let acc = ref Bigint.zero in
+  String.iter (fun c -> acc := Bigint.add (Bigint.shift_left !acc 8) (i (Char.code c))) s;
+  !acc
+
+let ref_to_bytes_be a =
+  let len = (Bigint.numbits a + 7) / 8 in
+  String.init len (fun k ->
+      let bit = (len - 1 - k) * 8 in
+      let byte = ref 0 in
+      for b = 7 downto 0 do
+        byte := (!byte lsl 1) lor (if Bigint.testbit a (bit + b) then 1 else 0)
+      done;
+      Char.chr !byte)
+
+(* 0–600 bytes, often at a 31-bit limb edge (3/4 and 7/8 bytes straddle
+   the first and second limb, 31 bytes fill 8 limbs exactly), and often
+   with leading zero bytes. *)
+let codec_bytes =
+  QCheck2.Gen.(
+    let* len = oneof [ oneofl [ 0; 1; 3; 4; 7; 8; 31; 32 ]; int_range 0 600 ] in
+    let* zeros = oneof [ return 0; int_range 0 len ] in
+    let* body = string_size ~gen:char (return (len - zeros)) in
+    return (String.make zeros '\000' ^ body))
+
+let codec_props =
+  [
+    prop "of_bytes_be matches shift-and-add" codec_bytes (fun s ->
+        Bigint.equal (Bigint.of_bytes_be s) (ref_of_bytes_be s));
+    prop "to_bytes_be matches bit-by-bit" codec_bytes (fun s ->
+        let v = ref_of_bytes_be s in
+        String.equal (Bigint.to_bytes_be v) (ref_to_bytes_be v));
+    prop "to_bytes_be_padded width and errors"
+      (QCheck2.Gen.pair codec_bytes (QCheck2.Gen.int_range 0 40))
+      (fun (s, w) ->
+        let v = ref_of_bytes_be s in
+        let minimal = ref_to_bytes_be v in
+        let n = String.length minimal in
+        let too_wide = Invalid_argument "Bigint.to_bytes_be_padded: value too wide" in
+        let negative = Invalid_argument "Bigint.to_bytes_be: negative value" in
+        let raises e f = try ignore (f ()); false with x -> x = e in
+        (if w < n then raises too_wide (fun () -> Bigint.to_bytes_be_padded w v)
+         else
+           String.equal (Bigint.to_bytes_be_padded w v) (String.make (w - n) '\000' ^ minimal))
+        && String.equal (Bigint.to_bytes_be_padded (String.length s) v)
+             (String.make (String.length s - n) '\000' ^ minimal)
+        && (Bigint.is_zero v
+           || raises negative (fun () -> Bigint.to_bytes_be_padded (n + w) (Bigint.neg v))));
+  ]
+
 let props =
   [
     prop "string roundtrip" arbitrary_bigint (fun a ->
@@ -798,4 +851,5 @@ let () =
           Alcotest.test_case "infix operators" `Quick test_infix;
         ] );
       ("properties", props);
+      ("byte codec", codec_props);
     ]

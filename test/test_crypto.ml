@@ -42,12 +42,38 @@ let sha_vectors =
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
     ( "The quick brown fox jumps over the lazy dog",
       "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592" );
+    (* FIPS 180-4's two-block message: 112 bytes, so the padding block
+       follows a whole block the kernel hashes at offset 64. *)
+    ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+       ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
   ]
 
 let test_sha256_vectors () =
   List.iter
     (fun (input, expected) -> Alcotest.(check string) "digest" expected (Sha256.hex_digest input))
     sha_vectors
+
+let test_sha256_million_a () =
+  Alcotest.(check string) "one million 'a'"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.hex_digest (String.make 1_000_000 'a'))
+
+let test_sha256_mid_block_runs () =
+  (* The first update leaves a partial block, so every later one tops it
+     up and then hands the kernel its whole blocks at a non-zero offset
+     (63 for the 200-byte update, 9 for the 1000-byte one). *)
+  let message = String.init 1264 (fun i -> Char.chr (i mod 251)) in
+  let ctx = Sha256.init () in
+  ignore
+    (List.fold_left
+       (fun pos n ->
+         Sha256.update ctx (String.sub message pos n);
+         pos + n)
+       0 [ 1; 200; 1000; 63 ]);
+  Alcotest.(check string) "1 + 200 + 1000 + 63 bytes"
+    "f8d634699e5d15f16e5e7a74c185f61323512f0c1ba272d228e66e124e1d98a8"
+    (Bytes_util.to_hex (Sha256.finalize ctx))
 
 let test_sha256_incremental () =
   (* Feeding in arbitrary chunkings must agree with the one-shot digest. *)
@@ -92,7 +118,11 @@ let test_hmac_rfc4231 () =
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe";
   check "case 6 (large key)" (String.make 131 '\xaa')
     "Test Using Larger Than Block-Size Key - Hash Key First"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54";
+  check "case 7 (large key and data)" (String.make 131 '\xaa')
+    "This is a test using a larger than block-size key and a larger than block-size data. \
+     The key needs to be hashed before being used by the HMAC algorithm."
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
 
 let test_hmac_verify () =
   let key = "secret" and msg = "payload" in
@@ -611,6 +641,8 @@ let () =
       ( "sha256",
         [
           Alcotest.test_case "NIST vectors" `Quick test_sha256_vectors;
+          Alcotest.test_case "one million a" `Quick test_sha256_million_a;
+          Alcotest.test_case "updates from mid-block" `Quick test_sha256_mid_block_runs;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_padding_boundaries;
         ] );
