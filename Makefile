@@ -111,8 +111,11 @@ check-stream:
 # exports a global mutable knob (a `ref`): one context type alone picks
 # the Montgomery kernel or the plain residue ring.  The second fails if
 # an OCaml SHA-256 compression loop comes back: the rounds run only in
-# the C kernel (sha256_stubs.c).  Then the bigint/crypto differential
-# tests (both context kinds' multiply, exponentiation, Multi_exp,
+# the C kernel (sha256_stubs.c).  The third and fourth fail if the OCaml
+# joint-window table of Multi_exp or the single-base exponentiation
+# entry point comes back: an exponentiation of one or more bases is one
+# call of the kernel's multi-base entry point.  Then the bigint/crypto
+# differential tests (both context kinds' multiply, exponentiation, Multi_exp,
 # Fixed_base and domain conversions vs mod_pow_plain at 64-bit word
 # edges and on even moduli, binary vs Euclidean gcd, the linear byte
 # codec vs its shift-and-add reference, CRT vs plain decryption, the
@@ -123,6 +126,8 @@ check-stream:
 check-crypto-perf:
 	! grep -nE ':[^:]* ref$$' lib/bigint/bigint.mli
 	! grep -nE "process_block|rotr" lib/crypto/sha256.ml
+	! grep -n "make_matrix" lib/bigint/bigint.ml
+	! grep -rnw "secmed_bigint_mont_pow" lib/bigint
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe

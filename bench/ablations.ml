@@ -355,7 +355,7 @@ let hot_path_tables () =
            Printf.sprintf "%.2fx" (s.t_plain_dec /. Float.max 1e-9 s.t_crt_dec) ])
        crt);
   let me = List.map measure_multi_exp [ 256; 512; 1024 ] in
-  Bench_util.subheading "simultaneous 2-base exponentiation (Shamir) vs two mod_pows";
+  Bench_util.subheading "simultaneous 2-base exponentiation (Straus) vs two mod_pows";
   Bench_util.print_table
     ~headers:[ "modulus bits"; "two mod_pows (ms)"; "joint mont_pow2 (ms)"; "speedup" ]
     (List.map

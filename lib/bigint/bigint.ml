@@ -565,20 +565,22 @@ let pow_checked name b e m ~wide =
 (* ------------------------------------------------------------------ *)
 (* Montgomery arithmetic for odd moduli runs on the C kernel in
    bigint_stubs.c: a CIOS multiply over native-endian 64-bit words with
-   R = 2^(64k) for a k-word modulus, and a whole windowed exponentiation
-   per call.  The kernels are noalloc and stateless: every result and
-   scratch buffer is allocated here and passed in, which keeps them safe
-   to run from any number of domains at once. *)
+   R = 2^(64k) for a k-word modulus, a dedicated squaring, and a whole
+   windowed exponentiation of one or more bases per call.  The kernels
+   are noalloc and stateless: every result and scratch buffer is
+   allocated here and passed in, which keeps them safe to run from any
+   number of domains at once. *)
 
 (* ctx r a b scratch: r <- a * b * R^-1 mod m; scratch is k + 2 words. *)
 external kernel_mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
   = "secmed_bigint_mont_mul"
 [@@noalloc]
 
-(* ctx r base e scratch: r <- base^e for a non-zero exponent given as its
-   31-bit limbs; scratch is 16k + 2 words. *)
-external kernel_mont_pow : Bytes.t -> Bytes.t -> Bytes.t -> int array -> Bytes.t -> unit
-  = "secmed_bigint_mont_pow"
+(* ctx r bases exps scratch: r <- the product of bases_i^exps_i, for n
+   bases given as k-word blocks back to back and their exponents as
+   31-bit limbs, at least one non-zero; scratch is 15kn + 2k + 2 words. *)
+external kernel_mont_multi_pow : Bytes.t -> Bytes.t -> Bytes.t -> int array array -> Bytes.t -> unit
+  = "secmed_bigint_mont_multi_pow"
 [@@noalloc]
 
 let word_bits = 64
@@ -715,16 +717,27 @@ module Ctx = struct
     | Mont mc -> kernel_mul c mc.kernel_ctx a b
     | Plain -> plain_words c (mul (value a) (value b))
 
-  let mont_pow c b e =
-    if e.sign < 0 then invalid_arg "Bigint.Ctx.mont_pow: negative exponent";
-    check c b;
+  (* The product of bases.(i)^exps.(i) in the domain: one kernel call
+     sharing one squaring chain, or the residue ring for a Plain
+     context. *)
+  let multi_pow c (bases : mont array) exps =
+    if Array.exists (fun e -> e.sign < 0) exps then
+      invalid_arg "Bigint.Ctx.mont_pow: negative exponent";
+    Array.iter (check c) bases;
     match c.kind with
-    | Mont mc when is_zero e -> mc.one
+    | Mont mc when Array.for_all is_zero exps -> mc.one
     | Mont mc ->
-      let r = Bytes.create (8 * c.words) in
-      kernel_mont_pow mc.kernel_ctx r b e.mag (Bytes.create (8 * ((16 * c.words) + 2)));
+      let k = c.words and n = Array.length bases in
+      let r = Bytes.create (8 * k) in
+      kernel_mont_multi_pow mc.kernel_ctx r (Bytes.concat Bytes.empty (Array.to_list bases))
+        (Array.map (fun e -> e.mag) exps)
+        (Bytes.create (8 * ((15 * k * n) + (2 * k) + 2)));
       r
-    | Plain -> plain_words c (mod_pow_plain (value b) e c.modulus)
+    | Plain ->
+      let powers = Array.mapi (fun i b -> mod_pow_plain (value b) exps.(i) c.modulus) bases in
+      plain_words c (Array.fold_left (fun acc p -> emod (mul acc p) c.modulus) one powers)
+
+  let mont_pow c b e = multi_pow c [| b |] [| e |]
 
   let mod_pow c b e =
     pow_checked "Bigint.Ctx.mod_pow" b e c.modulus ~wide:(fun b e ->
@@ -881,53 +894,16 @@ module Fixed_base = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Simultaneous multi-exponentiation (Shamir's trick).  a^ea * b^eb is
-   computed with one joint 2-bit-window scan of both exponents in one
-   context's domain: the squaring chain is paid once instead of twice,
-   and each window column costs at most one multiplication by a
-   precomputed a^i * b^j table entry, which is the shape of PM's
-   eval^r * s^n masking. *)
+(* Simultaneous multi-exponentiation (Straus's method).  a^ea * b^eb is
+   one kernel call that scans both exponents' 4-bit windows together in
+   one context's domain: the squaring chain is paid once instead of
+   twice, and each window costs at most one multiplication per base,
+   which is the shape of PM's eval^r * s^n masking. *)
 
 module Multi_exp = struct
-  let window = 2
-
   let mont_pow2 (c : Ctx.ctx) (a : Ctx.mont) ea (b : Ctx.mont) eb =
-    if ea.sign < 0 || eb.sign < 0 then
-      invalid_arg "Bigint.Multi_exp: negative exponent";
-    let one_m = Ctx.mont_one c in
-    (* table.(i).(j) = a^i * b^j for i, j in 0..3. *)
-    let table = Array.make_matrix 4 4 one_m in
-    for j = 1 to 3 do
-      table.(0).(j) <- Ctx.mont_mul c table.(0).(j - 1) b
-    done;
-    for i = 1 to 3 do
-      table.(i).(0) <- Ctx.mont_mul c table.(i - 1).(0) a;
-      for j = 1 to 3 do
-        table.(i).(j) <- Ctx.mont_mul c table.(i).(j - 1) b
-      done
-    done;
-    let nbits = Stdlib.max (numbits ea) (numbits eb) in
-    let digit e col =
-      let d = ref 0 in
-      for bit = window - 1 downto 0 do
-        d := (!d lsl 1) lor (if testbit e ((col * window) + bit) then 1 else 0)
-      done;
-      !d
-    in
-    let acc = ref one_m in
-    let started = ref false in
-    for col = ((nbits + window - 1) / window) - 1 downto 0 do
-      if !started then
-        for _ = 1 to window do
-          acc := Ctx.mont_mul c !acc !acc
-        done;
-      let da = digit ea col and db = digit eb col in
-      if da <> 0 || db <> 0 then begin
-        acc := if !started then Ctx.mont_mul c !acc table.(da).(db) else table.(da).(db);
-        started := true
-      end
-    done;
-    !acc
+    if ea.sign < 0 || eb.sign < 0 then invalid_arg "Bigint.Multi_exp: negative exponent";
+    Ctx.multi_pow c [| a; b |] [| ea; eb |]
 
   (* a * b^e with the conversions fused: one conversion of [a] into the
      domain instead of a full-width modular multiplication at the end. *)

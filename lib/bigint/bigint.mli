@@ -236,13 +236,15 @@ end
 
 (** {1 Simultaneous multi-exponentiation}
 
-    Shamir's trick: [a^ea * b^eb mod m] with one shared squaring chain
-    and a 16-entry [a^i * b^j] table, scanned in joint 2-bit windows.
-    Roughly [max(|ea|,|eb|)] squarings plus one multiplication per
-    non-zero window column, against ~2.5 multiplications per bit for two
-    independent exponentiations; PM's [eval^r * s^n] masking is this
-    shape.  The fused products [a * b^e] serve Paillier's encryption
-    and ElGamal's encryption and decryption. *)
+    Straus's method: [a^ea * b^eb mod m] with one shared squaring chain
+    and a 15-entry table per base, both exponents scanned together in
+    4-bit windows by the same kernel call that runs {!Ctx.mont_pow}.
+    Roughly [max(|ea|,|eb|)] squarings plus at most one multiplication
+    per base per window, against two squaring chains for two independent
+    exponentiations; PM's [eval^r * s^n] masking is this shape.  Plain
+    contexts multiply two residue-ring powers.  The fused products
+    [a * b^e] serve Paillier's encryption and ElGamal's encryption and
+    decryption. *)
 
 module Multi_exp : sig
   val mont_pow2 : Ctx.ctx -> Ctx.mont -> t -> Ctx.mont -> t -> Ctx.mont

@@ -346,16 +346,19 @@ let test_multi_exp () =
    one bit below, at and above 64-bit word boundaries (so the top word is
    nearly empty, full, or holds one bit), all-ones moduli whose products
    push every carry and the final conditional subtraction to their
-   bounds, operands 0, 1 and m - 1, and exponents that are 0, 1, all
-   ones, or one set bit followed by long runs of zero windows.  Even
-   moduli take the Plain context through the same entry points. *)
+   bounds, operands 0, 1 and m - 1, and exponents that are 0, 1, 2 (a
+   lone squaring), 3 (the table's squaring), all ones, or one set bit
+   followed by long runs of zero windows; m - 1 squared on an all-ones
+   modulus drives the squaring's doubled top bit and its last reduction
+   carry.  Even moduli take the Plain context through the same entry
+   points. *)
 let test_kernel_word_edges () =
   let rng = Secmed_crypto.Prng.of_int_seed 6464 in
   let rand bits = Bigint.random_bits (Secmed_crypto.Prng.byte_source rng) bits in
   let pow2 k = Bigint.shift_left Bigint.one k in
   let ones k = Bigint.pred (pow2 k) in
   let exponents =
-    [ Bigint.zero; Bigint.one; i 15; i 16; ones 31; ones 64; ones 65; ones 128;
+    [ Bigint.zero; Bigint.one; i 2; i 3; i 15; i 16; ones 31; ones 64; ones 65; ones 128;
       pow2 200; Bigint.succ (pow2 257); Bigint.shift_left (ones 64) 128; rand 160 ]
   in
   let plain_pow a e m = Bigint.mod_pow_plain (Bigint.emod a m) e m in
@@ -370,6 +373,12 @@ let test_kernel_word_edges () =
         (fun m ->
           let c = Bigint.Ctx.create m in
           let label what = Printf.sprintf "%d-bit %s %s" bits (Bigint.to_hex m) what in
+          let second = Bigint.random_below (Secmed_crypto.Prng.byte_source rng) m in
+          let second_m = Bigint.Ctx.to_mont c second in
+          let wide = Bigint.add (pow2 1024) (rand 1024) in
+          (* The division-based reference to a 1,025-bit power is slow on
+             the widest moduli, so only moduli up to 1,025 bits take it. *)
+          let second_wide = if bits <= 1025 then Some (plain_pow second wide m) else None in
           Alcotest.(check bool) (label "kind") (Bigint.is_odd m) (Bigint.Ctx.uses_montgomery c);
           let operands =
             [ Bigint.zero; Bigint.one; Bigint.pred m;
@@ -400,7 +409,27 @@ let test_kernel_word_edges () =
                     (Bigint.to_string (Bigint.emod (Bigint.mul want (plain_pow other e2 m)) m))
                     (Bigint.Ctx.of_mont c
                        (Bigint.Multi_exp.mont_pow2 c a_m e (Bigint.Ctx.to_mont c other) e2)))
-                exponents)
+                exponents;
+              Alcotest.(check bool) (label "mont_pow e=2 is mont_mul a a") true
+                (Bigint.Ctx.mont_equal (Bigint.Ctx.mont_pow c a_m (i 2))
+                   (Bigint.Ctx.mont_mul c a_m a_m));
+              (* Two bases: one exponent zero, lengths of 1 bit against
+                 1,025 bits in both orders, and the same base twice. *)
+              let e = rand 40 and e' = rand 40 in
+              let check_pow2 what want a1 e1 a2 e2 =
+                check_big (label ("mont_pow2 " ^ what)) (Bigint.to_string want)
+                  (Bigint.Ctx.of_mont c (Bigint.Multi_exp.mont_pow2 c a1 e1 a2 e2))
+              in
+              let times x y = Bigint.emod (Bigint.mul x y) m in
+              check_pow2 "second exponent zero" (plain_pow a e m) a_m e second_m Bigint.zero;
+              check_pow2 "first exponent zero" (plain_pow second e m) a_m Bigint.zero second_m e;
+              Option.iter
+                (fun second_wide ->
+                  let want = times a second_wide in
+                  check_pow2 "1 bit against 1025 bits" want a_m Bigint.one second_m wide;
+                  check_pow2 "1025 bits against 1 bit" want second_m wide a_m Bigint.one)
+                second_wide;
+              check_pow2 "same base twice" (plain_pow a (Bigint.add e e') m) a_m e a_m e')
             operands)
         moduli)
     [ 63; 64; 65; 127; 128; 129; 1023; 1024; 1025; 2048; 4096 ]
@@ -684,7 +713,7 @@ let props =
              (Bigint.emod (Bigint.mul a bb) m)
         && Bigint.Ctx.mont_equal (Bigint.Ctx.to_mont ctx Bigint.one) (Bigint.Ctx.mont_one ctx));
     prop "Ctx.mont_pow matches plain" ~count:100
-      (QCheck2.Gen.triple (QCheck2.Gen.int_range 1 400) (QCheck2.Gen.int_range 1 128)
+      (QCheck2.Gen.triple (QCheck2.Gen.int_range 1 400) (QCheck2.Gen.int_range 0 1100)
          (QCheck2.Gen.int_range 2 400))
       (fun (base_bits, exp_bits, mod_bits) ->
         let source = Secmed_crypto.Prng.byte_source prng in
@@ -699,6 +728,26 @@ let props =
         Bigint.equal
           (Bigint.Ctx.of_mont ctx (Bigint.Ctx.mont_pow ctx (Bigint.Ctx.to_mont ctx base) e))
           (Bigint.mod_pow_plain base e m));
+    prop "Multi_exp.mont_pow2 matches plain" ~count:60
+      (QCheck2.Gen.triple (QCheck2.Gen.int_range 2 2100) (QCheck2.Gen.int_range 0 1100)
+         (QCheck2.Gen.int_range 0 1100))
+      (fun (mod_bits, ea_bits, eb_bits) ->
+        (* Odd moduli of 1 to 33 words, exponents of independent lengths. *)
+        let source = Secmed_crypto.Prng.byte_source prng in
+        let m =
+          Bigint.add (Bigint.shift_left Bigint.one (mod_bits - 1))
+            (Bigint.succ (Bigint.shift_left (Bigint.random_bits source (mod_bits - 2)) 1))
+        in
+        let ctx = Bigint.Ctx.create m in
+        let a = Bigint.random_below source m and bb = Bigint.random_below source m in
+        let ea = Bigint.random_bits source ea_bits and eb = Bigint.random_bits source eb_bits in
+        Bigint.equal
+          (Bigint.Ctx.of_mont ctx
+             (Bigint.Multi_exp.mont_pow2 ctx (Bigint.Ctx.to_mont ctx a) ea
+                (Bigint.Ctx.to_mont ctx bb) eb))
+          (Bigint.emod
+             (Bigint.mul (Bigint.mod_pow_plain a ea m) (Bigint.mod_pow_plain bb eb m))
+             m));
     prop "Fixed_base.pow matches plain" ~count:100
       (QCheck2.Gen.triple (QCheck2.Gen.int_range 1 300) (QCheck2.Gen.int_range 1 300)
          (QCheck2.Gen.int_range 8 300))
