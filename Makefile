@@ -114,10 +114,14 @@ check-stream:
 # the C kernel (sha256_stubs.c).  The third and fourth fail if the OCaml
 # joint-window table of Multi_exp or the single-base exponentiation
 # entry point comes back: an exponentiation of one or more bases is one
-# call of the kernel's multi-base entry point.  Then the bigint/crypto
-# differential tests (both context kinds' multiply, exponentiation, Multi_exp,
-# Fixed_base and domain conversions vs mod_pow_plain at 64-bit word
-# edges and on even moduli, binary vs Euclidean gcd, the linear byte
+# call of the kernel's multi-base entry point.  The fifth fails if a
+# dedicated Montgomery squaring comes back: the kernel has one
+# product-scanning Montgomery routine, and squares go through it.  Then
+# the bigint/crypto differential tests (both context kinds' multiply,
+# exponentiation, Multi_exp, Fixed_base and domain conversions vs
+# mod_pow_plain at 64-bit word edges and on even moduli, a chained
+# multiply against the aliasing exponentiation, binary vs Euclidean
+# gcd, the linear byte
 # codec vs its shift-and-add reference, CRT vs plain decryption, the
 # SHA-256 kernel on FIPS 180-4 vectors and mid-block updates, AES-CTR
 # vs the vector-checked block cipher, domain-local cache stress), the
@@ -128,6 +132,7 @@ check-crypto-perf:
 	! grep -nE "process_block|rotr" lib/crypto/sha256.ml
 	! grep -n "make_matrix" lib/bigint/bigint.ml
 	! grep -rnw "secmed_bigint_mont_pow" lib/bigint
+	! grep -nw "mont_sqr" lib/bigint/bigint_stubs.c
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe

@@ -126,11 +126,16 @@ let horner ~degrees () =
    Karatsuba split start beating plain schoolbook?  For each width the
    "split" configuration sets the threshold to exactly that width, so the
    top level splits once and the halves run schoolbook — isolating the
-   crossover the recursive threshold should sit at. *)
-type kara_sample = { ks_limbs : int; ks_school : float; ks_split : float }
+   crossover the recursive threshold should sit at.  The two run in
+   interleaved rounds (Bench_util.interleaved), so each round is one
+   pair. *)
+type kara_sample = { ks_limbs : int; ks_school : float array; ks_split : float array }
 
-let kara_limb_sizes = [ 8; 12; 16; 20; 24; 28; 32; 40; 48; 64; 96 ]
-let kara_thresholds = [ 8; 12; 16; 20; 24; 28; 32; 40; 48; 64; 1_000_000 ]
+let kara_limb_sizes = [ 8; 16; 24; 32; 36; 40; 44; 48; 52; 56; 60; 64; 67; 72; 96 ]
+let kara_thresholds = [ 8; 12; 16; 20; 24; 28; 32; 40; 48; 56; 64; 1_000_000 ]
+
+(* The split wins a width when it is faster in most rounds. *)
+let split_wins s = 2 * Bench_util.wins s.ks_split s.ks_school > Array.length s.ks_split
 
 let measure_karatsuba () =
   let prng = Prng.of_int_seed 11 in
@@ -144,60 +149,65 @@ let measure_karatsuba () =
     in
     gen ()
   in
-  let default = Bigint.karatsuba_threshold in
-  let timed threshold x y =
-    Bench_util.best_time (fun () -> Bigint.mul_karatsuba ~threshold x y)
+  let timed thresholds x y =
+    Bench_util.interleaved ~rounds:12
+      (Array.of_list
+         (List.map (fun threshold () -> Bigint.mul_karatsuba ~threshold x y) thresholds))
   in
   let sweep =
     List.map
       (fun limbs ->
         let bits = limbs * 31 in
         let x = full_width bits and y = full_width bits in
-        {
-          ks_limbs = limbs;
-          ks_school = timed 1_000_000 x y;
-          ks_split = timed limbs x y;
-        })
+        let t = timed [ 1_000_000; limbs ] x y in
+        { ks_limbs = limbs; ks_school = t.(0); ks_split = t.(1) })
       kara_limb_sizes
   in
-  (* Crossover: smallest width where the split wins. *)
+  (* Crossover: the smallest width from which the split wins at every
+     wider width of the sweep. *)
   let crossover =
-    match List.find_opt (fun s -> s.ks_split < s.ks_school) sweep with
-    | Some s -> s.ks_limbs
-    | None -> default
+    List.fold_left
+      (fun start s ->
+        if not (split_wins s) then None else if start = None then Some s.ks_limbs else start)
+      None sweep
   in
   (* Full recursion: best threshold over 2048-bit operands. *)
   let x = full_width 2048 and y = full_width 2048 in
-  let recursive =
-    List.map (fun t -> (t, timed t x y)) kara_thresholds
-  in
+  let recursive = List.combine kara_thresholds (Array.to_list (timed kara_thresholds x y)) in
   let best_threshold, _ =
     List.fold_left
-      (fun (bt, bv) (t, v) -> if v < bv then (t, v) else (bt, bv))
-      (default, infinity) recursive
+      (fun (bt, bv) (t, v) ->
+        let v = Bench_util.median v in
+        if v < bv then (t, v) else (bt, bv))
+      (Bigint.karatsuba_threshold, infinity) recursive
   in
   (sweep, crossover, recursive, best_threshold)
 
 let karatsuba () =
   Bench_util.heading "A4 — bigint multiplication: Karatsuba threshold calibration";
   let sweep, crossover, recursive, best_threshold = measure_karatsuba () in
-  let fmt_us t = Printf.sprintf "%.2f" (t *. 1e6) in
-  Bench_util.subheading "single split vs schoolbook, by operand width";
+  let fmt_us = Bench_util.fmt_spread ~scale:1e6 in
+  Bench_util.subheading "single split vs schoolbook, by operand width (12 interleaved pairs)";
   Bench_util.print_table
-    ~headers:[ "limbs"; "bits"; "schoolbook (µs)"; "one split (µs)"; "split wins" ]
+    ~headers:
+      [ "limbs"; "bits"; "schoolbook µs (IQR)"; "one split µs (IQR)"; "split wins (pairs)" ]
     (List.map
        (fun s ->
          [ string_of_int s.ks_limbs; string_of_int (s.ks_limbs * 31);
            fmt_us s.ks_school; fmt_us s.ks_split;
-           string_of_bool (s.ks_split < s.ks_school) ])
+           Printf.sprintf "%d/%d" (Bench_util.wins s.ks_split s.ks_school)
+             (Array.length s.ks_split) ])
        sweep);
-  Printf.printf "measured crossover: %d limbs (current default threshold: %d)\n"
-    crossover Bigint.karatsuba_threshold;
-  Bench_util.subheading "full recursion at 2048-bit operands, by threshold";
+  Printf.printf "measured crossover: %s (current default threshold: %d)\n"
+    (match crossover with
+     | Some limbs -> Printf.sprintf "%d limbs" limbs
+     | None -> "none (the split loses at the widest width)")
+    Bigint.karatsuba_threshold;
+  Bench_util.subheading "full recursion at 2048-bit operands, by threshold (12 interleaved rounds)";
   Bench_util.print_table
-    ~headers:[ "threshold"; "2048-bit multiply (µs)" ]
+    ~headers:[ "threshold"; "2048-bit multiply µs (IQR)" ]
     (List.map (fun (t, v) -> [ string_of_int t; fmt_us v ]) recursive);
-  Printf.printf "best recursive threshold at 2048 bits: %d\n" best_threshold;
+  Printf.printf "best recursive threshold at 2048 bits (median): %d\n" best_threshold;
   print_endline "threshold=1000000 disables Karatsuba (pure schoolbook)."
 
 (* ------------------------------------------------------------------ *)
@@ -206,15 +216,16 @@ let karatsuba () =
    window tables, plus the transparent context cache's hit rate over a
    run of every scheme. *)
 
-(* One measurement row: median seconds per exponentiation for each of
-   the four configurations at the given modulus width. *)
+(* One measurement row: seconds per exponentiation in each interleaved
+   round for each of the four configurations at the given modulus
+   width. *)
 type modexp_sample = {
   ms_bits : int;
   ms_exp_bits : int;
-  t_plain : float;
-  t_per_call : float;
-  t_cached : float;
-  t_fixed_base : float;
+  t_plain : float array;
+  t_per_call : float array;
+  t_cached : float array;
+  t_fixed_base : float array;
 }
 
 let measure_modexp ?exp_bits bits =
@@ -239,29 +250,14 @@ let measure_modexp ?exp_bits bits =
   let per_call () = Bigint.Ctx.mod_pow (Bigint.Ctx.create m) b e in
   let cached () = Bigint.Ctx.mod_pow ctx b e in
   let fixed () = Bigint.Fixed_base.pow fb e in
-  (* Batch repetitions so each sample is well above timer resolution,
-     interleave the configurations across rounds (cancels clock and GC
-     drift), and keep the best round per configuration. *)
-  let reps = Stdlib.max 1 (32768 / (bits + exp_bits)) in
-  let sample f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let best = Array.make 4 infinity in
-  let thunks = [| plain; per_call; cached; fixed |] in
-  for _ = 1 to 7 do
-    Array.iteri (fun i f -> best.(i) <- Float.min best.(i) (sample f)) thunks
-  done;
+  let t = Bench_util.interleaved [| plain; per_call; cached; fixed |] in
   {
     ms_bits = bits;
     ms_exp_bits = exp_bits;
-    t_plain = best.(0);
-    t_per_call = best.(1);
-    t_cached = best.(2);
-    t_fixed_base = best.(3);
+    t_plain = t.(0);
+    t_per_call = t.(1);
+    t_cached = t.(2);
+    t_fixed_base = t.(3);
   }
 
 (* The two exponent regimes worth reporting: full-width exponents (the
@@ -277,21 +273,20 @@ let modexp_workloads =
 (* Hot-path round two: CRT Paillier decryption, simultaneous 2-base
    exponentiation, and the domain-parallel batch-encryption executor. *)
 
-type crt_sample = { crt_bits : int; t_plain_dec : float; t_crt_dec : float }
+type crt_sample = { crt_bits : int; t_plain_dec : float array; t_crt_dec : float array }
 
 let measure_crt bits =
   let prng = Prng.of_int_seed (100 + bits) in
   let sk = Paillier.keygen prng ~bits in
   let pk = Paillier.public sk in
   let ct = Paillier.encrypt prng pk (Bigint.of_int 0x5ec4ed) in
-  {
-    crt_bits = bits;
-    t_plain_dec =
-      Bench_util.best_time (fun () -> Paillier.decrypt_plain sk ct);
-    t_crt_dec = Bench_util.best_time (fun () -> Paillier.decrypt sk ct);
-  }
+  let t =
+    Bench_util.interleaved
+      [| (fun () -> Paillier.decrypt_plain sk ct); (fun () -> Paillier.decrypt sk ct) |]
+  in
+  { crt_bits = bits; t_plain_dec = t.(0); t_crt_dec = t.(1) }
 
-type multi_exp_sample = { me_bits : int; t_separate : float; t_joint : float }
+type multi_exp_sample = { me_bits : int; t_separate : float array; t_joint : float array }
 
 let measure_multi_exp bits =
   let prng = Prng.of_int_seed (200 + bits) in
@@ -303,22 +298,20 @@ let measure_multi_exp bits =
   let e1 = Bigint.random_bits src bits in
   let e2 = Bigint.random_bits src bits in
   let ctx = Bigint.Ctx.create m in
-  {
-    me_bits = bits;
-    t_separate =
-      Bench_util.best_time (fun () ->
-          Bigint.Ctx.mod_mul ctx (Bigint.Ctx.mod_pow ctx b1 e1)
-            (Bigint.Ctx.mod_pow ctx b2 e2));
-    t_joint =
-      Bench_util.best_time (fun () ->
-          Bigint.Ctx.of_mont ctx
-            (Bigint.Multi_exp.mont_pow2 ctx (Bigint.Ctx.to_mont ctx b1) e1
-               (Bigint.Ctx.to_mont ctx b2) e2));
-  }
+  let t =
+    Bench_util.interleaved
+      [| (fun () ->
+           Bigint.Ctx.mod_mul ctx (Bigint.Ctx.mod_pow ctx b1 e1) (Bigint.Ctx.mod_pow ctx b2 e2));
+         (fun () ->
+           Bigint.Ctx.of_mont ctx
+             (Bigint.Multi_exp.mont_pow2 ctx (Bigint.Ctx.to_mont ctx b1) e1
+                (Bigint.Ctx.to_mont ctx b2) e2)) |]
+  in
+  { me_bits = bits; t_separate = t.(0); t_joint = t.(1) }
 
 (* Source-side batch encryption: tuples/sec of per-tuple hybrid
    encryption through the Batch executor at each domain count. *)
-type batch_sample = { bs_domains : int; bs_tuples_per_sec : float }
+type batch_sample = { bs_domains : int; bs_seconds : float array }
 
 let batch_tuples = 48
 let batch_payload_bytes = 256
@@ -332,53 +325,57 @@ let measure_batch ~domain_counts () =
     Array.init batch_tuples (fun i ->
         String.make batch_payload_bytes (Char.chr (33 + (i mod 90))))
   in
-  List.map
-    (fun domains ->
-      let t =
-        Bench_util.best_time ~rounds:3 ~min_time:0.0 (fun () ->
-            Batch.map_seeded ~domains ~prng ~label:"bench"
-              (fun _ prng p -> Hybrid.encrypt prng pk p)
-              payloads)
-      in
-      { bs_domains = domains; bs_tuples_per_sec = float_of_int batch_tuples /. Float.max 1e-9 t })
-    domain_counts
+  let t =
+    Bench_util.interleaved ~rounds:5 ~min_time:0.0
+      (Array.of_list
+         (List.map
+            (fun domains () ->
+              Batch.map_seeded ~domains ~prng ~label:"bench"
+                (fun _ prng p -> Hybrid.encrypt prng pk p)
+                payloads)
+            domain_counts))
+  in
+  List.mapi (fun i domains -> { bs_domains = domains; bs_seconds = t.(i) }) domain_counts
+
+(* The ratio of two variants' medians, as "N.NNx". *)
+let speedup slow fast =
+  Printf.sprintf "%.2fx" (Bench_util.median slow /. Float.max 1e-9 (Bench_util.median fast))
 
 let hot_path_tables () =
-  let fmt_ms t = Printf.sprintf "%.3f" (t *. 1000.0) in
+  let fmt_ms = Bench_util.fmt_spread in
   let crt = List.map measure_crt [ 512; 1024 ] in
   Bench_util.subheading "CRT Paillier decryption (client's n+m PM decryptions)";
   Bench_util.print_table
-    ~headers:[ "key bits"; "decrypt_plain (ms)"; "decrypt CRT (ms)"; "speedup" ]
+    ~headers:[ "key bits"; "decrypt_plain ms (IQR)"; "decrypt CRT ms (IQR)"; "speedup" ]
     (List.map
        (fun s ->
          [ string_of_int s.crt_bits; fmt_ms s.t_plain_dec; fmt_ms s.t_crt_dec;
-           Printf.sprintf "%.2fx" (s.t_plain_dec /. Float.max 1e-9 s.t_crt_dec) ])
+           speedup s.t_plain_dec s.t_crt_dec ])
        crt);
   let me = List.map measure_multi_exp [ 256; 512; 1024 ] in
   Bench_util.subheading "simultaneous 2-base exponentiation (Straus) vs two mod_pows";
   Bench_util.print_table
-    ~headers:[ "modulus bits"; "two mod_pows (ms)"; "joint mont_pow2 (ms)"; "speedup" ]
+    ~headers:[ "modulus bits"; "two mod_pows ms (IQR)"; "joint mont_pow2 ms (IQR)"; "speedup" ]
     (List.map
        (fun s ->
          [ string_of_int s.me_bits; fmt_ms s.t_separate; fmt_ms s.t_joint;
-           Printf.sprintf "%.2fx" (s.t_separate /. Float.max 1e-9 s.t_joint) ])
+           speedup s.t_separate s.t_joint ])
        me);
   let batch = measure_batch ~domain_counts:[ 1; 2; 4 ] () in
-  let base =
-    match batch with s :: _ -> s.bs_tuples_per_sec | [] -> 1.0
-  in
+  let tuples_per_sec s = float_of_int batch_tuples /. Float.max 1e-9 (Bench_util.median s.bs_seconds) in
+  let base = match batch with s :: _ -> s.bs_seconds | [] -> [| 1.0 |] in
   Bench_util.subheading
     (Printf.sprintf
        "domain-parallel source encryption (%d tuples x %d B, recommended domains on this \
         machine: %d)"
        batch_tuples batch_payload_bytes (Batch.recommended_domains ()));
   Bench_util.print_table
-    ~headers:[ "domains"; "tuples/sec"; "speedup vs 1" ]
+    ~headers:[ "domains"; "tuples/sec (median)"; "speedup vs 1" ]
     (List.map
        (fun s ->
          [ string_of_int s.bs_domains;
-           Printf.sprintf "%.1f" s.bs_tuples_per_sec;
-           Printf.sprintf "%.2fx" (s.bs_tuples_per_sec /. Float.max 1e-9 base) ])
+           Printf.sprintf "%.1f" (tuples_per_sec s);
+           speedup base s.bs_seconds ])
        batch)
 
 let montgomery () =
@@ -388,7 +385,7 @@ let montgomery () =
   let samples =
     List.map (fun (bits, exp_bits) -> measure_modexp ?exp_bits bits) modexp_workloads
   in
-  let fmt t = Printf.sprintf "%.3f" (t *. 1000.0) in
+  let fmt = Bench_util.fmt_spread in
   let rows =
     List.map
       (fun s ->
@@ -398,15 +395,18 @@ let montgomery () =
           fmt s.t_per_call;
           fmt s.t_cached;
           fmt s.t_fixed_base;
-          Printf.sprintf "%.2fx" (s.t_per_call /. Float.max 1e-9 s.t_cached);
-          Printf.sprintf "%.2fx" (s.t_per_call /. Float.max 1e-9 s.t_fixed_base) ])
+          speedup s.t_per_call s.t_cached;
+          speedup s.t_per_call s.t_fixed_base ])
       samples
   in
   Bench_util.print_table
     ~headers:
-      [ "modulus bits"; "exp bits"; "plain (ms)"; "per-call (ms)"; "cached ctx (ms)";
-        "fixed-base (ms)"; "cached/per-call"; "fixed/per-call" ]
+      [ "modulus bits"; "exp bits"; "plain ms (IQR)"; "per-call ms (IQR)";
+        "cached ctx ms (IQR)"; "fixed-base ms (IQR)"; "cached/per-call"; "fixed/per-call" ]
     rows;
+  print_endline
+    "Each cell is the median of 9 interleaved rounds, with its interquartile range;";
+  print_endline "the ratios divide medians.";
   print_endline
     "Full-width exponents amortize the context setup below the measurement noise;";
   print_endline

@@ -76,28 +76,54 @@ let time_median ?(runs = 3) f =
          ignore (f ());
          Secmed_obs.Clock.ns_to_s (Secmed_obs.Clock.elapsed_ns ~since:t0)))
 
-(* Best-of-[rounds] seconds per call, with the repetition count calibrated
-   so each sample runs for at least [min_time] (keeps fast primitives well
-   above timer resolution without hardcoding per-benchmark rep counts). *)
-let best_time ?(rounds = 5) ?(min_time = 0.02) f =
-  let sample reps =
+(* Seconds per call of each of the compared variants [fs], sampled so
+   they can be ranked: each variant's repetition count is calibrated so
+   one sample runs for at least [min_time], then every round takes one
+   sample of each variant in turn, in alternating order, so drift in the
+   host's speed falls on all of them alike.  [samples.(i).(round)] is
+   variant i's sample in that round. *)
+let interleaved ?(rounds = 9) ?(min_time = 0.01) fs =
+  let sample reps f =
     let t0 = Secmed_obs.Clock.now_ns () in
     for _ = 1 to reps do
       ignore (f ())
     done;
     Secmed_obs.Clock.ns_to_s (Secmed_obs.Clock.elapsed_ns ~since:t0) /. float_of_int reps
   in
-  let rec calibrate reps =
-    let t = sample reps in
-    if t *. float_of_int reps >= min_time || reps >= 1 lsl 20 then (reps, t)
-    else calibrate (reps * 4)
+  let rec calibrate f reps =
+    if reps >= 1 lsl 20 || sample reps f *. float_of_int reps >= min_time then reps
+    else calibrate f (reps * 4)
   in
-  let reps, first = calibrate 1 in
-  let best = ref first in
-  for _ = 2 to rounds do
-    best := Float.min !best (sample reps)
+  let reps = Array.map (fun f -> calibrate f 1) fs in
+  let n = Array.length fs in
+  let samples = Array.make_matrix n rounds 0.0 in
+  for round = 0 to rounds - 1 do
+    for step = 0 to n - 1 do
+      let i = if round land 1 = 0 then step else n - 1 - step in
+      samples.(i).(round) <- sample reps.(i) fs.(i)
+    done
   done;
-  !best
+  samples
+
+(* Best-of-[rounds] seconds per call, with the repetition count calibrated
+   so each sample runs for at least [min_time] (keeps fast primitives well
+   above timer resolution without hardcoding per-benchmark rep counts). *)
+let best_time ?(rounds = 5) ?(min_time = 0.02) f =
+  Array.fold_left Float.min infinity (interleaved ~rounds ~min_time [| f |]).(0)
+
+let quantile q samples = Secmed_net.Loadgen.quantile q (Array.to_list samples)
+let median samples = quantile 0.5 samples
+
+(* "median (IQR)" of one variant's samples, both times [scale]. *)
+let fmt_spread ?(scale = 1e3) samples =
+  Printf.sprintf "%.4f (%.4f)" (scale *. median samples)
+    (scale *. (quantile 0.75 samples -. quantile 0.25 samples))
+
+(* The rounds in which variant [a]'s sample beat variant [b]'s. *)
+let wins a b =
+  let n = ref 0 in
+  Array.iteri (fun round t -> if t < b.(round) then incr n) a;
+  !n
 
 let fmt_ns ns =
   if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)

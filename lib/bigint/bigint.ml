@@ -16,11 +16,12 @@ let limb_bits = 31
 let base = 1 lsl limb_bits
 let mask = base - 1
 
-(* Calibrated by the A4 ablation (bench/ablations.ml): one Karatsuba
-   split first beats schoolbook at 40-limb (~1240-bit) operands on the
-   31-bit-limb representation; [bench ablation-karatsuba] prints the
-   measured sweep. *)
-let karatsuba_threshold = 40
+(* Calibrated by the A4 ablation (bench/ablations.ml), which times one
+   Karatsuba split against schoolbook in interleaved pairs: the split
+   loses at 40-52 limbs and wins most pairs from about 60 limbs up, and
+   three sweeps put the crossover at 60, 64 and 67 limbs (~2000 bits);
+   [bench ablation-karatsuba] prints the sweep. *)
+let karatsuba_threshold = 64
 
 let zero = { sign = 0; mag = [||] }
 
@@ -564,21 +565,21 @@ let pow_checked name b e m ~wide =
 
 (* ------------------------------------------------------------------ *)
 (* Montgomery arithmetic for odd moduli runs on the C kernel in
-   bigint_stubs.c: a CIOS multiply over native-endian 64-bit words with
-   R = 2^(64k) for a k-word modulus, a dedicated squaring, and a whole
-   windowed exponentiation of one or more bases per call.  The kernels
-   are noalloc and stateless: every result and scratch buffer is
-   allocated here and passed in, which keeps them safe to run from any
-   number of domains at once. *)
+   bigint_stubs.c: one product-scanning multiply over native-endian
+   64-bit words with R = 2^(64k) for a k-word modulus, which squares
+   too, and a whole windowed exponentiation of one or more bases per
+   call.  The kernels are noalloc and stateless: every result and
+   scratch buffer is allocated here and passed in, which keeps them safe
+   to run from any number of domains at once. *)
 
-(* ctx r a b scratch: r <- a * b * R^-1 mod m; scratch is k + 2 words. *)
+(* ctx r a b scratch: r <- a * b * R^-1 mod m; scratch is k words. *)
 external kernel_mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
   = "secmed_bigint_mont_mul"
 [@@noalloc]
 
 (* ctx r bases exps scratch: r <- the product of bases_i^exps_i, for n
    bases given as k-word blocks back to back and their exponents as
-   31-bit limbs, at least one non-zero; scratch is 15kn + 2k + 2 words. *)
+   31-bit limbs, at least one non-zero; scratch is 15kn + k words. *)
 external kernel_mont_multi_pow : Bytes.t -> Bytes.t -> Bytes.t -> int array array -> Bytes.t -> unit
   = "secmed_bigint_mont_multi_pow"
 [@@noalloc]
@@ -680,7 +681,7 @@ module Ctx = struct
 
   let kernel_mul c kernel_ctx a b =
     let r = Bytes.create (8 * c.words) in
-    kernel_mont_mul kernel_ctx r a b (Bytes.create (8 * (c.words + 2)));
+    kernel_mont_mul kernel_ctx r a b (Bytes.create (8 * c.words));
     r
 
   let plain_words c x = words_of_nat c.words (emod x c.modulus).mag
@@ -731,7 +732,7 @@ module Ctx = struct
       let r = Bytes.create (8 * k) in
       kernel_mont_multi_pow mc.kernel_ctx r (Bytes.concat Bytes.empty (Array.to_list bases))
         (Array.map (fun e -> e.mag) exps)
-        (Bytes.create (8 * ((15 * k * n) + (2 * k) + 2)));
+        (Bytes.create (8 * ((15 * k * n) + k)));
       r
     | Plain ->
       let powers = Array.mapi (fun i b -> mod_pow_plain (value b) exps.(i) c.modulus) bases in

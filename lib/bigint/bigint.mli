@@ -76,9 +76,11 @@ val pred : t -> t
 val mul : t -> t -> t
 
 val karatsuba_threshold : int
-(** Operand width in limbs from which {!mul} splits Karatsuba-style: 40,
-    the measured schoolbook/Karatsuba crossover of the A4 calibration
-    sweep ([bench ablation-karatsuba]). *)
+(** Operand width in limbs from which {!mul} splits Karatsuba-style: 64,
+    the median of three runs of the A4 calibration sweep
+    ([bench ablation-karatsuba]), which times one split against
+    schoolbook in interleaved pairs and read the crossover at 60, 64 and
+    67 limbs. *)
 
 val mul_karatsuba : threshold:int -> t -> t -> t
 (** {!mul} with an explicit split threshold in limbs ([mul] is

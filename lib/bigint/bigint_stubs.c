@@ -1,10 +1,10 @@
 /* Montgomery arithmetic over 64-bit words.
  *
- * The modular-exponentiation hot path of every scheme: a CIOS (coarsely
- * integrated operand scanning) Montgomery multiply over native-endian
- * 64-bit words with R = 2^(64k) for a k-word modulus, a dedicated
- * Montgomery squaring, and one fixed-window exponentiation of any number
- * of bases at once, so one exponentiation is one call.
+ * The modular-exponentiation hot path of every scheme: one
+ * product-scanning Montgomery multiply over native-endian 64-bit words
+ * with R = 2^(64k) for a k-word modulus, which squares too, and one
+ * fixed-window exponentiation of any number of bases at once, so one
+ * exponentiation is one call.
  *
  * Every operand is an OCaml [bytes] of whole words, and the caller
  * passes in the result and scratch buffers too: nothing here allocates,
@@ -30,106 +30,56 @@ typedef unsigned __int128 u128;
 #define EXP_LIMB_BITS 31
 #define WINDOW 4
 
-/* r = a * b * R^-1 mod m.  [t] is k + 2 words of scratch; r may alias
-   a or b, which are last read before r is written. */
-static void mont_mul(uint64_t *r, const uint64_t *a, const uint64_t *b,
-                     const uint64_t *m, uint64_t minv, size_t k, uint64_t *t)
-{
-  memset(t, 0, (k + 2) * sizeof(uint64_t));
-  for (size_t i = 0; i < k; i++) {
-    /* t += a_i * b */
-    uint64_t ai = a[i], carry = 0;
-    for (size_t j = 0; j < k; j++) {
-      u128 s = (u128)ai * b[j] + t[j] + carry;
-      t[j] = (uint64_t)s;
-      carry = (uint64_t)(s >> 64);
-    }
-    u128 s = (u128)t[k] + carry;
-    t[k] = (uint64_t)s;
-    t[k + 1] = (uint64_t)(s >> 64);
-    /* t = (t + u * m) / 2^64, with u chosen to clear the low word */
-    uint64_t u = t[0] * minv;
-    s = (u128)u * m[0] + t[0];
-    carry = (uint64_t)(s >> 64);
-    for (size_t j = 1; j < k; j++) {
-      s = (u128)u * m[j] + t[j] + carry;
-      t[j - 1] = (uint64_t)s;
-      carry = (uint64_t)(s >> 64);
-    }
-    s = (u128)t[k] + carry;
-    t[k - 1] = (uint64_t)s;
-    t[k] = t[k + 1] + (uint64_t)(s >> 64);
-  }
-  /* t < 2m: one conditional subtraction makes the result canonical. */
-  uint64_t borrow = 0;
-  for (size_t j = 0; j < k; j++) {
-    uint64_t d = t[j] - m[j] - borrow;
-    borrow = (t[j] < m[j]) | ((t[j] == m[j]) & borrow);
-    r[j] = d;
-  }
-  if (t[k] < borrow) memcpy(r, t, k * sizeof(uint64_t));
-}
+/* Adds the product x * y into the column accumulator (acc, top). */
+#define MULADD(x, y)                            \
+  do {                                          \
+    u128 p_ = (u128)(x) * (y);                  \
+    acc += p_;                                  \
+    top += acc < p_;                            \
+  } while (0)
 
-/* r = a * a * R^-1 mod m.  The square is formed whole first: each
-   off-diagonal product a_i * a_j (i < j) once, the sum doubled, then the
-   diagonal squares added, into 2k words.  k word-by-word reductions
-   follow, each clearing the lowest live word, and one conditional
-   subtraction.  [t] is 2k words of scratch; r may alias a, which is last
-   read before r is written. */
-static void mont_sqr(uint64_t *r, const uint64_t *a, const uint64_t *m,
-                     uint64_t minv, size_t k, uint64_t *t)
+/* r = a * b * R^-1 mod m, by product scanning: column i of a * b + u * m
+   is summed whole in three words (acc, top), for every i from 0 to
+   2k - 1, and the accumulator then shifts down one word.  A column adds
+   at most 2k products, each below 2^128, to a carried-in value below
+   2^128, so top stays below 2k + 1.  In the low k columns, u_i is chosen
+   to clear the column's low word; the high k columns are the result.
+   [u] is k words of scratch.  r may alias a or b: column i >= k writes
+   r_(i-k), and it and every later column read only words i - k + 1 and
+   up of a and b. */
+static void mont_mul(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                     const uint64_t *m, uint64_t minv, size_t k, uint64_t *u)
 {
-  /* t = sum over i < j of a_i * a_j * 2^(64(i+j)).  Row i adds into
-     words 2i + 1 .. i + k - 1 and sets word i + k, which no earlier row
-     reaches; row 0 sets word k, so only words 0 .. k - 1 start at zero. */
-  memset(t, 0, k * sizeof(uint64_t));
-  for (size_t i = 0; i < k; i++) {
-    uint64_t ai = a[i], carry = 0;
-    for (size_t j = i + 1; j < k; j++) {
-      u128 s = (u128)ai * a[j] + t[i + j] + carry;
-      t[i + j] = (uint64_t)s;
-      carry = (uint64_t)(s >> 64);
-    }
-    t[i + k] = carry;
-  }
-  /* t = 2t + sum of a_i^2 * 2^(128i): the doubling's shifted-out bit
-     enters the next word, and the whole fits in 2k words. */
-  uint64_t shifted = 0, carry = 0;
-  for (size_t i = 0; i < k; i++) {
-    uint64_t lo = t[2 * i], hi = t[2 * i + 1];
-    u128 sq = (u128)a[i] * a[i];
-    u128 s = (u128)((lo << 1) | shifted) + (uint64_t)sq + carry;
-    t[2 * i] = (uint64_t)s;
-    s = (u128)((hi << 1) | (lo >> 63)) + (uint64_t)(sq >> 64) + (uint64_t)(s >> 64);
-    t[2 * i + 1] = (uint64_t)s;
-    carry = (uint64_t)(s >> 64);
-    shifted = hi >> 63;
-  }
-  /* Reduce: add u * m * 2^(64i) with u chosen to clear word i.  [top]
-     carries out of word i + k into word i + k + 1, which the next step
-     adds into along with its own carry. */
+  u128 acc = 0;
   uint64_t top = 0;
   for (size_t i = 0; i < k; i++) {
-    uint64_t u = t[i] * minv;
-    carry = 0;
-    for (size_t j = 0; j < k; j++) {
-      u128 s = (u128)u * m[j] + t[i + j] + carry;
-      t[i + j] = (uint64_t)s;
-      carry = (uint64_t)(s >> 64);
+    for (size_t j = 0; j < i; j++) {
+      MULADD(a[j], b[i - j]);
+      MULADD(u[j], m[i - j]);
     }
-    u128 s = (u128)t[i + k] + carry + top;
-    t[i + k] = (uint64_t)s;
-    top = (uint64_t)(s >> 64);
+    MULADD(a[i], b[0]);
+    u[i] = (uint64_t)acc * minv;
+    MULADD(u[i], m[0]);
+    acc = (acc >> 64) | ((u128)top << 64);
+    top = 0;
   }
-  /* (top, t[k .. 2k-1]) < 2m: one conditional subtraction. */
-  const uint64_t *h = t + k;
+  for (size_t i = k; i < 2 * k; i++) {
+    for (size_t j = i - k + 1; j < k; j++) {
+      MULADD(a[j], b[i - j]);
+      MULADD(u[j], m[i - j]);
+    }
+    r[i - k] = (uint64_t)acc;
+    acc = (acc >> 64) | ((u128)top << 64);
+    top = 0;
+  }
+  /* (acc, r) < 2m: one conditional subtraction, into [u], which is free
+     now, makes the result canonical. */
   uint64_t borrow = 0;
   for (size_t j = 0; j < k; j++) {
-    uint64_t d = h[j] - m[j] - borrow;
-    borrow = (h[j] < m[j]) | ((h[j] == m[j]) & borrow);
-    r[j] = d;
+    u[j] = r[j] - m[j] - borrow;
+    borrow = (r[j] < m[j]) | ((r[j] == m[j]) & borrow);
   }
-  if (top < borrow) memcpy(r, h, k * sizeof(uint64_t));
+  if ((uint64_t)acc >= borrow) memcpy(r, u, k * sizeof(uint64_t));
 }
 
 /* secmed_bigint_mont_mul ctx r a b scratch: r <- a * b * R^-1 mod m. */
@@ -175,9 +125,9 @@ static unsigned exp_digit(value e, size_t w)
    by every base, and per window at most one multiply for each base whose
    digit is non-zero.  [bases] holds the bases' k-word blocks back to
    back; [exps] holds one trimmed 31-bit-limb array per base, at least
-   one of them non-zero.  [scratch] is 15kn + 2k + 2 words for n bases:
-   each base's table base^1 .. base^15, then the scratch that each
-   squaring (2k words) and multiply (k + 2) reuses. */
+   one of them non-zero.  [scratch] is 15kn + k words for n bases: each
+   base's table base^1 .. base^15, then the k words that every multiply
+   reuses. */
 CAMLprim value secmed_bigint_mont_multi_pow(value ctx, value r, value bases,
                                             value exps, value scratch)
 {
@@ -195,7 +145,7 @@ CAMLprim value secmed_bigint_mont_multi_pow(value ctx, value r, value bases,
     if (bits == 0) continue;
     uint64_t *table = tables + i * entries * k;
     memcpy(table, WORDS(bases) + i * k, k * sizeof(uint64_t));
-    mont_sqr(table + k, table, m, minv, k, t);
+    mont_mul(table + k, table, table, m, minv, k, t);
     for (size_t d = 2; d < entries; d++)
       mont_mul(table + d * k, table + (d - 1) * k, table, m, minv, k, t);
   }
@@ -205,7 +155,7 @@ CAMLprim value secmed_bigint_mont_multi_pow(value ctx, value r, value bases,
   int started = 0;
   for (size_t w = (nbits + WINDOW - 1) / WINDOW; w-- > 0;) {
     if (started)
-      for (int s = 0; s < WINDOW; s++) mont_sqr(acc, acc, m, minv, k, t);
+      for (int s = 0; s < WINDOW; s++) mont_mul(acc, acc, acc, m, minv, k, t);
     for (size_t i = 0; i < n; i++) {
       unsigned digit = exp_digit(Field(exps, i), w);
       if (digit == 0) continue;

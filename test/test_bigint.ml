@@ -344,14 +344,14 @@ let test_multi_exp () =
 
 (* The word kernel against division-based arithmetic at its edges: moduli
    one bit below, at and above 64-bit word boundaries (so the top word is
-   nearly empty, full, or holds one bit), all-ones moduli whose products
-   push every carry and the final conditional subtraction to their
-   bounds, operands 0, 1 and m - 1, and exponents that are 0, 1, 2 (a
-   lone squaring), 3 (the table's squaring), all ones, or one set bit
+   nearly empty, full, or holds one bit), among them the 4-word group and
+   the 8-word CRT halves the protocols run; all-ones moduli whose
+   products push every carry and the final conditional subtraction to
+   their bounds, operands 0, 1 and m - 1, and exponents that are 0, 1, 2
+   (a lone squaring), 3 (the table's squaring), all ones, or one set bit
    followed by long runs of zero windows; m - 1 squared on an all-ones
-   modulus drives the squaring's doubled top bit and its last reduction
-   carry.  Even moduli take the Plain context through the same entry
-   points. *)
+   modulus fills every column accumulator to its third word.  Even
+   moduli take the Plain context through the same entry points. *)
 let test_kernel_word_edges () =
   let rng = Secmed_crypto.Prng.of_int_seed 6464 in
   let rand bits = Bigint.random_bits (Secmed_crypto.Prng.byte_source rng) bits in
@@ -413,6 +413,16 @@ let test_kernel_word_edges () =
               Alcotest.(check bool) (label "mont_pow e=2 is mont_mul a a") true
                 (Bigint.Ctx.mont_equal (Bigint.Ctx.mont_pow c a_m (i 2))
                    (Bigint.Ctx.mont_mul c a_m a_m));
+              (* Square-and-multiply chained through [mont_mul c x x] and
+                 [mont_mul c x a], each into a fresh result, against the
+                 kernel's exponentiation, whose accumulator is the result
+                 and the first operand of every step at once. *)
+              let chained = ref a_m in
+              for _ = 2 to 64 do
+                chained := Bigint.Ctx.mont_mul c (Bigint.Ctx.mont_mul c !chained !chained) a_m
+              done;
+              Alcotest.(check bool) (label "chained mont_mul is mont_pow e=2^64-1") true
+                (Bigint.Ctx.mont_equal !chained (Bigint.Ctx.mont_pow c a_m (ones 64)));
               (* Two bases: one exponent zero, lengths of 1 bit against
                  1,025 bits in both orders, and the same base twice. *)
               let e = rand 40 and e' = rand 40 in
@@ -432,7 +442,7 @@ let test_kernel_word_edges () =
               check_pow2 "same base twice" (plain_pow a (Bigint.add e e') m) a_m e a_m e')
             operands)
         moduli)
-    [ 63; 64; 65; 127; 128; 129; 1023; 1024; 1025; 2048; 4096 ]
+    [ 63; 64; 65; 127; 128; 129; 255; 256; 257; 511; 512; 513; 1023; 1024; 1025; 2048; 4096 ]
 
 let test_cache_domain_stress () =
   (* Domains hammer the transparent context cache with more distinct odd
