@@ -17,11 +17,16 @@ test: check
 # run frame (Outcome.Builder.run) sets up a run itself, so no driver can
 # skip the frame; the third if a message every process computes, or a
 # step every process runs, comes back: every message is a projected
-# exchange, every step a party's own.
+# exchange, every step a party's own; the fourth if an in-process fork
+# of delivery or a second fault applier comes back: a run in one process
+# crosses the in-memory transport, and a channel fault is carried out
+# only on real bytes, by Fault.damage (perfbench, whose workloads keep a
+# deployment constructor named Inproc, is not searched).
 check-fault:
 	! grep -rn "Transcript.record" lib/core
 	! grep -rnE "Link\.make|Fault\.attach|Counters\.with_fresh|Outcome\.Builder\.create" lib/core --exclude=outcome.ml --exclude=outcome.mli
 	! grep -rnE "Link\.deliver\b|Builder\.replicated" lib bin test bench
+	! grep -rnwE "Inproc|Fault\.apply|with_delay_handler|delay_handler_installed|simulated_delay|Resilience\.charge" lib bin test bench examples
 	dune exec test/test_fault.exe
 
 # Telemetry suite: the obs unit/differential tests, a traced run whose

@@ -1,8 +1,13 @@
 (* Shared helpers for the benchmark harness: text tables and direct
    timing. *)
 
+(* Display width of UTF-8 text: its code points, so a header such as
+   "schoolbook µs" pads like its ASCII rows (a continuation byte,
+   0b10xxxxxx, starts no code point). *)
+let width s = String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s
+
 let heading title =
-  let bar = String.make (String.length title) '=' in
+  let bar = String.make (width title) '=' in
   Printf.printf "\n%s\n%s\n\n" title bar
 
 let subheading title = Printf.printf "\n--- %s ---\n\n" title
@@ -12,7 +17,7 @@ let print_table ~headers rows =
   let columns = List.length headers in
   let widths = Array.make columns 0 in
   let measure row =
-    List.iteri (fun i cell -> widths.(i) <- Stdlib.max widths.(i) (String.length cell)) row
+    List.iteri (fun i cell -> widths.(i) <- Stdlib.max widths.(i) (width cell)) row
   in
   measure headers;
   List.iter measure rows;
@@ -27,7 +32,9 @@ let print_table ~headers rows =
   in
   let row cells =
     print_char '|';
-    List.iteri (fun i cell -> Printf.printf " %-*s |" widths.(i) cell) cells;
+    List.iteri
+      (fun i cell -> Printf.printf " %s%s |" cell (String.make (widths.(i) - width cell) ' '))
+      cells;
     print_newline ()
   in
   line ();

@@ -40,8 +40,12 @@ let fault_arg =
      ACTION:FROM->TO[:LABEL][:times=N] with actions drop, truncate, corrupt, duplicate, \
      delay and parties client, mediator, sourceN or *; plus byzantine:SID:MODE (modes \
      malformed-ciphertexts, wrong-partition-ids, stale-commutative-key, \
-     garbage-paillier), seed=N and retries=N.  Example: \
-     $(b,drop:mediator->client:RC:times=1;retries=2)."
+     garbage-paillier), seed=N and retries=N.  A rule acts on the bytes of the \
+     delivery it picks, in one place: the process sending it, locally or through \
+     $(b,--connect).  A dropped delivery fails its sender at once, blamed on the \
+     receiver; a truncated or corrupted one fails the receiver's integrity check; a \
+     duplicated one is discarded by the reader; a delayed one makes the sender really \
+     wait.  Example: $(b,drop:mediator->client:RC:times=1;retries=2)."
   in
   Arg.(value & opt (some fault_conv) None & info [ "fault" ] ~docv:"SPEC" ~doc)
 
@@ -66,9 +70,9 @@ let seconds_conv =
 
 let deadline_arg =
   let doc =
-    "Per-query wall-clock budget in seconds.  Elapsed time and injected link \
-     delays (--fault delay rules) consume it; when spent, the run fails with \
-     a typed deadline failure instead of hanging."
+    "Per-query wall-clock budget in seconds.  Elapsed time consumes it, including \
+     the real waits of --fault delay rules; when spent, the run fails with a typed \
+     deadline failure instead of hanging."
   in
   Arg.(value & opt (some seconds_conv) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 

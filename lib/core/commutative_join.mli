@@ -11,7 +11,7 @@
 
 val run :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   ?use_ids:bool ->
   Env.t ->
   Env.client ->

@@ -44,7 +44,7 @@ val setting_name : setting -> string
 
 val run :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   ?strategy:Das_partition.strategy ->
   ?server_eval:server_eval ->
   ?setting:setting ->

@@ -75,7 +75,8 @@ module Builder = struct
     let b = { mediator = []; client = []; sources = [] } in
     let transcript = Transcript.create () in
     Fault.attach fault transcript;
-    let link = Link.make ?endpoint ?fault transcript in
+    let transport = match endpoint with Some t -> t | None -> Memory.transport () in
+    let link = Link.make ~transport ?fault transcript in
     let (exact, client), counters = Counters.with_fresh (fun () -> body b link) in
     (* A process that did not compute the client holds no result. *)
     let result, client_received_tuples =

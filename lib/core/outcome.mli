@@ -70,11 +70,12 @@ module Builder : sig
   val run :
     scheme:string ->
     ?fault:Fault.plan ->
-    ?endpoint:Link.endpoint ->
+    ?endpoint:Link.transport ->
     (builder -> Link.t -> Relation.t * (Relation.t * int) option) ->
     t
   (** The run frame: a fresh transcript with the fault plan attached
-      ({!Fault.attach}), the link over it ({!Link.make}), and the body
+      ({!Fault.attach}), the link over it ({!Link.make}) through
+      [endpoint] (default: a fresh {!Memory.transport}), and the body
       run inside one {!Counters.with_fresh} window.  The body returns
       the reference result and, where this process computed the client,
       the client's (result, received tuples); a process that did not

@@ -5,7 +5,7 @@
 
 val run :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   Env.t ->
   Env.client ->
   query:string ->

@@ -22,7 +22,7 @@ val variant_name : variant -> string
 
 val run :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   ?variant:variant ->
   Env.t ->
   Env.client ->

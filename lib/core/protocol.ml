@@ -185,17 +185,13 @@ let run_session ?fault ?endpoint ?coordinator ?on_deadline ?session ?chain schem
   let deadline = R.new_deadline session in
   (match on_deadline with None -> () | Some f -> f deadline);
   let chain = match chain with Some c -> c | None -> degradation_chain scheme in
-  (* Simulated link delays consume the query budget.  The handler is
-     per-plan state: [with_delay_handler] scopes it to this query and
-     restores the previous handler however the chain ends, so a crashed
-     run cannot charge later queries' delays to a dead deadline. *)
-  let with_handler body =
-    match fault with
-    | None -> body ()
-    | Some plan ->
-      Fault.with_delay_handler plan
-        (Some (fun seconds -> R.charge deadline ~phase:"link-delay" seconds))
-        body
+  (* A run in this process checks the query budget after every delivery,
+     as the mediator does on its sockets: a delayed or stalled link trips
+     it mid-attempt, on real time. *)
+  let endpoint =
+    match endpoint with
+    | Some transport -> transport
+    | None -> Memory.transport ~after_io:(fun ~phase -> R.check deadline ~phase) ()
   in
   let serve_degraded outcome last_failure =
     let from_scheme = scheme_name scheme in
@@ -213,7 +209,7 @@ let run_session ?fault ?endpoint ?coordinator ?on_deadline ?session ?chain schem
     | [] -> Unserved (List.rev rev_tried)
     | candidate :: rest -> (
       match
-        execute_scheme ?fault ?endpoint ?coordinator ~session ~deadline candidate env client
+        execute_scheme ?fault ~endpoint ?coordinator ~session ~deadline candidate env client
           ~query
       with
       | R.Served { value = outcome; _ } -> (
@@ -226,7 +222,7 @@ let run_session ?fault ?endpoint ?coordinator ?on_deadline ?session ?chain schem
         (* A spent deadline also covers every scheme further down. *)
         if R.expired deadline then Unserved (List.rev rev_tried) else serve rev_tried rest)
   in
-  with_handler (fun () -> serve [] (scheme :: chain))
+  serve [] (scheme :: chain)
 
 let pp_failure fmt f =
   Format.fprintf fmt "fault at %s (%s) after %d attempt%s: %s" f.phase

@@ -65,7 +65,7 @@ type coordinator = {
 
 val attempt :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   scheme ->
   Env.t ->
   Env.client ->
@@ -80,7 +80,7 @@ val attempt :
 
 val run :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   scheme -> Env.t -> Env.client -> query:string -> run_result
 (** Runs the protocol end to end.  Detected faults surface as [Fault]
     rather than exceptions.  Transient channel faults trigger a bounded
@@ -92,7 +92,7 @@ val run :
 
 val run_exn :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   scheme -> Env.t -> Env.client -> query:string -> Outcome.t
 (** Like {!run} but raises {!Faulted} — for call sites that treat a
     fault as fatal (benches, examples, the legacy CLI paths). *)
@@ -123,7 +123,7 @@ val degradation_chain : scheme -> scheme list
 
 val run_session :
   ?fault:Secmed_mediation.Fault.plan ->
-  ?endpoint:Secmed_mediation.Link.endpoint ->
+  ?endpoint:Secmed_mediation.Link.transport ->
   ?coordinator:coordinator ->
   ?on_deadline:(Secmed_mediation.Resilience.deadline -> unit) ->
   ?session:Secmed_mediation.Resilience.session ->
@@ -134,14 +134,14 @@ val run_session :
     Reusing the same [session] across calls carries breaker state over,
     so a datasource that keeps failing is eventually short-circuited
     ([phase = "breaker"]) without being contacted.  A spent deadline
-    ([phase = "deadline"]) aborts the remaining chain.  While the call
-    runs, the fault plan's delay handler is scoped to the query deadline
-    via [Fault.with_delay_handler] (the previous handler is restored on
-    every exit path), so injected [Delay] faults consume budget without
-    leaking into later queries.  [on_deadline] hands the freshly-created
-    deadline to the caller — the network layer points its per-socket-I/O
-    deadline checks at it, so {e real} blocking time trips the budget
-    mid-attempt exactly like a simulated delay. *)
+    ([phase = "deadline"]) aborts the remaining chain.  Without an
+    [endpoint] the query runs over one {!Secmed_mediation.Memory}
+    transport that checks the deadline after every send and receive, so
+    an injected [Delay] — which really waits — trips the budget
+    mid-attempt.  [on_deadline] hands the freshly-created deadline to the
+    caller — the network layer points its per-socket-I/O deadline checks
+    at it, so blocking time on a real link trips the budget the same
+    way. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_session_failures : Format.formatter -> (string * failure) list -> unit

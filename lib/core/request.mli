@@ -41,7 +41,7 @@ type t = {
 
 val run : Link.t -> Env.t -> Env.client -> query:string -> t
 (** Steps 1–4, every message over the link (transcript + fault plan +
-    optional transport).  Raises {!Access_denied}, {!Bad_credential},
+    transport).  Raises {!Access_denied}, {!Bad_credential},
     [Parser.Error], [Lexer.Error], [Catalog.Unsupported], or
     {!Fault.Fault_detected} when an installed fault plan hits the
     request-phase messages or a receiver rejects one. *)
@@ -49,7 +49,7 @@ val run : Link.t -> Env.t -> Env.client -> query:string -> t
 val frame :
   scheme:string ->
   ?fault:Fault.plan ->
-  ?endpoint:Link.endpoint ->
+  ?endpoint:Link.transport ->
   Env.t ->
   Env.client ->
   query:string ->

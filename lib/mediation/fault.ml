@@ -66,6 +66,7 @@ let fail ~phase ~party reason = raise (Fault_detected { phase; party; reason })
 
 type plan = {
   prng : Prng.t;
+  prng_mu : Mutex.t;  (* the chaos proxy damages from two pump threads *)
   rules : rule list;
   byzantine : (int * byzantine_mode) list;
   retry_budget : int;
@@ -73,13 +74,12 @@ type plan = {
   mutable attempt : int;
   mutable pending_note : string option;
   mutable last_failure : failure option;
-  mutable simulated_delay : float;
-  mutable on_delay : (float -> unit) option;
 }
 
 let plan ?(seed = 0) ?(max_retries = 2) ?(byzantine = []) rules =
   {
     prng = Prng.create ~seed:(Printf.sprintf "fault-plan-%d" seed);
+    prng_mu = Mutex.create ();
     rules;
     byzantine;
     retry_budget = max_retries;
@@ -87,24 +87,9 @@ let plan ?(seed = 0) ?(max_retries = 2) ?(byzantine = []) rules =
     attempt = 1;
     pending_note = None;
     last_failure = None;
-    simulated_delay = 0.0;
-    on_delay = None;
   }
 
 let events p = List.rev p.rev_events
-
-let simulated_delay p = p.simulated_delay
-
-(* A crashed run must not leave its handler installed: the next query on
-   the same plan would charge link delays to a deadline that no longer
-   exists.  Scope the handler to the callback and restore whatever was
-   there before, even on exceptions. *)
-let with_delay_handler p handler f =
-  let saved = p.on_delay in
-  p.on_delay <- handler;
-  Fun.protect ~finally:(fun () -> p.on_delay <- saved) f
-
-let delay_handler_installed p = Option.is_some p.on_delay
 
 let attempts p = p.attempt
 
@@ -181,11 +166,33 @@ let rule_matches ~sender ~receiver ~label r =
   && (match r.rule_receiver with None -> true | Some p -> Transcript.party_equal p receiver)
   && (match r.rule_label with None -> true | Some l -> String.equal l label)
 
-let record_event p transcript ~sender ~receiver ~label ~action detail =
+(* The choice for one delivery depends only on its addressing and the
+   plan's state, never on the payload bytes, so every process of a
+   distributed run — holding the payload or not — consumes the same
+   rule at the same delivery. *)
+let select p ~sender ~receiver ~label =
+  match List.find_opt (rule_matches ~sender ~receiver ~label) p.rules with
+  | None -> None
+  | Some r ->
+    r.remaining <- r.remaining - 1;
+    Some r.rule_action
+
+let log_external p ~sender ~receiver ~label ~action detail =
   p.rev_events <-
     { event_sender = sender; event_receiver = receiver; event_label = label;
       event_action = action; detail }
-    :: p.rev_events;
+    :: p.rev_events
+
+let note p transcript ~sender ~receiver ~label action =
+  let detail =
+    match action with
+    | Drop -> "message lost in transit"
+    | Delay seconds -> Printf.sprintf "delivery delayed by %.3fs" seconds
+    | Duplicate -> "duplicate delivered; receiver discarded the replayed copy"
+    | Truncate n -> Printf.sprintf "frame truncated by %d byte(s)" (Stdlib.max 1 n)
+    | Corrupt n -> Printf.sprintf "%d byte(s) corrupted" (Stdlib.max 1 n)
+  in
+  log_external p ~sender ~receiver ~label ~action detail;
   Transcript.note transcript
     (Printf.sprintf "fault: %s on %s (%s -> %s): %s" (action_name action) label
        (Transcript.party_name sender) (Transcript.party_name receiver) detail);
@@ -200,72 +207,43 @@ let record_event p transcript ~sender ~receiver ~label ~action detail =
           ("detail", Secmed_obs.Json.Str detail);
         ]
 
-(* Verdicts depend only on the message's addressing, its declared size
-   and the plan's state — never on the payload bytes.  So a process
-   that neither sends nor receives a message, or receives it without
-   having computed it, reaches the same verdict at the same delivery as
-   the sender: every process of a distributed run fails together.  A
-   damaged frame is always rejected by the integrity tag ({!frame}), so
-   the simulation only has to record what the damage was. *)
-let fails = function Drop | Truncate _ | Corrupt _ -> true | Duplicate | Delay _ -> false
-
-let apply p transcript ~phase ~sender ~receiver ~label ~size action =
-  let event = record_event p transcript ~sender ~receiver ~label ~action in
-  let rejected what =
-    event what;
-    fail ~phase ~party:receiver (Printf.sprintf "%s rejected: integrity tag mismatch" label)
-  in
-  match action with
-  | Drop ->
-    event "message lost in transit";
-    fail ~phase ~party:receiver (Printf.sprintf "%s never arrived (timeout)" label)
-  | Delay seconds ->
-    p.simulated_delay <- p.simulated_delay +. seconds;
-    event (Printf.sprintf "delivery delayed by %.3fs" seconds);
-    (* The session layer charges simulated delays against its deadline
-       here, so a delayed link can trip Resilience.Deadline_exceeded at
-       the point of delivery instead of being free. *)
-    (match p.on_delay with None -> () | Some f -> f seconds)
-  | Duplicate ->
-    (* The copy really travels — account for it — but the receiver
-       discards the replay (sequence numbers), so content is unchanged. *)
-    (match size with
-    | Some size -> Transcript.record transcript ~sender ~receiver ~label:(label ^ "(dup)") ~size
-    | None -> ());
-    event "duplicate delivered; receiver discarded the replayed copy"
-  | Truncate n -> rejected (Printf.sprintf "frame truncated by %d byte(s)" (Stdlib.max 1 n))
-  | Corrupt n -> rejected (Printf.sprintf "%d byte(s) corrupted" (Stdlib.max 1 n))
-
-(* ------------------------------------------------------------------ *)
-(* Chaos-proxy support: the byte-level TCP proxy (Secmed_net.Chaos)
-   replays the same plan against live streams.  It matches rules itself
-   (it sits outside any transcript) and keeps its own event log via
-   [log_external]. *)
-
-let select p ~sender ~receiver ~label =
-  match List.find_opt (rule_matches ~sender ~receiver ~label) p.rules with
-  | None -> None
-  | Some r ->
-    r.remaining <- r.remaining - 1;
-    Some r.rule_action
-
-let log_external p ~sender ~receiver ~label ~action detail =
-  p.rev_events <-
-    { event_sender = sender; event_receiver = receiver; event_label = label;
-      event_action = action; detail }
-    :: p.rev_events
-
+(* Distinct bits, so the copy always differs from the original. *)
 let corrupt_bytes p ~count s =
-  if String.length s = 0 then s
-  else begin
+  let n = String.length s in
+  if n = 0 then s
+  else
+    Mutex.protect p.prng_mu @@ fun () ->
     let b = Bytes.of_string s in
-    for _ = 1 to Stdlib.max 1 count do
-      let i = Prng.uniform_int p.prng (Bytes.length b) in
-      let bit = 1 lsl Prng.uniform_int p.prng 8 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit))
-    done;
+    let rec flip flipped todo =
+      if todo > 0 then
+        let i = Prng.uniform_int p.prng n in
+        let bit = 1 lsl Prng.uniform_int p.prng 8 in
+        if List.mem (i, bit) flipped then flip flipped todo
+        else begin
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit));
+          flip ((i, bit) :: flipped) (todo - 1)
+        end
+    in
+    flip [] (Stdlib.min (Stdlib.max 1 count) (8 * n));
     Bytes.to_string b
-  end
+
+(* The one place a channel fault happens to bytes: whatever carries a
+   framed payload — the in-memory transport, a socket sender, the chaos
+   proxy — sends what this returns in its place.  A damaged frame never
+   passes the receiver's tag check; a replayed one is discarded by the
+   reader. *)
+let damage p action framed =
+  match action with
+  | Drop -> []
+  | Duplicate -> [ framed; framed ]
+  | Delay seconds ->
+    Unix.sleepf seconds;
+    [ framed ]
+  | Truncate n -> [ String.sub framed 0 (Stdlib.max 0 (String.length framed - Stdlib.max 1 n)) ]
+  | Corrupt n -> [ corrupt_bytes p ~count:n framed ]
+
+let lost ~phase ~receiver ~label =
+  fail ~phase ~party:receiver (Printf.sprintf "%s never arrived (timeout)" label)
 
 (* Byzantine helper: damage a ciphertext without breaking its framing —
    flipping the last byte (MAC / tag material in every ciphertext format

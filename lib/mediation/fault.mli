@@ -10,14 +10,17 @@
     All injections are seeded and replayable; every injected fault and
     every retry is recorded both in the plan's event log and as a
     {!Transcript.note}, so communication/leakage accounting stays
-    truthful.  See DESIGN.md §8 for the fault model. *)
+    truthful.  A channel fault is chosen per delivery without looking at
+    the payload ({!select}) and carried out on the framed bytes by one
+    function, {!damage}, wherever they travel.  See DESIGN.md §8 for the
+    fault model. *)
 
 type action =
   | Drop           (** message never arrives *)
   | Truncate of int  (** cut the trailing n bytes off the frame *)
-  | Corrupt of int   (** flip one random bit in each of n frame bytes *)
+  | Corrupt of int   (** flip n distinct seeded random bits of the frame *)
   | Duplicate      (** deliver a second, replayed copy *)
-  | Delay of float   (** simulated link delay in seconds *)
+  | Delay of float   (** the sender waits this many seconds first *)
 
 val action_name : action -> string
 
@@ -73,7 +76,7 @@ val plan :
   ?byzantine:(int * byzantine_mode) list ->
   rule list ->
   plan
-(** [seed] drives the chaos proxy's corruption positions (default 0);
+(** [seed] drives the positions {!damage} corrupts (default 0);
     [max_retries] bounds the mediator's retry-with-fresh-request policy
     (default 2); [byzantine] marks datasources by id. *)
 
@@ -86,23 +89,7 @@ val of_spec : string -> (plan, string) result
 val events : plan -> event list
 (** Injected faults, in injection order, across all attempts. *)
 
-val simulated_delay : plan -> float
 val attempts : plan -> int
-
-val with_delay_handler : plan -> (float -> unit) option -> (unit -> 'a) -> 'a
-(** [with_delay_handler p h f] runs [f] with [h] installed (or, with
-    [None], cleared) as the callback invoked with the delay in seconds
-    each time a [Delay] rule fires, after the event is logged.  The
-    resilience session layer uses it to charge simulated link delays
-    against the query deadline ({!Resilience.charge}), which may raise
-    {!Resilience.Deadline_exceeded} out of the delivery point.  The
-    {e previous} handler is restored when [f] returns or raises — so a
-    crashed query cannot charge later queries' link delays to its dead
-    deadline, and nesting composes. *)
-
-val delay_handler_installed : plan -> bool
-(** Whether a delay handler is currently installed (regression hook for
-    the scoping guarantee above). *)
 
 val byzantine_mode : plan option -> int -> byzantine_mode option
 (** How the given datasource misbehaves, if at all. *)
@@ -141,35 +128,7 @@ val frame : label:string -> string -> string
 val unframe : label:string -> string -> (string, string) result
 (** The payload of a framed string, or why the tag check failed. *)
 
-val fails : action -> bool
-(** Whether the action makes the delivery fail ([Drop], [Truncate],
-    [Corrupt]: a damaged frame never passes the tag check). *)
-
-val apply :
-  plan ->
-  Transcript.t ->
-  phase:string ->
-  sender:Transcript.party ->
-  receiver:Transcript.party ->
-  label:string ->
-  size:int option ->
-  action ->
-  unit
-(** Carry out an action {!select} chose for one delivery: log it to
-    {!events} and note it in the transcript; raise {!Fault_detected} at
-    the receiver for the failing actions; record the replayed copy of a
-    [Duplicate] (when the declared [size] is known here); accrue and
-    charge a [Delay].  The verdict depends on the addressing, the
-    declared size and the plan's state only, never on payload bytes, so
-    every process of a distributed run — holding the payload or not —
-    fails at the same delivery. *)
-
-(** {2 Chaos-proxy hooks}
-
-    [Secmed_net.Chaos] replays a plan against live TCP streams.  It runs
-    outside any protocol replica — no transcript, no phase — so it drives
-    the rule table directly and logs what it did for post-mortem
-    comparison with the simulated path. *)
+(** {2 Channel faults} *)
 
 val select :
   plan ->
@@ -179,8 +138,21 @@ val select :
   action option
 (** Consume the first rule matching the link and label (decrementing its
     [times] counter) and return its action; [None] when no rule fires.
-    Nothing is logged — callers record their own {!log_external} entry
-    describing what they actually did to the stream. *)
+    The choice reads the addressing and the plan's state only, never the
+    payload, so every process of a distributed run makes it at the same
+    delivery.  Nothing is logged: {!Link} follows a choice with {!note},
+    the chaos proxy with {!log_external}. *)
+
+val note :
+  plan ->
+  Transcript.t ->
+  sender:Transcript.party ->
+  receiver:Transcript.party ->
+  label:string ->
+  action ->
+  unit
+(** Log a chosen action to {!events}, note it in the transcript, and emit
+    a ["fault"] trace event. *)
 
 val log_external :
   plan ->
@@ -190,8 +162,20 @@ val log_external :
   action:action ->
   string ->
   unit
-(** Append an event to the plan's log without touching any transcript. *)
+(** Append an event to the plan's log without touching any transcript
+    (the chaos proxy runs outside every protocol run). *)
 
-val corrupt_bytes : plan -> count:int -> string -> string
-(** Flip [count] seeded random bits (at least one), drawn from the plan's
-    PRNG — the byte-level analogue of the [Corrupt] action. *)
+val damage : plan -> action -> string -> string list
+(** Carry out an action on one {!frame}d payload: the byte strings that
+    travel in its place, in order.  [Drop] yields none; [Duplicate] the
+    payload twice, so the reader must discard the replay; [Truncate n]
+    the payload less its last [n] bytes and [Corrupt n] a copy with [n]
+    seeded random bits flipped, both of which fail the receiver's tag
+    check; [Delay s] the payload, after really waiting [s] seconds.  The
+    in-memory transport, the socket sender and the chaos proxy all damage
+    through this one function. *)
+
+val lost : phase:string -> receiver:Transcript.party -> label:string -> 'a
+(** Raise the typed failure of a delivery that never travelled, blamed
+    on its receiver: what a sending transport raises when {!damage}
+    leaves it nothing to send. *)

@@ -6,6 +6,7 @@ type rows_transport = {
     receiver:Transcript.party ->
     label:string ->
     size:int ->
+    ?damage:(string -> string list) ->
     (int * string) list ->
     unit;
   recv_rows :
@@ -27,72 +28,73 @@ type rows_transport = {
 }
 
 type transport = {
-  role : Transcript.party;
+  speaks : Transcript.party -> bool;
   computes : Transcript.party -> bool;
   rows : rows_transport option;
 }
 
-type endpoint = Inproc | Remote of transport
-
 type t = {
-  remote : (transport * rows_transport) option;  (* [None]: in-process *)
+  transport : transport;
+  rt : rows_transport;
   fault : Fault.plan option;
   transcript : Transcript.t;
   mutable seq : int;
+  mutable lost : bool;  (* a damaging fault was chosen: this attempt fails *)
 }
 
-let make ?(endpoint = Inproc) ?fault transcript =
-  let remote =
-    match endpoint with
-    | Inproc -> None
-    | Remote ({ rows = Some rt; _ } as tr) -> Some (tr, rt)
-    | Remote { rows = None; _ } -> invalid_arg "Link.make: a remote transport carries rows"
-  in
-  { remote; fault; transcript; seq = 0 }
+let make ~transport ?fault transcript =
+  match transport.rows with
+  | Some rt -> { transport; rt; fault; transcript; seq = 0; lost = false }
+  | None -> invalid_arg "Link.make: a transport carries rows"
 
-let computes t party = match t.remote with None -> true | Some (tr, _) -> tr.computes party
+let computes t party = t.transport.computes party
 
 let next_seq t =
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  seq
+  t.seq <- t.seq + 1;
+  t.seq - 1
 
-(* The fault verdict for one delivery: chosen from the addressing and
-   the plan's state alone, so every process draws the same one whether
-   or not it holds the payload. *)
-let select t ~guard ~sender ~receiver ~label =
+(* The fault choice for one delivery, made in every process from the
+   addressing and the plan's state alone, and noted.  Only a sending
+   transport acts on it, through [damage].  A damaging choice fails the
+   attempt wherever its bytes go, so a process that carries on past it
+   makes no further choice in the attempt — as a run in one process,
+   which fails right there, makes none — and every process consumes the
+   plan's rules alike. *)
+let choose t ~guard ~sender ~receiver ~label =
   match t.fault with
-  | Some plan when guard ->
-    Option.map (fun action -> (plan, action)) (Fault.select plan ~sender ~receiver ~label)
+  | Some plan when guard && not t.lost ->
+    Option.map
+      (fun action ->
+        Fault.note plan t.transcript ~sender ~receiver ~label action;
+        t.lost <- (match action with Fault.Duplicate | Delay _ -> false | _ -> true);
+        (plan, action))
+      (Fault.select plan ~sender ~receiver ~label)
   | _ -> None
 
-let apply t ~phase ~sender ~receiver ~label ~size = function
-  | None -> ()
-  | Some (plan, action) ->
-    Fault.apply plan t.transcript ~phase ~sender ~receiver ~label ~size action
+(* A process that knows the delivery's size accounts for the replayed
+   copy a [Duplicate] sends. *)
+let account_replay t ~sender ~receiver ~label ~size = function
+  | Some (_, Fault.Duplicate) ->
+    Transcript.record t.transcript ~sender ~receiver ~label:(label ^ "(dup)") ~size
+  | _ -> ()
 
-(* Every remote delivery is a row stream: same transcript entry, fault
-   verdict, sequence slot and declared size whatever the rows, so the
-   in-process run and the wire agree message for message.  The verdict
-   never reads the payload, and an in-process link never materialises
-   it. *)
+(* Every delivery is a row stream: same transcript entry, fault choice,
+   sequence slot and declared size whatever the rows, so every
+   transport agrees message for message. *)
 let deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size rows =
   Transcript.record t.transcript ~sender ~receiver ~label ~size;
-  apply t ~phase ~sender ~receiver ~label ~size:(Some size)
-    (select t ~guard ~sender ~receiver ~label);
-  match t.remote with
-  | None -> ()
-  | Some (tr, rt) ->
-    let seq = next_seq t in
-    let indexed () =
-      let indexed = List.mapi (fun i b -> (i, b)) (rows ()) in
-      let total = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 indexed in
-      (* The wire always carries at least [size] bytes: a modelled size
-         above the materialised bytes (e.g. attached credentials) travels
-         as zero bytes appended to the last row (a row of its own when
-         there is none), so the socket-level byte count equals the
-         transcript entry and a padded scalar message is still one
-         row. *)
+  let verdict = choose t ~guard ~sender ~receiver ~label in
+  account_replay t ~sender ~receiver ~label ~size verdict;
+  let seq = next_seq t and speaks = t.transport.speaks in
+  if speaks sender || speaks receiver then begin
+    let indexed = List.mapi (fun i b -> (i, b)) (rows ()) in
+    let total = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 indexed in
+    (* The wire always carries at least [size] bytes: a modelled size
+       above the materialised bytes (e.g. attached credentials) travels
+       as zero bytes appended to the last row (a row of its own when
+       there is none), so the socket-level byte count equals the
+       transcript entry and a padded scalar message is still one row. *)
+    let indexed =
       if total >= size then indexed
       else
         let pad = String.make (size - total) '\000' in
@@ -100,30 +102,28 @@ let deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size rows =
         | [] -> [ (0, pad) ]
         | (i, last) :: rest -> List.rev ((i, last ^ pad) :: rest)
     in
-    if Transcript.party_equal tr.role sender then
-      rt.send_rows ~phase ~seq ~sender ~receiver ~label ~size (indexed ())
-    else if Transcript.party_equal tr.role receiver then
-      rt.recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect:(indexed ())
+    if speaks sender then
+      t.rt.send_rows ~phase ~seq ~sender ~receiver ~label ~size
+        ?damage:(Option.map (fun (plan, action) -> Fault.damage plan action) verdict)
+        indexed;
+    if speaks receiver then
+      t.rt.recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect:indexed
+  end
 
 (* This process plays [receiver] without having computed the message:
-   the bytes are all it has.  A failing verdict fires before the frame
-   is awaited (the sender, reaching the same verdict, never sends it);
-   otherwise the frame's declared size is what the transcript records —
-   the bytes must match it exactly — and hostile bytes fail typed at
-   the receiver, never as an escaped decoder exception. *)
-let receive t rt ~phase ~sender ~receiver ~label ~guard ~decode =
-  let verdict = select t ~guard ~sender ~receiver ~label in
-  (match verdict with
-  | Some (_, action) when Fault.fails action ->
-    apply t ~phase ~sender ~receiver ~label ~size:None verdict
-  | _ -> ());
-  let declared, payload = rt.take_rows ~phase ~seq:(next_seq t) ~sender ~receiver ~label in
+   the bytes are all it has.  The frame's declared size is what the
+   transcript records — the bytes must match it exactly — and hostile
+   bytes fail typed at the receiver, never as an escaped decoder
+   exception. *)
+let receive t ~phase ~sender ~receiver ~label ~guard ~decode =
+  let verdict = choose t ~guard ~sender ~receiver ~label in
+  let declared, payload = t.rt.take_rows ~phase ~seq:(next_seq t) ~sender ~receiver ~label in
   if String.length payload <> declared then
     Fault.fail ~phase ~party:receiver
       (Printf.sprintf "%s rejected: %d bytes received, %d declared" label
          (String.length payload) declared);
   Transcript.record t.transcript ~sender ~receiver ~label ~size:declared;
-  apply t ~phase ~sender ~receiver ~label ~size:(Some declared) verdict;
+  account_replay t ~sender ~receiver ~label ~size:declared verdict;
   match decode payload with
   | value -> value
   | exception (Wire.Malformed msg | Invalid_argument msg) ->
@@ -131,17 +131,16 @@ let receive t rt ~phase ~sender ~receiver ~label ~guard ~decode =
       (Printf.sprintf "%s rejected: malformed payload: %s" label msg)
 
 let exchange_rows t ~phase ~sender ~receiver ~label ?(guard = true) ~size ~rows ~decode value =
-  match (value, t.remote) with
-  | Some v, _ ->
+  match value with
+  | Some v ->
     deliver_rows t ~phase ~sender ~receiver ~label ~guard ~size:(size v) (fun () -> rows v);
     value
-  | None, None -> invalid_arg "Link.exchange: an in-process link computes every party"
-  | None, Some (tr, _) when Transcript.party_equal tr.role sender ->
+  | None when t.transport.speaks sender ->
     invalid_arg ("Link.exchange: the sender has no value for " ^ label)
-  | None, Some (tr, rt) when Transcript.party_equal tr.role receiver ->
-    Some (receive t rt ~phase ~sender ~receiver ~label ~guard ~decode)
-  | None, Some _ ->
-    apply t ~phase ~sender ~receiver ~label ~size:None (select t ~guard ~sender ~receiver ~label);
+  | None when t.transport.speaks receiver ->
+    Some (receive t ~phase ~sender ~receiver ~label ~guard ~decode)
+  | None ->
+    ignore (choose t ~guard ~sender ~receiver ~label);
     ignore (next_seq t);
     None
 

@@ -51,19 +51,14 @@ let backoff_schedule b ~attempts = List.init attempts (fun i -> backoff_delay b 
 (* ------------------------------------------------------------------ *)
 (* Deadlines. *)
 
-type deadline = {
-  d_clock : clock;
-  budget : float;
-  start : float;
-  mutable charged : float;  (* simulated seconds (injected link delays) *)
-}
+type deadline = { d_clock : clock; budget : float; start : float }
 
 exception Deadline_exceeded of { phase : string; elapsed : float; budget : float }
 
-let deadline clock ~budget = { d_clock = clock; budget; start = clock.now (); charged = 0.0 }
+let deadline clock ~budget = { d_clock = clock; budget; start = clock.now () }
 let unlimited clock = deadline clock ~budget:infinity
 
-let elapsed d = d.d_clock.now () -. d.start +. d.charged
+let elapsed d = d.d_clock.now () -. d.start
 let remaining d = Float.max 0.0 (d.budget -. elapsed d)
 let expired d = elapsed d > d.budget
 
@@ -86,10 +81,6 @@ let check d ~phase =
           ];
     raise (Deadline_exceeded { phase; elapsed; budget = d.budget })
   end
-
-let charge d ~phase seconds =
-  d.charged <- d.charged +. Float.max 0.0 seconds;
-  check d ~phase
 
 let phase_budget d ~fraction = fraction *. remaining d
 
@@ -386,8 +377,8 @@ let execute ?session ~deadline ~label ~retryable ~budget ~parties_of attempt =
           end
           else Exhausted { failure = f; attempts = n }
         | exception Deadline_exceeded { phase; elapsed; budget = b } ->
-          (* A mid-attempt trip: an injected link delay charged the budget
-             over the line (see Fault.with_delay_handler). *)
+          (* A mid-attempt trip: a transport's after-I/O check found the
+             budget spent (a stalled or delayed link). *)
           Timed_out { phase; elapsed; budget = b; attempts = n }))
   in
   go 1

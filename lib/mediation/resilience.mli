@@ -7,9 +7,9 @@
     (DESIGN.md §10):
 
     - {b deadline budgets} — a per-query wall-clock budget on a monotonic
-      (and injectable) clock, charged both by real elapsed time and by
-      simulated link delays (see {!Fault.with_delay_handler}), tripping a
-      typed {!Deadline_exceeded} instead of hanging;
+      (and injectable) clock, checked between attempts and by the
+      transport after every send and receive, so a stalled or delayed
+      link trips a typed {!Deadline_exceeded} instead of hanging;
     - {b exponential backoff} with deterministic, seeded jitter between
       retry attempts;
     - {b per-party circuit breakers} (closed → open → half-open) over a
@@ -80,12 +80,10 @@ val backoff_schedule : backoff -> attempts:int -> float list
 
 type deadline
 (** A wall-clock budget for one query, measured on a {!clock} from the
-    moment of creation.  Simulated time (injected link delays) is added
-    via {!charge}. *)
+    moment of creation. *)
 
 exception Deadline_exceeded of { phase : string; elapsed : float; budget : float }
-(** The typed failure a deadline trips with; [elapsed] includes charged
-    simulated time. *)
+(** The typed failure a deadline trips with. *)
 
 val deadline : clock -> budget:float -> deadline
 val unlimited : clock -> deadline
@@ -100,11 +98,6 @@ val expired : deadline -> bool
 val check : deadline -> phase:string -> unit
 (** Raise {!Deadline_exceeded} (and emit a [deadline-exceeded] trace
     event / metric) if the budget is spent. *)
-
-val charge : deadline -> phase:string -> float -> unit
-(** Consume [seconds] of simulated time, then {!check}.  Installed as the
-    {!Fault.with_delay_handler} of a plan, this makes an injected [Delay]
-    fault trip the deadline mid-protocol instead of being free. *)
 
 val phase_budget : deadline -> fraction:float -> float
 (** Apportionment rule: a phase may spend at most [fraction] of the
@@ -217,8 +210,8 @@ type 'a verdict =
   | Exhausted of { failure : Fault.failure; attempts : int }
       (** every admitted attempt failed and the retry budget is spent *)
   | Timed_out of { phase : string; elapsed : float; budget : float; attempts : int }
-      (** the deadline tripped (before an attempt, or mid-attempt via
-          {!charge}) *)
+      (** the deadline tripped (before an attempt, or mid-attempt at a
+          transport's {!check}) *)
   | Short_circuited of { party : Transcript.party; attempts : int }
       (** an open breaker refused the request without contacting the party *)
 

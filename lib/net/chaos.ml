@@ -18,55 +18,32 @@ type t = {
 let detail fmt = Printf.ksprintf Fun.id fmt
 
 (* Forward one decoded frame, applying at most one rule to a delivery's
-   first chunk — so a rule's [times] counts deliveries, not chunks.
-   Returns [false] when the stream was deliberately wrecked (truncation)
-   and pumping must stop. *)
+   first chunk — so a rule's [times] counts deliveries, not chunks. *)
 let forward t dst frame body =
   match frame with
   | Frame.Msg_chunk
       ({ ck_chunk = 0; ck_sender = sender; ck_receiver = receiver; ck_label = label; _ } as c) -> (
-    let verdict =
+    let chosen =
       Mutex.protect t.plan_mu (fun () ->
           match Fault.select t.plan ~sender ~receiver ~label with
           | None -> None
           | Some action ->
-            let log d = Fault.log_external t.plan ~sender ~receiver ~label ~action d in
-            (match action with
-            | Fault.Drop -> log (detail "proxy withheld the %d-byte frame" (String.length body))
-            | Fault.Delay s -> log (detail "proxy stalled the stream %.3fs" s)
-            | Fault.Corrupt n -> log (detail "proxy flipped bits in %d payload bytes" n)
-            | Fault.Duplicate -> log "proxy replayed the frame"
-            | Fault.Truncate n ->
-              log (detail "proxy cut %d trailing bytes and severed the connection" n));
+            Fault.log_external t.plan ~sender ~receiver ~label ~action
+              (match action with
+              | Fault.Drop -> detail "proxy withheld the %d-byte frame" (String.length body)
+              | Fault.Delay s -> detail "proxy stalled the stream %.3fs" s
+              | Fault.Corrupt n -> detail "proxy flipped bits in %d payload bytes" n
+              | Fault.Duplicate -> "proxy replayed the frame"
+              | Fault.Truncate n -> detail "proxy cut %d trailing payload bytes" n);
             Some action)
     in
-    match verdict with
-    | None ->
-      Io.send_frame dst body;
-      true
-    | Some Fault.Drop -> true
-    | Some (Fault.Delay s) ->
-      Thread.delay s;
-      Io.send_frame dst body;
-      true
-    | Some (Fault.Corrupt n) ->
-      let corrupted =
-        Mutex.protect t.plan_mu (fun () -> Fault.corrupt_bytes t.plan ~count:n c.ck_payload)
-      in
-      Io.send_frame dst (Frame.encode (Frame.Msg_chunk { c with ck_payload = corrupted }));
-      true
-    | Some Fault.Duplicate ->
-      Io.send_frame dst body;
-      Io.send_frame dst body;
-      true
-    | Some (Fault.Truncate n) ->
-      let whole = Wire.frame body in
-      let keep = max 0 (String.length whole - max 1 n) in
-      Io.send_raw dst (String.sub whole 0 keep);
-      false)
-  | _ ->
-    Io.send_frame dst body;
-    true
+    match chosen with
+    | None -> Io.send_frame dst body
+    | Some action ->
+      List.iter
+        (fun ck_payload -> Io.send_frame dst (Frame.encode (Frame.Msg_chunk { c with ck_payload })))
+        (Fault.damage t.plan action c.ck_payload))
+  | _ -> Io.send_frame dst body
 
 (* A pump that stops shuts both sockets down: that wakes its sibling out
    of a blocked read and fails the sibling's next write (one held by a
@@ -78,7 +55,9 @@ let pump t pair src dst =
   let rec loop () =
     let body = Io.recv_frame src in
     match Frame.decode body with
-    | frame -> if forward t dst frame body then loop ()
+    | frame ->
+      forward t dst frame body;
+      loop ()
     | exception Wire.Malformed _ ->
       (* Not ours to interpret; pass the bytes through untouched. *)
       Io.send_frame dst body;

@@ -4,12 +4,15 @@
     Interpose an instance on a mediator↔datasource link and it decodes
     the frames flowing through, matches each delivery — by its first
     [Msg_chunk] frame — against the plan's rules by
-    (sender, receiver, label), consuming [times] counters exactly as the
-    simulated layer does, and damages that frame for
-    real: dropped frames are never forwarded, delays stall the socket,
-    corruption flips payload bits, truncation cuts a frame short and
-    kills the connection.  The conformance suite checks that each
-    surfaces as the same typed outcome as its simulated counterpart.
+    (sender, receiver, label), consuming [times] counters exactly as
+    [Link] does, and damages that frame's payload with
+    {!Fault.damage}, the function every transport damages with: a
+    dropped frame is never forwarded, a delay stalls the socket, a
+    replayed frame follows the original, corruption flips payload bits
+    and truncation cuts the payload short, so the receiver's tag check
+    rejects it.  The conformance suite checks that each surfaces as the
+    same typed outcome as the same fault in one process and in a served
+    [--fault] session.
 
     Everything it does is appended to the plan's event log via
     {!Fault.log_external}. *)

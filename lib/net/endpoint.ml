@@ -356,15 +356,16 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
     | Some r -> r
     | None -> Fault.fail ~phase ~party:receiver (label ^ ": no route to its sender")
   in
-  (* A reader's failure is a typed fault blamed at the receiving party:
-     a route error is the wire analogue of a simulated [Drop]. *)
+  (* A reader's failure is a typed fault blamed at the receiving party. *)
   let failing ~phase ~receiver what reason =
     Fault.fail ~phase ~party:receiver (Printf.sprintf "%s: %s" what reason)
   in
   (* Sender: chunk the rows and keep at most [credit_window] chunks
      unacknowledged, replenished by the receiver's [Credit] grants
-     arriving on the same route. *)
-  let send_rows ~phase ~seq ~sender ~receiver ~label ~size rows =
+     arriving on the same route.  A chosen fault strikes the first
+     chunk, as the chaos proxy's does; when nothing is left to send, this
+     process fails the delivery at once. *)
+  let send_rows ~phase ~seq ~sender ~receiver ~label ~size ?(damage = fun p -> [ p ]) rows =
     let rows = positional rows in
     match route_of receiver with
     | None -> ()
@@ -389,16 +390,22 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           while !credits <= 0 do
             await_credit ()
           done;
-          (try
-             r.r_send
-               (Frame.Msg_chunk
-                  { ck_session = session; ck_epoch = here; ck_seq = seq; ck_sender = sender;
-                    ck_receiver = receiver; ck_label = label; ck_chunk = ci; ck_chunks = n;
-                    ck_declared = size; ck_payload = Frame.pack ~label batch })
-           with Io.Transport_error msg ->
-             (* The link itself is down: a typed, retryable fault blamed
-                at the unreachable party, like a simulated severed link. *)
-             Fault.fail ~phase ~party:receiver (label ^ ": link down: " ^ msg));
+          let payload = Frame.pack ~label batch in
+          let copies = if ci = 0 then damage payload else [ payload ] in
+          if copies = [] then Fault.lost ~phase ~receiver ~label;
+          List.iter
+            (fun ck_payload ->
+              try
+                r.r_send
+                  (Frame.Msg_chunk
+                     { ck_session = session; ck_epoch = here; ck_seq = seq; ck_sender = sender;
+                       ck_receiver = receiver; ck_label = label; ck_chunk = ci; ck_chunks = n;
+                       ck_declared = size; ck_payload })
+              with Io.Transport_error msg ->
+                (* The link itself is down: a typed, retryable fault
+                   blamed at the unreachable party. *)
+                Fault.fail ~phase ~party:receiver (label ^ ": link down: " ^ msg))
+            copies;
           decr credits;
           incr outstanding;
           backlog_add 1;
@@ -441,7 +448,7 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
           (Printf.sprintf "frame #%d: expected %s chunk from %s, got %s from %s" seq label
              (Transcript.party_name sender) m.ck_label (Transcript.party_name m.ck_sender))
       else if m.ck_chunk < !next_chunk then
-        (* A replayed chunk (chaos Duplicate): already read. *)
+        (* A replayed chunk (a [Duplicate]): already read. *)
         pull ()
       else if m.ck_chunk > !next_chunk then
         Fault.fail ~phase ~party:receiver
@@ -533,7 +540,11 @@ let transport ~role ?(computes = Transcript.party_equal role) ~session ~epoch ~i
     in
     (size, Buffer.contents buf)
   in
-  { Link.role; computes; rows = Some { Link.send_rows; recv_rows; take_rows } }
+  {
+    Link.speaks = Transcript.party_equal role;
+    computes;
+    rows = Some { Link.send_rows; recv_rows; take_rows };
+  }
 
 (* A source that refused the request, as the replica computing it reports it. *)
 let refused i reason =
@@ -551,7 +562,7 @@ let run_replica ~role ?computes ~fault ~session ~epoch ~attempt ~scheme ~query ~
       transport ~role ?computes ~session ~epoch:(fun () -> epoch) ~io_timeout
         ~route_of:(fun _ -> Some route) ()
     in
-    match Protocol.attempt ?fault ~endpoint:(Link.Remote tr) sch env client ~query ~attempt with
+    match Protocol.attempt ?fault ~endpoint:tr sch env client ~query ~attempt with
     | Ok outcome -> (Frame.St_ok, Some outcome)
     | Error f -> (Frame.St_failed f, None)
     | exception Aborted _ -> (Frame.St_aborted, None)

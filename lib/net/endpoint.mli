@@ -147,12 +147,16 @@ val transport :
 (** Sends route by the message's {e receiver}, receives by its
     {e sender} ([route_of] returning [None] means the counterpart is
     local — nothing crosses a wire).  Receive-side failures surface as
-    typed faults blamed on this process's receiving party: a timeout
-    matches a simulated [Drop], a frame failing its integrity tag (or,
-    at a receiver that computed the message, a row mismatch checked by
-    [recv_rows]) matches a simulated [Corrupt].  [computes]
-    (default: the [role] alone) is the set of parties whose steps this
-    process runs ({!Link.computes}).  [after_io] runs after every
+    typed faults blamed on this process's receiving party: a timeout or
+    a sender's failure report is ["never arrived"], a frame failing its
+    integrity tag (or, at a receiver that computed the message, a row
+    mismatch checked by [recv_rows]) is ["rejected"].  The transport
+    speaks for [role] alone; [computes] (default: the [role] alone) is
+    the set of parties whose steps this process runs
+    ({!Link.computes}).  [send_rows] passes its first chunk's framed
+    payload through [damage] and sends what comes back — a replayed
+    chunk is skipped by the reader — and raises [Fault.lost] without
+    sending anything when nothing comes back.  [after_io] runs after every
     blocking send or receive — the mediator hooks its real-time
     deadline check here so wall-clock stalls trip the budget
     mid-attempt.  [epoch] is read per frame so the mediator can reuse
@@ -187,7 +191,7 @@ val run_replica :
   Secmed_core.Env.client ->
   Frame.status * Secmed_core.Outcome.t option
 (** One leaf-side protocol attempt: resolve the scheme name, run the
-    driver over a [Remote] link bound to [route] (computing the parties
+    driver over a {!transport} bound to [route] (computing the parties
     [computes] names, default [role] alone), and translate the ending
     into the {!Frame.status} the process reports — a source's refusal
     of the request ([Request.Bad_credential], [Request.Access_denied])

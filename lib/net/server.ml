@@ -491,7 +491,7 @@ let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
        downstream of every mediator stall, so when a source frame was
        lost the client's "mediator went quiet" timeout is a symptom —
        the source's own failure is the root cause and must win the
-       blame, exactly as it does in the simulated (in-process) run. *)
+       blame, exactly as it does in a run in one process. *)
     let statuses =
       List.map
         (fun (id, r, c) -> await (Printf.sprintf "source %d" id) (Transcript.Source id) r c)
@@ -636,7 +636,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
           else t.rsession
         in
         let run_driver () =
-          Protocol.run_session ?fault ~endpoint:(Link.Remote transport) ~coordinator
+          Protocol.run_session ?fault ~endpoint:transport ~coordinator
             ~on_deadline:(fun d -> deadline_ref := Some d)
             ~session:rsession
             ?chain:(if fallback then None else Some [])

@@ -10,15 +10,15 @@
     connection's thread drives
     its query through {!Secmed_core.Protocol.run_session} with
 
-    - a [Remote] link endpoint, so the mediator's protocol messages
+    - an {!Endpoint.transport}, so the mediator's protocol messages
       cross real sockets;
     - a session coordinator that broadcasts [Session_start] per attempt,
       aborts the replicas when the local attempt fails, and folds their
       end-of-attempt reports into the attempt verdict (a replica's typed
       fault outranks the mediator's own downstream transport stall);
     - a real-time deadline hook: every blocking send/recv re-checks the
-      query budget, so a stalled wire trips [Timed_out] exactly like a
-      simulated delay;
+      query budget, so a stalled wire trips [Timed_out] exactly as an
+      injected delay does in one process;
     - one shared {!Secmed_mediation.Resilience.session}, so breaker
       state persists across queries (a per-query deadline in the [Query]
       frame gets a fresh session scoped to that budget).

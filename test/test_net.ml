@@ -4,8 +4,8 @@
    processes on 127.0.0.1 and check the distributed execution is
    bit-identical to the in-process one, byte-accounted three independent
    ways.  Chaos tests interpose a byte-level fault proxy on a live link
-   and check each damage mode surfaces as the same typed outcome as its
-   simulated counterpart. *)
+   and check each damage mode surfaces as the same typed outcome as the
+   same fault in one process and in a served [--fault] session. *)
 
 open Secmed_relalg
 open Secmed_mediation
@@ -370,7 +370,8 @@ let honest_text env query ~label ~receiver =
 let request_as ?(payload = fun text -> text ^ String.make 8 '\000') party (env, client, query) =
   let rows =
     {
-      Link.send_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ _ -> ());
+      Link.send_rows =
+        (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ ?damage:_ _ -> ());
       recv_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ ~expect:_ -> ());
       take_rows =
         (fun ~phase:_ ~seq:_ ~sender:_ ~receiver ~label ->
@@ -378,10 +379,14 @@ let request_as ?(payload = fun text -> text ^ String.make 8 '\000') party (env, 
           (String.length bytes, bytes));
     }
   in
-  let endpoint =
-    Link.Remote { Link.role = party; computes = Transcript.party_equal party; rows = Some rows }
+  let transport =
+    {
+      Link.speaks = Transcript.party_equal party;
+      computes = Transcript.party_equal party;
+      rows = Some rows;
+    }
   in
-  Request.run (Link.make ~endpoint (Transcript.create ())) env client ~query
+  Request.run (Link.make ~transport (Transcript.create ())) env client ~query
 
 let test_source_rejects_own_forged_credential () =
   (match request_as (Transcript.Source 1) (forged_scenario ()) with
@@ -390,7 +395,10 @@ let test_source_rejects_own_forged_credential () =
   | _ -> Alcotest.fail "source 1 accepted its forged credential");
   (* An in-process run computes every party, so it still rejects. *)
   let env, client, query = forged_scenario () in
-  match Request.run (Link.make (Transcript.create ())) env client ~query with
+  match
+    Request.run (Link.make ~transport:(Memory.transport ()) (Transcript.create ())) env client
+      ~query
+  with
   | exception Request.Bad_credential 1 -> ()
   | _ -> Alcotest.fail "the in-process run accepted the forged credential"
 
@@ -872,7 +880,8 @@ let test_address_parsers () =
     [ "1=nohost"; "1=h1:70;h3:72"; "1=h1:70,,h2:71"; "1="; "0=h:70"; "x=h:70"; "h:70" ]
 
 (* ------------------------------------------------------------------ *)
-(* Chaos conformance: live stream damage = simulated damage, typed. *)
+(* Chaos conformance: damage on a live link ends as the same damage in
+   one process does, typed. *)
 
 let chaos_rule ?times action =
   Fault.plan [ Fault.rule ~sender:Transcript.Mediator ~receiver:(Transcript.Source 1) ?times action ]
@@ -915,9 +924,9 @@ let test_chaos_drop_is_typed_timeout_fault () =
   | Protocol.Served _ -> Alcotest.fail "a dropped frame with no retries must not serve"
   | Protocol.Unserved [ (scheme, f) ] ->
     Alcotest.(check string) "scheme" "commutative" scheme;
-    (* Same typed blame as the simulated Drop: the receiving party, at
+    (* Same typed blame as the same Drop in one process: the receiving party, at
        the phase awaiting the frame. *)
-    let simulated =
+    let in_process =
       match
         Protocol.run_session
           ?fault:(Result.to_option (Fault.of_spec "drop:mediator->source1:times=1;retries=0"))
@@ -926,15 +935,15 @@ let test_chaos_drop_is_typed_timeout_fault () =
           (Loopback.env c) (Loopback.client_of c) ~query:(Loopback.canonical_query c)
       with
       | Protocol.Unserved [ (_, sf) ] -> sf
-      | _ -> Alcotest.fail "simulated drop must be unserved too"
+      | _ -> Alcotest.fail "the drop in one process must be unserved too"
     in
-    if not (Transcript.party_equal f.Protocol.party simulated.Protocol.party) then
-      Alcotest.failf "blame differs: wire %s at %s (%s), simulated %s at %s (%s)"
+    if not (Transcript.party_equal f.Protocol.party in_process.Protocol.party) then
+      Alcotest.failf "blame differs: wire %s at %s (%s), in process %s at %s (%s)"
         (Transcript.party_name f.Protocol.party)
         f.Protocol.phase f.Protocol.reason
-        (Transcript.party_name simulated.Protocol.party)
-        simulated.Protocol.phase simulated.Protocol.reason;
-    Alcotest.(check string) "same blamed phase" simulated.Protocol.phase f.Protocol.phase;
+        (Transcript.party_name in_process.Protocol.party)
+        in_process.Protocol.phase in_process.Protocol.reason;
+    Alcotest.(check string) "same blamed phase" in_process.Protocol.phase f.Protocol.phase;
     Alcotest.(check bool) "reason names the missing frame" true
       (contains f.Protocol.reason "never arrived")
   | Protocol.Unserved tried ->
@@ -962,22 +971,22 @@ let test_chaos_delay_trips_real_deadline () =
   | Protocol.Served _ -> Alcotest.fail "a 0.8s stall must blow a 0.35s deadline"
   | Protocol.Unserved tried ->
     let _, f = List.hd (List.rev tried) in
-    (* The same typed ending a simulated delay produces in-process. *)
-    let simulated =
-      let sim_plan = chaos_rule ~times:1 (Fault.Delay 0.8) in
+    (* The same typed ending the same delay produces in one process. *)
+    let in_process =
+      let plan = chaos_rule ~times:1 (Fault.Delay 0.8) in
       match
-        Protocol.run_session ~fault:sim_plan ~chain:[]
+        Protocol.run_session ~fault:plan ~chain:[]
           ~session:(R.session ~policy:{ R.default_policy with R.deadline_budget = Some 0.35 } ())
           (Option.get (Protocol.scheme_of_name "commutative"))
           (Loopback.env c) (Loopback.client_of c) ~query:(Loopback.canonical_query c)
       with
       | Protocol.Unserved tried -> snd (List.hd (List.rev tried))
-      | Protocol.Served _ -> Alcotest.fail "simulated delay must be unserved too"
+      | Protocol.Served _ -> Alcotest.fail "the delay in one process must be unserved too"
     in
-    Alcotest.(check string) "deadline phase both ways" simulated.Protocol.phase f.Protocol.phase;
+    Alcotest.(check string) "deadline phase both ways" in_process.Protocol.phase f.Protocol.phase;
     Alcotest.(check string) "it is the deadline" "deadline" f.Protocol.phase
 
-let test_chaos_truncate_severs_then_redials () =
+let test_chaos_truncate_rejected_then_retried () =
   let plan = chaos_rule ~times:1 (Fault.Truncate 6) in
   Loopback.with_cluster ~params:fast ~spec:small_spec ~chaos:[ (1, plan) ] ~io_timeout:1.5
   @@ fun c ->
@@ -985,7 +994,8 @@ let test_chaos_truncate_severs_then_redials () =
     Loopback.query c ~scheme:"commutative" ~fault_spec:"retries=2" ~fallback:false ()
   in
   let _ = served_exn "commutative" response.Peer.result in
-  Alcotest.(check int) "served on the redialed connection" 2 response.Peer.epochs;
+  Alcotest.(check int) "the truncated frame was rejected, the retry served" 2
+    response.Peer.epochs;
   match Loopback.chaos_events c 1 with
   | [ { Fault.event_action = Fault.Truncate _; _ } ] -> ()
   | [ e ] -> Alcotest.failf "expected truncate, got %s" (Fault.action_name e.Fault.event_action)
@@ -1006,7 +1016,7 @@ let byzantine_cases =
     ("mobile-code", [ "malformed-ciphertexts" ]);
   ]
 
-let simulated_failure c ~scheme ~fault_spec =
+let in_process_failure c ~scheme ~fault_spec =
   match
     Protocol.run_session
       ?fault:(Result.to_option (Fault.of_spec fault_spec))
@@ -1057,7 +1067,7 @@ let test_byzantine_modes_match_inproc () =
               let fault_spec = Printf.sprintf "byzantine:%d:%s;retries=0" sid mode in
               let what = Printf.sprintf "%s, source %d %s" scheme sid mode in
               check_same_blame ~what
-                (simulated_failure c ~scheme ~fault_spec)
+                (in_process_failure c ~scheme ~fault_spec)
                 (served_failure c ~scheme ~fault_spec ~budget:(2. *. io_timeout)))
             [ 1; 2 ])
         modes)
@@ -1073,10 +1083,11 @@ let test_byzantine_modes_match_inproc () =
 
 (* A frame damaged on a real source->mediator link reaches a mediator
    that did not compute it: the integrity tag, not a byte comparison,
-   rejects it, blamed on the mediator at the phase the simulated
-   corruption names.  A session fault plan (retries=0) makes row-wise
-   messages travel as single frames, which the proxy damages — every
-   one of them, so each query fails at its first source frame. *)
+   rejects it, blamed on the mediator at the phase the same corruption
+   names in one process.  Every delivery travels as a chunk stream, and
+   the proxy's rule (no [times] bound) damages the first chunk of every
+   source->mediator delivery, so each query fails at its first source
+   delivery. *)
 let test_chaos_corrupt_rejected_by_tag () =
   let plan =
     Fault.plan
@@ -1094,7 +1105,7 @@ let test_chaos_corrupt_rejected_by_tag () =
         (scheme ^ ": rejected by the integrity tag") true
         (contains got.Protocol.reason "integrity tag mismatch");
       check_same_blame ~what:(scheme ^ ": corrupt source1->mediator")
-        (simulated_failure c ~scheme ~fault_spec:"corrupt:source1->mediator:times=1;retries=0")
+        (in_process_failure c ~scheme ~fault_spec:"corrupt:source1->mediator:times=1;retries=0")
         got;
       Alcotest.(check string) (scheme ^ ": mediator blamed") "Mediator"
         (Transcript.party_name got.Protocol.party))
@@ -1103,10 +1114,6 @@ let test_chaos_corrupt_rejected_by_tag () =
   Alcotest.(check bool) "the proxy corrupted every query" true
     (List.length (Loopback.chaos_events c 1) >= List.length schemes)
 
-(* With no session fault plan the source rows travel as a chunked
-   stream, which the proxy damages too: it picks a rule once per
-   delivery, on the stream's first chunk, so [times=1] corrupts exactly
-   one delivery and the session ends in a typed fault. *)
 (* A stopped proxy refuses connections at once, even though its
    acceptor was blocked in [accept] (a close alone leaves that socket
    listening, and the freed descriptor number open to reuse under a
@@ -1123,6 +1130,9 @@ let test_chaos_stop_releases_port () =
     Alcotest.fail "a stopped proxy still listens"
   | exception Io.Transport_error _ -> ()
 
+(* The proxy picks a rule once per delivery, on the stream's first
+   chunk, so [times=1] corrupts exactly one delivery and the session
+   ends in a typed fault. *)
 let test_chaos_corrupt_streamed_delivery () =
   let plan =
     Fault.plan
@@ -1147,6 +1157,97 @@ let test_chaos_corrupt_streamed_delivery () =
   | [ { Fault.event_action = Fault.Corrupt _; _ } ] -> ()
   | [ e ] -> Alcotest.failf "expected corrupt, got %s" (Fault.action_name e.Fault.event_action)
   | es -> Alcotest.failf "expected exactly one proxy event, got %d" (List.length es)
+
+(* One channel fault, three ways: [times=1] on source1->mediator in one
+   process, in a served [--fault] session, and through the chaos proxy
+   on the real link.  Each ends alike — the same typed (phase, party)
+   for a damaging fault, the same correct result for a harmless one.
+   [retries=0] without fallback keeps the first attempt's ending.  A
+   served [--fault] drop fails at its sender, which reports at once, so
+   the session ends well inside [io_timeout]. *)
+type ending = Failed of string * string | Correct
+
+let ending_of what = function
+  | Protocol.Served o when Outcome.correct o -> Correct
+  | Protocol.Served _ -> Alcotest.failf "%s: served a wrong result" what
+  | Protocol.Unserved [ (_, f) ] ->
+    Failed (f.Protocol.phase, Transcript.party_name f.Protocol.party)
+  | Protocol.Unserved tried ->
+    Alcotest.failf "%s: expected one failure: %a" what Protocol.pp_session_failures tried
+
+let pp_ending = function
+  | Correct -> "correct result"
+  | Failed (phase, party) -> Printf.sprintf "fault at %s (%s)" phase party
+
+let test_channel_fault_three_ways () =
+  let scheme = "commutative" and io_timeout = 2. in
+  let cases = [ "drop"; "truncate"; "corrupt"; "duplicate"; "delay" ] in
+  let rule action = action ^ ":source1->mediator:times=1" in
+  let plan spec = Result.get_ok (Fault.of_spec spec) in
+  let served =
+    Loopback.with_cluster ~params:fast ~spec:small_spec ~io_timeout @@ fun c ->
+    List.map
+      (fun action ->
+        let spec = rule action ^ ";retries=0" in
+        let in_process =
+          Protocol.run_session ~fault:(plan spec) ~chain:[]
+            (Option.get (Protocol.scheme_of_name scheme))
+            (Loopback.env c) (Loopback.client_of c) ~query:(Loopback.canonical_query c)
+        in
+        let started = Unix.gettimeofday () in
+        let response = Loopback.query c ~scheme ~fault_spec:spec ~fallback:false () in
+        let elapsed = Unix.gettimeofday () -. started in
+        if elapsed > io_timeout /. 2. then
+          Alcotest.failf "served --fault %s took %.2fs (io_timeout %.1fs)" action elapsed
+            io_timeout;
+        ( action,
+          ending_of (action ^ " in process") in_process,
+          ending_of (action ^ " served") response.Peer.result ))
+      cases
+  in
+  List.iter
+    (fun (action, in_process, served) ->
+      let proxied =
+        Loopback.with_cluster ~params:fast ~spec:small_spec ~io_timeout
+          ~chaos:[ (1, plan (rule action)) ]
+        @@ fun c ->
+        ending_of (action ^ " proxied")
+          (Loopback.query c ~scheme ~fault_spec:"retries=0" ~fallback:false ()).Peer.result
+      in
+      let expected =
+        match in_process with
+        | Failed (_, "Mediator") when List.mem action [ "drop"; "truncate"; "corrupt" ] ->
+          in_process
+        | Correct when List.mem action [ "duplicate"; "delay" ] -> in_process
+        | other -> Alcotest.failf "%s in process: unexpected %s" action (pp_ending other)
+      in
+      List.iter
+        (fun (how, got) ->
+          if got <> expected then
+            Alcotest.failf "%s %s: %s, in process %s" action how (pp_ending got)
+              (pp_ending expected))
+        [ ("served --fault", served); ("through the proxy", proxied) ])
+    served
+
+(* A rule's [times] counter burns down alike in every process: a
+   damaging choice fails the attempt wherever its bytes go, so a process
+   that carries on past it — here the client, which sent the damaged
+   query — makes no further choice in that attempt.  Two corruptions
+   cost two attempts, served as in one process. *)
+let test_times_counter_in_step () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let spec = "corrupt:*->*:times=2;retries=2" and scheme = "plain" in
+  let plan = Result.get_ok (Fault.of_spec spec) in
+  (match
+     Protocol.run ~fault:plan
+       (Option.get (Protocol.scheme_of_name scheme))
+       (Loopback.env c) (Loopback.client_of c) ~query:(Loopback.canonical_query c)
+   with
+  | Protocol.Ok _ -> Alcotest.(check int) "three attempts in process" 3 (Fault.attempts plan)
+  | Protocol.Fault f -> Alcotest.failf "in process: %s" f.Protocol.reason);
+  let response = Loopback.query c ~scheme ~fault_spec:spec ~fallback:false () in
+  ignore (served_exn scheme response.Peer.result);
+  Alcotest.(check int) "three attempts served" 3 response.Peer.epochs
 
 (* ------------------------------------------------------------------ *)
 (* Admission and handshake. *)
@@ -1261,38 +1362,6 @@ let test_net_metrics_counted () =
     (Obs.Metrics.counter_value (Obs.Metrics.counter "net.bytes_recv") > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Regression: run_session must scope the plan's delay handler. *)
-
-let test_delay_handler_scoped_to_session () =
-  let env, client, query = Workload.scenario ~params:fast small_spec in
-  let plan = chaos_rule ~times:1 (Fault.Delay 0.01) in
-  Alcotest.(check bool) "no handler before" false (Fault.delay_handler_installed plan);
-  let result =
-    Protocol.run_session ~fault:plan ~chain:[]
-      ~session:(R.session ~policy:{ R.default_policy with R.deadline_budget = Some 30. } ())
-      (Option.get (Protocol.scheme_of_name "plain"))
-      env client ~query
-  in
-  (match result with
-  | Protocol.Served _ -> ()
-  | Protocol.Unserved tried ->
-    Alcotest.failf "plain with a tiny delay must serve: %a" Protocol.pp_session_failures tried);
-  Alcotest.(check bool) "no handler leaked after" false (Fault.delay_handler_installed plan);
-  (* And a caller's own handler is restored, not clobbered. *)
-  let outer_ran = ref false in
-  Fault.with_delay_handler plan (Some (fun _ -> outer_ran := true)) (fun () ->
-      (match
-         Protocol.run_session ~fault:plan ~chain:[]
-           (Option.get (Protocol.scheme_of_name "plain"))
-           env client ~query
-       with
-      | Protocol.Served _ -> ()
-      | Protocol.Unserved _ -> Alcotest.fail "plain must serve");
-      Alcotest.(check bool) "outer handler restored inside scope" true
-        (Fault.delay_handler_installed plan));
-  Alcotest.(check bool) "outer handler unwound" false (Fault.delay_handler_installed plan)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "net"
@@ -1353,6 +1422,7 @@ let () =
           Alcotest.test_case "differential: all schemes bit-identical" `Slow
             test_loopback_differential;
           Alcotest.test_case "fault plan still streams" `Slow test_fault_plan_streams;
+          Alcotest.test_case "times counter in step" `Slow test_times_counter_in_step;
           Alcotest.test_case "differential: pm direct payload" `Slow
             test_pm_direct_differential;
           Alcotest.test_case "at capacity refuses" `Quick test_server_at_capacity_refuses;
@@ -1377,23 +1447,20 @@ let () =
           Alcotest.test_case "duplicate filtered" `Slow test_chaos_duplicate_is_filtered;
           Alcotest.test_case "delay trips the real deadline" `Slow
             test_chaos_delay_trips_real_deadline;
-          Alcotest.test_case "truncate severed then redialed" `Slow
-            test_chaos_truncate_severs_then_redials;
+          Alcotest.test_case "truncate rejected then retried" `Slow
+            test_chaos_truncate_rejected_then_retried;
           Alcotest.test_case "corrupt source frame rejected by the tag" `Slow
             test_chaos_corrupt_rejected_by_tag;
           Alcotest.test_case "corrupt streamed delivery" `Slow
             test_chaos_corrupt_streamed_delivery;
           Alcotest.test_case "stopped proxy releases its port" `Quick
             test_chaos_stop_releases_port;
+          Alcotest.test_case "one fault three ways" `Slow test_channel_fault_three_ways;
         ] );
       ( "hostile",
         [
           Alcotest.test_case "byzantine modes fail as in process" `Slow
             test_byzantine_modes_match_inproc;
           Alcotest.test_case "malformed varints rejected" `Quick test_malformed_varints_rejected;
-        ] );
-      ( "regressions",
-        [
-          Alcotest.test_case "delay handler scoped" `Quick test_delay_handler_scoped_to_session;
         ] );
     ]

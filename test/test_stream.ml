@@ -576,7 +576,7 @@ let recv ~expect frames =
 
 (* A mediator link whose transport reads [frames]. *)
 let link_of frames =
-  Link.make ~endpoint:(Link.Remote (scripted_transport frames)) (Transcript.create ())
+  Link.make ~transport:(scripted_transport frames) (Transcript.create ())
 
 (* A rejection is a typed fault blamed on the receiving mediator. *)
 let rejected reason f =
