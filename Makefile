@@ -121,27 +121,36 @@ check-stream:
 # entry point comes back: an exponentiation of one or more bases is one
 # call of the kernel's multi-base entry point.  The fifth fails if a
 # dedicated Montgomery squaring comes back: the kernel has one
-# product-scanning Montgomery routine, and squares go through it.  Then
-# the bigint/crypto differential tests (both context kinds' multiply,
-# exponentiation, Multi_exp, Fixed_base and domain conversions vs
-# mod_pow_plain at 64-bit word edges and on even moduli, a chained
+# product-scanning Montgomery routine, and squares go through it.  The
+# sixth fails if a fixed-window digit reader comes back beside the one
+# sliding-window scan, and the seventh if a Horner evaluation comes back
+# on PM's runtime path: a source evaluates each value as one
+# multi-exponentiation over the coefficients' tables.  Then the
+# bigint/crypto differential tests (both context kinds' multiply,
+# exponentiation, Multi_exp over tables of every width, Fixed_base and
+# domain conversions vs mod_pow_plain at 64-bit word edges and on even
+# moduli, a chained
 # multiply against the aliasing exponentiation, binary vs Euclidean
 # gcd, the linear byte
 # codec vs its shift-and-add reference, CRT vs plain decryption, the
 # SHA-256 kernel on FIPS 180-4 vectors and mid-block updates, AES-CTR
 # vs the vector-checked block cipher, domain-local cache stress), the
-# batch-executor determinism suite, and the DAS client's
-# decrypt-each-ciphertext-once test.
+# batch-executor determinism suite, the DAS client's
+# decrypt-each-ciphertext-once test, and PM's masked evaluation against
+# its plaintext oracle.
 check-crypto-perf:
 	! grep -nE ':[^:]* ref$$' lib/bigint/bigint.mli
 	! grep -nE "process_block|rotr" lib/crypto/sha256.ml
 	! grep -n "make_matrix" lib/bigint/bigint.ml
 	! grep -rnw "secmed_bigint_mont_pow" lib/bigint
 	! grep -nw "mont_sqr" lib/bigint/bigint_stubs.c
+	! grep -n "exp_digit" lib/bigint/bigint_stubs.c
+	! grep -rnw "eval_encrypted" lib
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe
 	dune exec test/test_core_protocols.exe -- test das-decrypt-once
+	dune exec test/test_core_protocols.exe -- test pm-poly
 
 # Non-comment, non-blank lines of the transport and the CLI, per file
 # and in total (the line budget ROADMAP.md tracks), then the total of

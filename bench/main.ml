@@ -52,8 +52,8 @@ let experiments : (string * string * (unit -> unit) Term.t) list =
      Term.(const (fun () () -> Ablations.pm_payload ()) $ const ()));
     ("ablation-das", "A2: DAS mediator pair-index vs nested loop",
      Term.(const (fun sizes () -> Ablations.das_server_eval ~sizes ()) $ sizes_arg));
-    ("ablation-horner", "A3: homomorphic Horner vs naive evaluation",
-     Term.(const (fun degrees () -> Ablations.horner ~degrees ()) $ degrees_arg));
+    ("ablation-horner", "A3: PM evaluation, tabled multi-exponentiation vs Horner plus the mask",
+     Term.(const (fun degrees () -> Ablations.pm_eval ~degrees ()) $ degrees_arg));
     ("ablation-karatsuba", "A4: bigint Karatsuba threshold",
      Term.(const (fun () () -> Ablations.karatsuba ()) $ const ()));
     ("ablation-montgomery", "A5: Montgomery vs plain modular exponentiation",
@@ -87,7 +87,7 @@ let run_all () =
   Experiments.selection ();
   Ablations.pm_payload ();
   Ablations.das_server_eval ~sizes:[ 4; 8; 16 ] ();
-  Ablations.horner ~degrees:[ 4; 8; 16 ] ();
+  Ablations.pm_eval ~degrees:[ 4; 8; 16 ] ();
   Ablations.karatsuba ();
   Ablations.montgomery ();
   Ablations.setops ();

@@ -567,22 +567,45 @@ let pow_checked name b e m ~wide =
 (* Montgomery arithmetic for odd moduli runs on the C kernel in
    bigint_stubs.c: one product-scanning multiply over native-endian
    64-bit words with R = 2^(64k) for a k-word modulus, which squares
-   too, and a whole windowed exponentiation of one or more bases per
-   call.  The kernels are noalloc and stateless: every result and
-   scratch buffer is allocated here and passed in, which keeps them safe
-   to run from any number of domains at once. *)
+   too; a table of odd powers per base; and a whole sliding-window
+   exponentiation of one or more bases over those tables per call.  The
+   kernels are noalloc and stateless: every result, table and scratch
+   buffer is allocated here and passed in, which keeps them safe to run
+   from any number of domains at once. *)
 
 (* ctx r a b scratch: r <- a * b * R^-1 mod m; scratch is k words. *)
 external kernel_mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
   = "secmed_bigint_mont_mul"
 [@@noalloc]
 
-(* ctx r bases exps scratch: r <- the product of bases_i^exps_i, for n
-   bases given as k-word blocks back to back and their exponents as
-   31-bit limbs, at least one non-zero; scratch is 15kn + k words. *)
-external kernel_mont_multi_pow : Bytes.t -> Bytes.t -> Bytes.t -> int array array -> Bytes.t -> unit
+(* ctx table base scratch: table <- base, base^3, ..., one odd power per
+   k words of the table (a power of two of them); scratch is 2k words. *)
+external kernel_mont_odd_powers : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+  = "secmed_bigint_mont_odd_powers"
+[@@noalloc]
+
+(* ctx r tables exps scratch: r <- the product of b_i^exps_i, for n
+   bases given as their odd-power tables and their exponents as 31-bit
+   limbs, at least one non-zero; scratch is k + 2n words. *)
+external kernel_mont_multi_pow : Bytes.t -> Bytes.t -> Bytes.t array -> int array array -> Bytes.t -> unit
   = "secmed_bigint_mont_multi_pow"
 [@@noalloc]
+
+(* The sliding-window width for a base raised in [uses] exponentiations
+   of [bits]-bit exponents: its table's 2^(w-1) multiplies are shared by
+   the uses, and a scan makes about bits/(w+1) multiplies for it, so the
+   width minimises 2^(w-1)/uses + bits/(w+1), up to 8.  Widening from w
+   to w + 1 adds 2^(w-1)/uses and saves bits/((w+1)(w+2)), so it pays
+   while 2^(w-1)(w+1)(w+2) < bits * uses; the left side grows with w,
+   so the first w where it stops paying is the minimum. *)
+let max_window = 8
+
+let window_width ~uses ~bits =
+  let w = ref 1 in
+  while !w < max_window && (1 lsl (!w - 1)) * (!w + 1) * (!w + 2) < bits * Stdlib.max 1 uses do
+    incr w
+  done;
+  !w
 
 let word_bits = 64
 
@@ -718,27 +741,52 @@ module Ctx = struct
     | Mont mc -> kernel_mul c mc.kernel_ctx a b
     | Plain -> plain_words c (mul (value a) (value b))
 
-  (* The product of bases.(i)^exps.(i) in the domain: one kernel call
-     sharing one squaring chain, or the residue ring for a Plain
-     context. *)
-  let multi_pow c (bases : mont array) exps =
+  (* A base's table: its odd powers b, b^3, ..., b^(2^w - 1) in the
+     domain, for the width the cost rule picks.  A Plain context keeps
+     the base alone, since its powers divide anyway. *)
+  type table = Bytes.t
+
+  let table c b ~uses ~bits =
+    check c b;
+    match c.kind with
+    | Mont mc ->
+      let k = c.words in
+      let t = Bytes.create ((8 * k) lsl (window_width ~uses ~bits - 1)) in
+      kernel_mont_odd_powers mc.kernel_ctx t b (Bytes.create (16 * k));
+      t
+    | Plain -> b
+
+  (* A table holds a power of two of k-word entries, at most
+     2^(max_window - 1), so the kernel reads it whole. *)
+  let check_table c (t : table) =
+    let entries = Bytes.length t / (8 * c.words) in
+    if Bytes.length t mod (8 * c.words) <> 0 || entries = 0 || entries land (entries - 1) <> 0
+       || entries > 1 lsl (max_window - 1)
+    then invalid_arg "Bigint.Multi_exp: table from another context"
+
+  (* The product of the tables' bases raised to [exps] in the domain: one
+     kernel call sharing one squaring chain, or the residue ring for a
+     Plain context. *)
+  let multi_pow c (tables : table array) exps =
+    if Array.length tables <> Array.length exps then
+      invalid_arg "Bigint.Multi_exp.pow: one exponent per table";
     if Array.exists (fun e -> e.sign < 0) exps then
-      invalid_arg "Bigint.Ctx.mont_pow: negative exponent";
-    Array.iter (check c) bases;
+      invalid_arg "Bigint.Multi_exp.pow: negative exponent";
+    Array.iter (check_table c) tables;
     match c.kind with
     | Mont mc when Array.for_all is_zero exps -> mc.one
     | Mont mc ->
-      let k = c.words and n = Array.length bases in
+      let k = c.words in
       let r = Bytes.create (8 * k) in
-      kernel_mont_multi_pow mc.kernel_ctx r (Bytes.concat Bytes.empty (Array.to_list bases))
+      kernel_mont_multi_pow mc.kernel_ctx r tables
         (Array.map (fun e -> e.mag) exps)
-        (Bytes.create (8 * ((15 * k * n) + k)));
+        (Bytes.create (8 * (k + (2 * Array.length tables))));
       r
     | Plain ->
-      let powers = Array.mapi (fun i b -> mod_pow_plain (value b) exps.(i) c.modulus) bases in
+      let powers = Array.mapi (fun i t -> mod_pow_plain (value t) exps.(i) c.modulus) tables in
       plain_words c (Array.fold_left (fun acc p -> emod (mul acc p) c.modulus) one powers)
 
-  let mont_pow c b e = multi_pow c [| b |] [| e |]
+  let mont_pow c b e = multi_pow c [| table c b ~uses:1 ~bits:(numbits e) |] [| e |]
 
   let mod_pow c b e =
     pow_checked "Bigint.Ctx.mod_pow" b e c.modulus ~wide:(fun b e ->
@@ -895,16 +943,18 @@ module Fixed_base = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Simultaneous multi-exponentiation (Straus's method).  a^ea * b^eb is
-   one kernel call that scans both exponents' 4-bit windows together in
-   one context's domain: the squaring chain is paid once instead of
-   twice, and each window costs at most one multiplication per base,
-   which is the shape of PM's eval^r * s^n masking. *)
+(* Simultaneous multi-exponentiation (Straus's method) over odd-power
+   tables that callers build once per base and reuse across calls: one
+   kernel call scans every exponent's sliding windows together in one
+   context's domain, so the squaring chain is paid once, and a table
+   built for many uses is paid once too, which is the shape of PM's
+   evaluation of one polynomial at many points. *)
 
 module Multi_exp = struct
-  let mont_pow2 (c : Ctx.ctx) (a : Ctx.mont) ea (b : Ctx.mont) eb =
-    if ea.sign < 0 || eb.sign < 0 then invalid_arg "Bigint.Multi_exp: negative exponent";
-    Ctx.multi_pow c [| a; b |] [| ea; eb |]
+  type table = Ctx.table
+
+  let table = Ctx.table
+  let pow = Ctx.multi_pow
 
   (* a * b^e with the conversions fused: one conversion of [a] into the
      domain instead of a full-width modular multiplication at the end. *)

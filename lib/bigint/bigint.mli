@@ -191,8 +191,9 @@ module Ctx : sig
   val mont_mul : ctx -> mont -> mont -> mont
 
   val mont_pow : ctx -> mont -> t -> mont
-  (** In-domain windowed exponentiation; the exponent is an ordinary
-      non-negative integer (raises [Invalid_argument] when negative). *)
+  (** In-domain sliding-window exponentiation: a {!Multi_exp.table} for
+      one use, then one scan.  The exponent is an ordinary non-negative
+      integer (raises [Invalid_argument] when negative). *)
 end
 
 val ctx_cache_stats : unit -> int * int
@@ -238,22 +239,34 @@ end
 
 (** {1 Simultaneous multi-exponentiation}
 
-    Straus's method: [a^ea * b^eb mod m] with one shared squaring chain
-    and a 15-entry table per base, both exponents scanned together in
-    4-bit windows by the same kernel call that runs {!Ctx.mont_pow}.
-    Roughly [max(|ea|,|eb|)] squarings plus at most one multiplication
-    per base per window, against two squaring chains for two independent
-    exponentiations; PM's [eval^r * s^n] masking is this shape.  Plain
-    contexts multiply two residue-ring powers.  The fused products
-    [a * b^e] serve Paillier's encryption and ElGamal's encryption and
-    decryption. *)
+    Straus's method with interleaved sliding windows:
+    [b_1^e_1 * ... * b_n^e_n mod m] in one kernel call, with one squaring
+    chain shared by every base and about [|e_i|/(w_i+1)] multiplications
+    per base.  Each base is given as a {!table} of its odd powers
+    [b, b^3, ..., b^(2^w - 1)], built once and reused by any number of
+    calls: PM builds one per encrypted coefficient and evaluates a
+    polynomial at every point of a source with it.  {!Ctx.mont_pow} runs
+    the same scan over a table built for one use.  Plain contexts
+    multiply residue-ring powers.  The fused products [a * b^e] serve
+    Paillier's encryption and ElGamal's encryption and decryption. *)
 
 module Multi_exp : sig
-  val mont_pow2 : Ctx.ctx -> Ctx.mont -> t -> Ctx.mont -> t -> Ctx.mont
-  (** [mont_pow2 c a ea b eb = a^ea * b^eb] with all values in the
-      context's representation, for callers that chain further
-      in-domain operations.  Requires non-negative exponents (raises
-      [Invalid_argument] otherwise). *)
+  type table
+  (** A base's odd powers in a context's representation; read-only, so
+      any number of domains may share one. *)
+
+  val table : Ctx.ctx -> Ctx.mont -> uses:int -> bits:int -> table
+  (** [table c b ~uses ~bits] is the table of [b] for [uses]
+      exponentiations of exponents of about [bits] bits.  Its window
+      width w minimises [2^(w-1)/uses + bits/(w+1)] (the table's
+      multiplies shared by the uses, plus one scan's), up to 8. *)
+
+  val pow : Ctx.ctx -> table array -> t array -> Ctx.mont
+  (** [pow c tables exps] is the product of each table's base raised to
+      the exponent at the same index, in the context's representation.
+      Raises [Invalid_argument] on a negative exponent, on arrays of
+      different lengths, or on a table whose size no table of the
+      context has. *)
 
   val mul_pow : Ctx.ctx -> t -> t -> t -> t
   (** [mul_pow c a b e = a * b^e mod m] with the domain conversions

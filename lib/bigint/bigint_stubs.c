@@ -2,9 +2,10 @@
  *
  * The modular-exponentiation hot path of every scheme: one
  * product-scanning Montgomery multiply over native-endian 64-bit words
- * with R = 2^(64k) for a k-word modulus, which squares too, and one
- * fixed-window exponentiation of any number of bases at once, so one
- * exponentiation is one call.
+ * with R = 2^(64k) for a k-word modulus, which squares too; one table
+ * of odd powers per base; and one sliding-window exponentiation of any
+ * number of bases at once over those tables, so an exponentiation is a
+ * table per base and then one call.
  *
  * Every operand is an OCaml [bytes] of whole words, and the caller
  * passes in the result and scratch buffers too: nothing here allocates,
@@ -28,7 +29,6 @@ typedef unsigned __int128 u128;
 
 /* Exponent limbs are the 31-bit limbs of a Bigint magnitude. */
 #define EXP_LIMB_BITS 31
-#define WINDOW 4
 
 /* Adds the product x * y into the column accumulator (acc, top). */
 #define MULADD(x, y)                            \
@@ -103,68 +103,92 @@ static size_t exp_bits(value e)
   return nbits;
 }
 
-/* The 4-bit digit of [e] at window [w]: bits 4w .. 4w + 3, zero past
-   the top limb. */
-static unsigned exp_digit(value e, size_t w)
+/* Bit [pos] of the exponent [e], zero past the top limb. */
+static unsigned exp_bit(value e, size_t pos)
 {
-  size_t limbs = Wosize_val(e);
-  unsigned digit = 0;
-  for (int bit = WINDOW - 1; bit >= 0; bit--) {
-    size_t pos = w * WINDOW + (size_t)bit, limb = pos / EXP_LIMB_BITS;
-    unsigned b = limb < limbs
-      ? (unsigned)(Long_val(Field(e, limb)) >> (pos % EXP_LIMB_BITS)) & 1u
-      : 0u;
-    digit = (digit << 1) | b;
-  }
-  return digit;
+  size_t limb = pos / EXP_LIMB_BITS;
+  return limb < Wosize_val(e)
+    ? (unsigned)(Long_val(Field(e, limb)) >> (pos % EXP_LIMB_BITS)) & 1u
+    : 0u;
 }
 
-/* secmed_bigint_mont_multi_pow ctx r bases exps scratch:
-   r <- prod_i bases_i^exps_i (Montgomery domain), by Straus's method
-   with a left-to-right 4-bit fixed window: one chain of squarings shared
-   by every base, and per window at most one multiply for each base whose
-   digit is non-zero.  [bases] holds the bases' k-word blocks back to
-   back; [exps] holds one trimmed 31-bit-limb array per base, at least
-   one of them non-zero.  [scratch] is 15kn + k words for n bases: each
-   base's table base^1 .. base^15, then the k words that every multiply
-   reuses. */
-CAMLprim value secmed_bigint_mont_multi_pow(value ctx, value r, value bases,
+/* secmed_bigint_mont_odd_powers ctx table base scratch:
+   table <- base, base^3, ..., base^(2t - 1) for the t = |table| / k
+   entries of the table, a power of two.  [scratch] is 2k words: base^2,
+   then the k words of the multiply. */
+CAMLprim value secmed_bigint_mont_odd_powers(value ctx, value table,
+                                             value base, value scratch)
+{
+  size_t k = caml_string_length(ctx) / 8 - 1;
+  const uint64_t *m = WORDS(ctx);
+  uint64_t minv = m[k];
+  size_t entries = caml_string_length(table) / (8 * k);
+  uint64_t *t = WORDS(table), *sq = WORDS(scratch), *u = sq + k;
+  memcpy(t, WORDS(base), k * sizeof(uint64_t));
+  if (entries > 1) mont_mul(sq, t, t, m, minv, k, u);
+  for (size_t d = 1; d < entries; d++)
+    mont_mul(t + d * k, t + (d - 1) * k, sq, m, minv, k, u);
+  return Val_unit;
+}
+
+/* secmed_bigint_mont_multi_pow ctx r tables exps scratch:
+   r <- prod_i b_i^exps_i (Montgomery domain), by Straus's method with
+   interleaved sliding windows: one chain of squarings shared by every
+   base, and per base one multiply for each window of its exponent.
+   [tables] holds, per base, the odd powers b_i, b_i^3, ...,
+   b_i^(2^w_i - 1) from [secmed_bigint_mont_odd_powers]: 2^(w_i - 1)
+   entries, so a table's length gives its window width w_i.  [exps] holds
+   one trimmed 31-bit-limb array per base, at least one of them non-zero.
+   [scratch] is k + 2n words for n bases: the k words of the multiply,
+   then per base the bit at which its open window multiplies (plus one;
+   0 when none is open), then that window's table index. */
+CAMLprim value secmed_bigint_mont_multi_pow(value ctx, value r, value tables,
                                             value exps, value scratch)
 {
   size_t k = caml_string_length(ctx) / 8 - 1;
   const uint64_t *m = WORDS(ctx);
   uint64_t minv = m[k];
-  size_t n = Wosize_val(exps), entries = (1 << WINDOW) - 1;
-  uint64_t *acc = WORDS(r), *tables = WORDS(scratch);
-  uint64_t *t = tables + n * entries * k;
+  size_t n = Wosize_val(exps);
+  uint64_t *acc = WORDS(r), *t = WORDS(scratch);
+  uint64_t *due = t + k, *index = due + n;
 
   size_t nbits = 0;
   for (size_t i = 0; i < n; i++) {
     size_t bits = exp_bits(Field(exps, i));
     if (bits > nbits) nbits = bits;
-    if (bits == 0) continue;
-    uint64_t *table = tables + i * entries * k;
-    memcpy(table, WORDS(bases) + i * k, k * sizeof(uint64_t));
-    mont_mul(table + k, table, table, m, minv, k, t);
-    for (size_t d = 2; d < entries; d++)
-      mont_mul(table + d * k, table + (d - 1) * k, table, m, minv, k, t);
+    due[i] = 0;
   }
 
-  /* The top window holds some base's top bit, so a non-zero digit seeds
-     the accumulator: no representative of 1 is needed. */
+  /* The first window opens at some base's top bit, and its multiply
+     seeds the accumulator: no representative of 1 is needed, and no
+     squaring runs before it. */
   int started = 0;
-  for (size_t w = (nbits + WINDOW - 1) / WINDOW; w-- > 0;) {
-    if (started)
-      for (int s = 0; s < WINDOW; s++) mont_mul(acc, acc, acc, m, minv, k, t);
+  for (size_t j = nbits; j-- > 0;) {
+    if (started) mont_mul(acc, acc, acc, m, minv, k, t);
     for (size_t i = 0; i < n; i++) {
-      unsigned digit = exp_digit(Field(exps, i), w);
-      if (digit == 0) continue;
-      const uint64_t *entry = tables + (i * entries + digit - 1) * k;
-      if (started)
-        mont_mul(acc, acc, entry, m, minv, k, t);
-      else
-        memcpy(acc, entry, k * sizeof(uint64_t));
-      started = 1;
+      value e = Field(exps, i);
+      if (due[i] == 0 && exp_bit(e, j)) {
+        /* A window opens at a set bit j and spans at most w_i bits down
+           to bit 0; trimmed to end at its lowest set bit, its value is
+           odd and indexes the table of odd powers. */
+        size_t entries = caml_string_length(Field(tables, i)) / (8 * k), w = 1;
+        while (((size_t)1 << (w - 1)) < entries) w++;
+        size_t low = j + 1 > w ? j + 1 - w : 0;
+        while (!exp_bit(e, low)) low++;
+        uint64_t digit = 0;
+        for (size_t pos = j + 1; pos-- > low;) digit = (digit << 1) | exp_bit(e, pos);
+        due[i] = low + 1;
+        index[i] = digit >> 1;
+      }
+      if (due[i] == j + 1) {
+        const uint64_t *entry = WORDS(Field(tables, i)) + index[i] * k;
+        if (started)
+          mont_mul(acc, acc, entry, m, minv, k, t);
+        else
+          memcpy(acc, entry, k * sizeof(uint64_t));
+        started = 1;
+        due[i] = 0;
+      }
     }
   }
   return Val_unit;

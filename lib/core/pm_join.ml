@@ -53,15 +53,36 @@ type side_output = {
   id_table_bytes : int;
 }
 
+(* Receiver-side range/group check: a valid Paillier ciphertext is a unit
+   of Z_{n^2}, so 0 never appears honestly; the private-type constructor
+   already excludes values >= n^2.  Run unconditionally — it is the
+   defence against a source shipping garbage coefficients. *)
+let validate_ciphertexts ~phase ~party label cts =
+  List.iter
+    (fun c ->
+      if Bigint.is_zero (Paillier.ciphertext_to_bigint c) then
+        Fault.fail ~phase ~party
+          (Printf.sprintf "%s carries an out-of-group Paillier value (0 not a unit)" label))
+    cts
+
 (* Steps 5/6 of Listing 4: for each own value a, homomorphically evaluate
    the opposite polynomial at a, mask with fresh randomness and add the
-   packed (a ‖ payload).  Each group entry runs on its own PRNG stream
-   (split from the side's seed) through the Batch executor: the Horner
-   evaluation plus mask-and-add per entry is the source's dominant cost
-   and is independent across entries.  IDs are assigned by position —
-   entry i of this side gets [first_id + i] — which reproduces the
-   sequential numbering for any domain count. *)
+   packed (a ‖ payload), as one multi-exponentiation over the
+   coefficients' tables, built once here after the coefficients pass the
+   group check.  Each group entry runs on its own PRNG stream (split from
+   the side's seed) through the Batch executor: the masked evaluation per
+   entry is the source's dominant cost and is independent across entries,
+   and the tables are read-only.  IDs are assigned by position — entry i
+   of this side gets [first_id + i] — which reproduces the sequential
+   numbering for any domain count. *)
 let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~sid ~first_id =
+  if opp_coeffs = [] then
+    Fault.fail ~phase:"source-evaluate" ~party:(Source sid)
+      "opposite polynomial has no coefficients";
+  validate_ciphertexts ~phase:"source-evaluate" ~party:(Source sid) "opposite polynomial"
+    opp_coeffs;
+  let groups = Array.of_list (Request.groups request which) in
+  let tables = Pm_poly.tables pk opp_coeffs ~uses:(Array.length groups) in
   let items =
     Batch.map_seeded ~prng ~label:"pm-eval"
       (fun i prng (a, tuples) ->
@@ -86,9 +107,8 @@ let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~sid ~first_id 
                  (Join_key.to_string a) (String.length packed)
                  (Paillier.max_plaintext_bytes pk))
         in
-        let evaluated = Pm_poly.eval_encrypted pk opp_coeffs (root_of_key a) in
-        (Pm_poly.mask_and_add prng pk evaluated ~payload:message, id_entry))
-      (Array.of_list (Request.groups request which))
+        (Pm_poly.eval_masked prng tables (root_of_key a) ~payload:message, id_entry))
+      groups
   in
   let e_values = Array.to_list (Array.map fst items) in
   let id_table = List.filter_map snd (Array.to_list items) in
@@ -209,18 +229,6 @@ let decode_outputs variant pk ~counts:(n1, n2) blob =
 
 let output_size pk out = (ciphertext_bytes pk * List.length out.e_values) + out.id_table_bytes
 
-(* Receiver-side range/group check: a valid Paillier ciphertext is a unit
-   of Z_{n^2}, so 0 never appears honestly; the private-type constructor
-   already excludes values >= n^2.  Run unconditionally — it is the
-   defence against a source shipping garbage coefficients. *)
-let validate_ciphertexts ~phase ~party label cts =
-  List.iter
-    (fun c ->
-      if Bigint.is_zero (Paillier.ciphertext_to_bigint c) then
-        Fault.fail ~phase ~party
-          (Printf.sprintf "%s carries an out-of-group Paillier value (0 not a unit)" label))
-    cts
-
 let modulus_bytes pk = (Bigint.numbits pk.Paillier.n + 7) / 8
 
 let decode_pk blob =
@@ -328,11 +336,6 @@ let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
           match (pk, opp_coeffs) with
           | Some pk, Some opp_coeffs ->
             step (Source sid) "source-evaluate" (fun () ->
-                if opp_coeffs = [] then
-                  Fault.fail ~phase:"source-evaluate" ~party:(Source sid)
-                    "opposite polynomial has no coefficients";
-                validate_ciphertexts ~phase:"source-evaluate" ~party:(Source sid)
-                  "opposite polynomial" opp_coeffs;
                 let first_id =
                   match which with `Left -> 0 | `Right -> List.length opp_coeffs - 1
                 in

@@ -39,59 +39,57 @@ let encrypt ?(label = "pm-coeff") prng pk p =
     (fun _ prng c -> Paillier.encrypt prng pk c)
     (coefficients p)
 
-let eval_encrypted pk encrypted_coeffs x =
-  match List.rev encrypted_coeffs with
-  | [] -> invalid_arg "Pm_poly.eval_encrypted: empty coefficient list"
-  | highest :: rest ->
-    (* Horner entirely in the domain of n^2's context: one conversion in
-       per coefficient and one conversion out at the end, instead of a
-       domain round-trip per scalar_mul/add.  The counter bumps mirror
-       the homomorphic operations Horner's rule performs (one scalar
-       multiplication and one addition per step), keeping Table 2
-       reproductions identical. *)
-    let ctx = pk.Paillier.n2_ctx in
-    let x = Bigint.emod x pk.Paillier.n in
-    let acc = ref (Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint highest)) in
-    List.iter
-      (fun c ->
-        Counters.bump Counters.Homomorphic_scalar;
-        Counters.bump Counters.Homomorphic_add;
-        let c_m = Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint c) in
-        acc := Bigint.Ctx.mont_mul ctx (Bigint.Ctx.mont_pow ctx !acc x) c_m)
-      rest;
-    Paillier.ciphertext_of_bigint pk (Bigint.Ctx.of_mont ctx !acc)
+(* The opposite source's side of Listing 4, steps 5 and 6, per value a:
+   E(r·P(a) + payload) = Π E(c_i)^(r·a^i mod n) · s^n · (1 + payload·n).
+   The product over the coefficients decrypts to r·P(a) and differs from
+   Horner's E(P(a))^r only by an n-th power, which the fresh s^n
+   absorbs, so the e-value keeps its distribution.  Every value reuses
+   the coefficients' odd-power tables, built once per polynomial. *)
+type tables = { pk : Paillier.public_key; coeff_tables : Bigint.Multi_exp.table array }
 
-let eval_encrypted_naive prng pk encrypted_coeffs x =
-  let zero = Paillier.encrypt prng pk Bigint.zero in
-  let acc, _ =
-    List.fold_left
-      (fun (acc, x_pow) c ->
-        let term = Paillier.scalar_mul pk x_pow c in
-        (Paillier.add pk acc term, Bigint.emod (Bigint.mul x_pow x) pk.Paillier.n))
-      (zero, Bigint.one) encrypted_coeffs
+let tables pk encrypted_coeffs ~uses =
+  if encrypted_coeffs = [] then invalid_arg "Pm_poly.tables: empty coefficient list";
+  let ctx = pk.Paillier.n2_ctx and bits = Bigint.numbits pk.Paillier.n in
+  let table c =
+    Bigint.Multi_exp.table ctx
+      (Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint c))
+      ~uses ~bits
   in
-  acc
+  { pk; coeff_tables = Array.of_list (List.map table encrypted_coeffs) }
 
-let mask_and_add prng pk evaluated ~payload =
+let eval_masked prng t x ~payload =
+  let pk = t.pk in
+  let n = pk.Paillier.n and ctx = pk.Paillier.n2_ctx in
+  let degree = Array.length t.coeff_tables - 1 in
+  (* The counter bumps mirror the homomorphic operations this computes:
+     Horner's scalar multiplication and addition per coefficient past the
+     first, then the mask's random number, encryption, scalar
+     multiplication and addition, keeping Table 2 reproductions
+     identical. *)
+  for _ = 1 to degree do
+    Counters.bump Counters.Homomorphic_scalar;
+    Counters.bump Counters.Homomorphic_add
+  done;
   Counters.bump Counters.Random_number;
-  let n = pk.Paillier.n in
   let r = Bigint.succ (Bigint.random_below (Prng.byte_source prng) (Bigint.pred n)) in
-  (* E(eval)^r * E(payload; s) = eval^r * s^n * (1 + payload*n): the two
-     variable-base exponentiations (same n^2 modulus, same-width
-     exponents) share one squaring chain via Shamir's trick, and the
-     binomial factor folds in with a single in-domain multiplication.
-     The counter bumps mirror the homomorphic encryption, scalar
-     multiplication and addition this computes, keeping Table 2
-     reproductions identical. *)
-  let ctx = pk.Paillier.n2_ctx in
   Counters.bump Counters.Homomorphic_encrypt;
   let s = Paillier.random_unit prng pk in
   Counters.bump Counters.Homomorphic_scalar;
   Counters.bump Counters.Homomorphic_add;
   if Bigint.sign payload < 0 || Bigint.compare payload n >= 0 then
-    invalid_arg "Pm_poly.mask_and_add: payload out of range";
-  let g_m = Bigint.emod (Bigint.succ (Bigint.mul payload n)) pk.Paillier.n_squared in
-  let eval_m = Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint evaluated) in
-  let pair_m = Bigint.Multi_exp.mont_pow2 ctx eval_m r (Bigint.Ctx.to_mont ctx s) n in
-  let masked = Bigint.Ctx.mont_mul ctx pair_m (Bigint.Ctx.to_mont ctx g_m) in
+    invalid_arg "Pm_poly.eval_masked: payload out of range";
+  let x = Bigint.emod x n in
+  let exps = Array.make (degree + 3) r in
+  for i = 1 to degree do
+    exps.(i) <- Bigint.emod (Bigint.mul exps.(i - 1) x) n
+  done;
+  exps.(degree + 1) <- n;
+  exps.(degree + 2) <- Bigint.one;
+  let once b bits = Bigint.Multi_exp.table ctx (Bigint.Ctx.to_mont ctx b) ~uses:1 ~bits in
+  let g = Bigint.emod (Bigint.succ (Bigint.mul payload n)) pk.Paillier.n_squared in
+  let masked =
+    Bigint.Multi_exp.pow ctx
+      (Array.append t.coeff_tables [| once s (Bigint.numbits n); once g 1 |])
+      exps
+  in
   Paillier.ciphertext_of_bigint pk (Bigint.Ctx.of_mont ctx masked)

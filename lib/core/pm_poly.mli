@@ -3,7 +3,10 @@
 
     A datasource builds P(x) = (a_1 - x)(a_2 - x)...(a_d - x) whose roots
     are its input values, and the opposite side evaluates the encryption of
-    P at its own values using only the encrypted coefficients. *)
+    P at its own values using only the encrypted coefficients: it builds
+    the coefficients' {!tables} once, then makes one masked evaluation
+    ({!eval_masked}) per value.  Horner's rule survives only as the
+    plaintext reference {!eval}. *)
 
 open Secmed_bigint
 open Secmed_crypto
@@ -32,22 +35,23 @@ val encrypt :
     encrypting several polynomials must vary the parent PRNG or
     [label]. *)
 
-val eval_encrypted :
-  Paillier.public_key -> Paillier.ciphertext list -> Bigint.t -> Paillier.ciphertext
-(** Homomorphic Horner: E(P(a)) from the encrypted coefficients and a
-    plaintext point, using only ⊞ and ⊠.  Raises [Invalid_argument] on an
-    empty coefficient list. *)
+type tables
+(** The odd-power tables of one received polynomial's encrypted
+    coefficients ({!Bigint.Multi_exp.table}), built once and shared by
+    every value the receiving source evaluates it at; read-only, so
+    {!Batch} domains share them. *)
 
-val eval_encrypted_naive :
-  Prng.t -> Paillier.public_key -> Paillier.ciphertext list -> Bigint.t -> Paillier.ciphertext
-(** Reference term-by-term evaluation Σ E(c_k)^(a^k) (the pre-Horner
-    method; kept for the ablation benchmark). *)
+val tables : Paillier.public_key -> Paillier.ciphertext list -> uses:int -> tables
+(** The tables of E(c_0)..E(c_d), sized for [uses] evaluations.  Raises
+    [Invalid_argument] on an empty coefficient list. *)
 
-val mask_and_add :
-  Prng.t ->
-  Paillier.public_key ->
-  Paillier.ciphertext ->
-  payload:Bigint.t ->
-  Paillier.ciphertext
-(** E(r·P(a) + payload) for a fresh uniform r — Equation (1) of the paper
-    with the payload in place of a0l. *)
+val eval_masked :
+  Prng.t -> tables -> Bigint.t -> payload:Bigint.t -> Paillier.ciphertext
+(** [eval_masked prng t a ~payload] is E(r·P(a) + payload) for a fresh
+    uniform r in [\[1, n)], drawn from [prng] before the encryption's
+    randomness s: Equation (1) of the paper with the payload in place of
+    a0l, as one multi-exponentiation
+    Π E(c_i)^(r·a^i mod n) · s^n · (1 + payload·n).  It decrypts to
+    exactly what Horner's E(P(a)) masked with the same r and s does;
+    only the n-th-residue part of the ciphertext differs.  Raises
+    [Invalid_argument] unless [0 <= payload < n]. *)

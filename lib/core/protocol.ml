@@ -112,9 +112,13 @@ let one_attempt ?fault ?endpoint ?coordinator scheme env client ~query n =
     | exception Wire.Malformed msg ->
       Stdlib.Error { Fault.phase = "wire-decode"; party = Transcript.Mediator; reason = msg }
   in
-  match coordinator with
-  | None -> local
-  | Some c -> c.end_attempt ~scheme:(scheme_name scheme) ~attempt:n local
+  let result =
+    match coordinator with
+    | None -> local
+    | Some c -> c.end_attempt ~scheme:(scheme_name scheme) ~attempt:n local
+  in
+  (match result with Stdlib.Error f -> Fault.record_failure fault f | Stdlib.Ok _ -> ());
+  result
 
 let attempt ?fault ?endpoint scheme env client ~query ~attempt =
   one_attempt ?fault ?endpoint scheme env client ~query attempt

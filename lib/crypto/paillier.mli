@@ -30,7 +30,7 @@ type ciphertext = private Bigint.t
 val random_unit : Prng.t -> public_key -> Bigint.t
 (** A uniform unit of Z_n^* in [\[1, n)] — the blinding factor shape used
     by {!encrypt}; exposed so callers fusing encryption into a larger
-    multi-exponentiation (see [Pm_poly.mask_and_add]) draw the identical
+    multi-exponentiation (see [Pm_poly.eval_masked]) draw the identical
     randomness. *)
 
 val encrypt : Prng.t -> public_key -> Bigint.t -> ciphertext

@@ -120,6 +120,8 @@ let start_attempt plan ~attempt =
       p.pending_note <-
         Some (Printf.sprintf "retry: attempt %d with a fresh request after %s" attempt why)
 
+let record_failure plan f = match plan with None -> () | Some p -> p.last_failure <- Some f
+
 let attach plan transcript =
   match plan with
   | None -> ()

@@ -108,6 +108,11 @@ val start_attempt : plan option -> attempt:int -> unit
 (** Called by the protocol driver loop before each attempt; queues a
     retry note for the next transcript. *)
 
+val record_failure : plan option -> failure -> unit
+(** Called by the protocol driver loop when an attempt fails; the next
+    attempt's retry note names this failure's phase, party and
+    reason. *)
+
 val attach : plan option -> Transcript.t -> unit
 (** Called by drivers right after creating their transcript; flushes the
     queued retry note so retries are visible in the final accounting. *)

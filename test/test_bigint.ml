@@ -263,8 +263,10 @@ let test_multi_exp () =
     Bigint.Ctx.mod_mul c (Bigint.Ctx.mod_pow c b1 e1) (Bigint.Ctx.mod_pow c b2 e2)
   in
   let pow2 c b1 e1 b2 e2 =
-    Bigint.Ctx.of_mont c
-      (Bigint.Multi_exp.mont_pow2 c (Bigint.Ctx.to_mont c b1) e1 (Bigint.Ctx.to_mont c b2) e2)
+    let table b e =
+      Bigint.Multi_exp.table c (Bigint.Ctx.to_mont c b) ~uses:1 ~bits:(Bigint.numbits e)
+    in
+    Bigint.Ctx.of_mont c (Bigint.Multi_exp.pow c [| table b1 e1; table b2 e2 |] [| e1; e2 |])
   in
   let moduli =
     [
@@ -280,7 +282,7 @@ let test_multi_exp () =
       for _ = 1 to 25 do
         let b1 = Bigint.emod (rand 130) m and b2 = Bigint.emod (rand 130) m in
         let e1 = rand 130 and e2 = rand 130 in
-        check_big "mont_pow2 matches two mod_pows"
+        check_big "two-base pow matches two mod_pows"
           (Bigint.to_string (reference c b1 e1 b2 e2))
           (pow2 c b1 e1 b2 e2)
       done;
@@ -288,7 +290,7 @@ let test_multi_exp () =
       let b1 = Bigint.emod (rand 100) m and b2 = Bigint.emod (rand 100) m in
       List.iter
         (fun (e1, e2) ->
-          check_big "mont_pow2 edge exponents"
+          check_big "two-base pow edge exponents"
             (Bigint.to_string (reference c b1 e1 b2 e2))
             (pow2 c b1 e1 b2 e2))
         [
@@ -342,6 +344,19 @@ let test_multi_exp () =
   check_big "plain-kind mul_pow_fb" (Bigint.to_string (plain_product a g e))
     (Bigint.Multi_exp.mul_pow_fb fb_even a e)
 
+(* (uses, bits) shapes for which the width rule of Multi_exp.table,
+   minimising 2^(w-1)/uses + bits/(w+1), picks the widths 1 to 8 in turn. *)
+let width_shapes =
+  [| (1, 0); (1, 8); (1, 30); (1, 100); (1, 300); (1, 1100); (4, 1100); (16, 1100) |]
+
+(* The product of each base's power through Multi_exp.pow, each base's
+   table built for one use, in the ordinary domain. *)
+let pow_of c pairs =
+  let table (b, e) = Bigint.Multi_exp.table c b ~uses:1 ~bits:(Bigint.numbits e) in
+  Bigint.Ctx.of_mont c
+    (Bigint.Multi_exp.pow c (Array.of_list (List.map table pairs))
+       (Array.of_list (List.map snd pairs)))
+
 (* The word kernel against division-based arithmetic at its edges: moduli
    one bit below, at and above 64-bit word boundaries (so the top word is
    nearly empty, full, or holds one bit), among them the 4-word group and
@@ -350,8 +365,10 @@ let test_multi_exp () =
    their bounds, operands 0, 1 and m - 1, and exponents that are 0, 1, 2
    (a lone squaring), 3 (the table's squaring), all ones, or one set bit
    followed by long runs of zero windows; m - 1 squared on an all-ones
-   modulus fills every column accumulator to its third word.  Even
-   moduli take the Plain context through the same entry points. *)
+   modulus fills every column accumulator to its third word.  On moduli
+   up to 1,025 bits every power is also taken over the base's tables of
+   each window width 1 to 8.  Even moduli take the Plain context through
+   the same entry points. *)
 let test_kernel_word_edges () =
   let rng = Secmed_crypto.Prng.of_int_seed 6464 in
   let rand bits = Bigint.random_bits (Secmed_crypto.Prng.byte_source rng) bits in
@@ -397,6 +414,16 @@ let test_kernel_word_edges () =
                     (Bigint.Ctx.mont_equal got (Bigint.Ctx.to_mont c product)))
                 operands;
               let fb = Bigint.Fixed_base.create ~base:a ~modulus:m ~bits:260 in
+              (* Tables of every width, on moduli up to 1,025 bits: at
+                 2,048 and 4,096 bits eight scans per exponent would
+                 dominate the suite. *)
+              let tables =
+                if bits <= 1025 then
+                  Array.map
+                    (fun (uses, bits) -> Bigint.Multi_exp.table c a_m ~uses ~bits)
+                    width_shapes
+                else [||]
+              in
               List.iter
                 (fun e ->
                   let want = plain_pow a e m in
@@ -405,10 +432,15 @@ let test_kernel_word_edges () =
                     (Bigint.Ctx.of_mont c (Bigint.Ctx.mont_pow c a_m e));
                   check_big (label "Fixed_base.pow") (Bigint.to_string want) (Bigint.Fixed_base.pow fb e);
                   let other = Bigint.pred m and e2 = Bigint.succ e in
-                  check_big (label "mont_pow2")
+                  check_big (label "two-base pow")
                     (Bigint.to_string (Bigint.emod (Bigint.mul want (plain_pow other e2 m)) m))
-                    (Bigint.Ctx.of_mont c
-                       (Bigint.Multi_exp.mont_pow2 c a_m e (Bigint.Ctx.to_mont c other) e2)))
+                    (pow_of c [ (a_m, e); (Bigint.Ctx.to_mont c other, e2) ]);
+                  Array.iteri
+                    (fun w table ->
+                      check_big (label (Printf.sprintf "width-%d table" (w + 1)))
+                        (Bigint.to_string want)
+                        (Bigint.Ctx.of_mont c (Bigint.Multi_exp.pow c [| table |] [| e |])))
+                    tables)
                 exponents;
               Alcotest.(check bool) (label "mont_pow e=2 is mont_mul a a") true
                 (Bigint.Ctx.mont_equal (Bigint.Ctx.mont_pow c a_m (i 2))
@@ -427,8 +459,8 @@ let test_kernel_word_edges () =
                  1,025 bits in both orders, and the same base twice. *)
               let e = rand 40 and e' = rand 40 in
               let check_pow2 what want a1 e1 a2 e2 =
-                check_big (label ("mont_pow2 " ^ what)) (Bigint.to_string want)
-                  (Bigint.Ctx.of_mont c (Bigint.Multi_exp.mont_pow2 c a1 e1 a2 e2))
+                check_big (label ("two-base pow " ^ what)) (Bigint.to_string want)
+                  (pow_of c [ (a1, e1); (a2, e2) ])
               in
               let times x y = Bigint.emod (Bigint.mul x y) m in
               check_pow2 "second exponent zero" (plain_pow a e m) a_m e second_m Bigint.zero;
@@ -738,7 +770,7 @@ let props =
         Bigint.equal
           (Bigint.Ctx.of_mont ctx (Bigint.Ctx.mont_pow ctx (Bigint.Ctx.to_mont ctx base) e))
           (Bigint.mod_pow_plain base e m));
-    prop "Multi_exp.mont_pow2 matches plain" ~count:60
+    prop "Multi_exp.pow of two bases vs plain" ~count:60
       (QCheck2.Gen.triple (QCheck2.Gen.int_range 2 2100) (QCheck2.Gen.int_range 0 1100)
          (QCheck2.Gen.int_range 0 1100))
       (fun (mod_bits, ea_bits, eb_bits) ->
@@ -752,12 +784,44 @@ let props =
         let a = Bigint.random_below source m and bb = Bigint.random_below source m in
         let ea = Bigint.random_bits source ea_bits and eb = Bigint.random_bits source eb_bits in
         Bigint.equal
-          (Bigint.Ctx.of_mont ctx
-             (Bigint.Multi_exp.mont_pow2 ctx (Bigint.Ctx.to_mont ctx a) ea
-                (Bigint.Ctx.to_mont ctx bb) eb))
+          (pow_of ctx [ (Bigint.Ctx.to_mont ctx a, ea); (Bigint.Ctx.to_mont ctx bb, eb) ])
           (Bigint.emod
              (Bigint.mul (Bigint.mod_pow_plain a ea m) (Bigint.mod_pow_plain bb eb m))
              m));
+    prop "Multi_exp.pow over tables matches mod_pow products" ~count:60
+      (QCheck2.Gen.triple (QCheck2.Gen.int_range 2 1100) (QCheck2.Gen.int_range 1 16)
+         (QCheck2.Gen.int_range 0 1))
+      (fun (mod_bits, n, parity) ->
+        (* 1 to 16 bases on an odd or an even modulus, each with a table
+           of a width from 1 to 8 and an exponent of 0 to 1,100 bits,
+           about one in five of them zero; the last base repeats the
+           first. *)
+        let source = Secmed_crypto.Prng.byte_source prng in
+        let m =
+          let c = Bigint.random_bits source mod_bits in
+          let c = if Bigint.compare c (i 4) < 0 then i 4 else c in
+          if Bigint.is_odd c = (parity = 1) then c else Bigint.succ c
+        in
+        let ctx = Bigint.Ctx.create m in
+        let small k = Bigint.to_int (Bigint.random_below source (i k)) in
+        let bases = Array.init n (fun _ -> Bigint.random_below source m) in
+        if n > 1 then bases.(n - 1) <- bases.(0);
+        let exps =
+          Array.init n (fun _ ->
+              if small 5 = 0 then Bigint.zero else Bigint.random_bits source (small 1101))
+        in
+        let tables =
+          Array.map
+            (fun b ->
+              let uses, bits = width_shapes.(small 8) in
+              Bigint.Multi_exp.table ctx (Bigint.Ctx.to_mont ctx b) ~uses ~bits)
+            bases
+        in
+        let want = ref (Bigint.emod Bigint.one m) in
+        Array.iteri
+          (fun j b -> want := Bigint.emod (Bigint.mul !want (Bigint.mod_pow_plain b exps.(j) m)) m)
+          bases;
+        Bigint.equal (Bigint.Ctx.of_mont ctx (Bigint.Multi_exp.pow ctx tables exps)) !want);
     prop "Fixed_base.pow matches plain" ~count:100
       (QCheck2.Gen.triple (QCheck2.Gen.int_range 1 300) (QCheck2.Gen.int_range 1 300)
          (QCheck2.Gen.int_range 8 300))

@@ -190,22 +190,31 @@ let test_poly_empty_roots () =
   Alcotest.(check int) "degree 0" 0 (Pm_poly.degree p);
   Alcotest.(check string) "constant one" "1" (Bigint.to_string (Pm_poly.eval p (Bigint.of_int 5)))
 
+(* The r of [Pm_poly.eval_masked], replayed from a PRNG seeded as the
+   evaluation's was: it is the first draw. *)
+let replayed_r prng n = Bigint.succ (Bigint.random_below (Prng.byte_source prng) (Bigint.pred n))
+
+(* What an e-value must decrypt to: r·P(a) + payload mod n. *)
+let masked_plain p n ~r ~payload a =
+  Bigint.emod (Bigint.add (Bigint.mul r (Pm_poly.eval p a)) payload) n
+
 let test_poly_encrypted_eval () =
   let sk = Lazy.force pm_key in
   let pk = Paillier.public sk in
+  let n = pk.Paillier.n in
   let rng = Prng.of_int_seed 8 in
   let roots = List.map Bigint.of_int [ 11; 22; 33; 44 ] in
-  let p = Pm_poly.from_roots ~modulus:pk.Paillier.n roots in
-  let encrypted = Pm_poly.encrypt rng pk p in
+  let p = Pm_poly.from_roots ~modulus:n roots in
+  let tables = Pm_poly.tables pk (Pm_poly.encrypt rng pk p) ~uses:5 in
   List.iter
     (fun x ->
       let x = Bigint.of_int x in
-      let direct = Pm_poly.eval p x in
-      let homomorphic = Paillier.decrypt sk (Pm_poly.eval_encrypted pk encrypted x) in
-      Alcotest.(check string) "encrypted Horner = plaintext eval" (Bigint.to_string direct)
-        (Bigint.to_string homomorphic);
-      let naive = Paillier.decrypt sk (Pm_poly.eval_encrypted_naive rng pk encrypted x) in
-      Alcotest.(check string) "naive = Horner" (Bigint.to_string direct) (Bigint.to_string naive))
+      let seed = Printf.sprintf "eval-%s" (Bigint.to_string x) in
+      let got = Pm_poly.eval_masked (Prng.create ~seed) tables x ~payload:Bigint.zero in
+      let r = replayed_r (Prng.create ~seed) n in
+      Alcotest.(check string) "tabled evaluation = r * plaintext eval"
+        (Bigint.to_string (masked_plain p n ~r ~payload:Bigint.zero x))
+        (Bigint.to_string (Paillier.decrypt sk got)))
     [ 11; 33; 5; 0; 100 ]
 
 let test_poly_mask_and_add () =
@@ -214,20 +223,52 @@ let test_poly_mask_and_add () =
   let rng = Prng.of_int_seed 9 in
   let roots = [ Bigint.of_int 7 ] in
   let p = Pm_poly.from_roots ~modulus:pk.Paillier.n roots in
-  let encrypted = Pm_poly.encrypt rng pk p in
+  let tables = Pm_poly.tables pk (Pm_poly.encrypt rng pk p) ~uses:2 in
   let payload = Bigint.of_int 424242 in
   (* At a root, the mask vanishes and the payload survives. *)
-  let at_root =
-    Pm_poly.mask_and_add rng pk (Pm_poly.eval_encrypted pk encrypted (Bigint.of_int 7)) ~payload
-  in
+  let at_root = Pm_poly.eval_masked rng tables (Bigint.of_int 7) ~payload in
   Alcotest.(check string) "payload at root" "424242"
     (Bigint.to_string (Paillier.decrypt sk at_root));
   (* Away from a root, the decryption is (whp) not the payload. *)
-  let away =
-    Pm_poly.mask_and_add rng pk (Pm_poly.eval_encrypted pk encrypted (Bigint.of_int 8)) ~payload
-  in
+  let away = Pm_poly.eval_masked rng tables (Bigint.of_int 8) ~payload in
   Alcotest.(check bool) "masked away from root" true
-    (not (Bigint.equal payload (Paillier.decrypt sk away)))
+    (not (Bigint.equal payload (Paillier.decrypt sk away)));
+  Alcotest.check_raises "payload out of range"
+    (Invalid_argument "Pm_poly.eval_masked: payload out of range") (fun () ->
+      ignore (Pm_poly.eval_masked rng tables (Bigint.of_int 8) ~payload:pk.Paillier.n))
+
+(* The masked evaluation against its plaintext oracle: over degrees 0 to
+   16, at the polynomial's 128-bit roots (where it must decrypt to the
+   payload exactly) and at other 128-bit and full-width points, every
+   e-value decrypts to r·P(a) + payload mod n, with r replayed from an
+   identically seeded PRNG and P evaluated in the clear. *)
+let prop_poly_masked_eval =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"masked evaluation matches plaintext" ~count:25
+       QCheck2.Gen.(pair (int_range 0 16) (int_range 0 1_000_000))
+       (fun (degree, seed) ->
+         let sk = Lazy.force pm_key in
+         let pk = Paillier.public sk in
+         let n = pk.Paillier.n in
+         let rng = Prng.of_int_seed seed in
+         let source = Prng.byte_source rng in
+         let roots = List.init degree (fun _ -> Bigint.random_bits source 128) in
+         let p = Pm_poly.from_roots ~modulus:n roots in
+         let points =
+           roots @ [ Bigint.random_bits source 128; Bigint.random_below source n; Bigint.pred n ]
+         in
+         let tables = Pm_poly.tables pk (Pm_poly.encrypt rng pk p) ~uses:(List.length points) in
+         List.for_all
+           (fun a ->
+             let payload = Bigint.random_below source n in
+             let seed = Printf.sprintf "masked-%d-%s" seed (Bigint.to_string a) in
+             let got =
+               Paillier.decrypt sk (Pm_poly.eval_masked (Prng.create ~seed) tables a ~payload)
+             in
+             let r = replayed_r (Prng.create ~seed) n in
+             Bigint.equal got (masked_plain p n ~r ~payload a)
+             && ((not (List.exists (Bigint.equal a) roots)) || Bigint.equal got payload))
+           points))
 
 let test_root_of_value_deterministic () =
   Alcotest.(check bool) "same value same root" true
@@ -1560,6 +1601,7 @@ let () =
           Alcotest.test_case "empty roots" `Quick test_poly_empty_roots;
           Alcotest.test_case "encrypted evaluation" `Quick test_poly_encrypted_eval;
           Alcotest.test_case "mask and add" `Quick test_poly_mask_and_add;
+          prop_poly_masked_eval;
           Alcotest.test_case "root encoding" `Quick test_root_of_value_deterministic;
         ] );
       ( "end-to-end",

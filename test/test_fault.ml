@@ -328,6 +328,33 @@ let test_retry_recovers_transient_drop () =
            (Transcript.notes outcome.Outcome.transcript)))
     Protocol.all_schemes
 
+(* The retry note names what failed: the phase, party and reason of the
+   first attempt's typed failure, which the same plan without retries
+   reports as the run's failure. *)
+let test_retry_note_names_failure () =
+  List.iter
+    (fun scheme ->
+      let plan retries =
+        Fault.plan ~max_retries:retries [ Fault.rule ~times:1 (Fault.Corrupt 2) ]
+      in
+      let f =
+        match run_with (Some (plan 0)) scheme with
+        | Protocol.Ok _ -> Alcotest.fail "a corrupted delivery cannot succeed"
+        | Protocol.Fault f -> f
+      in
+      let outcome = expect_ok ~msg:"transient corruption" (plan 2) scheme in
+      let want =
+        Printf.sprintf "retry: attempt 2 with a fresh request after %s at %s: %s" f.Protocol.phase
+          (Transcript.party_name f.Protocol.party) f.Protocol.reason
+      in
+      Alcotest.(check (list string))
+        (family_name scheme ^ ": retry note")
+        [ want ]
+        (List.filter_map
+           (fun n -> if contains n.Transcript.text "retry" then Some n.Transcript.text else None)
+           (Transcript.notes outcome.Outcome.transcript)))
+    Protocol.all_schemes
+
 let test_retry_budget_exhausts () =
   let plan = Fault.plan ~max_retries:2 [ Fault.rule Fault.Drop ] in
   match run_with (Some plan) Protocol.Plain with
@@ -621,6 +648,7 @@ let () =
       ( "retry",
         [
           Alcotest.test_case "transient drop recovers" `Quick test_retry_recovers_transient_drop;
+          Alcotest.test_case "retry note names the failure" `Quick test_retry_note_names_failure;
           Alcotest.test_case "budget exhausts" `Quick test_retry_budget_exhausts;
         ] );
       ( "byzantine",
