@@ -125,7 +125,9 @@ check-stream:
 # sixth fails if a fixed-window digit reader comes back beside the one
 # sliding-window scan, and the seventh if a Horner evaluation comes back
 # on PM's runtime path: a source evaluates each value as one
-# multi-exponentiation over the coefficients' tables.  Then the
+# multi-exponentiation over the coefficients' tables.  The eighth fails
+# if a Jacobi symbol comes back: ElGamal decryption is one exponentiation
+# by p-1-x for every unit c1, with no residuosity branch.  Then the
 # bigint/crypto differential tests (both context kinds' multiply,
 # exponentiation, Multi_exp over tables of every width, Fixed_base and
 # domain conversions vs mod_pow_plain at 64-bit word edges and on even
@@ -146,6 +148,7 @@ check-crypto-perf:
 	! grep -nw "mont_sqr" lib/bigint/bigint_stubs.c
 	! grep -n "exp_digit" lib/bigint/bigint_stubs.c
 	! grep -rnw "eval_encrypted" lib
+	! grep -rnw "jacobi" lib
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe

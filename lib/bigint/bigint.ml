@@ -1206,39 +1206,3 @@ let is_square n =
     let s = isqrt n in
     equal (mul s s) n
   end
-
-(* Jacobi symbol by the binary algorithm (quadratic reciprocity). *)
-let jacobi a n =
-  if n.sign <= 0 || is_even n then
-    invalid_arg "Bigint.jacobi: modulus must be odd and positive"
-  else begin
-    let rec go a n acc =
-      let a = emod a n in
-      if is_zero a then if is_one n then acc else 0
-      else begin
-        (* Pull out factors of two: (2/n) = -1 iff n = 3, 5 mod 8. *)
-        let twos = ref 0 and a' = ref a in
-        while is_even !a' do
-          a' := shift_right !a' 1;
-          incr twos
-        done;
-        let acc =
-          if !twos land 1 = 1 then begin
-            let n_mod_8 = to_int (emod n (of_int 8)) in
-            if n_mod_8 = 3 || n_mod_8 = 5 then -acc else acc
-          end
-          else acc
-        in
-        (* Reciprocity: flip sign iff both are 3 mod 4. *)
-        let acc =
-          if
-            to_int (emod !a' (of_int 4)) = 3
-            && to_int (emod n (of_int 4)) = 3
-          then -acc
-          else acc
-        in
-        go n !a' acc
-      end
-    in
-    go a n 1
-  end

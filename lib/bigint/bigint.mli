@@ -335,9 +335,3 @@ val isqrt : t -> t
     [Invalid_argument] on negative input. *)
 
 val is_square : t -> bool
-
-val jacobi : t -> t -> int
-(** Jacobi symbol (a/n) in {-1, 0, 1} for odd positive n; for prime n this
-    is the Legendre symbol, deciding quadratic residuosity without a
-    modular exponentiation.  Raises [Invalid_argument] when n is even or
-    non-positive. *)

@@ -26,24 +26,19 @@ let encrypt prng pk m =
   let c2 = Bigint.Multi_exp.mul_pow_fb y_fb (Bigint.emod m group.p) r in
   { c1; c2 }
 
+(* c1 = 0 (mod p) is the one non-unit: no key maps it to a message. *)
+let degenerate group c1 = Bigint.is_zero (Bigint.emod c1 group.Group.p)
+
 let decrypt sk { c1; c2 } =
   let group = sk.public.group in
-  (* m = c2 * c1^{-x} = c2 * c1^{q - x} in the prime-order subgroup. *)
-  if Bigint.jacobi c1 group.p = 1 then
-    (* Honest c1 lands in QR_p = <g>, which has order q, so the inverse
-       of c1^x is c1^{q-x}: one fused multiply-exponentiate, no extended
-       Euclid.  The context comes from the same domain-local cache that
-       mod_pow uses, so the Montgomery setup for p is already paid. *)
-    Bigint.Multi_exp.mul_pow (Bigint.cached_ctx group.p) c2 c1
-      (Bigint.emod (Bigint.sub group.q sk.x) group.q)
-  else begin
-    (* Adversarial c1 outside the subgroup: fall back to the generic
-       inverse-based route, which is total on all units. *)
-    let shared = Bigint.mod_pow c1 sk.x group.p in
-    match Bigint.mod_inverse shared group.p with
-    | Some inv -> Bigint.emod (Bigint.mul c2 inv) group.p
-    | None -> invalid_arg "Elgamal.decrypt: degenerate ciphertext"
-  end
+  let p = group.p in
+  if degenerate group c1 then invalid_arg "Elgamal.decrypt: degenerate ciphertext";
+  (* m = c2 * (c1^x)^-1.  p is prime, so c1^(p-1) = 1 for every unit and
+     the inverse is c1^(p-1-x), inside QR_p = <g> or not: one fused
+     multiply-exponentiate whatever c1 is, no residuosity test and no
+     extended Euclid.  The context comes from the same domain-local cache
+     that mod_pow uses, so the Montgomery setup for p is already paid. *)
+  Bigint.Multi_exp.mul_pow (Bigint.cached_ctx p) c2 c1 (Bigint.sub (Bigint.pred p) sk.x)
 
 let secret_of_element group m =
   Sha256.digest ("secmed-kem" ^ Bigint.to_bytes_be group.Group.p ^ Bigint.to_bytes_be m)
@@ -56,8 +51,8 @@ let encapsulate prng pk =
   (encrypt prng pk m, secret_of_element group m)
 
 let decapsulate sk ct =
-  let m = decrypt sk ct in
-  secret_of_element sk.public.group m
+  let group = sk.public.group in
+  if degenerate group ct.c1 then None else Some (secret_of_element group (decrypt sk ct))
 
 let fingerprint pk =
   let raw =

@@ -25,11 +25,13 @@ let encrypt prng pk plaintext =
 
 let decrypt sk ct =
   Counters.bump Counters.Hybrid_decrypt;
-  let secret = Elgamal.decapsulate sk ct.kem in
-  let enc_key, mac_key = derive_keys secret in
-  if Hmac.verify ~key:mac_key (ct.nonce ^ ct.body) ~tag:ct.tag then
-    Some (Aes.ctr_transform ~key:enc_key ~nonce:ct.nonce ct.body)
-  else None
+  match Elgamal.decapsulate sk ct.kem with
+  | None -> None
+  | Some secret ->
+    let enc_key, mac_key = derive_keys secret in
+    if Hmac.verify ~key:mac_key (ct.nonce ^ ct.body) ~tag:ct.tag then
+      Some (Aes.ctr_transform ~key:enc_key ~nonce:ct.nonce ct.body)
+    else None
 
 (* Exact wire size: key-width header, two group elements, nonce, tag,
    body-length header, body. *)

@@ -10,7 +10,8 @@ type ciphertext
 
 val encrypt : Prng.t -> Elgamal.public_key -> string -> ciphertext
 val decrypt : Elgamal.private_key -> ciphertext -> string option
-(** [None] when authentication fails. *)
+(** [None] when authentication fails, and when the encapsulated key's
+    [c1] is 0 mod p (see {!Elgamal.decapsulate}). *)
 
 val size : ciphertext -> int
 (** Wire size in bytes (for communication accounting). *)

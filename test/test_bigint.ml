@@ -911,22 +911,6 @@ let props =
     prop "is_square detects squares" arbitrary_bigint (fun a ->
         let a = Bigint.abs a in
         Bigint.is_square (Bigint.mul a a));
-    prop "jacobi matches Euler criterion" ~count:80
-      (QCheck2.Gen.pair (QCheck2.Gen.int_range 0 5000) (QCheck2.Gen.int_range 0 300))
-      (fun (a, p_index) ->
-        (* Odd primes: Euler's criterion a^((p-1)/2) = (a/p) mod p. *)
-        let primes = [ 3; 5; 7; 11; 13; 101; 257; 1009; 65537; 1000003 ] in
-        let p = List.nth primes (p_index mod List.length primes) in
-        let jac = Bigint.jacobi (i a) (i p) in
-        let euler =
-          Bigint.mod_pow (i a) (i ((p - 1) / 2)) (i p)
-        in
-        let euler_sym =
-          if Bigint.is_zero euler then 0
-          else if Bigint.is_one euler then 1
-          else -1
-        in
-        jac = euler_sym);
     prop "compare antisymmetric" pair2 (fun (a, bb) ->
         Bigint.compare a bb = -Bigint.compare bb a);
     prop "numbits bounds value" arbitrary_bigint (fun a ->

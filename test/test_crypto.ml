@@ -338,8 +338,41 @@ let test_kem () =
   let rng = prng () in
   let sk = Elgamal.keygen rng g in
   let ct, secret = Elgamal.encapsulate rng (Elgamal.public sk) in
-  Alcotest.(check string) "decapsulate" (Bytes_util.to_hex secret)
-    (Bytes_util.to_hex (Elgamal.decapsulate sk ct))
+  Alcotest.(check (option string)) "decapsulate" (Some (Bytes_util.to_hex secret))
+    (Option.map Bytes_util.to_hex (Elgamal.decapsulate sk ct))
+
+(* Off-subgroup ciphertexts: every unit c1 decrypts to c2 * (c1^x)^-1,
+   residue or not, reduced or not; c1 = 0 mod p is refused. *)
+let test_elgamal_decrypt_units () =
+  let g = group () in
+  let p = g.Group.p in
+  let rng = prng () in
+  let sk = Elgamal.keygen rng g in
+  let expected c1 c2 =
+    match Bigint.mod_inverse (Bigint.mod_pow (Bigint.emod c1 p) sk.Elgamal.x p) p with
+    | Some inv -> Bigint.emod (Bigint.mul c2 inv) p
+    | None -> Alcotest.fail "unit without an inverse"
+  in
+  let p_minus_1 = Bigint.sub p Bigint.one in
+  let random_unit () = Bigint.succ (Bigint.random_below (Prng.byte_source rng) p_minus_1) in
+  let units =
+    [ p_minus_1; Bigint.one; Bigint.add p Bigint.one; Bigint.sub (Bigint.add p p) Bigint.one ]
+    @ List.init 12 (fun _ -> random_unit ())
+    @ List.init 4 (fun _ -> Bigint.emod (Bigint.mul p_minus_1 (random_unit ())) p)
+  in
+  List.iteri
+    (fun i c1 ->
+      let c2 = random_unit () in
+      Alcotest.(check string)
+        (Printf.sprintf "unit %d" i)
+        (Bigint.to_string (expected c1 c2))
+        (Bigint.to_string (Elgamal.decrypt sk { Elgamal.c1; c2 })))
+    units;
+  List.iter
+    (fun c1 ->
+      Alcotest.check_raises "degenerate" (Invalid_argument "Elgamal.decrypt: degenerate ciphertext")
+        (fun () -> ignore (Elgamal.decrypt sk { Elgamal.c1; c2 = random_unit () })))
+    [ Bigint.zero; p ]
 
 let test_hybrid_roundtrip () =
   let g = group () in
@@ -391,6 +424,26 @@ let test_hybrid_wire () =
    | None -> Alcotest.fail "wire roundtrip broke authentication");
   Alcotest.check_raises "malformed" (Invalid_argument "Hybrid.of_wire: malformed ciphertext")
     (fun () -> ignore (Hybrid.of_wire "junk"))
+
+(* A well-formed wire ciphertext whose c1 is 0 mod p (all zero bytes, or
+   p itself) fails authentication instead of raising. *)
+let test_hybrid_degenerate_kem () =
+  let g = group () in
+  let rng = prng () in
+  let sk = Elgamal.keygen rng g in
+  let wire = Hybrid.to_wire (Hybrid.encrypt rng (Elgamal.public sk) "hostile source") in
+  let key_bytes = Bytes_util.read_be32 wire 0 in
+  List.iter
+    (fun (label, c1) ->
+      let forged = Bytes.of_string wire in
+      Bytes.blit_string c1 0 forged 4 key_bytes;
+      match Hybrid.decrypt sk (Hybrid.of_wire (Bytes.to_string forged)) with
+      | None -> ()
+      | Some _ -> Alcotest.fail (label ^ ": degenerate c1 accepted"))
+    [
+      ("zero", String.make key_bytes '\000');
+      ("p", Bigint.to_bytes_be_padded key_bytes g.Group.p);
+    ]
 
 let test_dem () =
   let rng = prng () in
@@ -682,11 +735,13 @@ let () =
         [
           Alcotest.test_case "elgamal roundtrip" `Quick test_elgamal_roundtrip;
           Alcotest.test_case "multiplicative" `Quick test_elgamal_multiplicative;
+          Alcotest.test_case "decrypt off-subgroup units" `Quick test_elgamal_decrypt_units;
           Alcotest.test_case "kem" `Quick test_kem;
           Alcotest.test_case "hybrid roundtrip" `Quick test_hybrid_roundtrip;
           Alcotest.test_case "tamper detection" `Quick test_hybrid_tamper_detected;
           Alcotest.test_case "wrong key" `Quick test_hybrid_wrong_key;
           Alcotest.test_case "wire format" `Quick test_hybrid_wire;
+          Alcotest.test_case "degenerate kem" `Quick test_hybrid_degenerate_kem;
           Alcotest.test_case "dem" `Quick test_dem;
         ] );
       ("schnorr", [ Alcotest.test_case "sign/verify" `Quick test_schnorr ]);
