@@ -112,9 +112,10 @@ check-stream:
 	! grep -rnwE "ck_one_row|encode_entries|decode_entries|payload_row_bytes|entry_overhead|s_row" lib bin test
 	dune exec test/test_stream.exe -- test -e
 
-# Crypto hot-path suite.  The first grep fails if the bigint interface
-# exports a global mutable knob (a `ref`): one context type alone picks
-# the Montgomery kernel or the plain residue ring.  The second fails if
+# Crypto hot-path suite.  The first grep fails if the bigint or batch
+# interface exports a global mutable knob (a `ref`): one context type
+# alone picks the Montgomery kernel or the plain residue ring, and the
+# batch executor's width is a rule of the code.  The second fails if
 # an OCaml SHA-256 compression loop comes back: the rounds run only in
 # the C kernel (sha256_stubs.c).  The third and fourth fail if the OCaml
 # joint-window table of Multi_exp or the single-base exponentiation
@@ -127,7 +128,9 @@ check-stream:
 # on PM's runtime path: a source evaluates each value as one
 # multi-exponentiation over the coefficients' tables.  The eighth fails
 # if a Jacobi symbol comes back: ElGamal decryption is one exponentiation
-# by p-1-x for every unit c1, with no residuosity branch.  Then the
+# by p-1-x for every unit c1, with no residuosity branch.  The ninth
+# and tenth fail if the batch executor spawns domains (a process that
+# ever did may not fork) or a domain-count knob comes back.  Then the
 # bigint/crypto differential tests (both context kinds' multiply,
 # exponentiation, Multi_exp over tables of every width, Fixed_base and
 # domain conversions vs mod_pow_plain at 64-bit word edges and on even
@@ -136,12 +139,15 @@ check-stream:
 # gcd, the linear byte
 # codec vs its shift-and-add reference, CRT vs plain decryption, the
 # SHA-256 kernel on FIPS 180-4 vectors and mid-block updates, AES-CTR
-# vs the vector-checked block cipher, domain-local cache stress), the
-# batch-executor determinism suite, the DAS client's
+# vs the vector-checked block cipher, domain-local cache stress, two
+# threads in the lock-free kernel under a tiny minor heap), the batch
+# executor suite (a sequential map over the same streams, merged
+# counters, the lowest-index exception, fork after a parallel batch,
+# every scheme identical run after run), the DAS client's
 # decrypt-each-ciphertext-once test, and PM's masked evaluation against
 # its plaintext oracle.
 check-crypto-perf:
-	! grep -nE ':[^:]* ref$$' lib/bigint/bigint.mli
+	! grep -nE ':[^:]* ref$$' lib/bigint/bigint.mli lib/core/batch.mli
 	! grep -nE "process_block|rotr" lib/crypto/sha256.ml
 	! grep -n "make_matrix" lib/bigint/bigint.ml
 	! grep -rnw "secmed_bigint_mont_pow" lib/bigint
@@ -149,6 +155,8 @@ check-crypto-perf:
 	! grep -n "exp_digit" lib/bigint/bigint_stubs.c
 	! grep -rnw "eval_encrypted" lib
 	! grep -rnw "jacobi" lib
+	! grep -n "Domain.spawn" lib/core/batch.ml
+	! grep -rn "SECMED_DOMAINS\|set_default_domains" lib bin bench test
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe

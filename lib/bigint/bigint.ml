@@ -569,27 +569,27 @@ let pow_checked name b e m ~wide =
    64-bit words with R = 2^(64k) for a k-word modulus, which squares
    too; a table of odd powers per base; and a whole sliding-window
    exponentiation of one or more bases over those tables per call.  The
-   kernels are noalloc and stateless: every result, table and scratch
-   buffer is allocated here and passed in, which keeps them safe to run
-   from any number of domains at once. *)
+   kernels are stateless, and every result and table is allocated here
+   and passed in.  The multiply is noalloc and runs in place; the other
+   two are ordinary externals, since a large call copies its operands
+   into C memory and runs without the runtime lock, so other threads
+   compute (and collect) meanwhile. *)
 
 (* ctx r a b scratch: r <- a * b * R^-1 mod m; scratch is k words. *)
 external kernel_mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
   = "secmed_bigint_mont_mul"
 [@@noalloc]
 
-(* ctx table base scratch: table <- base, base^3, ..., one odd power per
-   k words of the table (a power of two of them); scratch is 2k words. *)
-external kernel_mont_odd_powers : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> unit
+(* ctx table base: table <- base, base^3, ..., one odd power per k words
+   of the table (a power of two of them). *)
+external kernel_mont_odd_powers : Bytes.t -> Bytes.t -> Bytes.t -> unit
   = "secmed_bigint_mont_odd_powers"
-[@@noalloc]
 
-(* ctx r tables exps scratch: r <- the product of b_i^exps_i, for n
-   bases given as their odd-power tables and their exponents as 31-bit
-   limbs, at least one non-zero; scratch is k + 2n words. *)
-external kernel_mont_multi_pow : Bytes.t -> Bytes.t -> Bytes.t array -> int array array -> Bytes.t -> unit
+(* ctx r tables exps: r <- the product of b_i^exps_i, for n bases given
+   as their odd-power tables and their exponents as 31-bit limbs, at
+   least one non-zero. *)
+external kernel_mont_multi_pow : Bytes.t -> Bytes.t -> Bytes.t array -> int array array -> unit
   = "secmed_bigint_mont_multi_pow"
-[@@noalloc]
 
 (* The sliding-window width for a base raised in [uses] exponentiations
    of [bits]-bit exponents: its table's 2^(w-1) multiplies are shared by
@@ -752,7 +752,7 @@ module Ctx = struct
     | Mont mc ->
       let k = c.words in
       let t = Bytes.create ((8 * k) lsl (window_width ~uses ~bits - 1)) in
-      kernel_mont_odd_powers mc.kernel_ctx t b (Bytes.create (16 * k));
+      kernel_mont_odd_powers mc.kernel_ctx t b;
       t
     | Plain -> b
 
@@ -778,9 +778,7 @@ module Ctx = struct
     | Mont mc ->
       let k = c.words in
       let r = Bytes.create (8 * k) in
-      kernel_mont_multi_pow mc.kernel_ctx r tables
-        (Array.map (fun e -> e.mag) exps)
-        (Bytes.create (8 * (k + (2 * Array.length tables))));
+      kernel_mont_multi_pow mc.kernel_ctx r tables (Array.map (fun e -> e.mag) exps);
       r
     | Plain ->
       let powers = Array.mapi (fun i t -> mod_pow_plain (value t) exps.(i) c.modulus) tables in
@@ -798,7 +796,9 @@ end
    entry.  Entries are immutable once built, but the slots, stamps and
    counters are not, so each domain keeps its own and concurrent domains
    never race on the bookkeeping; the price is one rebuild per (domain,
-   entry) pair. *)
+   entry) pair.  Threads of one domain share its caches: a switch inside
+   an update can lose an entry or a count, but a lookup returns only an
+   entry that matches. *)
 
 let lru_slots = 8
 

@@ -200,7 +200,9 @@ val ctx_cache_stats : unit -> int * int
 (** (hits, misses) of the transparent context cache inside {!mod_pow}
     since the last {!ctx_cache_reset}.  The cache is domain-local: each
     OCaml 5 domain sees (and resets) only its own slots and counters, so
-    concurrent domains never contend on the LRU bookkeeping. *)
+    concurrent domains never contend on the LRU bookkeeping.  Threads of
+    one domain share it; an update a thread switch interrupts can lose an
+    entry or a count, never return a wrong entry. *)
 
 val ctx_cache_reset : unit -> unit
 (** Empties the calling domain's transparent context cache and zeroes
@@ -253,7 +255,7 @@ end
 module Multi_exp : sig
   type table
   (** A base's odd powers in a context's representation; read-only, so
-      any number of domains may share one. *)
+      any number of threads and domains may share one. *)
 
   val table : Ctx.ctx -> Ctx.mont -> uses:int -> bits:int -> table
   (** [table c b ~uses ~bits] is the table of [b] for [uses]

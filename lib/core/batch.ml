@@ -1,95 +1,83 @@
 open Secmed_crypto
 
-(* Domain-parallel batch executor for the embarrassingly-parallel
-   per-tuple crypto loops (source-side hybrid encryption, the client's
-   PM batch decryption).
+(* Thread-parallel batch executor for the independent per-item crypto
+   loops (source-side encryption and evaluation, the client's PM batch
+   decryption).
 
-   Two contracts drive the design:
+   Parallelism.  A call of two or more items runs them on the calling
+   thread and on helper systhreads, one fewer than the machine's
+   recommended domain count and at most one fewer than the items.  The
+   threads share one domain and so one runtime lock: they overlap only
+   inside the kernel's large exponentiations (every Paillier call),
+   which run without it, and other work runs one thread at a time.
+   Domains would overlap everywhere,
+   but OCaml refuses [Unix.fork] in a process that ever spawned one, and
+   the loopback clusters, the ledger and the tests all fork.  Helpers
+   are created per call and joined before it returns; they take items
+   from a shared atomic cursor.
 
-   Determinism.  Outputs are bit-identical regardless of domain count.
+   Determinism.  Outputs do not depend on which thread ran which item.
    Work needing randomness goes through {!map_seeded}: item [i] gets its
    own PRNG stream [Prng.split prng (label ^ "#" ^ i)], derived from the
    parent's seed alone — never a shared mutable [Prng.t] whose position
-   would depend on scheduling.  The sequential path (domains = 1) draws
-   from the identical per-item streams, so parallel and sequential runs
-   produce the same ciphertext bytes.
+   would depend on scheduling.
 
-   Counting.  [Counters] state is per-thread; each worker starts at
-   zero and returns its snapshot along with its chunk.  The spawning
-   thread folds worker snapshots back in with [Counters.merge] at join
-   time, inside the caller's open phase span — so the span's
-   [ops.<primitive>] attributes are the same as a sequential run's.
-
-   Domains are spawned per call and joined before returning: no
-   persistent pool, so processes remain fork-safe (the loopback
-   transport forks mediator/source/client processes). *)
-
-let default = ref 1
-
-let set_default_domains k =
-  if k < 1 then invalid_arg "Batch.set_default_domains: must be >= 1";
-  default := k
-
-let () =
-  match Sys.getenv_opt "SECMED_DOMAINS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some k when k >= 1 -> default := k
-     | _ -> ())
-  | None -> ()
-
-let default_domains () = !default
-
-let recommended_domains () = Domain.recommended_domain_count ()
+   Counting.  [Counters] state is per-thread; each helper starts at zero,
+   and at join the calling thread folds its snapshot back in with
+   [Counters.merge], inside the caller's open phase span — so the span's
+   [ops.<primitive>] attributes are the same as a sequential run's. *)
 
 let item_prng prng label i = Prng.split prng (label ^ "#" ^ string_of_int i)
 
-(* Core: apply [f i item] over the array, chunked contiguously across
-   [k] domains.  Workers return (chunk, counter snapshot); all domains
-   are joined (even when one raises) before counters merge and the
-   first worker exception is re-raised. *)
-let run_mapi k f items =
+(* Apply [f i item] over the array.  After an item fails, no thread
+   takes a further item; the ones already taken finish, and since the
+   cursor hands out indices in order, every item below the failed one
+   has run, so the lowest failing index is the one a sequential map
+   would raise.  It is re-raised after every helper has joined. *)
+let parallel_mapi f items =
   let n = Array.length items in
-  let k = min k n in
-  if n = 0 then [||]
-  else if k <= 1 then Array.mapi f items
+  let helpers = min (Domain.recommended_domain_count () - 1) (n - 1) in
+  if helpers <= 0 then Array.mapi f items
   else begin
-    let job lo hi () =
-      let out = Array.init (hi - lo) (fun j -> f (lo + j) items.(lo + j)) in
-      (out, Counters.snapshot ())
+    let results = Array.make n None in
+    let cursor = Atomic.make 0 and failed = Atomic.make false in
+    let rec work () =
+      if not (Atomic.get failed) then begin
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          (match f i items.(i) with
+           | v -> results.(i) <- Some (Ok v)
+           | exception e ->
+             results.(i) <- Some (Error e);
+             Atomic.set failed true);
+          work ()
+        end
+      end
     in
-    let doms =
-      Array.init k (fun d -> Domain.spawn (job (d * n / k) ((d + 1) * n / k)))
+    let counts = Array.make helpers [] in
+    let helper h =
+      work ();
+      counts.(h) <- Counters.snapshot ();
+      Counters.release ()
     in
-    let parts =
-      Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) doms
-    in
-    let first_error = ref None in
-    Array.iter
+    let threads = Array.init helpers (Thread.create helper) in
+    work ();
+    Array.iter Thread.join threads;
+    Array.iter Counters.merge counts;
+    Array.map
       (function
-        | Ok (_, counts) -> Counters.merge counts
-        | Error e -> if !first_error = None then first_error := Some e)
-      parts;
-    match !first_error with
-    | Some e -> raise e
-    | None ->
-      Array.concat
-        (Array.to_list
-           (Array.map (function Ok (out, _) -> out | Error _ -> assert false) parts))
+        | Some (Ok v) -> v
+        | Some (Error e) -> raise e
+        | None -> assert false)
+      results
   end
 
-let domains_of opt = max 1 (match opt with Some k -> k | None -> !default)
+let parallel_map f items = parallel_mapi (fun _ x -> f x) items
 
-let parallel_mapi ?domains f items = run_mapi (domains_of domains) f items
-let parallel_map ?domains f items = run_mapi (domains_of domains) (fun _ x -> f x) items
+let map_seeded ~prng ~label f items =
+  parallel_mapi (fun i item -> f i (item_prng prng label i) item) items
 
-let map_seeded ?domains ~prng ~label f items =
-  run_mapi (domains_of domains)
-    (fun i item -> f i (item_prng prng label i) item)
-    items
+let map_list f items = Array.to_list (parallel_map f (Array.of_list items))
 
-let map_list ?domains f items =
-  Array.to_list (parallel_map ?domains f (Array.of_list items))
-
-let map_seeded_list ?domains ~prng ~label f items =
-  Array.to_list (map_seeded ?domains ~prng ~label f (Array.of_list items))
+let map_seeded_list ~prng ~label f items =
+  Array.to_list (map_seeded ~prng ~label f (Array.of_list items))

@@ -1,51 +1,39 @@
-(** Domain-parallel batch executor for per-tuple crypto loops.
+(** Thread-parallel batch executor for per-item crypto loops.
 
-    The protocols' dominant cost is embarrassingly parallel: each source
-    hybrid-encrypts every tuple of its relation, and the PM client
-    decrypts all n+m e-values.  This module fans such loops out over
-    OCaml 5 domains under two contracts:
+    The protocols' dominant cost is a loop of independent items: each
+    source encrypts its polynomial's coefficients or its tuples and
+    evaluates the opposite polynomial at each of its values, and the PM
+    client decrypts all n+m e-values.  A call of two or more items runs
+    them on the calling thread plus
+    [Domain.recommended_domain_count () - 1] helper systhreads (at most
+    one fewer than the items), created for the call and joined before it
+    returns.  The threads overlap inside the bigint kernel, which runs
+    every large exponentiation (each Paillier one) without the runtime
+    lock; smaller work runs one thread at a time.  Helper threads, unlike
+    domains, leave the process free to [Unix.fork] (DESIGN.md §12).
 
-    {b Determinism} — outputs are bit-identical for any domain count.
+    {b Determinism} — outputs do not depend on the interleaving.
     Randomised work must go through {!map_seeded}, which derives an
     independent PRNG stream per item from the parent seed
-    ([Prng.split prng (label ^ "#" ^ index)]); the sequential path uses
-    the identical streams.  Labels must be unique per call site under
-    one parent PRNG, since splitting is a pure function of the seed.
+    ([Prng.split prng (label ^ "#" ^ index)]).  Labels must be unique per
+    call site under one parent PRNG, since splitting is a pure function
+    of the seed.
 
-    {b Counting} — [Counters] are per-thread; workers start at zero,
+    {b Counting} — [Counters] are per-thread; helpers start at zero, and
     their snapshots are folded into the calling thread with
-    [Counters.merge] at join time, inside the caller's open phase span,
-    so the span's crypto counts match a sequential run exactly.
+    [Counters.merge] at join, inside the caller's open phase span, so the
+    span's crypto counts match a sequential run exactly.
 
-    Domains are spawned per call and joined before returning.  A
-    persistent pool is ruled out: [Unix.fork] is illegal once any domain
-    has been spawned, and the loopback clusters, the ledger and the soak
-    all fork.  Spawning is not free either: a [Domain.spawn] plus [join]
-    of an empty domain cost 0.15–4 ms per call (median 0.3–1.7 ms) on a
-    2-vCPU box, more than a small batch saves, which is why the default
-    stays 1 (DESIGN.md §12).  Worker exceptions propagate after all
-    domains joined. *)
+    {b Failure} — when items raise, the lowest-index item's exception is
+    re-raised, after every helper has joined: the exception a sequential
+    map would raise. *)
 
-val default_domains : unit -> int
-(** Current default worker-domain count (1 unless overridden).  The
-    [SECMED_DOMAINS] environment variable sets the initial value. *)
+val parallel_map : ('a -> 'b) -> 'a array -> 'b array
+(** Order-preserving map. *)
 
-val set_default_domains : int -> unit
-(** Requires >= 1; raises [Invalid_argument] otherwise. *)
-
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — what the runtime considers
-    the useful parallelism of this machine. *)
-
-val parallel_map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving map, contiguous chunks across [domains] worker
-    domains (default {!default_domains}; capped at the item count).
-    [domains <= 1] runs sequentially in the calling domain. *)
-
-val parallel_mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
+val parallel_mapi : (int -> 'a -> 'b) -> 'a array -> 'b array
 
 val map_seeded :
-  ?domains:int ->
   prng:Secmed_crypto.Prng.t ->
   label:string ->
   (int -> Secmed_crypto.Prng.t -> 'a -> 'b) ->
@@ -56,11 +44,10 @@ val map_seeded :
     deterministic-parallelism entry point for randomised per-item work.
     The parent [prng]'s position is not consumed. *)
 
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} over lists. *)
 
 val map_seeded_list :
-  ?domains:int ->
   prng:Secmed_crypto.Prng.t ->
   label:string ->
   (int -> Secmed_crypto.Prng.t -> 'a -> 'b) ->

@@ -64,7 +64,8 @@ let run b link ?fault env request ~left ~right =
   (* Steps 1-3: each source hashes and encrypts its keys under a fresh
      commutative key, seals each key's payload, shuffles, and sends the
      set to the mediator.  Per-key work runs on independent split streams
-     (Batch), so the set is bit-identical at any domain count; the
+     (Batch), so the set is bit-identical however its threads
+     interleave; the
      shuffle draws from the parent stream.  A byzantine source ships
      payloads that parse but fail authentication at the client. *)
   let send sid set =

@@ -18,17 +18,17 @@ let of_rows ~arity rows =
   in
   { rows; wire_size }
 
-let encrypt_relation ?domains prng pk tables ~join_attrs relation =
+let encrypt_relation prng pk tables ~join_attrs relation =
   let positions = Join_key.positions (Relation.schema relation) join_attrs in
   let tables = Array.of_list tables in
   if Array.length tables <> Array.length positions then
     invalid_arg "Das.encrypt_relation: one index table per join attribute required";
   (* Per-tuple hybrid encryption is the dominant source-side cost and
      embarrassingly parallel: each tuple draws from its own PRNG stream
-     split off the source seed, so the wire bytes are bit-identical no
-     matter how many domains the Batch executor uses. *)
+     split off the source seed, so the wire bytes do not depend on which
+     of the Batch executor's threads encrypts which tuple. *)
   let rows =
-    Batch.map_seeded_list ?domains ~prng ~label:"das-row"
+    Batch.map_seeded_list ~prng ~label:"das-row"
       (fun _ prng tuple ->
         let etuple = Hybrid.encrypt prng pk (Tuple.encode tuple) in
         let indexes =

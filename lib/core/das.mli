@@ -69,11 +69,11 @@ type encrypted_relation = {
 }
 
 val encrypt_relation :
-  ?domains:int -> Prng.t -> Elgamal.public_key -> Das_partition.t list ->
+  Prng.t -> Elgamal.public_key -> Das_partition.t list ->
   join_attrs:string list -> Relation.t -> encrypted_relation
 (** Per-tuple hybrid encryption through the {!Batch} executor on
-    independent per-tuple PRNG streams: bit-identical rows at any
-    [domains] count (default {!Batch.default_domains}). *)
+    independent per-tuple PRNG streams: the rows are bit-identical
+    however its threads interleave. *)
 
 (** The index tables a source uploads beside its rows: none, sealed
     under a key the mediator lacks, or in the clear. *)

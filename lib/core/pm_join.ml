@@ -74,7 +74,7 @@ let validate_ciphertexts ~phase ~party label cts =
    entry is the source's dominant cost and is independent across entries,
    and the tables are read-only.  IDs are assigned by position — entry i
    of this side gets [first_id + i] — which reproduces the sequential
-   numbering for any domain count. *)
+   numbering whichever thread evaluates which entry. *)
 let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~sid ~first_id =
   if opp_coeffs = [] then
     Fault.fail ~phase:"source-evaluate" ~party:(Source sid)
@@ -125,8 +125,8 @@ type decrypted_entry = {
 
 let decrypt_entries sk e_values =
   let pk = Paillier.public sk in
-  (* Step 8's n+m CRT decryptions fan out across domains; decryption is
-     deterministic, so plain parallel_map keeps the list order. *)
+  (* Step 8's n+m CRT decryptions fan out across the Batch threads;
+     decryption is deterministic, so a plain map keeps the list order. *)
   let plains = Batch.map_list (Paillier.decrypt sk) e_values in
   List.filter_map
     (fun plain ->

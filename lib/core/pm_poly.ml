@@ -32,9 +32,9 @@ let eval p x =
 
 let encrypt ?(label = "pm-coeff") prng pk p =
   (* One independent randomness stream per coefficient (split from the
-     parent seed, position-free), so the encryptions parallelize with
-     bit-identical output at any domain count.  Callers encrypting more
-     than one polynomial must use distinct parent PRNGs or labels. *)
+     parent seed, position-free), so the encryptions run in parallel with
+     output that does not depend on the interleaving.  Callers encrypting
+     more than one polynomial must use distinct parent PRNGs or labels. *)
   Batch.map_seeded_list ~prng ~label
     (fun _ prng c -> Paillier.encrypt prng pk c)
     (coefficients p)
@@ -44,7 +44,8 @@ let encrypt ?(label = "pm-coeff") prng pk p =
    The product over the coefficients decrypts to r·P(a) and differs from
    Horner's E(P(a))^r only by an n-th power, which the fresh s^n
    absorbs, so the e-value keeps its distribution.  Every value reuses
-   the coefficients' odd-power tables, built once per polynomial. *)
+   the coefficients' odd-power tables, built once per polynomial, one
+   Batch item per coefficient. *)
 type tables = { pk : Paillier.public_key; coeff_tables : Bigint.Multi_exp.table array }
 
 let tables pk encrypted_coeffs ~uses =
@@ -55,7 +56,7 @@ let tables pk encrypted_coeffs ~uses =
       (Bigint.Ctx.to_mont ctx (Paillier.ciphertext_to_bigint c))
       ~uses ~bits
   in
-  { pk; coeff_tables = Array.of_list (List.map table encrypted_coeffs) }
+  { pk; coeff_tables = Batch.parallel_map table (Array.of_list encrypted_coeffs) }
 
 let eval_masked prng t x ~payload =
   let pk = t.pk in

@@ -31,18 +31,19 @@ val encrypt :
 (** E(c_0)..E(c_d): what the source transmits.  Coefficient encryptions
     run through the {!Batch} executor on independent per-coefficient
     PRNG streams split from the parent seed under [label] (default
-    ["pm-coeff"]) — bit-identical at any domain count; callers
-    encrypting several polynomials must vary the parent PRNG or
-    [label]. *)
+    ["pm-coeff"]) — bit-identical however the executor's threads
+    interleave; callers encrypting several polynomials must vary the
+    parent PRNG or [label]. *)
 
 type tables
 (** The odd-power tables of one received polynomial's encrypted
     coefficients ({!Bigint.Multi_exp.table}), built once and shared by
     every value the receiving source evaluates it at; read-only, so
-    {!Batch} domains share them. *)
+    {!Batch} threads share them. *)
 
 val tables : Paillier.public_key -> Paillier.ciphertext list -> uses:int -> tables
-(** The tables of E(c_0)..E(c_d), sized for [uses] evaluations.  Raises
+(** The tables of E(c_0)..E(c_d), sized for [uses] evaluations and built
+    through {!Batch}, one item per coefficient.  Raises
     [Invalid_argument] on an empty coefficient list. *)
 
 val eval_masked :

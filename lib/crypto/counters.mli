@@ -37,10 +37,10 @@ val bump : primitive -> unit
 val bump_by : primitive -> int -> unit
 
 val merge : (primitive * int) list -> unit
-(** Folds a {!snapshot} taken in another domain into this domain's
+(** Folds a {!snapshot} taken on another thread into this thread's
     counts, as a batch of {!bump_by}s — zero entries are skipped.  Used
-    by the Batch executor to fold worker-domain counts into the caller
-    at join time. *)
+    by the Batch executor to fold its helper threads' counts into the
+    caller at join time. *)
 
 val reset : unit -> unit
 

@@ -1,7 +1,9 @@
-(* Differential tests of the domain-parallel Batch executor: order and
-   exception semantics, counter merging, bit-identical ciphertext bytes
-   at every domain count, and full-protocol equivalence for all five
-   schemes when the parallel executor is enabled. *)
+(* Differential tests of the thread-parallel Batch executor: each call
+   equals a sequential map over the same per-item streams, counters merge
+   to the sequential totals, the lowest-index exception is the one
+   raised, a process that ran a parallel batch can still fork, and all
+   five schemes give identical results, transcripts and counters on
+   repeated runs, whose thread interleavings differ. *)
 
 open Secmed_crypto
 open Secmed_relalg
@@ -20,63 +22,100 @@ let small_spec =
     extra_attrs = 1;
   }
 
-let domain_counts = [ 1; 2; 4 ]
-
-let with_domains k f =
-  let saved = Batch.default_domains () in
-  Batch.set_default_domains k;
-  Fun.protect ~finally:(fun () -> Batch.set_default_domains saved) f
+(* The per-item stream Batch.map_seeded documents. *)
+let stream prng label i = Prng.split prng (label ^ "#" ^ string_of_int i)
 
 (* ------------------------------------------------------------------ *)
 (* Executor semantics. *)
 
 let test_parallel_map_basics () =
   let items = Array.init 37 Fun.id in
-  let expect = Array.map (fun x -> x * x) items in
-  List.iter
-    (fun k ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "%d domains" k)
-        expect
-        (Batch.parallel_map ~domains:k (fun x -> x * x) items))
-    domain_counts;
+  Alcotest.(check (array int)) "map" (Array.map (fun x -> x * x) items)
+    (Batch.parallel_map (fun x -> x * x) items);
   Alcotest.(check (array int)) "mapi passes indices"
     (Array.init 10 (fun i -> 2 * i))
-    (Batch.parallel_mapi ~domains:3 (fun i x -> i + x) (Array.init 10 Fun.id));
-  Alcotest.(check (array int)) "empty input" [||]
-    (Batch.parallel_map ~domains:4 Fun.id [||]);
-  Alcotest.(check (array int)) "fewer items than domains" [| 7 |]
-    (Batch.parallel_map ~domains:4 Fun.id [| 7 |]);
+    (Batch.parallel_mapi (fun i x -> i + x) (Array.init 10 Fun.id));
+  Alcotest.(check (array int)) "empty input" [||] (Batch.parallel_map Fun.id [||]);
+  Alcotest.(check (array int)) "one item" [| 7 |] (Batch.parallel_map Fun.id [| 7 |]);
   Alcotest.(check (list int)) "list wrapper" [ 2; 4; 6 ]
-    (Batch.map_list ~domains:2 (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Alcotest.check_raises "worker exception propagates" (Invalid_argument "boom")
-    (fun () ->
-      ignore
-        (Batch.parallel_map ~domains:2
-           (fun x -> if x = 5 then invalid_arg "boom" else x)
-           items));
-  Alcotest.check_raises "bad domain count"
-    (Invalid_argument "Batch.set_default_domains: must be >= 1") (fun () ->
-      Batch.set_default_domains 0)
+    (Batch.map_list (fun x -> 2 * x) [ 1; 2; 3 ]);
+  let prng = Prng.create ~seed:"batch-streams" in
+  let draw _ prng x = x ^ Prng.bytes prng 16 in
+  let labels = Array.init 9 string_of_int in
+  Alcotest.(check (array string)) "map_seeded is Array.mapi over the per-item streams"
+    (Array.mapi (fun i x -> draw i (stream prng "s" i) x) labels)
+    (Batch.map_seeded ~prng ~label:"s" draw labels);
+  (* Items that sleep give up the runtime lock, so on a machine with two
+     or more cores a helper thread takes some of them. *)
+  if Domain.recommended_domain_count () >= 2 then begin
+    let ids =
+      Batch.parallel_map
+        (fun () ->
+          Thread.delay 0.002;
+          Thread.id (Thread.self ()))
+        (Array.make 8 ())
+    in
+    Alcotest.(check bool) "a helper thread ran items" true
+      (Array.exists (fun id -> id <> ids.(0)) ids)
+  end
 
-(* Worker-domain counters must fold back into the caller's open phase:
-   the totals and the phase span's ops.* attributes equal the
-   sequential run's. *)
+(* Items 5, 9 and 20 raise; item 5 sleeps first, so a later item fails
+   earlier in time, and the exception raised must still be item 5's. *)
+let test_lowest_exception () =
+  let fail i = Failure (string_of_int i) in
+  let f i =
+    if i = 5 then begin
+      Thread.delay 0.01;
+      raise (fail i)
+    end
+    else if i = 9 || i = 20 then raise (fail i)
+    else i
+  in
+  for _ = 1 to 5 do
+    Alcotest.check_raises "lowest-index exception" (fail 5) (fun () ->
+        ignore (Batch.parallel_map f (Array.init 37 Fun.id)))
+  done;
+  Alcotest.check_raises "same as Array.map" (fail 5) (fun () ->
+      ignore (Array.map f (Array.init 37 Fun.id)))
+
+(* A process that has just run a parallel batch can still fork: helpers
+   are threads, joined before the call returns, and OCaml refuses
+   Unix.fork only after a Domain.spawn. *)
+let test_fork_after_batch () =
+  let ids =
+    Batch.parallel_map
+      (fun () ->
+        Thread.delay 0.002;
+        Thread.id (Thread.self ()))
+      (Array.make 4 ())
+  in
+  Alcotest.(check int) "items ran" 4 (Array.length ids);
+  match Unix.fork () with
+  | 0 -> Unix._exit 0
+  | pid ->
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check bool) "child exited 0" true (status = Unix.WEXITED 0)
+
+(* Helper-thread counters must fold back into the caller's open phase:
+   the totals and the phase span's ops.* attributes equal a sequential
+   run's over the same streams. *)
 let test_counter_merge () =
   let group = Group.default ~bits:160 in
   let kp = Elgamal.keygen (Prng.create ~seed:"batch-counter-key") group in
   let pk = Elgamal.public kp in
   let prng = Prng.create ~seed:"batch-counter" in
   let payloads = Array.init 12 (fun i -> String.make 40 (Char.chr (65 + i))) in
-  let run k =
+  (* The sleep gives up the runtime lock, so a helper takes items. *)
+  let encrypt _ prng p =
+    Thread.delay 0.001;
+    Hybrid.encrypt prng pk p
+  in
+  let run map =
     let ((), counts), t =
       Secmed_obs.Trace.collect (fun () ->
           Counters.with_fresh (fun () ->
               Outcome.Builder.phase ~party:"S1" "source-encrypt" (fun () ->
-                  ignore
-                    (Batch.map_seeded ~domains:k ~prng ~label:"cnt"
-                       (fun _ prng p -> Hybrid.encrypt prng pk p)
-                       payloads))))
+                  ignore (map encrypt payloads))))
     in
     let ops =
       List.concat_map
@@ -88,24 +127,21 @@ let test_counter_merge () =
     in
     (ops, counts)
   in
-  let ops1, counts1 = run 1 in
+  let ops1, counts1 =
+    run (fun f items -> Array.mapi (fun i x -> f i (stream prng "cnt" i) x) items)
+  in
   Alcotest.(check int) "sequential run counted hybrid encryptions" 12
     (List.assoc Counters.Hybrid_encrypt counts1);
   Alcotest.(check bool) "phase span carries them" true
     (ops1 = [ ("ops.hybrid-encrypt", Secmed_obs.Json.Int 12) ]);
-  List.iter
-    (fun k ->
-      let opsk, countsk = run k in
-      Alcotest.(check bool)
-        (Printf.sprintf "totals at %d domains" k)
-        true (counts1 = countsk);
-      Alcotest.(check bool)
-        (Printf.sprintf "phase ops at %d domains" k)
-        true (ops1 = opsk))
-    [ 2; 4 ]
+  for run_no = 1 to 3 do
+    let opsb, countsb = run (Batch.map_seeded ~prng ~label:"cnt") in
+    Alcotest.(check bool) (Printf.sprintf "totals, batch run %d" run_no) true (counts1 = countsb);
+    Alcotest.(check bool) (Printf.sprintf "phase ops, batch run %d" run_no) true (ops1 = opsb)
+  done
 
 (* ------------------------------------------------------------------ *)
-(* Bit-identical ciphertext bytes at any domain count. *)
+(* Bit-identical ciphertext bytes, batch against sequential. *)
 
 let test_seeded_bit_identical () =
   let group = Group.default ~bits:160 in
@@ -113,97 +149,98 @@ let test_seeded_bit_identical () =
   let pk = Elgamal.public kp in
   let prng = Prng.create ~seed:"batch-bytes" in
   let payloads = Array.init 17 (fun i -> String.make (20 + i) (Char.chr (97 + (i mod 26)))) in
-  let wire k =
-    String.concat ""
-      (Array.to_list
-         (Array.map Hybrid.to_wire
-            (Batch.map_seeded ~domains:k ~prng ~label:"bytes"
-               (fun _ prng p -> Hybrid.encrypt prng pk p)
-               payloads)))
+  let wire cts = String.concat "" (Array.to_list (Array.map Hybrid.to_wire cts)) in
+  let reference =
+    wire (Array.mapi (fun i p -> Hybrid.encrypt (stream prng "bytes" i) pk p) payloads)
   in
-  let reference = wire 1 in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bytes at %d domains" k)
-        true
-        (String.equal reference (wire k)))
-    [ 2; 3; 4 ];
+  for run_no = 1 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "bytes, batch run %d" run_no)
+      true
+      (String.equal reference
+         (wire (Batch.map_seeded ~prng ~label:"bytes" (fun _ prng p -> Hybrid.encrypt prng pk p)
+                  payloads)))
+  done;
   (* The parent stream is not consumed by splitting: a draw after the
      batch is position-independent of the batch size. *)
   let p1 = Prng.create ~seed:"parent-probe" in
-  ignore (Batch.map_seeded ~domains:2 ~prng:p1 ~label:"probe"
+  ignore (Batch.map_seeded ~prng:p1 ~label:"probe"
             (fun _ prng _ -> Prng.bytes prng 8) (Array.make 5 ()));
   let after_batch = Prng.bytes p1 8 in
   let p2 = Prng.create ~seed:"parent-probe" in
   Alcotest.(check string) "parent stream untouched" (Prng.bytes p2 8) after_batch
 
 (* DAS source encryption: the full encrypted relation (ciphertexts and
-   index vectors) is byte-identical across domain counts. *)
+   index vectors) equals a sequential encryption over the same streams,
+   run after run. *)
 let test_das_rows_identical () =
   let left, _ = Workload.generate small_spec in
   let group = Group.default ~bits:160 in
   let kp = Elgamal.keygen (Prng.create ~seed:"batch-das-key") group in
   let pk = Elgamal.public kp in
   let join_attrs = [ "a_join" ] in
-  let tables =
-    [ Das_partition.build (Das_partition.Equi_depth 3) ~relation:"R1" ~attr:"a_join"
-        (Relation.column left "a_join") ]
+  let table =
+    Das_partition.build (Das_partition.Equi_depth 3) ~relation:"R1" ~attr:"a_join"
+      (Relation.column left "a_join")
   in
-  let encode k =
-    let prng = Prng.create ~seed:"batch-das" in
-    let er = Das.encrypt_relation ~domains:k prng pk tables ~join_attrs left in
+  let encode rows =
     String.concat ""
       (List.map
          (fun (ct, idx) ->
            Hybrid.to_wire ct
            ^ String.concat ":" (Array.to_list (Array.map string_of_int idx)))
-         er.Das.rows)
+         rows)
   in
-  let reference = encode 1 in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rows at %d domains" k)
-        true
-        (String.equal reference (encode k)))
-    [ 2; 4 ]
+  let position = List.hd (Array.to_list (Join_key.positions (Relation.schema left) join_attrs)) in
+  let reference =
+    encode
+      (List.mapi
+         (fun i tuple ->
+           ( Hybrid.encrypt (stream (Prng.create ~seed:"batch-das") "das-row" i) pk (Tuple.encode tuple),
+             [| Das_partition.index_of table (Tuple.get tuple position) |] ))
+         (Relation.tuples left))
+  in
+  for run_no = 1 to 3 do
+    let er = Das.encrypt_relation (Prng.create ~seed:"batch-das") pk [ table ] ~join_attrs left in
+    Alcotest.(check bool)
+      (Printf.sprintf "rows, run %d" run_no)
+      true
+      (String.equal reference (encode er.Das.rows))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Full protocols: every scheme must produce the same result relation,
-   transcript (labels, sizes, order) and counter totals whether the
-   batch executor runs on 1, 2 or 4 domains. *)
+   transcript (labels, sizes, order) and counter totals on every run,
+   however the batch executor's threads interleave. *)
 
-let test_all_schemes_domain_invariant () =
-  let run scheme k =
-    with_domains k (fun () ->
-        let env, client, query = Workload.scenario ~params:fast small_spec in
-        Protocol.run_exn scheme env client ~query)
+let test_all_schemes_interleaving_invariant () =
+  let run scheme =
+    let env, client, query = Workload.scenario ~params:fast small_spec in
+    Protocol.run_exn scheme env client ~query
   in
   List.iter
     (fun scheme ->
       let name = Protocol.scheme_name scheme in
-      let reference = run scheme 1 in
+      let reference = run scheme in
       Alcotest.(check bool)
         (Printf.sprintf "%s correct" name)
         true (Outcome.correct reference);
-      List.iter
-        (fun k ->
-          let o = run scheme k in
-          Alcotest.(check string)
-            (Printf.sprintf "%s result at %d domains" name k)
-            (Relation.to_string reference.Outcome.result)
-            (Relation.to_string o.Outcome.result);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s transcript at %d domains" name k)
-            true
-            (Secmed_mediation.Transcript.messages reference.Outcome.transcript
-            = Secmed_mediation.Transcript.messages o.Outcome.transcript);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s counters at %d domains" name k)
-            true
-            (reference.Outcome.counters = o.Outcome.counters))
-        [ 2; 4 ])
+      for run_no = 2 to 3 do
+        let o = run scheme in
+        Alcotest.(check string)
+          (Printf.sprintf "%s result, run %d" name run_no)
+          (Relation.to_string reference.Outcome.result)
+          (Relation.to_string o.Outcome.result);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s transcript, run %d" name run_no)
+          true
+          (Secmed_mediation.Transcript.messages reference.Outcome.transcript
+          = Secmed_mediation.Transcript.messages o.Outcome.transcript);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s counters, run %d" name run_no)
+          true
+          (reference.Outcome.counters = o.Outcome.counters)
+      done)
     Protocol.all_schemes
 
 let () =
@@ -212,14 +249,16 @@ let () =
       ( "executor",
         [
           Alcotest.test_case "parallel map semantics" `Quick test_parallel_map_basics;
+          Alcotest.test_case "lowest-index exception" `Quick test_lowest_exception;
           Alcotest.test_case "counter merge" `Quick test_counter_merge;
+          Alcotest.test_case "fork after a parallel batch" `Quick test_fork_after_batch;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "seeded encryption bit-identical" `Quick
             test_seeded_bit_identical;
           Alcotest.test_case "das rows bit-identical" `Quick test_das_rows_identical;
-          Alcotest.test_case "all schemes domain-invariant" `Quick
-            test_all_schemes_domain_invariant;
+          Alcotest.test_case "all schemes interleaving-invariant" `Quick
+            test_all_schemes_interleaving_invariant;
         ] );
     ]

@@ -520,6 +520,60 @@ let test_cache_domain_stress () =
     (fun d -> Alcotest.(check bool) "fixed-base cache per domain" true (Domain.join d))
     doms
 
+(* Two threads run the kernel at once with a tiny minor heap, so minor
+   collections run inside each other's lock-free sections: 1 to 16
+   tables at 8- and 16-word moduli, exponents wide enough that every
+   exponentiation (and the wider tables' builds) leaves the runtime
+   lock, and young tables and results that a collection may move.  Each
+   product must equal its mod_pow_plain reference. *)
+let test_kernel_threads_under_gc () =
+  let worker t () =
+    let source = Secmed_crypto.Prng.byte_source (Secmed_crypto.Prng.of_int_seed (700 + t)) in
+    let small k = Bigint.to_int (Bigint.random_below source (i k)) in
+    let ok = ref true in
+    for round = 0 to 9 do
+      let bits = if (round + t) land 1 = 0 then 512 else 1024 in
+      let low = Bigint.random_bits source (bits - 1) in
+      let m =
+        Bigint.add (Bigint.shift_left Bigint.one (bits - 1))
+          (if Bigint.is_odd low then low else Bigint.succ low)
+      in
+      let ctx = Bigint.Ctx.create m in
+      let n = 1 + small 16 in
+      let bases = Array.init n (fun _ -> Bigint.random_below source m) in
+      let exps =
+        Array.init n (fun _ ->
+            let w = 256 + small 64 in
+            Bigint.add (Bigint.shift_left Bigint.one (w - 1)) (Bigint.random_bits source (w - 1)))
+      in
+      let tables =
+        Array.map
+          (fun b ->
+            let uses = [| 1; 4; 64 |].(small 3) in
+            Bigint.Multi_exp.table ctx (Bigint.Ctx.to_mont ctx b) ~uses ~bits:320)
+          bases
+      in
+      let got = Bigint.Ctx.of_mont ctx (Bigint.Multi_exp.pow ctx tables exps) in
+      let want = ref (Bigint.emod Bigint.one m) in
+      Array.iteri
+        (fun j b -> want := Bigint.emod (Bigint.mul !want (Bigint.mod_pow_plain b exps.(j) m)) m)
+        bases;
+      if not (Bigint.equal got !want) then ok := false
+    done;
+    !ok
+  in
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 4096 };
+  let results = Array.make 2 false in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      let threads = Array.init 2 (fun t -> Thread.create (fun () -> results.(t) <- worker t ()) ()) in
+      Array.iter Thread.join threads);
+  Array.iteri
+    (fun t ok -> Alcotest.(check bool) (Printf.sprintf "thread %d products" t) true ok)
+    results
+
 let test_infix () =
   let open Bigint.Infix in
   Alcotest.(check bool) "arith" true (i 2 + i 3 * i 4 = i 14);
@@ -955,6 +1009,8 @@ let () =
           Alcotest.test_case "kernel word edges" `Quick test_kernel_word_edges;
           Alcotest.test_case "domain-local caches under stress" `Quick
             test_cache_domain_stress;
+          Alcotest.test_case "kernel on two threads under GC pressure" `Quick
+            test_kernel_threads_under_gc;
           Alcotest.test_case "infix operators" `Quick test_infix;
         ] );
       ("properties", props);
