@@ -75,14 +75,19 @@ check-resilience:
 check-net:
 	dune exec test/test_net.exe -- test -e
 
-# Sustained-load serving suite: the deterministic loadgen fleet against
+# Sustained-load serving suite.  The grep fails if a thread is created
+# per call or per session again: Batch's helpers and a source's session
+# threads come from the thread cache (Thread_cache.spawn), which parks
+# and reuses them.  Then the deterministic loadgen fleet against
 # a forked loopback cluster (64 verified sessions, typed backpressure,
-# replica failover and drain, domain-parallel mux consumers), then the
+# replica failover and drain, domain-parallel mux consumers, a domain
+# that ran a batch and a spawned task joins), then the
 # real binaries: bad address and id flags must exit 124 (usage error),
 # then two `secmed source` daemons and a `secmed serve`, a verified
 # `secmed loadgen` fleet, and a `secmed drain` of each daemon, which
 # must then exit 0.
 check-serve:
+	! grep -n "Thread.create" lib/core/batch.ml lib/net/peer.ml
 	dune exec test/test_serve.exe -- test -e
 	sh tools/cli_cluster.sh
 

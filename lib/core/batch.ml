@@ -13,8 +13,9 @@ open Secmed_crypto
    Domains would overlap everywhere,
    but OCaml refuses [Unix.fork] in a process that ever spawned one, and
    the loopback clusters, the ledger and the tests all fork.  Helpers
-   are created per call and joined before it returns; they take items
-   from a shared atomic cursor.
+   are parked threads from {!Thread_cache}; they and the caller take
+   items from a shared atomic cursor, and the caller returns once every
+   helper has counted itself finished.
 
    Determinism.  Outputs do not depend on which thread ran which item.
    Work needing randomness goes through {!map_seeded}: item [i] gets its
@@ -22,8 +23,9 @@ open Secmed_crypto
    parent's seed alone — never a shared mutable [Prng.t] whose position
    would depend on scheduling.
 
-   Counting.  [Counters] state is per-thread; each helper starts at zero,
-   and at join the calling thread folds its snapshot back in with
+   Counting.  [Counters] state is per-thread; each helper starts at zero
+   (the cache releases a thread's table after every task), and once the
+   helpers are done the calling thread folds their snapshots back in with
    [Counters.merge], inside the caller's open phase span — so the span's
    [ops.<primitive>] attributes are the same as a sequential run's. *)
 
@@ -33,7 +35,7 @@ let item_prng prng label i = Prng.split prng (label ^ "#" ^ string_of_int i)
    takes a further item; the ones already taken finish, and since the
    cursor hands out indices in order, every item below the failed one
    has run, so the lowest failing index is the one a sequential map
-   would raise.  It is re-raised after every helper has joined. *)
+   would raise.  It is re-raised after every helper has finished. *)
 let parallel_mapi f items =
   let n = Array.length items in
   let helpers = min (Domain.recommended_domain_count () - 1) (n - 1) in
@@ -55,14 +57,22 @@ let parallel_mapi f items =
       end
     in
     let counts = Array.make helpers [] in
-    let helper h =
+    let mu = Mutex.create () and finished = Condition.create () and pending = ref helpers in
+    let helper h () =
       work ();
       counts.(h) <- Counters.snapshot ();
-      Counters.release ()
+      Mutex.protect mu (fun () ->
+          decr pending;
+          if !pending = 0 then Condition.signal finished)
     in
-    let threads = Array.init helpers (Thread.create helper) in
+    for h = 0 to helpers - 1 do
+      Thread_cache.spawn (helper h)
+    done;
     work ();
-    Array.iter Thread.join threads;
+    Mutex.protect mu (fun () ->
+        while !pending > 0 do
+          Condition.wait finished mu
+        done);
     Array.iter Counters.merge counts;
     Array.map
       (function

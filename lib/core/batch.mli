@@ -6,11 +6,15 @@
     client decrypts all n+m e-values.  A call of two or more items runs
     them on the calling thread plus
     [Domain.recommended_domain_count () - 1] helper systhreads (at most
-    one fewer than the items), created for the call and joined before it
-    returns.  The threads overlap inside the bigint kernel, which runs
-    every large exponentiation (each Paillier one) without the runtime
-    lock; smaller work runs one thread at a time.  Helper threads, unlike
-    domains, leave the process free to [Unix.fork] (DESIGN.md §12).
+    one fewer than the items), taken from {!Thread_cache}: parked threads
+    are reused and a new one is created only when none is parked.  The
+    call returns once every helper has finished.  The threads overlap
+    inside the bigint kernel, which runs every large exponentiation (each
+    Paillier one) without the runtime lock; smaller work runs one thread
+    at a time.  Helper threads, unlike domains, leave the process free to
+    [Unix.fork]: a forked child starts with an empty cache.  On a domain
+    other than the main one each helper is a thread that exits when its
+    work ends, so [Domain.join] returns (DESIGN.md §12).
 
     {b Determinism} — outputs do not depend on the interleaving.
     Randomised work must go through {!map_seeded}, which derives an
@@ -21,11 +25,11 @@
 
     {b Counting} — [Counters] are per-thread; helpers start at zero, and
     their snapshots are folded into the calling thread with
-    [Counters.merge] at join, inside the caller's open phase span, so the
-    span's crypto counts match a sequential run exactly.
+    [Counters.merge] once they finish, inside the caller's open phase
+    span, so the span's crypto counts match a sequential run exactly.
 
     {b Failure} — when items raise, the lowest-index item's exception is
-    re-raised, after every helper has joined: the exception a sequential
+    re-raised, after every helper has finished: the exception a sequential
     map would raise. *)
 
 val parallel_map : ('a -> 'b) -> 'a array -> 'b array

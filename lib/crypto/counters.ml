@@ -49,7 +49,7 @@ let width = List.length all
    protocol drivers — the mediator's session workers, a source daemon's
    per-session handlers, a loadgen fleet — never corrupt each other's
    tallies.  A worker's totals are folded back into the spawning thread
-   via {!merge} (the Batch executor does this at join time).
+   via {!merge} (the Batch executor does this once its helpers finish).
 
    The registry maps thread id → array inside a domain-local slot; the
    mutex only guards the registry lookup (a rare miss allocates), never

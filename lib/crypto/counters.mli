@@ -9,9 +9,10 @@
     zero, so concurrent protocol drivers (the mediator's session workers,
     a source daemon's per-session handlers, a loadgen fleet) never observe
     each other's counts.  A parallel executor snapshots each worker's
-    counts at join time and folds them into the spawning thread with
-    {!merge}.  Long-lived servers should {!release} a session thread's
-    slot when the thread retires.
+    counts when they finish and folds them into the spawning thread with
+    {!merge}.  A thread that runs one task after another must {!release}
+    its slot between tasks, as the thread cache does, so each task
+    starts from zero.
 
     The per-(party, phase) split of Table 2 is not kept here: a traced
     phase span carries the counts bumped during it as [ops.<primitive>]
@@ -40,16 +41,16 @@ val merge : (primitive * int) list -> unit
 (** Folds a {!snapshot} taken on another thread into this thread's
     counts, as a batch of {!bump_by}s — zero entries are skipped.  Used
     by the Batch executor to fold its helper threads' counts into the
-    caller at join time. *)
+    caller once they finish. *)
 
 val reset : unit -> unit
 
 val release : unit -> unit
 (** Drops the calling thread's counter state entirely (the next bump on
-    this thread starts from a fresh zero state).  Call from a session
-    thread's teardown in long-lived servers so retired thread ids don't
-    accumulate state in the per-domain registry.  Never required for
-    correctness in short-lived programs. *)
+    this thread starts from a fresh zero state).  The thread cache calls
+    it after every task, so a reused thread starts its next task at zero
+    and retired thread ids don't accumulate state in the per-domain
+    registry. *)
 
 val count : primitive -> int
 

@@ -42,7 +42,10 @@ let answer d ~active handle conn =
 
 (* [Io.accept]'s timeout binds the accepted connection, not the accept
    call, so a blocking accept would pin a drained daemon to its socket
-   until one more peer showed up: the loop ticks on a short select. *)
+   until one more peer showed up: the loop ticks on a short select.
+   Each accepted connection runs on a parked thread from
+   [Thread_cache], which serves a later connection once this one is
+   done. *)
 let serve d ~listen_fd ~io_timeout ~active ~idle handle =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> begin_drain d d.drain_deadline));
   let connection conn =
@@ -58,7 +61,7 @@ let serve d ~listen_fd ~io_timeout ~active ~idle handle =
       | [], _, _ -> loop ()
       | _ :: _, _, _ ->
         (match Io.accept ~timeout:io_timeout listen_fd with
-        | conn -> ignore (Thread.create connection conn : Thread.t)
+        | conn -> Secmed_core.Thread_cache.spawn (fun () -> connection conn)
         | exception Io.Transport_error _ -> ());
         loop ()
   in

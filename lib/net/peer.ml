@@ -106,7 +106,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(io_timeout = 10.)
       let mux = Mux.create conn in
       (* Every Session_start is announced on the control queue, and a
          resilient session announces each attempt: exactly one handler
-         thread per session must result. *)
+         task per session must result, on a thread from [Thread_cache]. *)
       let live_mu = Mutex.create () in
       let live = Hashtbl.create 8 in
       let rec control () =
@@ -142,17 +142,12 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(io_timeout = 10.)
             end
             else begin
               Mutex.protect active_mu (fun () -> incr active);
-              ignore
-                (Thread.create
-                   (fun () ->
-                     Fun.protect
-                       ~finally:(fun () ->
-                         Secmed_crypto.Counters.release ();
-                         Mutex.protect live_mu (fun () -> Hashtbl.remove live session);
-                         Mutex.protect active_mu (fun () -> decr active))
-                       (fun () -> source_session ~role ~env ~client ~io_timeout mux session))
-                   ()
-                  : Thread.t)
+              Thread_cache.spawn (fun () ->
+                  Fun.protect
+                    ~finally:(fun () ->
+                      Mutex.protect live_mu (fun () -> Hashtbl.remove live session);
+                      Mutex.protect active_mu (fun () -> decr active))
+                    (fun () -> source_session ~role ~env ~client ~io_timeout mux session))
             end
           end;
           control ()

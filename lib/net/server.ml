@@ -921,7 +921,9 @@ let drained t = Mutex.protect t.conns_mu (fun () -> Hashtbl.length t.live_conns 
    then the handshake and query read, and the same thread then runs the
    session's driver.  A session never changes threads, so its
    thread-local state — crypto counters, bigint caches — stays private
-   to it. *)
+   to it.  The thread is a parked one from [Thread_cache]: once the
+   session ends and the cache has released its counters, it serves a
+   later session. *)
 let handle t conn ~admit ~release = function
   | Frame.Stats_request ->
     Io.send_frame conn
@@ -1010,7 +1012,6 @@ let conn_thread t conn frame =
   in
   Fun.protect
     ~finally:(fun () ->
-      Secmed_crypto.Counters.release ();
       release ();
       Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token))
     (fun () -> handle t conn ~admit ~release frame)

@@ -3,7 +3,9 @@
    to the sequential totals, the lowest-index exception is the one
    raised, a process that ran a parallel batch can still fork, and all
    five schemes give identical results, transcripts and counters on
-   repeated runs, whose thread interleavings differ. *)
+   repeated runs, whose thread interleavings differ.  Then the thread
+   cache the helpers come from: reuse, a clean start per task, and a
+   raising task. *)
 
 open Secmed_crypto
 open Secmed_relalg
@@ -78,23 +80,157 @@ let test_lowest_exception () =
   Alcotest.check_raises "same as Array.map" (fail 5) (fun () ->
       ignore (Array.map f (Array.init 37 Fun.id)))
 
+(* ------------------------------------------------------------------ *)
+(* The thread cache: parked threads are reused, start each task clean,
+   survive a raising task, and leave a forked child a cache of its own. *)
+
+(* Wait until at least [n] threads are parked: a thread parks only after
+   its task has returned, so a caller that awaited the task alone could
+   race the park and see a fresh thread. *)
+let await_parked n =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Thread_cache.parked () < n && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  if Thread_cache.parked () < n then Alcotest.fail "no thread parked"
+
+(* Run [f] through the cache and return its result once its thread has
+   parked again. *)
+let on_cache f =
+  let before = Thread_cache.parked () in
+  let mu = Mutex.create () and cv = Condition.create () and result = ref None in
+  Thread_cache.spawn (fun () ->
+      let v = f () in
+      Mutex.protect mu (fun () ->
+          result := Some v;
+          Condition.signal cv));
+  let v =
+    Mutex.protect mu (fun () ->
+        let rec wait () =
+          match !result with
+          | Some v -> v
+          | None ->
+            Condition.wait cv mu;
+            wait ()
+        in
+        wait ())
+  in
+  await_parked (max before 1);
+  v
+
+let self_id () = Thread.id (Thread.self ())
+
+let test_sequential_tasks_one_thread () =
+  let ids = List.init 10 (fun _ -> on_cache self_id) in
+  Alcotest.(check (list int)) "ten tasks, one thread" (List.map (fun _ -> List.hd ids) ids) ids;
+  Alcotest.(check bool) "not the caller's thread" true (List.hd ids <> self_id ())
+
+(* Two-item calls take one helper each; parked between calls, it is the
+   same helper every time. *)
+let test_batch_helpers_reused () =
+  let caller = self_id () in
+  let helpers = Hashtbl.create 4 in
+  for _ = 1 to 50 do
+    let before = Thread_cache.parked () in
+    let ids =
+      Batch.parallel_map
+        (fun () ->
+          Thread.delay 0.001;
+          self_id ())
+        [| (); () |]
+    in
+    Array.iter (fun id -> if id <> caller then Hashtbl.replace helpers id ()) ids;
+    if Domain.recommended_domain_count () >= 2 then await_parked (max before 1)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct helper threads" (Hashtbl.length helpers))
+    true
+    (Hashtbl.length helpers <= Domain.recommended_domain_count () - 1)
+
+let test_reused_thread_starts_clean () =
+  let first =
+    on_cache (fun () ->
+        Counters.bump_by Counters.Hash 3;
+        Secmed_obs.Trace.with_collector (Secmed_obs.Trace.create ()) (fun () ->
+            Counters.bump Counters.Random_number;
+            Alcotest.(check bool) "collector bound in the first task" true
+              (Secmed_obs.Trace.enabled ()));
+        self_id ())
+  in
+  let id, counts, traced =
+    on_cache (fun () -> (self_id (), Counters.snapshot (), Secmed_obs.Trace.enabled ()))
+  in
+  Alcotest.(check int) "same thread" first id;
+  Alcotest.(check bool) "counters start at zero" true
+    (List.for_all (fun (_, n) -> n = 0) counts);
+  Alcotest.(check bool) "no collector bound" false traced
+
+(* The report goes to stderr, which the test points at a file while the
+   task runs. *)
+let test_raising_task_reported () =
+  let log = Filename.temp_file "thread-cache" ".err" in
+  let saved = Unix.dup Unix.stderr in
+  let raised_on = Atomic.make (-1) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    (fun () ->
+      let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      Unix.dup2 fd Unix.stderr;
+      Unix.close fd;
+      let before = Thread_cache.parked () in
+      Thread_cache.spawn (fun () ->
+          Atomic.set raised_on (self_id ());
+          failwith "thread-cache-probe");
+      await_parked (max before 1));
+  let report = In_channel.with_open_bin log In_channel.input_all in
+  Sys.remove log;
+  let mentions s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) ("reported: " ^ String.trim report) true
+    (mentions report "thread-cache-probe");
+  Alcotest.(check int) "next task on the parked thread" (Atomic.get raised_on)
+    (on_cache self_id)
+
 (* A process that has just run a parallel batch can still fork: helpers
-   are threads, joined before the call returns, and OCaml refuses
-   Unix.fork only after a Domain.spawn. *)
+   are threads, and OCaml refuses Unix.fork only after a Domain.spawn.
+   The child inherits none of the parent's parked threads: it starts a
+   cache of its own, runs a task, a full major GC and a two-item batch
+   there, and exits 0.  An alarm bounds a child that hangs. *)
 let test_fork_after_batch () =
   let ids =
     Batch.parallel_map
       (fun () ->
         Thread.delay 0.002;
-        Thread.id (Thread.self ()))
+        self_id ())
       (Array.make 4 ())
   in
   Alcotest.(check int) "items ran" 4 (Array.length ids);
+  if Domain.recommended_domain_count () >= 2 then await_parked 1;
+  let parked = Thread_cache.parked () in
   match Unix.fork () with
-  | 0 -> Unix._exit 0
+  | 0 ->
+    ignore (Unix.alarm 20 : int);
+    let ok =
+      try
+        let fresh = Thread_cache.parked () = 0 in
+        let ran = on_cache (fun () -> true) in
+        (* The parent's parked threads wait on conditions this copy
+           inherited; a major GC must not try to destroy them. *)
+        Gc.full_major ();
+        let squares = Batch.parallel_map (fun x -> Thread.delay 0.001; x * x) [| 3; 4 |] in
+        fresh && ran && squares = [| 9; 16 |]
+      with _ -> false
+    in
+    Unix._exit (if ok then 0 else 1)
   | pid ->
     let _, status = Unix.waitpid [] pid in
-    Alcotest.(check bool) "child exited 0" true (status = Unix.WEXITED 0)
+    Alcotest.(check bool) "child exited 0" true (status = Unix.WEXITED 0);
+    Alcotest.(check bool) "parent's threads still parked" true (Thread_cache.parked () >= parked)
 
 (* Helper-thread counters must fold back into the caller's open phase:
    the totals and the phase span's ops.* attributes equal a sequential
@@ -252,6 +388,15 @@ let () =
           Alcotest.test_case "lowest-index exception" `Quick test_lowest_exception;
           Alcotest.test_case "counter merge" `Quick test_counter_merge;
           Alcotest.test_case "fork after a parallel batch" `Quick test_fork_after_batch;
+        ] );
+      ( "thread cache",
+        [
+          Alcotest.test_case "sequential tasks on one thread" `Quick
+            test_sequential_tasks_one_thread;
+          Alcotest.test_case "batch helpers reused" `Quick test_batch_helpers_reused;
+          Alcotest.test_case "reused thread starts clean" `Quick test_reused_thread_starts_clean;
+          Alcotest.test_case "raising task reported, thread parks again" `Quick
+            test_raising_task_reported;
         ] );
       ( "determinism",
         [

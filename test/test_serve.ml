@@ -541,6 +541,36 @@ let test_mux_domain_parallel_consumers () =
         true (received = expected))
     results
 
+(* Domain.join waits for every thread of the domain, so the thread
+   cache parks none off the main domain: a domain that ran a parallel
+   batch and a spawned task still joins.  An alarm bounds a join that
+   hangs. *)
+let test_domain_batch_and_spawn_join () =
+  let d =
+    Domain.spawn (fun () ->
+        let squares =
+          Batch.parallel_map
+            (fun x ->
+              Thread.delay 0.001;
+              x * x)
+            [| 1; 2; 3; 4 |]
+        in
+        let mu = Mutex.create () and cv = Condition.create () and ran = ref false in
+        Thread_cache.spawn (fun () ->
+            Mutex.protect mu (fun () ->
+                ran := true;
+                Condition.signal cv));
+        Mutex.protect mu (fun () ->
+            while not !ran do
+              Condition.wait cv mu
+            done);
+        squares)
+  in
+  ignore (Unix.alarm 60 : int);
+  let squares = Domain.join d in
+  ignore (Unix.alarm 0 : int);
+  Alcotest.(check (array int)) "batch on the domain" [| 1; 4; 9; 16 |] squares
+
 let () =
   Alcotest.run "serve"
     [
@@ -580,5 +610,7 @@ let () =
         [
           Alcotest.test_case "mux consumers across domains" `Quick
             test_mux_domain_parallel_consumers;
+          Alcotest.test_case "batch and spawned task on a domain join" `Quick
+            test_domain_batch_and_spawn_join;
         ] );
     ]
