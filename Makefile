@@ -75,10 +75,13 @@ check-resilience:
 check-net:
 	dune exec test/test_net.exe -- test -e
 
-# Sustained-load serving suite.  The grep fails if a thread is created
-# per call or per session again: Batch's helpers and a source's session
-# threads come from the thread cache (Thread_cache.spawn), which parks
-# and reuses them.  Then the deterministic loadgen fleet against
+# Sustained-load serving suite.  The first grep fails if a thread is
+# created per call or per session again: Batch's helpers and a source's
+# session threads come from the thread cache (Thread_cache.spawn), which
+# parks and reuses them.  The second fails if the load generator dials
+# per session again (Peer.run): each worker keeps one Peer client, one
+# connection and Hello for all its sessions.  Then the deterministic
+# loadgen fleet against
 # a forked loopback cluster (64 verified sessions, typed backpressure,
 # replica failover and drain, domain-parallel mux consumers, a domain
 # that ran a batch and a spawned task joins), then the
@@ -88,6 +91,7 @@ check-net:
 # must then exit 0.
 check-serve:
 	! grep -n "Thread.create" lib/core/batch.ml lib/net/peer.ml
+	! grep -n "Peer\.run" lib/net/loadgen.ml
 	dune exec test/test_serve.exe -- test -e
 	sh tools/cli_cluster.sh
 

@@ -447,7 +447,8 @@ let serve_cmd =
     Arg.(value & opt int 8
          & info [ "max-sessions" ] ~docv:"N"
              ~doc:"Concurrent client sessions admitted before answering Busy; each runs \
-                   on its own connection thread.")
+                   on its client connection's thread, and a connection carries its \
+                   client's sessions in turn.")
   in
   let action bind port sources max_sessions io_timeout deadline breaker health_interval
       drain_deadline spec =
@@ -671,6 +672,7 @@ let render_stats j =
     (i [ "sessions"; "refused" ])
     (i [ "sessions"; "drain_refused" ])
     (num [ "scheduler"; "busy_seconds" ]);
+  add "clients:   %d connections accepted\n" (i [ "sessions"; "connections" ]);
   (match mem [ "sessions"; "draining" ] j with
   | Some (J.Bool true) -> add "draining:  yes (new sessions refused)\n"
   | _ -> ());

@@ -15,7 +15,8 @@ open Secmed_crypto
    the loopback clusters, the ledger and the tests all fork.  Helpers
    are parked threads from {!Thread_cache}; they and the caller take
    items from a shared atomic cursor, and the caller returns once every
-   helper has counted itself finished.
+   helper has counted itself finished (on the process's one wait
+   condition, below).
 
    Determinism.  Outputs do not depend on which thread ran which item.
    Work needing randomness goes through {!map_seeded}: item [i] gets its
@@ -30,6 +31,30 @@ open Secmed_crypto
    [ops.<primitive>] attributes are the same as a sequential run's. *)
 
 let item_prng prng label i = Prng.split prng (label ^ "#" ^ string_of_int i)
+
+(* Every call's caller waits for its helpers on one mutex and condition
+   per process, never on a per-call pair.  A per-call condition is
+   garbage once its call returns — or, in a child forked while a parent
+   thread waited on it, at once — and the finalizer of a condition that
+   a vanished parent thread still counts as a waiter calls
+   [pthread_cond_destroy], which waits for that waiter forever, inside
+   the GC, holding the runtime lock.  A child takes a fresh pair (the
+   parent's mutex may be held by a thread it did not inherit) and keeps
+   the parent's reachable, as {!Thread_cache} keeps its parked threads'
+   conditions. *)
+type sync = { pid : int; mu : Mutex.t; finished : Condition.t }
+
+let fresh_sync () = { pid = Unix.getpid (); mu = Mutex.create (); finished = Condition.create () }
+let current_sync = Atomic.make (fresh_sync ())
+let inherited = ref []
+
+let sync () =
+  let s = Atomic.get current_sync in
+  if s.pid = Unix.getpid () then s
+  else begin
+    if Atomic.compare_and_set current_sync s (fresh_sync ()) then inherited := s :: !inherited;
+    Atomic.get current_sync
+  end
 
 (* Apply [f i item] over the array.  After an item fails, no thread
    takes a further item; the ones already taken finish, and since the
@@ -57,13 +82,14 @@ let parallel_mapi f items =
       end
     in
     let counts = Array.make helpers [] in
-    let mu = Mutex.create () and finished = Condition.create () and pending = ref helpers in
+    let { mu; finished; _ } = sync () and pending = ref helpers in
     let helper h () =
       work ();
       counts.(h) <- Counters.snapshot ();
       Mutex.protect mu (fun () ->
           decr pending;
-          if !pending = 0 then Condition.signal finished)
+          (* Other calls may wait on the same condition. *)
+          if !pending = 0 then Condition.broadcast finished)
     in
     for h = 0 to helpers - 1 do
       Thread_cache.spawn (helper h)

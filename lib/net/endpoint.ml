@@ -86,13 +86,26 @@ module Mux = struct
         t.dead <- Some msg;
         Condition.broadcast t.changed)
 
+  (* Every mux's [changed] condition stays reachable for the process's
+     lifetime: in a child forked while a thread waited on one, the mux
+     is garbage at once, and the finalizer of a condition with a
+     vanished waiter hangs the child's GC (see {!Secmed_core.Batch}).
+     One condition per mux ever created, so the list grows with the
+     links dialed. *)
+  let conditions : Condition.t list Atomic.t = Atomic.make []
+
   let create ?(max_tombstones = 1024) ?(max_queue = 1024) conn =
+    let changed = Condition.create () in
+    let rec keep () =
+      let l = Atomic.get conditions in
+      if not (Atomic.compare_and_set conditions l (changed :: l)) then keep ()
+    in
+    keep ();
     let t =
       { conn; mu = Mutex.create (); subs = Hashtbl.create 8; closed = Hashtbl.create 8;
         closed_order = Queue.create (); max_tombstones = max max_tombstones 1;
         max_queue = max max_queue 1; over = Hashtbl.create 4;
-        control = Queue.create (); dropped = 0; dead = None; changed = Condition.create ();
-        timed_waiters = 0 }
+        control = Queue.create (); dropped = 0; dead = None; changed; timed_waiters = 0 }
     in
     let rec recv_loop () =
       match Frame.decode (Io.recv_frame conn) with

@@ -13,6 +13,7 @@ type conn = {
   mutable bytes_in : int;
   mutable bytes_out : int;
   mutable closed : bool;
+  mutable peer_closed : bool;  (* a read met end of file or a reset *)
   mutable reader : Thread.t option;
 }
 
@@ -58,6 +59,7 @@ let of_fd ?(timeout = 0.) ~peer fd =
     bytes_in = 0;
     bytes_out = 0;
     closed = false;
+    peer_closed = false;
     reader = None;
   }
 
@@ -120,6 +122,7 @@ let accept ?timeout fd =
   | exception Unix.Unix_error (e, _, _) -> fail "accept: %s" (Unix.error_message e)
 
 let set_timeout t seconds = set_fd_timeout t.fd seconds
+let closed_by_peer t = t.peer_closed
 let bytes_in t = t.bytes_in
 let bytes_out t = t.bytes_out
 
@@ -188,7 +191,9 @@ let recv_frame t =
          body itself. *)
       let buf, off = Wire.Stream.reserve t.stream read_quantum in
       match Unix.read t.fd buf off read_quantum with
-      | 0 -> fail "recv from %s: connection closed" t.peer
+      | 0 ->
+        t.peer_closed <- true;
+        fail "recv from %s: connection closed" t.peer
       | n ->
         Wire.Stream.commit t.stream n;
         t.bytes_in <- t.bytes_in + n;
@@ -198,6 +203,7 @@ let recv_frame t =
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         fail "recv from %s: timeout" t.peer
       | exception Unix.Unix_error (e, _, _) ->
+        if e = Unix.ECONNRESET then t.peer_closed <- true;
         fail "recv from %s: %s" t.peer (Unix.error_message e))
     | exception Wire.Malformed msg -> fail "recv from %s: %s" t.peer msg
   in

@@ -42,6 +42,10 @@ val accept : ?timeout:float -> Unix.file_descr -> conn
 val set_timeout : conn -> float -> unit
 (** Change the per-operation timeout of both directions. *)
 
+val closed_by_peer : conn -> bool
+(** Whether a read on this connection met end of file or a reset: the
+    peer closed it.  A timeout does not count. *)
+
 val bytes_in : conn -> int
 val bytes_out : conn -> int
 (** Raw socket bytes moved (framing included) since the connection was

@@ -105,7 +105,7 @@ type record = {
   r_index : int;
   r_scheme : string;
   r_kind : outcome_kind;
-  r_latency : float;  (** seconds, connect to verdict *)
+  r_latency : float;  (** seconds, [Query] (or dial) to verdict *)
   r_epochs : int;
   r_started : float;
   r_finished : float;
@@ -158,8 +158,11 @@ let retry_backoff = Secmed_mediation.Resilience.backoff ~base:0.25 ~max_delay:2.
    backpressure, not death); an exhausted [Draining] counts as Refused
    (the peer answered, typed) while an exhausted transport error stays
    Failed.  This is what lets a fleet ride out a process restart
-   without losing sessions. *)
-let run_one config target ~t0 scheme =
+   without losing sessions.  [peer] is the worker's client: its
+   connection is dialed inside the first session's clock, and again
+   after a link death, so a session that dialed pays the connect and
+   [Hello] in its latency. *)
+let run_one config target peer ~t0 scheme =
   let first_started = Clock.now () in
   let rec go k =
     let started = Clock.now () in
@@ -174,9 +177,19 @@ let run_one config target ~t0 scheme =
       go (k + 1)
     in
     match
-      Peer.run ~host:target.host ~port:target.port ~scenario:target.scenario ~scheme
-        ~query:target.query ~fault_spec:config.fault_spec ~deadline:config.deadline
-        ~fallback:config.fallback ~io_timeout:config.io_timeout target.env target.client
+      let client =
+        match !peer with
+        | Some client -> client
+        | None ->
+          let client =
+            Peer.connect ~host:target.host ~port:target.port ~scenario:target.scenario
+              ~io_timeout:config.io_timeout ()
+          in
+          peer := Some client;
+          client
+      in
+      Peer.query client ~scheme ~query:target.query ~fault_spec:config.fault_spec
+        ~deadline:config.deadline ~fallback:config.fallback target.env target.client
     with
     | response ->
       let kind =
@@ -197,21 +210,23 @@ let run_one config target ~t0 scheme =
 (* One worker: its slice of the plan, one session at a time (closed
    loop), or paced by the planned arrival times (open loop — a session
    that outlives the next arrival is simply late, the open-loop
-   property loadgen exists to measure).  [t0] is the fleet's start
-   instant, the common timebase every record's start/finish offsets are
-   relative to. *)
+   property loadgen exists to measure), all on one client connection,
+   closed at the end.  [t0] is the fleet's start instant, the common
+   timebase every record's start/finish offsets are relative to. *)
 let run_worker config target ~t0 planned results =
-  List.iter
-    (fun p ->
-      (match config.arrival with
-      | Closed -> ()
-      | Poisson _ ->
-        let wait = p.p_at -. (Clock.now () -. t0) in
-        if wait > 0. then Thread.delay wait);
-      let record, response = run_one config target ~t0 p.p_scheme in
-      results :=
-        ({ record with r_worker = p.p_worker; r_index = p.p_index }, response) :: !results)
-    planned;
+  let peer = ref None in
+  Fun.protect ~finally:(fun () -> Option.iter Peer.close !peer) (fun () ->
+      List.iter
+        (fun p ->
+          (match config.arrival with
+          | Closed -> ()
+          | Poisson _ ->
+            let wait = p.p_at -. (Clock.now () -. t0) in
+            if wait > 0. then Thread.delay wait);
+          let record, response = run_one config target peer ~t0 p.p_scheme in
+          results :=
+            ({ record with r_worker = p.p_worker; r_index = p.p_index }, response) :: !results)
+        planned);
   Counters.release ()
 
 (* Workers are grouped onto [domains] OCaml domains, each running its

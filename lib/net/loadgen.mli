@@ -1,9 +1,13 @@
 (** A deterministic client fleet for sustained-load measurement.
 
     [run] drives [workers × sessions_per_worker] remote queries against
-    a live mediator, each worker a {!Peer.run} client in its own
-    thread (grouped onto [domains] OCaml domains when client-side
-    crypto should parallelize for real).  Everything randomized — which
+    a live mediator, each worker in its own thread (grouped onto
+    [domains] OCaml domains when client-side crypto should parallelize
+    for real) and holding one {!Peer.client}: one connection and one
+    [Hello] for its slice of the plan, one [Query] per session, closed
+    at the end.  The connection is dialed again only after a link
+    death, a [Draining] refusal, or (silently, inside {!Peer.query})
+    when the mediator closed it between sessions.  Everything randomized — which
     scheme each session poses, and when (open loop) — derives from pure
     [Prng.split]s of [seed] keyed by worker index, computed {e before}
     any I/O: the same seed and config replay the identical workload,
@@ -78,11 +82,15 @@ type record = {
   r_index : int;
   r_scheme : string;
   r_kind : outcome_kind;
-  r_latency : float;  (** seconds, connect to verdict (final try only) *)
+  r_latency : float;
+      (** seconds from the [Query] to the verdict, plus the connect and
+          [Hello] when the session dialed (final try only) *)
   r_epochs : int;
   r_started : float;  (** first try's start, seconds since fleet start *)
   r_finished : float;  (** verdict instant, seconds since fleet start *)
-  r_retries : int;  (** connect retries this session burned *)
+  r_retries : int;
+      (** retries this session burned under [retry_connect]; the silent
+          redial of a reused connection is not one *)
 }
 
 type report = {

@@ -180,29 +180,77 @@ type response = {
 let failure_of_wire attempts (f : Fault.failure) =
   { Protocol.phase = f.Fault.phase; party = f.Fault.party; reason = f.Fault.reason; attempts }
 
-let run ~host ~port ~scenario ~scheme ~query ?(fault_spec = "") ?(deadline = 0.)
-    ?(fallback = true) ?(io_timeout = 10.) ?(trace = false) env client =
+(* A client connection: dialed with one [Hello], then any number of
+   sessions in sequence, one [Query] each.  [conn] is [None] once the
+   client is closed or its connection was found dead, and the next
+   query dials.  [fresh] holds until the first session on [conn] is
+   posed: that session's socket bytes and latency include the
+   handshake. *)
+type client = {
+  host : string;
+  port : int;
+  scenario : string;
+  io_timeout : float;
+  mutable conn : Io.conn option;
+  mutable fresh : bool;
+}
+
+let dial ~host ~port ~scenario ~io_timeout =
   let conn = Io.connect ~timeout:io_timeout ~host ~port () in
-  Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
-  Io.send_frame conn (Frame.encode (Frame.Hello { role = Transcript.Client; scenario }));
-  (match Frame.decode (Io.recv_frame conn) with
-  | Frame.Hello_ok { scenario = s } when String.equal s scenario -> ()
-  | Frame.Hello_ok _ -> raise (Io.Transport_error "scenario digest mismatch with the mediator")
-  | Frame.Busy reason -> raise (Refused reason)
-  | Frame.Draining reason -> raise (Draining reason)
-  | f -> raise (Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " in handshake")));
-  Io.send_frame conn
-    (Frame.encode (Frame.Query { scheme; query; fault_spec; deadline; fallback; trace }));
+  match
+    Io.send_frame conn (Frame.encode (Frame.Hello { role = Transcript.Client; scenario }));
+    Frame.decode (Io.recv_frame conn)
+  with
+  | Frame.Hello_ok { scenario = s } when String.equal s scenario -> conn
+  | reply ->
+    Io.close conn;
+    raise
+      (match reply with
+      | Frame.Hello_ok _ -> Io.Transport_error "scenario digest mismatch with the mediator"
+      | Frame.Busy reason -> Refused reason
+      | Frame.Draining reason -> Draining reason
+      | f -> Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " in handshake"))
+  | exception e ->
+    Io.close conn;
+    raise e
+
+let connect ~host ~port ~scenario ?(io_timeout = 10.) () =
+  { host; port; scenario; io_timeout; conn = Some (dial ~host ~port ~scenario ~io_timeout);
+    fresh = true }
+
+let close c =
+  Option.iter Io.close c.conn;
+  c.conn <- None
+
+(* The connection ended before the first frame of the session arrived:
+   the mediator never started it. *)
+exception Not_started of exn
+
+(* One session on [conn].  [base] is the connection's byte count before
+   the session: zero when it is the connection's first, so a one-shot
+   session counts its handshake. *)
+let pose ~io_timeout conn ~base ~scheme ~query ~fault_spec ~deadline ~fallback ~trace env client
+    =
+  (try
+     Io.send_frame conn
+       (Frame.encode (Frame.Query { scheme; query; fault_spec; deadline; fallback; trace }))
+   with Io.Transport_error _ as e -> raise (Not_started e));
+  let started = ref false in
   let route =
     Endpoint.plain_route
       ~send:(fun f -> Io.send_frame conn (Frame.encode f))
       ~next:(fun ~timeout ->
         Io.set_timeout conn timeout;
-        Frame.decode (Io.recv_frame conn))
+        match Frame.decode (Io.recv_frame conn) with
+        | f ->
+          started := true;
+          f
+        | exception (Io.Transport_error _ as e) when (not !started) && Io.closed_by_peer conn ->
+          raise (Not_started e))
   in
   let outcomes = Hashtbl.create 4 in
   let respond ~last result remote_spans =
-    let socket_bytes = (Io.bytes_in conn, Io.bytes_out conn) in
+    let socket_bytes = (Io.bytes_in conn - fst base, Io.bytes_out conn - snd base) in
     match result with
     | Frame.W_served { w_scheme; w_attempts; w_degraded; w_link_stats } ->
       let outcome =
@@ -251,6 +299,52 @@ let run ~host ~port ~scenario ~scheme ~query ?(fault_spec = "") ?(deadline = 0.)
       | Frame.Busy reason -> raise (Refused reason)
       | Frame.Draining reason -> raise (Draining reason)
       | _ -> None)
+
+(* A reused connection that the mediator closed meanwhile (a restart,
+   or its idle bound) is redialed once, at once, and the session posed
+   again: it never started.  A session on a connection dialed for it
+   gets no such second chance.  The connection survives a session that
+   ends in a verdict or a [Busy]; after anything else its state is
+   unknown, and a [Draining] mediator will not serve it again, so the
+   next session dials. *)
+let query c ~scheme ~query ?(fault_spec = "") ?(deadline = 0.) ?(fallback = true)
+    ?(trace = false) env client =
+  let rec go () =
+    let conn =
+      match c.conn with
+      | Some conn -> conn
+      | None ->
+        let conn =
+          dial ~host:c.host ~port:c.port ~scenario:c.scenario ~io_timeout:c.io_timeout
+        in
+        c.conn <- Some conn;
+        c.fresh <- true;
+        conn
+    in
+    let reused = not c.fresh in
+    c.fresh <- false;
+    let base = if reused then (Io.bytes_in conn, Io.bytes_out conn) else (0, 0) in
+    match
+      pose ~io_timeout:c.io_timeout conn ~base ~scheme ~query ~fault_spec ~deadline ~fallback
+        ~trace env client
+    with
+    | response -> response
+    | exception (Refused _ as e) -> raise e
+    | exception Not_started e ->
+      close c;
+      (* The redialed connection is fresh: this happens at most once. *)
+      if reused then go () else raise e
+    | exception e ->
+      close c;
+      raise e
+  in
+  go ()
+
+let run ~host ~port ~scenario ~scheme ~query:q ?fault_spec ?deadline ?fallback ?io_timeout
+    ?trace env client =
+  let c = connect ~host ~port ~scenario ?io_timeout () in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  query c ~scheme ~query:q ?fault_spec ?deadline ?fallback ?trace env client
 
 (* ------------------------------------------------------------------ *)
 (* Ops client *)

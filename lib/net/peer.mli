@@ -12,9 +12,9 @@ open Secmed_mediation
 open Secmed_core
 
 exception Refused of string
-(** The mediator (or a datasource) turned the connection away with a
-    typed [Busy] frame — at capacity (admission-control backpressure)
-    or a scenario digest mismatch.  The payload is the peer's reason.
+(** The mediator (or a datasource) turned a query away with a typed
+    [Busy] frame at capacity (admission-control backpressure), or a
+    connection away on a scenario digest mismatch.  The payload is the peer's reason.
     Distinct from {!Io.Transport_error} so a load generator can count
     backpressure separately from broken links. *)
 
@@ -67,17 +67,67 @@ val source :
     reconstructed from the client replica's own outcomes plus the
     mediator's [Session_result] verdict; [link_stats] are the mediator's
     per-counterpart payload byte counters [(party, sent, received)];
-    [socket_bytes] the raw (framing-included) bytes this client moved. *)
+    [socket_bytes] the raw (framing-included) bytes this session moved
+    on the client socket: from its [Query] to its verdict, plus the
+    connect handshake when the session was the connection's first. *)
 type response = {
   result : Protocol.session_result;
   epochs : int;  (** attempts broadcast across the whole session *)
   link_stats : (Transcript.party * int * int) list;
-  socket_bytes : int * int;  (** (received, sent) on the client socket *)
+  socket_bytes : int * int;  (** (received, sent) by this session *)
   remote_spans : Trace_wire.remote list;
       (** the span batches of the mediator's [Session_result]: one per
           source replica per epoch, in arrival order, then the
           mediator's own; [[]] unless [trace] was set *)
 }
+
+type client
+(** One connection to a mediator, carrying any number of sessions in
+    sequence: one [Hello] per connection, one [Query] per session.  Not
+    for concurrent use: a client poses one session at a time. *)
+
+val connect :
+  host:string -> port:int -> scenario:string -> ?io_timeout:float -> unit -> client
+(** Dial a mediator and check its [Hello_ok] carries [scenario].
+    [io_timeout] (default 10s) bounds each blocking frame exchange of
+    this client's sessions.  Raises {!Refused} when the mediator's
+    digest disagrees, {!Draining} when it is draining, and
+    {!Io.Transport_error} when it is unreachable. *)
+
+val query :
+  client ->
+  scheme:string ->
+  query:string ->
+  ?fault_spec:string ->
+  ?deadline:float ->
+  ?fallback:bool ->
+  ?trace:bool ->
+  Env.t ->
+  Env.client ->
+  response
+(** Pose one query on the client's connection, and play the client
+    replica for every attempt the mediator announces.  With [trace]
+    (default off) the query asks every process to collect spans and
+    ship them back; merge [remote_spans] with the caller's own
+    collector via {!Trace_wire.merge}.
+
+    Admission is per query: {!Refused} when the mediator is at
+    capacity ([Busy]), and the connection stays usable; {!Draining}
+    when it is draining.  {!Io.Transport_error} when the link dies
+    mid-session.  After anything but a verdict or [Busy] the
+    connection is dropped and the next query dials a new one.
+
+    A reused connection can end before the first frame of its session
+    arrives — the mediator restarted, or closed the connection after
+    its idle bound: a send error, end of file or reset.  The session
+    never started, so [query] redials once, at once, and poses it
+    again.  A session on a connection dialed for it gets no second
+    chance.  A caller timing [query] ({!Loadgen}'s [r_latency]) so
+    times the session from its [Query] to its verdict, plus the connect
+    and [Hello] when the session dialed. *)
+
+val close : client -> unit
+(** Close the connection.  Idempotent; a later {!query} dials anew. *)
 
 val run :
   host:string ->
@@ -93,14 +143,8 @@ val run :
   Env.t ->
   Env.client ->
   response
-(** Connect to a mediator, pose one query, and play the client replica
-    for every attempt the mediator announces.  With [trace] (default
-    off) the query asks every process to collect spans and ship them
-    back; merge [remote_spans] with the caller's own collector via
-    {!Trace_wire.merge}.  Raises {!Refused} when the mediator turns the
-    connection away ([Busy]: at capacity, or its scenario digest
-    disagrees), {!Io.Transport_error} when the mediator is unreachable
-    or the link dies mid-session. *)
+(** One-shot: {!connect}, one {!query}, {!close}.  Raises what they
+    raise. *)
 
 val stats : host:string -> port:int -> ?io_timeout:float -> unit -> string
 (** Ask a running mediator for its live stats snapshot (JSON text, the

@@ -60,7 +60,8 @@ type t = {
   life : Daemon.t;  (* drain state, SIGTERM and the accept loop *)
   health_interval : float;  (* 0. = no prober thread *)
   admission_mu : Mutex.t;
-  mutable active : int;
+  mutable active : int;  (* admission slots taken *)
+  mutable in_flight : int;  (* admitted sessions whose verdict is not yet written *)
   mutable next_session : int;
   mutable busy_seconds : float;  (* wall time inside [run_query], under [admission_mu] *)
   mutable stopped : bool;
@@ -74,6 +75,7 @@ type t = {
 }
 
 (* Interned eagerly at module init — see the note in {!Endpoint}. *)
+let connections_accepted = Secmed_obs.Metrics.counter "serve.connections.accepted"
 let sessions_admitted = Secmed_obs.Metrics.counter "serve.sessions.admitted"
 let sessions_refused = Secmed_obs.Metrics.counter "serve.sessions.refused"
 let sessions_drain_refused = Secmed_obs.Metrics.counter "serve.sessions.drain_refused"
@@ -157,6 +159,7 @@ let create ~env ~client ~scenario ~sources ~listen_fd ?(policy = R.default_polic
     health_interval;
     admission_mu = Mutex.create ();
     active = 0;
+    in_flight = 0;
     next_session = 1;
     busy_seconds = 0.;
     stopped = false;
@@ -880,6 +883,7 @@ let stats_json t =
             ("max", J.Int t.max_sessions);
             ("next_id", J.Int next_session);
             ("admitted", J.Int (Obs.Metrics.counter_value sessions_admitted));
+            ("connections", J.Int (Obs.Metrics.counter_value connections_accepted));
             ("refused", J.Int (Obs.Metrics.counter_value sessions_refused));
             ("drain_refused", J.Int (Obs.Metrics.counter_value sessions_drain_refused));
             ("draining", J.Bool (Daemon.draining t.life));
@@ -904,117 +908,132 @@ let stats_json t =
 (* ------------------------------------------------------------------ *)
 (* Drain *)
 
-(* Done draining when no client connection is left.  The admission
-   slot frees just before a session sends [Session_result], so
-   [active = 0] can hold while a verdict is still on its way; a
-   connection leaves [live_conns] only after its thread is done with
-   it. *)
-let drained t = Mutex.protect t.conns_mu (fun () -> Hashtbl.length t.live_conns = 0)
+(* Done draining when no session is between its admission and its
+   verdict being written.  The admission slot frees just before a
+   session sends [Session_result], so [active = 0] can hold while a
+   verdict is still on its way; [in_flight] drops only once it is
+   written.  An idle client connection holds no drain open: the
+   teardown severs it. *)
+let drained t = Mutex.protect t.admission_mu (fun () -> t.in_flight = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop *)
 
-(* The connection thread routes the first frame {!Daemon.serve} did not
-   answer itself: a stats request is answered immediately — no
-   admission — so the ops surface stays responsive on a server at
-   capacity; a client Hello goes through drain check, then admission,
-   then the handshake and query read, and the same thread then runs the
-   session's driver.  A session never changes threads, so its
-   thread-local state — crypto counters, bigint caches — stays private
-   to it.  The thread is a parked one from [Thread_cache]: once the
-   session ends and the cache has released its counters, it serves a
-   later session. *)
-let handle t conn ~admit ~release = function
-  | Frame.Stats_request ->
-    Io.send_frame conn
-      (Frame.encode (Frame.Stats { payload = Obs.Json.to_string (stats_json t) }))
-  | Frame.Hello { role = Transcript.Client; _ } ->
-    if Daemon.draining t.life then begin
+(* Admission, per query.  The drain check shares the admission lock
+   with [drained], so a session is either refused as draining or
+   counted in flight before the drain can see the mediator idle. *)
+let admit t =
+  Mutex.protect t.admission_mu (fun () ->
+      if Daemon.draining t.life then `Draining
+      else if t.active >= t.max_sessions then `Busy
+      else begin
+        t.active <- t.active + 1;
+        t.in_flight <- t.in_flight + 1;
+        Secmed_obs.Metrics.set_gauge active_gauge (float_of_int t.active);
+        `Admitted
+      end)
+
+(* One admitted session: [release] frees its admission slot at most
+   once — by [run_query] just before the verdict goes out, or here when
+   the session never reached one — and the session leaves [in_flight]
+   once its verdict is written. *)
+let session t conn ~scheme ~query ~fault_spec ~deadline ~fallback ~trace =
+  let released = ref false in
+  let release () =
+    if not !released then begin
+      released := true;
+      Mutex.protect t.admission_mu (fun () ->
+          t.active <- t.active - 1;
+          Secmed_obs.Metrics.set_gauge active_gauge (float_of_int t.active))
+    end
+  in
+  let sid =
+    Mutex.protect t.admission_mu (fun () ->
+        let sid = t.next_session in
+        t.next_session <- sid + 1;
+        sid)
+  in
+  let started = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      let busy = Unix.gettimeofday () -. started in
+      Mutex.protect t.admission_mu (fun () ->
+          t.busy_seconds <- t.busy_seconds +. busy;
+          t.in_flight <- t.in_flight - 1))
+    (fun () -> run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback ~trace)
+
+(* The client connection after [Hello_ok]: one session per [Query], in
+   sequence, each admitted on its own.  A refused [Query] leaves the
+   connection usable.  A finished session's leftovers (the client
+   replica's report to a final abort) are skipped; any other frame, end
+   of file, or [io_timeout] without a next [Query] ends the
+   connection. *)
+let rec serve_client t conn =
+  Io.set_timeout conn t.io_timeout;
+  match Frame.decode (Io.recv_frame conn) with
+  | Frame.Query { scheme; query; fault_spec; deadline; fallback; trace } ->
+    (match admit t with
+    | `Draining ->
       (* Typed and distinct from [Busy]: the client knows the refusal is
          terminal for this incarnation and retries against the restarted
          process instead of backing off against a full one. *)
       Secmed_obs.Metrics.incr sessions_drain_refused;
       Io.send_frame conn (Frame.encode (Frame.Draining "mediator is draining"))
-    end
-    else if not (admit ()) then begin
+    | `Busy ->
       (* Backpressure, not a hang: a typed refusal the load layer can
-         count, sent before the handshake commits any session state. *)
+         count, sent before any session state is committed. *)
       Secmed_obs.Metrics.incr sessions_refused;
       Io.send_frame conn
         (Frame.encode
            (Frame.Busy (Printf.sprintf "at capacity (%d concurrent sessions)" t.max_sessions)))
+    | `Admitted ->
+      Secmed_obs.Metrics.incr sessions_admitted;
+      session t conn ~scheme ~query ~fault_spec ~deadline ~fallback ~trace);
+    serve_client t conn
+  | f when Option.is_some (Frame.session_of f) -> serve_client t conn
+  | _ -> ()
+
+(* The connection thread routes the first frame {!Daemon.serve} did not
+   answer itself: a stats request is answered immediately — no
+   admission — so the ops surface stays responsive on a server at
+   capacity; a client Hello is refused while draining, and otherwise
+   answered and followed by the connection's queries.  Each session
+   runs on this thread, so its thread-local state — crypto counters,
+   bigint caches — stays private to it, and the thread cache's release
+   after the connection resets the counters.  The thread is a parked
+   one from [Thread_cache]: once the connection ends, it serves a later
+   one. *)
+let handle t conn = function
+  | Frame.Stats_request ->
+    Io.send_frame conn
+      (Frame.encode (Frame.Stats { payload = Obs.Json.to_string (stats_json t) }))
+  | Frame.Hello { role = Transcript.Client; _ } ->
+    if Daemon.draining t.life then begin
+      Secmed_obs.Metrics.incr sessions_drain_refused;
+      Io.send_frame conn (Frame.encode (Frame.Draining "mediator is draining"))
     end
     else begin
-      Secmed_obs.Metrics.incr sessions_admitted;
+      Secmed_obs.Metrics.incr connections_accepted;
       Io.send_frame conn (Frame.encode (Frame.Hello_ok { scenario = t.scenario }));
-      match Frame.decode (Io.recv_frame conn) with
-      | Frame.Query { scheme; query; fault_spec; deadline; fallback; trace } ->
-        let sid =
-          Mutex.protect t.admission_mu (fun () ->
-              let sid = t.next_session in
-              t.next_session <- sid + 1;
-              sid)
-        in
-        let started = Unix.gettimeofday () in
-        Fun.protect
-          ~finally:(fun () ->
-            let busy = Unix.gettimeofday () -. started in
-            Mutex.protect t.admission_mu (fun () -> t.busy_seconds <- t.busy_seconds +. busy))
-          (fun () ->
-            run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback ~trace)
-      | _ -> ()
+      serve_client t conn
     end
   | Frame.Hello _ ->
     Io.send_frame conn (Frame.encode (Frame.Busy "only clients may connect to this port"))
   | _ -> ()
 
 let conn_thread t conn frame =
-  (* Registered so a deadline-expired teardown can sever this
-     connection and wake the session blocked on it. *)
+  (* Registered so the teardown can sever this connection, idle or
+     not, and wake the session blocked on it. *)
   let token =
     Mutex.protect t.conns_mu (fun () ->
         t.conn_seq <- t.conn_seq + 1;
         Hashtbl.replace t.live_conns t.conn_seq conn;
         t.conn_seq)
   in
-  (* [release] is called at most once per admitted session: by [reply]
-     just before the verdict goes out, or by the teardown below when the
-     session never reached a verdict. *)
-  let state_mu = Mutex.create () in
-  let admitted = ref false in
-  let released = ref false in
-  let admit () =
-    let ok =
-      Mutex.protect t.admission_mu (fun () ->
-          if t.active < t.max_sessions then begin
-            t.active <- t.active + 1;
-            Secmed_obs.Metrics.set_gauge active_gauge (float_of_int t.active);
-            true
-          end
-          else false)
-    in
-    if ok then Mutex.protect state_mu (fun () -> admitted := true);
-    ok
-  in
-  let release () =
-    let owe =
-      Mutex.protect state_mu (fun () ->
-          if !admitted && not !released then begin
-            released := true;
-            true
-          end
-          else false)
-    in
-    if owe then
-      Mutex.protect t.admission_mu (fun () ->
-          t.active <- t.active - 1;
-          Secmed_obs.Metrics.set_gauge active_gauge (float_of_int t.active))
-  in
   Fun.protect
-    ~finally:(fun () ->
-      release ();
-      Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token))
-    (fun () -> handle t conn ~admit ~release frame)
+    ~finally:(fun () -> Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token))
+    (fun () -> handle t conn frame)
 
 (* One health-probe pass: a short-lived connection per replica carrying
    a single Ping.  A draining or unreachable replica is marked down, so

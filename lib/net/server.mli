@@ -1,14 +1,18 @@
 (** The mediator as a network server.
 
     One process owns the hub of the star topology.  It accepts client
-    connections, one thread per connection; admission ([max_sessions])
-    is its only concurrency bound, and an excess connection is refused
-    with a typed [Busy] frame the load layer counts as backpressure.
+    connections, one thread per connection, and each connection
+    carries any number of sessions in sequence: one [Hello] per
+    connection, one [Query] per session.  Admission ([max_sessions])
+    is per query and is the server's only concurrency bound; an excess
+    query is refused with a typed [Busy] frame the load layer counts as
+    backpressure, and the connection stays usable.  An idle connection
+    waits at most [io_timeout] for its next [Query].
     It keeps one persistent, multiplexed connection per datasource,
     to one of its replicas (dialed lazily, redialed when found
     dead; every session multiplexes over it), and each admitted
-    connection's thread drives
-    its query through {!Secmed_core.Protocol.run_session} with
+    query's connection thread drives
+    it through {!Secmed_core.Protocol.run_session} with
 
     - an {!Endpoint.transport}, so the mediator's protocol messages
       cross real sockets;
@@ -52,8 +56,9 @@ val create :
     list — [(host, port)] endpoints, primary first, every one a daemon
     serving the same deterministic replica of that source, and each
     dialed with the [scenario] digest.  [io_timeout] (default 10s)
-    bounds each blocking frame exchange; [max_sessions] (default 8) the
-    concurrent client sessions.
+    bounds each blocking frame exchange and an idle client
+    connection's wait for its next query; [max_sessions] (default 8)
+    the concurrent client sessions.
 
     Each replica's health is a {!Resilience.replica_breaker} whose
     cooldown is [policy]'s [breaker_config.cooldown]: one failed dial
@@ -76,17 +81,22 @@ val parse_source : string -> (int * (string * int) list, string) result
 val serve : t -> unit
 (** Run the mediator daemon under {!Daemon.serve}: [Ping] and an
     authenticated [Drain] (or SIGTERM) are handled there, before
-    admission.  Returns once a drain completes: all in-flight sessions
-    finished, or the drain deadline passed.  The teardown then severs
-    the source links and any open client connection.  A
-    [Stats_request] is answered immediately — without admission
-    control, so the ops surface works on a server at capacity — and a
-    client [Hello] goes through drain check, admission and handshake,
-    then runs its session on its own connection thread. *)
+    admission.  Returns once a drain completes: no session is left
+    between its admission and its verdict being written (an idle
+    client connection does not count), or the drain deadline passed.
+    The teardown then severs the source links and every open client
+    connection, idle or not.  A [Stats_request] is answered
+    immediately — without admission control, so the ops surface works
+    on a server at capacity.  A client [Hello] is refused with
+    [Draining] while draining, and otherwise answered; the connection
+    thread then serves the connection's queries in turn, each through
+    drain check and admission ([Draining] or [Busy] refuse that query
+    alone). *)
 
 val stats_json : t -> Secmed_obs.Json.t
 (** The live serving snapshot the [Stats] frame carries: uptime,
-    admission state (including draining), the cumulative wall time
+    admission state (including draining; [admitted] counts sessions
+    and [connections] accepted client connections), the cumulative wall time
     spent inside sessions ([scheduler.busy_seconds]), one [pool] entry
     per source link (connection state, dial count and replica cursor;
     its one-element [slots] list repeats the dial count for the

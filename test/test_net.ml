@@ -1319,9 +1319,29 @@ let test_refused_request_typed () =
     ~query:(Loopback.canonical_query c) "no credential" (refused "access denied");
   ignore (served_exn "plain" (Loopback.query c ~scheme:"plain" ()).Peer.result)
 
+let mediator_stats c =
+  match Obs.Json.parse (Peer.stats ~host:"127.0.0.1" ~port:(Loopback.port c) ()) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "stats payload does not parse: %s" e
+
+let stats_int j path =
+  Option.bind
+    (List.fold_left (fun acc k -> Option.bind acc (Obs.Json.member k)) (Some j) path)
+    Obs.Json.to_int
+
+(* A [Peer] client of the cluster's mediator, and one session on it. *)
+let connect c =
+  Peer.connect ~host:"127.0.0.1" ~port:(Loopback.port c) ~scenario:(Loopback.scenario c) ()
+
+let query_on c client scheme =
+  Peer.query client ~scheme ~query:(Loopback.canonical_query c) (Loopback.env c)
+    (Loopback.client_of c)
+
 (* Admission is a slot machine, not a one-way valve: a full mediator
    refuses the (N+1)th session with the typed Busy, and a completed
-   session frees its slot for the next arrival. *)
+   session frees its slot for the next arrival.  Admission is per
+   query: B's Busy comes on a connection that stays open and then
+   serves C. *)
 let test_admission_slot_freed_after_completion () =
   let plan = chaos_rule ~times:1 (Fault.Delay 1.2) in
   Loopback.with_cluster ~params:fast ~spec:small_spec ~chaos:[ (1, plan) ] ~max_sessions:1
@@ -1337,7 +1357,9 @@ let test_admission_slot_freed_after_completion () =
   in
   Thread.delay 0.4;
   (* B arrives while A holds the slot: typed backpressure, not a hang. *)
-  (match Loopback.query c ~scheme:"plain" () with
+  let client = connect c in
+  Fun.protect ~finally:(fun () -> Peer.close client) @@ fun () ->
+  (match query_on c client "plain" with
   | _ -> Alcotest.fail "the second concurrent session must be refused"
   | exception Peer.Refused msg ->
     Alcotest.(check bool) "refusal names capacity" true (contains msg "at capacity"));
@@ -1345,9 +1367,60 @@ let test_admission_slot_freed_after_completion () =
   (match !a_result with
   | Some { Peer.result; _ } -> ignore (served_exn "commutative" result)
   | None -> Alcotest.fail "session A vanished");
-  (* A completed, so its slot is free: C must be served, not refused. *)
-  let c_response = Loopback.query c ~scheme:"plain" () in
-  ignore (served_exn "plain" c_response.Peer.result)
+  (* A completed, so its slot is free: C must be served, not refused,
+     on the connection B was refused on. *)
+  ignore (served_exn "plain" (query_on c client "plain").Peer.result);
+  let stats = mediator_stats c in
+  Alcotest.(check (option int)) "A's and B's connections" (Some 2)
+    (stats_int stats [ "sessions"; "connections" ]);
+  Alcotest.(check (option int)) "A and C admitted" (Some 2)
+    (stats_int stats [ "sessions"; "admitted" ])
+
+(* One client connection carries many sessions: six mixed-scheme
+   sessions on one [Peer] client are each bit-identical to a one-shot
+   session of the same scheme — result, transcript and counters — and
+   the mediator counts one connection for six admitted sessions.
+   [socket_bytes] is each session's own: two das sessions on the reused
+   connection moved the same bytes, and a one-shot das session moved
+   those plus the handshake. *)
+let test_one_connection_many_sessions () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let order = [ "plain"; "das"; "commutative"; "pm"; "mobile-code"; "das" ] in
+  let one_shot = List.map (fun scheme -> (scheme, Loopback.query c ~scheme ())) schemes in
+  let before = mediator_stats c in
+  let client = connect c in
+  let reused =
+    Fun.protect ~finally:(fun () -> Peer.close client) @@ fun () ->
+    List.map (fun scheme -> (scheme, query_on c client scheme)) order
+  in
+  let after = mediator_stats c in
+  List.iteri
+    (fun i (scheme, (r : Peer.response)) ->
+      let name = Printf.sprintf "session %d (%s)" (i + 1) scheme in
+      let o = served_exn name r.Peer.result in
+      let reference = served_exn scheme (List.assoc scheme one_shot).Peer.result in
+      Alcotest.(check int) (name ^ ": one attempt") 1 r.Peer.epochs;
+      Alcotest.(check string) (name ^ ": result")
+        (Relation.to_string reference.Outcome.result) (Relation.to_string o.Outcome.result);
+      Alcotest.(check bool) (name ^ ": transcript") true
+        (messages_of reference.Outcome.transcript = messages_of o.Outcome.transcript);
+      Alcotest.(check bool) (name ^ ": counters") true
+        (reference.Outcome.counters = o.Outcome.counters))
+    reused;
+  let delta path =
+    Option.value ~default:0 (stats_int after path) - Option.value ~default:0 (stats_int before path)
+  in
+  Alcotest.(check int) "one connection accepted" 1 (delta [ "sessions"; "connections" ]);
+  Alcotest.(check int) "six sessions admitted" 6 (delta [ "sessions"; "admitted" ]);
+  let das = List.filter_map (fun (s, r) -> if s = "das" then Some r.Peer.socket_bytes else None) reused in
+  let second, sixth = (List.nth das 0, List.nth das 1) in
+  Alcotest.(check (pair int int)) "two das sessions, equal socket bytes" second sixth;
+  let framed f = 4 + String.length (Frame.encode f) in
+  let hello = framed (Frame.Hello { role = Transcript.Client; scenario = Loopback.scenario c })
+  and hello_ok = framed (Frame.Hello_ok { scenario = Loopback.scenario c }) in
+  Alcotest.(check (pair int int)) "a one-shot session adds the handshake"
+    (fst second + hello_ok, snd second + hello)
+    (List.assoc "das" one_shot).Peer.socket_bytes
 
 let test_net_metrics_counted () =
   Obs.Metrics.reset ();
@@ -1428,6 +1501,8 @@ let () =
           Alcotest.test_case "at capacity refuses" `Quick test_server_at_capacity_refuses;
           Alcotest.test_case "digest mismatch refused" `Quick
             test_scenario_digest_mismatch_refused;
+          Alcotest.test_case "one connection, many sessions" `Slow
+            test_one_connection_many_sessions;
           Alcotest.test_case "completed session frees its slot" `Slow
             test_admission_slot_freed_after_completion;
           Alcotest.test_case "net metrics counted" `Quick test_net_metrics_counted;

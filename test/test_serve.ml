@@ -354,6 +354,67 @@ let test_drain_typed_refusal_then_exit_zero () =
     (Loopback.chaos_events c 1 <> []);
   Alcotest.(check int) "drained mediator exits 0" 0 (Loopback.wait_mediator c)
 
+(* A [Peer] client of the cluster's mediator, and one session on it. *)
+let connect c =
+  Peer.connect ~host:"127.0.0.1" ~port:(Loopback.port c) ~scenario:(Loopback.scenario c) ()
+
+let query_on c client scheme =
+  Peer.query client ~scheme ~query:(Loopback.canonical_query c) (Loopback.env c)
+    (Loopback.client_of c)
+
+(* A [Peer] client's connection outlives no mediator restart, but its
+   next query does: the reused connection ends before the session's
+   first frame, so the query redials once, at once, and is served in
+   one epoch by the new incarnation, which counts that one connection. *)
+let test_client_redials_after_restart () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let client = connect c in
+  Fun.protect ~finally:(fun () -> Peer.close client) @@ fun () ->
+  let reference = reference_outcome c ~scheme:"das" ~fault_spec:"" in
+  let first = query_on c client "das" in
+  Loopback.restart_mediator c;
+  let again = query_on c client "das" in
+  List.iter
+    (fun (name, (r : Peer.response)) ->
+      Alcotest.(check string) (name ^ ": served bit-identical")
+        (Secmed_relalg.Relation.to_string reference.Outcome.result)
+        (served_relation r.Peer.result);
+      Alcotest.(check int) (name ^ ": one epoch") 1 r.Peer.epochs)
+    [ ("before the restart", first); ("after the restart", again) ];
+  Alcotest.(check (option int)) "the new incarnation accepted the redial" (Some 1)
+    (Option.bind (J.member "sessions" (mediator_stats c)) (jint "connections"))
+
+(* The mediator closes a client connection that stays idle past its
+   [io_timeout]; the client's next query finds it closed before the
+   session's first frame, redials once and is served in one epoch. *)
+let test_idle_connection_closed_then_redialed () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~io_timeout:0.5 @@ fun c ->
+  let client = connect c in
+  Fun.protect ~finally:(fun () -> Peer.close client) @@ fun () ->
+  ignore (served_relation (query_on c client "plain").Peer.result : string);
+  Thread.delay 1.2;
+  let again = query_on c client "plain" in
+  ignore (served_relation again.Peer.result : string);
+  Alcotest.(check int) "one epoch" 1 again.Peer.epochs;
+  Alcotest.(check (option int)) "the idle connection was closed and redialed" (Some 2)
+    (Option.bind (J.member "sessions" (mediator_stats c)) (jint "connections"))
+
+(* An idle client connection holds no drain open: a mediator that
+   served a client which keeps its connection drains and exits 0 at
+   once, well inside its drain deadline, severing the connection. *)
+let test_idle_connection_does_not_hold_drain () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec ~drain_deadline:20. @@ fun c ->
+  let client = connect c in
+  Fun.protect ~finally:(fun () -> Peer.close client) @@ fun () ->
+  ignore (served_relation (query_on c client "plain").Peer.result : string);
+  let t0 = Unix.gettimeofday () in
+  Peer.drain ~host:"127.0.0.1" ~port:(Loopback.port c) ~scenario:(Loopback.scenario c) ();
+  Alcotest.(check int) "drained mediator exits 0" 0 (Loopback.wait_mediator c);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "drained in %.2fs, well inside the 20s deadline" elapsed)
+    true (elapsed < 5.)
+
 (* A drained daemon answers the connections still queued on its
    listener before closing it.  [idle] holds the drained daemon at the
    end of its accept loop until a second client has connected and
@@ -599,6 +660,12 @@ let () =
             test_failover_mid_session_bit_identical;
           Alcotest.test_case "drain refuses typed, finishes in-flight, exits 0"
             `Slow test_drain_typed_refusal_then_exit_zero;
+          Alcotest.test_case "client redials after a mediator restart" `Slow
+            test_client_redials_after_restart;
+          Alcotest.test_case "idle connection closed, then redialed" `Slow
+            test_idle_connection_closed_then_redialed;
+          Alcotest.test_case "idle connection does not hold a drain" `Slow
+            test_idle_connection_does_not_hold_drain;
           Alcotest.test_case "drain answers queued connections" `Quick
             test_drain_answers_queued_connections;
           Alcotest.test_case "source drain fails over" `Slow test_source_drain_failover;

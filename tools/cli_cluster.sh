@@ -4,7 +4,8 @@
 # flag, and a missing CSV file, must be a usage error (exit 124).
 # Then two `secmed source` daemons and a `secmed serve` mediator on
 # ephemeral localhost ports (addressed as ":PORT", the empty-host form),
-# a verified loadgen fleet that must exit 0, then an authenticated
+# a verified loadgen fleet that must exit 0 and leave the mediator
+# counting one client connection per worker, then an authenticated
 # `secmed drain` of the mediator and of each source, after which every
 # daemon must exit 0.  Exits nonzero on the first failure; a trap kills
 # whatever daemon is still running.  Run from the repository root:
@@ -105,6 +106,16 @@ port=$(port_of "$dir/serve.log")
 # shellcheck disable=SC2086
 "$exe" loadgen --connect ":$port" --workers 4 --sessions 2 \
   --mix das=2,commutative=1,pm=1 --verify $spec
+
+# One client connection per loadgen worker, one admission per session.
+stats=$("$exe" stats ":$port" --json)
+case "$stats" in
+  *'"admitted":8,"connections":4,'*) ;;
+  *)
+    echo "cli cluster: expected 8 admitted sessions on 4 connections: $stats" >&2
+    exit 1
+    ;;
+esac
 
 drain serve "$port" "$serve"
 drain source1 "$port1" "$source1"
