@@ -80,29 +80,36 @@ check-net:
 # session threads come from the thread cache (Thread_cache.spawn), which
 # parks and reuses them.  The second fails if the load generator dials
 # per session again (Peer.run): each worker keeps one Peer client, one
-# connection and Hello for all its sessions.  Then the deterministic
-# loadgen fleet against
-# a forked loopback cluster (64 verified sessions, typed backpressure,
-# replica failover and drain, domain-parallel mux consumers, a domain
-# that ran a batch and a spawned task joins), then the
-# real binaries: bad address and id flags must exit 124 (usage error),
-# then two `secmed source` daemons and a `secmed serve`, a verified
-# `secmed loadgen` fleet, and a `secmed drain` of each daemon, which
-# must then exit 0.
+# connection and Hello for all its sessions.  The third fails if a
+# process forks anywhere but in the loopback launcher, which creates no
+# thread: a process with threads never forks.  The fourth fails if the
+# thread cache, the batch executor or the mux keeps a process id again:
+# nothing there has to survive a fork.  Then the deterministic loadgen
+# fleet against a loopback cluster (64 verified sessions, typed
+# backpressure, replica failover and drain, the owner's descriptors
+# kept from the cluster, owner death, domain-parallel mux consumers, a
+# domain that ran a batch and a spawned task joins, a cluster after a
+# domain), then the real binaries: bad address and id flags must exit
+# 124 (usage error), then two `secmed source` daemons and a `secmed
+# serve`, a verified `secmed loadgen` fleet, and a `secmed drain` of
+# each daemon, which must then exit 0.
 check-serve:
 	! grep -n "Thread.create" lib/core/batch.ml lib/net/peer.ml
 	! grep -n "Peer\.run" lib/net/loadgen.ml
+	! grep -rn --exclude=loopback.ml "Unix\.fork" lib bin test
+	! grep -n "getpid" lib/core/thread_cache.ml lib/core/batch.ml lib/net/endpoint.ml
 	dune exec test/test_serve.exe -- test -e
 	sh tools/cli_cluster.sh
 
 # Crash/restart chaos suite: the pure-schedule and smoke-soak tests,
 # then a seeded CLI soak — real SIGKILLs against source replicas and a
 # SIGTERM drain-restart of the mediator under a verifying fleet — that
-# must hold every robustness invariant (exit 0) and leaves its
+# must hold every robustness invariant (exit 0; a drain must see a
+# session in flight, so the fleet outlasts the schedule) and leaves its
 # machine-readable transition log as a CI artifact.
 check-soak:
 	dune exec test/test_soak.exe -- test -e
-	dune exec bin/secmed.exe -- soak --fast --workers 2 --sessions 3 --kills 2 \
+	dune exec bin/secmed.exe -- soak --fast --workers 2 --sessions 20 --kills 2 \
 	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
 
 # Streaming-delivery suite.  The grep fails if a second chunk form or
@@ -138,8 +145,9 @@ check-stream:
 # multi-exponentiation over the coefficients' tables.  The eighth fails
 # if a Jacobi symbol comes back: ElGamal decryption is one exponentiation
 # by p-1-x for every unit c1, with no residuosity branch.  The ninth
-# and tenth fail if the batch executor spawns domains (a process that
-# ever did may not fork) or a domain-count knob comes back.  Then the
+# and tenth fail if the batch executor spawns domains (its helpers are
+# parked threads, which overlap inside the kernel's lock-free calls) or
+# a domain-count knob comes back.  Then the
 # bigint/crypto differential tests (both context kinds' multiply,
 # exponentiation, Multi_exp over tables of every width, Fixed_base and
 # domain conversions vs mod_pow_plain at 64-bit word edges and on even
@@ -151,8 +159,8 @@ check-stream:
 # vs the vector-checked block cipher, domain-local cache stress, two
 # threads in the lock-free kernel under a tiny minor heap), the batch
 # executor suite (a sequential map over the same streams, merged
-# counters, the lowest-index exception, fork after a parallel batch,
-# every scheme identical run after run), the DAS client's
+# counters, the lowest-index exception, every scheme identical run
+# after run), the DAS client's
 # decrypt-each-ciphertext-once test, and PM's masked evaluation against
 # its plaintext oracle.
 check-crypto-perf:

@@ -269,6 +269,10 @@ let addr_conv = Arg.conv' (Net.Io.parse_addr, pp_addr)
 
 let addr_doc what = what ^ "  An empty HOST (\":PORT\") means 127.0.0.1."
 
+(* The daemon a command talks to, as its one positional argument. *)
+let target_arg what =
+  Arg.(required & pos 0 (some addr_conv) None & info [] ~docv:"HOST:PORT" ~doc:(addr_doc what))
+
 let run_remote ~target:(host, port) ~spec ~scheme ~fault ~deadline ~fallback ~io_timeout
     ~trace_file ~verbose =
   let env, client, query = Workload.scenario spec in
@@ -404,6 +408,21 @@ let bind_arg =
   Arg.(value & opt string "127.0.0.1"
        & info [ "bind" ] ~docv:"HOST" ~doc:"Address to listen on.")
 
+let drain_deadline_arg =
+  Arg.(value & opt float 30.
+       & info [ "drain-deadline" ] ~docv:"SECONDS"
+           ~doc:"On SIGTERM (or an authenticated Drain frame) refuse new sessions, let \
+                 in-flight ones finish up to this long, then exit 0.")
+
+(* A daemon's scenario and bound listener, announced on stdout. *)
+let listen_daemon ~what ~bind ~port spec =
+  let env, client, _query = Workload.scenario spec in
+  let scenario = Net.Scenario.digest spec in
+  let listen_fd, bound = Net.Io.listen ~host:bind ~port () in
+  Printf.printf "%s listening on %s:%d (scenario %s)\n%!" what bind bound
+    (String.sub scenario 0 12);
+  (env, client, scenario, listen_fd)
+
 let serve_cmd =
   let port =
     Arg.(value & opt int 7000 & info [ "port" ] ~docv:"PORT" ~doc:"TCP port to listen on.")
@@ -437,12 +456,6 @@ let serve_cmd =
              ~doc:"Probe every source replica with a Ping frame this often and \
                    proactively mark dead or draining ones down (0 disables probing).")
   in
-  let drain_deadline =
-    Arg.(value & opt float 30.
-         & info [ "drain-deadline" ] ~docv:"SECONDS"
-             ~doc:"On SIGTERM (or an authenticated Drain frame) stop admitting \
-                   sessions, let in-flight ones finish up to this long, then exit 0.")
-  in
   let max_sessions =
     Arg.(value & opt int 8
          & info [ "max-sessions" ] ~docv:"N"
@@ -452,14 +465,10 @@ let serve_cmd =
   in
   let action bind port sources max_sessions io_timeout deadline breaker health_interval
       drain_deadline spec =
-    let env, client, _query = Workload.scenario spec in
-    let scenario = Net.Scenario.digest spec in
+    let env, client, scenario, listen_fd = listen_daemon ~what:"mediator" ~bind ~port spec in
     let policy =
       { R.default_policy with R.deadline_budget = deadline; breaker_config = breaker }
     in
-    let listen_fd, bound = Net.Io.listen ~host:bind ~port () in
-    Printf.printf "mediator listening on %s:%d (scenario %s)\n%!" bind bound
-      (String.sub scenario 0 12);
     List.iter
       (fun (id, replicas) ->
         Printf.printf "  source %d at %s\n%!" id
@@ -471,7 +480,7 @@ let serve_cmd =
   in
   let term =
     Term.(const action $ bind_arg $ port $ source $ max_sessions $ io_timeout_arg $ deadline_arg
-          $ breaker_arg $ health_interval $ drain_deadline $ spec_term)
+          $ breaker_arg $ health_interval $ drain_deadline_arg $ spec_term)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -493,22 +502,14 @@ let source_cmd =
          & info [ "port" ] ~docv:"PORT"
              ~doc:"TCP port to listen on (0 picks an ephemeral port).")
   in
-  let drain_deadline =
-    Arg.(value & opt float 30.
-         & info [ "drain-deadline" ] ~docv:"SECONDS"
-             ~doc:"On SIGTERM (or an authenticated Drain frame) refuse new sessions, \
-                   let in-flight ones finish up to this long, then exit 0.")
-  in
   let action bind id port io_timeout drain_deadline spec =
-    let env, client, _query = Workload.scenario spec in
-    let scenario = Net.Scenario.digest spec in
-    let listen_fd, bound = Net.Io.listen ~host:bind ~port () in
-    Printf.printf "source %d listening on %s:%d (scenario %s)\n%!" id bind bound
-      (String.sub scenario 0 12);
+    let env, client, scenario, listen_fd =
+      listen_daemon ~what:(Printf.sprintf "source %d" id) ~bind ~port spec
+    in
     Net.Peer.source ~id ~env ~client ~scenario ~listen_fd ~io_timeout ~drain_deadline ()
   in
   let term =
-    Term.(const action $ bind_arg $ id $ port $ io_timeout_arg $ drain_deadline $ spec_term)
+    Term.(const action $ bind_arg $ id $ port $ io_timeout_arg $ drain_deadline_arg $ spec_term)
   in
   Cmd.v
     (Cmd.info "source" ~doc:"Run one datasource as a daemon for a `secmed serve' mediator")
@@ -659,9 +660,12 @@ let render_stats j =
   let mem path v =
     List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some v) path
   in
-  let num path = Option.value ~default:0. (Option.bind (mem path j) J.to_float) in
-  let i path = Option.value ~default:0 (Option.bind (mem path j) J.to_int) in
-  let s path = Option.value ~default:"" (Option.bind (mem path j) J.to_str) in
+  (* A field at [path] in [v] (default: the whole snapshot). *)
+  let get conv default ?(v = j) path = Option.value ~default (Option.bind (mem path v) conv) in
+  let num = get J.to_float 0. and i = get J.to_int 0 and s = get J.to_str "" in
+  let list = get J.to_list [] in
+  let flag ?(v = j) path = mem path v = Some (J.Bool true) in
+  let up ?v path = if flag ?v path then "up" else "down" in
   add "uptime %.1fs  scenario %s\n" (num [ "uptime_seconds" ])
     (let sc = s [ "scenario" ] in
      if String.length sc > 12 then String.sub sc 0 12 else sc);
@@ -673,70 +677,46 @@ let render_stats j =
     (i [ "sessions"; "drain_refused" ])
     (num [ "scheduler"; "busy_seconds" ]);
   add "clients:   %d connections accepted\n" (i [ "sessions"; "connections" ]);
-  (match mem [ "sessions"; "draining" ] j with
-  | Some (J.Bool true) -> add "draining:  yes (new sessions refused)\n"
-  | _ -> ());
-  (match Option.bind (mem [ "pool" ] j) J.to_list with
-  | None | Some [] -> ()
-  | Some sources ->
-    add "pool:\n";
-    List.iter
-      (fun src ->
-        let si path = Option.value ~default:0 (Option.bind (mem path src) J.to_int) in
-        let replicas =
-          match Option.bind (mem [ "replicas" ] src) J.to_list with
-          | None | Some [] | Some [ _ ] -> ""
-          | Some reps ->
-            Printf.sprintf " [%s]"
-              (String.concat ", "
-                 (List.map
-                    (fun re ->
-                      Printf.sprintf "replica %d %s"
-                        (Option.value ~default:0
-                           (Option.bind (J.member "replica" re) J.to_int))
-                        (match J.member "up" re with
-                        | Some (J.Bool true) -> "up"
-                        | _ -> "down"))
-                    reps))
-        in
-        add "  source %d @%s%s: %s (%d dial%s)\n" (si [ "source" ])
-          (Option.value ~default:"" (Option.bind (mem [ "addr" ] src) J.to_str))
-          replicas
-          (match mem [ "connected" ] src with Some (J.Bool true) -> "up" | _ -> "down")
-          (si [ "dials" ])
-          (if si [ "dials" ] = 1 then "" else "s"))
-      sources);
-  (match
-     Option.bind (mem [ "failover"; "count" ] j) J.to_int
-   with
-  | Some count when count > 0 ->
-    add "failover:  %d transitions\n" count;
-    (match Option.bind (mem [ "failover"; "events" ] j) J.to_list with
-    | Some events ->
-      let n = List.length events in
-      List.iteri
-        (fun idx e ->
-          if idx >= n - 5 then
-            add "  %7.2fs source %d replica %d %-8s %s\n"
-              (Option.value ~default:0. (Option.bind (J.member "at" e) J.to_float))
-              (Option.value ~default:0 (Option.bind (J.member "source" e) J.to_int))
-              (Option.value ~default:0 (Option.bind (J.member "replica" e) J.to_int))
-              (Option.value ~default:"" (Option.bind (J.member "kind" e) J.to_str))
-              (Option.value ~default:"" (Option.bind (J.member "detail" e) J.to_str)))
-        events
-    | None -> ())
-  | _ -> ());
-  (match Option.bind (mem [ "breakers" ] j) J.to_list with
-  | None | Some [] -> add "breakers:  none created yet\n"
-  | Some breakers ->
+  if flag [ "sessions"; "draining" ] then add "draining:  yes (new sessions refused)\n";
+  if list [ "pool" ] <> [] then add "pool:\n";
+  List.iter
+    (fun src ->
+      let replicas =
+        match list ~v:src [ "replicas" ] with
+        | [] | [ _ ] -> ""
+        | reps ->
+          Printf.sprintf " [%s]"
+            (String.concat ", "
+               (List.map
+                  (fun re ->
+                    Printf.sprintf "replica %d %s" (i ~v:re [ "replica" ]) (up ~v:re [ "up" ]))
+                  reps))
+      in
+      add "  source %d @%s%s: %s (%d dial%s)\n" (i ~v:src [ "source" ])
+        (s ~v:src [ "addr" ]) replicas (up ~v:src [ "connected" ])
+        (i ~v:src [ "dials" ])
+        (if i ~v:src [ "dials" ] = 1 then "" else "s"))
+    (list [ "pool" ]);
+  let count = i [ "failover"; "count" ] and events = list [ "failover"; "events" ] in
+  if count > 0 then add "failover:  %d transitions\n" count;
+  List.iteri
+    (fun idx e ->
+      if count > 0 && idx >= List.length events - 5 then
+        add "  %7.2fs source %d replica %d %-8s %s\n" (num ~v:e [ "at" ])
+          (i ~v:e [ "source" ]) (i ~v:e [ "replica" ]) (s ~v:e [ "kind" ])
+          (s ~v:e [ "detail" ]))
+    events;
+  (match list [ "breakers" ] with
+  | [] -> add "breakers:  none created yet\n"
+  | breakers ->
     add "breakers:  %s\n"
       (String.concat ", "
          (List.map
             (fun b ->
               Printf.sprintf "%s %s (%d transitions)"
-                (Option.value ~default:"?" (Option.bind (J.member "party" b) J.to_str))
-                (Option.value ~default:"?" (Option.bind (J.member "state" b) J.to_str))
-                (Option.value ~default:0 (Option.bind (J.member "transitions" b) J.to_int)))
+                (get J.to_str "?" ~v:b [ "party" ])
+                (get J.to_str "?" ~v:b [ "state" ])
+                (i ~v:b [ "transitions" ]))
             breakers)));
   add "net:       %d bytes sent / %d recv (%d / %d frames)\n" (i [ "net"; "bytes_sent" ])
     (i [ "net"; "bytes_recv" ])
@@ -755,22 +735,16 @@ let render_stats j =
     add "schemes:\n";
     List.iter
       (fun (name, st) ->
-        let si path = Option.value ~default:0 (Option.bind (mem path st) J.to_int) in
-        let sn path = Option.value ~default:0. (Option.bind (mem path st) J.to_float) in
+        let ms q = 1000. *. num ~v:st [ "latency_seconds"; q ] in
         add "  %-14s %d served (%d degraded), %d failed; latency p50=%.1fms p90=%.1fms p99=%.1fms\n"
-          name (si [ "served" ]) (si [ "degraded" ]) (si [ "failed" ])
-          (1000. *. sn [ "latency_seconds"; "p50" ])
-          (1000. *. sn [ "latency_seconds"; "p90" ])
-          (1000. *. sn [ "latency_seconds"; "p99" ]))
+          name (i ~v:st [ "served" ]) (i ~v:st [ "degraded" ]) (i ~v:st [ "failed" ])
+          (ms "p50") (ms "p90") (ms "p99"))
       schemes
   | Some _ -> ());
   Buffer.contents buf
 
 let stats_cmd =
-  let target =
-    Arg.(required & pos 0 (some addr_conv) None
-         & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator to query."))
-  in
+  let target = target_arg "Mediator to query." in
   let watch =
     Arg.(value & opt (some float) None
          & info [ "watch" ] ~docv:"SECONDS"
@@ -827,10 +801,7 @@ let stats_cmd =
 (* secmed ping / drain *)
 
 let ping_cmd =
-  let target =
-    Arg.(required & pos 0 (some addr_conv) None
-         & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator or datasource to probe."))
-  in
+  let target = target_arg "Mediator or datasource to probe." in
   let action (host, port) io_timeout =
     match Net.Peer.ping ~host ~port ~io_timeout () with
     | h ->
@@ -850,10 +821,7 @@ let ping_cmd =
     Term.(const action $ target $ io_timeout_arg)
 
 let drain_cmd =
-  let target =
-    Arg.(required & pos 0 (some addr_conv) None
-         & info [] ~docv:"HOST:PORT" ~doc:(addr_doc "Mediator or datasource to drain."))
-  in
+  let target = target_arg "Mediator or datasource to drain." in
   let deadline =
     Arg.(value & opt (some seconds_conv) None
          & info [ "drain-deadline" ] ~docv:"SECONDS"

@@ -11,10 +11,9 @@
     call returns once every helper has finished.  The threads overlap
     inside the bigint kernel, which runs every large exponentiation (each
     Paillier one) without the runtime lock; smaller work runs one thread
-    at a time.  Helper threads, unlike domains, leave the process free to
-    [Unix.fork]: a forked child starts with an empty cache.  On a domain
-    other than the main one each helper is a thread that exits when its
-    work ends, so [Domain.join] returns (DESIGN.md §12).
+    at a time.  On a domain other than the main one each helper is a
+    thread that exits when its work ends, so [Domain.join] returns
+    (DESIGN.md §12).
 
     {b Determinism} — outputs do not depend on the interleaving.
     Randomised work must go through {!map_seeded}, which derives an

@@ -20,10 +20,10 @@
     [Thread.default_uncaught_exception_handler], and the thread parks
     again.
 
-    {b Fork} — the cache remembers the process that made it: a forked
-    child starts with an empty cache of its own and never touches the
-    parent's mutex, and a thread that returns from a task in a child
-    forked inside that task exits instead of parking.
+    {b Fork} — a child forked from a process with threads inherits
+    their locks but not the threads, so a process that ran a task here
+    must not fork; loopback clusters fork only in a launcher process
+    that creates no thread.
 
     {b Domains} — only the main domain parks threads.  On any other
     domain each task gets a thread that exits when the task ends, since

@@ -31,7 +31,7 @@ val start :
   t
 (** Listen (default: an ephemeral port on 127.0.0.1; [listen] supplies
     an already-bound socket instead, so a harness can reserve ports
-    before forking) and, per accepted connection, dial the target and
+    before starting the processes that are told them) and, per accepted connection, dial the target and
     pump frames both ways through the rule table. *)
 
 val port : t -> int

@@ -86,26 +86,13 @@ module Mux = struct
         t.dead <- Some msg;
         Condition.broadcast t.changed)
 
-  (* Every mux's [changed] condition stays reachable for the process's
-     lifetime: in a child forked while a thread waited on one, the mux
-     is garbage at once, and the finalizer of a condition with a
-     vanished waiter hangs the child's GC (see {!Secmed_core.Batch}).
-     One condition per mux ever created, so the list grows with the
-     links dialed. *)
-  let conditions : Condition.t list Atomic.t = Atomic.make []
-
   let create ?(max_tombstones = 1024) ?(max_queue = 1024) conn =
-    let changed = Condition.create () in
-    let rec keep () =
-      let l = Atomic.get conditions in
-      if not (Atomic.compare_and_set conditions l (changed :: l)) then keep ()
-    in
-    keep ();
     let t =
       { conn; mu = Mutex.create (); subs = Hashtbl.create 8; closed = Hashtbl.create 8;
         closed_order = Queue.create (); max_tombstones = max max_tombstones 1;
         max_queue = max max_queue 1; over = Hashtbl.create 4;
-        control = Queue.create (); dropped = 0; dead = None; changed; timed_waiters = 0 }
+        control = Queue.create (); dropped = 0; dead = None; changed = Condition.create ();
+        timed_waiters = 0 }
     in
     let rec recv_loop () =
       match Frame.decode (Io.recv_frame conn) with
@@ -187,47 +174,41 @@ module Mux = struct
      late, while an arrival or a death wakes its waiters at once.  The
      ticker exits when nothing is registered, since a thread left
      running keeps its domain from being joined; the next registration
-     starts a new one.  Entries carry their process id, so a child
-     forked while waiters were registered starts its own ticker and
-     never touches its parent's muxes. *)
+     starts a new one. *)
   let tick = 0.05
-  let registered : (int * t) list Atomic.t = Atomic.make []
-  let ticker = Atomic.make 0 (* the process id whose ticker runs, or 0 *)
+  let registered : t list Atomic.t = Atomic.make []
+  let ticker = Atomic.make false (* whether a ticker thread runs *)
 
   let rec update f =
     let l = Atomic.get registered in
     if not (Atomic.compare_and_set registered l (f l)) then update f
 
-  let rec run_ticker pid =
+  let rec run_ticker () =
     Unix.sleepf tick;
-    let mine () = List.filter (fun (p, _) -> p = pid) (Atomic.get registered) in
-    match mine () with
+    match Atomic.get registered with
     | [] ->
       (* Give up the slot, then look once more: a waiter that registered
          meanwhile is seen here, or finds the slot free and starts its
          own ticker — never neither. *)
-      Atomic.set ticker 0;
-      if mine () <> [] && Atomic.compare_and_set ticker 0 pid then run_ticker pid
+      Atomic.set ticker false;
+      if Atomic.get registered <> [] && Atomic.compare_and_set ticker false true then
+        run_ticker ()
     | waiting ->
-      List.iter
-        (fun (_, t) -> Mutex.protect t.mu (fun () -> Condition.broadcast t.changed))
-        waiting;
-      run_ticker pid
+      List.iter (fun t -> Mutex.protect t.mu (fun () -> Condition.broadcast t.changed)) waiting;
+      run_ticker ()
 
   (* Both under [t.mu]. *)
   let register t =
     t.timed_waiters <- t.timed_waiters + 1;
     if t.timed_waiters = 1 then begin
-      let pid = Unix.getpid () in
-      update (List.cons (pid, t));
-      let running = Atomic.get ticker in
-      if running <> pid && Atomic.compare_and_set ticker running pid then
-        ignore (Thread.create run_ticker pid : Thread.t)
+      update (List.cons t);
+      if Atomic.compare_and_set ticker false true then
+        ignore (Thread.create run_ticker () : Thread.t)
     end
 
   let unregister t =
     t.timed_waiters <- t.timed_waiters - 1;
-    if t.timed_waiters = 0 then update (List.filter (fun (_, m) -> m != t))
+    if t.timed_waiters = 0 then update (List.filter (fun m -> m != t))
 
   (* Take the next frame of [q_of ()], sleeping on [changed] until one
      is routed, the reader dies or the deadline passes. *)

@@ -88,7 +88,7 @@ let connect ?timeout ~host ~port () =
       try Unix.inet_addr_of_string host
       with Failure _ -> fail "connect: unknown host %s" host)
   in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.connect fd (Unix.ADDR_INET (addr, port));
      Unix.setsockopt fd Unix.TCP_NODELAY true
@@ -101,7 +101,7 @@ let connect ?timeout ~host ~port () =
    fast (admit or typed Busy), so the queue only has to absorb the SYN
    spike, not hold sessions. *)
 let listen ?(backlog = 256) ?(host = "127.0.0.1") ~port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
@@ -115,7 +115,7 @@ let listen ?(backlog = 256) ?(host = "127.0.0.1") ~port () =
   (fd, bound)
 
 let accept ?timeout fd =
-  match Unix.accept fd with
+  match Unix.accept ~cloexec:true fd with
   | client_fd, addr ->
     (try Unix.setsockopt client_fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     of_fd ?timeout ~peer:(string_of_sockaddr addr) client_fd

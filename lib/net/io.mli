@@ -34,7 +34,9 @@ val connect : ?timeout:float -> host:string -> port:int -> unit -> conn
 
 val listen : ?backlog:int -> ?host:string -> port:int -> unit -> Unix.file_descr * int
 (** Bound, listening socket (with [SO_REUSEADDR]) and the port actually
-    bound — pass [port:0] for an ephemeral port. *)
+    bound — pass [port:0] for an ephemeral port.  Every socket this
+    module opens ({!connect}, [listen], {!accept}) is close-on-exec, so
+    no program the process starts inherits one. *)
 
 val accept : ?timeout:float -> Unix.file_descr -> conn
 (** Block until a peer connects. *)

@@ -43,9 +43,7 @@ type config = {
   workers : int;
   sessions_per_worker : int;
   domains : int;
-      (** worker-thread groups; 1 = plain threads.  Note OCaml forbids
-          forking once any domain has been spawned: keep this at 1 in a
-          process that enters {!Loopback.with_cluster} afterwards. *)
+      (** worker-thread groups; 1 = plain threads *)
   mix : (string * int) list;  (** scheme → weight (weights need not sum to anything) *)
   arrival : arrival;
   seed : string;

@@ -5,32 +5,54 @@ open Secmed_core
    the mediator. *)
 type member = Source of int * int | Mediator
 
-(* What the owner asks its supervisor.  [Stop (m, signal)] sends
-   [signal] (if any), reaps the process and answers its exit code;
-   [Start m] re-binds [m]'s port, forks a fresh incarnation (stopping a
-   live one first) and answers its pid. *)
-type command = Stop of member * int option | Start of member
-
-type cluster = {
-  c_env : Env.t;
-  c_client : Env.client;
-  c_query : string;
-  c_scenario : string;
-  c_port : int;
-  c_io_timeout : float;
-  c_proxies : (int * Chaos.t) list;
-  c_mu : Mutex.t;  (* one request in flight on the control socket *)
-  c_ctl : in_channel * out_channel;
-  c_pids : (member, int) Hashtbl.t;  (* the current incarnation of each member *)
+(* Everything a cluster's members are started from, built by the owner
+   and sent to the launcher once.  [d_proxies] maps a source id to the
+   port of the chaos proxy on its primary's link. *)
+type description = {
+  d_env : Env.t;
+  d_client : Env.client;
+  d_scenario : string;
+  d_replicas : int;
+  d_policy : Resilience.policy option;
+  d_max_sessions : int;
+  d_io_timeout : float;
+  d_health_interval : float option;
+  d_drain_deadline : float option;
+  d_proxies : (int * int) list;
 }
 
-let env c = c.c_env
-let client_of c = c.c_client
+(* What the owner asks its launcher, for the cluster of the given id.
+   [Open] binds every member's port and starts the members, answering
+   each member's (pid, port); [Stop (m, signal)] sends [signal] (if
+   any), reaps the process and answers its exit code; [Start m] re-binds
+   [m]'s port, starts a fresh incarnation (stopping a live one first)
+   and answers its pid; [Close] kills and reaps every member and drops
+   the cluster. *)
+type request =
+  | Open of int * description
+  | Stop of int * member * int option
+  | Start of int * member
+  | Close of int
+
+type cluster = {
+  c_id : int;
+  c_desc : description;
+  c_query : string;
+  c_port : int;
+  c_proxies : (int * Chaos.t) list;
+  c_pids : (member, int) Hashtbl.t;  (* the current incarnation of each member, under [mu] *)
+}
+
+let env c = c.c_desc.d_env
+let client_of c = c.c_desc.d_client
 let canonical_query c = c.c_query
-let scenario c = c.c_scenario
+let scenario c = c.c_desc.d_scenario
 let port c = c.c_port
 
-let pid_of c m = Mutex.protect c.c_mu (fun () -> Hashtbl.find_opt c.c_pids m)
+(* One request in flight to the launcher, and the pid tables. *)
+let mu = Mutex.create ()
+
+let pid_of c m = Mutex.protect mu (fun () -> Hashtbl.find_opt c.c_pids m)
 let mediator_pid c = Option.get (pid_of c Mediator)
 
 let source_pid c ~id ~replica () =
@@ -51,189 +73,226 @@ let exit_code pid =
   | _ -> -1
   | exception Unix.Unix_error _ -> -1
 
-(* The supervisor: a single-threaded process forked at [with_cluster]
-   entry and the parent of every daemon.  A threaded owner (a soak's
-   fleet, the chaos proxies) may then fork nothing itself: forking from
-   a threaded process clones locked mutexes into the child.  Until it
-   forks a member, the supervisor holds that member's pre-bound
-   listener; each daemon closes every listener but its own, so a
-   SIGKILLed daemon really takes its port down.  End of file on the
-   control socket means the owner is gone (finished, or died): every
-   daemon is killed and reaped. *)
-let supervise ~ctl ~listeners ~run =
-  let ic = Unix.in_channel_of_descr ctl and oc = Unix.out_channel_of_descr ctl in
+(* ------------------------------------------------------------------ *)
+(* The launcher: the owning program's own executable, started once per
+   owner process, that creates no thread and so may fork.  It reads
+   requests on its stdin and answers on its stdout; it is the parent of
+   every member.  Until it forks a member, it holds that member's
+   listener; each member closes every other listener, so a SIGKILLed
+   member really takes its port down.  End of file on stdin means the
+   owner is gone (finished, or died): every member is killed and
+   reaped. *)
+
+type live = {
+  l_desc : description;
+  l_ports : (member * int) list;
+  l_pids : (member, int) Hashtbl.t;  (* the current incarnation of each member *)
+}
+
+let run_member l m fd =
+  let d = l.l_desc in
+  match m with
+  | Source (sid, _) ->
+    Peer.source ~id:sid ~env:d.d_env ~client:d.d_client ~scenario:d.d_scenario ~listen_fd:fd
+      ~io_timeout:d.d_io_timeout ?drain_deadline:d.d_drain_deadline ()
+  | Mediator ->
+    (* A chaos proxy interposes on the primary (replica 0) only: the
+       plan narrates one link's faults, and failover tests want the
+       standby clean. *)
+    let addr sid r =
+      match List.assoc_opt sid d.d_proxies with
+      | Some pport when r = 0 -> ("127.0.0.1", pport)
+      | _ -> ("127.0.0.1", List.assoc (Source (sid, r)) l.l_ports)
+    in
+    let sources = List.map (fun sid -> (sid, List.init d.d_replicas (addr sid))) [ 1; 2 ] in
+    Server.serve
+      (Server.create ~env:d.d_env ~client:d.d_client ~scenario:d.d_scenario ~sources
+         ~listen_fd:fd ?policy:d.d_policy ~max_sessions:d.d_max_sessions
+         ~io_timeout:d.d_io_timeout ?drain_deadline:d.d_drain_deadline
+         ?health_interval:d.d_health_interval ())
+
+(* The member's stdout is the launcher's stderr, so the owner's reply
+   pipe has one writer and reads end of file when the launcher dies. *)
+let fork_member l m fd ~others =
+  match Unix.fork () with
+  | 0 ->
+    List.iter close_fd others;
+    Unix.dup2 Unix.stderr Unix.stdout;
+    (try
+       run_member l m fd;
+       Unix._exit 0
+     with _ -> Unix._exit 1)
+  | pid ->
+    close_fd fd;
+    Hashtbl.replace l.l_pids m pid;
+    pid
+
+let stop l m signal =
+  match Hashtbl.find_opt l.l_pids m with
+  | None -> -1
+  | Some pid ->
+    Hashtbl.remove l.l_pids m;
+    Option.iter (fun s -> try Unix.kill pid s with Unix.Unix_error _ -> ()) signal;
+    exit_code pid
+
+let stop_all l = List.iter (fun (m, _) -> ignore (stop l m (Some Sys.sigkill) : int)) l.l_ports
+
+(* SO_REUSEADDR makes the re-bind immediate; retry briefly anyway rather
+   than fail a run on a racy kernel. *)
+let rec rebind port tries =
+  try fst (Io.listen ~port ())
+  with Io.Transport_error _ when tries > 0 ->
+    Unix.sleepf 0.05;
+    rebind port (tries - 1)
+
+(* A request that fails ends the launcher, and with it every cluster:
+   the owner reads end of file. *)
+let launch () =
+  let clusters = Hashtbl.create 4 in
   let reply v =
-    Marshal.to_channel oc v [];
-    flush oc
+    Marshal.to_channel stdout v [];
+    flush stdout
   in
-  let unforked = Hashtbl.of_seq (List.to_seq (List.map (fun (m, (fd, _)) -> (m, fd)) listeners)) in
-  let pids = Hashtbl.create 8 in
-  let spawn m fd =
-    match Unix.fork () with
-    | 0 ->
-      Hashtbl.iter (fun m' fd' -> if m' <> m then close_fd fd') unforked;
-      close_fd ctl;
-      (* A daemon starts from a zeroed metrics registry, so a fresh
-         cluster's totals are its own.  It must never escape into the
-         owner's control flow (test runners, at_exit hooks). *)
-      Secmed_obs.Metrics.reset ();
-      (try
-         run m fd;
-         Unix._exit 0
-       with _ -> Unix._exit 1)
-    | pid ->
-      Hashtbl.remove unforked m;
-      close_fd fd;
-      Hashtbl.replace pids m pid;
-      pid
+  let handle = function
+    | Open (id, d) ->
+      (* Every port is bound before any member starts: a bound listener
+         queues connections until its member calls accept, so there is
+         no start-up race to sleep around. *)
+      let listeners =
+        List.concat_map (fun sid -> List.init d.d_replicas (fun r -> Source (sid, r))) [ 1; 2 ]
+        @ [ Mediator ]
+        |> List.map (fun m -> (m, Io.listen ~port:0 ()))
+      in
+      let l =
+        { l_desc = d; l_ports = List.map (fun (m, (_, port)) -> (m, port)) listeners;
+          l_pids = Hashtbl.create 8 }
+      in
+      Hashtbl.replace clusters id l;
+      let rec start = function
+        | [] -> []
+        | (m, (fd, port)) :: rest ->
+          let pid = fork_member l m fd ~others:(List.map (fun (_, (fd, _)) -> fd) rest) in
+          (m, (pid, port)) :: start rest
+      in
+      reply (start listeners)
+    | Stop (id, m, signal) -> reply (stop (Hashtbl.find clusters id) m signal)
+    | Start (id, m) ->
+      let l = Hashtbl.find clusters id in
+      ignore (stop l m (Some Sys.sigkill) : int);
+      reply (fork_member l m (rebind (List.assoc m l.l_ports) 100) ~others:[])
+    | Close id ->
+      Option.iter stop_all (Hashtbl.find_opt clusters id);
+      Hashtbl.remove clusters id;
+      reply ()
   in
-  let stop m signal =
-    match Hashtbl.find_opt pids m with
-    | None -> -1
-    | Some pid ->
-      Hashtbl.remove pids m;
-      Option.iter (fun s -> try Unix.kill pid s with Unix.Unix_error _ -> ()) signal;
-      exit_code pid
-  in
-  (* SO_REUSEADDR makes the re-bind immediate; retry briefly anyway
-     rather than fail a run on a racy kernel. *)
-  let rec rebind port tries =
-    try fst (Io.listen ~port ())
-    with Io.Transport_error _ when tries > 0 ->
-      Unix.sleepf 0.05;
-      rebind port (tries - 1)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Hashtbl.iter (fun m _ -> ignore (stop m (Some Sys.sigkill) : int)) (Hashtbl.copy pids))
-  @@ fun () ->
-  reply (List.map (fun (m, (fd, _)) -> (m, spawn m fd)) listeners);
+  Fun.protect ~finally:(fun () -> Hashtbl.iter (fun _ l -> stop_all l) clusters) @@ fun () ->
   let rec loop () =
-    match (Marshal.from_channel ic : command) with
-    | exception _ -> ()
-    | Stop (m, signal) ->
-      reply (stop m signal);
-      loop ()
-    | Start m ->
-      ignore (stop m (Some Sys.sigkill) : int);
-      reply (spawn m (rebind (snd (List.assoc m listeners)) 100));
+    match (Marshal.from_channel stdin : request) with
+    | exception (End_of_file | Failure _) -> ()
+    | request ->
+      handle request;
       loop ()
   in
   loop ()
 
-let ask c cmd =
-  let ic, oc = c.c_ctl in
-  Mutex.protect c.c_mu (fun () ->
-      Marshal.to_channel oc (cmd : command) [];
-      flush oc;
-      let v : int = Marshal.from_channel ic in
-      (match cmd with Start m -> Hashtbl.replace c.c_pids m v | Stop _ -> ());
-      v)
+(* ------------------------------------------------------------------ *)
+(* The owner's side *)
+
+(* The argument that starts an executable as a launcher (see the end of
+   this file). *)
+let launcher_arg = "secmed-loopback-launcher"
+
+(* Started at the first cluster, with pipes opened close-on-exec, so it
+   inherits only its stdin and stdout; at exit the owner closes its
+   stdin and reaps it. *)
+let launcher =
+  lazy
+    (let req_r, req_w = Unix.pipe ~cloexec:true () and rep_r, rep_w = Unix.pipe ~cloexec:true () in
+     let pid =
+       Unix.create_process Sys.executable_name
+         [| Sys.executable_name; launcher_arg |]
+         req_r rep_w Unix.stderr
+     in
+     close_fd req_r;
+     close_fd rep_w;
+     let oc = Unix.out_channel_of_descr req_w in
+     at_exit (fun () ->
+         close_out_noerr oc;
+         ignore (exit_code pid : int));
+     (Unix.in_channel_of_descr rep_r, oc))
+
+let ask request =
+  Mutex.protect mu @@ fun () ->
+  let ic, oc = Lazy.force launcher in
+  Marshal.to_channel oc (request : request) [];
+  flush oc;
+  Marshal.from_channel ic
+
+let restarted c m pid = Mutex.protect mu (fun () -> Hashtbl.replace c.c_pids m pid)
 
 let kill_source c ~id ~replica =
-  ignore (ask c (Stop (Source (id, replica), Some Sys.sigkill)) : int)
+  ignore (ask (Stop (c.c_id, Source (id, replica), Some Sys.sigkill)) : int)
 
-let restart_source c ~id ~replica = ignore (ask c (Start (Source (id, replica))) : int)
-let drain_mediator c = ask c (Stop (Mediator, Some Sys.sigterm))
-let wait_mediator c = ask c (Stop (Mediator, None))
-let restart_mediator c = ignore (ask c (Start Mediator) : int)
+let restart_source c ~id ~replica =
+  let m = Source (id, replica) in
+  restarted c m (ask (Start (c.c_id, m)))
+
+let drain_mediator c : int = ask (Stop (c.c_id, Mediator, Some Sys.sigterm))
+let wait_mediator c : int = ask (Stop (c.c_id, Mediator, None))
+let restart_mediator c = restarted c Mediator (ask (Start (c.c_id, Mediator)))
+
+let next_id = Atomic.make 0
 
 let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout = 10.)
     ?(standbys = 0) ?health_interval ?drain_deadline ~spec f =
-  let c_env, c_client, c_query = Workload.scenario ?params spec in
-  let c_scenario = Scenario.digest ?params spec in
-  let replicas = 1 + max 0 standbys in
-  (* Reserve every port before any process starts: a pre-bound listener
-     queues connections until its owner calls accept, so there is no
-     startup race to sleep around.  With [standbys], each source gets
-     that many extra daemon processes — every replica a deterministic
-     twin built from the same seed. *)
-  let listeners =
-    List.concat_map
-      (fun sid -> List.init replicas (fun r -> (Source (sid, r), Io.listen ~port:0 ())))
-      [ 1; 2 ]
-    @ [ (Mediator, Io.listen ~port:0 ()) ]
-  in
-  let port_of m = snd (List.assoc m listeners) in
+  let d_env, d_client, c_query = Workload.scenario ?params spec in
+  let c_id = Atomic.fetch_and_add next_id 1 in
   let proxy_fds = List.map (fun (sid, plan) -> (sid, plan, Io.listen ~port:0 ())) chaos in
-  (* A chaos proxy interposes on the primary (replica 0) only: the plan
-     narrates one link's faults, and failover tests want the standby
-     clean. *)
-  let addr_for sid r =
-    match List.find_opt (fun (psid, _, _) -> psid = sid && r = 0) proxy_fds with
-    | Some (_, _, (_, pport)) -> ("127.0.0.1", pport)
-    | None -> ("127.0.0.1", port_of (Source (sid, r)))
+  let c_desc =
+    { d_env; d_client; d_scenario = Scenario.digest ?params spec; d_replicas = 1 + max 0 standbys;
+      d_policy = policy; d_max_sessions = max_sessions; d_io_timeout = io_timeout;
+      d_health_interval = health_interval; d_drain_deadline = drain_deadline;
+      d_proxies = List.map (fun (sid, _, (_, pport)) -> (sid, pport)) proxy_fds }
   in
-  let run m fd =
-    match m with
-    | Source (sid, _) ->
-      Peer.source ~id:sid ~env:c_env ~client:c_client ~scenario:c_scenario ~listen_fd:fd
-        ~io_timeout ?drain_deadline ()
-    | Mediator ->
-      let sources = List.map (fun sid -> (sid, List.init replicas (addr_for sid))) [ 1; 2 ] in
-      Server.serve
-        (Server.create ~env:c_env ~client:c_client ~scenario:c_scenario ~sources
-           ~listen_fd:fd ?policy ~max_sessions ~io_timeout ?drain_deadline
-           ?health_interval ())
-  in
-  let ctl_owner, ctl_sup = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let sup_pid =
-    match Unix.fork () with
-    | 0 ->
-      close_fd ctl_owner;
-      List.iter (fun (_, _, (fd, _)) -> close_fd fd) proxy_fds;
-      (try
-         supervise ~ctl:ctl_sup ~listeners ~run;
-         Unix._exit 0
-       with _ -> Unix._exit 1)
-    | pid -> pid
-  in
-  close_fd ctl_sup;
-  List.iter (fun (_, (fd, _)) -> close_fd fd) listeners;
-  let ic = Unix.in_channel_of_descr ctl_owner and oc = Unix.out_channel_of_descr ctl_owner in
-  let stop_supervisor () =
-    close_out_noerr oc;
-    ignore (exit_code sup_pid : int)
-  in
-  let pids =
-    try (Marshal.from_channel ic : (member * int) list)
+  let started : (member * (int * int)) list =
+    try ask (Open (c_id, c_desc))
     with e ->
-      stop_supervisor ();
+      List.iter (fun (_, _, (fd, _)) -> close_fd fd) proxy_fds;
       raise e
   in
-  (* The proxies live as threads in this process; they start only after
-     the fork, so no thread state is cloned into a child. *)
+  let port_of m = snd (List.assoc m started) in
   let c_proxies =
     List.map
-      (fun (sid, plan, (pfd, pport)) ->
+      (fun (sid, plan, listen) ->
         ( sid,
           Chaos.start ~plan ~target_host:"127.0.0.1" ~target_port:(port_of (Source (sid, 0)))
-            ~listen:(pfd, pport) () ))
+            ~listen () ))
       proxy_fds
   in
   let cluster =
-    { c_env; c_client; c_query; c_scenario; c_port = port_of Mediator;
-      c_io_timeout = io_timeout; c_proxies; c_mu = Mutex.create (); c_ctl = (ic, oc);
-      c_pids = Hashtbl.of_seq (List.to_seq pids) }
+    { c_id; c_desc; c_query; c_port = port_of Mediator; c_proxies;
+      c_pids = Hashtbl.of_seq (List.to_seq (List.map (fun (m, (pid, _)) -> (m, pid)) started)) }
   in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun (_, p) -> Chaos.stop p) c_proxies;
-      stop_supervisor ())
+      ask (Close c_id))
     (fun () -> f cluster)
 
 let target c =
-  {
-    Loadgen.host = "127.0.0.1";
-    port = c.c_port;
-    scenario = c.c_scenario;
-    env = c.c_env;
-    client = c.c_client;
-    query = c.c_query;
-  }
+  { Loadgen.host = "127.0.0.1"; port = c.c_port; scenario = scenario c; env = env c;
+    client = client_of c; query = c.c_query }
 
 let query c ?fault_spec ?deadline ?fallback ?io_timeout ?trace ~scheme () =
-  Peer.run ~host:"127.0.0.1" ~port:c.c_port ~scenario:c.c_scenario ~scheme ~query:c.c_query
+  Peer.run ~host:"127.0.0.1" ~port:c.c_port ~scenario:(scenario c) ~scheme ~query:c.c_query
     ?fault_spec ?deadline ?fallback
-    ~io_timeout:(Option.value io_timeout ~default:c.c_io_timeout)
-    ?trace c.c_env c.c_client
+    ~io_timeout:(Option.value io_timeout ~default:c.c_desc.d_io_timeout)
+    ?trace (env c) (client_of c)
+
+(* An executable run with [launcher_arg] alone is a launcher: it serves
+   its owner's requests and exits, before any later module starts. *)
+let () =
+  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) launcher_arg then begin
+    launch ();
+    exit 0
+  end

@@ -1,28 +1,37 @@
 (** A complete distributed deployment on 127.0.0.1, for tests, benches
     and the chaos soak.
 
-    {!with_cluster} is the only way a cluster is forked.  On entry it
-    pre-binds every port (ephemeral: no races, no fixed-port
-    collisions), then forks one single-threaded supervisor process,
-    which forks one daemon per datasource replica and one for the
-    mediator server.  The calling process plays the remote client via
-    {!query} or {!target}, and asks the supervisor to kill, restart,
-    drain or wait for a daemon.  The environment is built {e before}
-    forking, so every process replays the identical scenario by
+    {!with_cluster} is the only way a cluster is started.  The calling
+    process (the owner) never forks.  At its first cluster it starts one
+    launcher: its own executable, run again through
+    [Unix.create_process] with an internal argument that this module
+    recognises when it is initialised, so the program needs no flag or
+    setting of its own.  The launcher creates no thread, so it may fork;
+    it is the parent of every member of every cluster of its owner.  For
+    each cluster the owner builds the environment and sends it, with the
+    rest of the cluster's description, on the launcher's stdin; the
+    launcher binds every port (ephemeral: no races, no fixed-port
+    collisions) and forks one daemon per datasource replica and one for
+    the mediator server, which all replay the identical scenario by
     construction — the same guarantee the digest handshake enforces for
-    independently started daemons.
+    independently started daemons.  The owner plays the remote client
+    via {!query} or {!target}, and asks the launcher to kill, restart,
+    drain or wait for a daemon, one request at a time.
 
     - Every daemon closes every listener but its own, so a SIGKILLed
       daemon takes its port down: a connect to it is refused at once.
-    - If the calling process dies, the supervisor sees end of file on
-      its control socket and kills and reaps every daemon.
-    - Call {!with_cluster} before creating any domain: OCaml forbids
-      forking after [Domain.spawn].  Threads are fine; they are not
-      carried into the supervisor.
+    - When a cluster ends, its daemons are killed and reaped.  If the
+      owner dies, the launcher sees end of file on its stdin, kills and
+      reaps every daemon and exits; an owner that exits closes that
+      stdin and reaps the launcher.
+    - The launcher inherits only its stdin and stdout: every socket
+      {!Io} opens, and the launcher's pipes, are close-on-exec.  So a
+      descriptor the owner opens close-on-exec reaches no member, and the
+      owner may have spawned domains and threads before any cluster.
 
     Chaos plans, when given, interpose a {!Chaos} proxy on the named
-    source's mediator link; the proxy threads run in the caller, started
-    after the fork, so the plan's event log stays readable by the test. *)
+    source's mediator link; the proxy threads run in the owner, so the
+    plan's event log stays readable by the test. *)
 
 open Secmed_mediation
 open Secmed_core
@@ -50,10 +59,10 @@ val with_cluster :
   spec:Workload.spec ->
   (cluster -> 'a) ->
   'a
-(** The supervisor and every daemon are killed and reaped (and proxies
-    stopped) however the callback ends.
+(** Every daemon is killed and reaped (and proxies stopped) however
+    the callback ends.
     [health_interval]/[drain_deadline] forward to {!Server.create}.
-    [standbys] (default 0) forks that many extra replica daemons per
+    [standbys] (default 0) starts that many extra replica daemons per
     source — deterministic twins the mediator lists as failover
     candidates behind the primary; chaos proxies, when given, interpose
     on the primary (replica 0) only.  Every daemon drains on SIGTERM
@@ -61,19 +70,19 @@ val with_cluster :
     deployment would. *)
 
 val source_pid : cluster -> id:int -> replica:int -> unit -> int
-(** The current incarnation of the daemon serving [replica] (0 =
-    primary) of source [id].  Raises
+(** The process id of the current incarnation of the daemon serving
+    [replica] (0 = primary) of source [id].  Raises
     [Invalid_argument] for a member the cluster does not have. *)
 
 val mediator_pid : cluster -> int
-(** The current incarnation of the mediator. *)
+(** The process id of the current incarnation of the mediator. *)
 
 val kill_source : cluster -> id:int -> replica:int -> unit
 (** SIGKILL [replica] of source [id] and reap it.  Its port
     then refuses connections until {!restart_source}. *)
 
 val restart_source : cluster -> id:int -> replica:int -> unit
-(** Fork a fresh incarnation of [replica] of source [id] on
+(** Start a fresh incarnation of [replica] of source [id] on
     its old port, killing a live one first.  The port is bound again
     before this returns, so connections queue from then on. *)
 
@@ -86,10 +95,10 @@ val wait_mediator : cluster -> int
     and return its exit code, as {!drain_mediator} does. *)
 
 val restart_mediator : cluster -> unit
-(** Fork a fresh mediator on the same port, killing a live one first. *)
+(** Start a fresh mediator on the same port, killing a live one first. *)
 
 val target : cluster -> Loadgen.target
-(** The cluster's mediator as a {!Loadgen} target (the parent process
+(** The cluster's mediator as a {!Loadgen} target (the owner
     plays the whole client fleet). *)
 
 val query :
@@ -102,6 +111,6 @@ val query :
   scheme:string ->
   unit ->
   Peer.response
-(** One remote query from the parent process (a fresh client connection
+(** One remote query from the owner (a fresh client connection
     per call).  [trace] forwards to {!Peer.run}: every process collects
     spans and the response carries the merged-ready batches. *)

@@ -54,6 +54,7 @@ type report = {
   sk_events : event list;
   sk_transitions : transition list;
   sk_drain_exits : int list;
+  sk_drain_in_flight : int list;
   sk_kills : (int * int) list;
   sk_violations : string list;
   sk_availability_pct : float;
@@ -90,9 +91,6 @@ let schedule cfg =
 
 (* ------------------------------------------------------------------ *)
 (* The cluster *)
-
-(* The cluster runs under {!Loopback}'s supervisor, which forks it on
-   entry — before the driver spawns its first thread. *)
 
 let drain_deadline = 10.
 let health_interval = 0.25
@@ -174,12 +172,14 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
         events := { ev_at = now (); ev_label = label } :: !events)
       fmt
   in
-  let load = ref None in
-  let load_exn = ref None in
+  let load = ref (Error "no report") in
+  let fleet_done = Atomic.make false in
   let fleet =
     Thread.create
       (fun () ->
-        try load := Some (Loadgen.run lcfg (Loopback.target c)) with e -> load_exn := Some e)
+        (load :=
+           try Ok (Loadgen.run lcfg (Loopback.target c)) with e -> Error (Printexc.to_string e));
+        Atomic.set fleet_done true)
       ()
   in
   let stashes = ref [] in
@@ -188,9 +188,17 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
     | payload -> stashes := payload :: !stashes
     | exception _ -> violate "could not stash mediator stats %s" what
   in
+  (* A drain is only a test under load: poll the mediator's Health until
+     it counts a session in flight, or the fleet is done. *)
+  let rec in_flight () =
+    let n =
+      try (Peer.ping ~host:"127.0.0.1" ~port:med_port ~io_timeout:2.0 ()).h_active with _ -> 0
+    in
+    if n > 0 || Atomic.get fleet_done then n else (Thread.delay 0.01; in_flight ())
+  in
   let kills = ref [] in
   let kill_windows = ref [] in
-  let drain_exits = ref [] in
+  let drain_exits = ref [] and drain_in_flight = ref [] in
   List.iter
     (fun action ->
       Thread.delay cfg.gap;
@@ -207,7 +215,9 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
       | Drain_restart ->
         (* The transition log dies with the incarnation: stash it first. *)
         stash_stats "before drain";
-        record "drain mediator (SIGTERM)";
+        let active = in_flight () in
+        drain_in_flight := active :: !drain_in_flight;
+        record "drain mediator (SIGTERM, %d in flight)" active;
         drain_exits := Loopback.drain_mediator c :: !drain_exits;
         record "restart mediator";
         Loopback.restart_mediator c)
@@ -248,13 +258,10 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
          (List.rev !stashes))
   in
   let sk_load =
-    match (!load, !load_exn) with
-    | Some r, _ -> r
-    | None, Some e ->
-      violate "loadgen raised: %s" (Printexc.to_string e);
-      { Loadgen.records = []; elapsed = now (); verify_failures = [] }
-    | None, None ->
-      violate "loadgen produced no report";
+    match !load with
+    | Ok r -> r
+    | Error e ->
+      violate "loadgen failed: %s" e;
       { Loadgen.records = []; elapsed = now (); verify_failures = [] }
   in
   (* ---------------- invariants ---------------- *)
@@ -285,6 +292,8 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
   List.iter
     (fun code -> if code <> 0 then violate "mediator drain exited with code %d" code)
     (List.rev !drain_exits);
+  if List.mem 0 !drain_in_flight then
+    violate "a mediator drain saw no session in flight (the fleet was done)";
   let killed = List.sort_uniq compare !kills in
   List.iter
     (fun (sid, r) ->
@@ -349,6 +358,7 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
     sk_events = List.rev !events;
     sk_transitions;
     sk_drain_exits = List.rev !drain_exits;
+    sk_drain_in_flight = List.rev !drain_in_flight;
     sk_kills = List.rev !kills;
     sk_violations = List.rev !violations;
     sk_availability_pct;
@@ -424,10 +434,12 @@ let write_log ~path r =
              ("detail", Json.Str tr.tr_detail);
            ]))
     r.sk_transitions;
-  List.iter
-    (fun code ->
-      line (Json.Obj [ ("type", Json.Str "drain"); ("exit", Json.Int code) ]))
-    r.sk_drain_exits;
+  List.iter2
+    (fun code active ->
+      line
+        (Json.Obj
+           [ ("type", Json.Str "drain"); ("exit", Json.Int code); ("in_flight", Json.Int active) ]))
+    r.sk_drain_exits r.sk_drain_in_flight;
   List.iter
     (fun v ->
       line (Json.Obj [ ("type", Json.Str "violation"); ("msg", Json.Str v) ]))

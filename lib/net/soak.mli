@@ -2,24 +2,23 @@
     driven against a live loopback cluster under load.
 
     {!run} runs on {!Loopback.with_cluster} (one standby per source by
-    default): its supervisor forks every datasource replica daemon and
+    default): its launcher starts every datasource replica daemon and
     the mediator, each on a pre-bound port.  The driver then offers a
     deterministic {!Loadgen} fleet (with a connect-retry budget, so
     sessions ride out restarts) while executing {!schedule} through
     {!Loopback}: SIGKILL a source replica, restart it on the same port,
-    drain-restart the mediator via SIGTERM.
-
-    The supervisor is forked on entry, before the driver spawns any
-    thread: call this before creating domains (OCaml forbids forking
-    after [Domain.spawn]).
+    drain-restart the mediator via SIGTERM.  Before each SIGTERM it
+    polls the mediator's [Health] until a session is in flight (or the
+    fleet is done), so a drain is tried under load.
 
     Afterwards the report asserts the robustness invariants — no
     session [Failed], none lost or duplicated, every served result
-    bit-identical under [verify], every mediator drain exited 0, and
-    the mediator's failover transition log shows a down and an up edge
-    for every endpoint the schedule killed — and distills availability
-    metrics (first-try share, kill-window p99, worst failover
-    latency).  A report with an empty [sk_violations] is a pass. *)
+    bit-identical under [verify], every mediator drain exited 0 and saw
+    a session in flight, and the mediator's failover transition log
+    shows a down and an up edge for every endpoint the schedule killed —
+    and distills availability metrics (first-try share, kill-window p99,
+    worst failover latency).  A report with an empty [sk_violations] is
+    a pass. *)
 
 open Secmed_core
 
@@ -70,6 +69,9 @@ type report = {
   sk_events : event list;
   sk_transitions : transition list;
   sk_drain_exits : int list;
+  sk_drain_in_flight : int list;
+      (** sessions the mediator's [Health] counted in flight just before
+          each drain's SIGTERM *)
   sk_kills : (int * int) list;  (** endpoints killed, in schedule order *)
   sk_violations : string list;  (** empty = every invariant held *)
   sk_availability_pct : float;  (** share of sessions served on the first try *)

@@ -1,10 +1,8 @@
 (* Differential tests of the thread-parallel Batch executor: each call
    equals a sequential map over the same per-item streams, counters merge
    to the sequential totals, the lowest-index exception is the one
-   raised, a process that ran a parallel batch can still fork (also while
-   threads wait in a batch and on a mux), and all
-   five schemes give identical results, transcripts and counters on
-   repeated runs, whose thread interleavings differ.  Then the thread
+   raised, and all five schemes give identical results, transcripts and
+   counters on repeated runs, whose thread interleavings differ.  Then the thread
    cache the helpers come from: reuse, a clean start per task, and a
    raising task. *)
 
@@ -83,7 +81,7 @@ let test_lowest_exception () =
 
 (* ------------------------------------------------------------------ *)
 (* The thread cache: parked threads are reused, start each task clean,
-   survive a raising task, and leave a forked child a cache of its own. *)
+   and survive a raising task. *)
 
 (* Wait until at least [n] threads are parked: a thread parks only after
    its task has returned, so a caller that awaited the task alone could
@@ -196,116 +194,6 @@ let test_raising_task_reported () =
     (mentions report "thread-cache-probe");
   Alcotest.(check int) "next task on the parked thread" (Atomic.get raised_on)
     (on_cache self_id)
-
-(* A process that has just run a parallel batch can still fork: helpers
-   are threads, and OCaml refuses Unix.fork only after a Domain.spawn.
-   The child inherits none of the parent's parked threads: it starts a
-   cache of its own, runs a task, a full major GC and a two-item batch
-   there, and exits 0.  An alarm bounds a child that hangs. *)
-let test_fork_after_batch () =
-  let ids =
-    Batch.parallel_map
-      (fun () ->
-        Thread.delay 0.002;
-        self_id ())
-      (Array.make 4 ())
-  in
-  Alcotest.(check int) "items ran" 4 (Array.length ids);
-  if Domain.recommended_domain_count () >= 2 then await_parked 1;
-  let parked = Thread_cache.parked () in
-  match Unix.fork () with
-  | 0 ->
-    ignore (Unix.alarm 20 : int);
-    let ok =
-      try
-        let fresh = Thread_cache.parked () = 0 in
-        let ran = on_cache (fun () -> true) in
-        (* The parent's parked threads wait on conditions this copy
-           inherited; a major GC must not try to destroy them. *)
-        Gc.full_major ();
-        let squares = Batch.parallel_map (fun x -> Thread.delay 0.001; x * x) [| 3; 4 |] in
-        fresh && ran && squares = [| 9; 16 |]
-      with _ -> false
-    in
-    Unix._exit (if ok then 0 else 1)
-  | pid ->
-    let _, status = Unix.waitpid [] pid in
-    Alcotest.(check bool) "child exited 0" true (status = Unix.WEXITED 0);
-    Alcotest.(check bool) "parent's threads still parked" true (Thread_cache.parked () >= parked)
-
-(* Fork while one thread waits in [Mux.next] and another in a [Batch]
-   call for its helper.  Only those threads hold the mux and the call,
-   so in the child both are garbage at once, and the finalizer of a
-   condition whose waiter the child did not inherit would hang its GC:
-   the child runs a full major GC and a two-item batch and must exit 0
-   under an alarm.  The batch's caller takes one item and returns it
-   only once the helper holds the other, which blocks on a pipe. *)
-let test_fork_while_threads_wait () =
-  let module Io = Secmed_net.Io in
-  let module Mux = Secmed_net.Endpoint.Mux in
-  let fd_a, fd_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let a = Io.of_fd ~peer:"producer" fd_a in
-  let mux_waiting = Atomic.make false in
-  let mux_thread =
-    Thread.create
-      (fun () ->
-        let mux = Mux.create (Io.of_fd ~peer:"consumer" fd_b) in
-        Mux.subscribe mux 1;
-        Atomic.set mux_waiting true;
-        (try ignore (Mux.next mux ~session:1 ~timeout:0. : Secmed_net.Frame.t)
-         with Io.Transport_error _ -> ());
-        Io.close (Mux.conn mux))
-      ()
-  in
-  let two_cores = Domain.recommended_domain_count () >= 2 in
-  let release_r, release_w = Unix.pipe () in
-  let helper_holds = Atomic.make (not two_cores) in
-  let batch_thread =
-    Thread.create
-      (fun () ->
-        if two_cores then begin
-          let caller = self_id () in
-          ignore
-            (Batch.parallel_map
-               (fun () ->
-                 if self_id () = caller then
-                   while not (Atomic.get helper_holds) do
-                     Thread.delay 0.001
-                   done
-                 else begin
-                   Atomic.set helper_holds true;
-                   ignore (Unix.read release_r (Bytes.create 1) 0 1 : int)
-                 end)
-               [| (); () |]
-              : unit array)
-        end)
-      ()
-  in
-  while not (Atomic.get mux_waiting && Atomic.get helper_holds) do
-    Thread.delay 0.001
-  done;
-  (* Let both threads reach their condition waits. *)
-  Thread.delay 0.1;
-  let status =
-    match Unix.fork () with
-    | 0 ->
-      ignore (Unix.alarm 20 : int);
-      let ok =
-        try
-          Gc.full_major ();
-          Batch.parallel_map (fun x -> Thread.delay 0.001; x * x) [| 3; 4 |] = [| 9; 16 |]
-        with _ -> false
-      in
-      Unix._exit (if ok then 0 else 1)
-    | pid -> snd (Unix.waitpid [] pid)
-  in
-  ignore (Unix.write release_w (Bytes.of_string "x") 0 1 : int);
-  Io.close a;
-  Thread.join batch_thread;
-  Thread.join mux_thread;
-  Unix.close release_r;
-  Unix.close release_w;
-  Alcotest.(check bool) "child exited 0" true (status = Unix.WEXITED 0)
 
 (* Helper-thread counters must fold back into the caller's open phase:
    the totals and the phase span's ops.* attributes equal a sequential
@@ -462,8 +350,6 @@ let () =
           Alcotest.test_case "parallel map semantics" `Quick test_parallel_map_basics;
           Alcotest.test_case "lowest-index exception" `Quick test_lowest_exception;
           Alcotest.test_case "counter merge" `Quick test_counter_merge;
-          Alcotest.test_case "fork after a parallel batch" `Quick test_fork_after_batch;
-          Alcotest.test_case "fork while threads wait" `Quick test_fork_while_threads_wait;
         ] );
       ( "thread cache",
         [

@@ -1,10 +1,7 @@
 (* Sustained-load serving: the deterministic loadgen fleet against a
-   forked loopback cluster, plus the domain-level concurrency pieces it
-   rides on.
-
-   Ordering note: the final suite spawns OCaml domains, and Unix.fork
-   is illegal once any domain has been spawned — every cluster-forking
-   test must (and does) run before it. *)
+   loopback cluster, plus the domain-level concurrency pieces it rides
+   on.  Run as [test_serve.exe owner], the executable is instead the
+   cluster owner of the owner-death test. *)
 
 open Secmed_core
 open Secmed_net
@@ -82,6 +79,23 @@ let test_quantile_nearest_rank () =
 (* ------------------------------------------------------------------ *)
 (* The fleet against a live cluster. *)
 
+(* A descriptor the owner opened close-on-exec reaches no process of a
+   cluster: with the cluster up, closing one end of a socketpair opened
+   before it started gives the other end end of file at once.  It runs
+   before any other cluster of this executable, so its cluster also
+   starts the launcher. *)
+let test_owner_descriptors_stay_private () =
+  let mine, peer = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  (match (Loopback.query c ~scheme:"plain" ()).Peer.result with
+  | Protocol.Served _ -> ()
+  | Protocol.Unserved _ -> Alcotest.fail "the cluster is not up");
+  Unix.close mine;
+  match Unix.select [ peer ] [] [] 1. with
+  | [], _, _ -> Alcotest.fail "no end of file within 1 s: a cluster process holds the socket"
+  | _ -> Alcotest.(check int) "end of file" 0 (Unix.read peer (Bytes.create 1) 0 1)
+
 let signature report =
   List.map
     (fun r -> (r.Loadgen.r_worker, r.Loadgen.r_index, r.Loadgen.r_scheme))
@@ -158,8 +172,7 @@ let test_poisson_open_loop_serves () =
   Alcotest.(check bool) "throughput recorded" true (Loadgen.qps report > 0.)
 
 (* ------------------------------------------------------------------ *)
-(* Process death and graceful drain.  Still cluster-forking: these must
-   also run before any domain is spawned. *)
+(* Process death and graceful drain. *)
 
 (* The single in-process reference execution for a scheme, under the
    same fault plan the remote query carries (plan presence is
@@ -493,51 +506,79 @@ let test_killed_replica_refuses () =
   Alcotest.(check bool) "restarted replica answers Health" true
     (health.Peer.h_role = Secmed_mediation.Transcript.Source 1)
 
-(* The process that owns a cluster dies without cleaning up: its
-   supervisor sees the control socket close and takes every daemon
-   down with it. *)
+(* The owner-death test's owner: a cluster whose members' pids go to
+   stdout, held until the process is killed. *)
+let owner_mode = "owner"
+
+let serve_as_owner () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  Marshal.to_channel stdout
+    (Loopback.mediator_pid c
+    :: List.map (fun id -> Loopback.source_pid c ~id ~replica:0 ()) [ 1; 2 ])
+    [];
+  flush stdout;
+  Unix.sleep 60
+
+(* The state and parent pid of a process, from /proc/<pid>/stat (after
+   the parenthesised command name); [None] once it is gone. *)
+let proc_stat pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | line -> (
+    let after = String.rindex line ')' + 2 in
+    match String.split_on_char ' ' (String.sub line after (String.length line - after)) with
+    | state :: ppid :: _ -> Some (state, int_of_string ppid)
+    | _ -> None)
+
+let gone pid = match proc_stat pid with None | Some ("Z", _) -> true | Some _ -> false
+
+(* The process that owns a cluster — this executable run as
+   [owner_mode] — dies without cleaning up: its launcher, the members'
+   parent, sees its stdin close and takes every member down with it,
+   then exits.  While it ran, the launcher had exactly one thread. *)
 let test_owner_death_stops_cluster () =
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close rd;
-    (try
-       Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
-       let oc = Unix.out_channel_of_descr wr in
-       Marshal.to_channel oc
-         (Loopback.mediator_pid c
-         :: List.map (fun id -> Loopback.source_pid c ~id ~replica:0 ()) [ 1; 2 ])
-         [];
-       flush oc;
-       Unix.sleep 60
-     with _ -> ());
-    Unix._exit 1
-  | helper ->
-    Unix.close wr;
-    let ic = Unix.in_channel_of_descr rd in
-    let pids : int list =
-      Fun.protect
-        ~finally:(fun () ->
-          close_in ic;
-          Unix.kill helper Sys.sigkill;
-          ignore (Unix.waitpid [] helper))
-        (fun () -> Marshal.from_channel ic)
-    in
-    let gone pid =
-      match Unix.kill pid 0 with
-      | () -> false
-      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-    in
-    let deadline = Unix.gettimeofday () +. 5. in
-    while (not (List.for_all gone pids)) && Unix.gettimeofday () < deadline do
-      Thread.delay 0.05
-    done;
-    let survivors = List.filter (fun pid -> not (gone pid)) pids in
-    List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) survivors;
-    Alcotest.(check (list int)) "no daemon outlives its owner" [] survivors
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let owner =
+    Unix.create_process Sys.executable_name [| Sys.executable_name; owner_mode |] Unix.stdin wr
+      Unix.stderr
+  in
+  Unix.close wr;
+  let ic = Unix.in_channel_of_descr rd in
+  let reaped = ref false in
+  let kill_owner () =
+    if not !reaped then begin
+      reaped := true;
+      (try Unix.kill owner Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] owner)
+    end
+  in
+  Fun.protect ~finally:kill_owner @@ fun () ->
+  let members : int list =
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    try Marshal.from_channel ic
+    with End_of_file -> Alcotest.fail "the owner died before its cluster was up"
+  in
+  let launcher =
+    match proc_stat (List.hd members) with
+    | Some (_, ppid) -> ppid
+    | None -> Alcotest.fail "no /proc entry for the mediator"
+  in
+  let threads = Array.length (Sys.readdir (Printf.sprintf "/proc/%d/task" launcher)) in
+  Alcotest.(check (option int)) "the launcher is the owner's child" (Some owner)
+    (Option.map snd (proc_stat launcher));
+  kill_owner ();
+  Alcotest.(check int) "the launcher ran one thread" 1 threads;
+  let pids = launcher :: members in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (List.for_all gone pids)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.05
+  done;
+  let survivors = List.filter (fun pid -> not (gone pid)) pids in
+  List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) survivors;
+  Alcotest.(check (list int)) "no member or launcher outlives its owner" [] survivors
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel mux consumers.  LAST: domains forbid later forks. *)
+(* Domains: mux consumers on domains, and a cluster after a domain. *)
 
 (* The seeded interleaving stress again, but with each session's
    consumer in its own OCaml domain: real parallelism on the shared
@@ -632,6 +673,23 @@ let test_domain_batch_and_spawn_join () =
   ignore (Unix.alarm 0 : int);
   Alcotest.(check (array int)) "batch on the domain" [| 1; 4; 9; 16 |] squares
 
+(* A process that has spawned and joined a domain still starts a
+   cluster, whose served answer equals the in-process reference: the
+   owner forks nothing. *)
+let test_cluster_after_domain () =
+  Alcotest.(check int) "the domain ran" 42 (Domain.join (Domain.spawn (fun () -> 42)));
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let reference = reference_outcome c ~scheme:"das" ~fault_spec:"" in
+  Alcotest.(check string) "served bit-identical after a domain"
+    (Secmed_relalg.Relation.to_string reference.Outcome.result)
+    (served_relation (Loopback.query c ~scheme:"das" ()).Peer.result)
+
+let () =
+  if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) owner_mode then begin
+    serve_as_owner ();
+    exit 0
+  end
+
 let () =
   Alcotest.run "serve"
     [
@@ -642,6 +700,11 @@ let () =
           Alcotest.test_case "poisson arrivals well-formed" `Quick
             test_plan_poisson_arrivals;
           Alcotest.test_case "nearest-rank quantile" `Quick test_quantile_nearest_rank;
+        ] );
+      ( "launcher",
+        [
+          Alcotest.test_case "owner's descriptors stay private" `Quick
+            test_owner_descriptors_stay_private;
         ] );
       ( "fleet",
         [
@@ -679,5 +742,6 @@ let () =
             test_mux_domain_parallel_consumers;
           Alcotest.test_case "batch and spawned task on a domain join" `Quick
             test_domain_batch_and_spawn_join;
+          Alcotest.test_case "cluster after a domain" `Quick test_cluster_after_domain;
         ] );
     ]

@@ -1,20 +1,20 @@
 (* The chaos soak harness: the kill/drain schedule is a pure function
    of the config, and a short smoke soak must hold every robustness
-   invariant end to end.  The soak forks a supervised cluster on entry,
-   so this executable never spawns domains. *)
+   invariant end to end, its drain landing while a session is in
+   flight. *)
 
 open Secmed_net
 
 let fast_params = { Secmed_core.Env.group_bits = 160; paillier_bits = 384 }
 
-(* The same shape `make check-soak` runs: small fleet, real kills, one
-   drain-restart, verification on. *)
+(* The shape `make check-soak` runs: small fleet, real kills, one
+   drain-restart, verification on; the fleet outlasts the schedule. *)
 let smoke =
   {
     Soak.default_config with
     Soak.params = Some fast_params;
     workers = 2;
-    sessions_per_worker = 3;
+    sessions_per_worker = 8;
     kills = 2;
     drains = 1;
     rate = 6.;
@@ -59,6 +59,8 @@ let test_smoke_soak_invariants () =
   List.iter
     (fun code -> Alcotest.(check int) "drained mediator exited 0" 0 code)
     report.Soak.sk_drain_exits;
+  Alcotest.(check bool) "every drain saw a session in flight" true
+    (List.for_all (fun n -> n > 0) report.Soak.sk_drain_in_flight);
   Alcotest.(check int) "kills executed in schedule order" smoke.Soak.kills
     (List.length report.Soak.sk_kills);
   Alcotest.(check bool) "failover transitions recovered" true
