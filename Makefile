@@ -143,11 +143,17 @@ check-stream:
 # sliding-window scan, and the seventh if a Horner evaluation comes back
 # on PM's runtime path: a source evaluates each value as one
 # multi-exponentiation over the coefficients' tables.  The eighth fails
-# if a Jacobi symbol comes back: ElGamal decryption is one exponentiation
-# by p-1-x for every unit c1, with no residuosity branch.  The ninth
-# and tenth fail if the batch executor spawns domains (its helpers are
-# parked threads, which overlap inside the kernel's lock-free calls) or
-# a domain-count knob comes back.  Then the
+# if a Jacobi symbol comes back: ElGamal decapsulation is one
+# exponentiation c1^x for every unit c1, with no residuosity branch.  The
+# ninth and tenth fail if the batch executor spawns domains (its helpers
+# are parked threads, which overlap inside the kernel's lock-free calls)
+# or a domain-count knob comes back.  The eleventh and twelfth fail if
+# ElGamal element encryption or decryption, the fused fixed-base
+# multiply-exponentiate that served it, or a second DEM comes back: the
+# KEM is hashed ElGamal, one group element per ciphertext, and the one
+# DEM seals each single-use key's message.  The thirteenth fails if a
+# hybrid ciphertext carries a nonce again: its DEM's key is used once,
+# so the nonce is a constant.  Then the
 # bigint/crypto differential tests (both context kinds' multiply,
 # exponentiation, Multi_exp over tables of every width, Fixed_base and
 # domain conversions vs mod_pow_plain at 64-bit word edges and on even
@@ -174,6 +180,9 @@ check-crypto-perf:
 	! grep -rnw "jacobi" lib
 	! grep -n "Domain.spawn" lib/core/batch.ml
 	! grep -rn "SECMED_DOMAINS\|set_default_domains" lib bin bench test
+	! grep -nwE "encrypt|decrypt" lib/crypto/elgamal.ml lib/crypto/elgamal.mli
+	! grep -rnwE "Elgamal\.(encrypt|decrypt)|mul_pow_fb|dem_encrypt|dem_decrypt" lib
+	! grep -nE "^ *nonce *:|[{;] *nonce\b" lib/crypto/hybrid.ml
 	dune exec test/test_bigint.exe
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe

@@ -911,26 +911,22 @@ module Fixed_base = struct
     in
     { fb_ctx; fb_base = base; covered_bits = windows * window; table }
 
-  let covers fb e = e.sign >= 0 && numbits e <= fb.covered_bits
-
-  (* acc * base^e in the domain, for an exponent the table covers: one
-     table multiplication per non-zero window. *)
-  let scan fb acc e =
-    let acc = ref acc in
-    for i = 0 to ((numbits e + window - 1) / window) - 1 do
-      let digit = ref 0 in
-      for bit = window - 1 downto 0 do
-        digit := (!digit lsl 1) lor (if testbit e ((i * window) + bit) then 1 else 0)
-      done;
-      if !digit <> 0 then acc := Ctx.mont_mul fb.fb_ctx !acc fb.table.(i).(!digit - 1)
-    done;
-    !acc
-
-  (* Negative exponents and exponents wider than the table take the
+  (* One table multiplication per non-zero window, no squarings.
+     Negative exponents and exponents wider than the table take the
      context's general exponentiation. *)
   let pow fb e =
-    if covers fb e then Ctx.of_mont fb.fb_ctx (scan fb (Ctx.mont_one fb.fb_ctx) e)
-    else Ctx.mod_pow fb.fb_ctx fb.fb_base e
+    if e.sign < 0 || numbits e > fb.covered_bits then Ctx.mod_pow fb.fb_ctx fb.fb_base e
+    else begin
+      let acc = ref (Ctx.mont_one fb.fb_ctx) in
+      for i = 0 to ((numbits e + window - 1) / window) - 1 do
+        let digit = ref 0 in
+        for bit = window - 1 downto 0 do
+          digit := (!digit lsl 1) lor (if testbit e ((i * window) + bit) then 1 else 0)
+        done;
+        if !digit <> 0 then acc := Ctx.mont_mul fb.fb_ctx !acc fb.table.(i).(!digit - 1)
+      done;
+      Ctx.of_mont fb.fb_ctx !acc
+    end
 
   (* A cached table is reused when it covers at least [bits]. *)
   let cache : fb lru Domain.DLS.key = lru_key ()
@@ -961,13 +957,6 @@ module Multi_exp = struct
   let mul_pow c a b e =
     if e.sign < 0 then Ctx.mod_mul c a (Ctx.mod_pow c b e)
     else Ctx.of_mont c (Ctx.mont_mul c (Ctx.to_mont c a) (Ctx.mont_pow c (Ctx.to_mont c b) e))
-
-  (* a * base^e against a fixed-base table: the window multiplications
-     accumulate directly onto [a] in the domain. *)
-  let mul_pow_fb (fb : Fixed_base.fb) a e =
-    let c = fb.Fixed_base.fb_ctx in
-    if Fixed_base.covers fb e then Ctx.of_mont c (Fixed_base.scan fb (Ctx.to_mont c a) e)
-    else Ctx.mod_mul c a (Fixed_base.pow fb e)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -249,8 +249,8 @@ end
     calls: PM builds one per encrypted coefficient and evaluates a
     polynomial at every point of a source with it.  {!Ctx.mont_pow} runs
     the same scan over a table built for one use.  Plain contexts
-    multiply residue-ring powers.  The fused products [a * b^e] serve
-    Paillier's encryption and ElGamal's encryption and decryption. *)
+    multiply residue-ring powers.  The fused product [a * b^e] serves
+    Paillier's encryption and re-randomisation. *)
 
 module Multi_exp : sig
   type table
@@ -275,12 +275,6 @@ module Multi_exp : sig
       fused (one conversion of [a] instead of a full-width final
       modular multiplication).  Negative [e] takes the general
       inverse-based route of {!Ctx.mod_pow}. *)
-
-  val mul_pow_fb : Fixed_base.fb -> t -> t -> t
-  (** [mul_pow_fb fb a e = a * base^e mod m] where [base]/[m] come from
-      the fixed-base table: the window multiplications accumulate
-      directly onto [a] in the context's domain.  Exponents outside the
-      table's coverage take [Fixed_base.pow] then multiply. *)
 end
 
 (** {1 Byte serialization} *)

@@ -92,7 +92,7 @@ let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~sid ~first_id 
           | Session_keys ->
             let key = Hybrid.random_session_key prng in
             let id = first_id + i in
-            (key ^ be64 id, Some (id, Hybrid.dem_encrypt prng ~key (encode_tuple_set tuples)))
+            (key ^ be64 id, Some (id, Hybrid.seal ~key (encode_tuple_set tuples)))
         in
         let packed = root_bytes a ^ payload in
         let message =
@@ -153,7 +153,7 @@ let recover_tuples ~variant ~id_lookup entry =
       match id_lookup id with
       | None -> None
       | Some blob ->
-        (match Hybrid.dem_decrypt ~key blob with
+        (match Hybrid.unseal ~key blob with
          | Some set -> (
            try Some (decode_tuple_set set)
            with Invalid_argument _ | Wire.Malformed _ -> None)

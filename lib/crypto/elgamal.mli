@@ -1,5 +1,8 @@
-(** ElGamal over QR_p, used as the key-encapsulation half of the hybrid
-    scheme.  Semantic security follows from DDH in QR_p. *)
+(** Hashed ElGamal (DHIES) over QR_p: the key-encapsulation half of the
+    hybrid scheme.  The encapsulation is one group element [c1 = g^r];
+    the shared secret is [H(p, c1, y^r)], which the key holder recomputes
+    as [H(p, c1, c1^x)].  The secret is pseudorandom under CDH (gap-DH
+    for chosen-ciphertext use) in QR_p with [H] a random oracle. *)
 
 open Secmed_bigint
 
@@ -9,22 +12,17 @@ type private_key = { public : public_key; x : Bigint.t }
 val keygen : Prng.t -> Group.t -> private_key
 val public : private_key -> public_key
 
-type ciphertext = { c1 : Bigint.t; c2 : Bigint.t }
+val encapsulate : Prng.t -> public_key -> Bigint.t * string
+(** [(c1, secret)]: [c1 = g^r] for a fresh exponent [r], and the 32-byte
+    secret [H(p, c1, y^r)], with [y^r] from the key's cached fixed-base
+    table. *)
 
-val encrypt : Prng.t -> public_key -> Bigint.t -> ciphertext
-(** Encrypts a group element (caller must supply an element of QR_p). *)
-
-val decrypt : private_key -> ciphertext -> Bigint.t
-(** [c2 * (c1^x)^-1 mod p] for any [c1] that is a unit mod p, in the
-    subgroup or not.  Raises [Invalid_argument] when [c1 = 0 (mod p)]. *)
-
-val encapsulate : Prng.t -> public_key -> ciphertext * string
-(** Picks a random group element, encrypts it, and returns the ciphertext
-    together with a 32-byte shared secret derived from the element. *)
-
-val decapsulate : private_key -> ciphertext -> string option
-(** The shared secret, or [None] when [c1 = 0 (mod p)]: a degenerate
-    ciphertext fails like a forged one instead of raising. *)
+val decapsulate : private_key -> Bigint.t -> string option
+(** [H(p, c1, c1^x)] with [c1] taken mod p, or [None] when
+    [c1 = 0 (mod p)]: a degenerate encapsulation fails like a forged one
+    instead of raising.  No subgroup check: a unit outside QR_p is raised
+    to [x] as it is, so an active party that learns whether such a [c1]
+    was accepted learns at most [x mod 2]. *)
 
 val fingerprint : public_key -> string
 (** Short stable identifier for a public key (hex of a truncated hash);

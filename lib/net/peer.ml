@@ -156,8 +156,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(io_timeout = 10.)
       in
       control ()
     | Frame.Hello _ ->
-      Io.send_frame conn
-        (Frame.encode (Frame.Busy "scenario digest mismatch (wrong workload or parameters)"))
+      Io.send_frame conn (Frame.encode (Frame.Busy "only the mediator may connect to a source"))
     | _ -> ()
   in
   (* A daemon waits for its mediator indefinitely; [io_timeout] guards
@@ -195,10 +194,13 @@ type client = {
   mutable fresh : bool;
 }
 
-let dial ~host ~port ~scenario ~io_timeout =
+(* The one leaf handshake, for the client's mediator connection and the
+   mediator's source links: [Hello] as [role], then [Hello_ok] carrying
+   the same digest, or the peer's typed refusal. *)
+let dial ~role ~host ~port ~scenario ~io_timeout =
   let conn = Io.connect ~timeout:io_timeout ~host ~port () in
   match
-    Io.send_frame conn (Frame.encode (Frame.Hello { role = Transcript.Client; scenario }));
+    Io.send_frame conn (Frame.encode (Frame.Hello { role; scenario }));
     Frame.decode (Io.recv_frame conn)
   with
   | Frame.Hello_ok { scenario = s } when String.equal s scenario -> conn
@@ -206,17 +208,16 @@ let dial ~host ~port ~scenario ~io_timeout =
     Io.close conn;
     raise
       (match reply with
-      | Frame.Hello_ok _ -> Io.Transport_error "scenario digest mismatch with the mediator"
       | Frame.Busy reason -> Refused reason
       | Frame.Draining reason -> Draining reason
       | f -> Io.Transport_error ("unexpected " ^ Frame.tag_name f ^ " in handshake"))
   | exception e ->
     Io.close conn;
-    raise e
+    raise (match e with Wire.Malformed msg -> Io.Transport_error msg | e -> e)
 
 let connect ~host ~port ~scenario ?(io_timeout = 10.) () =
-  { host; port; scenario; io_timeout; conn = Some (dial ~host ~port ~scenario ~io_timeout);
-    fresh = true }
+  { host; port; scenario; io_timeout;
+    conn = Some (dial ~role:Transcript.Client ~host ~port ~scenario ~io_timeout); fresh = true }
 
 let close c =
   Option.iter Io.close c.conn;
@@ -315,7 +316,8 @@ let query c ~scheme ~query ?(fault_spec = "") ?(deadline = 0.) ?(fallback = true
       | Some conn -> conn
       | None ->
         let conn =
-          dial ~host:c.host ~port:c.port ~scenario:c.scenario ~io_timeout:c.io_timeout
+          dial ~role:Transcript.Client ~host:c.host ~port:c.port ~scenario:c.scenario
+            ~io_timeout:c.io_timeout
         in
         c.conn <- Some conn;
         c.fresh <- true;
@@ -350,13 +352,16 @@ let run ~host ~port ~scenario ~scheme ~query:q ?fault_spec ?deadline ?fallback ?
 (* Ops client *)
 
 (* One ops exchange: connect, send [request], read one reply.  [answer]
-   maps the expected reply; [Busy] is a typed refusal and anything else
-   a transport error naming [what] was asked. *)
+   maps the expected reply; [Busy] is a typed refusal and anything else,
+   a reply that does not decode included, a transport error naming
+   [what] was asked. *)
 let ops_request ~host ~port ~io_timeout ~what request answer =
   let conn = Io.connect ~timeout:io_timeout ~host ~port () in
   Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
   Io.send_frame conn (Frame.encode request);
   match Frame.decode (Io.recv_frame conn) with
+  | exception Wire.Malformed msg ->
+    raise (Io.Transport_error ("malformed reply to " ^ what ^ ": " ^ msg))
   | Frame.Busy reason -> raise (Refused reason)
   | f -> (
     match answer f with

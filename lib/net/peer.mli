@@ -14,7 +14,8 @@ open Secmed_core
 exception Refused of string
 (** The mediator (or a datasource) turned a query away with a typed
     [Busy] frame at capacity (admission-control backpressure), or a
-    connection away on a scenario digest mismatch.  The payload is the peer's reason.
+    connection away on a scenario digest mismatch or a [Hello] of a role
+    it does not serve.  The payload is the peer's reason.
     Distinct from {!Io.Transport_error} so a load generator can count
     backpressure separately from broken links. *)
 
@@ -49,7 +50,8 @@ val source :
     and per [Session_start] run this source's replica of the attempt and
     report how it ended (with the attempt's span batch in the [Report]
     when the session is traced).  [scenario] is the {!Scenario.digest}
-    the mediator's [Hello] must present.
+    the mediator's [Hello] must present; a [Hello] of any other role is
+    refused with [Busy] "only the mediator may connect to a source".
     The session's fault spec is parsed once, so a [times]-bounded rule
     burns down across attempts exactly as it does in-process.  Returns
     once a drain completes.
@@ -80,6 +82,18 @@ type response = {
           source replica per epoch, in arrival order, then the
           mediator's own; [[]] unless [trace] was set *)
 }
+
+val dial :
+  role:Transcript.party -> host:string -> port:int -> scenario:string -> io_timeout:float ->
+  Io.conn
+(** The leaf handshake, for a client's mediator connection and a
+    mediator's source link alike: connect, send [Hello] as [role] with
+    [scenario], and return the connection once the peer's [Hello_ok]
+    carries the same digest.  Raises {!Refused} with the peer's reason
+    when it answers [Busy] (a wrong digest, or a role it does not
+    serve), {!Draining} when it is draining, and {!Io.Transport_error}
+    when it is unreachable or answers anything else, malformed frames
+    included.  [io_timeout] bounds the connect and each frame. *)
 
 type client
 (** One connection to a mediator, carrying any number of sessions in
@@ -152,9 +166,11 @@ val stats : host:string -> port:int -> ?io_timeout:float -> unit -> string
     works against a server at capacity. *)
 
 val ping : host:string -> port:int -> ?io_timeout:float -> unit -> health
-(** One liveness probe against a mediator or datasource daemon.
-    Answered before admission and before any handshake; raises
-    {!Io.Transport_error} when the peer is unreachable. *)
+(** One liveness probe against a mediator or datasource daemon; the
+    mediator's health prober sends the same.  Answered before admission
+    and before any handshake; raises {!Io.Transport_error} when the peer
+    is unreachable or its reply does not decode, as {!stats} and {!drain}
+    do. *)
 
 val drain :
   host:string -> port:int -> scenario:string -> ?deadline:float -> ?io_timeout:float ->

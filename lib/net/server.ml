@@ -251,30 +251,16 @@ let ensure_link t sl =
       if t.stopped then Error "mediator stopped"
       else
       let dial_replica re =
-        match Io.connect ~timeout:t.io_timeout ~host:re.re_host ~port:re.re_port () with
-        | exception Io.Transport_error msg -> Error msg
-        | conn -> (
-          try
-            Io.send_frame conn
-              (Frame.encode (Frame.Hello { role = Transcript.Mediator; scenario = t.scenario }));
-            match Frame.decode (Io.recv_frame conn) with
-            | Frame.Hello_ok { scenario } when String.equal scenario t.scenario ->
-              (* The mux receive thread must outlive idle periods. *)
-              Io.set_timeout conn 0.;
-              Ok (Mux.create conn)
-            | Frame.Hello_ok _ ->
-              Io.close conn;
-              Error "scenario digest mismatch (daemon built a different workload)"
-            | Frame.Draining reason ->
-              Io.close conn;
-              Error ("draining: " ^ reason)
-            | f ->
-              Io.close conn;
-              Error ("unexpected " ^ Frame.tag_name f ^ " in handshake")
-          with
-          | Io.Transport_error msg | Wire.Malformed msg ->
-            Io.close conn;
-            Error msg)
+        match
+          Peer.dial ~role:Transcript.Mediator ~host:re.re_host ~port:re.re_port
+            ~scenario:t.scenario ~io_timeout:t.io_timeout
+        with
+        | conn ->
+          (* The mux receive thread must outlive idle periods. *)
+          Io.set_timeout conn 0.;
+          Ok (Mux.create conn)
+        | exception (Io.Transport_error reason | Peer.Refused reason) -> Error reason
+        | exception Peer.Draining reason -> Error ("draining: " ^ reason)
       in
       let redial () =
         (match sl.sl_mux with
@@ -445,23 +431,25 @@ let make_routes t conn sid ~epoch ~batches =
     stats = client_stat :: List.map (fun (s, _, _) -> s) per_source;
   }
 
+(* A session-control frame to every replica of the session; a dead link
+   is skipped, its session fault surfaces elsewhere. *)
+let broadcast routes frame =
+  (try routes.client_route.Endpoint.r_send frame with Io.Transport_error _ -> ());
+  List.iter
+    (fun (_, r, _) -> try r.Endpoint.r_send frame with Io.Transport_error _ -> ())
+    routes.source_routes
+
 (* The commit barrier around each attempt: announce it, and afterwards
    collect every replica's report so no stale frames leak into the next
    attempt.  A replica's own typed fault is the root cause and outranks
    whatever downstream stall the mediator observed locally. *)
 let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
   let cells = routes.client_report :: List.map (fun (_, _, c) -> c) routes.source_routes in
-  let broadcast frame =
-    (try routes.client_route.Endpoint.r_send frame with Io.Transport_error _ -> ());
-    List.iter
-      (fun (_, r, _) -> try r.Endpoint.r_send frame with Io.Transport_error _ -> ())
-      routes.source_routes
-  in
   let begin_attempt ~scheme ~attempt =
     incr epoch;
     List.iter (fun c -> c := None) cells;
     routes.bind ();
-    broadcast
+    broadcast routes
       (Frame.Session_start
          { session = sid; epoch = !epoch; attempt; scheme; query; fault_spec; trace_id })
   in
@@ -488,7 +476,7 @@ let coordinator t ~sid ~query ~fault_spec ~routes ~epoch ~failures ~trace_id =
   in
   let end_attempt ~scheme ~attempt:_ local =
     (match local with
-    | Error f -> broadcast (Frame.Abort { session = sid; epoch = !epoch; failure = f })
+    | Error f -> broadcast routes (Frame.Abort { session = sid; epoch = !epoch; failure = f })
     | Ok _ -> ());
     (* Sources before the client: in the star topology the client is
        downstream of every mediator stall, so when a source frame was
@@ -745,17 +733,7 @@ let run_query t conn sid ~release ~scheme ~query ~fault_spec ~deadline ~fallback
                 reason = "no scheme attempted";
               }
           in
-          (try
-             routes.client_route.Endpoint.r_send
-               (Frame.Abort { session = sid; epoch = !epoch; failure = last_failure })
-           with Io.Transport_error _ -> ());
-          List.iter
-            (fun (_, r, _) ->
-              try
-                r.Endpoint.r_send
-                  (Frame.Abort { session = sid; epoch = !epoch; failure = last_failure })
-              with Io.Transport_error _ -> ())
-            routes.source_routes;
+          broadcast routes (Frame.Abort { session = sid; epoch = !epoch; failure = last_failure });
           (* The client replica's Report to the final abort, if any. *)
           note_result ~key:scheme ~elapsed `Failed;
           reply ~spans:(spans ())
@@ -1035,24 +1013,6 @@ let conn_thread t conn frame =
     ~finally:(fun () -> Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live_conns token))
     (fun () -> handle t conn frame)
 
-(* One health-probe pass: a short-lived connection per replica carrying
-   a single Ping.  A draining or unreachable replica is marked down, so
-   its link proactively switches away from it instead of paying a
-   session fault to discover the death. *)
-let probe_replica t re =
-  let timeout = Float.min 2. t.io_timeout in
-  match Io.connect ~timeout ~host:re.re_host ~port:re.re_port () with
-  | exception Io.Transport_error msg -> Error msg
-  | conn -> (
-    Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
-    try
-      Io.send_frame conn (Frame.encode Frame.Ping);
-      match Frame.decode (Io.recv_frame conn) with
-      | Frame.Health { h_draining = false; _ } -> Ok ()
-      | Frame.Health _ -> Error "probe: peer is draining"
-      | f -> Error ("probe: unexpected " ^ Frame.tag_name f)
-    with Io.Transport_error msg | Wire.Malformed msg -> Error ("probe: " ^ msg))
-
 let prober t () =
   let nap seconds =
     let rec go left =
@@ -1074,9 +1034,19 @@ let prober t () =
               (not t.stopped)
               && Mutex.protect sl.sl_mu (fun () -> R.breaker_allow re.re_breaker)
             then
-              match probe_replica t re with
-              | Ok () -> set_health t sl re.re_index ~reason:"" (R.breaker_record ~ok:true)
-              | Error msg -> mark_down t sl re.re_index ~reason:msg)
+              (* One short-lived connection carrying a single Ping: a
+                 draining or unreachable replica is marked down, so its
+                 link switches away from it instead of paying a session
+                 fault to discover the death. *)
+              match
+                Peer.ping ~host:re.re_host ~port:re.re_port
+                  ~io_timeout:(Float.min 2. t.io_timeout) ()
+              with
+              | { Peer.h_draining = false; _ } ->
+                set_health t sl re.re_index ~reason:"" (R.breaker_record ~ok:true)
+              | _ -> mark_down t sl re.re_index ~reason:"probe: peer is draining"
+              | exception (Io.Transport_error msg | Peer.Refused msg) ->
+                mark_down t sl re.re_index ~reason:("probe: " ^ msg))
           sl.sl_replicas)
       t.sources;
     nap t.health_interval

@@ -748,52 +748,52 @@ let pinned_transcripts =
           (Client, Mediator, "global-query", 185);
           (Mediator, Source 1, "partial-query", 175);
           (Mediator, Source 2, "partial-query", 175);
-          (Source 1, Mediator, "M_1(keys+payloads)", 690);
+          (Source 1, Mediator, "M_1(keys+payloads)", 530);
           (Source 2, Mediator, "M_2(keys)", 100);
           (Mediator, Source 2, "hashes-1", 140);
           (Mediator, Source 1, "hashes-2", 100);
           (Source 1, Mediator, "doubly-encrypted-2", 100);
           (Source 2, Mediator, "doubly-encrypted-1", 140);
-          (Mediator, Client, "selected-payloads", 354);
+          (Mediator, Client, "selected-payloads", 258);
         ] );
       ( "semi-join",
         [
           (Client, Mediator, "global-query", 185);
           (Mediator, Source 1, "partial-query", 175);
           (Mediator, Source 2, "partial-query", 175);
-          (Source 1, Mediator, "M_1(keys+payloads)", 890);
+          (Source 1, Mediator, "M_1(keys+payloads)", 730);
           (Source 2, Mediator, "M_2(keys)", 100);
           (Mediator, Source 2, "hashes-1", 140);
           (Mediator, Source 1, "hashes-2", 100);
           (Source 1, Mediator, "doubly-encrypted-2", 100);
           (Source 2, Mediator, "doubly-encrypted-1", 140);
-          (Mediator, Client, "selected-payloads", 536);
+          (Mediator, Client, "selected-payloads", 440);
         ] );
       ( "difference",
         [
           (Client, Mediator, "global-query", 185);
           (Mediator, Source 1, "partial-query", 175);
           (Mediator, Source 2, "partial-query", 175);
-          (Source 1, Mediator, "M_1(keys+payloads)", 690);
+          (Source 1, Mediator, "M_1(keys+payloads)", 530);
           (Source 2, Mediator, "M_2(keys)", 100);
           (Mediator, Source 2, "hashes-1", 140);
           (Mediator, Source 1, "hashes-2", 100);
           (Source 1, Mediator, "doubly-encrypted-2", 100);
           (Source 2, Mediator, "doubly-encrypted-1", 140);
-          (Mediator, Client, "selected-payloads", 236);
+          (Mediator, Client, "selected-payloads", 172);
         ] );
       ( "aggregate",
         [
           (Client, Mediator, "global-query", 239);
           (Mediator, Source 1, "partial-query", 175);
           (Mediator, Source 2, "partial-query", 175);
-          (Source 1, Mediator, "agg-bundles", 830);
-          (Source 2, Mediator, "agg-bundles", 750);
+          (Source 1, Mediator, "agg-bundles", 670);
+          (Source 2, Mediator, "agg-bundles", 590);
           (Mediator, Source 2, "hashes-1", 140);
           (Mediator, Source 1, "hashes-2", 140);
           (Source 1, Mediator, "doubly-encrypted", 140);
           (Source 2, Mediator, "doubly-encrypted", 140);
-          (Mediator, Client, "matched-bundles", 828);
+          (Mediator, Client, "matched-bundles", 636);
         ] );
       ( "aggregate-homomorphic",
         [
@@ -812,10 +812,10 @@ let pinned_transcripts =
         [
           (Client, Mediator, "global-query", 184);
           (Mediator, Source 1, "partial-query", 155);
-          (Source 1, Mediator, "RS+enc(ITables)", 1520);
-          (Mediator, Client, "enc(ITables)", 250);
+          (Source 1, Mediator, "RS+enc(ITables)", 1168);
+          (Mediator, Client, "enc(ITables)", 218);
           (Client, Mediator, "server-query-qS", 24);
-          (Mediator, Client, "RC", 714);
+          (Mediator, Client, "RC", 522);
         ] );
   ]
 
@@ -913,12 +913,12 @@ let test_das_decrypts_each_ciphertext_once () =
       ("Client->Mediator", "global-query", 185);
       ("Mediator->Source1", "partial-query", 175);
       ("Mediator->Source2", "partial-query", 175);
-      ("Source1->Mediator", "R1S+ITables", 1842);
-      ("Source2->Mediator", "R2S+ITables", 1842);
-      ("Mediator->Client", "enc(ITables_R1)", 318);
-      ("Mediator->Client", "enc(ITables_R2)", 318);
+      ("Source1->Mediator", "R1S+ITables", 1426);
+      ("Source2->Mediator", "R2S+ITables", 1426);
+      ("Mediator->Client", "enc(ITables_R1)", 286);
+      ("Mediator->Client", "enc(ITables_R2)", 286);
       ("Client->Mediator", "server-query-qS", 48);
-      ("Mediator->Client", "RC", 3094);
+      ("Mediator->Client", "RC", 2262);
     ]
     (List.map
        (fun m ->

@@ -37,6 +37,14 @@ type field =
   | Flist of int list
   | Fraw of string  (* fixed width, read back by its known length *)
   | Ftuple of int list  (* self-delimiting, read back at an offset *)
+  | Fhybrid of string  (* a hybrid ciphertext of this plaintext, read back at an offset *)
+
+module Elgamal = Secmed_crypto.Elgamal
+module Hybrid = Secmed_crypto.Hybrid
+
+(* The fuzzed hybrid ciphertexts are under one key of the tests' group. *)
+let fuzz_prng = Secmed_crypto.Prng.create ~seed:"wire-fuzz"
+let fuzz_key = Elgamal.keygen fuzz_prng (Secmed_crypto.Group.default ~bits:160)
 
 let write_field w = function
   | Fint n -> Wire.write_int w n
@@ -45,8 +53,18 @@ let write_field w = function
   | Flist l -> Wire.write_list w (fun x -> Wire.write_int w x) l
   | Fraw s -> Wire.write_raw w s
   | Ftuple l -> Wire.write_raw w (Tuple.encode (Tuple.of_list (List.map (fun i -> Value.Int i) l)))
+  | Fhybrid p ->
+    Wire.write_raw w (Hybrid.to_wire (Hybrid.encrypt fuzz_prng (Elgamal.public fuzz_key) p))
 
-let read_field r = function
+(* A hybrid ciphertext that parses must decrypt to its plaintext when
+   [intact], and otherwise fail authentication or still decrypt to it:
+   any other plaintext fails the property. *)
+let read_field ~intact r = function
+  | Fhybrid p -> (
+    match Hybrid.decrypt fuzz_key (Wire.read_at r Hybrid.of_wire_at) with
+    | Some q when String.equal q p -> ()
+    | None when not intact -> ()
+    | Some _ | None -> failwith "a hybrid ciphertext decrypted wrongly")
   | Fint _ -> ignore (Wire.read_int r)
   | Fstr _ -> ignore (Wire.read_string r)
   | Fbig _ -> ignore (Wire.read_bigint r)
@@ -59,9 +77,9 @@ let encode_fields fields =
   List.iter (write_field w) fields;
   Wire.contents w
 
-let read_fields blob fields =
+let read_fields ?(intact = false) blob fields =
   let r = Wire.reader blob in
-  List.iter (read_field r) fields;
+  List.iter (read_field ~intact r) fields;
   Wire.expect_end r
 
 let gen_field =
@@ -74,6 +92,7 @@ let gen_field =
         map (fun l -> Flist l) (small_list nat);
         map (fun s -> Fraw s) (string_size (int_range 0 30));
         map (fun l -> Ftuple l) (small_list int);
+        map (fun s -> Fhybrid s) (string_size (int_range 0 30));
       ])
 
 type mutation =
@@ -115,7 +134,7 @@ let prop_wire_fuzz =
          let blob = encode_fields fields in
          match mutation with
          | Keep ->
-           read_fields blob fields;
+           read_fields ~intact:true blob fields;
            true
          | _ -> (
            let mutated = apply_mutation blob mutation in

@@ -274,6 +274,12 @@ let pool_replica stats ~source ~replica =
     (List.filter (fun sl -> jint "source" sl = Some source) (jlist "pool" stats))
   |> List.find_opt (fun re -> jint "replica" re = Some replica)
 
+(* A replica's port, from its address in the stats [pool]. *)
+let replica_port c ~source ~replica =
+  match Option.bind (pool_replica (mediator_stats c) ~source ~replica) (J.member "addr") with
+  | Some (J.Str addr) -> int_of_string (List.nth (String.split_on_char ':' addr) 1)
+  | _ -> Alcotest.failf "no address for replica %d of source %d in the stats pool" replica source
+
 (* SIGTERM the primary of source 1 between sessions: it drains and
    exits, its health breaker opens, and the next session fails the
    source link over to the standby with a bit-identical answer.  The
@@ -489,12 +495,7 @@ let test_drain_answers_queued_connections () =
    process of the cluster inherited.  A restart serves the same port. *)
 let test_killed_replica_refuses () =
   Loopback.with_cluster ~params:fast ~spec:small_spec ~standbys:1 @@ fun c ->
-  let port =
-    let primary = pool_replica (mediator_stats c) ~source:1 ~replica:0 in
-    match Option.bind primary (J.member "addr") with
-    | Some (J.Str addr) -> int_of_string (List.nth (String.split_on_char ':' addr) 1)
-    | _ -> Alcotest.fail "no address for the source 1 primary in the stats pool"
-  in
+  let port = replica_port c ~source:1 ~replica:0 in
   Loopback.kill_source c ~id:1 ~replica:0;
   let t0 = Unix.gettimeofday () in
   (match Peer.ping ~host:"127.0.0.1" ~port ~io_timeout:3. () with
@@ -684,6 +685,91 @@ let test_cluster_after_domain () =
     (Secmed_relalg.Relation.to_string reference.Outcome.result)
     (served_relation (Loopback.query c ~scheme:"das" ()).Peer.result)
 
+(* ------------------------------------------------------------------ *)
+(* Handshakes and ops replies. *)
+
+(* A Hello with the right digest but a role the daemon does not serve
+   is refused typed, naming the role rule, by the mediator and by a
+   source alike. *)
+let test_wrong_role_refused () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let refusal role port =
+    match
+      Peer.dial ~role ~host:"127.0.0.1" ~port ~scenario:(Loopback.scenario c) ~io_timeout:5.
+    with
+    | conn ->
+      Io.close conn;
+      Alcotest.fail "a Hello of the wrong role was admitted"
+    | exception Peer.Refused reason -> reason
+  in
+  Alcotest.(check string) "mediator refuses a source's Hello"
+    "only clients may connect to this port"
+    (refusal (Secmed_mediation.Transcript.Source 1) (Loopback.port c));
+  Alcotest.(check string) "source refuses a client's Hello"
+    "only the mediator may connect to a source"
+    (refusal Secmed_mediation.Transcript.Client (replica_port c ~source:1 ~replica:0))
+
+(* Source 1's primary is replaced on its port by a daemon built from
+   another spec.  The mediator's dial is refused, and the query's typed
+   transport failure carries that source's own reason. *)
+let test_source_refusal_reason () =
+  Loopback.with_cluster ~params:fast ~spec:small_spec @@ fun c ->
+  let port = replica_port c ~source:1 ~replica:0 in
+  Loopback.kill_source c ~id:1 ~replica:0;
+  let other = { small_spec with Workload.seed = small_spec.Workload.seed + 1 } in
+  let env, client, _ = Workload.scenario ~params:fast other in
+  let scenario = Scenario.digest ~params:fast other in
+  let listen_fd = fst (Io.listen ~port ()) in
+  let daemon =
+    Thread.create (fun () -> Peer.source ~id:1 ~env ~client ~scenario ~listen_fd ()) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Peer.drain ~host:"127.0.0.1" ~port ~scenario ();
+      Thread.join daemon)
+  @@ fun () ->
+  match
+    (Loopback.query c ~scheme:"plain" ~fault_spec:"retries=0" ~fallback:false ()).Peer.result
+  with
+  | Protocol.Unserved [ (_, f) ] ->
+    Alcotest.(check string) "transport phase" "transport" f.Protocol.phase;
+    Alcotest.(check string) "source 1 blamed" "Source1"
+      (Secmed_mediation.Transcript.party_name f.Protocol.party);
+    Alcotest.(check bool) (f.Protocol.reason ^ " carries the source's reason") true
+      (String.ends_with ~suffix:"scenario digest mismatch (wrong workload or parameters)"
+         f.Protocol.reason)
+  | Protocol.Unserved tried ->
+    Alcotest.failf "expected one failure: %a" Protocol.pp_session_failures tried
+  | Protocol.Served _ -> Alcotest.fail "a source of another spec must not serve"
+
+(* An ops reply that does not decode is a typed transport error, for
+   ping, stats and drain alike, never an escaping exception. *)
+let test_ops_malformed_reply () =
+  let listen_fd, port = Io.listen ~port:0 () in
+  Fun.protect ~finally:(fun () -> Unix.close listen_fd) @@ fun () ->
+  let asks = 3 in
+  let garbage =
+    Thread.create
+      (fun () ->
+        for _ = 1 to asks do
+          let conn = Io.accept ~timeout:5. listen_fd in
+          Fun.protect ~finally:(fun () -> Io.close conn) @@ fun () ->
+          ignore (Io.recv_frame conn : string);
+          Io.send_frame conn "\x2a\x00garbage"
+        done)
+      ()
+  in
+  let typed what ask =
+    match ask () with
+    | _ -> Alcotest.failf "%s: a garbage reply was accepted" what
+    | exception Io.Transport_error _ -> ()
+  in
+  let host = "127.0.0.1" in
+  typed "ping" (fun () -> ignore (Peer.ping ~host ~port () : Peer.health));
+  typed "stats" (fun () -> ignore (Peer.stats ~host ~port () : string));
+  typed "drain" (fun () -> Peer.drain ~host ~port ~scenario:"s" ());
+  Thread.join garbage
+
 let () =
   if Array.length Sys.argv = 2 && String.equal Sys.argv.(1) owner_mode then begin
     serve_as_owner ();
@@ -735,6 +821,13 @@ let () =
           Alcotest.test_case "killed replica refuses" `Slow test_killed_replica_refuses;
           Alcotest.test_case "owner death stops the cluster" `Slow
             test_owner_death_stops_cluster;
+        ] );
+      ( "dial",
+        [
+          Alcotest.test_case "wrong role refused by each daemon" `Quick test_wrong_role_refused;
+          Alcotest.test_case "source's refusal reason reaches the query" `Quick
+            test_source_refusal_reason;
+          Alcotest.test_case "malformed ops reply fails typed" `Quick test_ops_malformed_reply;
         ] );
       ( "domains",
         [
